@@ -1,12 +1,14 @@
 # Convenience targets for the hlf-bft reproduction.
 
-.PHONY: build test lint figures bench bench-crypto bench-wire bench-pipeline bench-net bench-all obs-report trace-report audit-report tsan asan clean-results
+.PHONY: build test lint figures bench-crypto bench-wire bench-pipeline bench-net bench-all obs-report trace-report audit-report tsan asan clean-results
 
 build:
-	cargo build --workspace --release
+	cargo build --release
 
+# The Tier-1 command: `default-members` makes the root build and test
+# cover every crate, offline (no manifest names a non-path dependency).
 test:
-	cargo test --workspace 2>&1 | tee test_output.txt
+	cargo build --release && cargo test -q
 
 # hlf-lint enforces the invariants the compiler cannot see: panic
 # discipline, SAFETY-documented unsafe, an acyclic lock graph (now
@@ -42,14 +44,10 @@ figures:
 	cargo run --release -p bench --bin eq1_bound_check     | tee results_eq1.txt
 	cargo run --release -p bench --bin ablations           | tee results_ablations.txt
 
-bench:
-	cargo bench --workspace 2>&1 | tee bench_output.txt
-
-# Crypto fast-path numbers: criterion micro-benches, the single-thread
-# sig_rate example, and a refresh of BENCH_crypto.json (fast paths vs
-# the in-tree double-and-add reference, measured on this machine).
+# Crypto fast-path numbers: the single-thread sig_rate example and a
+# refresh of BENCH_crypto.json (fast paths vs the in-tree
+# double-and-add reference, measured on this machine).
 bench-crypto:
-	cargo bench -p bench --bench crypto 2>&1 | tee bench_crypto_output.txt
 	cargo run --release -p bench --example sig_rate
 	cargo run --release -p bench --bin bench_crypto_json
 
@@ -116,4 +114,4 @@ bench-all:
 	cargo run --release -p bench --bin bench_summary
 
 clean-results:
-	rm -f results_*.txt test_output.txt bench_output.txt bench_crypto_output.txt
+	rm -f results_*.txt

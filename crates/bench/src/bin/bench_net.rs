@@ -3,7 +3,7 @@
 //! Measures the same saturated ordering workload twice:
 //!
 //! 1. **in-process** — the whole k = 4 pipelined cluster in one
-//!    address space over the crossbeam hub (the configuration every
+//!    address space over the in-process hub (the configuration every
 //!    earlier BENCH file used), and
 //! 2. **tcp-4proc** — four `hlf_node` replica processes plus this
 //!    process as a TCP frontend, all frames crossing real kernel
@@ -28,7 +28,7 @@
 //! CI's 4-process cluster smoke test.
 //!
 //! The `hlf_node` binary is found via `--node-bin`, `$HLF_NODE_BIN`,
-//! or as a sibling of this executable (`hlf_node` / `bin_hlf_node`).
+//! or as a sibling of this executable (`target/release/hlf_node`).
 
 use hlf_transport::{PeerId, TcpConfig, TcpNetwork};
 use hlf_wire::Bytes;
@@ -172,7 +172,7 @@ fn free_ports(n: usize) -> Vec<SocketAddr> {
     // Listeners drop here; hlf_node/our frontend re-bind the ports.
 }
 
-fn find_bin(cli: Option<PathBuf>, env: &str, names: [&str; 2], what: &str) -> PathBuf {
+fn find_bin(cli: Option<PathBuf>, env: &str, name: &str) -> PathBuf {
     if let Some(path) = cli {
         return path;
     }
@@ -180,23 +180,20 @@ fn find_bin(cli: Option<PathBuf>, env: &str, names: [&str; 2], what: &str) -> Pa
         return PathBuf::from(path);
     }
     let me = std::env::current_exe().expect("current_exe");
-    let dir = me.parent().map(PathBuf::from).unwrap_or_default();
-    for name in names {
-        let candidate = dir.join(name);
-        if candidate.exists() {
-            return candidate;
-        }
+    let sibling = me.parent().map(PathBuf::from).unwrap_or_default().join(name);
+    if sibling.exists() {
+        return sibling;
     }
-    eprintln!("bench_net: cannot find the {what} binary (set {env})");
+    eprintln!("bench_net: cannot find the {name} binary (set {env})");
     std::process::exit(2);
 }
 
 fn node_bin(cli: Option<PathBuf>) -> PathBuf {
-    find_bin(cli, "HLF_NODE_BIN", ["hlf_node", "bin_hlf_node"], "hlf_node")
+    find_bin(cli, "HLF_NODE_BIN", "hlf_node")
 }
 
 fn top_bin() -> PathBuf {
-    find_bin(None, "HLF_TOP_BIN", ["hlf_top", "bin_hlf_top"], "hlf_top")
+    find_bin(None, "HLF_TOP_BIN", "hlf_top")
 }
 
 /// Spawns replica `i` as a real OS process. Children hold a stdin

@@ -71,7 +71,6 @@ fn pool_backpressure(threads: usize, blocks: u64) {
     let pool = SigningPool::new(threads, 0, key, |_| {});
     let stats = pool.stats();
     let mut peak_pending = 0u64;
-    let mut peak_backlog = 0usize;
     let start = Instant::now();
     for number in 1..=blocks {
         pool.submit(Block::build(
@@ -80,7 +79,6 @@ fn pool_backpressure(threads: usize, blocks: u64) {
             vec![Bytes::from_static(b"envelope")],
         ));
         peak_pending = peak_pending.max(stats.pending());
-        peak_backlog = peak_backlog.max(pool.backlog());
     }
     let submit_done = start.elapsed();
     while stats.pending() > 0 {
@@ -88,11 +86,10 @@ fn pool_backpressure(threads: usize, blocks: u64) {
     }
     let drained = start.elapsed();
     println!(
-        "{threads:>8} {:>10} {:>8} {:>13} {:>13} {:>11.2} {:>11.2}",
+        "{threads:>8} {:>10} {:>8} {:>13} {:>11.2} {:>11.2}",
         stats.submitted(),
         stats.signed(),
         peak_pending,
-        peak_backlog,
         submit_done.as_secs_f64() * 1e3,
         drained.as_secs_f64() * 1e3,
     );
@@ -146,8 +143,8 @@ fn main() {
     // queue runs before backpressure stalls the submitting thread.
     println!("\n# signing-pool queue depth (SigningStats submitted/signed/pending):");
     println!(
-        "{:>8} {:>10} {:>8} {:>13} {:>13} {:>11} {:>11}",
-        "threads", "submitted", "signed", "peak pending", "peak backlog", "submit ms", "drain ms"
+        "{:>8} {:>10} {:>8} {:>13} {:>11} {:>11}",
+        "threads", "submitted", "signed", "peak pending", "submit ms", "drain ms"
     );
     for threads in [1usize, 4, max_threads] {
         pool_backpressure(threads, 512);

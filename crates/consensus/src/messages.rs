@@ -1056,32 +1056,30 @@ mod tests {
         );
     }
 
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use hlf_simnet::for_each_case;
 
-        proptest! {
-            #[test]
-            fn request_roundtrip(client in any::<u32>(), seq in any::<u64>(),
-                                 payload in proptest::collection::vec(any::<u8>(), 0..512)) {
-                let req = Request::new(ClientId(client), seq, payload);
+        #[test]
+        fn request_roundtrip() {
+            for_each_case(0xc0de_0001, 64, |rng| {
+                let (client, seq) = (rng.next_u64() as u32, rng.next_u64());
+                let req = Request::new(ClientId(client), seq, rng.bytes(0..512));
                 let bytes = to_bytes(&req);
-                prop_assert_eq!(from_bytes::<Request>(&bytes).unwrap(), req);
-            }
+                assert_eq!(from_bytes::<Request>(&bytes).unwrap(), req);
+            });
+        }
 
-            #[test]
-            fn batch_digest_injective_on_request_count(k in 0usize..8) {
-                let reqs: Vec<Request> = (0..k as u64)
-                    .map(|i| Request::new(ClientId(0), i, vec![0u8; 4]))
-                    .collect();
-                let batch = Batch::new(reqs);
-                let bigger = Batch::new(
-                    (0..k as u64 + 1)
-                        .map(|i| Request::new(ClientId(0), i, vec![0u8; 4]))
-                        .collect(),
-                );
-                prop_assert_ne!(batch.digest(), bigger.digest());
-            }
+        #[test]
+        fn batch_digest_injective_on_request_count() {
+            let batch_of = |k: u64| {
+                Batch::new((0..k).map(|i| Request::new(ClientId(0), i, vec![0u8; 4])).collect())
+            };
+            for_each_case(0xc0de_0002, 64, |rng| {
+                let k = rng.next_range(8);
+                assert_ne!(batch_of(k).digest(), batch_of(k + 1).digest());
+            });
         }
     }
 }

@@ -442,37 +442,40 @@ mod tests {
         assert!(tracker.is_empty());
     }
 
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use hlf_simnet::for_each_case;
 
-        proptest! {
-            /// For every valid classic configuration, two quorums must
-            /// intersect in at least f+1 replicas.
-            #[test]
-            fn classic_intersection(f in 1usize..4) {
+        /// For every valid classic configuration, two quorums must
+        /// intersect in at least f+1 replicas.
+        #[test]
+        fn classic_intersection() {
+            for_each_case(0x9000_0001, 64, |rng| {
+                let f = rng.next_in(1..4);
                 let n = 3 * f + 1;
                 let sys = QuorumSystem::classic(n, f).unwrap();
                 let q = sys.quorum_weight() as usize;
                 // Minimal quorums: any q replicas. Two sets of size q out
                 // of n overlap in >= 2q - n >= f + 1.
-                prop_assert!(2 * q > n + f);
-            }
+                assert!(2 * q > n + f);
+            });
+        }
 
-            /// WHEAT total weight and quorum weight satisfy the generic
-            /// safety inequality 2*Qw - W > f*Vmax for valid deltas.
-            #[test]
-            fn wheat_inequality(f in 1usize..4, mult in 1usize..3) {
+        /// WHEAT total weight and quorum weight satisfy the generic
+        /// safety inequality 2*Qw - W > f*Vmax for valid deltas.
+        #[test]
+        fn wheat_inequality() {
+            for_each_case(0x9000_0002, 64, |rng| {
+                let (f, mult) = (rng.next_in(1..4), rng.next_in(1..3));
                 let delta = f * mult;
                 let n = 3 * f + 1 + delta;
                 let sys = QuorumSystem::wheat_binary(n, f).unwrap();
                 let vmax = 1 + (delta / f) as u64;
                 // 2f replicas gain (Vmax - 1) = delta/f extra weight each.
-                prop_assert_eq!(sys.total_weight(), (n as u64) + 2 * (delta as u64));
-                prop_assert!(
-                    2 * sys.quorum_weight() > sys.total_weight() + f as u64 * vmax
-                );
-            }
+                assert_eq!(sys.total_weight(), (n as u64) + 2 * (delta as u64));
+                assert!(2 * sys.quorum_weight() > sys.total_weight() + f as u64 * vmax);
+            });
         }
     }
 }

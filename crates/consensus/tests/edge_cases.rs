@@ -345,6 +345,7 @@ fn wheat_tentative_rollback_on_conflicting_sync() {
             collect,
             cid: 1,
             batch: batch_b.clone(),
+            rebinds: vec![],
         },
     );
     assert!(

@@ -474,16 +474,19 @@ mod tests {
         assert_eq!(restored.pending(), cutter.pending());
     }
 
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use hlf_simnet::for_each_case;
 
-        proptest! {
-            /// No envelope is lost or duplicated by cutting.
-            #[test]
-            fn conservation(sizes in proptest::collection::vec(1usize..200, 1..100),
-                            block_size in 1usize..20) {
-                let mut cutter = BlockCutter::new(block_size, 500);
+        const CASES: u64 = 64;
+
+        /// No envelope is lost or duplicated by cutting.
+        #[test]
+        fn conservation() {
+            for_each_case(0xc077_0001, CASES, |rng| {
+                let sizes = rng.vec(1..100, |r| r.next_in(1..200));
+                let mut cutter = BlockCutter::new(rng.next_in(1..20), 500);
                 let mut out = Vec::new();
                 for (i, len) in sizes.iter().enumerate() {
                     let envelope = Bytes::from(vec![i as u8; *len]);
@@ -492,34 +495,38 @@ mod tests {
                     }
                 }
                 out.extend(cutter.drain());
-                prop_assert_eq!(out.len(), sizes.len());
+                assert_eq!(out.len(), sizes.len());
                 for (i, envelope) in out.iter().enumerate() {
-                    prop_assert_eq!(envelope.len(), sizes[i]);
-                    prop_assert!(envelope.iter().all(|&b| b == i as u8));
+                    assert_eq!(envelope.len(), sizes[i]);
+                    assert!(envelope.iter().all(|&b| b == i as u8));
                 }
-            }
+            });
+        }
 
-            /// Cut blocks never exceed the count cap.
-            #[test]
-            fn count_cap_respected(n in 1usize..200, block_size in 1usize..20) {
+        /// Cut blocks never exceed the count cap.
+        #[test]
+        fn count_cap_respected() {
+            for_each_case(0xc077_0002, CASES, |rng| {
+                let (n, block_size) = (rng.next_in(1..200), rng.next_in(1..20));
                 let mut cutter = BlockCutter::new(block_size, usize::MAX);
                 for i in 0..n {
                     if let Some(cut) = cutter.push(Bytes::from(vec![0u8; 8])) {
-                        prop_assert_eq!(cut.len(), block_size, "at envelope {}", i);
+                        assert_eq!(cut.len(), block_size, "at envelope {i}");
                     }
                 }
-                prop_assert!(cutter.pending() < block_size);
-            }
+                assert!(cutter.pending() < block_size);
+            });
+        }
 
-            /// No cut exceeds the byte cap (except a lone oversized
-            /// envelope, which cannot be split), even while the
-            /// adaptive tuner moves the count target.
-            #[test]
-            fn byte_cap_respected_under_adaptation(
-                decides in proptest::collection::vec(
-                    proptest::collection::vec(1usize..300, 0..12), 1..40),
-                min in 1usize..5, span in 0usize..20, stale_limit in 1u32..5,
-            ) {
+        /// No cut exceeds the byte cap (except a lone oversized
+        /// envelope, which cannot be split), even while the
+        /// adaptive tuner moves the count target.
+        #[test]
+        fn byte_cap_respected_under_adaptation() {
+            for_each_case(0xc077_0003, CASES, |rng| {
+                let decides = rng.vec(1..40, |r| r.vec(0..12, |r| r.next_in(1..300)));
+                let (min, span) = (rng.next_in(1..5), rng.next_in(0..20));
+                let stale_limit = rng.next_in(1..5) as u32;
                 let max = min + span;
                 let mut cutter = BlockCutter::new(min + span / 2, 600)
                     .with_adaptive(min, max, stale_limit);
@@ -531,25 +538,27 @@ mod tests {
                     let mut cuts = 0usize;
                     for len in sizes {
                         if let Some(cut) = cutter.push(Bytes::from(vec![0u8; *len])) {
-                            prop_assert!(check(&cut), "cut over byte cap");
-                            prop_assert!(cut.len() <= max, "cut over count ceiling");
+                            assert!(check(&cut), "cut over byte cap");
+                            assert!(cut.len() <= max, "cut over count ceiling");
                             cuts += 1;
                         }
                     }
                     if let Some(cut) = cutter.on_decide(sizes.len(), cuts) {
-                        prop_assert!(check(&cut), "stale cut over byte cap");
-                        prop_assert!(cut.len() <= max, "stale cut over count ceiling");
+                        assert!(check(&cut), "stale cut over byte cap");
+                        assert!(cut.len() <= max, "stale cut over count ceiling");
                     }
                 }
-            }
+            });
+        }
 
-            /// The adaptive target never leaves `[min, max]`, whatever
-            /// the decide pattern.
-            #[test]
-            fn adaptive_target_stays_within_bounds(
-                decides in proptest::collection::vec((0usize..40, 0usize..4), 1..200),
-                min in 1usize..8, span in 0usize..40, stale_limit in 1u32..6,
-            ) {
+        /// The adaptive target never leaves `[min, max]`, whatever
+        /// the decide pattern.
+        #[test]
+        fn adaptive_target_stays_within_bounds() {
+            for_each_case(0xc077_0004, CASES, |rng| {
+                let decides = rng.vec(1..200, |r| (r.next_in(0..40), r.next_in(0..4)));
+                let (min, span) = (rng.next_in(1..8), rng.next_in(0..40));
+                let stale_limit = rng.next_in(1..6) as u32;
                 let max = min + span;
                 let mut cutter = BlockCutter::new(min, usize::MAX)
                     .with_adaptive(min, max, stale_limit);
@@ -558,19 +567,21 @@ mod tests {
                         cutter.push(Bytes::from(vec![0u8; 8]));
                     }
                     cutter.on_decide(pushed, cuts);
-                    prop_assert!(cutter.block_size() >= min, "target under floor");
-                    prop_assert!(cutter.block_size() <= max, "target over ceiling");
+                    assert!(cutter.block_size() >= min, "target under floor");
+                    assert!(cutter.block_size() <= max, "target over ceiling");
                 }
-            }
+            });
+        }
 
-            /// `encoded_len` stays exact with the adaptive fields in
-            /// the snapshot, and restore round-trips the full state.
-            #[test]
-            fn snapshot_encoded_len_exact(
-                lens in proptest::collection::vec(0usize..100, 0..30),
-                ops in proptest::collection::vec((0usize..20, 0usize..3), 0..20),
-                min in 1usize..5, span in 0usize..20, stale_limit in 1u32..5,
-            ) {
+        /// `encoded_len` stays exact with the adaptive fields in
+        /// the snapshot, and restore round-trips the full state.
+        #[test]
+        fn snapshot_encoded_len_exact() {
+            for_each_case(0xc077_0005, CASES, |rng| {
+                let lens = rng.vec(0..30, |r| r.next_in(0..100));
+                let ops = rng.vec(0..20, |r| (r.next_in(0..20), r.next_in(0..3)));
+                let (min, span) = (rng.next_in(1..5), rng.next_in(0..20));
+                let stale_limit = rng.next_in(1..5) as u32;
                 let max = min + span;
                 let mut cutter = BlockCutter::new(min, usize::MAX)
                     .with_adaptive(min, max, stale_limit);
@@ -582,17 +593,17 @@ mod tests {
                 }
                 let mut out = Vec::new();
                 cutter.encode(&mut out);
-                prop_assert_eq!(out.len(), cutter.encoded_len(), "encoded_len drifted");
+                assert_eq!(out.len(), cutter.encoded_len(), "encoded_len drifted");
 
                 let mut restored = BlockCutter::new(min, usize::MAX)
                     .with_adaptive(min, max, stale_limit);
                 let mut reader = Reader::new(&out);
                 restored.restore(&mut reader).unwrap();
-                prop_assert_eq!(restored.block_size(), cutter.block_size());
-                prop_assert_eq!(restored.stale_decides, cutter.stale_decides);
-                prop_assert_eq!(restored.pending(), cutter.pending());
-                prop_assert_eq!(restored.buffered_bytes, cutter.buffered_bytes);
-            }
+                assert_eq!(restored.block_size(), cutter.block_size());
+                assert_eq!(restored.stale_decides, cutter.stale_decides);
+                assert_eq!(restored.pending(), cutter.pending());
+                assert_eq!(restored.buffered_bytes, cutter.buffered_bytes);
+            });
         }
     }
 }

@@ -7,13 +7,13 @@
 //! chains to the previous header's *hash*, not its signature.
 
 use crate::obs::SigningObs;
-use crossbeam::channel::{self, Receiver, Sender};
 use hlf_crypto::ecdsa::SigningKey;
 use hlf_fabric::block::Block;
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -68,7 +68,7 @@ impl SigningStats {
 /// `deliver` callback (which, in the ordering node, transmits it to all
 /// registered frontends through a [`hlf_smr::PushHandle`]).
 pub struct SigningPool {
-    jobs: Sender<(Block, Instant)>,
+    jobs: SyncSender<(Block, Instant)>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<SigningStats>,
     obs: Option<SigningObs>,
@@ -137,14 +137,16 @@ impl SigningPool {
         // application's worker threads and consensus the paper
         // describes in §6.2. An unbounded queue would let the measured
         // ordering rate silently outrun the signing rate.
-        let (jobs, job_rx): (Sender<(Block, Instant)>, Receiver<(Block, Instant)>) =
-            channel::bounded(256);
+        let (jobs, job_rx) = mpsc::sync_channel::<(Block, Instant)>(256);
+        // std's receiver is single-consumer: the workers take turns on
+        // it, each holding the lock only while it waits for one job.
+        let job_rx = Arc::new(Mutex::new(job_rx));
         let deliver = Arc::new(deliver);
         let stats = Arc::new(SigningStats::default());
         let obs = registry.map(SigningObs::new);
         let workers = (0..threads)
             .map(|w| {
-                let job_rx = job_rx.clone();
+                let job_rx = Arc::clone(&job_rx);
                 let key = key.clone();
                 let deliver = Arc::clone(&deliver);
                 let stats = Arc::clone(&stats);
@@ -154,7 +156,11 @@ impl SigningPool {
                 std::thread::Builder::new()
                     .name(format!("signer-{node}-{w}"))
                     .spawn(move || {
-                        while let Ok((mut block, enqueued_at)) = job_rx.recv() {
+                        loop {
+                            // The guard is a temporary of this statement:
+                            // released before signing starts.
+                            let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                            let Ok((mut block, enqueued_at)) = job else { break };
                             let dequeued_at = Instant::now();
                             block.sign(node, &key);
                             stats.signed.fetch_add(1, Ordering::Release);
@@ -192,12 +198,14 @@ impl SigningPool {
     /// Queues a block for signing and delivery, blocking while the
     /// queue is full (backpressure onto the node thread).
     pub fn submit(&self, block: Block) {
+        // Blocks ahead of this one: waiting in the queue or being signed.
+        let ahead = self.stats.pending();
         self.stats.submitted.fetch_add(1, Ordering::Release);
         if let Some(obs) = &self.obs {
-            obs.queue_depth.set(self.jobs.len() as i64);
+            obs.queue_depth.set(ahead as i64);
         }
         if let Some(flight) = &self.flight {
-            flight.record_now(EventKind::SignStart, block.header.number, self.jobs.len() as u64, 0);
+            flight.record_now(EventKind::SignStart, block.header.number, ahead, 0);
         }
         // The pool only shuts down on drop, after the node thread; a
         // send failure means teardown is racing us and the block is
@@ -209,18 +217,12 @@ impl SigningPool {
     pub fn stats(&self) -> Arc<SigningStats> {
         Arc::clone(&self.stats)
     }
-
-    /// Blocks queued but not yet signed.
-    pub fn backlog(&self) -> usize {
-        self.jobs.len()
-    }
 }
 
 impl Drop for SigningPool {
     fn drop(&mut self) {
         // Closing the channel stops the workers after they drain it.
-        let (closed, _) = channel::bounded(0);
-        self.jobs = closed;
+        self.jobs = mpsc::sync_channel(0).0;
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -232,7 +234,6 @@ mod tests {
     use super::*;
     use hlf_wire::Bytes;
     use hlf_crypto::sha256::Hash256;
-    use parking_lot::Mutex;
     use std::time::{Duration, Instant};
 
     fn block(number: u64) -> Block {
@@ -248,19 +249,19 @@ mod tests {
         let key = SigningKey::from_seed(b"pool");
         let delivered = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&delivered);
-        let pool = SigningPool::new(4, 7, key.clone(), move |b| sink.lock().push(b));
+        let pool = SigningPool::new(4, 7, key.clone(), move |b| sink.lock().unwrap().push(b));
         for number in 1..=50 {
             pool.submit(block(number));
         }
         let deadline = Instant::now() + Duration::from_secs(10);
-        while delivered.lock().len() < 50 {
+        while delivered.lock().unwrap().len() < 50 {
             assert!(Instant::now() < deadline, "pool stalled");
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(pool.stats().signed(), 50);
         assert_eq!(pool.stats().submitted(), 50);
         assert_eq!(pool.stats().pending(), 0);
-        let blocks = delivered.lock();
+        let blocks = delivered.lock().unwrap();
         let mut numbers: Vec<u64> = blocks.iter().map(|b| b.header.number).collect();
         numbers.sort_unstable();
         assert_eq!(numbers, (1..=50).collect::<Vec<u64>>());

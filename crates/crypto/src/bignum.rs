@@ -809,68 +809,88 @@ mod tests {
         assert_eq!(U256::from_u64(5).reduce_once(&n), U256::from_u64(5));
     }
 
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use hlf_simnet::{for_each_case, SimRng};
 
-        fn arb_u256() -> impl Strategy<Value = U256> {
-            any::<[u64; 4]>().prop_map(U256::from_limbs)
+        const CASES: u64 = 64;
+
+        fn arb_u256(rng: &mut SimRng) -> U256 {
+            U256::from_limbs([rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()])
         }
 
-        proptest! {
-            #[test]
-            fn add_then_sub_roundtrips(a in arb_u256(), b in arb_u256()) {
+        #[test]
+        fn add_then_sub_roundtrips() {
+            for_each_case(0xb160_0001, CASES, |rng| {
+                let (a, b) = (arb_u256(rng), arb_u256(rng));
                 let (sum, _) = a.adc(&b);
                 let (back, _) = sum.sbb(&b);
-                prop_assert_eq!(back, a);
-            }
+                assert_eq!(back, a);
+            });
+        }
 
-            #[test]
-            fn mul_commutes(a in arb_u256(), b in arb_u256()) {
-                prop_assert_eq!(a.widening_mul(&b), b.widening_mul(&a));
-            }
+        #[test]
+        fn mul_commutes() {
+            for_each_case(0xb160_0002, CASES, |rng| {
+                let (a, b) = (arb_u256(rng), arb_u256(rng));
+                assert_eq!(a.widening_mul(&b), b.widening_mul(&a));
+            });
+        }
 
-            #[test]
-            fn monty_mul_matches_plain_semantics(a in any::<u64>(), b in any::<u64>()) {
-                // Products that fit in 128 bits can be checked exactly.
-                let ctx = Monty::new(U256::from_hex(super::N_HEX).unwrap());
+        #[test]
+        fn monty_mul_matches_plain_semantics() {
+            // Products that fit in 128 bits can be checked exactly.
+            let ctx = Monty::new(U256::from_hex(super::N_HEX).unwrap());
+            for_each_case(0xb160_0003, CASES, |rng| {
+                let (a, b) = (rng.next_u64(), rng.next_u64());
                 let am = ctx.to_monty(&U256::from_u64(a));
                 let bm = ctx.to_monty(&U256::from_u64(b));
                 let got = ctx.from_monty(&ctx.mul(&am, &bm));
                 let expect = (a as u128) * (b as u128);
                 let expect = U256::from_limbs([expect as u64, (expect >> 64) as u64, 0, 0]);
-                prop_assert_eq!(got, expect);
-            }
+                assert_eq!(got, expect);
+            });
+        }
 
-            #[test]
-            fn modular_add_sub_inverse(a in arb_u256(), b in arb_u256()) {
-                let n = U256::from_hex(super::N_HEX).unwrap();
-                let a = a.reduce_once(&n);
+        #[test]
+        fn modular_add_sub_inverse() {
+            let n = U256::from_hex(super::N_HEX).unwrap();
+            for_each_case(0xb160_0004, CASES, |rng| {
+                let a = arb_u256(rng).reduce_once(&n);
                 let a = if a >= n { a.sbb(&n).0 } else { a };
-                let b = b.reduce_once(&n);
+                let b = arb_u256(rng).reduce_once(&n);
                 let b = if b >= n { b.sbb(&n).0 } else { b };
                 let s = a.add_mod(&b, &n);
-                prop_assert_eq!(s.sub_mod(&b, &n), a);
-            }
+                assert_eq!(s.sub_mod(&b, &n), a);
+            });
+        }
 
-            #[test]
-            fn bytes_roundtrip(a in arb_u256()) {
-                prop_assert_eq!(U256::from_be_bytes(&a.to_be_bytes()), a);
-            }
+        #[test]
+        fn bytes_roundtrip() {
+            for_each_case(0xb160_0005, CASES, |rng| {
+                let a = arb_u256(rng);
+                assert_eq!(U256::from_be_bytes(&a.to_be_bytes()), a);
+            });
+        }
 
-            #[test]
-            fn widening_square_is_self_mul(a in arb_u256()) {
-                prop_assert_eq!(a.widening_square(), a.widening_mul(&a));
-            }
+        #[test]
+        fn widening_square_is_self_mul() {
+            for_each_case(0xb160_0006, CASES, |rng| {
+                let a = arb_u256(rng);
+                assert_eq!(a.widening_square(), a.widening_mul(&a));
+            });
+        }
 
-            #[test]
-            fn monty_square_matches_mul(a in arb_u256()) {
-                let ctx = Monty::new(U256::from_hex(super::N_HEX).unwrap());
-                let a = a.reduce_once(ctx.modulus());
+        #[test]
+        fn monty_square_matches_mul() {
+            let ctx = Monty::new(U256::from_hex(super::N_HEX).unwrap());
+            for_each_case(0xb160_0007, CASES, |rng| {
+                let a = arb_u256(rng).reduce_once(ctx.modulus());
                 let am = ctx.to_monty(&a);
-                prop_assert_eq!(ctx.square(&am), ctx.mul(&am, &am));
-                prop_assert_eq!(ctx.reduce_wide(&am.widening_mul(&am)), ctx.mul(&am, &am));
-            }
+                assert_eq!(ctx.square(&am), ctx.mul(&am, &am));
+                assert_eq!(ctx.reduce_wide(&am.widening_mul(&am)), ctx.mul(&am, &am));
+            });
         }
     }
 }

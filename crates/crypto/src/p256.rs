@@ -1059,62 +1059,77 @@ mod tests {
         }
     }
 
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use hlf_simnet::{for_each_case, SimRng};
 
-        fn arb_scalar() -> impl Strategy<Value = U256> {
-            any::<[u64; 4]>().prop_map(U256::from_limbs)
+        const CASES: u64 = 64;
+
+        fn arb_limbs(rng: &mut SimRng) -> [u64; 4] {
+            [rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()]
+        }
+
+        fn arb_scalar(rng: &mut SimRng) -> U256 {
+            U256::from_limbs(arb_limbs(rng))
         }
 
         /// Scalars whose limbs are sparsified, giving long zero runs.
-        fn sparse_scalar() -> impl Strategy<Value = U256> {
-            (any::<[u64; 4]>(), any::<[u64; 4]>())
-                .prop_map(|(a, m)| U256::from_limbs([a[0] & m[0], a[1] & m[1], a[2] & m[2], a[3] & m[3]]))
+        fn sparse_scalar(rng: &mut SimRng) -> U256 {
+            let (a, m) = (arb_limbs(rng), arb_limbs(rng));
+            U256::from_limbs([a[0] & m[0], a[1] & m[1], a[2] & m[2], a[3] & m[3]])
         }
 
-        proptest! {
-            // Point operations are slow; keep the case counts modest.
-            #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn comb_mul_base_matches_reference() {
+            for_each_case(0x9256_0001, CASES, |rng| {
+                let k = arb_scalar(rng);
+                assert_eq!(Point::mul_base(&k), Point::generator().mul_reference(&k));
+            });
+        }
 
-            #[test]
-            fn comb_mul_base_matches_reference(k in arb_scalar()) {
-                prop_assert_eq!(
-                    Point::mul_base(&k),
-                    Point::generator().mul_reference(&k)
-                );
-            }
-
-            #[test]
-            fn windowed_mul_matches_reference(k in arb_scalar(), seed in any::<u64>()) {
+        #[test]
+        fn windowed_mul_matches_reference() {
+            for_each_case(0x9256_0002, CASES, |rng| {
+                let (k, seed) = (arb_scalar(rng), rng.next_u64());
                 let q = Point::generator().mul_reference(&U256::from_u64(seed | 1));
-                prop_assert_eq!(q.mul(&k), q.mul_reference(&k));
-            }
+                assert_eq!(q.mul(&k), q.mul_reference(&k));
+            });
+        }
 
-            #[test]
-            fn lincomb_matches_two_reference_muls(u1 in arb_scalar(), u2 in arb_scalar(), seed in any::<u64>()) {
+        #[test]
+        fn lincomb_matches_two_reference_muls() {
+            for_each_case(0x9256_0003, CASES, |rng| {
+                let (u1, u2, seed) = (arb_scalar(rng), arb_scalar(rng), rng.next_u64());
                 let q = Point::generator().mul_reference(&U256::from_u64(seed | 1));
                 let expect = Point::generator()
                     .mul_reference(&u1)
                     .add(&q.mul_reference(&u2));
-                prop_assert_eq!(Point::lincomb(&u1, &q, &u2), expect);
-            }
+                assert_eq!(Point::lincomb(&u1, &q, &u2), expect);
+            });
+        }
 
-            #[test]
-            fn sparse_scalars_agree(k in sparse_scalar()) {
-                let q = Point::generator().double();
-                prop_assert_eq!(Point::mul_base(&k), Point::generator().mul_reference(&k));
-                prop_assert_eq!(q.mul(&k), q.mul_reference(&k));
-            }
+        #[test]
+        fn sparse_scalars_agree() {
+            let q = Point::generator().double();
+            for_each_case(0x9256_0004, CASES, |rng| {
+                let k = sparse_scalar(rng);
+                assert_eq!(Point::mul_base(&k), Point::generator().mul_reference(&k));
+                assert_eq!(q.mul(&k), q.mul_reference(&k));
+            });
+        }
 
-            #[test]
-            fn field_inversion_chain_is_correct(v in any::<[u64; 4]>()) {
-                let f = field();
-                let a = U256::from_limbs(v).reduce_once(f.modulus());
-                prop_assume!(!a.is_zero());
+        #[test]
+        fn field_inversion_chain_is_correct() {
+            let f = field();
+            for_each_case(0x9256_0005, CASES, |rng| {
+                let a = arb_scalar(rng).reduce_once(f.modulus());
+                if a.is_zero() {
+                    return;
+                }
                 let am = f.to_monty(&a);
-                prop_assert_eq!(invert_field(f, &am), f.inv(&am));
-            }
+                assert_eq!(invert_field(f, &am), f.inv(&am));
+            });
         }
     }
 }

@@ -90,8 +90,10 @@ impl HistogramSnapshot {
             *self = other.clone();
             return;
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        // Wrapping, like `Histogram::record`'s `fetch_add`: merged
+        // totals equal those of one histogram fed every value.
+        self.count = self.count.wrapping_add(other.count);
+        self.sum = self.sum.wrapping_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         let mut merged: Vec<(u64, u64, u64)> = Vec::with_capacity(self.buckets.len());

@@ -1,29 +1,32 @@
-//! Property tests for histogram bucket math and quantiles, a
-//! generative JSON round-trip, and concurrent-writer checks (the
+//! Seeded property tests (`hlf_simnet::for_each_case`) for histogram
+//! bucket math and quantiles, a generative JSON round-trip, and
+//! concurrent-writer checks (the
 //! histogram is written lock-free from every replica thread, so the
 //! snapshot/merge algebra has to hold under real interleavings, not
 //! just sequential recording).
 
 use hlf_obs::histogram::{bucket_index, bucket_lower, bucket_upper, NUM_BUCKETS};
 use hlf_obs::{Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot};
-use proptest::prelude::*;
+use hlf_simnet::{for_each_case, SimRng};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Deterministic value stream for the threaded tests (splitmix64), so
-/// failures reproduce without proptest shrinking across threads.
+/// Deterministic value stream for the threaded tests. Values stay in a
+/// latency-like range so buckets collide across threads (the
+/// interesting contention case).
 fn stream(seed: u64, len: usize) -> Vec<u64> {
-    let mut state = seed;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            // Keep values in a latency-like range so buckets collide
-            // across threads (the interesting contention case).
-            (z ^ (z >> 31)) % 50_000_000
-        })
-        .collect()
+    let mut rng = SimRng::new(seed);
+    (0..len).map(|_| rng.next_range(50_000_000)).collect()
+}
+
+/// An arbitrary `u64` of arbitrary magnitude: uniform bits shifted
+/// right by 0..64, so every bucket row and the overflow range are hit.
+fn any_u64(rng: &mut SimRng) -> u64 {
+    rng.next_u64() >> rng.next_range(64)
+}
+
+fn values(rng: &mut SimRng, len: Range<usize>) -> Vec<u64> {
+    rng.vec(len, any_u64)
 }
 
 fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
@@ -122,81 +125,74 @@ fn parallel_shards_merge_to_the_sequential_snapshot() {
     );
 }
 
-proptest! {
-    /// Every recorded value falls in a bucket whose range contains it.
-    #[test]
-    fn bucket_contains_value(v in any::<u64>()) {
+const CASES: u64 = 64;
+
+/// Every recorded value falls in a bucket whose range contains it.
+#[test]
+fn bucket_contains_value() {
+    for_each_case(0x0b5_0001, CASES, |rng| {
+        let v = any_u64(rng);
         let i = bucket_index(v);
-        prop_assert!(i < NUM_BUCKETS);
-        prop_assert!(bucket_lower(i) <= v, "lower {} > {}", bucket_lower(i), v);
-        prop_assert!(v <= bucket_upper(i), "upper {} < {}", bucket_upper(i), v);
-    }
+        assert!(i < NUM_BUCKETS);
+        assert!(bucket_lower(i) <= v, "lower {} > {}", bucket_lower(i), v);
+        assert!(v <= bucket_upper(i), "upper {} < {}", bucket_upper(i), v);
+    });
+}
 
-    /// Bucketing preserves order: a <= b implies bucket(a) <= bucket(b).
-    #[test]
-    fn bucket_index_is_monotone(a in any::<u64>(), b in any::<u64>()) {
+/// Bucketing preserves order: a <= b implies bucket(a) <= bucket(b).
+#[test]
+fn bucket_index_is_monotone() {
+    for_each_case(0x0b5_0002, CASES, |rng| {
+        let (a, b) = (any_u64(rng), any_u64(rng));
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(bucket_index(lo) <= bucket_index(hi));
-    }
+        assert!(bucket_index(lo) <= bucket_index(hi));
+    });
+}
 
-    /// Quantiles are monotone in q and bounded by [min, max].
-    #[test]
-    fn quantiles_are_monotone(
-        values in proptest::collection::vec(any::<u64>(), 1..200),
-        qa in 0u32..=100,
-        qb in 0u32..=100,
-    ) {
-        let h = Histogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+/// Quantiles are monotone in q and bounded by [min, max].
+#[test]
+fn quantiles_are_monotone() {
+    for_each_case(0x0b5_0003, CASES, |rng| {
+        let snap = snapshot_of(&values(rng, 1..200));
+        let (qa, qb) = (rng.next_range(101), rng.next_range(101));
         let (qlo, qhi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
         let vlo = snap.quantile(qlo as f64 / 100.0);
         let vhi = snap.quantile(qhi as f64 / 100.0);
-        prop_assert!(vlo <= vhi, "q{qlo}={vlo} > q{qhi}={vhi}");
-        prop_assert!(vhi <= snap.max);
+        assert!(vlo <= vhi, "q{qlo}={vlo} > q{qhi}={vhi}");
+        assert!(vhi <= snap.max);
         // Any quantile is at least the smallest bucket's lower bound.
-        prop_assert!(vlo >= snap.buckets[0].0);
-    }
+        assert!(vlo >= snap.buckets[0].0);
+    });
+}
 
-    /// A quantile answer is never below the true value by more than
-    /// the bucket's relative error (the bucket upper bound is
-    /// reported, so it can only overshoot within one bucket width).
-    #[test]
-    fn median_lands_in_a_populated_bucket(
-        values in proptest::collection::vec(0u64..1_000_000, 1..100),
-    ) {
-        let h = Histogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+/// A quantile answer is never below the true value by more than
+/// the bucket's relative error (the bucket upper bound is
+/// reported, so it can only overshoot within one bucket width).
+#[test]
+fn median_lands_in_a_populated_bucket() {
+    for_each_case(0x0b5_0004, CASES, |rng| {
+        let snap = snapshot_of(&rng.vec(1..100, |r| r.next_range(1_000_000)));
         let p50 = snap.p50();
         // p50 equals some populated bucket's (clamped) upper bound.
-        prop_assert!(
+        assert!(
             snap.buckets.iter().any(|&(_, hi, _)| p50 == hi.min(snap.max)),
             "p50 {p50} not a bucket boundary"
         );
-    }
+    });
+}
 
-    /// Bucket-wise merge is associative (and agrees with recording all
-    /// values into one histogram), so cross-replica aggregation order
-    /// never changes a report.
-    #[test]
-    fn merge_is_associative(
-        a in proptest::collection::vec(any::<u64>(), 0..50),
-        b in proptest::collection::vec(any::<u64>(), 0..50),
-        c in proptest::collection::vec(any::<u64>(), 0..50),
-    ) {
-        let snap = |values: &[u64]| {
-            let h = Histogram::new();
-            for &v in values {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let (sa, sb, sc) = (snap(&a), snap(&b), snap(&c));
+/// Bucket-wise merge is associative (and agrees with recording all
+/// values into one histogram), so cross-replica aggregation order
+/// never changes a report. Also the regression test for `merge`
+/// overflowing `count`/`sum` with `+=` instead of wrapping like
+/// `Histogram::record` does: uniform `u64` values overflow the sum
+/// within a few records.
+#[test]
+fn merge_is_associative() {
+    for_each_case(0x0b5_0005, CASES, |rng| {
+        let mut uniform = || rng.vec(0..50, SimRng::next_u64);
+        let (a, b, c) = (uniform(), uniform(), uniform());
+        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
 
         // (a ⊕ b) ⊕ c
         let mut left = sa.clone();
@@ -207,44 +203,37 @@ proptest! {
         bc.merge(&sc);
         let mut right = sa.clone();
         right.merge(&bc);
-        prop_assert_eq!(&left, &right);
+        assert_eq!(&left, &right);
 
-        // Both equal the histogram of the concatenation (sum wraps on
-        // overflow in both paths).
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        all.extend_from_slice(&c);
-        let mut direct = snap(&all);
-        direct.sum = left.sum; // u64 counter sum wraps identically
-        prop_assert_eq!(&left.count, &direct.count);
-        prop_assert_eq!(&left.buckets, &direct.buckets);
+        // Both equal the histogram of the concatenation, wrapped sum
+        // included.
+        let all = [a, b, c].concat();
+        let direct = snapshot_of(&all);
+        assert_eq!(left.count, direct.count);
+        assert_eq!(left.sum, direct.sum);
+        assert_eq!(left.buckets, direct.buckets);
         if !all.is_empty() {
-            prop_assert_eq!(left.min, direct.min);
-            prop_assert_eq!(left.max, direct.max);
+            assert_eq!(left.min, direct.min);
+            assert_eq!(left.max, direct.max);
         }
-    }
+    });
+}
 
-    /// Snapshot totals equal what was recorded, and the JSON form
-    /// round-trips exactly for arbitrary recorded data.
-    #[test]
-    fn recorded_snapshot_roundtrips_via_json(
-        values in proptest::collection::vec(any::<u64>(), 0..100),
-    ) {
-        let h = Histogram::new();
-        let mut sum = 0u64;
-        for &v in &values {
-            h.record(v);
-            sum = sum.wrapping_add(v);
-        }
-        let snap = h.snapshot();
-        prop_assert_eq!(snap.count, values.len() as u64);
-        prop_assert_eq!(
+/// Snapshot totals equal what was recorded, and the JSON form
+/// round-trips exactly for arbitrary recorded data.
+#[test]
+fn recorded_snapshot_roundtrips_via_json() {
+    for_each_case(0x0b5_0006, CASES, |rng| {
+        let values = values(rng, 0..100);
+        let snap = snapshot_of(&values);
+        assert_eq!(snap.count, values.len() as u64);
+        assert_eq!(
             snap.buckets.iter().map(|&(_, _, c)| c).sum::<u64>(),
             values.len() as u64
         );
         if let Some(&max) = values.iter().max() {
-            prop_assert_eq!(snap.max, max);
-            prop_assert_eq!(snap.min, *values.iter().min().unwrap());
+            assert_eq!(snap.max, max);
+            assert_eq!(snap.min, *values.iter().min().unwrap());
         }
 
         let wrapped = Snapshot {
@@ -255,47 +244,34 @@ proptest! {
             }],
         };
         let back = Snapshot::from_json(&wrapped.to_json()).unwrap();
-        prop_assert_eq!(back, wrapped);
-    }
+        assert_eq!(back, wrapped);
+    });
+}
 
-    /// The reported p99 is within one log-linear bucket of the exact
-    /// order statistic: it lands in the *same* bucket as the true
-    /// `ceil(0.99 * n)`-th smallest value and never undershoots it.
-    /// That bounds the quantile error to the bucket's relative width
-    /// for every input distribution.
-    #[test]
-    fn p99_is_within_one_bucket_of_exact(
-        values in proptest::collection::vec(any::<u64>(), 1..400),
-    ) {
-        let h = Histogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+/// The reported p99 is within one log-linear bucket of the exact
+/// order statistic: it lands in the *same* bucket as the true
+/// `ceil(0.99 * n)`-th smallest value and never undershoots it.
+/// That bounds the quantile error to the bucket's relative width
+/// for every input distribution.
+#[test]
+fn p99_is_within_one_bucket_of_exact() {
+    for_each_case(0x0b5_0007, CASES, |rng| {
+        let mut sorted = values(rng, 1..400);
+        let snap = snapshot_of(&sorted);
         let reported = snap.p99();
 
-        let mut sorted = values.clone();
         sorted.sort_unstable();
         let rank = ((0.99 * sorted.len() as f64).ceil() as usize).max(1);
         let exact = sorted[rank - 1];
 
-        prop_assert!(
-            reported >= exact,
-            "p99 {reported} undershoots exact {exact}"
-        );
-        prop_assert_eq!(
+        assert!(reported >= exact, "p99 {reported} undershoots exact {exact}");
+        assert_eq!(
             bucket_index(reported),
             bucket_index(exact),
-            "p99 {} left the exact value's bucket ({} vs {})",
-            reported,
-            bucket_index(reported),
-            bucket_index(exact)
+            "p99 {reported} left the exact value's bucket"
         );
         // And it cannot exceed the bucket's upper bound (clamped to the
         // observed max), i.e. the overshoot is below one bucket width.
-        prop_assert!(reported <= bucket_upper(bucket_index(exact)).min(snap.max));
-    }
+        assert!(reported <= bucket_upper(bucket_index(exact)).min(snap.max));
+    });
 }
-
-// `sum` above wraps on overflow (u64 histogram sum wraps too for
-// pathological inputs); totals check uses count, not sum, on purpose.

@@ -55,7 +55,7 @@ pub mod regions;
 pub mod rng;
 
 pub use regions::{Region, RegionMatrix};
-pub use rng::SimRng;
+pub use rng::{for_each_case, SimRng};
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

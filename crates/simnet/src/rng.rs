@@ -5,6 +5,8 @@
 //! that simulated experiments replay bit-identically across `rand`
 //! versions and platforms.
 
+use std::ops::Range;
+
 /// xoshiro256++ PRNG with SplitMix64 seeding.
 ///
 /// # Examples
@@ -99,6 +101,44 @@ impl SimRng {
             chunk.copy_from_slice(&v[..chunk.len()]); // lint:allow(panic): `chunks_mut(8)` yields chunks of at most 8 bytes
         }
     }
+
+    /// Uniform `usize` in the half-open `range`.
+    pub fn next_in(&mut self, range: Range<usize>) -> usize {
+        range.start + self.next_range(range.len() as u64) as usize
+    }
+
+    /// A list whose length is drawn uniformly from `len`, one `item`
+    /// per slot.
+    pub fn vec<T>(&mut self, len: Range<usize>, mut item: impl FnMut(&mut SimRng) -> T) -> Vec<T> {
+        (0..self.next_in(len)).map(|_| item(self)).collect()
+    }
+
+    /// Random bytes, with a length drawn uniformly from `len`.
+    pub fn bytes(&mut self, len: Range<usize>) -> Vec<u8> {
+        let mut buf = vec![0u8; self.next_in(len)];
+        self.fill_bytes(&mut buf);
+        buf
+    }
+}
+
+/// The workspace's property-test loop: runs `property` `cases` times,
+/// each on a fresh generator derived from `seed` and the case number.
+///
+/// A failing case prints both before its panic propagates, so it can be
+/// replayed alone with `SimRng::new(seed + case)`.
+pub fn for_each_case(seed: u64, cases: u64, mut property: impl FnMut(&mut SimRng)) {
+    struct Report(u64, u64);
+    impl Drop for Report {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property failed: seed {:#x}, case {}", self.0, self.1);
+            }
+        }
+    }
+    for case in 0..cases {
+        let _report = Report(seed, case);
+        property(&mut SimRng::new(seed.wrapping_add(case)));
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +207,19 @@ mod tests {
         let mut sorted = items.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_case_gives_every_case_its_own_replayable_stream() {
+        let mut firsts = Vec::new();
+        for_each_case(9, 64, |rng| {
+            let len = rng.bytes(3..17).len();
+            assert!((3..17).contains(&len));
+            firsts.push(len);
+        });
+        assert_eq!(firsts.len(), 64);
+        assert_eq!(firsts[5], SimRng::new(9 + 5).bytes(3..17).len());
+        assert!(firsts.iter().any(|&l| l != firsts[0]), "cases must differ");
     }
 
     #[test]

@@ -13,12 +13,28 @@ use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_transport::{Endpoint, Network, PeerId, SenderHandle};
 use hlf_wire::{from_bytes_shared, to_pooled_bytes, BufferPool, ClientId, NodeId};
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The clients a replica pushes to, shared between its node thread
+/// (which adds them as they submit or subscribe) and every
+/// [`PushHandle`]. Poison-tolerant: a `HashSet` insert stays consistent
+/// if a holder unwinds.
+#[derive(Clone, Debug, Default)]
+struct ClientSet(Arc<RwLock<HashSet<ClientId>>>);
+
+impl ClientSet {
+    fn read(&self) -> RwLockReadGuard<'_, HashSet<ClientId>> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn insert(&self, client: ClientId) {
+        self.0.write().unwrap_or_else(PoisonError::into_inner).insert(client);
+    }
+}
 
 /// A thread-safe handle for pushing application outputs to clients from
 /// outside the node thread.
@@ -29,7 +45,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct PushHandle {
     sender: SenderHandle,
-    clients: Arc<RwLock<HashSet<ClientId>>>,
+    clients: ClientSet,
 }
 
 impl PushHandle {
@@ -40,7 +56,7 @@ impl PushHandle {
     pub fn for_tests(sender: SenderHandle, clients: Vec<ClientId>) -> PushHandle {
         PushHandle {
             sender,
-            clients: Arc::new(RwLock::new(clients.into_iter().collect())),
+            clients: ClientSet(Arc::new(RwLock::new(clients.into_iter().collect()))),
         }
     }
 
@@ -283,10 +299,10 @@ pub fn spawn_replica_endpoint_with(
     }
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(NodeStats::default());
-    let clients: Arc<RwLock<HashSet<ClientId>>> = Arc::new(RwLock::new(HashSet::new()));
+    let clients = ClientSet::default();
     let push_handle = PushHandle {
         sender: endpoint.sender(),
-        clients: Arc::clone(&clients),
+        clients: clients.clone(),
     };
 
     let thread_shutdown = Arc::clone(&shutdown);
@@ -317,7 +333,7 @@ struct NodeWorker {
     app: Box<dyn Application>,
     log: Box<dyn LogStore>,
     stats: Arc<NodeStats>,
-    clients: Arc<RwLock<HashSet<ClientId>>>,
+    clients: ClientSet,
     /// Last reply sent to each client, re-sent when a client
     /// retransmits an already-executed request (BFT-SMaRt's reply
     /// cache).
@@ -346,7 +362,7 @@ impl NodeWorker {
         app: Box<dyn Application>,
         log: Box<dyn LogStore>,
         stats: Arc<NodeStats>,
-        clients: Arc<RwLock<HashSet<ClientId>>>,
+        clients: ClientSet,
     ) -> NodeWorker {
         let mut replica = Replica::new(config.consensus.clone());
         let n = config.consensus.quorums.n();
@@ -445,7 +461,7 @@ impl NodeWorker {
                     // Arrival of a traced submission at this replica.
                     flight.record(now * 1000, EventKind::Submit, ctx.id, cid as u64, request.seq);
                 }
-                self.clients.write().insert(request.client);
+                self.clients.insert(request.client);
                 // Retransmission of an already-answered request: replay
                 // the cached reply instead of re-ordering.
                 if let Some((seq, payload)) = self.reply_cache.get(&request.client) {
@@ -467,7 +483,7 @@ impl NodeWorker {
                 self.apply(actions);
             }
             (PeerId::Client(cid), SmrMsg::Subscribe) => {
-                self.clients.write().insert(ClientId(cid));
+                self.clients.insert(ClientId(cid));
             }
             (PeerId::Replica(id), SmrMsg::Consensus(msg)) => {
                 let actions = self.replica.on_message(now, NodeId(id), msg);

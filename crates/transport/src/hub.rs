@@ -2,17 +2,16 @@
 //! backend used by tests, simulations and single-process benchmarks.
 //!
 //! Every participant [`join`](Network::join)s the hub and gets an
-//! [`Endpoint`] whose inbound mailbox is an unbounded crossbeam
+//! [`Endpoint`] whose inbound mailbox is an unbounded `std::sync::mpsc`
 //! channel. Sends are synchronous hand-offs into the destination
 //! mailbox, subject to injected faults (blocked links, isolation,
 //! deterministic probabilistic drops).
 
-use crate::{Backend, Endpoint, PeerId, TransportError};
-use crossbeam::channel::{self, Sender};
+use crate::{lock_clean, Backend, Endpoint, PeerId, TransportError};
 use hlf_wire::{BufferPool, Bytes};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Deterministic SplitMix64 stream for probabilistic drop decisions:
 /// same seed, same drop pattern, so partition tests are reproducible.
@@ -61,9 +60,12 @@ impl FaultState {
     }
 }
 
+/// Mailbox senders of the joined peers.
+type Peers = HashMap<PeerId, Sender<(PeerId, Bytes)>>;
+
 /// Shared hub state behind every in-process [`Endpoint`].
 pub(crate) struct Hub {
-    peers: RwLock<HashMap<PeerId, Sender<(PeerId, Bytes)>>>,
+    peers: RwLock<Peers>,
     faults: Mutex<FaultState>,
     /// Pool shared by every endpoint on this hub, so send buffers
     /// recycle no matter which participant allocated them.
@@ -71,16 +73,26 @@ pub(crate) struct Hub {
 }
 
 impl Hub {
+    /// The peer table, poison-tolerant like [`lock_clean`]: a map
+    /// insert or remove stays consistent if a holder unwinds.
+    fn peers(&self) -> RwLockReadGuard<'_, Peers> {
+        self.peers.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn peers_mut(&self) -> RwLockWriteGuard<'_, Peers> {
+        self.peers.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn send(
         &self,
         from: PeerId,
         to: PeerId,
         payload: Bytes,
     ) -> Result<(), TransportError> {
-        if self.faults.lock().should_drop(from, to) {
+        if lock_clean(&self.faults).should_drop(from, to) {
             return Err(TransportError::Dropped);
         }
-        let peers = self.peers.read();
+        let peers = self.peers();
         let tx = peers.get(&to).ok_or(TransportError::UnknownPeer(to))?;
         tx.send((from, payload))
             .map_err(|_| TransportError::Disconnected(to))
@@ -119,8 +131,8 @@ impl Network {
     /// Panics if `id` already joined — two participants claiming one
     /// identity is a harness bug, never a runtime condition.
     pub fn join(&self, id: PeerId) -> Endpoint {
-        let (tx, rx) = channel::unbounded();
-        let mut peers = self.hub.peers.write();
+        let (tx, rx) = mpsc::channel();
+        let mut peers = self.hub.peers_mut();
         assert!(
             peers.insert(id, tx).is_none(),
             "peer {id} joined the network twice"
@@ -133,33 +145,33 @@ impl Network {
     /// sends to it fail with [`TransportError::UnknownPeer`]; the peer
     /// may [`join`](Network::join) again later (crash/restart tests).
     pub fn part(&self, id: PeerId) {
-        self.hub.peers.write().remove(&id);
+        self.hub.peers_mut().remove(&id);
     }
 
     /// Silently drops all traffic on the directed link `from -> to`.
     pub fn block_link(&self, from: PeerId, to: PeerId) {
-        self.hub.faults.lock().blocked_links.insert((from, to));
+        lock_clean(&self.hub.faults).blocked_links.insert((from, to));
     }
 
     /// Clears every blocked link.
     pub fn unblock_all(&self) {
-        self.hub.faults.lock().blocked_links.clear();
+        lock_clean(&self.hub.faults).blocked_links.clear();
     }
 
     /// Cuts `id` off in both directions.
     pub fn isolate(&self, id: PeerId) {
-        self.hub.faults.lock().isolated.insert(id);
+        lock_clean(&self.hub.faults).isolated.insert(id);
     }
 
     /// Reconnects a previously [`isolate`](Network::isolate)d peer.
     pub fn heal(&self, id: PeerId) {
-        self.hub.faults.lock().isolated.remove(&id);
+        lock_clean(&self.hub.faults).isolated.remove(&id);
     }
 
     /// Drops every send with probability `p`, deterministically from
     /// `seed`.
     pub fn set_drop_probability(&self, p: f64, seed: u64) {
-        let mut faults = self.hub.faults.lock();
+        let mut faults = lock_clean(&self.hub.faults);
         faults.drop_probability = p.clamp(0.0, 1.0);
         faults.rng = SplitMix64 { state: seed };
     }
@@ -167,7 +179,7 @@ impl Network {
     /// Splits the network into two halves that cannot talk to each
     /// other (both directions blocked between every cross pair).
     pub fn partition(&self, side_a: &[PeerId], side_b: &[PeerId]) {
-        let mut faults = self.hub.faults.lock();
+        let mut faults = lock_clean(&self.hub.faults);
         for &a in side_a {
             for &b in side_b {
                 faults.blocked_links.insert((a, b));
@@ -178,7 +190,7 @@ impl Network {
 
     /// Currently joined peers, in unspecified order.
     pub fn peers(&self) -> Vec<PeerId> {
-        self.hub.peers.read().keys().copied().collect()
+        self.hub.peers().keys().copied().collect()
     }
 
     /// The hub-wide buffer pool.

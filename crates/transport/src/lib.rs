@@ -1,7 +1,7 @@
 //! Point-to-point transport for the ordering cluster, with two
 //! interchangeable backends behind one authenticated [`Endpoint`] API:
 //!
-//! * [`hub`] — the in-process crossbeam hub used by tests, benchmarks
+//! * [`hub`] — the in-process channel hub used by tests, benchmarks
 //!   and the deterministic simulations. Supports fault injection
 //!   (blocked links, drops, isolation).
 //! * [`tcp`] — real kernel TCP sockets for multi-process deployments
@@ -38,7 +38,6 @@ pub use admin::{AdminClient, AdminRequest, AdminServer, AdminSources, DeltaReply
 pub use hub::Network;
 pub use tcp::{NetStats, TcpConfig, TcpNetwork};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use hlf_crypto::hmac::hmac_sha256_multi;
 use hlf_obs::flight::EventKind;
 use hlf_obs::FlightRecorder;
@@ -46,8 +45,16 @@ use hlf_wire::{BufferPool, Bytes};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Locks `m`, recovering the guard if a holder panicked: the state
+/// behind the transport's mutexes (send queues, socket lists, fault
+/// tables) is plain collections that stay consistent under unwind.
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Identity of a transport participant.
 ///
@@ -197,7 +204,7 @@ impl TrafficStats {
 /// Which backend carries an endpoint's traffic.
 #[derive(Clone)]
 enum Backend {
-    /// In-process crossbeam hub.
+    /// In-process channel hub.
     Hub(Arc<hub::Hub>),
     /// Kernel TCP sockets.
     Tcp(Arc<tcp::TcpCore>),
@@ -423,11 +430,6 @@ impl Endpoint {
             }
             Err(_) => None,
         }
-    }
-
-    /// Number of queued messages.
-    pub fn pending(&self) -> usize {
-        self.incoming.len()
     }
 
     fn note_received(&self, from: PeerId, payload: &Bytes) {
@@ -691,7 +693,7 @@ mod tests {
         );
         network.heal(b.id());
         a.send(b.id(), Bytes::from_static(b"x")).unwrap();
-        assert_eq!(b.pending(), 1);
+        assert!(b.try_recv().is_some());
     }
 
     #[test]

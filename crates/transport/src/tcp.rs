@@ -65,8 +65,7 @@
 //! Reconnection uses exponential backoff from `initial_backoff`
 //! (25 ms) doubling to `max_backoff` (2 s).
 
-use crate::{Authenticator, Backend, Endpoint, PeerId, TransportError};
-use crossbeam::channel::{self, Receiver, Sender};
+use crate::{lock_clean, Authenticator, Backend, Endpoint, PeerId, TransportError};
 use hlf_crypto::hmac::hmac_sha256_multi;
 use hlf_obs::{Counter, Gauge, Registry};
 use hlf_wire::{BufferPool, Bytes};
@@ -74,6 +73,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -236,12 +236,6 @@ struct PeerLink {
     peer: PeerId,
     queue: Mutex<LinkQueue>,
     wake: Condvar,
-}
-
-/// Locks `m`, recovering the guard if a holder panicked — queue state
-/// is a plain VecDeque and stays consistent under unwind.
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl PeerLink {
@@ -787,7 +781,7 @@ impl TcpNetwork {
         let registry = config
             .registry
             .unwrap_or_else(|| Registry::new(format!("transport-{}", config.id)));
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let core = Arc::new_cyclic(|this| TcpCore {
             id: config.id,
             secret: config.secret,

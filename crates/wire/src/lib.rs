@@ -694,49 +694,63 @@ mod tests {
         assert!(WireError::LengthOverflow(9).to_string().contains('9'));
     }
 
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use hlf_simnet::{for_each_case, SimRng};
 
-        proptest! {
-            #[test]
-            fn arbitrary_bytes_roundtrip(v in proptest::collection::vec(any::<u8>(), 0..2048)) {
-                prop_assert_eq!(from_bytes::<Vec<u8>>(&to_bytes(&v)).unwrap(), v);
-            }
+        const CASES: u64 = 64;
 
-            #[test]
-            fn arbitrary_u64_seq_roundtrip(v in proptest::collection::vec(any::<u64>(), 0..256)) {
+        #[test]
+        fn arbitrary_bytes_roundtrip() {
+            for_each_case(0x317e_0001, CASES, |rng| {
+                let v = rng.bytes(0..2048);
+                assert_eq!(from_bytes::<Vec<u8>>(&to_bytes(&v)).unwrap(), v);
+            });
+        }
+
+        #[test]
+        fn arbitrary_u64_seq_roundtrip() {
+            for_each_case(0x317e_0002, CASES, |rng| {
+                let v = rng.vec(0..256, SimRng::next_u64);
                 let mut out = Vec::new();
                 encode_seq(&v, &mut out);
                 let mut r = Reader::new(&out);
-                prop_assert_eq!(decode_seq::<u64>(&mut r).unwrap(), v);
-                prop_assert_eq!(r.remaining(), 0);
-            }
+                assert_eq!(decode_seq::<u64>(&mut r).unwrap(), v);
+                assert_eq!(r.remaining(), 0);
+            });
+        }
 
-            #[test]
-            fn decoder_never_panics_on_garbage(v in proptest::collection::vec(any::<u8>(), 0..512)) {
+        #[test]
+        fn decoder_never_panics_on_garbage() {
+            for_each_case(0x317e_0003, CASES, |rng| {
                 // Whatever the bytes, decoding returns Ok or Err, never panics.
+                let v = rng.bytes(0..512);
                 let _ = from_bytes::<Vec<u8>>(&v);
                 let _ = from_bytes::<String>(&v);
                 let _ = from_bytes::<Option<u64>>(&v);
                 let _ = from_bytes::<Hash256>(&v);
                 let _ = from_bytes::<Signature>(&v);
-            }
+            });
+        }
 
-            #[test]
-            fn encoding_is_injective_for_pairs(a in any::<u64>(), b in any::<u64>(),
-                                               c in any::<u64>(), d in any::<u64>()) {
-                let ab = to_bytes(&(a, b));
-                let cd = to_bytes(&(c, d));
-                prop_assert_eq!(ab == cd, (a, b) == (c, d));
-            }
+        #[test]
+        fn encoding_is_injective_for_pairs() {
+            for_each_case(0x317e_0004, CASES, |rng| {
+                let (a, b) = (rng.next_u64(), rng.next_u64());
+                // Half the cases compare a pair with itself, so both
+                // sides of the equivalence are exercised.
+                let fresh = (rng.next_u64(), rng.next_u64());
+                let (c, d) = if rng.next_range(2) == 0 { (a, b) } else { fresh };
+                assert_eq!(to_bytes(&(a, b)) == to_bytes(&(c, d)), (a, b) == (c, d));
+            });
+        }
 
-            #[test]
-            fn bytes_view_roundtrip_at_arbitrary_offsets(
-                prefix in proptest::collection::vec(any::<u8>(), 0..64),
-                payload in proptest::collection::vec(any::<u8>(), 0..1024),
-                suffix in proptest::collection::vec(any::<u8>(), 0..64),
-            ) {
+        #[test]
+        fn bytes_view_roundtrip_at_arbitrary_offsets() {
+            for_each_case(0x317e_0005, CASES, |rng| {
+                let (prefix, suffix) = (rng.bytes(0..64), rng.bytes(0..64));
+                let payload = rng.bytes(0..1024);
                 // Embed an encoded value at an arbitrary offset of a larger
                 // shared buffer and decode out of a sliced view of it.
                 let mut full = prefix.clone();
@@ -745,61 +759,57 @@ mod tests {
                 let shared = Bytes::from(full);
                 let view = shared.slice(prefix.len()..shared.len() - suffix.len());
                 let decoded = from_bytes_shared::<Bytes>(&view).unwrap();
-                prop_assert_eq!(decoded.as_slice(), payload.as_slice());
+                assert_eq!(decoded.as_slice(), payload.as_slice());
                 // Zero-copy: non-empty payloads share the outer buffer.
                 if !payload.is_empty() {
                     let expect_off = prefix.len() + 4;
-                    prop_assert!(decoded
+                    assert!(decoded
                         .shares_storage_with(&shared.slice(expect_off..expect_off + payload.len())));
                 }
-            }
+            });
+        }
 
-            #[test]
-            fn arbitrary_splits_view_the_same_bytes(
-                data in proptest::collection::vec(any::<u8>(), 1..512),
-                a_raw in any::<u16>(),
-                b_raw in any::<u16>(),
-            ) {
+        #[test]
+        fn arbitrary_splits_view_the_same_bytes() {
+            for_each_case(0x317e_0006, CASES, |rng| {
+                let data = rng.bytes(1..512);
                 let shared = Bytes::from(data.clone());
-                let (mut a, mut b) = (a_raw as usize % data.len(), b_raw as usize % data.len());
+                let (mut a, mut b) = (rng.next_in(0..data.len()), rng.next_in(0..data.len()));
                 if a > b {
                     std::mem::swap(&mut a, &mut b);
                 }
-                prop_assert_eq!(shared.slice(a..b).as_slice(), &data[a..b]);
+                assert_eq!(shared.slice(a..b).as_slice(), &data[a..b]);
                 // Re-slicing a view composes offsets correctly.
                 let outer = shared.slice(a..);
-                prop_assert_eq!(outer.slice(..b - a).as_slice(), &data[a..b]);
-            }
+                assert_eq!(outer.slice(..b - a).as_slice(), &data[a..b]);
+            });
+        }
 
-            #[test]
-            fn truncated_views_are_rejected_not_panicked(
-                payload in proptest::collection::vec(any::<u8>(), 0..512),
-                cut_raw in any::<u16>(),
-            ) {
-                let encoded = to_bytes(&payload);
-                let shared = Bytes::from(encoded);
-                let cut = cut_raw as usize % shared.len();
-                let truncated = shared.slice(..cut);
-                prop_assert!(from_bytes_shared::<Bytes>(&truncated).is_err());
-            }
+        #[test]
+        fn truncated_views_are_rejected_not_panicked() {
+            for_each_case(0x317e_0007, CASES, |rng| {
+                let shared = Bytes::from(to_bytes(&rng.bytes(0..512)));
+                let truncated = shared.slice(..rng.next_in(0..shared.len()));
+                assert!(from_bytes_shared::<Bytes>(&truncated).is_err());
+            });
+        }
 
-            #[test]
-            fn length_bombs_rejected_on_sliced_buffers(
-                prefix in proptest::collection::vec(any::<u8>(), 0..32),
-                excess in any::<u32>(),
-            ) {
+        #[test]
+        fn length_bombs_rejected_on_sliced_buffers() {
+            for_each_case(0x317e_0008, CASES, |rng| {
                 // A length prefix beyond MAX_LEN inside a sliced shared
                 // buffer is rejected before allocating or taking a view.
-                let bomb_len = MAX_LEN.saturating_add(excess.max(1));
+                let prefix = rng.bytes(0..32);
+                let bomb_len = MAX_LEN.saturating_add((rng.next_u64() as u32).max(1));
                 let mut full = prefix.clone();
                 bomb_len.encode(&mut full);
                 let shared = Bytes::from(full);
                 let view = shared.slice(prefix.len()..);
-                prop_assert_eq!(
+                assert_eq!(
                     from_bytes_shared::<Bytes>(&view),
                     Err(WireError::LengthOverflow(bomb_len))
                 );
-            }
+            });
         }
     }
 }

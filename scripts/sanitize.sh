@@ -4,12 +4,11 @@
 #   scripts/sanitize.sh asan   # AddressSanitizer (works on plain nightly)
 #   scripts/sanitize.sh tsan   # ThreadSanitizer (also needs rust-src)
 #
-# Rebuilds the workspace with raw `rustc +nightly` (mirroring the
-# offline build in .claude/skills/verify/check.sh — no cargo, no
-# registry) and runs the threaded test surface under the sanitizer:
-# the transport unit tests (TCP links + admin socket), the cross-backend
-# `tcp_codec` suite, and the kill/restart `tcp_cluster` integration
-# test.
+# Runs the threaded test surface under the sanitizer with
+# `RUSTFLAGS=-Zsanitizer=... cargo +nightly test`, in a target directory
+# of its own: the transport unit tests (TCP links + admin socket), the
+# cross-backend `tcp_codec` suite, and the kill/restart `tcp_cluster`
+# integration test.
 #
 # Both modes are *gated*, not required: when the toolchain pieces are
 # missing the script prints a SKIP notice and exits 0, so the verify
@@ -20,10 +19,9 @@
 # prebuilt, uninstrumented std it reports false positives on every
 # Mutex/Condvar because the futex calls inside std are invisible to the
 # runtime. Without rust-src the mode skips rather than crying wolf.
-set -e
+set -eo pipefail
 MODE=${1:-asan}
 R="$(cd "$(dirname "$0")/.." && pwd)"
-S="$R/.claude/skills/verify/stubs"
 case "$MODE" in
   asan|tsan) ;;
   *) echo "usage: sanitize.sh [asan|tsan]"; exit 2 ;;
@@ -54,53 +52,20 @@ else
   export ASAN_OPTIONS="detect_leaks=0"
 fi
 
-O=/tmp/obj-$MODE
-mkdir -p "$O"
-E="--edition 2021"
-RUSTC="rustc +nightly $E -L $O -Copt-level=1 -Awarnings $SAN $BUILD_STD -Cunsafe-allow-abi-mismatch=sanitizer"
-ext() { echo "--extern $1=$O/lib$1.rlib"; }
+export RUSTFLAGS="$SAN -Cunsafe-allow-abi-mismatch=sanitizer"
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$R/target}/sanitize-$MODE"
+# An explicit --target keeps the flags off host artifacts and is what
+# -Zbuild-std requires.
+HOST=$(cargo +nightly -vV | sed -n 's/^host: //p')
+cd "$R"
 
-echo "== sanitize[$MODE]: libs =="
-$RUSTC --crate-type rlib "$S/parking_lot.rs" --crate-name parking_lot -o "$O/libparking_lot.rlib"
-$RUSTC --crate-type rlib "$S/crossbeam.rs"   --crate-name crossbeam   -o "$O/libcrossbeam.rlib"
-$RUSTC --crate-type rlib "$R/crates/crypto/src/lib.rs" --crate-name hlf_crypto -o "$O/libhlf_crypto.rlib"
-$RUSTC --crate-type rlib "$R/crates/simnet/src/lib.rs" --crate-name hlf_simnet -o "$O/libhlf_simnet.rlib"
-$RUSTC --crate-type rlib "$R/crates/obs/src/lib.rs"    --crate-name hlf_obs    -o "$O/libhlf_obs.rlib"
-$RUSTC --crate-type rlib "$R/crates/audit/src/lib.rs" --crate-name hlf_audit \
-  $(ext hlf_obs) -o "$O/libhlf_audit.rlib"
-$RUSTC --crate-type rlib "$R/crates/wire/src/lib.rs" --crate-name hlf_wire \
-  $(ext hlf_crypto) $(ext hlf_obs) -o "$O/libhlf_wire.rlib"
-$RUSTC --crate-type rlib "$R/crates/consensus/src/lib.rs" --crate-name hlf_consensus \
-  $(ext hlf_crypto) $(ext hlf_wire) $(ext hlf_obs) -o "$O/libhlf_consensus.rlib"
-$RUSTC --crate-type rlib "$R/crates/fabric/src/lib.rs" --crate-name hlf_fabric \
-  $(ext hlf_crypto) $(ext hlf_wire) -o "$O/libhlf_fabric.rlib"
-$RUSTC --crate-type rlib "$R/crates/transport/src/lib.rs" --crate-name hlf_transport \
-  $(ext hlf_crypto) $(ext hlf_wire) $(ext crossbeam) $(ext parking_lot) $(ext hlf_obs) \
-  -o "$O/libhlf_transport.rlib"
-$RUSTC --crate-type rlib "$R/crates/smr/src/lib.rs" --crate-name hlf_smr \
-  $(ext hlf_crypto) $(ext hlf_wire) $(ext hlf_consensus) $(ext hlf_transport) \
-  $(ext crossbeam) $(ext parking_lot) $(ext hlf_obs) -o "$O/libhlf_smr.rlib"
-CORE_DEPS="$(ext hlf_crypto) $(ext hlf_wire) $(ext hlf_consensus) $(ext hlf_transport) \
-  $(ext hlf_smr) $(ext hlf_fabric) $(ext hlf_simnet) $(ext crossbeam) \
-  $(ext parking_lot) $(ext hlf_obs) $(ext hlf_audit)"
-$RUSTC --crate-type rlib "$R/crates/core/src/lib.rs" --crate-name ordering_core \
-  $CORE_DEPS -o "$O/libordering_core.rlib"
-$RUSTC --crate-type rlib "$R/src/lib.rs" --crate-name hlf_bft \
-  $CORE_DEPS $(ext ordering_core) -o "$O/libhlf_bft.rlib"
-
-run_test() { # name, src, extra externs...
-  local name=$1 src=$2; shift 2
-  echo "== sanitize[$MODE]: $name =="
-  $RUSTC --test "$src" --crate-name "${name}_san" "$@" -o "$O/t_$name"
-  "$O/t_$name" -q 2>&1 | tail -2 | sed "s/^/[$MODE:$name] /"
+run_test() { # cargo package + test-target selection
+  echo "== sanitize[$MODE]: $* =="
+  cargo +nightly test $BUILD_STD --target "$HOST" "$@" -- -q 2>&1 | tail -2 | sed -n "/./s/^/[$MODE] /p"
 }
 
-run_test transport "$R/crates/transport/src/lib.rs" \
-  $(ext hlf_crypto) $(ext hlf_wire) $(ext crossbeam) $(ext parking_lot) $(ext hlf_obs)
-run_test tcp_codec "$R/crates/smr/tests/tcp_codec.rs" \
-  $(ext hlf_smr) $(ext hlf_crypto) $(ext hlf_wire) $(ext hlf_consensus) \
-  $(ext hlf_transport) $(ext crossbeam) $(ext parking_lot) $(ext hlf_obs)
-run_test tcp_cluster "$R/tests/tcp_cluster.rs" \
-  $CORE_DEPS $(ext ordering_core) $(ext hlf_bft)
+run_test -p hlf-transport --lib
+run_test -p hlf-smr --test tcp_codec
+run_test -p hlf-bft --test tcp_cluster
 
 echo "sanitize[$MODE]: OK"
