@@ -35,14 +35,19 @@ asan:
 tsan:
 	scripts/sanitize.sh tsan
 
-# Regenerate every figure/table of the paper's evaluation.
+# Regenerate every figure/table of the paper's evaluation. Build first,
+# then run the binaries themselves: a results file holds exactly one
+# binary's stdout (no cargo progress lines), so regenerating a
+# deterministic figure diffs clean.
+BIN := $(or $(CARGO_TARGET_DIR),target)/release
 figures:
-	cargo run --release -p bench --bin fig6_signing        | tee results_fig6.txt
-	cargo run --release -p bench --bin fig7_lan_throughput -- --full | tee results_fig7_full.txt
-	cargo run --release -p bench --bin fig8_geo_latency    | tee results_fig8.txt
-	cargo run --release -p bench --bin fig9_geo_latency    | tee results_fig9.txt
-	cargo run --release -p bench --bin eq1_bound_check     | tee results_eq1.txt
-	cargo run --release -p bench --bin ablations           | tee results_ablations.txt
+	cargo build --release -p bench
+	$(BIN)/fig6_signing               > results_fig6.txt
+	$(BIN)/fig7_lan_throughput --full > results_fig7_full.txt
+	$(BIN)/fig8_geo_latency           > results_fig8.txt
+	$(BIN)/fig9_geo_latency           > results_fig9.txt
+	$(BIN)/eq1_bound_check            > results_eq1.txt
+	$(BIN)/ablations                  > results_ablations.txt
 
 # Crypto fast-path numbers: the single-thread sig_rate example and a
 # refresh of BENCH_crypto.json (fast paths vs the in-tree

@@ -11,7 +11,7 @@ use hlf_consensus::messages::Batch;
 use hlf_obs::Snapshot;
 use hlf_smr::app::{Application, Outbound};
 use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
-use ordering_core::frontend::{Frontend, FrontendConfig};
+use ordering_core::frontend::Frontend;
 use ordering_core::service::{OrderingService, ServiceOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -117,12 +117,9 @@ pub fn run_lan_throughput(config: &LanConfig) -> LanResult {
     // Receiver frontends: subscribe and drain.
     let mut receiver_threads = Vec::new();
     for slot in 0..config.receivers {
-        let mut frontend_config =
-            FrontendConfig::new(hlf_wire::ClientId(5000 + slot as u32), config.n, config.f);
-        if config.verify_frontends {
-            frontend_config =
-                frontend_config.with_verification(service.orderer_keys().to_vec());
-        }
+        let frontend_config = service
+            .options()
+            .frontend_config(hlf_wire::ClientId(5000 + slot as u32), service.orderer_keys());
         let frontend = Frontend::connect(service.network(), frontend_config);
         let stop = Arc::clone(&stop);
         receiver_threads.push(std::thread::spawn(move || {

@@ -40,11 +40,6 @@ impl Request {
     pub fn id(&self) -> (ClientId, u64) {
         (self.client, self.seq)
     }
-
-    /// Encoded size in bytes.
-    pub fn wire_size(&self) -> usize {
-        4 + 8 + 4 + self.payload.len()
-    }
 }
 
 impl Encode for Request {
@@ -655,53 +650,6 @@ pub enum ConsensusMsg {
     },
 }
 
-impl ConsensusMsg {
-    /// Approximate encoded size (used by the simulator's bandwidth
-    /// model).
-    pub fn wire_size(&self) -> usize {
-        match self {
-            ConsensusMsg::Propose { batch, .. } => {
-                16 + batch.payload_bytes() + 16 * batch.len()
-            }
-            ConsensusMsg::Write(_) | ConsensusMsg::Accept(_) => 128,
-            ConsensusMsg::Stop { .. } => 8,
-            ConsensusMsg::StopData(sd) => {
-                200 + sd.value.as_ref().map_or(0, |b| b.payload_bytes())
-                    + 128 * sd.write_cert.len()
-                    + sd.extra_slots
-                        .iter()
-                        .map(|s| {
-                            32 + s.value.as_ref().map_or(0, |b| b.payload_bytes())
-                                + 128 * s.write_cert.len()
-                        })
-                        .sum::<usize>()
-                    + sd.decision.as_ref().map_or(0, |d| 128 * d.votes.len())
-            }
-            ConsensusMsg::Sync {
-                collect,
-                batch,
-                rebinds,
-                ..
-            } => {
-                64 + batch.payload_bytes()
-                    + rebinds
-                        .iter()
-                        .map(|r| 16 + r.batch.payload_bytes() + 16 * r.batch.len())
-                        .sum::<usize>()
-                    + collect
-                        .iter()
-                        .map(|sd| 200 + sd.value.as_ref().map_or(0, |b| b.payload_bytes()))
-                        .sum::<usize>()
-            }
-            ConsensusMsg::Forward { request } => 16 + request.wire_size(),
-            ConsensusMsg::ValueRequest { .. } => 16,
-            ConsensusMsg::ValueReply { batch, proof, .. } => {
-                16 + batch.payload_bytes() + 128 * proof.votes.len()
-            }
-        }
-    }
-}
-
 impl Encode for ConsensusMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -1044,7 +992,6 @@ mod tests {
             let bytes = to_bytes(&msg);
             assert_eq!(bytes.len(), msg.encoded_len());
             assert_eq!(from_bytes::<ConsensusMsg>(&bytes).unwrap(), msg);
-            assert!(msg.wire_size() > 0);
         }
     }
 

@@ -55,7 +55,7 @@ pub fn digest64(hash: &Hash256) -> u64 {
 /// Folds node ids into a signer bitmap (bit `i` = node `i` signed).
 /// The auditor pops the count and checks distinctness; n ≤ 64 holds for
 /// every configuration this codebase runs.
-fn signer_bitmap(nodes: impl Iterator<Item = NodeId>) -> u64 {
+pub fn signer_bitmap(nodes: impl Iterator<Item = NodeId>) -> u64 {
     nodes.fold(0u64, |mask, node| mask | 1u64 << (node.0 as u64 & 63))
 }
 

@@ -10,174 +10,38 @@
 //! suffice.
 
 use crate::channel::tag_envelope;
-use crate::obs::FrontendObs;
+use crate::collector::BlockCollector;
 use hlf_wire::Bytes;
-use hlf_crypto::ecdsa::VerifyingKey;
-use hlf_crypto::sha256::Hash256;
-use hlf_fabric::block::{Block, BlockSignature, SYSTEM_CHANNEL};
+use hlf_fabric::block::{Block, SYSTEM_CHANNEL};
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
-use hlf_smr::client::{ProxyConfig, ServiceProxy};
+use hlf_smr::client::{ProxyConfig, Push, ServiceProxy};
 use hlf_transport::Network;
-use hlf_wire::{ClientId, NodeId};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use hlf_wire::ClientId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-slot bound on the verified-signature dedup cache. A Byzantine
-/// orderer can mint unlimited distinct `(node, header, signature)`
-/// triples for one block number; beyond this many the oldest entries
-/// are ring-evicted (the cache only skips work, so eviction never
-/// affects correctness).
-const VERIFY_CACHE_PER_SLOT: usize = 64;
+pub use crate::collector::{DeliveryPolicy, FrontendConfig, FrontendStats};
 
-/// How the frontend decides a pushed block is trustworthy.
-#[derive(Clone, Debug)]
-pub enum DeliveryPolicy {
-    /// Collect `2f + 1` byte-matching copies; no signature checks
-    /// (the paper's default).
-    MatchOnly,
-    /// Verify each copy's signature and accept after `f + 1` valid
-    /// ones (paper footnote 8). Requires the orderer public keys.
-    Verify {
-        /// Orderer public keys indexed by node id.
-        orderer_keys: Vec<VerifyingKey>,
-    },
-}
-
-/// Frontend configuration.
-#[derive(Clone, Debug)]
-pub struct FrontendConfig {
-    /// This frontend's client identity on the SMR layer.
-    pub id: ClientId,
-    /// Ordering cluster size.
-    pub n: usize,
-    /// Fault threshold.
-    pub f: usize,
-    /// Trust policy for pushed blocks.
-    pub policy: DeliveryPolicy,
-    /// Maximum block numbers collecting copies at once. Byzantine
-    /// orderers can push copies for numbers that never complete; past
-    /// this bound the least-recently-touched round is evicted.
-    pub max_collecting: usize,
-}
-
-impl FrontendConfig {
-    /// Default (match-only) configuration.
-    pub fn new(id: ClientId, n: usize, f: usize) -> FrontendConfig {
-        FrontendConfig {
-            id,
-            n,
-            f,
-            policy: DeliveryPolicy::MatchOnly,
-            max_collecting: 1024,
-        }
-    }
-
-    /// Switches to signature verification with `f + 1` copies.
-    pub fn with_verification(mut self, orderer_keys: Vec<VerifyingKey>) -> FrontendConfig {
-        self.policy = DeliveryPolicy::Verify { orderer_keys };
-        self
-    }
-
-    /// Overrides the concurrent collection-round bound.
-    pub fn with_max_collecting(mut self, max: usize) -> FrontendConfig {
-        self.max_collecting = max.max(1);
-        self
-    }
-}
-
-/// Per-block-number collection state.
-#[derive(Debug)]
-struct Collecting {
-    /// header hash -> (block content, signatures gathered, nodes seen)
-    candidates: HashMap<Hash256, (Block, Vec<BlockSignature>, HashSet<NodeId>)>,
-    /// `(node, header hash, signature)` triples that already passed
-    /// ECDSA verification in this collection round, so re-pushed copies
-    /// skip the expensive check (verification mode only). Bounded to
-    /// [`VERIFY_CACHE_PER_SLOT`] entries, ring-evicted oldest-first.
-    verified: HashSet<(u32, Hash256, hlf_crypto::ecdsa::Signature)>,
-    /// Insertion order of `verified`, driving the ring eviction.
-    verified_order: VecDeque<(u32, Hash256, hlf_crypto::ecdsa::Signature)>,
-    /// When the first copy for this slot arrived (collection-round
-    /// latency = first copy -> threshold reached).
-    first_seen: Instant,
-    /// Monotonic stamp of the most recent copy for this slot (LRU key
-    /// for round eviction).
-    last_touch: u64,
-}
-
-impl Collecting {
-    fn new() -> Collecting {
-        Collecting {
-            candidates: HashMap::new(),
-            verified: HashSet::new(),
-            verified_order: VecDeque::new(),
-            first_seen: Instant::now(),
-            last_touch: 0,
-        }
-    }
-
-    /// Caches a verified triple; returns the net change in entry count.
-    // lint:allow(panic): `pop_front` runs only after the length check proved the deque non-empty
-    fn insert_verified(&mut self, triple: (u32, Hash256, hlf_crypto::ecdsa::Signature)) -> i64 {
-        if !self.verified.insert(triple) {
-            return 0;
-        }
-        self.verified_order.push_back(triple);
-        if self.verified_order.len() > VERIFY_CACHE_PER_SLOT {
-            let oldest = self.verified_order.pop_front().expect("nonempty");
-            self.verified.remove(&oldest);
-            return 0;
-        }
-        1
-    }
-}
-
-/// Frontend counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrontendStats {
-    /// Envelopes relayed to the cluster.
-    pub submitted: u64,
-    /// Blocks delivered in order.
-    pub delivered_blocks: u64,
-    /// Block copies discarded (bad signature, stale number...).
-    pub discarded_copies: u64,
-    /// Signature checks skipped because the same `(node, header,
-    /// signature)` triple was already verified in the same round.
-    pub verify_cache_hits: u64,
-    /// Collection rounds evicted before completing because the
-    /// concurrent-round bound was hit.
-    pub evicted_rounds: u64,
-}
-
-/// The ordering-service frontend.
+/// The ordering-service frontend: a [`ServiceProxy`] to relay envelopes
+/// and receive pushes, feeding a [`BlockCollector`] that decides when a
+/// block is trustworthy.
 pub struct Frontend {
     proxy: ServiceProxy,
-    config: FrontendConfig,
-    /// Per-channel next block number to deliver (1 for new channels).
-    next_deliver: HashMap<String, u64>,
-    /// (channel, number) -> collection state.
-    collecting: BTreeMap<(String, u64), Collecting>,
-    /// (channel, number) -> completed block.
-    ready: BTreeMap<(String, u64), Block>,
-    stats: FrontendStats,
-    obs: Option<FrontendObs>,
-    /// Flight recorder for collection-phase events and eviction
-    /// anomaly dumps.
+    collector: BlockCollector,
+    /// Flight recorder for submission and delivery events (the
+    /// collector records the collection phase into the same ring).
     flight: Option<Arc<FlightRecorder>>,
-    /// Monotonic counter stamping collection-round activity (LRU).
-    touch: u64,
-    /// Verified-triple entries across all rounds (mirrors the
-    /// `core.frontend.verify_cache_entries` gauge).
-    verify_cache_entries: i64,
+    /// Clock origin for the collector when no flight recorder (whose
+    /// clock is used otherwise) is attached.
+    origin: Instant,
 }
 
 impl std::fmt::Debug for Frontend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Frontend")
-            .field("id", &self.config.id)
-            .field("stats", &self.stats)
+            .field("id", &self.id())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -211,37 +75,32 @@ impl Frontend {
         proxy.subscribe();
         Frontend {
             proxy,
-            config,
-            next_deliver: HashMap::new(),
-            collecting: BTreeMap::new(),
-            ready: BTreeMap::new(),
-            stats: FrontendStats::default(),
-            obs: None,
+            collector: BlockCollector::new(config),
             flight: None,
-            touch: 0,
-            verify_cache_entries: 0,
+            origin: Instant::now(),
         }
     }
 
     /// Starts recording `core.frontend.*` metrics into `registry`.
     pub fn attach_obs(&mut self, registry: &Registry) {
-        self.obs = Some(FrontendObs::new(registry));
+        self.collector.attach_obs(registry);
     }
 
     /// Starts recording collection-phase flight events (and eviction
     /// anomaly dumps) into `flight`.
     pub fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
+        self.collector.attach_flight(Arc::clone(&flight));
         self.flight = Some(flight);
     }
 
     /// This frontend's client id.
     pub fn id(&self) -> ClientId {
-        self.config.id
+        self.collector.config().id
     }
 
     /// Counters.
     pub fn stats(&self) -> FrontendStats {
-        self.stats
+        self.collector.stats()
     }
 
     /// Relays an opaque envelope on the default [`SYSTEM_CHANNEL`].
@@ -253,184 +112,59 @@ impl Frontend {
     /// like the BFT shim's client thread pool). Each channel forms its
     /// own hash chain of blocks.
     pub fn submit_to_channel(&mut self, channel: &str, envelope: impl Into<Bytes>) {
-        self.stats.submitted += 1;
-        if let Some(obs) = &self.obs {
-            obs.submitted.inc();
-        }
+        self.collector.count_submitted();
         let tagged = tag_envelope(channel, &envelope.into());
         let seq = self.proxy.invoke_async(tagged);
         if let Some(flight) = &self.flight {
-            let id = hlf_obs::trace_id(self.config.id.0, seq);
-            flight.record_now(EventKind::Submit, id, self.config.id.0 as u64, seq);
+            let id = self.id().0;
+            flight.record_now(EventKind::Submit, hlf_obs::trace_id(id, seq), id as u64, seq);
         }
     }
 
-    /// Counts one rejected block copy in both counter sets.
-    fn discard_copy(&mut self) {
-        self.stats.discarded_copies += 1;
-        if let Some(obs) = &self.obs {
-            obs.discarded_copies.inc();
+    /// The collector's clock: the flight recorder's when one is
+    /// attached, so every event in its ring shares one time base.
+    fn now_us(&self) -> u64 {
+        match &self.flight {
+            Some(flight) => flight.now_us(),
+            None => self.origin.elapsed().as_micros() as u64,
         }
     }
 
-    /// Counts one in-order block delivery in both counter sets.
-    fn count_delivery(&mut self, number: u64) {
-        self.stats.delivered_blocks += 1;
-        if let Some(obs) = &self.obs {
-            obs.delivered_blocks.inc();
+    /// Hands one received push to the collector.
+    fn ingest(&mut self, push: Push) {
+        match hlf_wire::from_bytes_shared::<Block>(&push.payload) {
+            Ok(block) => self.collector.offer(push.from, block, self.now_us()),
+            Err(_) => self.collector.discard_copy(),
         }
+    }
+
+    /// Records the in-order release of `block`.
+    fn delivered(&self, block: Block) -> Block {
         if let Some(flight) = &self.flight {
-            flight.record_now(EventKind::Deliver, number, 0, 0);
+            flight.record_now(EventKind::Deliver, block.header.number, 0, 0);
         }
+        block
     }
 
-    /// Copies needed before a block is trusted.
-    fn threshold(&self) -> usize {
-        match self.config.policy {
-            DeliveryPolicy::MatchOnly => 2 * self.config.f + 1,
-            DeliveryPolicy::Verify { .. } => self.config.f + 1,
-        }
-    }
-
-    fn next_deliver_on(&self, channel: &str) -> u64 {
-        self.next_deliver.get(channel).copied().unwrap_or(1)
-    }
-
-    /// Ingests one pushed block copy from `from`.
-    fn accept(&mut self, from: NodeId, block: Block) {
-        if block.header.number < self.next_deliver_on(&block.header.channel)
-            || !block.data_consistent()
-        {
-            self.discard_copy();
-            return;
-        }
-        let slot = (block.header.channel.clone(), block.header.number);
-        let mut newly_verified = None;
-        if let DeliveryPolicy::Verify { orderer_keys } = &self.config.policy {
-            // The copy must carry a valid signature from its sender.
-            // Copies a node re-pushes (retransmits, view changes) repeat
-            // the same triple, so consult the round's cache before
-            // paying for an ECDSA verification. The cache is read
-            // through `get` — an invalid copy must not allocate
-            // collection state for its slot.
-            let header_hash = block.header_hash();
-            let cache = self.collecting.get(&slot).map(|c| &c.verified);
-            let mut cache_hits = 0;
-            let valid = block.signatures.iter().any(|s| {
-                if s.node != from.0 {
-                    return false;
-                }
-                let triple = (s.node, header_hash, s.signature);
-                if cache.is_some_and(|v| v.contains(&triple)) {
-                    cache_hits += 1;
-                    return true;
-                }
-                let fresh = orderer_keys
-                    .get(s.node as usize)
-                    .is_some_and(|key| key.verify_digest(&header_hash, &s.signature).is_ok());
-                if fresh {
-                    newly_verified = Some(triple);
-                }
-                fresh
-            });
-            self.stats.verify_cache_hits += cache_hits;
-            if !valid {
-                self.discard_copy();
-                return;
+    /// Waits up to `timeout` for `pop` to yield a block, feeding the
+    /// collector with pushes as they arrive.
+    fn wait_for(
+        &mut self,
+        timeout: Duration,
+        pop: impl Fn(&mut BlockCollector) -> Option<Block>,
+    ) -> Option<Block> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(block) = pop(&mut self.collector) {
+                return Some(self.delivered(block));
             }
-        }
-        let threshold = self.threshold();
-        self.touch += 1;
-        if !self.collecting.contains_key(&slot)
-            && self.collecting.len() >= self.config.max_collecting
-        {
-            self.evict_stalest_round();
-        }
-        let touch = self.touch;
-        let is_new_round = !self.collecting.contains_key(&slot);
-        let entry = self.collecting.entry(slot.clone()).or_insert_with(Collecting::new);
-        entry.last_touch = touch;
-        if is_new_round {
-            if let Some(flight) = &self.flight {
-                flight.record_now(EventKind::CollectFirst, slot.1, from.0 as u64, 0);
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
             }
+            let push = self.proxy.next_push(deadline - now)?;
+            self.ingest(push);
         }
-        if let Some(triple) = newly_verified {
-            self.verify_cache_entries += entry.insert_verified(triple);
-        }
-        let entry = self.collecting.get_mut(&slot).expect("just inserted"); // lint:allow(panic): the entry was inserted earlier in this call
-        let key = block.header_hash();
-        let (stored, signatures, nodes) = entry
-            .candidates
-            .entry(key)
-            .or_insert_with(|| (block.clone(), Vec::new(), HashSet::new()));
-        if !nodes.insert(from) {
-            return; // duplicate copy from the same node
-        }
-        for signature in block.signatures {
-            if !signatures.iter().any(|s| s.node == signature.node) {
-                signatures.push(signature);
-            }
-        }
-        if nodes.len() >= threshold {
-            let copies = nodes.len() as u64;
-            let mut complete = stored.clone();
-            complete.signatures = signatures.clone();
-            if let Some(round) = self.collecting.remove(&slot) {
-                self.verify_cache_entries -= round.verified.len() as i64;
-                let round_us = round.first_seen.elapsed().as_micros() as u64;
-                if let Some(obs) = &self.obs {
-                    obs.collect_round_us.record(round_us);
-                }
-                if let Some(flight) = &self.flight {
-                    flight.record_now(EventKind::CollectDone, slot.1, copies, round_us);
-                }
-            }
-            self.ready.insert(slot, complete);
-        }
-        if let Some(obs) = &self.obs {
-            obs.collecting_rounds.set(self.collecting.len() as i64);
-            obs.verify_cache_entries.set(self.verify_cache_entries);
-        }
-    }
-
-    /// Removes the least-recently-touched collection round (called when
-    /// the concurrent-round bound is exceeded).
-    fn evict_stalest_round(&mut self) {
-        let Some(slot) = self
-            .collecting
-            .iter()
-            .min_by_key(|(_, round)| round.last_touch)
-            .map(|(slot, _)| slot.clone())
-        else {
-            return;
-        };
-        if let Some(round) = self.collecting.remove(&slot) {
-            self.verify_cache_entries -= round.verified.len() as i64;
-        }
-        self.stats.evicted_rounds += 1;
-        if let Some(obs) = &self.obs {
-            obs.evicted_rounds.inc();
-        }
-        if let Some(flight) = &self.flight {
-            flight.record_now(EventKind::CollectEvict, slot.1, 0, 0);
-            flight.anomaly("collect_evict");
-        }
-    }
-
-    /// Pops the next in-order ready block for any channel, preferring
-    /// the lexicographically first channel with one available.
-    fn pop_ready(&mut self) -> Option<Block> {
-        let slot = self
-            .ready
-            .keys()
-            .find(|(channel, number)| *number == self.next_deliver_on(channel))
-            .cloned()?;
-        let block = self.ready.remove(&slot).expect("key just seen"); // lint:allow(panic): the key was produced by iterating this map
-        let number = slot.1;
-        self.next_deliver.insert(slot.0, slot.1 + 1);
-        self.count_delivery(number);
-        Some(block)
     }
 
     /// Returns the next block in sequence, waiting up to `timeout`.
@@ -438,70 +172,34 @@ impl Frontend {
     /// Blocks are delivered strictly in order; a gap (e.g. number 5
     /// completing before 4) is held back until the predecessor arrives.
     pub fn next_block(&mut self, timeout: Duration) -> Option<Block> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(block) = self.pop_ready() {
-                return Some(block);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let push = self.proxy.next_push(deadline - now)?;
-            let Ok(block) = hlf_wire::from_bytes_shared::<Block>(&push.payload) else {
-                self.discard_copy();
-                continue;
-            };
-            self.accept(push.from, block);
-        }
+        self.wait_for(timeout, BlockCollector::pop_ready)
     }
 
     /// Like [`Frontend::next_block`], but only for one channel.
     pub fn next_block_on(&mut self, channel: &str, timeout: Duration) -> Option<Block> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let slot = (channel.to_string(), self.next_deliver_on(channel));
-            if let Some(block) = self.ready.remove(&slot) {
-                let number = slot.1;
-                self.next_deliver.insert(slot.0, slot.1 + 1);
-                self.count_delivery(number);
-                return Some(block);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let push = self.proxy.next_push(deadline - now)?;
-            let Ok(block) = hlf_wire::from_bytes_shared::<Block>(&push.payload) else {
-                self.discard_copy();
-                continue;
-            };
-            self.accept(push.from, block);
-        }
+        self.wait_for(timeout, |collector| collector.pop_ready_on(channel))
     }
 
     /// Drains any block copies that already arrived without waiting.
     pub fn poll(&mut self) {
         while let Some(push) = self.proxy.try_push() {
-            if let Ok(block) = hlf_wire::from_bytes_shared::<Block>(&push.payload) {
-                self.accept(push.from, block);
-            } else {
-                self.discard_copy();
-            }
+            self.ingest(push);
         }
     }
 
     /// Non-blocking: next in-order block if already complete.
     pub fn try_next_block(&mut self) -> Option<Block> {
         self.poll();
-        self.pop_ready()
+        self.collector.pop_ready().map(|block| self.delivered(block))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlf_crypto::ecdsa::SigningKey;
+    use crate::collector::VERIFY_CACHE_PER_SLOT;
+    use hlf_crypto::ecdsa::{SigningKey, VerifyingKey};
+    use hlf_crypto::sha256::Hash256;
     use hlf_transport::PeerId;
 
     fn orderer_keys(n: usize) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
@@ -522,20 +220,17 @@ mod tests {
         n: usize,
         f: usize,
     ) -> (Frontend, Vec<hlf_transport::Endpoint>, Network) {
+        let mut config = FrontendConfig::new(ClientId(50), n, f);
+        config.policy = policy;
+        fixture_with(config)
+    }
+
+    fn fixture_with(config: FrontendConfig) -> (Frontend, Vec<hlf_transport::Endpoint>, Network) {
         let network = Network::new();
-        let replicas: Vec<_> = (0..n as u32)
+        let replicas: Vec<_> = (0..config.n as u32)
             .map(|i| network.join(PeerId::replica(i)))
             .collect();
-        let frontend = Frontend::connect(
-            &network,
-            FrontendConfig {
-                id: ClientId(50),
-                n,
-                f,
-                policy,
-                max_collecting: 1024,
-            },
-        );
+        let frontend = Frontend::connect(&network, config);
         // Drain the Subscribe messages.
         for r in &replicas {
             let _ = r.recv_timeout(Duration::from_millis(100));
@@ -572,6 +267,29 @@ mod tests {
         // The merged block accumulated all three signatures, giving
         // peers their f+1 valid ones.
         assert_eq!(delivered.signatures.len(), 3);
+    }
+
+    #[test]
+    fn tentative_cluster_needs_the_tentative_quorum_of_copies() {
+        // WHEAT, n = 5, f = 1: a tentatively executed block may still be
+        // rolled back, so ⌈(n+f+1)/2⌉ = 4 matching copies are needed —
+        // not the 2f+1 = 3 of final deliveries.
+        let (mut frontend, replicas, _n) =
+            fixture_with(FrontendConfig::new(ClientId(50), 5, 1).with_tentative(true));
+        let (sk, _) = orderer_keys(5);
+        let base = block(1, Hash256::ZERO, 1);
+        for (i, replica) in replicas.iter().enumerate().take(3) {
+            let mut copy = base.clone();
+            copy.sign(i as u32, &sk[i]);
+            push_block(replica, &copy);
+        }
+        assert!(frontend.next_block(Duration::from_millis(100)).is_none());
+        let mut copy = base.clone();
+        copy.sign(3, &sk[3]);
+        push_block(&replicas[3], &copy);
+        let delivered = frontend.next_block(Duration::from_secs(2)).unwrap();
+        assert_eq!(delivered.header.number, 1);
+        assert_eq!(delivered.signatures.len(), 4);
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //!   block to all connected frontends;
 //! * **frontends** ([`frontend::Frontend`]) that relay envelopes on
 //!   behalf of Fabric clients and collect `2f + 1` matching block
-//!   copies (or `f + 1` verified ones) before releasing blocks, in
-//!   order, to committing peers.
+//!   copies (or `f + 1` verified ones; `⌈(n+f+1)/2⌉` while the cluster
+//!   executes tentatively) in a [`collector::BlockCollector`] before
+//!   releasing blocks, in order, to committing peers.
 //!
-//! [`service::OrderingService`] assembles the whole thing in-process;
-//! [`sim`] reruns the identical protocol logic inside the
-//! discrete-event WAN simulator for the paper's geo-distributed
-//! latency experiments.
+//! [`service::OrderingService`] assembles the whole thing in-process
+//! and [`proc`] one replica or frontend per OS process over TCP; both
+//! are thread drivers of the sans-io [`hlf_smr::core::NodeCore`].
+//! [`sim`] drives that same node core, the same
+//! [`node::OrderingNodeApp`] and the same
+//! [`collector::BlockCollector`] inside the discrete-event WAN
+//! simulator for the paper's geo-distributed latency experiments; only
+//! link latency and the block-signing delay are modelled there.
 //!
 //! # Examples
 //!
@@ -44,6 +49,7 @@
 
 pub mod blockcutter;
 pub mod channel;
+pub mod collector;
 pub mod frontend;
 pub mod node;
 pub mod obs;
@@ -53,8 +59,9 @@ pub mod signing;
 pub mod sim;
 
 pub use blockcutter::{BlockCutter, Cut, CutReason};
-pub use frontend::{DeliveryPolicy, Frontend, FrontendConfig, FrontendStats};
+pub use collector::{copies_needed, BlockCollector, DeliveryPolicy, FrontendConfig, FrontendStats};
+pub use frontend::Frontend;
 pub use node::{OrderingNodeApp, OrderingNodeConfig, OrderingNodeStats};
 pub use obs::{CutterObs, FrontendObs, SigningObs};
 pub use service::{OrderingService, ServiceOptions};
-pub use signing::{SigningPool, SigningStats};
+pub use signing::{signing_sink, SigningPool, SigningStats};

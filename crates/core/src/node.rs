@@ -5,7 +5,6 @@
 use crate::blockcutter::{BlockCutter, CutReason};
 use crate::channel::untag_envelope;
 use crate::obs::CutterObs;
-use crate::signing::{SigningPool, SigningStats};
 use hlf_wire::Bytes;
 use hlf_consensus::messages::Batch;
 use hlf_crypto::ecdsa::SigningKey;
@@ -13,7 +12,6 @@ use hlf_crypto::sha256::Hash256;
 use hlf_fabric::block::Block;
 use hlf_obs::Registry;
 use hlf_smr::app::{Application, Outbound};
-use hlf_smr::node::PushHandle;
 use hlf_wire::{Decode, Encode, Reader};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,7 +169,7 @@ pub struct OrderingNodeStats {
 }
 
 impl OrderingNodeStats {
-    /// Blocks cut (and submitted for signing) so far.
+    /// Blocks cut (and handed to the block sink) so far.
     pub fn blocks_cut(&self) -> u64 {
         self.blocks_cut.load(Ordering::Relaxed)
     }
@@ -199,9 +197,10 @@ pub struct OrderingNodeApp {
     /// Channel name -> chain state (BTreeMap: deterministic snapshot
     /// and iteration order across replicas).
     chains: BTreeMap<String, ChainState>,
-    pool: SigningPool,
+    /// Where cut, chained, still unsigned blocks go. The application is
+    /// clock- and thread-free: signing and transmission are the sink's.
+    sink: Box<dyn FnMut(Block) + Send>,
     stats: Arc<OrderingNodeStats>,
-    signing_stats: Arc<SigningStats>,
     cutter_obs: Option<CutterObs>,
     undo: Vec<Undo>,
 }
@@ -216,45 +215,18 @@ impl std::fmt::Debug for OrderingNodeApp {
 }
 
 impl OrderingNodeApp {
-    /// Builds the application, wiring the signing pool's output to
-    /// `push` — the *custom replier* that broadcasts every block to all
-    /// connected frontends instead of answering the invoking client.
-    pub fn new(config: OrderingNodeConfig, push: PushHandle) -> OrderingNodeApp {
-        let double_sign = config.double_sign;
-        let context_key = config.signing_key.clone();
-        let node = config.node;
-        let pool = SigningPool::with_observers(
-            config.signing_threads,
-            config.node,
-            config.signing_key.clone(),
-            config.registry.as_deref(),
-            config.flight.clone(),
-            move |block: Block| {
-                if double_sign {
-                    // Footnote 10: a second signature attaches the block
-                    // to an execution context. We model its full CPU
-                    // cost; the context structure itself is out of scope.
-                    let mut context = Vec::with_capacity(64);
-                    context.extend_from_slice(b"hlfbft/exec-context/v1");
-                    context.extend_from_slice(block.header_hash().as_bytes());
-                    context.extend_from_slice(&node.to_le_bytes());
-                    let digest = hlf_crypto::sha256::sha256(&context);
-                    std::hint::black_box(context_key.sign_digest(&digest));
-                }
-                // Encode into a pooled buffer: the last frontend copy
-                // to drop returns it to the transport pool.
-                let bytes = hlf_wire::to_pooled_bytes(&block, push.pool());
-                push.push_all(bytes);
-            },
-        );
-        let signing_stats = pool.stats();
+    /// Builds the application. Every block it cuts is chained to its
+    /// predecessor and handed, unsigned, to `sink`: on a threaded node
+    /// that is [`crate::signing::signing_sink`] (sign on a pool, push
+    /// to every frontend), in the simulator a queue the actor drains
+    /// into modelled signing timers.
+    pub fn new(config: OrderingNodeConfig, sink: impl FnMut(Block) + Send + 'static) -> OrderingNodeApp {
         let cutter_obs = config.registry.as_deref().map(CutterObs::new);
         OrderingNodeApp {
             chains: BTreeMap::new(),
             config,
-            pool,
+            sink: Box::new(sink),
             stats: Arc::new(OrderingNodeStats::default()),
-            signing_stats,
             cutter_obs,
             undo: Vec::new(),
         }
@@ -263,11 +235,6 @@ impl OrderingNodeApp {
     /// Live counters.
     pub fn stats(&self) -> Arc<OrderingNodeStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// Signing-pool counters.
-    pub fn signing_stats(&self) -> Arc<SigningStats> {
-        Arc::clone(&self.signing_stats)
     }
 
     /// Next block number to be assigned on a channel (1 for unknown
@@ -312,12 +279,12 @@ impl OrderingNodeApp {
     }
 
     /// Chains `envelopes` into the next block on `channel` and hands it
-    /// to the signing pool.
+    /// to the block sink.
     fn seal_block(
         chain: &mut ChainState,
         channel: String,
         envelopes: Vec<Bytes>,
-        pool: &SigningPool,
+        sink: &mut dyn FnMut(Block),
         stats: &OrderingNodeStats,
     ) {
         let block =
@@ -325,7 +292,7 @@ impl OrderingNodeApp {
         chain.prev_hash = block.header_hash();
         chain.next_number += 1;
         stats.blocks_cut.fetch_add(1, Ordering::Relaxed);
-        pool.submit(block);
+        sink(block);
     }
 }
 
@@ -366,7 +333,7 @@ impl Application for OrderingNodeApp {
                     chain,
                     channel,
                     cut.into_envelopes(),
-                    &self.pool,
+                    &mut *self.sink,
                     &self.stats,
                 );
             }
@@ -388,7 +355,7 @@ impl Application for OrderingNodeApp {
                         chain,
                         channel,
                         cut.into_envelopes(),
-                        &self.pool,
+                        &mut *self.sink,
                         &self.stats,
                     );
                 }
@@ -418,11 +385,11 @@ impl Application for OrderingNodeApp {
                         chain.cutter.block_size(),
                     );
                 }
-                Self::seal_block(chain, channel, envelopes, &self.pool, &self.stats);
+                Self::seal_block(chain, channel, envelopes, &mut *self.sink, &self.stats);
             }
         }
-        // Blocks are pushed by the signing pool (custom replier); the
-        // node thread produces no synchronous replies.
+        // Blocks leave through the sink (custom replier); execution
+        // produces no synchronous replies.
         Vec::new()
     }
 
@@ -482,29 +449,20 @@ impl Application for OrderingNodeApp {
 mod tests {
     use super::*;
     use hlf_consensus::messages::Request;
-    use hlf_transport::{Network, PeerId};
     use hlf_wire::ClientId;
+    use std::sync::mpsc::{channel, Receiver};
 
-    /// Builds an app plus a frontend-side endpoint that receives the
-    /// pushed blocks.
-    fn app_with_sink(
-        block_size: usize,
-    ) -> (OrderingNodeApp, hlf_transport::Endpoint, Network) {
-        let network = Network::new();
-        let replica_endpoint = network.join(PeerId::replica(0));
-        let frontend = network.join(PeerId::client(1));
-        // Build a PushHandle by hand through the smr plumbing: spawn is
-        // overkill here, so reuse the test-only constructor pattern —
-        // subscribe via a real node is tested in service.rs; here we
-        // fake the clients set.
-        let push = hlf_smr::node::PushHandle::for_tests(
-            replica_endpoint.sender(),
-            vec![ClientId(1)],
-        );
-        let config = OrderingNodeConfig::new(0, SigningKey::from_seed(b"orderer-0"))
-            .with_block_size(block_size)
-            .with_signing_threads(2);
-        (OrderingNodeApp::new(config, push), frontend, network)
+    fn config(block_size: usize) -> OrderingNodeConfig {
+        OrderingNodeConfig::new(0, SigningKey::from_seed(b"orderer-0")).with_block_size(block_size)
+    }
+
+    /// Builds an app whose block sink is a channel the test reads.
+    fn app_with_sink(config: OrderingNodeConfig) -> (OrderingNodeApp, Receiver<Block>) {
+        let (tx, rx) = channel();
+        let app = OrderingNodeApp::new(config, move |block| {
+            let _ = tx.send(block);
+        });
+        (app, rx)
     }
 
     fn batch(cid_tag: u8, count: usize) -> Batch {
@@ -517,44 +475,32 @@ mod tests {
         )
     }
 
-    fn recv_block(frontend: &hlf_transport::Endpoint) -> Block {
-        let (_, raw) = frontend
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("block pushed");
-        let msg: hlf_smr::wire::SmrMsg = hlf_wire::from_bytes(&raw).unwrap();
-        let hlf_smr::wire::SmrMsg::Reply { seq: 0, payload } = msg else {
-            panic!("expected push")
-        };
-        hlf_wire::from_bytes(&payload).unwrap()
-    }
-
     #[test]
-    fn cuts_blocks_and_pushes_signed() {
-        let (mut app, frontend, _network) = app_with_sink(5);
+    fn cuts_chained_blocks_into_the_sink() {
+        let (mut app, blocks) = app_with_sink(config(5));
         app.execute_batch(1, &batch(1, 12), false);
         // 12 envelopes, block size 5 -> 2 blocks, 2 pending.
-        let mut blocks = [recv_block(&frontend), recv_block(&frontend)];
-        blocks.sort_by_key(|b| b.header.number);
+        let blocks: Vec<Block> = blocks.try_iter().collect();
+        assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].header.number, 1);
         assert_eq!(blocks[0].header.prev_hash, Hash256::ZERO);
         assert_eq!(blocks[1].header.prev_hash, blocks[0].header.hash());
         assert_eq!(blocks[0].envelopes.len(), 5);
         assert_eq!(app.stats().blocks_cut(), 2);
         assert_eq!(app.stats().envelopes_ordered(), 12);
-        // Each block carries this node's signature.
-        let key = SigningKey::from_seed(b"orderer-0");
-        assert_eq!(blocks[0].valid_signatures(&[*key.verifying_key()]), 1);
+        // Signing is the sink's job: the application emits bare blocks.
+        assert!(blocks[0].signatures.is_empty());
     }
 
     #[test]
     fn snapshot_restore_roundtrip_with_pending() {
         use hlf_fabric::block::SYSTEM_CHANNEL;
-        let (mut app, _frontend, _network) = app_with_sink(10);
+        let (mut app, _blocks) = app_with_sink(config(10));
         app.execute_batch(1, &batch(1, 13), false);
         assert_eq!(app.next_number(), 2);
         let snap = app.snapshot();
 
-        let (mut other, _f2, _n2) = app_with_sink(10);
+        let (mut other, _blocks2) = app_with_sink(config(10));
         other.restore(&snap);
         assert_eq!(other.next_number(), 2);
         assert_eq!(
@@ -567,16 +513,16 @@ mod tests {
     #[test]
     fn tentative_rollback_restores_chain_position() {
         use hlf_fabric::block::SYSTEM_CHANNEL;
-        let (mut app, frontend, _network) = app_with_sink(5);
+        let (mut app, blocks) = app_with_sink(config(5));
         app.execute_batch(1, &batch(1, 5), false);
-        let _b1 = recv_block(&frontend);
+        let _b1 = blocks.try_recv().unwrap();
         let number = app.next_number();
         let prev = app.prev_hash_on(SYSTEM_CHANNEL);
 
         // Tentative execution cuts a block...
         app.execute_batch(2, &batch(2, 7), true);
         assert_eq!(app.next_number(), number + 1);
-        let _speculative = recv_block(&frontend);
+        let _speculative = blocks.try_recv().unwrap();
 
         // ...that a leader change rolls back.
         app.rollback(2);
@@ -586,16 +532,15 @@ mod tests {
 
         // Re-execution with the re-bound batch reuses the numbering.
         app.execute_batch(2, &batch(3, 5), false);
-        let b2 = recv_block(&frontend);
+        let b2 = blocks.try_recv().unwrap();
         assert_eq!(b2.header.number, number);
         assert_eq!(b2.header.prev_hash, prev);
     }
 
     #[test]
     fn confirm_discards_undo() {
-        let (mut app, frontend, _network) = app_with_sink(5);
+        let (mut app, _blocks) = app_with_sink(config(5));
         app.execute_batch(1, &batch(1, 5), true);
-        let _b = recv_block(&frontend);
         app.confirm(1);
         // A (buggy) rollback after confirm must be a no-op.
         let n = app.next_number();
@@ -605,48 +550,26 @@ mod tests {
 
     #[test]
     fn flush_on_batch_end_emits_partial_blocks() {
-        let network = Network::new();
-        let replica_endpoint = network.join(PeerId::replica(0));
-        let frontend = network.join(PeerId::client(1));
-        let push = hlf_smr::node::PushHandle::for_tests(
-            replica_endpoint.sender(),
-            vec![ClientId(1)],
-        );
-        let config = OrderingNodeConfig::new(0, SigningKey::from_seed(b"orderer-0"))
-            .with_block_size(10)
-            .with_signing_threads(2)
-            .with_flush_on_batch_end(true);
-        let mut app = OrderingNodeApp::new(config, push);
+        let (mut app, blocks) = app_with_sink(config(10).with_flush_on_batch_end(true));
         // 7 envelopes < block size 10, but the batch boundary flushes.
         app.execute_batch(1, &batch(1, 7), false);
-        let block = recv_block(&frontend);
+        let block = blocks.try_recv().unwrap();
         assert_eq!(block.envelopes.len(), 7);
         assert_eq!(block.header.number, 1);
         // A full block plus a remainder in one batch: two blocks.
         app.execute_batch(2, &batch(2, 12), false);
-        let b2 = recv_block(&frontend);
-        let b3 = recv_block(&frontend);
-        let mut sizes = vec![b2.envelopes.len(), b3.envelopes.len()];
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![2, 10]);
+        let sizes: Vec<usize> = blocks.try_iter().map(|b| b.envelopes.len()).collect();
+        assert_eq!(sizes, vec![10, 2]);
     }
 
     #[test]
     fn registry_records_cut_reasons_and_fill() {
-        let network = Network::new();
-        let replica_endpoint = network.join(PeerId::replica(0));
-        let _frontend = network.join(PeerId::client(1));
-        let push = hlf_smr::node::PushHandle::for_tests(
-            replica_endpoint.sender(),
-            vec![ClientId(1)],
-        );
         let registry = Arc::new(Registry::new("core-node-test"));
-        let config = OrderingNodeConfig::new(0, SigningKey::from_seed(b"orderer-0"))
-            .with_block_size(5)
-            .with_signing_threads(2)
-            .with_flush_on_batch_end(true)
-            .with_registry(Arc::clone(&registry));
-        let mut app = OrderingNodeApp::new(config, push);
+        let (mut app, _blocks) = app_with_sink(
+            config(5)
+                .with_flush_on_batch_end(true)
+                .with_registry(Arc::clone(&registry)),
+        );
         // 12 envelopes, block size 5, flush on batch end: two full cuts
         // (Size) plus a 2-envelope batch-end flush.
         app.execute_batch(1, &batch(1, 12), false);
@@ -658,34 +581,5 @@ mod tests {
         assert_eq!(fill.count, 3);
         assert_eq!(fill.max, 100);
         assert_eq!(fill.min, 40);
-        // Signing metrics flow through the same registry.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while app.signing_stats().signed() < 3 {
-            assert!(std::time::Instant::now() < deadline, "pool stalled");
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_value("core.signing.signed"), Some(3));
-        assert_eq!(snap.histogram("core.signing.sign_us").unwrap().count, 3);
-    }
-
-    #[test]
-    fn double_sign_still_produces_valid_blocks() {
-        let network = Network::new();
-        let replica_endpoint = network.join(PeerId::replica(0));
-        let frontend = network.join(PeerId::client(1));
-        let push = hlf_smr::node::PushHandle::for_tests(
-            replica_endpoint.sender(),
-            vec![ClientId(1)],
-        );
-        let config = OrderingNodeConfig::new(0, SigningKey::from_seed(b"orderer-0"))
-            .with_block_size(5)
-            .with_signing_threads(2)
-            .with_double_sign(true);
-        let mut app = OrderingNodeApp::new(config, push);
-        app.execute_batch(1, &batch(1, 5), false);
-        let block = recv_block(&frontend);
-        let key = SigningKey::from_seed(b"orderer-0");
-        assert_eq!(block.valid_signatures(&[*key.verifying_key()]), 1);
     }
 }

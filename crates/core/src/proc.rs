@@ -9,45 +9,15 @@
 //! process started with the same `(n, options)` — and with in-process
 //! clusters, which is what the cross-backend benchmarks compare.
 
-use crate::frontend::{Frontend, FrontendConfig};
-use crate::node::{OrderingNodeApp, OrderingNodeConfig};
+use crate::frontend::Frontend;
 use crate::service::ServiceOptions;
-use hlf_consensus::quorum::QuorumSystem;
-use hlf_consensus::replica::Config as ConsensusConfig;
 use hlf_obs::Registry;
-use hlf_smr::node::{spawn_replica_endpoint_with, NodeConfig, NodeHandle};
+use hlf_smr::node::{spawn_replica, NodeHandle};
 use hlf_smr::runtime::ClusterKeys;
 use hlf_smr::storage::MemoryLog;
 use hlf_transport::Endpoint;
-use hlf_wire::{ClientId, NodeId};
+use hlf_wire::ClientId;
 use std::sync::Arc;
-
-/// Builds the consensus configuration replica `i` of an `n`-node
-/// cluster would get from the in-process runtime.
-///
-/// # Panics
-///
-/// Panics on invalid `(n, f)` or WHEAT-spare combinations, exactly
-/// like the in-process bootstrap.
-// lint:allow(panic): process bootstrap — an invalid (n, f) topology must fail startup loudly
-fn consensus_config(i: usize, n: usize, options: &ServiceOptions) -> ConsensusConfig {
-    let quorums = if options.wheat {
-        QuorumSystem::wheat_binary(n, options.f).expect("valid WHEAT configuration")
-    } else {
-        QuorumSystem::classic(n, options.f).expect("valid classic configuration")
-    };
-    let keys = ClusterKeys::derive("runtime", n);
-    ConsensusConfig::new(
-        NodeId(i as u32),
-        quorums,
-        keys.verifying.clone(),
-        keys.signing[i].clone(),
-    )
-    .with_tentative_execution(options.wheat || options.tentative)
-    .with_batch_max(options.batch_max)
-    .with_request_timeout_ms(options.request_timeout_ms)
-    .with_pipeline_depth(options.pipeline_depth)
-}
 
 /// Starts ordering replica `i` of an `n`-node cluster on an
 /// already-built transport endpoint (normally
@@ -71,12 +41,13 @@ pub fn start_replica_endpoint(
 
 /// [`start_replica_endpoint`] with an explicit flight recorder (e.g.
 /// one shared with an admin/telemetry endpoint), instead of the
-/// `HLF_TRACE`-gated default.
+/// `HLF_TRACE`-gated default. The recorder receives the node's
+/// consensus, state-transfer *and* signing-phase events.
 ///
 /// # Panics
 ///
-/// Panics on invalid `(n, f)` combinations or `i >= n`.
-// lint:allow(panic): process bootstrap — a replica index outside the cluster must fail startup loudly
+/// Panics on invalid `(n, f)` or WHEAT-spare combinations or `i >= n`,
+/// exactly like the in-process bootstrap.
 pub fn start_replica_endpoint_with_flight(
     i: usize,
     n: usize,
@@ -85,28 +56,19 @@ pub fn start_replica_endpoint_with_flight(
     registry: Arc<Registry>,
     flight: Option<Arc<hlf_obs::FlightRecorder>>,
 ) -> NodeHandle {
-    assert!(i < n, "replica index {i} outside cluster of {n}");
     let keys = ClusterKeys::derive("runtime", n);
-    let mut node_config = NodeConfig::new(consensus_config(i, n, options));
-    node_config.registry = Some(Arc::clone(&registry));
-    node_config.flight = flight;
-    let app_options = options.clone();
-    spawn_replica_endpoint_with(
+    let node_config = options.runtime_options().node_config(
+        i,
+        &keys,
+        Some(Arc::clone(&registry)),
+        flight.clone(),
+    );
+    let options = options.clone();
+    spawn_replica(
         node_config,
         endpoint,
         Box::new(MemoryLog::new()),
-        move |push| {
-            let mut config = OrderingNodeConfig::new(i as u32, keys.signing[i].clone())
-                .with_block_size(app_options.block_size)
-                .with_signing_threads(app_options.signing_threads)
-                .with_double_sign(app_options.double_sign)
-                .with_flush_on_batch_end(app_options.flush_on_batch_end)
-                .with_registry(Arc::clone(&registry));
-            if let Some((min, max, stale_limit)) = app_options.adaptive_cutter {
-                config = config.with_adaptive_cutter(min, max, stale_limit);
-            }
-            Box::new(OrderingNodeApp::new(config, push))
-        },
+        move |push| Box::new(options.threaded_app(i, &keys, registry, flight, push)),
     )
 }
 
@@ -118,10 +80,6 @@ pub fn connect_frontend_endpoint(
     options: &ServiceOptions,
     endpoint: Endpoint,
 ) -> Frontend {
-    let mut config = FrontendConfig::new(ClientId(id), n, options.f);
-    if options.frontend_verification {
-        let keys = ClusterKeys::derive("runtime", n);
-        config = config.with_verification(keys.verifying);
-    }
-    Frontend::connect_endpoint(endpoint, config)
+    let keys = ClusterKeys::derive("runtime", n);
+    Frontend::connect_endpoint(endpoint, options.frontend_config(ClientId(id), &keys.verifying))
 }

@@ -3,9 +3,11 @@
 
 use crate::frontend::{Frontend, FrontendConfig};
 use crate::node::{OrderingNodeApp, OrderingNodeConfig};
+use crate::signing::signing_sink;
 use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::VerifyingKey;
-use hlf_obs::{Registry, Snapshot};
+use hlf_obs::{FlightRecorder, Registry, Snapshot};
+use hlf_smr::node::PushHandle;
 use hlf_smr::runtime::{ClusterKeys, ClusterRuntime, RuntimeOptions};
 use hlf_smr::storage::MemoryLog;
 use hlf_transport::Network;
@@ -138,6 +140,82 @@ impl ServiceOptions {
         self.adaptive_cutter = Some((min, max, stale_limit));
         self
     }
+
+    /// The SMR-layer options these service options imply. Together with
+    /// [`RuntimeOptions::node_config`] and
+    /// [`ServiceOptions::app_config`] this is the single assembly path
+    /// of an ordering node, whatever drives it (hub threads, one
+    /// process per replica over TCP, the geo simulator).
+    pub fn runtime_options(&self) -> RuntimeOptions {
+        let mut runtime = RuntimeOptions::classic(self.f)
+            .with_batch_max(self.batch_max)
+            .with_request_timeout_ms(self.request_timeout_ms)
+            .with_pipeline_depth(self.pipeline_depth);
+        runtime.wheat_weights = self.wheat;
+        runtime.tentative_execution = self.tentative_execution();
+        runtime
+    }
+
+    /// Whether replicas deliver tentatively (after the WRITE quorum).
+    fn tentative_execution(&self) -> bool {
+        self.wheat || self.tentative
+    }
+
+    /// The application-layer configuration of replica `i`. The ordering
+    /// application reuses the replica's consensus key for block
+    /// signatures (the two signature uses are domain-separated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a replica of `keys`' cluster.
+    // lint:allow(panic): bootstrap — a replica index outside the cluster must fail startup loudly
+    pub fn app_config(
+        &self,
+        i: usize,
+        keys: &ClusterKeys,
+        registry: Option<Arc<Registry>>,
+        flight: Option<Arc<FlightRecorder>>,
+    ) -> OrderingNodeConfig {
+        let mut config = OrderingNodeConfig::new(i as u32, keys.signing[i].clone())
+            .with_block_size(self.block_size)
+            .with_signing_threads(self.signing_threads)
+            .with_double_sign(self.double_sign)
+            .with_flush_on_batch_end(self.flush_on_batch_end);
+        if let Some((min, max, stale_limit)) = self.adaptive_cutter {
+            config = config.with_adaptive_cutter(min, max, stale_limit);
+        }
+        config.registry = registry;
+        config.flight = flight;
+        config
+    }
+
+    /// The ordering application of replica `i` on a threaded node (hub
+    /// or TCP): blocks are signed on a pool and pushed through `push`.
+    pub fn threaded_app(
+        &self,
+        i: usize,
+        keys: &ClusterKeys,
+        registry: Arc<Registry>,
+        flight: Option<Arc<FlightRecorder>>,
+        push: PushHandle,
+    ) -> OrderingNodeApp {
+        let config = self.app_config(i, keys, Some(registry), flight);
+        let sink = signing_sink(&config, push);
+        OrderingNodeApp::new(config, sink)
+    }
+
+    /// The configuration of frontend `id` of a cluster whose orderers
+    /// hold `orderer_keys`: copy threshold from the execution mode,
+    /// verification keys when enabled.
+    pub fn frontend_config(&self, id: ClientId, orderer_keys: &[VerifyingKey]) -> FrontendConfig {
+        let config = FrontendConfig::new(id, orderer_keys.len(), self.f)
+            .with_tentative(self.tentative_execution());
+        if self.frontend_verification {
+            config.with_verification(orderer_keys.to_vec())
+        } else {
+            config
+        }
+    }
 }
 
 /// A running BFT ordering service.
@@ -152,7 +230,7 @@ pub struct OrderingService {
     frontend_registry: Arc<Registry>,
     /// Shared flight recorder for every frontend (submit, collect and
     /// deliver events); populated only while `HLF_TRACE` is on.
-    frontend_flight: Arc<hlf_obs::FlightRecorder>,
+    frontend_flight: Arc<FlightRecorder>,
 }
 
 impl std::fmt::Debug for OrderingService {
@@ -172,37 +250,16 @@ impl OrderingService {
     ///
     /// Panics on invalid `(n, f)` or WHEAT-spare combinations.
     pub fn start(n: usize, options: ServiceOptions) -> OrderingService {
-        let mut runtime_options = RuntimeOptions::classic(options.f)
-            .with_batch_max(options.batch_max)
-            .with_request_timeout_ms(options.request_timeout_ms)
-            .with_pipeline_depth(options.pipeline_depth);
-        runtime_options.wheat_weights = options.wheat;
-        runtime_options.tentative_execution = options.wheat || options.tentative;
-
         // The runtime derives its consensus keys deterministically; the
-        // ordering apps reuse the same keys for block signatures (the
-        // two signature uses are domain-separated).
+        // ordering apps sign blocks with the same keys.
         let keys = ClusterKeys::derive("runtime", n);
         let orderer_keys = keys.verifying.clone();
         let app_options = options.clone();
         let runtime = ClusterRuntime::start_custom(
             n,
-            runtime_options,
+            options.runtime_options(),
             move |i, push, registry, flight| {
-                let mut config =
-                    OrderingNodeConfig::new(i as u32, keys.signing[i].clone()) // lint:allow(panic): builder invokes with `i < n`, the key count
-                        .with_block_size(app_options.block_size)
-                        .with_signing_threads(app_options.signing_threads)
-                        .with_double_sign(app_options.double_sign)
-                        .with_flush_on_batch_end(app_options.flush_on_batch_end)
-                        .with_registry(registry);
-                if let Some((min, max, stale_limit)) = app_options.adaptive_cutter {
-                    config = config.with_adaptive_cutter(min, max, stale_limit);
-                }
-                if let Some(flight) = flight {
-                    config = config.with_flight(flight);
-                }
-                Box::new(OrderingNodeApp::new(config, push))
+                Box::new(app_options.threaded_app(i, &keys, registry, flight, push))
             },
             |_| Box::new(MemoryLog::new()),
         );
@@ -259,10 +316,9 @@ impl OrderingService {
     /// obs registry).
     pub fn frontend(&mut self) -> Frontend {
         self.next_frontend += 1;
-        let mut config = FrontendConfig::new(ClientId(self.next_frontend), self.n, self.options.f);
-        if self.options.frontend_verification {
-            config = config.with_verification(self.orderer_keys.clone());
-        }
+        let config = self
+            .options
+            .frontend_config(ClientId(self.next_frontend), &self.orderer_keys);
         let mut frontend = Frontend::connect(self.runtime.network(), config);
         frontend.attach_obs(&self.frontend_registry);
         if hlf_obs::trace_enabled() {

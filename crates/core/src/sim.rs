@@ -6,33 +6,42 @@
 //! envelope latency: submission at a frontend until the frontend has
 //! collected enough matching copies of the block containing it.
 //!
-//! We do not have EC2; we have the *identical protocol code* (the
-//! sans-io [`hlf_consensus::Replica`]) driven by the deterministic
-//! [`hlf_simnet`] simulator with a measured inter-region RTT matrix.
-//! Propagation dominates WAN latency, so the *shape* of Figs. 8 and 9 —
-//! WHEAT beating BFT-SMaRt by roughly half, Vmax-co-located frontends
-//! beating Vmin ones, block size 100 adding fill delay — is reproduced
-//! faithfully; absolute numbers track the RTT matrix.
+//! We do not have EC2; we have the *same ordering node*: the sans-io
+//! [`NodeCore`] (consensus, durable log, checkpoints, state transfer)
+//! running the real [`OrderingNodeApp`], and the frontends' real
+//! [`BlockCollector`], driven here by the deterministic [`hlf_simnet`]
+//! simulator instead of threads and sockets. Two things are modelled
+//! rather than run: link latency (a measured inter-region RTT matrix
+//! plus bandwidth and jitter) and the block-signing delay (a fixed
+//! timer in place of the ECDSA pool, so pushed blocks carry no
+//! signature). Propagation dominates WAN latency, so the *shape* of
+//! Figs. 8 and 9 — WHEAT beating BFT-SMaRt by roughly half,
+//! Vmax-co-located frontends beating Vmin ones, block size 100 adding
+//! fill delay — is reproduced faithfully; absolute numbers track the
+//! RTT matrix.
 
+use crate::collector::BlockCollector;
+use crate::node::OrderingNodeApp;
+use crate::service::ServiceOptions;
 use hlf_audit::{dash_enabled, AuditViolation, ClusterAuditor, Dashboard};
-use hlf_wire::Bytes;
-use hlf_consensus::messages::{Batch, ConsensusMsg, Request};
-use hlf_consensus::obs::{HealthObs, ReplicaObs};
-use hlf_consensus::quorum::QuorumSystem;
-use hlf_consensus::replica::{digest64, Action, Config as ConsensusConfig, Replica};
-use hlf_crypto::ecdsa::{SigningKey, VerifyingKey};
-use hlf_crypto::sha256::Hash256;
+use hlf_consensus::messages::Request;
 use hlf_fabric::block::Block;
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightDump, FlightRecorder, Registry, Snapshot};
 use hlf_simnet::regions::{Region, RegionMatrix};
-use hlf_simnet::{percentile, Actor, Ctx, LatencyModel, SimMessage, SimTime, Simulation};
-use hlf_wire::{ClientId, NodeId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use hlf_simnet::{
+    percentile, Actor, Ctx, FaultPlan, LatencyModel, SimMessage, SimTime, Simulation,
+};
+use hlf_smr::core::{Input, NodeCore, Output};
+use hlf_smr::runtime::ClusterKeys;
+use hlf_smr::storage::MemoryLog;
+use hlf_smr::wire::SmrMsg;
+use hlf_transport::PeerId;
+use hlf_wire::{ClientId, Encode, NodeId};
+use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
-
-use crate::blockcutter::{BlockCutter, CutReason};
-use crate::obs::CutterObs;
+use std::time::Duration;
 
 /// Which protocol variant to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,23 +57,22 @@ pub enum Protocol {
 /// Messages crossing the simulated WAN.
 #[derive(Clone, Debug)]
 pub enum GeoMsg {
-    /// Replica-to-replica consensus traffic, tagged with a
-    /// sender-unique frame id so [`EventKind::FrameSeq`] send/recv
-    /// pairs can be stitched into a causal cluster timeline. The tag is
-    /// bookkeeping, not protocol state: it never reaches the replica
+    /// A frame of the SMR protocol — envelope submission, consensus
+    /// traffic, state transfer — exactly as a threaded node would put
+    /// it on its transport. Replica-to-replica frames carry a
+    /// sender-unique id so [`EventKind::FrameSeq`] send/recv pairs can
+    /// be stitched into a causal cluster timeline. The tag is
+    /// bookkeeping, not protocol state: it never reaches the node core
     /// and does not count toward the wire size.
-    Consensus(ConsensusMsg, u64),
-    /// Frontend-to-replica envelope submission.
-    Envelope(Request),
-    /// Replica-to-frontend signed block copy.
+    Smr(SmrMsg, u64),
+    /// Replica-to-frontend block copy (the signing pool's push).
     Block(Block),
 }
 
 impl SimMessage for GeoMsg {
     fn wire_size(&self) -> usize {
         match self {
-            GeoMsg::Consensus(msg, _) => msg.wire_size(),
-            GeoMsg::Envelope(request) => request.wire_size() + 16,
+            GeoMsg::Smr(msg, _) => msg.encoded_len(),
             GeoMsg::Block(block) => block.wire_size(),
         }
     }
@@ -74,6 +82,11 @@ const TICK_TOKEN: u64 = 0;
 const SUBMIT_TOKEN: u64 = 1;
 /// Signing-job tokens start here.
 const SIGN_TOKEN_BASE: u64 = 1000;
+/// Frontend `slot` is SMR client `FRONTEND_CLIENT_BASE + slot`.
+const FRONTEND_CLIENT_BASE: u32 = 100;
+/// The nodes' tick period (ms). Coarser than a threaded node's 20 ms:
+/// ticks only drive timeouts, and WAN timeouts are seconds.
+const TICK_EVERY_MS: u64 = 500;
 /// XOR mask applied to a digest when forging an injected flight event;
 /// non-zero, so the forged digest always conflicts with the real one.
 const FORGED_DIGEST_MASK: u64 = 0x00ff_00ff_00ff_00ff;
@@ -94,32 +107,28 @@ pub enum AuditInjection {
     DroppedCertifiedValue { node: usize, nth: u64 },
 }
 
-/// An ordering node inside the simulator: consensus replica +
-/// blockcutter + modeled signing delay.
+/// An ordering node inside the simulator: the simnet driver of a
+/// [`NodeCore`]. Everything here is simulation — virtual links, the
+/// crash instant, the modelled signing delay, audit bookkeeping; the
+/// protocol is the core's.
 struct ReplicaActor {
-    replica: Replica,
+    core: NodeCore,
     n: usize,
+    /// Actor indices of the frontends. Placement is static: every
+    /// frontend receives every block from the first one on.
     frontends: Vec<usize>,
-    cutter: BlockCutter,
-    next_number: u64,
-    prev_hash: Hash256,
-    /// Undo for tentative executions: cid -> (number, hash, pending).
-    undo: Vec<(u64, u64, Hash256, Vec<Bytes>)>,
-    tentative_mode: bool,
-    tentative_done: HashSet<u64>,
+    /// Blocks the application cut during the current step (the far
+    /// end of its block sink).
+    cut_blocks: Receiver<Block>,
     sign_delay: SimTime,
     next_sign_token: u64,
     signing: HashMap<u64, Block>,
-    tick_every: SimTime,
-    /// Cutter metrics (recording never feeds back into behaviour, so
-    /// determinism is preserved).
-    cutter_obs: Option<CutterObs>,
     /// Flight recorder for sign-phase events ([`EventKind::SignStart`]
-    /// and [`EventKind::SignDone`]); the consensus-phase events are
-    /// recorded by the replica itself. Timestamps are virtual-time
+    /// and [`EventKind::SignDone`]) and frame tags; the protocol events
+    /// are recorded by the core itself. Timestamps are virtual-time
     /// microseconds, so recording is deterministic.
     flight: Option<Arc<FlightRecorder>>,
-    /// Counter feeding sender-unique frame tags for consensus sends.
+    /// Counter feeding sender-unique frame tags.
     next_frame: u64,
     /// Commits applied so far, for `nth`-commit fault injection.
     commits_seen: u64,
@@ -127,6 +136,8 @@ struct ReplicaActor {
     inject: Option<AuditInjection>,
     /// Crash-stop instant: from here on the node is mute and deaf.
     crash_at: Option<SimTime>,
+    /// Reused across steps.
+    out: Vec<Output>,
 }
 
 impl ReplicaActor {
@@ -134,148 +145,111 @@ impl ReplicaActor {
         self.crash_at.is_some_and(|at| now >= at)
     }
 
-    /// Sends one consensus message, recording the
+    /// The transport identity of actor `index`.
+    fn peer_of(&self, index: usize) -> PeerId {
+        if index < self.n {
+            PeerId::Replica(index as u32)
+        } else {
+            PeerId::Client(FRONTEND_CLIENT_BASE + (index - self.n) as u32)
+        }
+    }
+
+    /// Sends one frame to a peer replica, recording the
     /// [`EventKind::FrameSeq`] send half under a sender-unique tag so
     /// the audit timeline can stitch the matching receive to it.
-    fn send_consensus(&mut self, to: usize, msg: ConsensusMsg, ctx: &mut Ctx<'_, GeoMsg>) {
+    fn send_frame(&mut self, to: usize, msg: SmrMsg, ctx: &mut Ctx<'_, GeoMsg>) {
         let tag = ((ctx.self_id() as u64) << 40) | self.next_frame;
         self.next_frame += 1;
         if let Some(flight) = &self.flight {
             flight.record(ctx.now().as_micros(), EventKind::FrameSeq, to as u64, tag, 0);
         }
-        ctx.send(to, GeoMsg::Consensus(msg, tag));
+        ctx.send(to, GeoMsg::Smr(msg, tag));
     }
 
     /// Records the forged flight event of a configured
     /// [`AuditInjection`] when this commit is the injection target.
-    fn maybe_inject(&self, cid: u64, proof: &hlf_consensus::messages::DecisionProof, ctx: &Ctx<'_, GeoMsg>) {
-        let Some(inject) = self.inject else { return };
-        let Some(flight) = &self.flight else { return };
-        let signers = proof
-            .votes
-            .iter()
-            .fold(0u64, |mask, vote| mask | 1u64 << (vote.node.0 as u64 & 63));
-        let forged = digest64(&proof.hash) ^ FORGED_DIGEST_MASK;
-        let now_us = ctx.now().as_micros();
-        match inject {
-            AuditInjection::EquivocatingDecide { node, nth }
-                if node == ctx.self_id() && nth == self.commits_seen =>
-            {
-                flight.record(now_us, EventKind::DecideHash, cid, forged, signers);
-            }
-            AuditInjection::DroppedCertifiedValue { node, nth }
-                if node == ctx.self_id() && nth == self.commits_seen =>
-            {
-                flight.record(now_us, EventKind::WriteCert, cid, forged, signers);
-            }
-            _ => {}
+    fn maybe_inject(&self, cid: u64, digest: u64, signers: u64, ctx: &Ctx<'_, GeoMsg>) {
+        let (Some(inject), Some(flight)) = (self.inject, &self.flight) else {
+            return;
+        };
+        let (kind, node, nth) = match inject {
+            AuditInjection::EquivocatingDecide { node, nth } => (EventKind::DecideHash, node, nth),
+            AuditInjection::DroppedCertifiedValue { node, nth } => (EventKind::WriteCert, node, nth),
+        };
+        if node == ctx.self_id() && nth == self.commits_seen {
+            let forged = digest ^ FORGED_DIGEST_MASK;
+            flight.record(ctx.now().as_micros(), kind, cid, forged, signers);
         }
     }
 
-    fn apply(&mut self, actions: Vec<Action>, ctx: &mut Ctx<'_, GeoMsg>) {
-        for action in actions {
-            match action {
-                Action::Broadcast(msg) => {
-                    for node in 0..self.n {
-                        if node != ctx.self_id() {
-                            self.send_consensus(node, msg.clone(), ctx);
-                        }
+    /// Runs one call into the core at the current virtual time and
+    /// carries out what it asks for.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_, GeoMsg>,
+        call: impl FnOnce(&mut NodeCore, u64, &mut Vec<Output>),
+    ) {
+        let mut out = std::mem::take(&mut self.out);
+        call(&mut self.core, ctx.now().as_micros(), &mut out);
+        self.flush(&mut out, ctx);
+        self.out = out;
+    }
+
+    fn step(&mut self, input: Input, ctx: &mut Ctx<'_, GeoMsg>) {
+        self.drive(ctx, |core, now_us, out| core.step(now_us, input, out));
+    }
+
+    fn flush(&mut self, out: &mut Vec<Output>, ctx: &mut Ctx<'_, GeoMsg>) {
+        for output in out.drain(..) {
+            match output {
+                Output::ToReplicas(msg) => {
+                    let me = ctx.self_id();
+                    for node in (0..self.n).filter(|node| *node != me) {
+                        self.send_frame(node, msg.clone(), ctx);
                     }
                 }
-                Action::Send(to, msg) => self.send_consensus(to.as_usize(), msg, ctx),
-                Action::DeliverTentative { cid, batch } => {
-                    if self.tentative_mode && self.tentative_done.insert(cid) {
-                        self.undo.push((
-                            cid,
-                            self.next_number,
-                            self.prev_hash,
-                            self.cutter.snapshot_envelopes(),
-                        ));
-                        self.execute(&batch, ctx);
-                    }
-                }
-                Action::Rollback { cid } => {
-                    if let Some(pos) = self.undo.iter().position(|(c, ..)| *c == cid) {
-                        let (_, number, hash, pending) = self.undo.remove(pos);
-                        self.next_number = number;
-                        self.prev_hash = hash;
-                        self.cutter.restore_envelopes(pending);
-                        self.tentative_done.remove(&cid);
-                    }
-                }
-                Action::Commit { cid, batch, proof } => {
-                    self.maybe_inject(cid, &proof, ctx);
+                Output::ToReplica(to, msg) => self.send_frame(to.as_usize(), msg, ctx),
+                // The ordering application answers through its block
+                // sink, never with replies; frontend placement is static.
+                Output::ToClient(..) | Output::ToAllClients(..) | Output::ClientJoined(_) => {}
+                Output::Committed { cid, digest, signers } => {
+                    self.maybe_inject(cid, digest, signers, ctx);
                     self.commits_seen += 1;
-                    self.undo.retain(|(c, ..)| *c != cid);
-                    if !self.tentative_mode || !self.tentative_done.remove(&cid) {
-                        self.execute(&batch, ctx);
-                    }
-                }
-                Action::Behind { .. } => {
-                    // No replica lags in these latency runs.
                 }
             }
         }
-    }
-
-    fn execute(&mut self, batch: &Batch, ctx: &mut Ctx<'_, GeoMsg>) {
-        for request in &batch.requests {
-            if let Some(cut) = self.cutter.push(request.payload.clone()) {
-                if let Some(obs) = &self.cutter_obs {
-                    let reason = match cut.reason {
-                        CutReason::Size => &obs.cut_size,
-                        CutReason::Bytes => &obs.cut_bytes,
-                        CutReason::Stale => &obs.cut_stale,
-                    };
-                    obs.record_cut(reason, cut.len(), self.cutter.block_size());
-                }
-                let block =
-                    Block::build(self.next_number, self.prev_hash, cut.into_envelopes());
-                self.prev_hash = block.header_hash();
-                self.next_number += 1;
-                if let Some(flight) = &self.flight {
-                    flight.record(
-                        ctx.now().as_micros(),
-                        EventKind::SignStart,
-                        block.header.number,
-                        0,
-                        0,
-                    );
-                }
-                // Model the ECDSA signing delay, then transmit.
-                let token = self.next_sign_token;
-                self.next_sign_token += 1;
-                self.signing.insert(token, block);
-                ctx.set_timer(self.sign_delay, token);
+        // The modelled signing pool: every block the application cut
+        // in this step is held for the ECDSA delay, then transmitted.
+        while let Ok(block) = self.cut_blocks.try_recv() {
+            if let Some(flight) = &self.flight {
+                let number = block.header.number;
+                flight.record(ctx.now().as_micros(), EventKind::SignStart, number, 0, 0);
             }
+            let token = self.next_sign_token;
+            self.next_sign_token += 1;
+            self.signing.insert(token, block);
+            ctx.set_timer(self.sign_delay, token);
         }
     }
 }
 
 impl Actor<GeoMsg> for ReplicaActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GeoMsg>) {
-        ctx.set_timer(self.tick_every, TICK_TOKEN);
+        self.drive(ctx, NodeCore::recover);
+        ctx.set_timer(SimTime::from_millis(TICK_EVERY_MS), TICK_TOKEN);
     }
 
     fn on_message(&mut self, from: usize, msg: GeoMsg, ctx: &mut Ctx<'_, GeoMsg>) {
         if self.crashed(ctx.now()) {
             return;
         }
-        let now_ms = ctx.now().as_millis();
-        match msg {
-            GeoMsg::Consensus(msg, tag) => {
-                if let Some(flight) = &self.flight {
-                    flight.record(ctx.now().as_micros(), EventKind::FrameSeq, from as u64, tag, 1);
-                }
-                let actions = self.replica.on_message(now_ms, NodeId(from as u32), msg);
-                self.apply(actions, ctx);
+        let GeoMsg::Smr(msg, tag) = msg else { return };
+        if from < self.n {
+            if let Some(flight) = &self.flight {
+                flight.record(ctx.now().as_micros(), EventKind::FrameSeq, from as u64, tag, 1);
             }
-            GeoMsg::Envelope(request) => {
-                let actions = self.replica.on_request(now_ms, request);
-                self.apply(actions, ctx);
-            }
-            GeoMsg::Block(_) => {}
         }
+        self.step(Input::Frame(self.peer_of(from), msg), ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, GeoMsg>) {
@@ -283,47 +257,36 @@ impl Actor<GeoMsg> for ReplicaActor {
             return;
         }
         if token == TICK_TOKEN {
-            let now_ms = ctx.now().as_millis();
-            let actions = self.replica.on_tick(now_ms);
-            self.apply(actions, ctx);
-            ctx.set_timer(self.tick_every, TICK_TOKEN);
+            self.step(Input::Tick, ctx);
+            ctx.set_timer(SimTime::from_millis(TICK_EVERY_MS), TICK_TOKEN);
         } else if let Some(block) = self.signing.remove(&token) {
             if let Some(flight) = &self.flight {
-                flight.record(
-                    ctx.now().as_micros(),
-                    EventKind::SignDone,
-                    block.header.number,
-                    0,
-                    0,
-                );
+                let number = block.header.number;
+                flight.record(ctx.now().as_micros(), EventKind::SignDone, number, 0, 0);
             }
-            for &frontend in &self.frontends.clone() {
+            for &frontend in &self.frontends {
                 ctx.send(frontend, GeoMsg::Block(block.clone()));
             }
         }
     }
 }
 
-/// A frontend inside the simulator: open-loop workload generator plus
-/// matching-block collector and latency probe.
+/// A frontend inside the simulator: open-loop workload generator, the
+/// real [`BlockCollector`], and a latency probe.
 struct FrontendActor {
     client: ClientId,
     replicas: Vec<usize>,
     envelope_size: usize,
     /// Mean inter-submission gap.
     submit_every: SimTime,
-    /// Matching copies needed to accept a block.
-    threshold: usize,
+    collector: BlockCollector,
     next_seq: u64,
     submit_times: HashMap<u64, SimTime>,
-    /// number -> header hash -> sender set
-    collecting: BTreeMap<u64, HashMap<Hash256, (Block, HashSet<usize>)>>,
-    accepted: HashSet<u64>,
     /// Samples only count after the warm-up boundary.
     warmup: SimTime,
     stop_at: SimTime,
-    delivered_envelopes: u64,
-    /// Flight recorder for submission, collection and delivery events.
+    /// Flight recorder for submission and delivery events (the
+    /// collector records the collection phase into the same ring).
     flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -348,70 +311,38 @@ impl FrontendActor {
             );
         }
         for &replica in &self.replicas {
-            ctx.send(replica, GeoMsg::Envelope(request.clone()));
+            ctx.send(replica, GeoMsg::Smr(SmrMsg::Request(request.clone()), 0));
         }
     }
 
     fn on_block_copy(&mut self, from: usize, block: Block, ctx: &mut Ctx<'_, GeoMsg>) {
-        let number = block.header.number;
-        if self.accepted.contains(&number) {
-            return;
-        }
-        let hash = block.header_hash();
-        if !self.collecting.contains_key(&number) {
-            if let Some(flight) = &self.flight {
-                flight.record(
-                    ctx.now().as_micros(),
-                    EventKind::CollectFirst,
-                    number,
-                    from as u64,
-                    0,
-                );
-            }
-        }
-        let entry = self.collecting.entry(number).or_default();
-        let (stored, senders) = match entry.get_mut(&hash) {
-            Some((stored, senders)) => (stored, senders),
-            None => {
-                entry.insert(hash, (block, HashSet::new()));
-                let (stored, senders) = entry.get_mut(&hash).expect("just inserted"); // lint:allow(panic): inserted on the line above
-                (stored, senders)
-            }
-        };
-        if !senders.insert(from) || senders.len() < self.threshold {
-            return;
-        }
-        // Block accepted: sample the latency of our own envelopes.
-        let envelopes: Vec<Bytes> = stored.envelopes.clone();
-        let copies = senders.len() as u64;
-        self.accepted.insert(number);
-        self.collecting.remove(&number);
         let now = ctx.now();
-        if let Some(flight) = &self.flight {
-            flight.record(now.as_micros(), EventKind::CollectDone, number, copies, 0);
-        }
-        for envelope in envelopes {
-            if envelope.len() < 12 {
-                continue;
-            }
-            let client = u32::from_le_bytes(envelope[0..4].try_into().expect("4 bytes")); // lint:allow(panic): guarded by the `len() < 12` check above
-            if client != self.client.0 {
-                continue;
-            }
-            let seq = u64::from_le_bytes(envelope[4..12].try_into().expect("8 bytes")); // lint:allow(panic): guarded by the `len() < 12` check above
-            if let Some(submitted) = self.submit_times.remove(&seq) {
-                self.delivered_envelopes += 1;
-                if let Some(flight) = &self.flight {
-                    flight.record(
-                        now.as_micros(),
-                        EventKind::Deliver,
-                        hlf_obs::trace_id(self.client.0, seq),
-                        number,
-                        0,
-                    );
+        self.collector
+            .offer(NodeId(from as u32), block, now.as_micros());
+        // Each released block: sample the latency of our own envelopes.
+        while let Some(block) = self.collector.pop_ready() {
+            let number = block.header.number;
+            for envelope in &block.envelopes {
+                let Some((client, seq)) = envelope.get(..12).map(|id| id.split_at(4)) else {
+                    continue;
+                };
+                if client != self.client.0.to_le_bytes() {
+                    continue;
                 }
-                if now >= self.warmup {
-                    ctx.sample("latency_ms", (now - submitted).as_millis_f64());
+                let seq = u64::from_le_bytes(seq.try_into().expect("8 bytes")); // lint:allow(panic): `get(..12)` then `split_at(4)` leaves exactly 8 bytes
+                if let Some(submitted) = self.submit_times.remove(&seq) {
+                    if let Some(flight) = &self.flight {
+                        flight.record(
+                            now.as_micros(),
+                            EventKind::Deliver,
+                            hlf_obs::trace_id(self.client.0, seq),
+                            number,
+                            0,
+                        );
+                    }
+                    if now >= self.warmup {
+                        ctx.sample("latency_ms", (now - submitted).as_millis_f64());
+                    }
                 }
             }
         }
@@ -707,6 +638,12 @@ pub fn frontend_regions() -> Vec<Region> {
 ///
 /// Panics on nonsensical configurations (zero rate, zero duration).
 pub fn run_geo_experiment(config: &GeoConfig) -> GeoResult {
+    run_geo(config, FaultPlan::none())
+}
+
+/// [`run_geo_experiment`] under a link-fault plan (actor indices:
+/// replicas first, then frontends).
+fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     assert!(config.rate_per_frontend > 0.0, "rate must be positive");
     assert!(config.duration > SimTime::ZERO, "duration must be positive");
 
@@ -721,24 +658,19 @@ pub fn run_geo_experiment(config: &GeoConfig) -> GeoResult {
     };
     let weighted = config.weights_override.unwrap_or(default_weights);
     let tentative = config.tentative_override.unwrap_or(default_tentative);
-    let quorums = if weighted {
-        QuorumSystem::wheat_binary(n, f).expect("valid weighted configuration") // lint:allow(panic): scenario parameters are validated at simulation setup
-    } else {
-        QuorumSystem::classic(n, f).expect("valid classic configuration") // lint:allow(panic): scenario parameters are validated at simulation setup
-    };
-    // Frontend copy threshold: 2f+1 for final deliveries; under
-    // tentative execution clients wait for ⌈(n+f+1)/2⌉ copies
-    // (paper §4).
-    let threshold = if tentative {
-        (n + f + 1).div_ceil(2)
-    } else {
-        2 * f + 1
-    };
-
-    let signing: Vec<SigningKey> = (0..n)
-        .map(|i| SigningKey::from_seed(format!("geo-{i}").as_bytes()))
-        .collect();
-    let verifying: Vec<VerifyingKey> = signing.iter().map(|k| *k.verifying_key()).collect();
+    // The nodes are assembled exactly like the shipped ones, from
+    // service options. The one shape those cannot express is the
+    // ablation "weights without tentative execution" (`wheat` implies
+    // tentative there), hence the two overrides below.
+    let options = ServiceOptions::new(f)
+        .with_block_size(config.block_size)
+        .with_wheat(weighted)
+        .with_tentative(tentative)
+        .with_request_timeout_ms(config.request_timeout_ms)
+        .with_pipeline_depth(config.pipeline_depth);
+    let mut runtime_options = options.runtime_options();
+    runtime_options.tentative_execution = tentative;
+    let keys = ClusterKeys::derive("geo", n);
 
     // Latency model: one-way region delays + 1 Gbit/s per-link
     // bandwidth + 2 ms jitter. EC2 inter-region links do not bind at
@@ -763,6 +695,7 @@ pub fn run_geo_experiment(config: &GeoConfig) -> GeoResult {
     .with_jitter(SimTime::from_millis(2));
 
     let mut sim: Simulation<GeoMsg> = Simulation::new(model, config.seed);
+    sim.set_faults(faults);
     let frontend_indices: Vec<usize> = (n..n + frontends.len()).collect();
     let registries: Vec<Arc<Registry>> = if config.collect_obs {
         (0..n)
@@ -791,66 +724,61 @@ pub fn run_geo_experiment(config: &GeoConfig) -> GeoResult {
     } else {
         Vec::new()
     };
-    #[allow(clippy::needless_range_loop)] // i is both key index and node id
     for i in 0..n {
-        let consensus = ConsensusConfig::new(
-            NodeId(i as u32),
-            quorums.clone(),
-            verifying.clone(),
-            signing[i].clone(),
-        )
-        .with_tentative_execution(tentative)
-        .with_request_timeout_ms(config.request_timeout_ms)
-        .with_pipeline_depth(config.pipeline_depth);
-        let mut replica = Replica::new(consensus);
-        let cutter_obs = registries.get(i).map(|registry| {
-            replica.attach_obs(ReplicaObs::new(registry));
-            replica.attach_health_obs(HealthObs::new(registry, n));
-            CutterObs::new(registry)
-        });
-        if let Some(flight) = replica_flights.get(i) {
-            replica.attach_flight(Arc::clone(flight));
-        }
+        let registry = registries.get(i).cloned();
+        let flight = replica_flights.get(i).cloned();
+        let mut node_config = runtime_options.node_config(i, &keys, registry.clone(), flight.clone());
+        node_config.tick_interval = Duration::from_millis(TICK_EVERY_MS);
+        // The application's block sink is a queue the actor drains
+        // into signing timers after every step.
+        let (cut_tx, cut_blocks) = channel();
+        let app = OrderingNodeApp::new(
+            options.app_config(i, &keys, registry, None),
+            move |block| {
+                let _ = cut_tx.send(block);
+            },
+        );
         sim.add_actor(Box::new(ReplicaActor {
-            replica,
+            core: NodeCore::new(&node_config, Box::new(app), Box::new(MemoryLog::new())),
             n,
             frontends: frontend_indices.clone(),
-            cutter: BlockCutter::new(config.block_size, 64 * 1024 * 1024),
-            next_number: 1,
-            prev_hash: Hash256::ZERO,
-            undo: Vec::new(),
-            tentative_mode: tentative,
-            tentative_done: HashSet::new(),
+            cut_blocks,
             sign_delay: SimTime::from_micros(500),
             next_sign_token: SIGN_TOKEN_BASE,
             signing: HashMap::new(),
-            tick_every: SimTime::from_millis(500),
-            cutter_obs,
-            flight: replica_flights.get(i).map(Arc::clone),
+            flight,
             next_frame: 0,
             commits_seen: 0,
             inject: config.inject,
             crash_at: config
                 .crash_replica
                 .and_then(|(node, at)| (node == i).then_some(at)),
+            out: Vec::new(),
         }));
     }
     let gap = SimTime::from_micros((1_000_000.0 / config.rate_per_frontend) as u64);
     for slot in 0..frontends.len() {
+        let client = ClientId(FRONTEND_CLIENT_BASE + slot as u32);
+        let flight = frontend_flights.get(slot).cloned();
+        let mut collector = BlockCollector::new(
+            options
+                .frontend_config(client, &keys.verifying)
+                .with_tentative(tentative),
+        );
+        if let Some(flight) = &flight {
+            collector.attach_flight(Arc::clone(flight));
+        }
         sim.add_actor(Box::new(FrontendActor {
-            client: ClientId(100 + slot as u32),
+            client,
             replicas: (0..n).collect(),
             envelope_size: config.envelope_size,
             submit_every: gap,
-            threshold,
+            collector,
             next_seq: 1,
             submit_times: HashMap::new(),
-            collecting: BTreeMap::new(),
-            accepted: HashSet::new(),
             warmup: config.warmup,
             stop_at: config.duration,
-            delivered_envelopes: 0,
-            flight: frontend_flights.get(slot).map(Arc::clone),
+            flight,
         }));
     }
     let audit_shared = if config.audit {
@@ -939,6 +867,7 @@ pub fn run_geo_experiment(config: &GeoConfig) -> GeoResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn quick_config(protocol: Protocol) -> GeoConfig {
         let mut config = GeoConfig::new(protocol);
@@ -1184,6 +1113,39 @@ mod tests {
         let audit = result.audit.expect("audit requested");
         let lines: Vec<String> = audit.violations.iter().map(|v| v.to_line()).collect();
         assert!(lines.is_empty(), "false positives across view change: {lines:?}");
+    }
+
+    #[test]
+    fn replica_left_behind_catches_up_by_state_transfer() {
+        // Replica 3 is slow (+1 s on every link) and never hears the
+        // regency-0 leader (link 0 -> 3 is cut), so it can only fetch
+        // decided values one slow round trip at a time and falls ever
+        // further behind. When the leader crashes, the new regent's
+        // SYNC shows it the gap (consensus reports `Behind`), which the
+        // node core must close by state transfer — the simulator used
+        // to ignore it.
+        let mut config = quick_config(Protocol::BftSmart)
+            .with_obs()
+            .with_audit()
+            .with_request_timeout_ms(2_000)
+            .with_slow_replica(3, SimTime::from_millis(1_000))
+            .with_crash_replica(0, SimTime::from_secs(4));
+        config.duration = SimTime::from_secs(20);
+        let result = run_geo(&config, FaultPlan::none().block_link(0, 3));
+        let snaps = result.obs.expect("obs requested");
+        let transfers =
+            |node: usize| snaps[node].counter_value("smr.node.state_transfers").unwrap();
+        assert_eq!(transfers(3), 1, "replica 3 never ran state transfer");
+        assert_eq!(transfers(1) + transfers(2), 0);
+        // With replica 0 dead, a frontend's three matching copies of
+        // every later block must include replica 3's: service resuming
+        // proves its chain position equals its peers'. (At most 800
+        // envelopes can be delivered before the crash; 100/s over the
+        // 18 s window is 1800.)
+        assert!(result.throughput > 100.0, "throughput {}", result.throughput);
+        let audit = result.audit.expect("audit requested");
+        let lines: Vec<String> = audit.violations.iter().map(|v| v.to_line()).collect();
+        assert!(lines.is_empty(), "false positives across state transfer: {lines:?}");
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! * [`app`] — the deterministic [`app::Application`] trait with reply
 //!   routing (including the *custom replier* broadcast the ordering
 //!   service uses),
-//! * [`node`] — threaded replica nodes over the in-process transport,
+//! * [`core`] — the sans-io replica node ([`core::NodeCore`]): every
+//!   protocol decision above consensus, behind one `step` entry point,
+//! * [`node`] — the threaded driver of that core over a transport
+//!   endpoint (in-process hub or TCP),
 //! * [`client`] — synchronous/asynchronous service proxies with
 //!   `f + 1` / quorum reply policies,
 //! * [`storage`] — the durable decided-batch log and checkpoints,
@@ -33,6 +36,7 @@
 
 pub mod app;
 pub mod client;
+pub mod core;
 pub mod node;
 pub mod obs;
 pub mod runtime;
@@ -42,10 +46,8 @@ pub mod wire;
 pub use app::{Application, CounterApp, Dest, Outbound};
 pub use obs::{NodeObs, ProxyObs};
 pub use client::{InvokeError, ProxyConfig, Push, ServiceProxy};
-pub use node::{
-    spawn_replica, spawn_replica_endpoint, spawn_replica_endpoint_with, spawn_replica_with,
-    NodeConfig, NodeHandle, NodeStats, PushHandle,
-};
+pub use core::{Input, NodeCore, Output};
+pub use node::{spawn_replica, NodeConfig, NodeHandle, NodeStats, PushHandle};
 pub use runtime::{ClusterKeys, ClusterRuntime, RuntimeOptions};
 pub use storage::{FileLog, LogStore, MemoryLog};
 pub use wire::{LogEntry, SmrMsg};

@@ -90,6 +90,47 @@ impl RuntimeOptions {
         self.pipeline_depth = depth;
         self
     }
+
+    /// The configuration replica `i` of a `keys.signing.len()`-node
+    /// cluster runs with. Every deployment shape — in-process hub,
+    /// one process per replica over TCP, the geo simulator — assembles
+    /// its nodes here, so they cannot drift apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid `(n, f)` or WHEAT-spare combinations and on
+    /// `i >= n`.
+    // lint:allow(panic): bootstrap — an invalid (n, f) topology or replica index must fail startup loudly
+    pub fn node_config(
+        &self,
+        i: usize,
+        keys: &ClusterKeys,
+        registry: Option<Arc<Registry>>,
+        flight: Option<Arc<FlightRecorder>>,
+    ) -> NodeConfig {
+        let n = keys.signing.len();
+        assert!(i < n, "replica index {i} outside cluster of {n}");
+        let quorums = if self.wheat_weights {
+            QuorumSystem::wheat_binary(n, self.f).expect("valid WHEAT configuration")
+        } else {
+            QuorumSystem::classic(n, self.f).expect("valid classic configuration")
+        };
+        let consensus = ConsensusConfig::new(
+            NodeId(i as u32),
+            quorums,
+            keys.verifying.clone(),
+            keys.signing[i].clone(),
+        )
+        .with_tentative_execution(self.tentative_execution)
+        .with_batch_max(self.batch_max)
+        .with_request_timeout_ms(self.request_timeout_ms)
+        .with_pipeline_depth(self.pipeline_depth);
+        let mut config = NodeConfig::new(consensus);
+        config.checkpoint_interval = self.checkpoint_interval;
+        config.registry = registry;
+        config.flight = flight;
+        config
+    }
 }
 
 /// A running in-process cluster of replica nodes.
@@ -97,7 +138,6 @@ pub struct ClusterRuntime {
     network: Network,
     handles: Vec<Option<NodeHandle>>,
     keys: ClusterKeys,
-    quorums: QuorumSystem,
     options: RuntimeOptions,
     next_client: u32,
     /// Per-node metrics registries (`node-0` .. `node-{n-1}`), created
@@ -139,44 +179,32 @@ impl ClusterRuntime {
 
     /// Boots a cluster whose applications are built with access to a
     /// [`crate::node::PushHandle`] (the ordering service's signing pool
-    /// needs one per node).
+    /// needs one per node), the node's registry and, when tracing is
+    /// on, its flight recorder.
     ///
     /// # Panics
     ///
     /// Panics on invalid `(n, f)` combinations.
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
     pub fn start_custom(
         n: usize,
         options: RuntimeOptions,
         app_builder: impl Fn(
-                usize,
-                crate::node::PushHandle,
-                Arc<Registry>,
-                Option<Arc<FlightRecorder>>,
-            ) -> Box<dyn Application>
-            + Send
-            + Sync
-            + 'static,
+            usize,
+            crate::node::PushHandle,
+            Arc<Registry>,
+            Option<Arc<FlightRecorder>>,
+        ) -> Box<dyn Application>,
         log_factory: impl Fn(usize) -> Box<dyn LogStore>,
     ) -> ClusterRuntime {
-        let app_builder = Arc::new(app_builder);
         let mut runtime = Self::prepare(n, options);
         for i in 0..n {
-            let consensus = runtime.consensus_config(i);
-            let mut node_config = NodeConfig::new(consensus);
-            node_config.checkpoint_interval = runtime.options.checkpoint_interval;
-            node_config.registry = Some(Arc::clone(&runtime.registries[i]));
-            // Flight recording costs a ring write per protocol event;
-            // only arm it when tracing was requested.
-            let flight = hlf_obs::trace_enabled().then(|| Arc::clone(&runtime.flights[i]));
-            node_config.flight = flight.clone();
-            let builder = Arc::clone(&app_builder);
-            let registry = Arc::clone(&runtime.registries[i]);
-            let handle = crate::node::spawn_replica_with(
-                node_config,
-                &runtime.network,
+            let config = runtime.node_config(i);
+            let (registry, flight) = (runtime.obs_registry(i), config.flight.clone());
+            let handle = spawn_replica(
+                config,
+                runtime.network.join(PeerId::replica(i as u32)),
                 log_factory(i),
-                move |push| builder(i, push, registry, flight),
+                |push| app_builder(i, push, registry, flight),
             );
             runtime.handles.push(Some(handle));
         }
@@ -195,22 +223,10 @@ impl ClusterRuntime {
         app_factory: impl Fn(usize) -> Box<dyn Application>,
         log_factory: impl Fn(usize) -> Box<dyn LogStore>,
     ) -> ClusterRuntime {
-        let mut runtime = Self::prepare(n, options);
-        for i in 0..n {
-            let handle = runtime.spawn_node(i, app_factory(i), log_factory(i));
-            runtime.handles.push(Some(handle));
-        }
-        runtime
+        Self::start_custom(n, options, |i, _, _, _| app_factory(i), log_factory)
     }
 
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
     fn prepare(n: usize, options: RuntimeOptions) -> ClusterRuntime {
-        let quorums = if options.wheat_weights {
-            QuorumSystem::wheat_binary(n, options.f).expect("valid WHEAT configuration")
-        } else {
-            QuorumSystem::classic(n, options.f).expect("valid classic configuration")
-        };
-        let keys = ClusterKeys::derive("runtime", n);
         let registries = (0..n).map(|i| Registry::new(format!("node-{i}"))).collect();
         let flights = (0..n)
             .map(|i| Arc::new(FlightRecorder::new(format!("node-{i}"))))
@@ -218,8 +234,7 @@ impl ClusterRuntime {
         ClusterRuntime {
             network: Network::new(),
             handles: Vec::new(),
-            keys,
-            quorums,
+            keys: ClusterKeys::derive("runtime", n),
             options,
             next_client: 0,
             registries,
@@ -229,33 +244,22 @@ impl ClusterRuntime {
     }
 
     // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
-    fn consensus_config(&self, i: usize) -> ConsensusConfig {
-        ConsensusConfig::new(
-            NodeId(i as u32),
-            self.quorums.clone(),
-            self.keys.verifying.clone(),
-            self.keys.signing[i].clone(),
-        )
-        .with_tentative_execution(self.options.tentative_execution)
-        .with_batch_max(self.options.batch_max)
-        .with_request_timeout_ms(self.options.request_timeout_ms)
-        .with_pipeline_depth(self.options.pipeline_depth)
+    fn node_config(&self, i: usize) -> NodeConfig {
+        // Flight recording costs a ring write per protocol event; only
+        // arm it when tracing was requested.
+        let flight = hlf_obs::trace_enabled().then(|| Arc::clone(&self.flights[i]));
+        self.options
+            .node_config(i, &self.keys, Some(Arc::clone(&self.registries[i])), flight)
     }
 
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
     fn spawn_node(
         &self,
         i: usize,
         app: Box<dyn Application>,
         log: Box<dyn LogStore>,
     ) -> NodeHandle {
-        let mut node_config = NodeConfig::new(self.consensus_config(i));
-        node_config.checkpoint_interval = self.options.checkpoint_interval;
-        node_config.registry = Some(Arc::clone(&self.registries[i]));
-        if hlf_obs::trace_enabled() {
-            node_config.flight = Some(Arc::clone(&self.flights[i]));
-        }
-        spawn_replica(node_config, &self.network, app, log)
+        let endpoint = self.network.join(PeerId::replica(i as u32));
+        spawn_replica(self.node_config(i), endpoint, log, |_| app)
     }
 
     /// The shared transport hub (for fault injection).

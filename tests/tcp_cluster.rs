@@ -8,15 +8,23 @@
 //!   nonce exchange, i.e. a new session key — observable as
 //!   `transport.net.reconnects` on a surviving peer,
 //! * and never deliver any envelope twice across the whole run.
+//!
+//! Replica 0 runs with an explicit flight recorder (the way `hlf_node`
+//! hands one to its admin endpoint): its ring must show the signing
+//! phase, which the multi-process assembly used to leave out.
 
-use hlf_obs::Registry;
+use hlf_obs::flight::EventKind;
+use hlf_obs::{FlightRecorder, Registry};
 use hlf_smr::node::NodeHandle;
 use hlf_transport::{PeerId, TcpConfig, TcpNetwork};
 use hlf_wire::Bytes;
 use ordering_core::frontend::Frontend;
-use ordering_core::proc::{connect_frontend_endpoint, start_replica_endpoint};
+use ordering_core::proc::{
+    connect_frontend_endpoint, start_replica_endpoint, start_replica_endpoint_with_flight,
+};
 use ordering_core::service::ServiceOptions;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const N: usize = 4;
@@ -99,8 +107,19 @@ fn killed_replica_rejoins_with_fresh_session_and_no_replays() {
     .expect("bind frontend network");
     wire_full_mesh(&nets.iter().collect::<Vec<_>>(), &front_net);
 
-    let mut handles: Vec<Option<NodeHandle>> =
-        (0..N).map(|i| Some(start_node(i, &nets[i]))).collect();
+    let traced = Arc::new(FlightRecorder::new("lifecycle-node-0"));
+    let mut handles: Vec<Option<NodeHandle>> = (1..N).map(|i| Some(start_node(i, &nets[i]))).collect();
+    handles.insert(
+        0,
+        Some(start_replica_endpoint_with_flight(
+            0,
+            N,
+            &options(),
+            nets[0].endpoint(),
+            Registry::new("lifecycle-node-0"),
+            Some(Arc::clone(&traced)),
+        )),
+    );
     let mut nets: Vec<Option<TcpNetwork>> = nets.into_iter().map(Some).collect();
     let mut frontend =
         connect_frontend_endpoint(FRONTEND, N, &options(), front_net.endpoint());
@@ -108,6 +127,13 @@ fn killed_replica_rejoins_with_fresh_session_and_no_replays() {
 
     // Healthy cluster orders.
     order_round(&mut frontend, 0, 60, &mut seen);
+
+    // The traced replica's ring covers the whole node: consensus phases
+    // from the core and the signing phase from the signing pool.
+    let kinds: HashSet<EventKind> = traced.events().iter().map(|e| e.kind).collect();
+    for kind in [EventKind::Propose, EventKind::SignStart, EventKind::SignDone] {
+        assert!(kinds.contains(&kind), "replica 0's flight ring has no {kind:?}");
+    }
 
     // Kill replica 3: join its workers, close its sockets. Peers see
     // EOF and their writer links start backoff-retrying.
