@@ -1,5 +1,6 @@
 //! Emits `BENCH_crypto.json`: before/after rates for the ECDSA fast
-//! paths, measured on *this* machine.
+//! paths and for SHA-256's two compress implementations, measured on
+//! *this* machine.
 //!
 //! "Before" numbers come from the verified reference paths kept
 //! in-tree (`Point::mul_reference`, `SigningKey::sign_digest_reference`,
@@ -12,6 +13,11 @@
 //! JSON additionally records the seed binary's absolute rates measured
 //! on the same machine for the end-to-end speedup.
 //!
+//! The `sha256` rows set `sha256_reference` (the portable compress,
+//! whatever the processor) beside `sha256` (SHA-NI where CPUID offers
+//! it, the same portable code elsewhere, in which case both columns
+//! agree); `hmac_150B_frame` is one MAC over a vote-sized frame.
+//!
 //! ```sh
 //! cargo run --release -p bench --bin bench_crypto_json   # or: make bench-crypto
 //! ```
@@ -19,7 +25,8 @@
 use hlf_crypto::bignum::U256;
 use hlf_crypto::ecdsa::SigningKey;
 use hlf_crypto::p256::Point;
-use hlf_crypto::sha256::sha256;
+use hlf_crypto::hmac::hmac_sha256;
+use hlf_crypto::sha256::{compress_backend, sha256, sha256_reference};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -114,6 +121,22 @@ fn main() {
         },
     ];
 
+    let message = vec![0xa5u8; 400 << 10];
+    let sha_rows = [("64B", 64usize), ("2KiB", 2 << 10), ("400KiB", 400 << 10)].map(|(name, len)| {
+        let iters = (20_000_000 / len).clamp(50, 200_000) as u32;
+        let ns_per_byte = |us: f64| us * 1e3 / len as f64;
+        let scalar = ns_per_byte(time_us(iters, || {
+            black_box(sha256_reference(black_box(&message[..len])));
+        }));
+        let dispatched = ns_per_byte(time_us(iters, || {
+            black_box(sha256(black_box(&message[..len])));
+        }));
+        (name, scalar, dispatched)
+    });
+    let hmac_us = time_us(200_000, || {
+        black_box(hmac_sha256(black_box(&message[..32]), black_box(&message[..150])));
+    });
+
     // Hand-rolled JSON: the workspace deliberately has no serde_json.
     let mut out = String::from("{\n");
     out.push_str(
@@ -152,7 +175,25 @@ fn main() {
             row.name, row.before_us, row.after_us, speedup
         );
     }
-    out.push_str("  }\n}\n");
+    out.push_str("  },\n");
+    out.push_str(&format!(
+        "  \"sha256\": {{\n    \"unit\": \"nanoseconds per byte, one-shot hash of the stated length\",\n    \
+         \"dispatched_compress\": \"{}\",\n",
+        compress_backend(),
+    ));
+    for (name, scalar, dispatched) in sha_rows {
+        let speedup = scalar / dispatched;
+        out.push_str(&format!(
+            "    \"{name}\": {{ \"scalar_reference_ns_per_byte\": {scalar:.2}, \
+             \"dispatched_ns_per_byte\": {dispatched:.2}, \"speedup_vs_reference\": {speedup:.2} }},\n",
+        ));
+        println!(
+            "{:>22}: {scalar:>8.2} ns/B -> {dispatched:>5.2} ns/B  ({speedup:.2}x)",
+            format!("sha256_{name}"),
+        );
+    }
+    out.push_str(&format!("    \"hmac_150B_frame_us\": {hmac_us:.3}\n  }}\n}}\n"));
+    println!("{:>22}: {hmac_us:>8.3} us", "hmac_150B_frame");
 
     std::fs::write("BENCH_crypto.json", &out).expect("write BENCH_crypto.json");
     eprintln!("wrote BENCH_crypto.json");

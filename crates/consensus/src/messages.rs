@@ -9,7 +9,7 @@
 use crate::ConsensusError;
 use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
-use hlf_crypto::sha256::{sha256, Hash256};
+use hlf_crypto::sha256::{sha256, sha256_concat, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use hlf_wire::{ClientId, NodeId};
 
@@ -64,6 +64,13 @@ impl Decode for Request {
     }
 }
 
+/// The wire format's length prefix (`hlf_wire::encode_seq`, byte
+/// strings), for digests that hash an encoding without building it.
+fn len_prefix(len: usize) -> [u8; 4] {
+    let len = u32::try_from(len).expect("value length fits in u32"); // lint:allow(panic): the wire format caps every value at u32 length, and the encoder this mirrors panics on the same input
+    len.to_le_bytes()
+}
+
 /// An ordered batch of requests — the value one consensus instance
 /// decides.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -95,11 +102,23 @@ impl Batch {
     }
 
     /// Canonical digest of the batch (what WRITE/ACCEPT votes refer to).
+    ///
+    /// It is `sha256("hlfbft/batch/v1" ‖ encode_seq(requests))`, hashed
+    /// as it is produced: each payload goes to the hasher as the view
+    /// it is, so no copy of the batch is built.
     pub fn digest(&self) -> Hash256 {
-        let mut bytes = Vec::with_capacity(64 * self.requests.len() + 16);
-        bytes.extend_from_slice(b"hlfbft/batch/v1");
-        encode_seq(&self.requests, &mut bytes);
-        sha256(&bytes)
+        let mut digest = Digest::new();
+        digest.update(b"hlfbft/batch/v1");
+        digest.update(&len_prefix(self.requests.len()));
+        for request in &self.requests {
+            let mut header = [0u8; 16];
+            header[..4].copy_from_slice(&request.client.0.to_le_bytes());
+            header[4..12].copy_from_slice(&request.seq.to_le_bytes());
+            header[12..].copy_from_slice(&len_prefix(request.payload.len()));
+            digest.update(&header);
+            digest.update(&request.payload);
+        }
+        digest.finalize()
     }
 
     /// Total payload bytes across requests.
@@ -170,13 +189,13 @@ impl Vote {
         hash: &Hash256,
         node: NodeId,
     ) -> Hash256 {
-        let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(phase.domain());
-        cid.encode(&mut bytes);
-        epoch.encode(&mut bytes);
-        hash.encode(&mut bytes);
-        node.encode(&mut bytes);
-        sha256(&bytes)
+        sha256_concat(&[
+            phase.domain(),
+            &cid.to_le_bytes(),
+            &epoch.to_le_bytes(),
+            hash.as_bytes(),
+            &node.0.to_le_bytes(),
+        ])
     }
 
     /// Creates and signs a vote.
@@ -1015,6 +1034,44 @@ mod tests {
                 let req = Request::new(ClientId(client), seq, rng.bytes(0..512));
                 let bytes = to_bytes(&req);
                 assert_eq!(from_bytes::<Request>(&bytes).unwrap(), req);
+            });
+        }
+
+        /// The streamed digest is the digest of the materialised
+        /// encoding, so proofs and log records written before the
+        /// streaming still verify.
+        #[test]
+        fn batch_digest_matches_materialised_encoding() {
+            let materialised = |batch: &Batch| {
+                let mut bytes = b"hlfbft/batch/v1".to_vec();
+                encode_seq(&batch.requests, &mut bytes);
+                sha256(&bytes)
+            };
+            assert_eq!(Batch::empty().digest(), materialised(&Batch::empty()));
+            for_each_case(0xc0de_0003, 64, |rng| {
+                let batch = Batch::new(rng.vec(0..12, |r| {
+                    // A third of the payloads are empty; the rest reach
+                    // past several hash blocks.
+                    let payload = if r.next_range(3) == 0 { Vec::new() } else { r.bytes(0..300) };
+                    Request::new(ClientId(r.next_u64() as u32), r.next_u64(), payload)
+                }));
+                assert_eq!(batch.digest(), materialised(&batch));
+            });
+        }
+
+        #[test]
+        fn vote_signing_digest_matches_materialised_encoding() {
+            for_each_case(0xc0de_0004, 64, |rng| {
+                let phase = if rng.next_range(2) == 0 { VotePhase::Write } else { VotePhase::Accept };
+                let (cid, epoch) = (rng.next_u64(), rng.next_u64() as u32);
+                let hash = sha256(&rng.bytes(0..8));
+                let node = NodeId(rng.next_u64() as u32);
+                let mut bytes = phase.domain().to_vec();
+                cid.encode(&mut bytes);
+                epoch.encode(&mut bytes);
+                hash.encode(&mut bytes);
+                node.encode(&mut bytes);
+                assert_eq!(Vote::signing_digest(phase, cid, epoch, &hash, node), sha256(&bytes));
             });
         }
 

@@ -213,6 +213,8 @@ pub struct Metrics {
 struct Instance {
     /// Epoch = the regency this round runs under.
     epoch: u32,
+    /// This epoch's proposal and its digest: set together by
+    /// `accept_proposal`, cleared together by `bump_epoch`.
     batch: Option<Batch>,
     hash: Option<Hash256>,
     writes: QuorumTracker,
@@ -1259,8 +1261,11 @@ impl Replica {
                 hash,
                 votes: slot.accepts.votes_for(hash),
             };
-            match slot.batch.clone() {
-                Some(batch) if batch.digest() == hash => {
+            // `slot.hash` is the digest `accept_proposal` took of
+            // `slot.batch` when it stored the two together.
+            match &slot.batch {
+                Some(batch) if slot.hash == Some(hash) => {
+                    let batch = batch.clone();
                     self.inst_mut(cid).decided = Some((batch, proof));
                 }
                 _ => {
@@ -2044,6 +2049,58 @@ mod tests {
             .iter()
             .any(|a| matches!(a, Action::Commit { cid: 1, .. })));
         assert_eq!(replicas[3].next_cid(), 2);
+    }
+
+    /// Three peers' signed ACCEPTs for `hash` in slot 1, epoch 0, fed to
+    /// `replica`; returns the actions of the vote that completes the
+    /// quorum.
+    fn feed_accept_quorum(replica: &mut Replica, hash: Hash256) -> Vec<Action> {
+        let mut last = Vec::new();
+        for i in 0..3u32 {
+            let key = SigningKey::from_seed(format!("replica-unit-{i}").as_bytes());
+            let accept = Vote::sign(&key, VotePhase::Accept, NodeId(i), 1, 0, hash);
+            last = replica.on_message(0, NodeId(i), ConsensusMsg::Accept(accept));
+        }
+        last
+    }
+
+    fn value_requests(actions: &[Action]) -> usize {
+        actions
+            .iter()
+            .filter(|a| matches!(a, Action::Send(_, ConsensusMsg::ValueRequest { cid: 1 })))
+            .count()
+    }
+
+    #[test]
+    fn accept_quorum_before_propose_decides_when_the_proposal_lands() {
+        let mut replica = make_replicas(4, 1).remove(3);
+        let batch = Batch::new(vec![req(1)]);
+        // The quorum names a digest whose value is unknown here: no
+        // decision, the value is asked for.
+        let actions = feed_accept_quorum(&mut replica, batch.digest());
+        assert_eq!(value_requests(&actions), 3);
+        assert_eq!(replica.metrics().decided_instances, 0);
+        // The proposal lands: its stored digest is the decided one.
+        let propose = ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch.clone() };
+        let actions = replica.on_message(0, NodeId(0), propose);
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::Commit { cid: 1, batch: b, .. } if *b == batch)));
+        assert_eq!(replica.next_cid(), 2);
+    }
+
+    #[test]
+    fn accept_quorum_for_another_hash_fetches_the_value() {
+        // The leader proposed B here, the rest of the cluster decided A:
+        // the slot holds a batch, but not the decided one.
+        let mut replica = make_replicas(4, 1).remove(3);
+        let (batch_a, batch_b) = (Batch::new(vec![req(1)]), Batch::new(vec![req(2)]));
+        replica.on_message(0, NodeId(0), ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch_b });
+        let actions = feed_accept_quorum(&mut replica, batch_a.digest());
+        assert_eq!(value_requests(&actions), 3);
+        assert!(!actions.iter().any(|a| matches!(a, Action::Commit { .. })));
+        assert_eq!(replica.metrics().decided_instances, 0);
+        assert_eq!(replica.next_cid(), 1);
     }
 
     #[test]

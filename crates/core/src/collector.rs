@@ -268,10 +268,25 @@ impl BlockCollector {
     /// Ingests one pushed block copy from `from`.
     pub fn offer(&mut self, from: NodeId, block: Block, now_us: u64) {
         let slot = (block.header.channel.clone(), block.header.number);
-        if slot.1 < self.next_deliver_on(&slot.0)
-            || self.ready.contains_key(&slot)
-            || !block.data_consistent()
-        {
+        if slot.1 < self.next_deliver_on(&slot.0) || self.ready.contains_key(&slot) {
+            self.discard_copy();
+            return;
+        }
+        // The header hash covers the data hash, so the SHA-256 pass over
+        // the envelopes is paid once per distinct header: the first copy
+        // must hash to its header, a later copy must carry the envelopes
+        // of the stored, already-checked candidate. (Other envelopes
+        // that also hash to this header would be a SHA-256 collision.)
+        let header_hash = block.header_hash();
+        let checked = self
+            .collecting
+            .get(&slot)
+            .and_then(|round| round.candidates.get(&header_hash));
+        let consistent = match checked {
+            Some((stored, _, _)) => block.envelopes == stored.envelopes,
+            None => block.data_consistent(),
+        };
+        if !consistent {
             self.discard_copy();
             return;
         }
@@ -283,7 +298,6 @@ impl BlockCollector {
             // paying for an ECDSA verification. The cache is read
             // through `get` — an invalid copy must not allocate
             // collection state for its slot.
-            let header_hash = block.header_hash();
             let cache = self.collecting.get(&slot).map(|c| &c.verified);
             let mut cache_hits = 0;
             let valid = block.signatures.iter().any(|s| {
@@ -333,10 +347,9 @@ impl BlockCollector {
         if let Some(triple) = newly_verified {
             self.verify_cache_entries += entry.insert_verified(triple);
         }
-        let key = block.header_hash();
         let (stored, signatures, nodes) = entry
             .candidates
-            .entry(key)
+            .entry(header_hash)
             .or_insert_with(|| (block.clone(), Vec::new(), HashSet::new()));
         if !nodes.insert(from) {
             return; // duplicate copy from the same node
@@ -419,5 +432,65 @@ impl BlockCollector {
             obs.delivered_blocks.inc();
         }
         Some(block)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hlf_wire::Bytes;
+
+    fn collector() -> BlockCollector {
+        BlockCollector::new(FrontendConfig::new(ClientId(50), 4, 1))
+    }
+
+    fn honest_block() -> Block {
+        Block::build(1, Hash256::ZERO, vec![Bytes::from(vec![7u8; 64]), Bytes::from(vec![8u8; 64])])
+    }
+
+    /// `block` with one envelope byte flipped under an unchanged header.
+    fn tampered(block: &Block) -> Block {
+        let mut copy = block.clone();
+        let mut bytes = copy.envelopes[1].as_slice().to_vec();
+        bytes[3] ^= 1;
+        copy.envelopes[1] = Bytes::from(bytes);
+        copy
+    }
+
+    #[test]
+    fn later_copy_with_same_header_and_other_data_is_discarded() {
+        let mut collector = collector();
+        let honest = honest_block();
+        collector.offer(NodeId(0), honest.clone(), 0);
+        // Same header, one flipped byte, from another node: discarded,
+        // and no step towards 2f + 1.
+        let forged = tampered(&honest);
+        assert_eq!(forged.header_hash(), honest.header_hash());
+        collector.offer(NodeId(3), forged, 1);
+        assert_eq!(collector.stats().discarded_copies, 1);
+        collector.offer(NodeId(1), honest.clone(), 2);
+        assert!(collector.pop_ready().is_none(), "two honest copies and a forgery are not 2f + 1");
+        // The third honest copy completes the block, with honest data.
+        collector.offer(NodeId(2), honest.clone(), 3);
+        let delivered = collector.pop_ready().expect("2f + 1 honest copies");
+        assert_eq!(delivered.envelopes, honest.envelopes);
+        assert!(delivered.data_consistent());
+        assert_eq!(collector.stats().discarded_copies, 1);
+    }
+
+    #[test]
+    fn first_copy_must_hash_to_its_header() {
+        let mut collector = collector();
+        let honest = honest_block();
+        collector.offer(NodeId(3), tampered(&honest), 0);
+        assert_eq!(collector.stats().discarded_copies, 1);
+        assert!(collector.collecting.is_empty(), "a rejected copy allocates no round");
+        // The forgery left nothing behind for honest copies to be
+        // compared with.
+        for node in 0..3 {
+            collector.offer(NodeId(node), honest.clone(), 1);
+        }
+        assert_eq!(collector.pop_ready().map(|b| b.envelopes), Some(honest.envelopes));
+        assert_eq!(collector.stats().discarded_copies, 1);
     }
 }

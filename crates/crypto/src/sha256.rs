@@ -138,7 +138,7 @@ impl Digest {
     }
 
     /// Absorbs `data` into the hash state.
-    // lint:allow(panic): `take ≤ 64 - buffered` keeps every range inside the 64-byte buffer; `split_at(64)` yields exact 64-byte blocks
+    // lint:allow(panic): `take ≤ 64 - buffered` and `tail.len() < 64` keep every range inside the 64-byte buffer
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
@@ -147,41 +147,84 @@ impl Digest {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&rest[..take]);
             self.buffered += take;
             rest = &rest[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                compress(&mut self.state, &block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            compress(&mut self.state, block.try_into().expect("64-byte block"));
-            rest = tail;
+        // Every whole block of the caller's slice goes to the compress
+        // function in one run, uncopied.
+        let (blocks, tail) = rest.split_at(rest.len() & !63);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffered = rest.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes the hash and returns the digest, consuming the hasher.
-    // lint:allow(panic): `i < 8` state words map to `i * 4 + 4 ≤ 32` in the 32-byte digest
+    // lint:allow(panic): `buffered < 64` between calls, so the pad byte and the tail ranges lie inside the 64-byte buffer
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0x00]);
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // Fewer than 8 bytes remain: the length goes in a block of
+            // its own.
+            compress_blocks(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        // Manual absorb of the length so total_len bookkeeping is unaffected.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        compress(&mut self.state, &block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Hash256(out)
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &self.buffer);
+        state_hash(&self.state)
+    }
+}
+
+/// The digest a final state stands for: its eight words, big-endian.
+fn state_hash(state: &[u32; 8]) -> Hash256 {
+    let mut out = [0u8; 32];
+    for (word, bytes) in state.iter().zip(out.chunks_exact_mut(4)) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Hash256(out)
+}
+
+/// Runs the compression function over `data`, a whole number of
+/// 64-byte blocks, updating `state`.
+///
+/// Two implementations, chosen from CPUID at run time: the SHA
+/// extension's ([`shani`]) where the processor has it, the portable
+/// [`compress_blocks_scalar`] everywhere else.
+fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    debug_assert_eq!(data.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available()` just confirmed that this processor has
+        // every target feature `shani::compress_blocks` is compiled with.
+        unsafe { shani::compress_blocks(state, data) }
+        return;
+    }
+    compress_blocks_scalar(state, data);
+}
+
+/// Which of the two [`compress_blocks`] implementations CPUID selects on
+/// this host: `"sha-ni"` or `"scalar"`. For logs and benchmark output;
+/// nothing branches on it.
+pub fn compress_backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+/// The portable compression loop, and the reference the tests hold the
+/// hardware one against.
+fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
+    for block in data.as_chunks::<64>().0 {
+        compress(state, block);
     }
 }
 
@@ -232,6 +275,103 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// SHA-256 compression with the x86 SHA extension (`sha256rnds2`,
+/// `sha256msg1`, `sha256msg2`): the eight state words stay in two
+/// registers across all the blocks of a call.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this processor runs [`compress_blocks`]. `std` caches
+    /// CPUID, so this is a load and a mask.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Four message words from 16 message bytes (big-endian words, the
+    /// first in lane 0).
+    #[inline]
+    #[target_feature(enable = "sse2,ssse3")]
+    fn load_words(bytes: &[u8; 16]) -> __m128i {
+        let big_endian = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `bytes` is a reference to 16 readable bytes, and
+        // `_mm_loadu_si128` asks no alignment of its pointer.
+        unsafe { _mm_shuffle_epi8(_mm_loadu_si128(bytes.as_ptr().cast()), big_endian) }
+    }
+
+    /// Four round constants, `K[4 * group..][..4]`, the first in lane 0.
+    // lint:allow(panic): callers pass `group < 16`, so `4 * group + 3 < 64`, the length of `K`
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn round_constants(group: usize) -> __m128i {
+        let k = |i: usize| K[4 * group + i] as i32;
+        _mm_set_epi32(k(3), k(2), k(1), k(0))
+    }
+
+    /// The compression function over every whole 64-byte block of
+    /// `data` (a trailing partial block is not read).
+    ///
+    /// Safe to call only where the processor has `sha`, `sse2`, `ssse3`
+    /// and `sse4.1` ([`available`]); the compiler makes every other
+    /// caller say so in an `unsafe` block.
+    // lint:allow(panic): `as_chunks::<16>` of a 64-byte block has 4 elements; `% 4` keeps the ring indices inside `[__m128i; 4]`
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        // The layout `sha256rnds2` works on: {a, b, e, f} and
+        // {c, d, g, h}, the first-named word in the highest lane.
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+
+        for block in data.as_chunks::<64>().0 {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let quarters = block.as_chunks::<16>().0;
+            let mut w = [
+                load_words(&quarters[0]),
+                load_words(&quarters[1]),
+                load_words(&quarters[2]),
+                load_words(&quarters[3]),
+            ];
+            // Sixteen groups of four rounds. `w` is a ring of the last
+            // sixteen schedule words; from group 4 on the oldest four
+            // are replaced by the next four before they are used.
+            for group in 0..16 {
+                if group >= 4 {
+                    let (w0, w1) = (w[group % 4], w[(group + 1) % 4]);
+                    let (w2, w3) = (w[(group + 2) % 4], w[(group + 3) % 4]);
+                    // w[t] = σ1(w[t-2]) + w[t-7] + σ0(w[t-15]) + w[t-16]:
+                    // msg1 adds σ0, alignr picks w[t-7], msg2 adds σ1.
+                    let partial =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+                    w[group % 4] = _mm_sha256msg2_epu32(partial, w3);
+                }
+                let wk = _mm_add_epi32(w[group % 4], round_constants(group));
+                // Two rounds per instruction, on the low two lanes.
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|word| word as u32);
+    }
+}
+
 /// One-shot SHA-256 of `data`.
 ///
 /// # Examples
@@ -261,13 +401,45 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Hash256 {
     d.finalize()
 }
 
+/// One-shot SHA-256 by the portable compression function alone,
+/// whatever the processor offers, with its own padding: the reference
+/// the tests and `bench_crypto_json` hold [`sha256`] against. Nothing
+/// on the ordering path calls it.
+// lint:allow(panic): `tail.len() < 64`, so the pad byte and the length lie inside the 128-byte buffer
+pub fn sha256_reference(data: &[u8]) -> Hash256 {
+    let mut state = H0;
+    let (blocks, tail) = data.split_at(data.len() & !63);
+    compress_blocks_scalar(&mut state, blocks);
+    // The tail, 0x80, zeros and the bit length: one block, or two when
+    // fewer than 8 bytes remain after the pad byte.
+    let mut last = [0u8; 128];
+    last[..tail.len()].copy_from_slice(tail);
+    last[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    last[end - 8..end].copy_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
+    compress_blocks_scalar(&mut state, &last[..end]);
+    state_hash(&state)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// NIST FIPS 180-4 / common test vectors.
+    /// Says which compress the dispatcher picked, so a log of a host
+    /// without the extension shows the differential tests compared the
+    /// scalar code with itself.
+    fn announce_dispatch() {
+        eprintln!(
+            "sha256: dispatched compress is {}, reference is scalar",
+            compress_backend()
+        );
+    }
+
+    /// NIST FIPS 180-4 / common test vectors, through both compress
+    /// implementations.
     #[test]
     fn nist_vectors() {
+        announce_dispatch();
         let cases: [(&[u8], &str); 5] = [
             (
                 b"",
@@ -292,20 +464,97 @@ mod tests {
         ];
         for (input, expected) in cases {
             assert_eq!(sha256(input).to_hex(), expected);
+            assert_eq!(sha256_reference(input).to_hex(), expected);
         }
     }
 
     #[test]
     fn million_a() {
+        const EXPECTED: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut d = Digest::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             d.update(&chunk);
         }
-        assert_eq!(
-            d.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(d.finalize().to_hex(), EXPECTED);
+        assert_eq!(sha256_reference(&vec![b'a'; 1_000_000]).to_hex(), EXPECTED);
+    }
+
+    /// Every message length around the two padding boundaries (55/56
+    /// and 63/64 bytes buffered), where `finalize` switches between one
+    /// and two closing blocks.
+    #[test]
+    fn padding_boundaries_match_scalar() {
+        let data: Vec<u8> = (0..200u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                sha256(&data[..len]),
+                sha256_reference(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
+    mod properties {
+        use super::*;
+        use hlf_simnet::for_each_case;
+
+        /// The dispatched compress and the scalar one, called directly:
+        /// same state in, same blocks (at an unaligned address), same
+        /// state out.
+        #[test]
+        fn dispatched_compress_matches_scalar() {
+            announce_dispatch();
+            for_each_case(0x5a25_0001, 64, |rng| {
+                let offset = rng.next_in(0..16);
+                let blocks = rng.next_in(0..40);
+                let mut backing = vec![0u8; offset + blocks * 64];
+                rng.fill_bytes(&mut backing);
+                let data = &backing[offset..];
+                let mut dispatched = H0.map(|word| word ^ rng.next_u64() as u32);
+                let mut scalar = dispatched;
+                compress_blocks(&mut dispatched, data);
+                compress_blocks_scalar(&mut scalar, data);
+                assert_eq!(dispatched, scalar, "{blocks} blocks at offset {offset}");
+            });
+        }
+
+        /// Whole digests: random lengths up to 70 000 bytes, fed from an
+        /// unaligned offset in random pieces, against the scalar
+        /// reference.
+        #[test]
+        fn digest_matches_scalar_for_any_split() {
+            for_each_case(0x5a25_0002, 64, |rng| {
+                let offset = rng.next_in(0..16);
+                // Half the cases stay small, where buffering and padding
+                // are most of the work.
+                let len = if rng.next_range(2) == 0 {
+                    rng.next_in(0..300)
+                } else {
+                    rng.next_in(0..70_001)
+                };
+                let mut backing = vec![0u8; offset + len];
+                rng.fill_bytes(&mut backing);
+                let data = &backing[offset..];
+                let reference = sha256_reference(data);
+                assert_eq!(sha256(data), reference, "one shot, length {len}");
+
+                let mut digest = Digest::new();
+                let mut rest = data;
+                while !rest.is_empty() {
+                    let piece = match rng.next_range(3) {
+                        0 => rng.next_in(0..4),
+                        1 => rng.next_in(0..130),
+                        _ => rng.next_in(0..rest.len() + 1),
+                    }
+                    .min(rest.len());
+                    digest.update(&rest[..piece]);
+                    rest = &rest[piece..];
+                }
+                assert_eq!(digest.finalize(), reference, "split, length {len}");
+            });
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
-use hlf_crypto::sha256::{sha256, Digest, Hash256};
+use hlf_crypto::sha256::{sha256_concat, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use std::sync::OnceLock;
 
@@ -36,13 +36,16 @@ impl BlockHeader {
     /// Canonical hash of the header — what orderers sign and what the
     /// next block chains to.
     pub fn hash(&self) -> Hash256 {
-        let mut bytes = Vec::with_capacity(128);
-        bytes.extend_from_slice(b"hlfbft/block-header/v1");
-        self.channel.encode(&mut bytes);
-        self.number.encode(&mut bytes);
-        self.prev_hash.encode(&mut bytes);
-        self.data_hash.encode(&mut bytes);
-        sha256(&bytes)
+        // The domain tag and the header's wire encoding, hashed field
+        // by field (the channel name is length-prefixed like any string).
+        sha256_concat(&[
+            b"hlfbft/block-header/v1",
+            &(self.channel.len() as u32).to_le_bytes(),
+            self.channel.as_bytes(),
+            &self.number.to_le_bytes(),
+            self.prev_hash.as_bytes(),
+            self.data_hash.as_bytes(),
+        ])
     }
 }
 
@@ -573,7 +576,38 @@ mod tests {
     /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
+        use hlf_crypto::sha256::sha256;
         use hlf_simnet::{for_each_case, SimRng};
+
+        /// The field-by-field header hash is the hash of the domain tag
+        /// and the header's wire encoding, as it was when the encoding
+        /// was built first: signatures over stored blocks still verify.
+        #[test]
+        fn header_hash_matches_materialised_encoding() {
+            for_each_case(0xb10c_0002, 64, |rng| {
+                let header = BlockHeader {
+                    channel: "c".repeat(rng.next_in(0..80)),
+                    number: rng.next_u64(),
+                    prev_hash: sha256(&rng.bytes(0..8)),
+                    data_hash: sha256(&rng.bytes(0..8)),
+                };
+                let mut bytes = b"hlfbft/block-header/v1".to_vec();
+                header.encode(&mut bytes);
+                assert_eq!(header.hash(), sha256(&bytes));
+            });
+        }
+
+        /// `data_hash` is the hash of its domain tag and the envelope
+        /// list's wire encoding.
+        #[test]
+        fn data_hash_matches_materialised_encoding() {
+            for_each_case(0xb10c_0003, 64, |rng| {
+                let envelopes = rng.vec(0..8, |r| Bytes::from(r.bytes(0..200)));
+                let mut bytes = b"hlfbft/block-data/v1".to_vec();
+                encode_seq(&envelopes, &mut bytes);
+                assert_eq!(Block::data_hash(&envelopes), sha256(&bytes));
+            });
+        }
 
         #[test]
         fn data_hash_injective_on_structure() {

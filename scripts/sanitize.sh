@@ -1,5 +1,6 @@
 #!/bin/bash
-# Sanitizer harness for the threaded transport stack.
+# Sanitizer harness for the threaded transport stack and the crypto
+# crate's raw-pointer loads.
 #
 #   scripts/sanitize.sh asan   # AddressSanitizer (works on plain nightly)
 #   scripts/sanitize.sh tsan   # ThreadSanitizer (also needs rust-src)
@@ -7,8 +8,10 @@
 # Runs the threaded test surface under the sanitizer with
 # `RUSTFLAGS=-Zsanitizer=... cargo +nightly test`, in a target directory
 # of its own: the transport unit tests (TCP links + admin socket), the
-# cross-backend `tcp_codec` suite, and the kill/restart `tcp_cluster`
-# integration test.
+# cross-backend `tcp_codec` suite, the kill/restart `tcp_cluster`
+# integration test, and `hlf-crypto`'s `sha256` tests (the SHA-NI
+# compress loads message blocks through raw pointers, at unaligned
+# offsets and every length the differential suite draws).
 #
 # Both modes are *gated*, not required: when the toolchain pieces are
 # missing the script prints a SKIP notice and exits 0, so the verify
@@ -64,6 +67,9 @@ run_test() { # cargo package + test-target selection
   cargo +nightly test $BUILD_STD --target "$HOST" "$@" -- -q 2>&1 | tail -2 | sed -n "/./s/^/[$MODE] /p"
 }
 
+if [ "$MODE" = asan ]; then
+  run_test -p hlf-crypto --lib sha256
+fi
 run_test -p hlf-transport --lib
 run_test -p hlf-smr --test tcp_codec
 run_test -p hlf-bft --test tcp_cluster
