@@ -318,6 +318,10 @@ fn run_tcp_cluster(bin: &PathBuf, count: u64, smoke_run: bool, scraper: Option<&
     }
     let network = TcpNetwork::bind(config).expect("bind frontend TCP endpoint");
     let mut frontend = connect_frontend_endpoint(FRONTEND_ID, N, &options(), network.endpoint());
+    assert!(
+        bench::await_links(&network, N, Duration::from_secs(30)),
+        "frontend could not reach all {N} replica processes"
+    );
 
     if !smoke_run {
         warm_up(&mut frontend, WARMUP);

@@ -379,6 +379,9 @@ fn run_frontend(args: &NodeArgs) {
         &service_options(args),
         network.endpoint(),
     );
+    if !bench::await_links(&network, args.n, Duration::from_secs(30)) {
+        die("frontend could not reach every replica");
+    }
 
     // Submit `count` envelopes under a bounded outstanding window,
     // collecting per-envelope latency from block deliveries (a single

@@ -11,6 +11,7 @@ use hlf_consensus::messages::Batch;
 use hlf_obs::Snapshot;
 use hlf_smr::app::{Application, Outbound};
 use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
+use hlf_transport::TcpNetwork;
 use ordering_core::frontend::Frontend;
 use ordering_core::service::{OrderingService, ServiceOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -280,6 +281,7 @@ pub fn run_raw_consensus_throughput(
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 if submitted.load(Ordering::Relaxed).saturating_sub(stats()) > window {
+                    proxy.flush();
                     std::thread::sleep(Duration::from_millis(1));
                     continue;
                 }
@@ -317,6 +319,27 @@ fn cluster_stats_probe(
     // cheap sampling closure.
     let stats = cluster.stats_arc(node);
     move || stats.executed_requests()
+}
+
+/// Waits, up to `timeout`, until `network` has dialled `links` peers;
+/// `false` if it has not.
+///
+/// A frontend's `Subscribe` is the first frame on each of its links,
+/// and a replica pushes a block only to the frontends it has heard
+/// from: one that decides an envelope before that `Subscribe` arrives
+/// pushes the block to nobody, and with two such replicas the frontend
+/// never collects `2f + 1` copies. A frontend process started alongside
+/// its replicas (whose first dials are refused and retried 25 ms later)
+/// therefore submits only once every link is up.
+pub fn await_links(network: &TcpNetwork, links: usize, timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout;
+    while (network.net_stats().connects as usize) < links {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
 }
 
 /// Formats a throughput in the paper's "ktrans/sec" unit.
@@ -361,6 +384,7 @@ pub fn run_checkpoint_sweep_point(
                     .saturating_sub(stats.executed_requests())
                     > window
                 {
+                    proxy.flush();
                     std::thread::sleep(Duration::from_millis(1));
                     continue;
                 }

@@ -646,11 +646,11 @@ pub enum ConsensusMsg {
         /// bound.
         rebinds: Vec<SlotRebind>,
     },
-    /// A client request forwarded to the current leader (sent after the
-    /// first timeout stage).
+    /// Pending client requests forwarded to the current leader in one
+    /// message (sent after the first timeout stage).
     Forward {
-        /// The forwarded request.
-        request: Request,
+        /// The forwarded requests, oldest first.
+        requests: Vec<Request>,
     },
     /// Ask a peer for the decided batch of `cid`.
     ValueRequest {
@@ -708,9 +708,9 @@ impl Encode for ConsensusMsg {
                 batch.encode(out);
                 encode_seq(rebinds, out);
             }
-            ConsensusMsg::Forward { request } => {
+            ConsensusMsg::Forward { requests } => {
                 out.push(6);
-                request.encode(out);
+                encode_seq(requests, out);
             }
             ConsensusMsg::ValueRequest { cid } => {
                 out.push(7);
@@ -737,7 +737,7 @@ impl Encode for ConsensusMsg {
                 rebinds,
                 ..
             } => 4 + seq_encoded_len(collect) + 8 + batch.encoded_len() + seq_encoded_len(rebinds),
-            ConsensusMsg::Forward { request } => request.encoded_len(),
+            ConsensusMsg::Forward { requests } => seq_encoded_len(requests),
             ConsensusMsg::ValueRequest { .. } => 8,
             ConsensusMsg::ValueReply { cid: _, batch, proof } => {
                 8 + batch.encoded_len() + proof.encoded_len()
@@ -768,7 +768,7 @@ impl Decode for ConsensusMsg {
                 rebinds: decode_seq(r)?,
             },
             6 => ConsensusMsg::Forward {
-                request: Decode::decode(r)?,
+                requests: decode_seq(r)?,
             },
             7 => ConsensusMsg::ValueRequest {
                 cid: Decode::decode(r)?,
@@ -997,8 +997,9 @@ mod tests {
                     batch: batch.clone(),
                 }],
             },
+            ConsensusMsg::Forward { requests: vec![] },
             ConsensusMsg::Forward {
-                request: batch.requests[0].clone(),
+                requests: batch.requests.clone(),
             },
             ConsensusMsg::ValueRequest { cid: 3 },
             ConsensusMsg::ValueReply {

@@ -213,10 +213,8 @@ pub struct Metrics {
 struct Instance {
     /// Epoch = the regency this round runs under.
     epoch: u32,
-    /// This epoch's proposal and its digest: set together by
-    /// `accept_proposal`, cleared together by `bump_epoch`.
-    batch: Option<Batch>,
-    hash: Option<Hash256>,
+    /// This epoch's proposal and the digest `accept_proposal` took of it.
+    proposal: Option<(Batch, Hash256)>,
     writes: QuorumTracker,
     accepts: QuorumTracker,
     write_sent: bool,
@@ -244,8 +242,7 @@ impl Instance {
     fn new(epoch: u32) -> Instance {
         Instance {
             epoch,
-            batch: None,
-            hash: None,
+            proposal: None,
             writes: QuorumTracker::new(),
             accepts: QuorumTracker::new(),
             write_sent: false,
@@ -264,8 +261,7 @@ impl Instance {
     /// history (used when a regency change bumps the epoch).
     fn bump_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
-        self.batch = None;
-        self.hash = None;
+        self.proposal = None;
         self.writes.clear();
         self.accepts.clear();
         self.write_sent = false;
@@ -540,7 +536,7 @@ impl Replica {
 
     /// Window slots currently holding an installed proposal.
     pub fn window_occupancy(&self) -> usize {
-        self.insts.values().filter(|i| i.batch.is_some()).count()
+        self.insts.values().filter(|i| i.proposal.is_some()).count()
     }
 
     // ------------------------------------------------------------------
@@ -569,8 +565,8 @@ impl Replica {
     fn in_flight_ids(&self) -> HashSet<(ClientId, u64)> {
         self.insts
             .values()
-            .filter_map(|i| i.batch.as_ref())
-            .flat_map(|b| b.requests.iter().map(|r| r.id()))
+            .filter_map(|i| i.proposal.as_ref())
+            .flat_map(|(batch, _)| batch.requests.iter().map(|r| r.id()))
             .collect()
     }
 
@@ -587,10 +583,16 @@ impl Replica {
 
     /// Handles a client request arriving at this replica.
     pub fn on_request(&mut self, now_ms: u64, request: Request) -> Vec<Action> {
+        self.on_requests(now_ms, vec![request])
+    }
+
+    /// Handles a window of client requests that arrived in one frame:
+    /// all are queued before the leader looks for a slot, so an idle
+    /// leader proposes them as one batch.
+    pub fn on_requests(&mut self, now_ms: u64, requests: Vec<Request>) -> Vec<Action> {
         self.now_ms = self.now_ms.max(now_ms);
         let mut actions = Vec::new();
-        self.enqueue_request(request);
-        self.try_propose(&mut actions);
+        self.enqueue_requests(requests, &mut actions);
         actions
     }
 
@@ -647,15 +649,8 @@ impl Replica {
                 // the client never reached it.
                 self.forwarded = true;
                 if !self.is_leader() {
-                    let leader = self.leader();
-                    for request in self.pending.iter().take(self.cfg.batch_max) {
-                        actions.push(Action::Send(
-                            leader,
-                            ConsensusMsg::Forward {
-                                request: request.clone(),
-                            },
-                        ));
-                    }
+                    let requests = self.pending.iter().take(self.cfg.batch_max).cloned().collect();
+                    actions.push(Action::Send(self.leader(), ConsensusMsg::Forward { requests }));
                 }
             }
             if age > 2 * self.timeout_ms {
@@ -699,6 +694,14 @@ impl Replica {
     // ------------------------------------------------------------------
     // Request pool
     // ------------------------------------------------------------------
+
+    /// Queues every request, then proposes once.
+    fn enqueue_requests(&mut self, requests: Vec<Request>, actions: &mut Vec<Action>) {
+        for request in requests {
+            self.enqueue_request(request);
+        }
+        self.try_propose(actions);
+    }
 
     fn enqueue_request(&mut self, request: Request) {
         if self.pending.len() >= self.cfg.max_pending {
@@ -752,7 +755,7 @@ impl Replica {
         }
         loop {
             let Some(cid) = (self.next_cid..self.window_end())
-                .find(|cid| !self.insts.get(cid).is_some_and(|i| i.batch.is_some()))
+                .find(|cid| !self.insts.get(cid).is_some_and(|i| i.proposal.is_some()))
             else {
                 return; // window full
             };
@@ -770,7 +773,7 @@ impl Replica {
             };
             actions.push(Action::Broadcast(msg.clone()));
             self.handle(self.cfg.node, msg, actions);
-            if cid >= self.next_cid && !self.insts.get(&cid).is_some_and(|i| i.batch.is_some()) {
+            if cid >= self.next_cid && !self.insts.get(&cid).is_some_and(|i| i.proposal.is_some()) {
                 return; // own proposal not installed; avoid spinning
             }
         }
@@ -816,10 +819,7 @@ impl Replica {
                 batch,
                 rebinds,
             } => self.handle_sync(from, regency, collect, cid, batch, rebinds, actions),
-            ConsensusMsg::Forward { request } => {
-                self.enqueue_request(request);
-                self.try_propose(actions);
-            }
+            ConsensusMsg::Forward { requests } => self.enqueue_requests(requests, actions),
             ConsensusMsg::ValueRequest { cid } => self.handle_value_request(from, cid, actions),
             ConsensusMsg::ValueReply { cid, batch, proof } => {
                 self.handle_value_reply(cid, batch, proof, actions)
@@ -923,7 +923,7 @@ impl Replica {
         }
         if epoch != self.regency
             || from != self.leader()
-            || self.insts.get(&cid).is_some_and(|i| i.batch.is_some())
+            || self.insts.get(&cid).is_some_and(|i| i.proposal.is_some())
         {
             return;
         }
@@ -961,8 +961,7 @@ impl Replica {
         let now = self.now_ms;
         let epoch = {
             let slot = self.inst_mut(cid);
-            slot.hash = Some(hash);
-            slot.batch = Some(batch.clone());
+            slot.proposal = Some((batch.clone(), hash));
             slot.proposed_at = Some(now);
             slot.epoch
         };
@@ -1106,7 +1105,7 @@ impl Replica {
         let Some(slot) = self.insts.get(&cid) else {
             return;
         };
-        let Some(hash) = slot.hash else {
+        let Some((_, hash)) = slot.proposal else {
             return;
         };
         let cert = slot.writes.votes_for(hash);
@@ -1177,7 +1176,7 @@ impl Replica {
             if !slot.accept_sent {
                 break; // write quorum not formed yet: stop, stay in order
             }
-            let (Some(hash), Some(batch)) = (slot.hash, slot.batch.clone()) else {
+            let Some((batch, hash)) = slot.proposal.clone() else {
                 break;
             };
             self.inst_mut(cid).tentative = Some(hash);
@@ -1261,10 +1260,8 @@ impl Replica {
                 hash,
                 votes: slot.accepts.votes_for(hash),
             };
-            // `slot.hash` is the digest `accept_proposal` took of
-            // `slot.batch` when it stored the two together.
-            match &slot.batch {
-                Some(batch) if slot.hash == Some(hash) => {
+            match &slot.proposal {
+                Some((batch, proposed)) if *proposed == hash => {
                     let batch = batch.clone();
                     self.inst_mut(cid).decided = Some((batch, proof));
                 }
@@ -1971,13 +1968,25 @@ mod tests {
     #[test]
     fn timeout_escalates_to_stop() {
         let mut replicas = make_replicas(4, 1);
-        // Node 1 (not leader) has a pending request that never decides.
-        replicas[1].on_request(0, req(1));
-        // Stage 1 at t > timeout: forward to leader.
-        let actions = replicas[1].on_tick(2_500);
-        assert!(actions
+        // Node 1 (not leader) has pending requests that never decide.
+        replicas[1].on_requests(0, vec![req(1), req(2), req(3)]);
+        // Stage 1 at t > timeout: one message forwards them all, in order.
+        let mut actions = replicas[1].on_tick(2_500);
+        assert_eq!(actions.len(), 1, "one Forward, whatever is pending: {actions:?}");
+        let Some(Action::Send(NodeId(0), ConsensusMsg::Forward { requests })) = actions.pop() else {
+            panic!("expected a Forward to the leader");
+        };
+        assert_eq!(requests, vec![req(1), req(2), req(3)]);
+        // The leader queues all of them and proposes once.
+        let proposes: Vec<usize> = replicas[0]
+            .on_message(0, NodeId(1), ConsensusMsg::Forward { requests })
             .iter()
-            .any(|a| matches!(a, Action::Send(NodeId(0), ConsensusMsg::Forward { .. }))));
+            .filter_map(|a| match a {
+                Action::Broadcast(ConsensusMsg::Propose { batch, .. }) => Some(batch.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(proposes, vec![3]);
         // Stage 2 at t > 2*timeout: STOP for regency 1.
         let actions = replicas[1].on_tick(4_500);
         assert!(actions

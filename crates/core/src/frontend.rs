@@ -104,6 +104,14 @@ impl Frontend {
     }
 
     /// Relays an opaque envelope on the default [`SYSTEM_CHANNEL`].
+    ///
+    /// The envelope joins the proxy's request window
+    /// ([`ServiceProxy::invoke_async`]) and leaves with it: when the
+    /// window fills, when this frontend next waits for a block
+    /// ([`Frontend::next_block`], [`Frontend::poll`] and
+    /// [`Frontend::try_next_block`] finding nothing more), on
+    /// [`Frontend::flush`], or on drop. A caller that submits and never
+    /// takes blocks calls `flush`, as with a `BufWriter`.
     pub fn submit(&mut self, envelope: impl Into<Bytes>) {
         self.submit_to_channel(SYSTEM_CHANNEL, envelope);
     }
@@ -119,6 +127,12 @@ impl Frontend {
             let id = self.id().0;
             flight.record_now(EventKind::Submit, hlf_obs::trace_id(id, seq), id as u64, seq);
         }
+    }
+
+    /// Sends the envelopes submitted so far that are still waiting in
+    /// the request window.
+    pub fn flush(&mut self) {
+        self.proxy.flush();
     }
 
     /// The collector's clock: the flight recorder's when one is

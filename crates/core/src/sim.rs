@@ -311,7 +311,7 @@ impl FrontendActor {
             );
         }
         for &replica in &self.replicas {
-            ctx.send(replica, GeoMsg::Smr(SmrMsg::Request(request.clone()), 0));
+            ctx.send(replica, GeoMsg::Smr(SmrMsg::Requests(vec![request.clone()]), 0));
         }
     }
 

@@ -1,16 +1,22 @@
-//! Deterministic state transfer: four sans-io ordering nodes
-//! (`NodeCore` + `OrderingNodeApp` + `MemoryLog`) driven from one
-//! in-memory queue with a counter for a clock — no threads, no sleeps.
+//! Four sans-io nodes (`NodeCore` + an application + `MemoryLog`)
+//! driven from one in-memory queue with a counter for a clock — no
+//! threads, no sleeps.
 //!
-//! Replica 3 is cut off for 70 decisions: many checkpoint intervals,
+//! State transfer, on ordering nodes (`OrderingNodeApp`): replica 3 is cut off for 70 decisions: many checkpoint intervals,
 //! so its peers prune the log it would need, and more than consensus
 //! itself can re-fetch value by value. Reconnected, it must notice the
 //! gap at the next view change, ask for state, install an `f + 1`
 //! attested checkpoint plus proof-carrying entries — ignoring a forged
 //! reply — and end byte-equal to its peers.
+//!
+//! Request windows, on replicated counters (`CounterApp`, whose reply to
+//! each request is the running count, so the replies a node emits spell
+//! out the order it executed in): what one client frame may carry and
+//! how it is ordered.
 
-use hlf_consensus::messages::{Batch, DecisionProof, Request, Vote, VotePhase};
+use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request, Vote, VotePhase};
 use hlf_crypto::ecdsa::SigningKey;
+use hlf_smr::app::{Application, CounterApp};
 use hlf_smr::core::{Input, NodeCore, Output};
 use hlf_smr::runtime::ClusterKeys;
 use hlf_smr::storage::MemoryLog;
@@ -37,10 +43,29 @@ struct Net {
     /// way to the honest peers and answered by these frames alone (the
     /// faulty replica getting its word in first).
     forged_replies: Vec<(PeerId, SmrMsg)>,
+    /// Batch length of every PROPOSE broadcast, in emission order.
+    proposes: Vec<usize>,
+    /// Per node: every reply it addressed to a client, `(client, seq,
+    /// payload)`, in emission order.
+    replies: Vec<Vec<(u32, u64, Bytes)>>,
+    /// Per node: `(cid, batch digest)` of every commit, in order.
+    commits: Vec<Vec<(u64, u64)>>,
 }
 
 impl Net {
+    /// Four ordering nodes.
     fn new() -> Net {
+        Net::with_apps(|options, i, keys| {
+            Box::new(OrderingNodeApp::new(options.app_config(i, keys, None, None), |_| {}))
+        })
+    }
+
+    /// Four replicated counters.
+    fn counters() -> Net {
+        Net::with_apps(|_, _, _| Box::new(CounterApp::new()))
+    }
+
+    fn with_apps(app: impl Fn(&ServiceOptions, usize, &ClusterKeys) -> Box<dyn Application>) -> Net {
         let options = ServiceOptions::new(1)
             .with_block_size(2)
             .with_request_timeout_ms(200);
@@ -50,9 +75,8 @@ impl Net {
         let keys = ClusterKeys::derive("node-core-test", N);
         let cores = (0..N)
             .map(|i| {
-                let app = OrderingNodeApp::new(options.app_config(i, &keys, None, None), |_| {});
                 let config = runtime.node_config(i, &keys, None, None);
-                NodeCore::new(&config, Box::new(app), Box::new(MemoryLog::new()))
+                NodeCore::new(&config, app(&options, i, &keys), Box::new(MemoryLog::new()))
             })
             .collect();
         Net {
@@ -62,6 +86,9 @@ impl Net {
             cut: HashSet::new(),
             state_requests: Vec::new(),
             forged_replies: Vec::new(),
+            proposes: Vec::new(),
+            replies: vec![Vec::new(); N],
+            commits: vec![Vec::new(); N],
         }
     }
 
@@ -90,11 +117,18 @@ impl Net {
                             continue;
                         }
                     }
+                    if let SmrMsg::Consensus(ConsensusMsg::Propose { batch, .. }) = &msg {
+                        self.proposes.push(batch.len());
+                    }
                     for to in (0..N).filter(|to| *to != node) {
                         self.queue.push_back((to, from, msg.clone()));
                     }
                 }
                 Output::ToReplica(to, msg) => self.queue.push_back((to.as_usize(), from, msg)),
+                Output::ToClient(client, SmrMsg::Reply { seq, payload }) => {
+                    self.replies[node].push((client.0, seq, payload));
+                }
+                Output::Committed { cid, digest, .. } => self.commits[node].push((cid, digest)),
                 _ => {}
             }
         }
@@ -113,14 +147,24 @@ impl Net {
         }
     }
 
-    /// The client submits one envelope to every reachable replica.
-    fn submit(&mut self, seq: u64) {
-        let request = Request::new(ClientId(CLIENT), seq, Bytes::from(seq.to_le_bytes().to_vec()));
+    /// Client `sender` hands one window to every reachable replica.
+    /// Nothing the replicas send in response is delivered yet.
+    fn send_window(&mut self, sender: u32, window: &[Request]) {
         for node in self.reachable() {
             self.now_us += 50;
-            self.step(node, Input::Frame(PeerId::Client(CLIENT), SmrMsg::Request(request.clone())));
+            self.step(node, Input::Frame(PeerId::Client(sender), SmrMsg::Requests(window.to_vec())));
         }
+    }
+
+    /// The client submits one envelope to every reachable replica.
+    fn submit(&mut self, seq: u64) {
+        self.send_window(CLIENT, &[request(CLIENT, seq)]);
         self.run();
+    }
+
+    /// `(client, seq)` of every reply `node` emitted, in order.
+    fn executed(&self, node: usize) -> Vec<(u32, u64)> {
+        self.replies[node].iter().map(|(client, seq, _)| (*client, *seq)).collect()
     }
 
     /// Moves the clock forward and ticks every reachable replica.
@@ -131,6 +175,10 @@ impl Net {
         }
         self.run();
     }
+}
+
+fn request(client: u32, seq: u64) -> Request {
+    Request::new(ClientId(client), seq, Bytes::from(seq.to_le_bytes().to_vec()))
 }
 
 /// A state reply no correct replica would send: an entry whose quorum
@@ -215,4 +263,101 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     let snapshot = net.cores[3].app().snapshot();
     assert_eq!(snapshot, net.cores[1].app().snapshot());
     assert_eq!(snapshot, net.cores[2].app().snapshot());
+}
+
+#[test]
+fn window_naming_a_foreign_client_is_dropped_whole() {
+    let mut net = Net::counters();
+    let window = [request(CLIENT, 1), request(CLIENT + 1, 1), request(CLIENT, 2)];
+    net.send_window(CLIENT, &window);
+    net.run();
+    assert_eq!(net.proposes, Vec::<usize>::new(), "nothing may be proposed");
+    assert!((0..N).all(|node| net.last_cid(node) == 0 && net.executed(node).is_empty()));
+    // Not even its own requests were queued: the next honest window is
+    // ordered alone.
+    net.send_window(CLIENT, &[request(CLIENT, 3)]);
+    net.run();
+    assert_eq!(net.proposes, vec![1]);
+    assert!((0..N).all(|node| net.executed(node) == [(CLIENT, 3)]));
+}
+
+#[test]
+fn answered_seq_in_a_window_is_replayed_and_the_rest_is_ordered() {
+    let mut net = Net::counters();
+    net.submit(1);
+    let answer = net.replies[2][0].clone();
+    assert_eq!((answer.0, answer.1), (CLIENT, 1));
+
+    // A retransmission of seq 1 rides in a window with a new request.
+    net.send_window(CLIENT, &[request(CLIENT, 1), request(CLIENT, 2)]);
+    for node in 0..N {
+        // Answered from the reply cache at once, byte for byte...
+        assert_eq!(net.replies[node].len(), 2);
+        assert_eq!(net.replies[node][1], net.replies[node][0]);
+    }
+    assert_eq!(net.replies[2][1], answer);
+    net.run();
+    // ...and not ordered again, while seq 2 is.
+    assert_eq!(net.proposes, vec![1, 1]);
+    for node in 0..N {
+        assert_eq!(net.cores[node].stats().executed_requests(), 2);
+        assert_eq!(net.executed(node), [(CLIENT, 1), (CLIENT, 1), (CLIENT, 2)]);
+    }
+}
+
+#[test]
+fn duplicates_inside_and_across_windows_are_ordered_once() {
+    let mut net = Net::counters();
+    net.send_window(CLIENT, &[request(CLIENT, 1), request(CLIENT, 1), request(CLIENT, 2)]);
+    // Seq 2 is now pending (in flight at the leader) everywhere.
+    net.send_window(CLIENT, &[request(CLIENT, 2), request(CLIENT, 3)]);
+    net.run();
+    for node in 0..N {
+        assert_eq!(net.cores[node].stats().executed_requests(), 3);
+        assert_eq!(net.executed(node), [(CLIENT, 1), (CLIENT, 2), (CLIENT, 3)]);
+    }
+}
+
+#[test]
+fn idle_leader_proposes_a_window_as_one_batch() {
+    let mut net = Net::counters();
+    let window: Vec<Request> = (1..=7).map(|seq| request(CLIENT, seq)).collect();
+    net.send_window(CLIENT, &window);
+    assert_eq!(net.proposes, vec![7], "one PROPOSE carrying the whole window");
+    net.run();
+    assert_eq!(net.proposes, vec![7]);
+    assert!((0..N).all(|node| net.last_cid(node) == 1));
+}
+
+#[test]
+fn any_window_size_orders_every_request_once_in_seq_order() {
+    const PER_CLIENT: u64 = 250;
+    let clients = [CLIENT, CLIENT + 1];
+    for window in [1usize, 7, 64] {
+        let mut net = Net::counters();
+        let seqs: Vec<u64> = (1..=PER_CLIENT).collect();
+        // The two clients take turns, a window each; the replicas run
+        // consensus only once all 500 requests have been handed in.
+        for chunk in seqs.chunks(window) {
+            for client in clients {
+                let requests: Vec<Request> = chunk.iter().map(|&seq| request(client, seq)).collect();
+                net.send_window(client, &requests);
+            }
+        }
+        net.run();
+        for node in 0..N {
+            let executed = net.executed(node);
+            assert_eq!(executed.len() as u64, 2 * PER_CLIENT, "window {window}, node {node}");
+            for client in clients {
+                let of_client: Vec<u64> = executed
+                    .iter()
+                    .filter(|(c, _)| *c == client)
+                    .map(|(_, seq)| *seq)
+                    .collect();
+                assert_eq!(of_client, seqs, "window {window}, node {node}, client {client}");
+            }
+            assert_eq!(net.commits[node], net.commits[0], "window {window}: node {node}'s chain differs");
+        }
+        assert!(!net.commits[0].is_empty());
+    }
 }

@@ -181,10 +181,11 @@ pub struct NodeCore {
     transfer: Option<Transfer>,
     obs: Option<NodeObs>,
     flight: Option<Arc<FlightRecorder>>,
-    /// Arrival time (µs) of each client's latest in-flight request, for
-    /// the request→decide latency histogram. One slot per client: a
-    /// newer seq from the same client supersedes the old entry, so the
-    /// map is bounded by the connected-client count.
+    /// Arrival time (µs) of each client's latest in-flight request (the
+    /// last one of its latest window), for the request→decide latency
+    /// histogram. One slot per client: a newer seq from the same client
+    /// supersedes the old entry, so the map is bounded by the
+    /// connected-client count.
     request_seen: HashMap<ClientId, (u64, u64)>,
 }
 
@@ -274,29 +275,34 @@ impl NodeCore {
     pub fn step(&mut self, now_us: u64, input: Input, out: &mut Vec<Output>) {
         let now_ms = now_us / 1000;
         match input {
-            Input::Frame(PeerId::Client(id), SmrMsg::Request(request)) => {
-                // Clients may only submit under their own identity.
-                if request.client != ClientId(id) {
+            Input::Frame(PeerId::Client(id), SmrMsg::Requests(mut requests)) => {
+                let client = ClientId(id);
+                // Clients may only submit under their own identity: one
+                // foreign request condemns the whole frame.
+                if requests.iter().any(|request| request.client != client) {
                     return;
                 }
-                self.join(request.client, out);
+                self.join(client, out);
                 // Retransmission of an already-answered request: replay
-                // the cached reply instead of re-ordering.
-                if let Some((seq, payload)) = self.reply_cache.get(&request.client) {
-                    if *seq == request.seq {
+                // the cached reply instead of re-ordering it. The rest
+                // of the window goes on.
+                if let Some((seq, payload)) = self.reply_cache.get(&client) {
+                    if requests.iter().any(|request| request.seq == *seq) {
                         let reply = SmrMsg::Reply {
                             seq: *seq,
                             payload: payload.clone(),
                         };
-                        out.push(Output::ToClient(request.client, reply));
-                        return;
+                        out.push(Output::ToClient(client, reply));
+                        requests.retain(|request| request.seq != *seq);
                     }
                 }
+                let Some(last) = requests.last() else {
+                    return;
+                };
                 if self.obs.is_some() {
-                    self.request_seen
-                        .insert(request.client, (request.seq, now_us));
+                    self.request_seen.insert(client, (last.seq, now_us));
                 }
-                let actions = self.replica.on_request(now_ms, request);
+                let actions = self.replica.on_requests(now_ms, requests);
                 self.apply(now_us, actions, out);
             }
             Input::Frame(PeerId::Client(id), SmrMsg::Subscribe) => self.join(ClientId(id), out),

@@ -250,12 +250,18 @@ impl NodeWorker {
             return;
         };
         let now_us = self.now_us();
-        if let (Some(flight), Some(ctx), PeerId::Client(id), SmrMsg::Request(request)) =
+        if let (Some(flight), Some(_), PeerId::Client(id), SmrMsg::Requests(requests)) =
             (&self.flight, trace, from, &msg)
         {
-            // Arrival of a traced submission at this replica.
-            if request.client == ClientId(id) {
-                flight.record(now_us, EventKind::Submit, ctx.id, id as u64, request.seq);
+            // Arrival of a traced window at this replica: the frame's one
+            // trace context marks every request in it as traced, and each
+            // request's trace id follows from `(client, seq)`. A window
+            // the core will drop (foreign client id) records nothing.
+            if requests.iter().all(|request| request.client == ClientId(id)) {
+                for request in requests {
+                    let trace = hlf_obs::trace_id(id, request.seq);
+                    flight.record(now_us, EventKind::Submit, trace, id as u64, request.seq);
+                }
             }
         }
         self.core.step(now_us, Input::Frame(from, msg), &mut self.out);

@@ -45,8 +45,10 @@ impl Decode for LogEntry {
 /// Top-level message envelope on the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SmrMsg {
-    /// Client -> replica: please order this request.
-    Request(Request),
+    /// Client -> replica: please order these requests — one client's
+    /// request window, in `seq` order. A synchronous invocation (and
+    /// each of its retransmissions) is a window of one.
+    Requests(Vec<Request>),
     /// Replica -> client: reply to request `seq`, or an unsolicited
     /// push when `seq == 0` (the ordering service's blocks).
     Reply {
@@ -78,9 +80,9 @@ pub enum SmrMsg {
 impl Encode for SmrMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            SmrMsg::Request(request) => {
+            SmrMsg::Requests(requests) => {
                 out.push(0);
-                request.encode(out);
+                encode_seq(requests, out);
             }
             SmrMsg::Reply { seq, payload } => {
                 out.push(1);
@@ -109,7 +111,7 @@ impl Encode for SmrMsg {
 
     fn encoded_len(&self) -> usize {
         1 + match self {
-            SmrMsg::Request(request) => request.encoded_len(),
+            SmrMsg::Requests(requests) => seq_encoded_len(requests),
             SmrMsg::Reply { payload, .. } => 8 + payload.encoded_len(),
             SmrMsg::Consensus(msg) => msg.encoded_len(),
             SmrMsg::StateRequest { .. } => 8,
@@ -125,7 +127,7 @@ impl Encode for SmrMsg {
 impl Decode for SmrMsg {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match u8::decode(r)? {
-            0 => SmrMsg::Request(Decode::decode(r)?),
+            0 => SmrMsg::Requests(decode_seq(r)?),
             1 => SmrMsg::Reply {
                 seq: Decode::decode(r)?,
                 payload: Decode::decode(r)?,
@@ -222,7 +224,7 @@ mod tests {
             votes: vec![vote],
         };
         let messages = vec![
-            SmrMsg::Request(request),
+            SmrMsg::Requests(vec![request]),
             SmrMsg::Reply {
                 seq: 7,
                 payload: Bytes::from_static(b"ok"),
@@ -246,6 +248,19 @@ mod tests {
         }
     }
 
+    /// A window is discriminant 0, a count, and each request's own
+    /// (unchanged) encoding: what `Batch::digest` hashes is untouched.
+    #[test]
+    fn requests_window_is_count_plus_request_encodings() {
+        let a = Request::new(ClientId(1), 2, Bytes::from_static(b"payload"));
+        let b = Request::new(ClientId(1), 3, Bytes::from_static(b""));
+        let mut expected = vec![0u8];
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        expected.extend_from_slice(&to_bytes(&a));
+        expected.extend_from_slice(&to_bytes(&b));
+        assert_eq!(to_bytes(&SmrMsg::Requests(vec![a, b])), expected);
+    }
+
     #[test]
     fn garbage_rejected() {
         assert!(from_bytes::<SmrMsg>(&[42, 0, 0]).is_err());
@@ -254,7 +269,13 @@ mod tests {
 
     fn sample_messages() -> Vec<SmrMsg> {
         vec![
-            SmrMsg::Request(Request::new(ClientId(9), 3, Bytes::from_static(b"tx"))),
+            SmrMsg::Requests(vec![]),
+            SmrMsg::Requests(vec![Request::new(ClientId(9), 3, Bytes::from_static(b"tx"))]),
+            SmrMsg::Requests(
+                (4..70)
+                    .map(|seq| Request::new(ClientId(9), seq, vec![seq as u8; seq as usize % 3]))
+                    .collect(),
+            ),
             SmrMsg::Reply {
                 seq: 0,
                 payload: Bytes::from_static(b"block"),

@@ -187,6 +187,9 @@ fn async_invocations_are_ordered() {
     for _ in 0..50 {
         client.invoke_async(vec![0u8; 1]);
     }
+    // This loop polls replica counters, not the proxy: nothing below
+    // makes the proxy wait, so the window has to be sent explicitly.
+    client.flush();
     // All 50 requests eventually execute on all replicas.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {

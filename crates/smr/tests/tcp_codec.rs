@@ -81,9 +81,9 @@ fn tcp_frames_carry_byte_identical_framed_codec_output() {
     // The reference encodings: one bare frame and one with the
     // 17-byte trace trailer appended.
     let request = Request::new(ClientId(9), 1, Bytes::from(vec![0xAB; 64]));
-    let bare = to_bytes(&Framed::bare(SmrMsg::Request(request.clone())));
+    let bare = to_bytes(&Framed::bare(SmrMsg::Requests(vec![request.clone()])));
     let traced = to_bytes(&Framed::traced(
-        SmrMsg::Request(request),
+        SmrMsg::Requests(vec![request]),
         TraceContext::for_request(9, 1, 123),
     ));
     assert_eq!(
@@ -122,9 +122,10 @@ fn tcp_frames_carry_byte_identical_framed_codec_output() {
     let trace = decoded.trace.expect("traced frame keeps its trailer");
     assert_eq!(trace.origin_us, 123);
     match decoded.msg {
-        SmrMsg::Request(request) => {
-            assert_eq!(request.client, ClientId(9));
-            assert_eq!(request.payload.as_ref(), &[0xAB; 64][..]);
+        SmrMsg::Requests(requests) => {
+            assert_eq!(requests.len(), 1);
+            assert_eq!(requests[0].client, ClientId(9));
+            assert_eq!(requests[0].payload.as_ref(), &[0xAB; 64][..]);
         }
         other => panic!("unexpected message {other:?}"),
     }

@@ -456,7 +456,12 @@ pub fn decode_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
     if len > r.remaining() {
         return Err(WireError::UnexpectedEof);
     }
-    let mut out = Vec::with_capacity(len);
+    // The count is untrusted until the elements decode: reserve no more
+    // memory up front than the input that is left could account for (an
+    // in-memory `T` can be far larger than its shortest encoding). A
+    // sequence of small encodings grows the `Vec` past this as it goes.
+    let reserve = len.min(r.remaining() / std::mem::size_of::<T>().max(1));
+    let mut out = Vec::with_capacity(reserve);
     for _ in 0..len {
         out.push(T::decode(r)?);
     }
