@@ -23,9 +23,10 @@
 //!   [`hlf_obs::TimeSeries`] rings.
 //!
 //! The simulator (`ordering_core::sim`) drives an auditor over every
-//! geo/fault scenario; `audit_report` (crates/bench) proves seeded
-//! equivocation and certified-value-drop injections are caught with
-//! zero false positives on clean runs.
+//! geo/fault scenario; its unit tests prove seeded equivocation and
+//! certified-value-drop injections are caught with zero false
+//! positives on clean runs, and `hlf_top` drives one over the flight
+//! rings of live `hlf_node` processes.
 
 pub mod dashboard;
 pub mod monitor;

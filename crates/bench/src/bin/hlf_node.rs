@@ -32,12 +32,11 @@
 //! serves the authenticated telemetry endpoint (`hlf_top` scrapes it
 //! live: metrics snapshots/deltas, flight-recorder dumps, health).
 
+use bench::cluster::{await_links, drive, node_options, Driven};
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_transport::{AdminServer, AdminSources, HealthReport, PeerId, TcpConfig, TcpNetwork};
-use hlf_wire::Bytes;
 use ordering_core::proc::{connect_frontend_endpoint, start_replica_endpoint_with_flight};
 use ordering_core::service::ServiceOptions;
-use std::collections::VecDeque;
 use std::io::Read;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,15 +48,12 @@ struct NodeArgs {
     role: String,
     id: u32,
     n: usize,
-    f: usize,
     listen: String,
     secret: String,
     peers: Vec<(PeerId, SocketAddr)>,
-    block_size: usize,
-    pipeline_depth: usize,
-    signing_threads: usize,
-    batch_max: usize,
-    request_timeout_ms: u64,
+    /// `bench::cluster::node_options`, which the processes started
+    /// beside this one also run with, as overridden by flags.
+    options: ServiceOptions,
     obs_out: Option<String>,
     obs_interval_secs: Option<u64>,
     admin_listen: Option<String>,
@@ -76,15 +72,10 @@ impl Default for NodeArgs {
             role: String::new(),
             id: 0,
             n: 4,
-            f: 1,
             listen: "127.0.0.1:0".to_string(),
             secret: "hlf-cluster".to_string(),
             peers: Vec::new(),
-            block_size: 10,
-            pipeline_depth: 4,
-            signing_threads: 4,
-            batch_max: 400,
-            request_timeout_ms: 60_000,
+            options: node_options(1),
             obs_out: None,
             obs_interval_secs: None,
             admin_listen: None,
@@ -114,14 +105,20 @@ fn apply(args: &mut NodeArgs, key: &str, value: &str) {
         "role" => args.role = value.to_string(),
         "id" => args.id = parse_num(value) as u32,
         "n" => args.n = parse_num(value) as usize,
-        "f" => args.f = parse_num(value) as usize,
+        "f" => args.options.f = parse_num(value) as usize,
         "listen" => args.listen = value.to_string(),
         "secret" => args.secret = value.to_string(),
-        "block-size" | "block_size" => args.block_size = parse_num(value) as usize,
-        "pipeline-depth" | "pipeline_depth" => args.pipeline_depth = parse_num(value) as usize,
-        "signing-threads" | "signing_threads" => args.signing_threads = parse_num(value) as usize,
-        "batch-max" | "batch_max" => args.batch_max = parse_num(value) as usize,
-        "request-timeout-ms" | "request_timeout_ms" => args.request_timeout_ms = parse_num(value),
+        "block-size" | "block_size" => args.options.block_size = parse_num(value) as usize,
+        "pipeline-depth" | "pipeline_depth" => {
+            args.options.pipeline_depth = parse_num(value) as usize
+        }
+        "signing-threads" | "signing_threads" => {
+            args.options.signing_threads = parse_num(value) as usize
+        }
+        "batch-max" | "batch_max" => args.options.batch_max = parse_num(value) as usize,
+        "request-timeout-ms" | "request_timeout_ms" => {
+            args.options.request_timeout_ms = parse_num(value)
+        }
         "obs-out" | "obs_out" => args.obs_out = Some(value.to_string()),
         "obs-interval-secs" | "obs_interval_secs" => {
             args.obs_interval_secs = Some(parse_num(value))
@@ -213,20 +210,6 @@ fn parse_args() -> NodeArgs {
     args
 }
 
-fn service_options(args: &NodeArgs) -> ServiceOptions {
-    // flush_on_batch_end guarantees the tail of a finite workload is
-    // cut as soon as the final consensus batch lands (without it the
-    // stale cut needs *further* decides, which never come once the
-    // frontend drains its window). The fixed block cutter matches the
-    // paper-style fig7 configuration.
-    ServiceOptions::new(args.f)
-        .with_block_size(args.block_size)
-        .with_signing_threads(args.signing_threads)
-        .with_request_timeout_ms(args.request_timeout_ms)
-        .with_pipeline_depth(args.pipeline_depth)
-        .with_flush_on_batch_end(true)
-}
-
 fn bind_network(args: &NodeArgs, id: PeerId, registry: Option<Arc<Registry>>) -> TcpNetwork {
     let mut config = TcpConfig::new(id, parse_addr(&args.listen), args.secret.as_bytes());
     config.peers = args.peers.clone();
@@ -277,7 +260,7 @@ fn run_replica(args: &NodeArgs) {
     let handle = start_replica_endpoint_with_flight(
         args.id as usize,
         args.n,
-        &service_options(args),
+        &args.options,
         network.endpoint(),
         Arc::clone(&registry),
         flight.clone(),
@@ -357,14 +340,6 @@ fn run_replica(args: &NodeArgs) {
     network.shutdown();
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted.get(idx).copied().unwrap_or(0.0)
-}
-
 fn run_frontend(args: &NodeArgs) {
     let registry = Registry::new(format!("frontend-{}", args.id));
     let network = bind_network(args, PeerId::Client(args.id), Some(Arc::clone(&registry)));
@@ -373,52 +348,23 @@ fn run_frontend(args: &NodeArgs) {
         args.id,
         network.local_addr()
     );
-    let mut frontend = connect_frontend_endpoint(
-        args.id,
-        args.n,
-        &service_options(args),
-        network.endpoint(),
-    );
-    if !bench::await_links(&network, args.n, Duration::from_secs(30)) {
+    let mut frontend =
+        connect_frontend_endpoint(args.id, args.n, &args.options, network.endpoint());
+    if !await_links(&network, args.n, Duration::from_secs(30)) {
         die("frontend could not reach every replica");
     }
 
-    // Submit `count` envelopes under a bounded outstanding window,
-    // collecting per-envelope latency from block deliveries (a single
-    // frontend's envelopes come back in submission order).
-    let size = args.envelope_bytes.max(16);
-    let mut in_flight: VecDeque<Instant> = VecDeque::new();
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(args.count as usize);
-    let mut submitted = 0u64;
-    let mut delivered = 0u64;
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(args.duration_s.unwrap_or(120));
-    while delivered < args.count && Instant::now() < deadline {
-        while submitted < args.count && (submitted - delivered) < args.window {
-            let mut payload = vec![0u8; size];
-            payload[..8].copy_from_slice(&submitted.to_le_bytes());
-            frontend.submit(Bytes::from(payload));
-            in_flight.push_back(Instant::now());
-            submitted += 1;
-        }
-        if let Some(block) = frontend.next_block(Duration::from_millis(50)) {
-            let now = Instant::now();
-            for _ in 0..block.envelopes.len() {
-                if let Some(at) = in_flight.pop_front() {
-                    latencies_ms.push(now.duration_since(at).as_secs_f64() * 1e3);
-                }
-            }
-            delivered += block.envelopes.len() as u64;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
+    let Driven { submitted, delivered, elapsed_s, tx_s, p50_ms, p99_ms } = drive(
+        &mut frontend,
+        args.count,
+        args.envelope_bytes,
+        args.window,
+        Duration::from_secs(args.duration_s.unwrap_or(120)),
+    );
     let json = format!(
         "{{\"role\": \"frontend\", \"submitted\": {submitted}, \"delivered\": {delivered}, \
-         \"elapsed_s\": {elapsed:.3}, \"ordered_tx_s\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-        delivered as f64 / elapsed.max(1e-9),
-        percentile(&latencies_ms, 50.0),
-        percentile(&latencies_ms, 99.0),
+         \"elapsed_s\": {elapsed_s:.3}, \"ordered_tx_s\": {tx_s:.1}, \"p50_ms\": {p50_ms:.3}, \
+         \"p99_ms\": {p99_ms:.3}}}"
     );
     match &args.out {
         Some(path) => {

@@ -27,15 +27,11 @@
 //! else, at it). `--once` scrapes everything a single time, prints the
 //! dashboard frame plus health lines (and the exposition to
 //! `--prom-out` if given), then exits — useful for scripting.
-//! `--smoke` self-spawns one replica (via `$HLF_NODE_BIN`) and
-//! verifies the full scrape path end to end; CI's admin smoke.
 
 use hlf_audit::{timeline, ClusterAuditor, Dashboard};
 use hlf_obs::{to_prometheus, FlightEvent, Snapshot};
 use hlf_transport::{AdminClient, PeerId};
 use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn die(msg: &str) -> ! {
@@ -53,7 +49,6 @@ struct TopArgs {
     duration_s: Option<u64>,
     prom_out: Option<String>,
     once: bool,
-    smoke: bool,
     until_stdin_eof: bool,
 }
 
@@ -68,7 +63,6 @@ fn parse_args() -> TopArgs {
         duration_s: None,
         prom_out: None,
         once: false,
-        smoke: false,
         until_stdin_eof: false,
     };
     let mut argv = std::env::args().skip(1);
@@ -100,9 +94,8 @@ fn parse_args() -> TopArgs {
             "--duration-s" => args.duration_s = Some(parse_num(&value("duration-s"))),
             "--prom-out" => args.prom_out = Some(value("prom-out")),
             "--once" => args.once = true,
-            "--smoke" => args.smoke = true,
-            // For embedding under a parent process (bench_net): stop
-            // cleanly — with the exit report — when stdin hits EOF.
+            // For embedding under a parent process: stop cleanly —
+            // with the exit report — when stdin hits EOF.
             "--until-stdin-eof" => args.until_stdin_eof = true,
             other => die(&format!("unknown argument {other}")),
         }
@@ -315,84 +308,6 @@ fn run_top(args: &TopArgs) {
     }
 }
 
-/// CI smoke: spawn one replica with an admin endpoint, scrape
-/// `MetricsSnapshot` + `Health` + the exposition path, assert
-/// non-empty and well-formed.
-fn run_smoke() {
-    let bin = std::env::var("HLF_NODE_BIN")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| die("--smoke wants HLF_NODE_BIN pointing at the hlf_node binary"));
-    let probe = |_: &str| {
-        std::net::TcpListener::bind("127.0.0.1:0")
-            .and_then(|l| l.local_addr())
-            .unwrap_or_else(|err| die(&format!("cannot probe a free port: {err}")))
-    };
-    let (listen, admin) = (probe("listen"), probe("admin"));
-    let mut child = Command::new(&bin)
-        .args(["--role", "replica", "--id", "0", "--n", "4", "--f", "1"])
-        .arg("--listen")
-        .arg(listen.to_string())
-        .arg("--admin-listen")
-        .arg(admin.to_string())
-        .args(["--secret", "admin-smoke"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap_or_else(|err| die(&format!("cannot spawn {}: {err}", bin.display())));
-
-    // The admin listener comes up within the node's bootstrap; retry
-    // the dial briefly.
-    let me = PeerId::Client(9900);
-    let server = PeerId::Replica(0);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut client = loop {
-        match AdminClient::connect(admin, b"admin-smoke", me, server) {
-            Ok(client) => break client,
-            Err(err) => {
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    die(&format!("admin endpoint never came up: {err}"));
-                }
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-    };
-
-    let snapshot = client
-        .metrics_snapshot()
-        .unwrap_or_else(|err| die(&format!("MetricsSnapshot failed: {err}")));
-    assert!(
-        !snapshot.metrics.is_empty(),
-        "admin smoke: snapshot carried no metrics"
-    );
-    assert_eq!(snapshot.registry, "node-0", "unexpected registry name");
-    let health = client
-        .health()
-        .unwrap_or_else(|err| die(&format!("Health failed: {err}")));
-    let exposition = to_prometheus(std::slice::from_ref(&snapshot));
-    assert!(
-        exposition.contains("# TYPE "),
-        "admin smoke: exposition rendered no families"
-    );
-    println!(
-        "smoke: scraped {} metrics from {} ({} exposition bytes), health {}",
-        snapshot.metrics.len(),
-        snapshot.registry,
-        exposition.len(),
-        health.to_json()
-    );
-
-    drop(child.stdin.take());
-    let _ = child.wait();
-    println!("ADMIN SMOKE OK");
-}
-
 fn main() {
-    let args = parse_args();
-    if args.smoke {
-        run_smoke();
-    } else {
-        run_top(&args);
-    }
+    run_top(&parse_args());
 }

@@ -1,9 +1,12 @@
-//! Shared harness code for the paper-reproduction benchmarks.
+//! Shared harness code for the paper-reproduction figures.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the DSN
+//! `src/bin/figures.rs` regenerates the tables and figures of the DSN
 //! 2018 paper (see `DESIGN.md` §4 for the experiment index); this
-//! library holds the workload drivers they share.
+//! library holds the workload drivers its subcommands share, and
+//! [`cluster`] the process plumbing of `bench_net`, `hlf_node` and the
+//! process-cluster tests. Performance numbers are `benchmark/`'s job.
 
+pub mod cluster;
 pub mod trace;
 
 use hlf_wire::Bytes;
@@ -11,7 +14,6 @@ use hlf_consensus::messages::Batch;
 use hlf_obs::Snapshot;
 use hlf_smr::app::{Application, Outbound};
 use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
-use hlf_transport::TcpNetwork;
 use ordering_core::frontend::Frontend;
 use ordering_core::service::{OrderingService, ServiceOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -258,96 +260,10 @@ pub fn run_raw_consensus_throughput(
     envelope_size: usize,
     measure: Duration,
 ) -> f64 {
-    let cluster = ClusterRuntime::start(
-        n,
-        RuntimeOptions::classic(f).with_request_timeout_ms(60_000),
-        |_| Box::new(NullApp),
-    );
-    let stop = Arc::new(AtomicBool::new(false));
-    let submitted = Arc::new(AtomicU64::new(0));
-    let window = 4_000u64;
-
-    let mut threads = Vec::new();
-    for slot in 0..2 {
-        let mut proxy = cluster.proxy_with(hlf_smr::client::ProxyConfig::classic(
-            hlf_wire::ClientId(7000 + slot as u32),
-            n,
-            f,
-        ));
-        let stop = Arc::clone(&stop);
-        let submitted = Arc::clone(&submitted);
-        let stats = cluster_stats_probe(&cluster, 0);
-        threads.push(std::thread::spawn(move || {
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if submitted.load(Ordering::Relaxed).saturating_sub(stats()) > window {
-                    proxy.flush();
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                let mut payload = vec![0u8; envelope_size.max(16)];
-                payload[..8].copy_from_slice(&i.to_le_bytes());
-                payload[8] = slot;
-                proxy.invoke_async(payload);
-                submitted.fetch_add(1, Ordering::Relaxed);
-                i += 1;
-            }
-        }));
-    }
-
-    std::thread::sleep(Duration::from_secs(1));
-    let probe = cluster_stats_probe(&cluster, 0);
-    let start_count = probe();
-    let start = Instant::now();
-    std::thread::sleep(measure);
-    let elapsed = start.elapsed();
-    let done = probe() - start_count;
-
-    stop.store(true, Ordering::Relaxed);
-    for thread in threads {
-        let _ = thread.join();
-    }
-    cluster.shutdown();
-    done as f64 / elapsed.as_secs_f64()
+    null_app_throughput(n, f, RuntimeOptions::classic(f), envelope_size, measure)
 }
 
-fn cluster_stats_probe(
-    cluster: &ClusterRuntime,
-    node: usize,
-) -> impl Fn() -> u64 + Send + 'static {
-    // NodeStats lives behind an Arc owned by the handle; expose a
-    // cheap sampling closure.
-    let stats = cluster.stats_arc(node);
-    move || stats.executed_requests()
-}
-
-/// Waits, up to `timeout`, until `network` has dialled `links` peers;
-/// `false` if it has not.
-///
-/// A frontend's `Subscribe` is the first frame on each of its links,
-/// and a replica pushes a block only to the frontends it has heard
-/// from: one that decides an envelope before that `Subscribe` arrives
-/// pushes the block to nobody, and with two such replicas the frontend
-/// never collects `2f + 1` copies. A frontend process started alongside
-/// its replicas (whose first dials are refused and retried 25 ms later)
-/// therefore submits only once every link is up.
-pub fn await_links(network: &TcpNetwork, links: usize, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    while (network.net_stats().connects as usize) < links {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    true
-}
-
-/// Formats a throughput in the paper's "ktrans/sec" unit.
-pub fn ktps(tx_per_sec: f64) -> String {
-    format!("{:.1}", tx_per_sec / 1000.0)
-}
-
-/// Measures replicated-counter throughput at a given checkpoint period
+/// Measures replicated no-op throughput at a given checkpoint period
 /// (ablation ABL3: the paper's §5.2 claims frequent checkpoints are
 /// cheap because the ordering state is tiny).
 pub fn run_checkpoint_sweep_point(
@@ -356,20 +272,31 @@ pub fn run_checkpoint_sweep_point(
     checkpoint_interval: u64,
     measure: Duration,
 ) -> f64 {
-    let cluster = ClusterRuntime::start(
-        n,
-        RuntimeOptions::classic(f)
-            .with_request_timeout_ms(60_000)
-            .with_checkpoint_interval(checkpoint_interval),
-        |_| Box::new(NullApp),
-    );
+    let options = RuntimeOptions::classic(f).with_checkpoint_interval(checkpoint_interval);
+    null_app_throughput(n, f, options, 256, measure)
+}
+
+/// Two proxies keep a [`NullApp`] cluster saturated under a bounded
+/// outstanding window; the rate is node 0's executed requests over
+/// `measure`, after 1 s of warm-up.
+fn null_app_throughput(
+    n: usize,
+    f: usize,
+    options: RuntimeOptions,
+    envelope_size: usize,
+    measure: Duration,
+) -> f64 {
+    let cluster = ClusterRuntime::start(n, options.with_request_timeout_ms(60_000), |_| {
+        Box::new(NullApp)
+    });
     let stop = Arc::new(AtomicBool::new(false));
     let submitted = Arc::new(AtomicU64::new(0));
     let window = 4_000u64;
+
     let mut threads = Vec::new();
     for slot in 0..2u8 {
         let mut proxy = cluster.proxy_with(hlf_smr::client::ProxyConfig::classic(
-            hlf_wire::ClientId(8000 + slot as u32),
+            hlf_wire::ClientId(7000 + slot as u32),
             n,
             f,
         ));
@@ -388,7 +315,7 @@ pub fn run_checkpoint_sweep_point(
                     std::thread::sleep(Duration::from_millis(1));
                     continue;
                 }
-                let mut payload = vec![0u8; 256];
+                let mut payload = vec![0u8; envelope_size.max(16)];
                 payload[..8].copy_from_slice(&i.to_le_bytes());
                 payload[8] = slot;
                 proxy.invoke_async(payload);
@@ -397,6 +324,7 @@ pub fn run_checkpoint_sweep_point(
             }
         }));
     }
+
     std::thread::sleep(Duration::from_secs(1));
     let stats = cluster.stats_arc(0);
     let start_count = stats.executed_requests();
@@ -404,10 +332,16 @@ pub fn run_checkpoint_sweep_point(
     std::thread::sleep(measure);
     let elapsed = start.elapsed();
     let done = stats.executed_requests() - start_count;
+
     stop.store(true, Ordering::Relaxed);
     for thread in threads {
         let _ = thread.join();
     }
     cluster.shutdown();
     done as f64 / elapsed.as_secs_f64()
+}
+
+/// Formats a throughput in the paper's "ktrans/sec" unit.
+pub fn ktps(tx_per_sec: f64) -> String {
+    format!("{:.1}", tx_per_sec / 1000.0)
 }

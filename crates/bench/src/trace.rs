@@ -1,5 +1,5 @@
-//! Flight-dump → per-transaction timeline merge, shared by
-//! `trace_report` and the view-change regression tests.
+//! Flight-dump → per-transaction timeline merge, exercised by
+//! `tests/trace_viewchange.rs`.
 //!
 //! Phase boundaries (propose, WRITE quorum, decide, sign) are defined
 //! at the replica that *led the deciding proposal*, so deltas of

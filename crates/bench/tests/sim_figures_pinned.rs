@@ -13,8 +13,7 @@ use ordering_core::sim::{run_geo_experiment, GeoConfig, GeoResult, Protocol};
 const TOLERANCE: f64 = 0.02;
 
 /// `sim.rs`'s `quick_config`: 1024 B envelopes, blocks of 10, 100
-/// envelopes/s per frontend, 12 s with 2 s of warm-up — which is also
-/// `bench_summary --check`'s `geo_wheat_tx_s` probe.
+/// envelopes/s per frontend, 12 s with 2 s of warm-up.
 fn quick_config(protocol: Protocol) -> GeoConfig {
     let mut config = GeoConfig::new(protocol);
     config.duration = SimTime::from_secs(12);
@@ -67,17 +66,22 @@ fn wheat_quick_config_matches_the_pinned_figures() {
     assert_figures("wheat", &result, pinned, 414.0);
 }
 
-/// `bench_summary --check`'s `pipeline_k4_tx_s` probe: the saturated
-/// k = 4 window with one replica slowed by 250 ms.
-#[test]
-fn saturated_pipeline_probe_matches_the_pinned_figures() {
+/// One replica slowed by 250 ms and 2500 envelopes/s per frontend:
+/// more than a single consensus slot per WAN round trip can order.
+fn saturated_config(depth: usize) -> GeoConfig {
     let mut config = GeoConfig::new(Protocol::BftSmart)
         .with_slow_replica(3, SimTime::from_millis(250))
-        .with_pipeline_depth(4);
+        .with_pipeline_depth(depth);
     config.duration = SimTime::from_secs(6);
     config.warmup = SimTime::from_secs(2);
     config.rate_per_frontend = 2500.0;
-    let result = run_geo_experiment(&config);
+    config
+}
+
+/// The saturated k = 4 window.
+#[test]
+fn saturated_pipeline_probe_matches_the_pinned_figures() {
+    let result = run_geo_experiment(&saturated_config(4));
     let pinned = [
         (3185.595, 4777.664),
         (3112.686, 4695.603),
@@ -85,4 +89,39 @@ fn saturated_pipeline_probe_matches_the_pinned_figures() {
         (3320.853, 4937.535),
     ];
     assert_figures("pipeline k=4", &result, pinned, 13000.0);
+}
+
+/// With k = 1 the leader cannot propose slot s+1 until slot s decides,
+/// so throughput is capped at one batch per WAN round trip and the
+/// backlog grows for the whole run; with k = 4 the rounds of four slots
+/// overlap on the wire. The window must at least double the ordered
+/// throughput, at an aggregate median latency no worse.
+#[test]
+fn window_of_four_doubles_saturated_throughput_at_no_worse_p50() {
+    // Median over frontends, weighted by sample count: the same
+    // backlog dominates at each, so the medians are close.
+    let p50 = |result: &GeoResult| {
+        let frontends = &result.frontends;
+        let samples: usize = frontends.iter().map(|f| f.samples).sum();
+        assert!(samples > 0, "no latency samples after warm-up");
+        let weighted: f64 = frontends
+            .iter()
+            .map(|f| f.median_ms * f.samples as f64)
+            .sum();
+        weighted / samples as f64
+    };
+    let single = run_geo_experiment(&saturated_config(1));
+    let window = run_geo_experiment(&saturated_config(4));
+    assert!(
+        window.throughput >= 2.0 * single.throughput,
+        "k=4 orders {:.1}/s vs k=1 {:.1}/s",
+        window.throughput,
+        single.throughput
+    );
+    assert!(
+        p50(&window) <= p50(&single),
+        "k=4 p50 {:.1} ms vs k=1 {:.1} ms",
+        p50(&window),
+        p50(&single)
+    );
 }

@@ -8,6 +8,11 @@
 //! leader. This is what the generalized `bench::trace::merge_timelines`
 //! buys over the old leader-0-only merge, which silently drops or
 //! mis-attributes everything ordered after the regency change.
+//!
+//! The healthy and slowed-replica cases hold the rest of the traced
+//! pipeline: timelines telescope, the flight dump JSON is byte-stable,
+//! the straggler detector names the slowed replica, and the auditor
+//! stays silent at window depths 2 and 3.
 
 use bench::trace::merge_timelines;
 use hlf_obs::flight::EventKind;
@@ -100,26 +105,86 @@ fn merge_matches_leader_zero_attribution_on_a_healthy_run() {
     // On a crash-free run every decision happens at regency 0, so the
     // generalized merge must attribute everything to node 0 and
     // telescope exactly — i.e. it is a strict superset of the old
-    // hardcoded merge.
+    // hardcoded merge — and the audited run has nothing to report.
+    for depth in [2, 3] {
+        let mut config = GeoConfig::new(Protocol::BftSmart)
+            .with_trace()
+            .with_audit()
+            .with_pipeline_depth(depth);
+        config.duration = SimTime::from_secs(8);
+        config.warmup = SimTime::from_secs(2);
+        config.rate_per_frontend = 100.0;
+
+        let result = run_geo_experiment(&config);
+        let dumps = result.flights.as_deref().expect("trace requested");
+        let timelines = merge_timelines(dumps);
+        assert!(
+            timelines.len() > 300,
+            "k={depth}: too few complete timelines: {}",
+            timelines.len()
+        );
+        for t in &timelines {
+            assert_eq!(t.regency, 0);
+            assert_eq!(t.leader, 0);
+            let sum: u64 = t.phases.iter().sum();
+            let e2e = t.deliver_us - t.submit_us;
+            assert_eq!(sum, e2e, "k={depth} trace {:#x}", t.trace);
+        }
+        let audit = result.audit.expect("audit requested");
+        let lines: Vec<String> = audit.violations.iter().map(|v| v.to_line()).collect();
+        assert!(lines.is_empty(), "k={depth}: false positives {lines:?}");
+    }
+}
+
+#[test]
+fn slowed_replica_is_suspected_and_its_run_still_telescopes() {
+    /// São Paulo in the BFT-SMaRt placement; not the leader.
+    const SLOW_NODE: usize = 3;
     let mut config = GeoConfig::new(Protocol::BftSmart)
+        .with_obs()
         .with_trace()
-        .with_pipeline_depth(2);
-    config.duration = SimTime::from_secs(8);
+        .with_slow_replica(SLOW_NODE, SimTime::from_millis(250));
+    config.duration = SimTime::from_secs(10);
     config.warmup = SimTime::from_secs(2);
     config.rate_per_frontend = 100.0;
-
     let result = run_geo_experiment(&config);
     let dumps = result.flights.as_deref().expect("trace requested");
+    let obs = result.obs.as_deref().expect("obs requested");
+
+    // Emit → parse → re-emit of the dump JSON is byte-identical.
+    let json = hlf_obs::dumps_to_json(dumps);
+    let reparsed = hlf_obs::dumps_from_json(&json).expect("own dump JSON parses");
+    assert_eq!(json, hlf_obs::dumps_to_json(&reparsed));
+
     let timelines = merge_timelines(dumps);
     assert!(
-        timelines.len() > 300,
+        timelines.len() > 1000,
         "too few complete timelines: {}",
         timelines.len()
     );
     for t in &timelines {
-        assert_eq!(t.regency, 0);
-        assert_eq!(t.leader, 0);
+        let e2e = (t.deliver_us - t.submit_us) as f64;
         let sum: u64 = t.phases.iter().sum();
-        assert_eq!(sum, t.deliver_us - t.submit_us, "trace {:#x}", t.trace);
+        assert!(
+            (sum as f64 - e2e).abs() <= 0.05 * e2e,
+            "trace {:#x}: phases {:?} sum to {sum} but e2e is {e2e}",
+            t.trace,
+            t.phases
+        );
     }
+
+    // Every replica measures its own peers; at least one of the fast
+    // ones must have flagged the slow one, in its gauge and in its ring.
+    let suspects = |i: usize| obs[i].gauge_value("consensus.health.suspected_peers");
+    assert!(
+        (0..obs.len()).any(|i| i != SLOW_NODE && suspects(i).unwrap_or(0) > 0),
+        "slow replica {SLOW_NODE} was not suspected by any peer"
+    );
+    assert!(
+        dumps
+            .iter()
+            .flat_map(|d| &d.events)
+            .any(|e| e.kind == EventKind::Suspect && e.a == SLOW_NODE as u64),
+        "no Suspect flight event names replica {SLOW_NODE}"
+    );
 }

@@ -170,9 +170,8 @@ impl VerifyingKey {
     /// multiplications plus an affine round-trip, exactly the shape of
     /// the pre-optimization implementation.
     ///
-    /// Kept (hidden) so benchmarks can measure the fast path against the
-    /// baseline on the same machine and tests can cross-check them.
-    #[doc(hidden)]
+    /// Kept so the tests can cross-check the fast path against it.
+    #[cfg(test)]
     pub fn verify_digest_reference(
         &self,
         digest: &Hash256,
@@ -276,9 +275,8 @@ impl SigningKey {
     /// Reference signing path using the naive ladder for `k·G`; same
     /// RFC 6979 nonces, so it produces bit-identical signatures.
     ///
-    /// Kept (hidden) so benchmarks can measure the fast path against the
-    /// baseline on the same machine and tests can cross-check them.
-    #[doc(hidden)]
+    /// Kept so the tests can cross-check the fast path against it.
+    #[cfg(test)]
     pub fn sign_digest_reference(&self, digest: &Hash256) -> Signature {
         self.sign_digest_with(digest, |k| Point::generator().mul_reference(k))
     }

@@ -524,7 +524,7 @@ impl Point {
     /// addition per non-zero nibble.
     ///
     /// The scalar is interpreted as a plain (non-Montgomery) integer.
-    /// Agreement with the naive [`Point::mul_reference`] path is enforced
+    /// Agreement with the naive `Point::mul_reference` path is enforced
     /// by property tests.
     // lint:allow(panic): `nibble ∈ 1..=15` after the zero check indexes the 15-entry window table
     pub fn mul(&self, scalar: &U256) -> Point {
@@ -554,10 +554,10 @@ impl Point {
     /// Reference scalar multiplication: the original fixed-window ladder
     /// over a per-call Jacobian table.
     ///
-    /// Kept as the verified baseline the fast paths ([`Point::mul`],
-    /// [`Point::mul_base`], [`Point::lincomb`]) are cross-checked and
-    /// benchmarked against; not used on any hot path.
-    // lint:allow(panic): loop indices and nibbles are `< 16` over the 16-entry table
+    /// Kept as the verified baseline the tests cross-check the fast
+    /// paths ([`Point::mul`], [`Point::mul_base`], [`Point::lincomb`])
+    /// against.
+    #[cfg(test)]
     pub fn mul_reference(&self, scalar: &U256) -> Point {
         if scalar.is_zero() || self.is_identity() {
             return Point::identity();

@@ -403,9 +403,8 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Hash256 {
 
 /// One-shot SHA-256 by the portable compression function alone,
 /// whatever the processor offers, with its own padding: the reference
-/// the tests and `bench_crypto_json` hold [`sha256`] against. Nothing
-/// on the ordering path calls it.
-// lint:allow(panic): `tail.len() < 64`, so the pad byte and the length lie inside the 128-byte buffer
+/// the tests hold [`sha256`] against.
+#[cfg(test)]
 pub fn sha256_reference(data: &[u8]) -> Hash256 {
     let mut state = H0;
     let (blocks, tail) = data.split_at(data.len() & !63);

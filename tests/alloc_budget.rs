@@ -4,7 +4,8 @@
 //! the whole pipeline stays under an allocations-per-envelope budget.
 //! The pre-zero-copy pipeline spent ~42 allocations per ordered
 //! envelope on this workload; the pooled/shared-buffer path spends
-//! ~16 (see `BENCH_wire.json`). The budget sits between the two with
+//! ~16 (the benchmark's `wire.allocs_per_tx` row measures the same
+//! count on its own workloads). The budget sits between the two with
 //! headroom for allocator-placement noise, so a change that reverts
 //! the pipeline to copy-per-hop fails this test while honest drift
 //! does not.
