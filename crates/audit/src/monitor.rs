@@ -162,7 +162,7 @@ impl ClusterAuditor {
             return;
         }
         self.observed += 1;
-        self.recent.push_back((node, event.clone()));
+        self.recent.push_back((node, *event));
         while self.recent.len() > SLICE_EVENTS {
             self.recent.pop_front();
         }

@@ -54,7 +54,7 @@ pub fn reconstruct(streams: &[Vec<FlightEvent>]) -> Vec<CausalEvent> {
     let mut sends: HashMap<u64, u64> = HashMap::new();
     let mut timeline = Vec::with_capacity(order.len());
     for (node, pos) in order {
-        let event = streams[node][pos].clone();
+        let event = streams[node][pos];
         let mut next = clocks[node] + 1;
         if event.kind == EventKind::FrameSeq {
             if event.c == 0 {

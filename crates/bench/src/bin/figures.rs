@@ -30,7 +30,7 @@ use hlf_simnet::SimTime;
 use hlf_wire::Bytes;
 use ordering_core::signing::SigningPool;
 use ordering_core::sim::{run_geo_experiment, GeoConfig, Protocol};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,46 +80,39 @@ fn usage() -> ! {
 // signed; both observations are reproduced here.
 // ---------------------------------------------------------------------
 
-/// Aggregate rate at which `threads` workers build and sign whole
-/// blocks, exactly as an ordering node would: header over the envelope
-/// data hash.
+/// Rate at which the ordering node's own [`SigningPool`] of `threads`
+/// workers signs blocks: this thread plays the node thread (builds each
+/// block — header over the envelope data hash — and submits it,
+/// blocking when the bounded queue is full), the workers sign in
+/// whatever groups the queue gives them, and signed blocks are counted
+/// as they are delivered.
 fn signing_rate(threads: usize, envelope_size: usize, block_size: usize) -> f64 {
-    let stop = Arc::new(AtomicBool::new(false));
     let signed = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&signed);
+    let pool = SigningPool::new(threads, 0, SigningKey::from_seed(b"fig6"), move |_| {
+        counter.fetch_add(1, Ordering::Relaxed);
+    });
     let envelopes: Vec<Bytes> = (0..block_size)
         .map(|i| Bytes::from(vec![i as u8; envelope_size]))
         .collect();
+    let mut number = 1u64;
+    let mut prev = Hash256::ZERO;
+    let mut submit_for = |duration: Duration| {
+        let deadline = Instant::now() + duration;
+        while Instant::now() < deadline {
+            let block = Block::build(number, prev, envelopes.clone());
+            prev = block.header_hash();
+            number += 1;
+            pool.submit(block);
+        }
+    };
 
-    let workers: Vec<_> = (0..threads)
-        .map(|w| {
-            let stop = Arc::clone(&stop);
-            let signed = Arc::clone(&signed);
-            let envelopes = envelopes.clone();
-            std::thread::spawn(move || {
-                let key = SigningKey::from_seed(format!("fig6-{w}").as_bytes());
-                let mut number = w as u64 + 1;
-                let mut prev = Hash256::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    let mut block = Block::build(number, prev, envelopes.clone());
-                    block.sign(w as u32, &key);
-                    prev = block.header_hash();
-                    number += 1;
-                    signed.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        })
-        .collect();
-
-    std::thread::sleep(Duration::from_millis(300)); // warm-up
+    submit_for(Duration::from_millis(300)); // warm-up
     let start_count = signed.load(Ordering::Relaxed);
     let start = Instant::now();
-    std::thread::sleep(Duration::from_secs(2));
+    submit_for(Duration::from_secs(2));
     let elapsed = start.elapsed();
     let count = signed.load(Ordering::Relaxed) - start_count;
-    stop.store(true, Ordering::Relaxed);
-    for worker in workers {
-        let _ = worker.join();
-    }
     count as f64 / elapsed.as_secs_f64()
 }
 

@@ -245,8 +245,7 @@ fn run_top(args: &TopArgs) {
 
     loop {
         let tick_started = Instant::now();
-        for i in 0..nodes.len() {
-            let node = &mut nodes[i];
+        for node in &mut nodes {
             let replica = node.replica as usize;
             for event in node.scrape(&secret, me) {
                 auditor.observe(replica, &event);

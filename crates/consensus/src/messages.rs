@@ -8,7 +8,7 @@
 
 use crate::ConsensusError;
 use hlf_wire::Bytes;
-use hlf_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
 use hlf_crypto::sha256::{sha256, sha256_concat, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use hlf_wire::{ClientId, NodeId};
@@ -219,7 +219,7 @@ impl Vote {
     }
 
     /// Verifies the vote against the claimed node's public key.
-    pub fn verify(&self, key: &VerifyingKey) -> bool {
+    pub fn verify(&self, key: &PinnedKey) -> bool {
         let digest = Vote::signing_digest(self.phase, self.cid, self.epoch, &self.hash, self.node);
         key.verify_digest(&digest, &self.signature).is_ok()
     }
@@ -282,7 +282,7 @@ impl DecisionProof {
     pub fn verify(
         &self,
         quorums: &crate::quorum::QuorumSystem,
-        keys: &[VerifyingKey],
+        keys: &[PinnedKey],
     ) -> Result<(), ConsensusError> {
         let mut seen = std::collections::HashSet::new();
         let mut epoch: Option<u32> = None;
@@ -518,7 +518,7 @@ impl StopData {
 
     /// Verifies the sender's signature (not the embedded certificates;
     /// the selection function checks those separately).
-    pub fn verify_signature(&self, key: &VerifyingKey) -> bool {
+    pub fn verify_signature(&self, key: &PinnedKey) -> bool {
         let digest = StopData::signing_digest(
             self.regency,
             self.cid,
@@ -789,11 +789,11 @@ mod tests {
     use crate::quorum::QuorumSystem;
     use hlf_wire::{from_bytes, to_bytes};
 
-    fn keys(n: usize) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
+    fn keys(n: usize) -> (Vec<SigningKey>, Vec<PinnedKey>) {
         let signing: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed(format!("replica-{i}").as_bytes()))
             .collect();
-        let verifying = signing.iter().map(|k| *k.verifying_key()).collect();
+        let verifying = signing.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect();
         (signing, verifying)
     }
 

@@ -25,7 +25,7 @@ use crate::messages::{
 use crate::obs::{HealthObs, ReplicaObs};
 use crate::quorum::{QuorumSystem, QuorumTracker};
 use crate::sync::{select_window, validate_sync_window, MAX_WINDOW};
-use hlf_crypto::ecdsa::{SigningKey, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, SigningKey, VerifyingKey};
 use hlf_crypto::sha256::Hash256;
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, StragglerDetector};
@@ -295,6 +295,9 @@ impl Instance {
 /// ```
 pub struct Replica {
     cfg: Config,
+    /// `cfg.keys` with their comb tables, pinned once here: every vote,
+    /// STOP-DATA and decision proof is verified against one of these.
+    keys: Vec<PinnedKey>,
     regency: u32,
     /// Current undecided instance id (instances start at 1).
     next_cid: u64,
@@ -378,6 +381,7 @@ impl Replica {
         let n = cfg.quorums.n();
         Replica {
             insts: BTreeMap::new(),
+            keys: PinnedKey::pin_all(&cfg.keys),
             cfg,
             regency: 0,
             next_cid: 1,
@@ -482,6 +486,12 @@ impl Replica {
                 );
             }
         }
+    }
+
+    /// Every replica's public key, indexed by node id, pinned for
+    /// repeated verification.
+    pub fn keys(&self) -> &[PinnedKey] {
+        &self.keys
     }
 
     /// This replica's id.
@@ -721,7 +731,9 @@ impl Replica {
         }
     }
 
-    fn was_delivered(&self, id: &(ClientId, u64)) -> bool {
+    /// Whether request `(client, seq)` was already delivered here, as
+    /// far back as the per-client dedup window remembers.
+    pub fn was_delivered(&self, id: &(ClientId, u64)) -> bool {
         self.delivered
             .get(&id.0)
             .is_some_and(|set| set.contains(&id.1))
@@ -755,7 +767,7 @@ impl Replica {
         }
         loop {
             let Some(cid) = (self.next_cid..self.window_end())
-                .find(|cid| !self.insts.get(cid).is_some_and(|i| i.proposal.is_some()))
+                .find(|cid| self.insts.get(cid).is_none_or(|i| i.proposal.is_none()))
             else {
                 return; // window full
             };
@@ -773,7 +785,7 @@ impl Replica {
             };
             actions.push(Action::Broadcast(msg.clone()));
             self.handle(self.cfg.node, msg, actions);
-            if cid >= self.next_cid && !self.insts.get(&cid).is_some_and(|i| i.proposal.is_some()) {
+            if cid >= self.next_cid && self.insts.get(&cid).is_none_or(|i| i.proposal.is_none()) {
                 return; // own proposal not installed; avoid spinning
             }
         }
@@ -1036,7 +1048,7 @@ impl Replica {
             return;
         }
         if from != self.cfg.node {
-            let Some(key) = self.cfg.keys.get(from.as_usize()) else {
+            let Some(key) = self.keys.get(from.as_usize()) else {
                 return;
             };
             if !vote.verify(key) {
@@ -1071,7 +1083,7 @@ impl Replica {
         else {
             return;
         };
-        let Some(key) = self.cfg.keys.get(from.as_usize()) else {
+        let Some(key) = self.keys.get(from.as_usize()) else {
             return;
         };
         if !vote.verify(key) {
@@ -1210,7 +1222,7 @@ impl Replica {
             return;
         }
         if from != self.cfg.node {
-            let Some(key) = self.cfg.keys.get(from.as_usize()) else {
+            let Some(key) = self.keys.get(from.as_usize()) else {
                 return;
             };
             if !vote.verify(key) {
@@ -1521,7 +1533,7 @@ impl Replica {
         if !self.syncing || sd.regency != self.regency || self.leader() != self.cfg.node {
             return;
         }
-        let Some(key) = self.cfg.keys.get(sd.node.as_usize()) else {
+        let Some(key) = self.keys.get(sd.node.as_usize()) else {
             return;
         };
         if !sd.verify_signature(key) {
@@ -1533,7 +1545,7 @@ impl Replica {
         }
         let collect: Vec<StopData> = self.collect.values().cloned().collect();
         let Ok(selection) =
-            select_window(&collect, self.regency, &self.cfg.quorums, &self.cfg.keys)
+            select_window(&collect, self.regency, &self.cfg.quorums, &self.keys)
         else {
             return;
         };
@@ -1598,6 +1610,7 @@ impl Replica {
         self.handle(self.cfg.node, msg, actions);
     }
 
+    #[allow(clippy::too_many_arguments)] // the fields of one SYNC message
     fn handle_sync(
         &mut self,
         from: NodeId,
@@ -1618,7 +1631,7 @@ impl Replica {
             &batch,
             &rebinds,
             &self.cfg.quorums,
-            &self.cfg.keys,
+            &self.keys,
         )
         .is_err()
         {
@@ -1790,7 +1803,7 @@ impl Replica {
         }
         if proof.cid != cid
             || proof.hash != batch.digest()
-            || proof.verify(&self.cfg.quorums, &self.cfg.keys).is_err()
+            || proof.verify(&self.cfg.quorums, &self.keys).is_err()
         {
             return;
         }

@@ -21,7 +21,7 @@
 use crate::messages::{Batch, SlotRebind, StopData, Vote, VotePhase};
 use crate::quorum::QuorumSystem;
 use crate::ConsensusError;
-use hlf_crypto::ecdsa::VerifyingKey;
+use hlf_crypto::ecdsa::PinnedKey;
 use hlf_crypto::sha256::Hash256;
 use std::collections::{BTreeMap, HashSet};
 
@@ -76,7 +76,7 @@ fn write_cert_valid(
     epoch: u32,
     hash: &Hash256,
     quorums: &QuorumSystem,
-    keys: &[VerifyingKey],
+    keys: &[PinnedKey],
 ) -> bool {
     let mut seen = HashSet::new();
     for vote in votes {
@@ -111,7 +111,7 @@ pub fn validate_collect<'a>(
     collect: &'a [StopData],
     regency: u32,
     quorums: &QuorumSystem,
-    keys: &[VerifyingKey],
+    keys: &[PinnedKey],
 ) -> Result<Vec<&'a StopData>, ConsensusError> {
     let mut seen = HashSet::new();
     let mut valid = Vec::new();
@@ -143,7 +143,7 @@ fn slot_bound(
     valid: &[&StopData],
     cid: u64,
     quorums: &QuorumSystem,
-    keys: &[VerifyingKey],
+    keys: &[PinnedKey],
 ) -> Option<BoundValue> {
     let mut bound: Option<BoundValue> = None;
     let mut consider = |epoch: u32, hash: &Hash256, cert: &[Vote]| {
@@ -202,7 +202,7 @@ pub fn select(
     collect: &[StopData],
     regency: u32,
     quorums: &QuorumSystem,
-    keys: &[VerifyingKey],
+    keys: &[PinnedKey],
 ) -> Result<Selection, ConsensusError> {
     let window = select_window(collect, regency, quorums, keys)?;
     Ok(Selection {
@@ -230,7 +230,7 @@ pub fn select_window(
     collect: &[StopData],
     regency: u32,
     quorums: &QuorumSystem,
-    keys: &[VerifyingKey],
+    keys: &[PinnedKey],
 ) -> Result<WindowSelection, ConsensusError> {
     let valid = validate_collect(collect, regency, quorums, keys)?;
 
@@ -300,7 +300,7 @@ pub fn validate_sync(
     cid: u64,
     batch: &Batch,
     quorums: &QuorumSystem,
-    keys: &[VerifyingKey],
+    keys: &[PinnedKey],
 ) -> Result<Selection, ConsensusError> {
     let window = validate_sync_window(collect, regency, cid, batch, &[], quorums, keys)?;
     Ok(Selection {
@@ -325,7 +325,7 @@ pub fn validate_sync_window(
     batch: &Batch,
     rebinds: &[SlotRebind],
     quorums: &QuorumSystem,
-    keys: &[VerifyingKey],
+    keys: &[PinnedKey],
 ) -> Result<WindowSelection, ConsensusError> {
     let selection = select_window(collect, regency, quorums, keys)?;
     if selection.cid != cid {
@@ -369,7 +369,7 @@ mod tests {
 
     struct Fixture {
         sk: Vec<SigningKey>,
-        vk: Vec<VerifyingKey>,
+        vk: Vec<PinnedKey>,
         quorums: QuorumSystem,
     }
 
@@ -377,7 +377,7 @@ mod tests {
         let sk: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed(format!("sync-{i}").as_bytes()))
             .collect();
-        let vk = sk.iter().map(|k| *k.verifying_key()).collect();
+        let vk = sk.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect();
         Fixture {
             sk,
             vk,
@@ -780,7 +780,7 @@ mod tests {
         let sk: Vec<SigningKey> = (0..5)
             .map(|i| SigningKey::from_seed(format!("wheat-{i}").as_bytes()))
             .collect();
-        let vk: Vec<VerifyingKey> = sk.iter().map(|k| *k.verifying_key()).collect();
+        let vk: Vec<PinnedKey> = sk.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect();
         let quorums = QuorumSystem::wheat_binary(5, 1).unwrap();
         let fx = Fixture {
             sk,

@@ -8,7 +8,7 @@
 //! both run it, so they cannot disagree on the copy threshold.
 
 use crate::obs::FrontendObs;
-use hlf_crypto::ecdsa::{Signature, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, Signature, VerifyingKey};
 use hlf_crypto::sha256::Hash256;
 use hlf_fabric::block::{Block, BlockSignature};
 use hlf_obs::flight::EventKind;
@@ -33,8 +33,9 @@ pub enum DeliveryPolicy {
     /// Verify each copy's signature and accept after `f + 1` valid
     /// ones (paper footnote 8). Requires the orderer public keys.
     Verify {
-        /// Orderer public keys indexed by node id.
-        orderer_keys: Vec<VerifyingKey>,
+        /// Orderer public keys indexed by node id, pinned: every pushed
+        /// copy is checked against its sender's.
+        orderer_keys: Vec<PinnedKey>,
     },
 }
 
@@ -96,8 +97,10 @@ impl FrontendConfig {
     }
 
     /// Switches to signature verification with `f + 1` copies.
-    pub fn with_verification(mut self, orderer_keys: Vec<VerifyingKey>) -> FrontendConfig {
-        self.policy = DeliveryPolicy::Verify { orderer_keys };
+    pub fn with_verification(mut self, orderer_keys: &[VerifyingKey]) -> FrontendConfig {
+        self.policy = DeliveryPolicy::Verify {
+            orderer_keys: PinnedKey::pin_all(orderer_keys),
+        };
         self
     }
 

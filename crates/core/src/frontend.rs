@@ -212,15 +212,15 @@ impl Frontend {
 mod tests {
     use super::*;
     use crate::collector::VERIFY_CACHE_PER_SLOT;
-    use hlf_crypto::ecdsa::{SigningKey, VerifyingKey};
+    use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
     use hlf_crypto::sha256::Hash256;
     use hlf_transport::PeerId;
 
-    fn orderer_keys(n: usize) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
+    fn orderer_keys(n: usize) -> (Vec<SigningKey>, Vec<PinnedKey>) {
         let sk: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed(format!("fe-orderer-{i}").as_bytes()))
             .collect();
-        let vk = sk.iter().map(|k| *k.verifying_key()).collect();
+        let vk = sk.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect();
         (sk, vk)
     }
 

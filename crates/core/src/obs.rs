@@ -13,7 +13,7 @@
 //! | `core.cutter.target_block_size`  | gauge     | current adaptive envelopes-per-block target |
 //! | `core.cutter.block_fill_pct`     | histogram | envelopes per block as % of the configured size |
 //! | `core.signing.queue_wait_us`     | histogram | block submitted → a signer picks it up |
-//! | `core.signing.sign_us`           | histogram | ECDSA signing time per block |
+//! | `core.signing.sign_us`           | histogram | ECDSA signing time per block (group time / group size) |
 //! | `core.signing.queue_depth`       | gauge     | blocks waiting in the signing queue |
 //! | `core.signing.signed`            | counter   | blocks signed and delivered |
 //! | `core.frontend.collect_round_us` | histogram | first block copy → matching-copy threshold |

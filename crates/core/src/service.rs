@@ -15,6 +15,15 @@ use hlf_wire::ClientId;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// An ordering node checkpoints every this many decisions. Its whole
+/// state is a block number, a header hash and the cutter's pending
+/// envelopes, so a checkpoint costs nothing (paper §5.2; ABL3 in
+/// EXPERIMENTS.md sweeps 8 → 2048 with no trend), while the log keeps
+/// every decided payload since the last one: at the SMR default of 256,
+/// batches of 4 KiB envelopes retain ~150 MiB per copy — the bulk of
+/// `hub_large_fanout`'s peak RSS. At 64 that is under 40 MiB.
+const CHECKPOINT_EVERY: u64 = 64;
+
 /// Service-level options.
 #[derive(Clone, Debug)]
 pub struct ServiceOptions {
@@ -148,6 +157,7 @@ impl ServiceOptions {
     /// process per replica over TCP, the geo simulator).
     pub fn runtime_options(&self) -> RuntimeOptions {
         let mut runtime = RuntimeOptions::classic(self.f)
+            .with_checkpoint_interval(CHECKPOINT_EVERY)
             .with_batch_max(self.batch_max)
             .with_request_timeout_ms(self.request_timeout_ms)
             .with_pipeline_depth(self.pipeline_depth);
@@ -211,7 +221,7 @@ impl ServiceOptions {
         let config = FrontendConfig::new(id, orderer_keys.len(), self.f)
             .with_tentative(self.tentative_execution());
         if self.frontend_verification {
-            config.with_verification(orderer_keys.to_vec())
+            config.with_verification(orderer_keys)
         } else {
             config
         }

@@ -64,11 +64,24 @@ impl SigningStats {
     }
 }
 
+/// Most blocks a worker signs as one group ([`Block::sign_group`]). A
+/// group of `g` pays its two inversions once, so the inversions' share
+/// of a signature falls as `1/g`: at 16 it is under a microsecond of
+/// ~14 (a cap of 64 measured the same throughput, a cap of 4 about 8 %
+/// less). A worker also never holds more than this many blocks away
+/// from the other workers.
+const GROUP_MAX: usize = 16;
+
 /// A fixed-size pool of signer threads.
 ///
 /// Each submitted block is signed with the node's key and handed to the
 /// `deliver` callback (which, in the ordering node, transmits it to all
 /// registered frontends through a [`hlf_smr::PushHandle`]).
+///
+/// A worker takes the first queued block blocking and then whatever is
+/// *already* queued, up to [`GROUP_MAX`], signs the group at once and
+/// delivers its blocks in queue order. It never waits for a group to
+/// fill: a lone block is signed alone and at once.
 pub struct SigningPool {
     jobs: SyncSender<(Block, Instant)>,
     workers: Vec<JoinHandle<()>>,
@@ -159,30 +172,44 @@ impl SigningPool {
                     .name(format!("signer-{node}-{w}"))
                     .spawn(move || {
                         loop {
-                            // The guard is a temporary of this statement:
-                            // released before signing starts.
-                            let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                            let Ok((mut block, enqueued_at)) = job else { break };
+                            // The first job blocking, then whatever is
+                            // already queued: a group is never waited for.
+                            // The guard is released before signing starts.
+                            let mut group = Vec::new();
+                            {
+                                let job_rx = job_rx.lock().unwrap_or_else(PoisonError::into_inner);
+                                let Ok(first) = job_rx.recv() else { break };
+                                group.push(first);
+                                while group.len() < GROUP_MAX {
+                                    let Ok(next) = job_rx.try_recv() else { break };
+                                    group.push(next);
+                                }
+                            }
                             let dequeued_at = Instant::now();
-                            block.sign(node, &key);
-                            stats.signed.fetch_add(1, Ordering::Release);
-                            if let Some(obs) = &obs {
-                                obs.queue_wait_us.record(
-                                    (dequeued_at - enqueued_at).as_micros() as u64,
-                                );
-                                obs.sign_us
-                                    .record(dequeued_at.elapsed().as_micros() as u64);
-                                obs.signed.inc();
+                            let (mut blocks, enqueued): (Vec<Block>, Vec<Instant>) =
+                                group.into_iter().unzip();
+                            Block::sign_group(&mut blocks, node, &key);
+                            // Each block's share of its group's signing time.
+                            let sign_us =
+                                dequeued_at.elapsed().as_micros() as u64 / blocks.len() as u64;
+                            for (block, enqueued_at) in blocks.into_iter().zip(enqueued) {
+                                let queue_wait_us = (dequeued_at - enqueued_at).as_micros() as u64;
+                                stats.signed.fetch_add(1, Ordering::Release);
+                                if let Some(obs) = &obs {
+                                    obs.queue_wait_us.record(queue_wait_us);
+                                    obs.sign_us.record(sign_us);
+                                    obs.signed.inc();
+                                }
+                                if let Some(flight) = &flight {
+                                    flight.record_now(
+                                        EventKind::SignDone,
+                                        block.header.number,
+                                        sign_us,
+                                        queue_wait_us,
+                                    );
+                                }
+                                deliver(block);
                             }
-                            if let Some(flight) = &flight {
-                                flight.record_now(
-                                    EventKind::SignDone,
-                                    block.header.number,
-                                    dequeued_at.elapsed().as_micros() as u64,
-                                    (dequeued_at - enqueued_at).as_micros() as u64,
-                                );
-                            }
-                            deliver(block);
                         }
                     })
                     .expect("spawn signer thread") // lint:allow(panic): OS thread-spawn failure at pool construction is unrecoverable
@@ -274,6 +301,7 @@ impl Drop for SigningPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlf_crypto::ecdsa::PinnedKey;
     use hlf_wire::Bytes;
     use hlf_crypto::sha256::Hash256;
     use std::time::{Duration, Instant};
@@ -303,6 +331,7 @@ mod tests {
         assert_eq!(pool.stats().signed(), 50);
         assert_eq!(pool.stats().submitted(), 50);
         assert_eq!(pool.stats().pending(), 0);
+        let keys = vec![PinnedKey::new(*key.verifying_key()); 8];
         let blocks = delivered.lock().unwrap();
         let mut numbers: Vec<u64> = blocks.iter().map(|b| b.header.number).collect();
         numbers.sort_unstable();
@@ -311,13 +340,58 @@ mod tests {
         for b in blocks.iter() {
             assert_eq!(b.signatures.len(), 1);
             assert_eq!(b.signatures[0].node, 7);
-            assert_eq!(b.valid_signatures(&[*key.verifying_key()][..]), 0);
-            // node id 7 indexes beyond a 1-key vec; build a proper map:
-            let mut keys = vec![*key.verifying_key(); 8];
-            keys[7] = *key.verifying_key();
+            assert_eq!(b.valid_signatures(&keys[..1]), 0);
+            // node id 7 indexes beyond a 1-key slice; the full map has it:
             assert_eq!(b.valid_signatures(&keys), 1);
         }
         drop(blocks);
+    }
+
+    /// A burst larger than two groups on two workers: every block is
+    /// signed exactly once with a signature that verifies, and each
+    /// worker delivers its blocks in queue order.
+    #[test]
+    fn burst_is_signed_once_each_and_in_order_per_worker() {
+        let key = SigningKey::from_seed(b"pool-burst");
+        let delivered = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&delivered);
+        let pool = SigningPool::new(2, 0, key.clone(), move |b| {
+            let worker = std::thread::current().name().unwrap_or_default().to_string();
+            sink.lock().unwrap().push((worker, b));
+        });
+        for number in 1..=37 {
+            pool.submit(block(number));
+        }
+        drop(pool); // drains the queue, partly filled last group included
+        let delivered = delivered.lock().unwrap();
+        let keys = [PinnedKey::new(*key.verifying_key())];
+        let mut numbers = Vec::new();
+        let mut last_of: std::collections::HashMap<&str, u64> = Default::default();
+        for (worker, b) in delivered.iter() {
+            assert_eq!(b.signatures.len(), 1, "block {} signed once", b.header.number);
+            assert_eq!(b.valid_signatures(&keys), 1);
+            numbers.push(b.header.number);
+            let last = last_of.insert(worker.as_str(), b.header.number);
+            assert!(last < Some(b.header.number), "{worker} delivered out of queue order");
+        }
+        numbers.sort_unstable();
+        assert_eq!(numbers, (1..=37).collect::<Vec<u64>>());
+    }
+
+    /// A lone block is signed at once: no worker waits for a second
+    /// block to fill a group.
+    #[test]
+    fn lone_block_is_signed_without_waiting_for_a_second() {
+        let key = SigningKey::from_seed(b"pool-lone");
+        let (tx, rx) = mpsc::channel();
+        let tx = Mutex::new(tx);
+        let pool = SigningPool::new(2, 0, key.clone(), move |b| {
+            let _ = tx.lock().unwrap().send(b);
+        });
+        pool.submit(block(1));
+        let signed = rx.recv_timeout(Duration::from_secs(10)).expect("lone block signed");
+        assert_eq!(signed.valid_signatures(&[PinnedKey::new(*key.verifying_key())]), 1);
+        assert_eq!(pool.stats().counters(), (1, 1));
     }
 
     #[test]
@@ -422,7 +496,7 @@ mod tests {
         for _ in 0..3 {
             let pushed = recv_block(&frontend);
             // Each block carries this node's signature.
-            assert_eq!(pushed.valid_signatures(&[*key.verifying_key()]), 1);
+            assert_eq!(pushed.valid_signatures(&[PinnedKey::new(*key.verifying_key())]), 1);
             numbers.push(pushed.header.number);
         }
         numbers.sort_unstable();
@@ -442,7 +516,7 @@ mod tests {
         let (mut sink, frontend, _network) = sink_with_frontend(&config);
         sink(block(1));
         let pushed = recv_block(&frontend);
-        assert_eq!(pushed.valid_signatures(&[*key.verifying_key()]), 1);
+        assert_eq!(pushed.valid_signatures(&[PinnedKey::new(*key.verifying_key())]), 1);
     }
 
     #[test]

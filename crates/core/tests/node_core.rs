@@ -12,7 +12,8 @@
 //! Request windows, on replicated counters (`CounterApp`, whose reply to
 //! each request is the running count, so the replies a node emits spell
 //! out the order it executed in): what one client frame may carry and
-//! how it is ordered.
+//! how it is ordered; and where the request→decide clock of
+//! `smr.node.request_decide_us` starts.
 
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request, Vote, VotePhase};
 use hlf_crypto::ecdsa::SigningKey;
@@ -26,6 +27,7 @@ use hlf_wire::{Bytes, ClientId, NodeId};
 use ordering_core::node::OrderingNodeApp;
 use ordering_core::service::ServiceOptions;
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 const N: usize = 4;
 const CLIENT: u32 = 7;
@@ -33,6 +35,8 @@ const CHECKPOINT_EVERY: u64 = 5;
 
 struct Net {
     cores: Vec<NodeCore>,
+    /// Per node: its metrics registry.
+    registries: Vec<Arc<hlf_obs::Registry>>,
     queue: VecDeque<(usize, PeerId, SmrMsg)>,
     now_us: u64,
     /// Nodes whose links are down: nothing reaches or leaves them.
@@ -73,14 +77,16 @@ impl Net {
             .runtime_options()
             .with_checkpoint_interval(CHECKPOINT_EVERY);
         let keys = ClusterKeys::derive("node-core-test", N);
+        let registries: Vec<_> = (0..N).map(|i| hlf_obs::Registry::new(format!("node-{i}"))).collect();
         let cores = (0..N)
             .map(|i| {
-                let config = runtime.node_config(i, &keys, None, None);
+                let config = runtime.node_config(i, &keys, Some(Arc::clone(&registries[i])), None);
                 NodeCore::new(&config, app(&options, i, &keys), Box::new(MemoryLog::new()))
             })
             .collect();
         Net {
             cores,
+            registries,
             queue: VecDeque::new(),
             now_us: 0,
             cut: HashSet::new(),
@@ -160,6 +166,12 @@ impl Net {
     fn submit(&mut self, seq: u64) {
         self.send_window(CLIENT, &[request(CLIENT, seq)]);
         self.run();
+    }
+
+    /// Samples `node` has recorded in `smr.node.request_decide_us`.
+    fn decide_samples(&self, node: usize) -> u64 {
+        let snapshot = self.registries[node].snapshot();
+        snapshot.histogram("smr.node.request_decide_us").map_or(0, |h| h.count)
     }
 
     /// `(client, seq)` of every reply `node` emitted, in order.
@@ -302,6 +314,40 @@ fn answered_seq_in_a_window_is_replayed_and_the_rest_is_ordered() {
     for node in 0..N {
         assert_eq!(net.cores[node].stats().executed_requests(), 2);
         assert_eq!(net.executed(node), [(CLIENT, 1), (CLIENT, 1), (CLIENT, 2)]);
+    }
+}
+
+/// `smr.node.request_decide_us` runs from a request's first sight on a
+/// node. The client's copy reaches only the leader, so the followers
+/// meet the request in its PROPOSE and decide on that copy: each records
+/// its sample all the same. The client's copies that arrive after the
+/// decide start no clock: nothing would ever stop it.
+#[test]
+fn request_decide_clock_starts_at_first_sight_propose_included() {
+    let mut net = Net::counters();
+    let window = SmrMsg::Requests(vec![request(CLIENT, 1)]);
+    net.now_us += 50;
+    net.step(0, Input::Frame(PeerId::Client(CLIENT), window.clone()));
+    net.run();
+    for node in 0..N {
+        assert_eq!(net.last_cid(node), 1);
+        assert_eq!(net.decide_samples(node), 1, "node {node}");
+        assert_eq!(net.cores[node].open_request_stamps(), 0, "node {node}");
+    }
+    for node in 1..N {
+        net.now_us += 50;
+        net.step(node, Input::Frame(PeerId::Client(CLIENT), window.clone()));
+    }
+    net.run();
+    for node in 0..N {
+        assert_eq!(net.cores[node].open_request_stamps(), 0, "stale stamp on node {node}");
+    }
+    // The usual order of arrival — client copy first, PROPOSE second —
+    // still gives one sample per request, clocked from the client copy.
+    net.submit(2);
+    for node in 0..N {
+        assert_eq!(net.decide_samples(node), 2, "node {node}");
+        assert_eq!(net.cores[node].open_request_stamps(), 0, "node {node}");
     }
 }
 

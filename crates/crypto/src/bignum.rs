@@ -183,6 +183,7 @@ impl U256 {
 
     /// Limb-wise select: `b` when `cond`, else `a`, without a branch.
     #[inline]
+    #[allow(clippy::needless_range_loop)] // three arrays walked in step
     // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
     fn select(cond: bool, a: &U256, b: &U256) -> U256 {
         let mask = 0u64.wrapping_sub(cond as u64);
@@ -414,6 +415,7 @@ impl Monty {
     /// Interleaved CIOS product specialised to the P-256 field prime:
     /// five multiplications per round instead of nine (see
     /// [`Monty::reduce_wide_p256`] for the Solinas round derivation).
+    #[allow(clippy::needless_range_loop)] // CIOS is written in index form
     // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
     fn montgomery_mul_p256(&self, a: &U256, b: &U256) -> U256 {
         const M3: u64 = 0xffff_ffff_0000_0001;

@@ -7,10 +7,11 @@
 
 use crate::bignum::U256;
 use crate::hmac::hmac_sha256_multi;
-use crate::p256::{order, scalar_field, Point};
+use crate::p256::{batch_invert, invert_scalar, order, scalar_field, CombTable, Point};
 use crate::sha256::{sha256, Hash256};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// An ECDSA signature: the pair `(r, s)` as canonical scalars.
 ///
@@ -147,23 +148,17 @@ impl VerifyingKey {
     /// Computes `u1·G + u2·Q` with one Strauss–Shamir interleaved
     /// ladder ([`Point::lincomb`]) rather than two independent scalar
     /// multiplications, and compares the resulting x-coordinate against
-    /// `r` in Jacobian form, skipping the final field inversion.
+    /// `r` in Jacobian form, skipping the final field inversion. This is
+    /// the path for arbitrary keys (clients, endorsers); a key that is
+    /// verified against for the life of the process is better held as a
+    /// [`PinnedKey`].
     ///
     /// # Errors
     ///
     /// Returns [`VerifyError`] if the signature does not match.
     pub fn verify_digest(&self, digest: &Hash256, signature: &Signature) -> Result<(), VerifyError> {
-        let sf = scalar_field();
-        let z = digest_to_scalar(digest);
-        let s_inv = sf.inv(&sf.to_monty(&signature.s));
-        let u1 = sf.from_monty(&sf.mul(&sf.to_monty(&z), &s_inv));
-        let u2 = sf.from_monty(&sf.mul(&sf.to_monty(&signature.r), &s_inv));
-        let point = Point::lincomb(&u1, &self.point, &u2);
-        if !point.is_identity() && point.affine_x_reduced_eq(&signature.r) {
-            Ok(())
-        } else {
-            Err(VerifyError)
-        }
+        let (u1, u2) = verification_scalars(digest, signature);
+        x_matches_r(&Point::lincomb(&u1, &self.point, &u2), signature)
     }
 
     /// Reference verification path: two independent reference scalar
@@ -204,6 +199,85 @@ impl VerifyingKey {
     /// Returns [`VerifyError`] if the signature does not match.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), VerifyError> {
         self.verify_digest(&sha256(message), signature)
+    }
+}
+
+/// `(u1, u2) = (z·s⁻¹, r·s⁻¹) mod n`: the two scalars of the
+/// verification equation `u1·G + u2·Q`, for one scalar inversion.
+fn verification_scalars(digest: &Hash256, signature: &Signature) -> (U256, U256) {
+    let sf = scalar_field();
+    let z = digest_to_scalar(digest);
+    let s_inv = invert_scalar(&sf.to_monty(&signature.s));
+    let u1 = sf.from_monty(&sf.mul(&sf.to_monty(&z), &s_inv));
+    let u2 = sf.from_monty(&sf.mul(&sf.to_monty(&signature.r), &s_inv));
+    (u1, u2)
+}
+
+/// The final check of a verification: `point = u1·G + u2·Q` is finite
+/// and its affine x-coordinate is `r` modulo the group order.
+fn x_matches_r(point: &Point, signature: &Signature) -> Result<(), VerifyError> {
+    if !point.is_identity() && point.affine_x_reduced_eq(&signature.r) {
+        Ok(())
+    } else {
+        Err(VerifyError)
+    }
+}
+
+/// A public key pinned for repeated verification: the key plus its
+/// precomputed radix-16 comb (60 KiB, ~0.4 ms to build, shared by
+/// clones).
+///
+/// The orderers' keys are the same `n` keys for the life of a process,
+/// and every vote, decision proof and block signature is checked
+/// against one of them. With the key's comb next to the generator's,
+/// `u1·G + u2·Q` is two doubling-free comb walks (~120 mixed additions)
+/// instead of [`VerifyingKey::verify_digest`]'s 252-doubling ladder.
+/// Accepts and rejects exactly what the unpinned path does.
+///
+/// # Examples
+///
+/// ```
+/// use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
+/// use hlf_crypto::sha256::sha256;
+///
+/// let key = SigningKey::from_seed(b"orderer-0");
+/// let pinned = PinnedKey::new(*key.verifying_key());
+/// let digest = sha256(b"header");
+/// assert!(pinned.verify_digest(&digest, &key.sign_digest(&digest)).is_ok());
+/// ```
+#[derive(Clone)]
+pub struct PinnedKey {
+    key: VerifyingKey,
+    comb: Arc<CombTable>,
+}
+
+impl fmt::Debug for PinnedKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PinnedKey").field(&self.key).finish()
+    }
+}
+
+impl PinnedKey {
+    /// Builds the key's comb.
+    pub fn new(key: VerifyingKey) -> PinnedKey {
+        let comb = Arc::new(CombTable::new(&key.point));
+        PinnedKey { key, comb }
+    }
+
+    /// Pins a key set, index for index (node id → key).
+    pub fn pin_all(keys: &[VerifyingKey]) -> Vec<PinnedKey> {
+        keys.iter().copied().map(PinnedKey::new).collect()
+    }
+
+    /// Verifies `signature` over a 32-byte message digest; same verdict
+    /// as [`VerifyingKey::verify_digest`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VerifyError`] if the signature does not match.
+    pub fn verify_digest(&self, digest: &Hash256, signature: &Signature) -> Result<(), VerifyError> {
+        let (u1, u2) = verification_scalars(digest, signature);
+        x_matches_r(&self.comb.mul_add(&u2, Point::mul_base(&u1)), signature)
     }
 }
 
@@ -264,40 +338,97 @@ impl SigningKey {
         &self.public
     }
 
-    /// Signs a 32-byte message digest with an RFC 6979 deterministic nonce.
-    ///
-    /// `k·G` runs through the precomputed fixed-base comb
-    /// ([`Point::mul_base`]): 64 mixed additions, no runtime doublings.
+    /// Signs a 32-byte message digest with an RFC 6979 deterministic
+    /// nonce: [`SigningKey::sign_digests`] of one.
+    // lint:allow(panic): `sign_digests` returns one signature per digest
     pub fn sign_digest(&self, digest: &Hash256) -> Signature {
-        self.sign_digest_with(digest, Point::mul_base)
+        self.sign_digests(std::slice::from_ref(digest))
+            .pop()
+            .expect("one signature per digest")
     }
 
-    /// Reference signing path using the naive ladder for `k·G`; same
-    /// RFC 6979 nonces, so it produces bit-identical signatures.
+    /// Signs a group of digests, one signature each, for the price of
+    /// **one** field inversion and **one** scalar inversion in total.
     ///
-    /// Kept so the tests can cross-check the fast path against it.
-    #[cfg(test)]
-    pub fn sign_digest_reference(&self, digest: &Hash256) -> Signature {
-        self.sign_digest_with(digest, |k| Point::generator().mul_reference(k))
-    }
-
-    fn sign_digest_with(&self, digest: &Hash256, mul_base: impl Fn(&U256) -> Point) -> Signature {
-        // lint:secret-scope(k, k_inv, rd, z_plus_rd) — the nonce and every
+    /// A lone signature spends about 20 of its 33 µs inverting: `k⁻¹`
+    /// and the Jacobian→affine conversion of `R = k·G`. Here every
+    /// digest gets its own RFC 6979 nonce and its own comb walk
+    /// ([`Point::mul_base`]), then Montgomery's trick shares the two
+    /// inversions across the group. The nonces are the ones
+    /// [`SigningKey::sign_digest`] derives, so the signatures are
+    /// byte-identical to signing each digest alone; a digest whose `r`
+    /// or `s` comes out zero is retried with its next RFC 6979 nonce.
+    pub fn sign_digests(&self, digests: &[Hash256]) -> Vec<Signature> {
+        // lint:secret-scope(d, nonces, k, k_invs, k_inv, rd, z_plus_rd) — the
+        // private scalar, every nonce, every peeled `k⁻¹` (the running
+        // prefix products are scoped inside `batch_invert`) and every
         // private-scalar product must not steer control flow or memory
         // addressing; `r` and `s` are public signature components.
+        struct Job {
+            /// The digest as a scalar, Montgomery form.
+            z: U256,
+            nonces: Rfc6979,
+            signature: Option<Signature>,
+        }
+        let sf = scalar_field();
+        let n = order();
+        let d = sf.to_monty(&self.d);
+        let mut jobs: Vec<Job> = digests
+            .iter()
+            .map(|digest| Job {
+                z: sf.to_monty(&digest_to_scalar(digest)),
+                nonces: Rfc6979::new(&self.d, digest),
+                signature: None,
+            })
+            .collect();
+        loop {
+            // Every round but the first re-signs only the digests whose
+            // `r` or `s` was zero (probability ~2⁻²⁵⁶ each).
+            let mut open: Vec<&mut Job> =
+                jobs.iter_mut().filter(|job| job.signature.is_none()).collect();
+            if open.is_empty() {
+                break;
+            }
+            let nonces: Vec<U256> = open.iter_mut().map(|job| job.nonces.next_nonce()).collect();
+            // RFC 6979 nonces are in `[1, n-1]`, so no `k·G` is the identity.
+            let points: Vec<Point> = nonces.iter().map(Point::mul_base).collect();
+            let xs = Point::batch_affine_x(&points);
+            let mut k_invs: Vec<U256> = nonces.iter().map(|k| sf.to_monty(k)).collect();
+            batch_invert(sf, &mut k_invs, invert_scalar);
+            for ((job, x), k_inv) in open.into_iter().zip(&xs).zip(&k_invs) {
+                let r = x.reduce_once(n);
+                // s = k^{-1} (z + r d) mod n
+                let rd = sf.mul(&sf.to_monty(&r), &d);
+                let z_plus_rd = sf.add(&job.z, &rd);
+                let s = sf.from_monty(&sf.mul(k_inv, &z_plus_rd));
+                // `None` exactly when `r` or `s` is zero: both are below `n`.
+                job.signature = Signature::from_scalars(r, s);
+            }
+        }
+        jobs.into_iter().filter_map(|job| job.signature).collect()
+    }
+
+    /// Reference signing path, sharing nothing with the group path but
+    /// the nonce derivation: one digest, the naive ladder for `k·G`, its
+    /// own affine conversion and the generic
+    /// [`crate::bignum::Monty::inv`] for `k⁻¹`. Same RFC 6979 nonces, so
+    /// bit-identical signatures.
+    ///
+    /// Kept so the tests can cross-check the group path against it.
+    #[cfg(test)]
+    pub fn sign_digest_reference(&self, digest: &Hash256) -> Signature {
         let sf = scalar_field();
         let n = order();
         let z = digest_to_scalar(digest);
         let mut nonce_gen = Rfc6979::new(&self.d, digest);
         loop {
             let k = nonce_gen.next_nonce();
-            let point = mul_base(&k);
-            let (x, _) = point.to_affine().expect("k in [1, n-1] gives finite kG"); // lint:allow(panic): RFC 6979 nonces are in `[1, n-1]`, so `kG` is never the identity
+            let point = Point::generator().mul_reference(&k);
+            let (x, _) = point.to_affine().expect("k in [1, n-1] gives finite kG");
             let r = x.reduce_once(n);
             if r.is_zero() {
                 continue;
             }
-            // s = k^{-1} (z + r d) mod n
             let k_inv = sf.inv(&sf.to_monty(&k));
             let rd = sf.mul(&sf.to_monty(&r), &sf.to_monty(&self.d));
             let z_plus_rd = sf.add(&sf.to_monty(&z), &rd);
@@ -372,6 +503,7 @@ impl Rfc6979 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::p256::cost;
 
     /// RFC 6979 appendix A.2.5 private key and public key for P-256.
     fn rfc6979_key() -> SigningKey {
@@ -504,6 +636,175 @@ mod tests {
                     Err(VerifyError)
                 );
             }
+        }
+    }
+
+    /// The RFC 6979 A.2.5 signatures of "sample" and "test" come out of
+    /// one two-element group.
+    #[test]
+    fn rfc6979_vectors_from_one_group() {
+        let sigs = rfc6979_key().sign_digests(&[sha256(b"sample"), sha256(b"test")]);
+        let hex: Vec<(String, String)> =
+            sigs.iter().map(|sig| (sig.r().to_hex(), sig.s().to_hex())).collect();
+        assert_eq!(
+            hex,
+            [
+                (
+                    "efd48b2aacb6a8fd1140dd9cd45e81d69d2c877b56aaf991c34d0ea84eaf3716".to_string(),
+                    "f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8".to_string()
+                ),
+                (
+                    "f1abb023518351cd71d881567b1ea663ed3efcf6c5132b354f28d3b0b7d38367".to_string(),
+                    "019f4113742a2b14bd25926b49c649155f267e60d3814b4c0cc84250e46f0083".to_string()
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_group_signs_nothing() {
+        assert!(SigningKey::from_seed(b"empty").sign_digests(&[]).is_empty());
+    }
+
+    /// Deterministic cost guard: a group of 16 shares one field
+    /// inversion and one scalar inversion. A refactor that falls back to
+    /// per-signature inversions fails here, not in a noisy benchmark.
+    #[test]
+    fn group_of_16_costs_one_inversion_of_each_kind() {
+        let key = SigningKey::from_seed(b"cost-sign");
+        let digests: Vec<Hash256> = (0..16u8).map(|i| sha256(&[i])).collect();
+        key.sign_digest(&digests[0]); // builds the generator's comb outside the count
+        let (field_inversions, scalar_inversions, _) = cost::measure(|| {
+            assert_eq!(key.sign_digests(&digests).len(), 16);
+        });
+        assert_eq!((field_inversions, scalar_inversions), (1, 1));
+    }
+
+    /// Deterministic cost guard: verification against a pinned key walks
+    /// two combs — no doubling, no field inversion, one scalar inversion.
+    #[test]
+    fn pinned_verification_costs_no_doubling_and_one_scalar_inversion() {
+        let key = SigningKey::from_seed(b"cost-verify");
+        let pinned = PinnedKey::new(*key.verifying_key());
+        let digest = sha256(b"vote");
+        let sig = key.sign_digest(&digest);
+        let pinned_cost = cost::measure(|| pinned.verify_digest(&digest, &sig).unwrap());
+        assert_eq!(pinned_cost, (0, 1, 0));
+        // The guard can see the slow path: the unpinned ladder doubles.
+        let (_, _, doublings) =
+            cost::measure(|| key.verifying_key().verify_digest(&digest, &sig).unwrap());
+        assert!(doublings >= 248, "{doublings} doublings");
+    }
+
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
+    mod properties {
+        use super::*;
+        use crate::p256::field;
+        use hlf_simnet::{for_each_case, SimRng};
+
+        fn arb_digest(rng: &mut SimRng) -> Hash256 {
+            let mut bytes = [0u8; 32];
+            for chunk in bytes.chunks_exact_mut(8) {
+                chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+            }
+            Hash256(bytes)
+        }
+
+        fn arb_key(rng: &mut SimRng) -> SigningKey {
+            SigningKey::from_seed(&rng.next_u64().to_le_bytes())
+        }
+
+        #[test]
+        fn group_signatures_equal_lone_signatures() {
+            for_each_case(0xecd5_0001, 8, |rng| {
+                let key = arb_key(rng);
+                for size in [1usize, 2, 3, 16, 17] {
+                    let mut digests: Vec<Hash256> = (0..size).map(|_| arb_digest(rng)).collect();
+                    if size == 3 {
+                        digests[2] = digests[0]; // a repeated digest repeats its signature
+                    }
+                    let group = key.sign_digests(&digests);
+                    assert_eq!(group.len(), size);
+                    for (digest, sig) in digests.iter().zip(&group) {
+                        assert_eq!(*sig, key.sign_digest(digest), "size {size}");
+                        assert_eq!(*sig, key.sign_digest_reference(digest), "size {size}");
+                    }
+                }
+            });
+        }
+
+        /// All three verification paths give one verdict.
+        fn verdict(key: &VerifyingKey, digest: &Hash256, sig: &Signature) -> bool {
+            let unpinned = key.verify_digest(digest, sig).is_ok();
+            let pinned = PinnedKey::new(*key).verify_digest(digest, sig).is_ok();
+            let reference = key.verify_digest_reference(digest, sig).is_ok();
+            assert_eq!(pinned, unpinned, "pinned against unpinned");
+            assert_eq!(pinned, reference, "pinned against reference");
+            pinned
+        }
+
+        #[test]
+        fn pinned_verification_agrees_with_unpinned_and_reference() {
+            for_each_case(0xecd5_0002, 16, |rng| {
+                let (key, other) = (arb_key(rng), arb_key(rng));
+                let (digest, other_digest) = (arb_digest(rng), arb_digest(rng));
+                let sig = key.sign_digest(&digest);
+                assert!(verdict(key.verifying_key(), &digest, &sig));
+                assert!(!verdict(other.verifying_key(), &digest, &sig), "wrong key");
+                assert!(!verdict(key.verifying_key(), &other_digest, &sig), "wrong digest");
+            });
+        }
+
+        #[test]
+        fn every_single_bit_flip_of_r_and_s_is_rejected_by_all_paths() {
+            for_each_case(0xecd5_0003, 2, |rng| {
+                let key = arb_key(rng);
+                let pinned = PinnedKey::new(*key.verifying_key());
+                let digest = arb_digest(rng);
+                let bytes = key.sign_digest(&digest).to_bytes();
+                for bit in 0..512 {
+                    let mut flipped = bytes;
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    // A flip that leaves `[1, n-1]` does not even parse.
+                    let Some(bad) = Signature::from_bytes(&flipped) else { continue };
+                    assert_eq!(pinned.verify_digest(&digest, &bad), Err(VerifyError), "bit {bit}");
+                    assert!(!verdict(key.verifying_key(), &digest, &bad), "bit {bit}");
+                }
+            });
+        }
+
+        /// The second candidate of `affine_x_reduced_eq`: a signature whose
+        /// `R` has an x-coordinate in `[n, p)`, so `r = x − n` and only
+        /// `r + n` matches. No signer hits it by chance (~2⁻¹²⁸), so the
+        /// key is built backwards from `R`: `Q = r⁻¹·(s·R − z·G)`.
+        #[test]
+        fn x_coordinate_above_the_order_verifies_on_all_paths() {
+            let sf = scalar_field();
+            let n = order();
+            for_each_case(0xecd5_0004, 4, |rng| {
+                let mut r = U256::from_u64(rng.next_u64() >> 1);
+                let big_r = loop {
+                    let (x, carry) = r.adc(n);
+                    assert!(!carry && &x < field().modulus());
+                    match Point::decompress(&x, rng.next_u64() & 1 == 1) {
+                        Some(point) => break point,
+                        None => r = r.adc(&U256::ONE).0,
+                    }
+                };
+                let digest = arb_digest(rng);
+                let z = digest_to_scalar(&digest);
+                let s = digest_to_scalar(&arb_digest(rng));
+                let r_inv = sf.from_monty(&sf.inv(&sf.to_monty(&r)));
+                let q = big_r
+                    .mul_reference(&s)
+                    .add(&Point::generator().mul_reference(&z).neg())
+                    .mul_reference(&r_inv);
+                let key = VerifyingKey::from_point(q).unwrap();
+                let sig = Signature::from_scalars(r, s).unwrap();
+                assert!(verdict(&key, &digest, &sig));
+                let off_by_one = Signature::from_scalars(r.adc(&U256::ONE).0, s).unwrap();
+                assert!(!verdict(&key, &digest, &off_by_one));
+            });
         }
     }
 

@@ -80,6 +80,14 @@ struct AffinePoint {
     y: U256,
 }
 
+/// `x^(2^n)`: `n` squarings in the domain of `f`.
+fn sqn(f: &Monty, mut x: U256, n: usize) -> U256 {
+    for _ in 0..n {
+        x = f.square(&x);
+    }
+    x
+}
+
 /// Inverts a non-zero field element with a fixed addition chain for
 /// `p − 2` (255 squarings + 12 multiplications, versus ~384 operations
 /// for generic square-and-multiply).
@@ -87,13 +95,9 @@ struct AffinePoint {
 /// The chain exploits the Solinas structure of
 /// `p = 2^256 − 2^224 + 2^192 + 2^96 − 1`; its correctness is checked
 /// against [`Monty::inv`] by the property tests below.
-fn invert_field(f: &Monty, a: &U256) -> U256 {
-    fn sqn(f: &Monty, mut x: U256, n: usize) -> U256 {
-        for _ in 0..n {
-            x = f.square(&x);
-        }
-        x
-    }
+fn invert_field(a: &U256) -> U256 {
+    cost::count(cost::Op::FieldInversion);
+    let f = field();
     let x1 = *a; //                                   a^(2^1 - 1)
     let x2 = f.mul(&sqn(f, x1, 1), &x1); //           a^(2^2 - 1)
     let x3 = f.mul(&sqn(f, x2, 1), &x1); //           a^(2^3 - 1)
@@ -111,62 +115,123 @@ fn invert_field(f: &Monty, a: &U256) -> U256 {
     f.mul(&sqn(f, t, 2), &x1)
 }
 
-/// Normalizes a batch of non-identity Jacobian points to affine with a
-/// single field inversion (Montgomery's trick): invert the running
-/// product of the `z` coordinates, then peel per-point inverses off
-/// with two multiplications each.
-// lint:allow(panic): `i < points.len()` indexes `prefix`/`out`, both sized `points.len()`; `prefix[i - 1]` is guarded by the `i == 0` branch
-fn batch_normalize(points: &[Point]) -> Vec<AffinePoint> {
-    let f = field();
-    let mut prefix = Vec::with_capacity(points.len());
-    let mut acc = f.one();
-    for p in points {
-        debug_assert!(!p.is_identity(), "cannot normalize the identity");
-        acc = f.mul(&acc, &p.z);
-        prefix.push(acc);
+/// The low 128 bits of `n − 2`, `0xbce6faada7179e84f3b9cac2fc63254f`,
+/// as a 4-bit sliding window read from the top: each step squares the
+/// accumulator `.0` times, then multiplies by `a^.1` (`.1` odd, ≤ 15).
+const SCALAR_INV_TAIL: [(usize, usize); 27] = [
+    (4, 11), (2, 3), (5, 7), (6, 13), (4, 15), (4, 5), (5, 11), (5, 13), (5, 7),
+    (7, 11), (2, 3), (6, 15), (2, 1), (8, 9), (3, 7), (5, 7), (4, 7), (5, 7),
+    (5, 5), (3, 3), (8, 11), (4, 15), (5, 3), (5, 3), (6, 9), (4, 5), (6, 15),
+];
+
+/// Inverts a non-zero scalar (Montgomery form, modulo the group order)
+/// with a fixed addition chain for `n − 2`: 253 squarings + 39
+/// multiplications, versus ~430 operations for [`Monty::inv`]'s generic
+/// square-and-multiply.
+///
+/// The top half of `n − 2` is `ffffffff 00000000 ffffffff ffffffff`,
+/// three copies of `a^(2^32 − 1)`; the bottom half has no structure and
+/// goes through [`SCALAR_INV_TAIL`]. The exponent is a public constant,
+/// so the sequence of operations — and every table index — is the same
+/// for every input: constant-time by construction. Checked against
+/// [`Monty::inv`] by the tests below.
+// lint:allow(panic): `power / 2` with `power ≤ 15` from the constant `SCALAR_INV_TAIL` indexes the 8-entry `odd` table, as does `i - 1` with `i ∈ 1..8`
+pub(crate) fn invert_scalar(a: &U256) -> U256 {
+    cost::count(cost::Op::ScalarInversion);
+    let sf = scalar_field();
+    // odd[i] = a^(2i + 1)
+    let a2 = sf.square(a);
+    let mut odd = [*a; 8];
+    for i in 1..8 {
+        odd[i] = sf.mul(&odd[i - 1], &a2);
     }
-    let mut inv = invert_field(f, &acc);
-    let mut out = vec![
-        AffinePoint {
-            x: U256::ZERO,
-            y: U256::ZERO
-        };
-        points.len()
-    ];
-    for i in (0..points.len()).rev() {
-        let z_inv = if i == 0 {
-            inv
-        } else {
-            f.mul(&inv, &prefix[i - 1])
-        };
-        inv = f.mul(&inv, &points[i].z);
-        let z_inv2 = f.square(&z_inv);
-        let z_inv3 = f.mul(&z_inv2, &z_inv);
-        out[i] = AffinePoint {
-            x: f.mul(&points[i].x, &z_inv2),
-            y: f.mul(&points[i].y, &z_inv3),
-        };
+    let x4 = odd[7]; //                                a^(2^4 - 1)
+    let x8 = sf.mul(&sqn(sf, x4, 4), &x4); //          a^(2^8 - 1)
+    let x16 = sf.mul(&sqn(sf, x8, 8), &x8); //         a^(2^16 - 1)
+    let x32 = sf.mul(&sqn(sf, x16, 16), &x16); //      a^(2^32 - 1)
+    let t = sf.mul(&sqn(sf, x32, 64), &x32); //        ffffffff 00000000 ffffffff
+    let mut t = sf.mul(&sqn(sf, t, 32), &x32); //      .. ffffffff
+    for (squarings, power) in SCALAR_INV_TAIL {
+        t = sf.mul(&sqn(sf, t, squarings), &odd[power / 2]);
     }
-    out
+    t
 }
 
-/// Precomputed fixed-base table for the generator: radix-16 comb.
+/// Montgomery's trick: replaces every (non-zero) element of `values` by
+/// its inverse in the domain of `f` with a *single* call to `invert` —
+/// invert the product of all of them, then peel each element's inverse
+/// off with two multiplications.
 ///
-/// `windows[i][j - 1] = j · 16^i · G` for `i ∈ 0..64`, `j ∈ 1..=15`,
-/// stored affine (960 points, ~60 KiB). A fixed-base multiplication
-/// then decomposes the scalar into 64 nibbles and performs **only
-/// mixed additions — zero runtime doublings**, since every needed
-/// doubling is baked into the table.
-struct BaseTable {
+/// No branch and no index depends on a value, so the scalar use (ECDSA
+/// nonces) is as constant-time as `invert` is.
+pub(crate) fn batch_invert(f: &Monty, values: &mut [U256], invert: fn(&U256) -> U256) {
+    // lint:secret-scope(values, value, prefix, before, acc, inv, own) —
+    // group signing passes the RFC 6979 nonces: the running prefix
+    // products and every peeled inverse are as secret as the nonces.
+    let mut prefix = Vec::with_capacity(values.len());
+    let mut acc = f.one();
+    for value in values.iter() {
+        prefix.push(acc); // product of everything before `value`
+        acc = f.mul(&acc, value);
+    }
+    let mut inv = invert(&acc);
+    for (value, before) in values.iter_mut().zip(&prefix).rev() {
+        let own = f.mul(&inv, before);
+        inv = f.mul(&inv, value);
+        *value = own;
+    }
+}
+
+/// `1/z` of every (non-identity) point of a batch, for a single field
+/// inversion in total ([`batch_invert`]).
+fn batch_invert_z(points: &[Point]) -> Vec<U256> {
+    let mut z_invs: Vec<U256> = points.iter().map(|p| p.z).collect();
+    debug_assert!(z_invs.iter().all(|z| !z.is_zero()), "the identity has no affine form");
+    batch_invert(field(), &mut z_invs, invert_field);
+    z_invs
+}
+
+/// Normalizes a batch of non-identity Jacobian points to affine with a
+/// single field inversion.
+fn batch_normalize(points: &[Point]) -> Vec<AffinePoint> {
+    let f = field();
+    points
+        .iter()
+        .zip(&batch_invert_z(points))
+        .map(|(p, z_inv)| {
+            let z_inv2 = f.square(z_inv);
+            let z_inv3 = f.mul(&z_inv2, z_inv);
+            AffinePoint {
+                x: f.mul(&p.x, &z_inv2),
+                y: f.mul(&p.y, &z_inv3),
+            }
+        })
+        .collect()
+}
+
+/// Precomputed radix-16 comb for one fixed point `P`.
+///
+/// `windows[i][j - 1] = j · 16^i · P` for `i ∈ 0..64`, `j ∈ 1..=15`,
+/// stored affine (960 points, 60 KiB, ~0.4 ms to build). A
+/// multiplication by `P` then decomposes the scalar into 64 nibbles and
+/// performs **only mixed additions — zero runtime doublings**, since
+/// every needed doubling is baked into the table.
+///
+/// One table for the generator serves [`Point::mul_base`]; ECDSA
+/// verification builds one per long-lived public key
+/// ([`crate::ecdsa::PinnedKey`]).
+pub(crate) struct CombTable {
     windows: Vec<[AffinePoint; 15]>,
 }
 
-// lint:allow(panic): `chunks_exact(15)` yields exactly 15-entry chunks, so the array conversion cannot fail
-fn base_table() -> &'static BaseTable {
-    static T: OnceLock<BaseTable> = OnceLock::new();
-    T.get_or_init(|| {
+impl CombTable {
+    /// Builds the comb of a non-identity point: 960 additions and one
+    /// batched field inversion.
+    // lint:allow(panic): `chunks_exact(15)` yields exactly 15-entry chunks, so the array conversion cannot fail
+    pub(crate) fn new(point: &Point) -> CombTable {
+        debug_assert!(!point.is_identity(), "the identity has no comb");
         let mut jacobian = Vec::with_capacity(64 * 15);
-        let mut base = Point::generator(); // 16^i · G
+        let mut base = *point; // 16^i · P
         for _ in 0..64 {
             let mut multiple = base; // j · base
             for _ in 1..=15 {
@@ -180,8 +245,37 @@ fn base_table() -> &'static BaseTable {
             .chunks_exact(15)
             .map(|chunk| <[AffinePoint; 15]>::try_from(chunk).expect("15-entry window"))
             .collect();
-        BaseTable { windows }
-    })
+        CombTable { windows }
+    }
+
+    /// `acc + scalar · P`: 64 nibble lookups, each one mixed addition,
+    /// and **no doublings at all** (every `16^i` shift is baked into the
+    /// table).
+    // lint:allow(panic): `63 - 2i` and `62 - 2i` with `i < 32` index the 64 comb windows; nibbles `≤ 15` index the 15-entry window
+    pub(crate) fn mul_add(&self, scalar: &U256, mut acc: Point) -> Point {
+        // lint:secret-scope(scalar, bytes, byte, hi, lo) — signing walks the
+        // generator's comb with the RFC 6979 nonce.
+        let bytes = scalar.to_be_bytes();
+        for (i, byte) in bytes.iter().enumerate() {
+            // bytes[i] contributes nibbles at windows 63-2i (high) and
+            // 62-2i (low) of the radix-16 decomposition.
+            let hi = (byte >> 4) as usize;
+            let lo = (byte & 0x0f) as usize;
+            if hi != 0 { // lint:allow(consttime): nibble-skip is a documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+                acc = acc.add_affine(&self.windows[63 - 2 * i][hi - 1]); // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+            }
+            if lo != 0 { // lint:allow(consttime): nibble-skip is a documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+                acc = acc.add_affine(&self.windows[62 - 2 * i][lo - 1]); // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+            }
+        }
+        acc
+    }
+}
+
+/// The generator's comb, built on first use.
+fn base_table() -> &'static CombTable {
+    static T: OnceLock<CombTable> = OnceLock::new();
+    T.get_or_init(|| CombTable::new(&Point::generator()))
 }
 
 /// Direct-mapped global cache of per-point affine window tables.
@@ -314,12 +408,24 @@ impl Point {
             return None;
         }
         let f = field();
-        let z_inv = invert_field(f, &self.z);
+        let z_inv = invert_field(&self.z);
         let z_inv2 = f.square(&z_inv);
         let z_inv3 = f.mul(&z_inv2, &z_inv);
         let x = f.from_monty(&f.mul(&self.x, &z_inv2));
         let y = f.from_monty(&f.mul(&self.y, &z_inv3));
         Some((x, y))
+    }
+
+    /// The affine x-coordinates (plain integers) of a batch of
+    /// non-identity points, for a single field inversion in total —
+    /// what group signing needs of its `k·G` points.
+    pub(crate) fn batch_affine_x(points: &[Point]) -> Vec<U256> {
+        let f = field();
+        points
+            .iter()
+            .zip(&batch_invert_z(points))
+            .map(|(p, z_inv)| f.from_monty(&f.mul(&p.x, &f.square(z_inv))))
+            .collect()
     }
 
     /// Returns `true` for the point at infinity.
@@ -346,6 +452,7 @@ impl Point {
 
     /// Point doubling (`dbl-2001-b`, exploits `a = -3`).
     pub fn double(&self) -> Point {
+        cost::count(cost::Op::Doubling);
         if self.is_identity() || self.y.is_zero() {
             return Point::identity();
         }
@@ -593,32 +700,10 @@ impl Point {
         acc
     }
 
-    /// `scalar * G` via the precomputed radix-16 comb table: 64 nibble
-    /// lookups, each one mixed addition, and **no doublings at all**
-    /// (every `16^i` shift is baked into the table).
-    // lint:allow(panic): `63 - 2i` and `62 - 2i` with `i < 32` index the 64 comb windows; nibbles `≤ 15` index the 15-entry window
+    /// `scalar * G` via the generator's precomputed [`CombTable`]: 64
+    /// mixed additions, no runtime doublings.
     pub fn mul_base(scalar: &U256) -> Point {
-        // lint:secret-scope(scalar, bytes, hi, lo) — signing calls this
-        // with the RFC 6979 nonce.
-        if scalar.is_zero() { // lint:allow(consttime): zero nonces are rejected by RFC 6979 sampling, so signing never takes this arm
-            return Point::identity();
-        }
-        let table = base_table();
-        let bytes = scalar.to_be_bytes();
-        let mut acc = Point::identity();
-        for (i, byte) in bytes.iter().enumerate() {
-            // bytes[i] contributes nibbles at windows 63-2i (high) and
-            // 62-2i (low) of the radix-16 decomposition.
-            let hi = (byte >> 4) as usize;
-            let lo = (byte & 0x0f) as usize;
-            if hi != 0 { // lint:allow(consttime): nibble-skip is a documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
-                acc = acc.add_affine(&table.windows[63 - 2 * i][hi - 1]); // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
-            }
-            if lo != 0 { // lint:allow(consttime): nibble-skip is a documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
-                acc = acc.add_affine(&table.windows[62 - 2 * i][lo - 1]); // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
-            }
-        }
-        acc
+        base_table().mul_add(scalar, Point::identity())
     }
 
     /// Strauss–Shamir interleaved double-scalar multiplication:
@@ -792,6 +877,48 @@ impl Point {
             f.from_monty(&f.neg(&y))
         };
         Point::from_affine(x, &y_final)
+    }
+}
+
+/// Per-thread operation counts for the deterministic cost guards: a
+/// test runs one signature group or one verification under
+/// [`cost::measure`] and asserts how many inversions and doublings it
+/// took. Outside tests [`cost::count`] is empty and compiles away.
+pub(crate) mod cost {
+    /// The operations the guards count.
+    #[derive(Clone, Copy)]
+    pub(crate) enum Op {
+        FieldInversion,
+        ScalarInversion,
+        Doubling,
+    }
+
+    #[cfg(not(test))]
+    #[inline(always)]
+    pub(crate) fn count(_: Op) {}
+
+    #[cfg(test)]
+    pub(crate) fn count(op: Op) {
+        COUNTS.with(|counts| {
+            let mut now = counts.get();
+            now[op as usize] += 1;
+            counts.set(now);
+        });
+    }
+
+    #[cfg(test)]
+    thread_local! {
+        static COUNTS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+    }
+
+    /// Runs `work` and returns its `(field inversions, scalar
+    /// inversions, point doublings)` on this thread.
+    #[cfg(test)]
+    pub(crate) fn measure(work: impl FnOnce()) -> (u64, u64, u64) {
+        let before = COUNTS.get();
+        work();
+        let after = COUNTS.get();
+        (after[0] - before[0], after[1] - before[1], after[2] - before[2])
     }
 }
 
@@ -1038,11 +1165,11 @@ mod tests {
         let f = field();
         for v in [1u64, 2, 3, 65537, 0xdeadbeef] {
             let a = f.to_monty(&U256::from_u64(v));
-            assert_eq!(invert_field(f, &a), f.inv(&a), "v={v}");
+            assert_eq!(invert_field(&a), f.inv(&a), "v={v}");
         }
         let (gx, _) = Point::generator().to_affine().unwrap();
         let a = f.to_monty(&gx);
-        assert_eq!(f.mul(&a, &invert_field(f, &a)), f.one());
+        assert_eq!(f.mul(&a, &invert_field(&a)), f.one());
     }
 
     #[test]
@@ -1056,6 +1183,32 @@ mod tests {
             let (x, y) = p.to_affine().unwrap();
             assert_eq!(f.from_monty(&a.x), x);
             assert_eq!(f.from_monty(&a.y), y);
+        }
+    }
+
+    /// Pins the table [`Point::mul_base`] walks: entry `j - 1` of window
+    /// `i` of the generator's comb is `j · 16^i · G`, computed here by
+    /// the reference ladder.
+    #[test]
+    fn generator_comb_entries_are_the_multiples_of_g() {
+        let f = field();
+        let comb = CombTable::new(&Point::generator());
+        assert_eq!(comb.windows.len(), 64);
+        let mut shift = U256::ONE; // 16^i
+        for (i, window) in comb.windows.iter().enumerate() {
+            let mut scalar = U256::ZERO; // j · 16^i
+            for (j, entry) in window.iter().enumerate() {
+                scalar = scalar.adc(&shift).0;
+                let (x, y) = Point::generator().mul_reference(&scalar).to_affine().unwrap();
+                assert_eq!((f.from_monty(&entry.x), f.from_monty(&entry.y)), (x, y), "i={i} j={}", j + 1);
+            }
+            shift = scalar.adc(&shift).0; // 16 · 16^i; wraps to 0 after the last window
+        }
+        let base = base_table();
+        for (built, cached) in comb.windows.iter().zip(&base.windows) {
+            for (a, b) in built.iter().zip(cached) {
+                assert_eq!((a.x, a.y), (b.x, b.y));
+            }
         }
     }
 
@@ -1120,6 +1273,52 @@ mod tests {
         }
 
         #[test]
+        fn scalar_inversion_chain_matches_generic_inversion() {
+            let sf = scalar_field();
+            let check = |a: U256| {
+                let am = sf.to_monty(&a);
+                assert_eq!(invert_scalar(&am), sf.inv(&am), "a={a}");
+            };
+            check(U256::ONE);
+            check(U256::from_u64(2));
+            check(order().sbb(&U256::ONE).0);
+            for_each_case(0x9256_0006, 1000, |rng| {
+                let a = arb_scalar(rng).reduce_once(order());
+                if !a.is_zero() {
+                    check(a);
+                }
+            });
+        }
+
+        #[test]
+        fn batch_invert_matches_one_inversion_each() {
+            let sf = scalar_field();
+            for_each_case(0x9256_0007, CASES, |rng| {
+                let len = (rng.next_u64() % 20) as usize;
+                let values: Vec<U256> = (0..len)
+                    .map(|_| sf.to_monty(&sparse_scalar(rng).reduce_once(order())))
+                    .filter(|v| !v.is_zero())
+                    .collect();
+                let mut inverted = values.clone();
+                batch_invert(sf, &mut inverted, invert_scalar);
+                let expect: Vec<U256> = values.iter().map(|v| sf.inv(v)).collect();
+                assert_eq!(inverted, expect);
+            });
+        }
+
+        #[test]
+        fn comb_of_any_point_matches_reference() {
+            for_each_case(0x9256_0008, 8, |rng| {
+                let (k, a, seed) = (arb_scalar(rng), arb_scalar(rng), rng.next_u64());
+                let q = Point::generator().mul_reference(&U256::from_u64(seed | 1));
+                let comb = CombTable::new(&q);
+                let acc = Point::generator().mul_reference(&a);
+                assert_eq!(comb.mul_add(&k, acc), q.mul_reference(&k).add(&acc));
+                assert_eq!(comb.mul_add(&U256::ZERO, acc), acc);
+            });
+        }
+
+        #[test]
         fn field_inversion_chain_is_correct() {
             let f = field();
             for_each_case(0x9256_0005, CASES, |rng| {
@@ -1128,7 +1327,7 @@ mod tests {
                     return;
                 }
                 let am = f.to_monty(&a);
-                assert_eq!(invert_field(f, &am), f.inv(&am));
+                assert_eq!(invert_field(&am), f.inv(&am));
             });
         }
     }

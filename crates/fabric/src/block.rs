@@ -6,7 +6,7 @@
 //! `f + 1` valid orderer signatures.
 
 use hlf_wire::Bytes;
-use hlf_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
 use hlf_crypto::sha256::{sha256_concat, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use std::sync::OnceLock;
@@ -188,14 +188,25 @@ impl Block {
         *self.cached_header_hash.get_or_init(|| self.header.hash())
     }
 
-    /// Signs the header with an orderer key, appending the signature.
+    /// Signs the header with an orderer key, appending the signature:
+    /// [`Block::sign_group`] of one.
     pub fn sign(&mut self, node: u32, key: &SigningKey) {
-        let signature = key.sign_digest(&self.header_hash());
-        self.signatures.push(BlockSignature { node, signature });
+        Block::sign_group(std::slice::from_mut(self), node, key);
+    }
+
+    /// Signs the header of every block of `blocks` with one orderer key
+    /// as one group ([`SigningKey::sign_digests`]: the group shares its
+    /// two inversions), appending to each block the signature
+    /// [`Block::sign`] would.
+    pub fn sign_group(blocks: &mut [Block], node: u32, key: &SigningKey) {
+        let hashes: Vec<Hash256> = blocks.iter().map(Block::header_hash).collect();
+        for (block, signature) in blocks.iter_mut().zip(key.sign_digests(&hashes)) {
+            block.signatures.push(BlockSignature { node, signature });
+        }
     }
 
     /// Counts valid signatures from distinct known orderers.
-    pub fn valid_signatures(&self, orderer_keys: &[VerifyingKey]) -> usize {
+    pub fn valid_signatures(&self, orderer_keys: &[PinnedKey]) -> usize {
         let header_hash = self.header_hash();
         let mut seen = std::collections::HashSet::new();
         self.signatures
@@ -367,7 +378,7 @@ impl Ledger {
     pub fn append(
         &mut self,
         block: Block,
-        orderer_keys: &[VerifyingKey],
+        orderer_keys: &[PinnedKey],
         needed_signatures: usize,
     ) -> Result<(), LedgerError> {
         if block.header.channel != self.channel {
@@ -424,11 +435,11 @@ impl Ledger {
 mod tests {
     use super::*;
 
-    fn keys(n: usize) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
+    fn keys(n: usize) -> (Vec<SigningKey>, Vec<PinnedKey>) {
         let sk: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed(format!("orderer-{i}").as_bytes()))
             .collect();
-        let vk = sk.iter().map(|k| *k.verifying_key()).collect();
+        let vk = sk.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect();
         (sk, vk)
     }
 

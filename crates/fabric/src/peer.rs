@@ -5,7 +5,7 @@ use crate::chaincode::{Chaincode, ChaincodeError};
 use crate::envelope::{Envelope, Proposal, ProposalResponse};
 use crate::kvstore::{SimulationView, VersionedKv};
 use crate::types::{TxValidation, Version};
-use hlf_crypto::ecdsa::{SigningKey, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, SigningKey, VerifyingKey};
 use hlf_crypto::sha256::Hash256;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -74,6 +74,9 @@ impl fmt::Debug for PeerConfig {
 /// A combined endorsing + committing peer on one channel.
 pub struct Peer {
     config: PeerConfig,
+    /// `config.orderer_keys`, pinned once: every block is checked
+    /// against these.
+    orderer_keys: Vec<PinnedKey>,
     state: VersionedKv,
     ledger: Ledger,
     chaincodes: HashMap<String, Box<dyn Chaincode>>,
@@ -125,6 +128,7 @@ impl Peer {
     /// channels are rejected at commit time.
     pub fn new_on_channel(config: PeerConfig, channel: impl Into<String>) -> Peer {
         Peer {
+            orderer_keys: PinnedKey::pin_all(&config.orderer_keys),
             config,
             state: VersionedKv::new(),
             ledger: Ledger::for_channel(channel),
@@ -210,7 +214,7 @@ impl Peer {
         let envelopes = block.envelopes.clone();
         self.ledger.append(
             block,
-            &self.config.orderer_keys,
+            &self.orderer_keys,
             self.config.orderer_signatures_needed,
         )?;
 

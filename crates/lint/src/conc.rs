@@ -61,8 +61,10 @@ fn static_pass(name: &str) -> &'static str {
 /// Combines per-file facts into the final report, running the
 /// cross-file passes. `timings` accumulates per-pass microseconds.
 pub fn combine(facts: &[FileFacts], timings: &mut BTreeMap<String, u64>) -> Report {
-    let mut report = Report::default();
-    report.files_scanned = facts.len();
+    let mut report = Report {
+        files_scanned: facts.len(),
+        ..Report::default()
+    };
 
     // Local findings and lex errors first.
     for f in facts {

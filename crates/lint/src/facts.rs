@@ -1088,10 +1088,8 @@ pub(crate) fn guard_live_range(
                 }
                 break;
             }
-            "match" | "for" | "if" | "while" | "return" => {
-                if nearest_kw.is_empty() {
-                    nearest_kw = t.to_string();
-                }
+            "match" | "for" | "if" | "while" | "return" if nearest_kw.is_empty() => {
+                nearest_kw = t.to_string();
             }
             _ => {}
         }
@@ -1120,14 +1118,13 @@ pub(crate) fn guard_live_range(
                             return (call_end, ci);
                         }
                     }
-                    "drop" => {
+                    "drop"
                         if binding.is_some()
                             && ctx.ctext(ci + 1) == "("
                             && Some(ctx.ctext(ci + 2).to_string()) == binding
-                            && ctx.ctext(ci + 3) == ")"
-                        {
-                            return (call_end, ci);
-                        }
+                            && ctx.ctext(ci + 3) == ")" =>
+                    {
+                        return (call_end, ci);
                     }
                     _ => {}
                 }

@@ -204,8 +204,10 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_escaped() {
-        let mut r = Report::default();
-        r.files_scanned = 3;
+        let mut r = Report {
+            files_scanned: 3,
+            ..Report::default()
+        };
         r.findings.push(Finding {
             file: "a\"b.rs".into(),
             line: 1,

@@ -13,6 +13,7 @@ use crate::app::{Application, Dest, Outbound};
 use crate::obs::NodeObs;
 use crate::storage::LogStore;
 use crate::wire::{LogEntry, SmrMsg};
+use hlf_consensus::messages::{ConsensusMsg, Request};
 use hlf_consensus::replica::{digest64, signer_bitmap, Action, Config as ConsensusConfig, Replica};
 use hlf_consensus::{HealthObs, ReplicaObs};
 use hlf_obs::flight::EventKind;
@@ -26,6 +27,9 @@ use std::time::Duration;
 
 /// A pending `StateRequest` round is repeated after this long (µs).
 const TRANSFER_RETRY_US: u64 = 500_000;
+
+/// Most clients with an open request→decide stamp (24 bytes each).
+const REQUEST_SEEN_MAX: usize = 1 << 16;
 
 /// Node-level configuration on top of the consensus [`ConsensusConfig`].
 pub struct NodeConfig {
@@ -181,11 +185,10 @@ pub struct NodeCore {
     transfer: Option<Transfer>,
     obs: Option<NodeObs>,
     flight: Option<Arc<FlightRecorder>>,
-    /// Arrival time (µs) of each client's latest in-flight request (the
-    /// last one of its latest window), for the request→decide latency
-    /// histogram. One slot per client: a newer seq from the same client
-    /// supersedes the old entry, so the map is bounded by the
-    /// connected-client count.
+    /// `(seq, first sight in µs)` of each client's latest in-flight
+    /// request, for the request→decide latency histogram; see
+    /// [`NodeCore::note_first_sight`]. One slot per client, removed when
+    /// its request decides.
     request_seen: HashMap<ClientId, (u64, u64)>,
 }
 
@@ -231,6 +234,13 @@ impl NodeCore {
     /// This node's identity.
     pub fn node(&self) -> NodeId {
         self.consensus.node
+    }
+
+    /// Requests seen here and not yet decided that hold a
+    /// request→decide stamp: at most one per client, none once the
+    /// cluster is idle.
+    pub fn open_request_stamps(&self) -> usize {
+        self.request_seen.len()
     }
 
     /// The live counters (shared: the handle outlives a borrow).
@@ -299,14 +309,22 @@ impl NodeCore {
                 let Some(last) = requests.last() else {
                     return;
                 };
-                if self.obs.is_some() {
-                    self.request_seen.insert(client, (last.seq, now_us));
-                }
+                self.note_first_sight(std::slice::from_ref(last), now_us);
                 let actions = self.replica.on_requests(now_ms, requests);
                 self.apply(now_us, actions, out);
             }
             Input::Frame(PeerId::Client(id), SmrMsg::Subscribe) => self.join(ClientId(id), out),
             Input::Frame(PeerId::Replica(id), SmrMsg::Consensus(msg)) => {
+                // A follower often meets a request in the leader's
+                // PROPOSE (or a peer's Forward) before the client's own
+                // copy arrives, and may decide on that copy alone.
+                match &msg {
+                    ConsensusMsg::Propose { batch, .. } => {
+                        self.note_first_sight(&batch.requests, now_us);
+                    }
+                    ConsensusMsg::Forward { requests } => self.note_first_sight(requests, now_us),
+                    _ => {}
+                }
                 let actions = self.replica.on_message(now_ms, NodeId(id), msg);
                 self.apply(now_us, actions, out);
             }
@@ -323,6 +341,37 @@ impl NodeCore {
                 let outs = self.app.on_tick();
                 self.route(outs, out);
                 self.transfer_retry(now_us, out);
+            }
+        }
+    }
+
+    /// Stamps the request→decide clock of the requests a frame carries —
+    /// a client's window, a peer's `Forward`, the leader's PROPOSE — at
+    /// their *first sight* on this node: an earlier stamp of the same
+    /// request stands, a request already delivered gets none (its late
+    /// copy would leave a slot no decide ever clears), and a newer seq
+    /// supersedes the client's slot. A run of one client's requests is
+    /// stamped by its last one, which is what a slot per client holds
+    /// anyway.
+    fn note_first_sight(&mut self, requests: &[Request], now_us: u64) {
+        if self.obs.is_none() {
+            return;
+        }
+        for run in requests.chunk_by(|a, b| a.client == b.client) {
+            let Some(last) = run.last() else { continue };
+            if self.replica.was_delivered(&last.id()) {
+                continue;
+            }
+            // A faulty leader can name any client in a PROPOSE: past
+            // the cap only clients that already have a slot are stamped.
+            if self.request_seen.len() >= REQUEST_SEEN_MAX
+                && !self.request_seen.contains_key(&last.client)
+            {
+                continue;
+            }
+            let slot = self.request_seen.entry(last.client).or_insert((last.seq, now_us));
+            if slot.0 < last.seq {
+                *slot = (last.seq, now_us);
             }
         }
     }
@@ -484,7 +533,7 @@ impl NodeCore {
                 && entry.proof.hash == entry.batch.digest()
                 && entry
                     .proof
-                    .verify(&self.consensus.quorums, &self.consensus.keys)
+                    .verify(&self.consensus.quorums, self.replica.keys())
                     .is_ok();
             if valid {
                 transfer.entries.entry(entry.cid).or_insert(entry);

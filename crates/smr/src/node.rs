@@ -61,22 +61,18 @@ impl PushHandle {
 
     /// Sends an unsolicited push (`seq == 0`) to every connected client.
     ///
-    /// Each recipient gets a *fresh copy* of the payload rather than a
-    /// reference-counted clone. On a real deployment every frontend
-    /// connection serializes the full block onto the wire; paying that
-    /// per-receiver cost here is what lets the in-process LAN benchmarks
-    /// reproduce the paper's receiver-count scaling (Fig. 7).
+    /// The push is encoded once and every recipient gets a view of that
+    /// one pooled buffer, as with [`Output::ToAllClients`]: what the
+    /// frontends of a process have not polled yet costs it one frame per
+    /// pushing node, however many of them lag. The per-receiver cost
+    /// that gives the in-process LAN benchmarks their receiver-count
+    /// scaling (Fig. 7) is the receiver's own: decoding, hashing and
+    /// comparing each copy.
     pub fn push_all(&self, payload: Bytes) {
-        let pool = self.sender.pool();
         let msg = SmrMsg::Reply { seq: 0, payload };
-        let bytes = to_pooled_bytes(&msg, pool);
+        let bytes = to_pooled_bytes(&msg, self.sender.pool());
         for client in self.clients.read().iter() {
-            // Each copy recycles through the hub pool once the receiver
-            // drops its last view, so steady-state pushes reuse a fixed
-            // working set of buffers.
-            let mut buf = pool.take(bytes.len());
-            buf.extend_from_slice(&bytes);
-            let _ = self.sender.send(PeerId::Client(client.0), pool.wrap(buf));
+            let _ = self.sender.send(PeerId::Client(client.0), bytes.clone());
         }
     }
 

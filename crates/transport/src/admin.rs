@@ -116,11 +116,11 @@ impl AdminRequest {
             return None;
         }
         let cursor = read_u64(buf, 1)?;
-        match buf.first()? {
-            &Self::KIND_SNAPSHOT => Some(AdminRequest::MetricsSnapshot),
-            &Self::KIND_DELTA => Some(AdminRequest::MetricsDelta { cursor }),
-            &Self::KIND_FLIGHT => Some(AdminRequest::FlightDump { cursor }),
-            &Self::KIND_HEALTH => Some(AdminRequest::Health),
+        match *buf.first()? {
+            Self::KIND_SNAPSHOT => Some(AdminRequest::MetricsSnapshot),
+            Self::KIND_DELTA => Some(AdminRequest::MetricsDelta { cursor }),
+            Self::KIND_FLIGHT => Some(AdminRequest::FlightDump { cursor }),
+            Self::KIND_HEALTH => Some(AdminRequest::Health),
             _ => None,
         }
     }

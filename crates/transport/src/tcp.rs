@@ -406,7 +406,7 @@ impl TcpCore {
         }
     }
 
-    /// ---- initiator side -------------------------------------------------
+    // ---- initiator side -------------------------------------------------
 
     /// Dials `peer`, handshakes, and returns the connected stream plus
     /// the per-session authenticator.
@@ -565,7 +565,7 @@ impl TcpCore {
         Ok(())
     }
 
-    /// ---- acceptor side --------------------------------------------------
+    // ---- acceptor side --------------------------------------------------
 
     /// Accept-loop body (one thread per endpoint).
     fn acceptor_loop(&self, listener: &TcpListener) {

@@ -460,6 +460,7 @@ mod tests {
         let a = Bytes::from(b"same".to_vec());
         let b = Bytes::from_static(b"same");
         assert_eq!(a, b);
+        #[allow(clippy::mutable_key_type)] // the point of the test: keyed by content
         let mut set = std::collections::HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));

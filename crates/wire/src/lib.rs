@@ -664,8 +664,8 @@ mod tests {
 
     #[test]
     fn encoded_len_matches_encode_for_builtins() {
-        assert_eq!((&7u8).encoded_len(), to_bytes(&7u8).len());
-        assert_eq!((&7u64).encoded_len(), to_bytes(&7u64).len());
+        assert_eq!(7u8.encoded_len(), to_bytes(&7u8).len());
+        assert_eq!(7u64.encoded_len(), to_bytes(&7u64).len());
         assert_eq!(true.encoded_len(), 1);
         let v = vec![1u8, 2, 3];
         assert_eq!(v.encoded_len(), to_bytes(&v).len());

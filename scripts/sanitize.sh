@@ -11,7 +11,10 @@
 # cross-backend `tcp_codec` suite, the kill/restart `tcp_cluster`
 # integration test, and `hlf-crypto`'s `sha256` tests (the SHA-NI
 # compress loads message blocks through raw pointers, at unaligned
-# offsets and every length the differential suite draws).
+# offsets and every length the differential suite draws) next to its
+# `ecdsa` and `p256` tests (index-form limb loops, comb tables and the
+# group-signing vectors at every group size the differential suite
+# draws).
 #
 # Both modes are *gated*, not required: when the toolchain pieces are
 # missing the script prints a SKIP notice and exits 0, so the verify
@@ -69,6 +72,8 @@ run_test() { # cargo package + test-target selection
 
 if [ "$MODE" = asan ]; then
   run_test -p hlf-crypto --lib sha256
+  run_test -p hlf-crypto --lib ecdsa
+  run_test -p hlf-crypto --lib p256
 fi
 run_test -p hlf-transport --lib
 run_test -p hlf-smr --test tcp_codec

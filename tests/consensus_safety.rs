@@ -345,10 +345,8 @@ fn pipelined_view_change_reproposes_in_flight_slots() {
                         }
                     }
                 }
-                Action::Send(peer, m) => {
-                    if (1..=3).contains(&peer.0) {
-                        wire.push_back((to, peer, m));
-                    }
+                Action::Send(peer, m) if (1..=3).contains(&peer.0) => {
+                    wire.push_back((to, peer, m));
                 }
                 Action::Commit { cid, batch, .. } => {
                     commits.entry(to.as_usize()).or_default().push((cid, batch));

@@ -5,7 +5,7 @@
 //! of §5 in the middle.
 
 use hlf_wire::Bytes;
-use hlf_bft::crypto::ecdsa::SigningKey;
+use hlf_bft::crypto::ecdsa::{PinnedKey, SigningKey};
 use hlf_bft::fabric::{
     AssetChaincode, Envelope, EndorsementPolicy, KvChaincode, Peer, PeerConfig, Proposal,
     ProposalResponse, TxValidation,
@@ -214,6 +214,7 @@ fn blocks_carry_enough_signatures_for_peers() {
     // The 2f+1 matching copies merged at least 3 distinct signatures —
     // more than the f+1 = 2 the peers demand.
     assert!(block.signatures.len() >= 3);
-    assert!(block.valid_signatures(network.service.orderer_keys()) >= 3);
+    let orderer_keys = PinnedKey::pin_all(network.service.orderer_keys());
+    assert!(block.valid_signatures(&orderer_keys) >= 3);
     network.service.shutdown();
 }
