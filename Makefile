@@ -10,19 +10,19 @@ build:
 test:
 	cargo build --release && cargo test -q
 
-# hlf-lint enforces the invariants the compiler cannot see: panic
-# discipline, SAFETY-documented unsafe, an acyclic lock graph (now
-# interprocedural, following call edges across crates), no blocking IO
-# or waits while a guard is live, thread-lifecycle discipline
-# (spawns joined or reasoned-detached, no channel wait cycles),
-# constant-time secret scopes, Encode/Decode completeness, and the
-# println discipline the old grep target approximated. Zero unsuppressed
-# findings is the bar; suppressions need a reason
-# (`// lint:allow(<pass>): <why>`). See DESIGN.md §7.
-# The cache keeps re-runs incremental: unchanged files (by content
-# hash) skip extraction and only the cross-file combine re-runs.
+# Two enforcers, one bar (DESIGN.md §7 has the table). hlf-lint keeps
+# what no toolchain lint states: an acyclic lock graph (interprocedural,
+# following call edges across crates), no blocking IO or waits while a
+# guard is live, thread-lifecycle discipline (spawns joined or
+# reasoned-detached, no channel wait cycles), constant-time secret
+# scopes, Encode/Decode completeness, metric naming; suppressions are
+# `// lint:allow(<pass>): <why>`. Clippy has the rest: the `#![warn]`
+# block at the top of each library crate turns on panic discipline,
+# SAFETY-documented unsafe and no stdout, and an exception is an
+# `#[expect(clippy::.., reason = "..")]`. Zero findings, no unused or
+# reasonless suppression of either kind.
 lint:
-	cargo run --release -p hlf-lint -- --workspace --cache .lint-cache.json
+	cargo run --release -p hlf-lint -- --workspace
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Sanitizer sweeps over the threaded transport stack (transport unit

@@ -79,7 +79,7 @@ impl Dashboard {
 
     /// Feeds one replica event (call alongside
     /// [`ClusterAuditor::observe`]).
-    // lint:allow(panic): `node` and `peer` are bounds-checked before indexing
+    #[expect(clippy::indexing_slicing, reason = "`node` and `peer` are bounds-checked before indexing")]
     pub fn observe(&mut self, node: usize, event: &FlightEvent) {
         if node >= self.n {
             return;
@@ -126,7 +126,7 @@ impl Dashboard {
     }
 
     /// Renders one frame from the auditor's per-replica view.
-    // lint:allow(panic): `node` iterates 0..n, the length of both vecs
+    #[expect(clippy::indexing_slicing, reason = "`node` iterates 0..n, the length of both vecs")]
     pub fn render(&self, auditor: &ClusterAuditor) -> String {
         let mut out = String::new();
         out.push_str(&format!(

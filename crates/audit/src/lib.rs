@@ -28,6 +28,21 @@
 //! positives on clean runs, and `hlf_top` drives one over the flight
 //! rings of live `hlf_node` processes.
 
+// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
+// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod dashboard;
 pub mod monitor;
 pub mod timeline;

@@ -156,7 +156,7 @@ impl ClusterAuditor {
     }
 
     /// Feeds one event from replica `node`'s stream.
-    // lint:allow(panic): `node` is bounds-checked on entry
+    #[expect(clippy::indexing_slicing, reason = "`node` is bounds-checked on entry")]
     pub fn observe(&mut self, node: usize, event: &FlightEvent) {
         if node >= self.nodes.len() {
             return;
@@ -187,7 +187,7 @@ impl ClusterAuditor {
         }
     }
 
-    // lint:allow(panic): only called from observe, which bounds-checks `node`
+    #[expect(clippy::indexing_slicing, reason = "only called from observe, which bounds-checks `node`")]
     fn check_rollback(&mut self, node: usize, event: &FlightEvent) {
         if !self.nodes[node].in_viewchange {
             self.push_violation(
@@ -228,7 +228,7 @@ impl ClusterAuditor {
         }
     }
 
-    // lint:allow(panic): `node` bounds-checked in observe; the slot entry is created above each map index
+    #[expect(clippy::indexing_slicing, reason = "`node` bounds-checked in observe; the slot entry is created above each map index")]
     fn check_decide(&mut self, node: usize, event: &FlightEvent) {
         let (cid, digest, signers) = (event.a, event.b, event.c);
         self.check_signers(node, cid, signers, event.at_us, "decision proof");

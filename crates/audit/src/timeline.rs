@@ -36,7 +36,7 @@ pub struct CausalEvent {
 /// node clock, a [`EventKind::FrameSeq`] receive additionally joins the
 /// matching send's clock. The final timeline sorts by `(lamport, at_us,
 /// node)`, so causal order wins over timestamp ties.
-// lint:allow(panic): every (node, pos) pair is enumerated from `streams` itself
+#[expect(clippy::indexing_slicing, reason = "every (node, pos) pair is enumerated from `streams` itself")]
 pub fn reconstruct(streams: &[Vec<FlightEvent>]) -> Vec<CausalEvent> {
     // Interleave by global virtual time, breaking ties by node then by
     // local ring order (the stream index is the local order).

@@ -37,8 +37,6 @@ pub struct Timeline {
     pub phases: [u64; 5],
 }
 
-pub const PHASE_NAMES: [&str; 5] = ["relay", "write", "accept", "sign", "collect"];
-
 /// Per-replica consensus/signing boundary events.
 #[derive(Default)]
 struct NodeEvents {

@@ -28,6 +28,21 @@
 //! cluster.assert_consistent();
 //! ```
 
+// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
+// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod messages;
 pub mod obs;
 pub mod quorum;

@@ -67,7 +67,8 @@ impl Decode for Request {
 /// The wire format's length prefix (`hlf_wire::encode_seq`, byte
 /// strings), for digests that hash an encoding without building it.
 fn len_prefix(len: usize) -> [u8; 4] {
-    let len = u32::try_from(len).expect("value length fits in u32"); // lint:allow(panic): the wire format caps every value at u32 length, and the encoder this mirrors panics on the same input
+    #[expect(clippy::expect_used, reason = "the wire format caps every value at u32 length, and the encoder this mirrors panics on the same input")]
+    let len = u32::try_from(len).expect("value length fits in u32");
     len.to_le_bytes()
 }
 
@@ -426,7 +427,7 @@ pub struct StopData {
 }
 
 impl StopData {
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the fields of one STOP-DATA record")]
     fn signing_digest(
         regency: u32,
         cid: u64,
@@ -463,7 +464,7 @@ impl StopData {
 
     /// Builds and signs a stop-data record with an empty window report
     /// (the window-depth-1 case).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the fields of one STOP-DATA record")]
     pub fn sign(
         key: &SigningKey,
         node: NodeId,
@@ -481,7 +482,7 @@ impl StopData {
 
     /// Builds and signs a stop-data record carrying per-slot reports for
     /// in-flight slots above the frontier.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the fields of one STOP-DATA record")]
     pub fn sign_with_slots(
         key: &SigningKey,
         node: NodeId,

@@ -127,19 +127,6 @@ impl QuorumSystem {
         })
     }
 
-    /// Builds a quorum system from explicit weights and quorum weight.
-    ///
-    /// Useful for tests and for custom placements; the caller is
-    /// responsible for the weight-safety condition (any two quorums
-    /// intersect in more than `f·Vmax` weight).
-    pub fn from_weights(weights: Vec<u64>, quorum_weight: u64, f: usize) -> QuorumSystem {
-        QuorumSystem {
-            weights,
-            quorum_weight,
-            f,
-        }
-    }
-
     /// Number of replicas.
     pub fn n(&self) -> usize {
         self.weights.len()

@@ -1610,7 +1610,7 @@ impl Replica {
         self.handle(self.cfg.node, msg, actions);
     }
 
-    #[allow(clippy::too_many_arguments)] // the fields of one SYNC message
+    #[allow(clippy::too_many_arguments, reason = "the fields of one SYNC message")]
     fn handle_sync(
         &mut self,
         from: NodeId,
@@ -1823,7 +1823,7 @@ impl Replica {
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // index doubles as the node id in tests
+#[allow(clippy::needless_range_loop, reason = "index doubles as the node id in tests")]
 mod tests {
     use super::*;
     use hlf_wire::Bytes;
@@ -2064,7 +2064,7 @@ mod tests {
         // And a verified ValueReply lets a lagging replica commit
         // directly.
         let Action::Send(_, reply) = actions.into_iter().next().unwrap() else {
-            unreachable!()
+            panic!("a ValueRequest is answered with a Send")
         };
         let actions = replicas[3].on_message(0, NodeId(0), reply);
         assert!(actions

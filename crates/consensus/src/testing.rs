@@ -72,7 +72,7 @@ pub fn test_keys(n: usize) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
 
 impl Cluster {
     /// Builds a cluster with per-replica configs derived by `configure`.
-    // lint:allow(panic): deterministic test harness — `test_keys(n)` returns exactly `n` keys for indices `0..n`
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — `test_keys(n)` returns exactly `n` keys for indices `0..n`")]
     pub fn with_configs(
         n: usize,
         quorums: QuorumSystem,
@@ -108,7 +108,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics on invalid `(n, f)`.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::unwrap_used, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn classic(n: usize, f: usize) -> Cluster {
         Cluster::with_configs(n, QuorumSystem::classic(n, f).unwrap(), |c| c)
     }
@@ -118,7 +118,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics on invalid `(n, f)`.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::unwrap_used, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn wheat(n: usize, f: usize) -> Cluster {
         Cluster::with_configs(n, QuorumSystem::wheat_binary(n, f).unwrap(), |c| {
             c.with_tentative_execution(true)
@@ -148,14 +148,14 @@ impl Cluster {
     }
 
     /// Immutable replica access.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn replica(&self, i: usize) -> &Replica {
         &self.replicas[i]
     }
 
     /// Mutable replica access (e.g. to attach observability with
     /// [`Replica::attach_obs`] before driving traffic).
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn replica_mut(&mut self, i: usize) -> &mut Replica {
         &mut self.replicas[i]
     }
@@ -166,13 +166,13 @@ impl Cluster {
     }
 
     /// Events observed at replica `i`.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn observed(&self, i: usize) -> &[Observed] {
         &self.observed[i]
     }
 
     /// Final commits observed at replica `i`, in order.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn decisions(&self, i: usize) -> Vec<(u64, Batch)> {
         self.observed[i]
             .iter()
@@ -197,7 +197,7 @@ impl Cluster {
     }
 
     /// Submits a request to a single replica.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn submit_to(&mut self, i: usize, request: Request) {
         if self.crashed.contains(&NodeId(i as u32)) {
             return;
@@ -215,7 +215,7 @@ impl Cluster {
     }
 
     /// Advances the clock and ticks every live replica.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn advance_time(&mut self, delta_ms: u64) {
         self.now_ms += delta_ms;
         let now = self.now_ms;
@@ -229,7 +229,7 @@ impl Cluster {
     }
 
     /// Feeds a hand-crafted message into a replica (Byzantine tests).
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn inject(&mut self, to: usize, from: NodeId, msg: ConsensusMsg) {
         let now = self.now_ms;
         let actions = self.replicas[to].on_message(now, from, msg);
@@ -237,14 +237,14 @@ impl Cluster {
     }
 
     /// Simulates completed application-level state transfer at `i`.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn install_state(&mut self, i: usize, last_decided: u64) {
         let now = self.now_ms;
         let actions = self.replicas[i].install_state(now, last_decided);
         self.apply_actions(i, actions);
     }
 
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     fn apply_actions(&mut self, from_index: usize, actions: Vec<Action>) {
         let from = NodeId(from_index as u32);
         if self.crashed.contains(&from) {
@@ -283,7 +283,7 @@ impl Cluster {
     }
 
     /// Delivers one queued message. Returns `false` when idle.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn step(&mut self) -> bool {
         let in_flight = if self.random_order && self.queue.len() > 1 {
             let idx = (self.next_rand() % self.queue.len() as u64) as usize;
@@ -354,7 +354,7 @@ impl Cluster {
 
     /// Asserts every live replica committed the same ordered sequence
     /// of (cid, digest) pairs up to the shortest log.
-    // lint:allow(panic): deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "deterministic test harness — an out-of-range replica index is harness misuse and must fail the test loudly")]
     pub fn assert_prefix_consistent(&self) {
         let logs: Vec<Vec<(u64, hlf_crypto::sha256::Hash256)>> = (0..self.n())
             .map(|i| {

@@ -10,7 +10,7 @@
 //! reference implementation routes through consensus; see DESIGN.md.)
 
 use hlf_wire::Bytes;
-use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
+use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Encode, Reader, WireError};
 
 /// Why a block was cut — a property of the ordered stream itself, so
 /// every replica attributes each cut identically.
@@ -20,10 +20,6 @@ pub enum CutReason {
     Size,
     /// The next envelope would have exceeded the byte cap.
     Bytes,
-    /// The adaptive tuner flushed an aging partial block (the target
-    /// went [`stale_limit`](BlockCutter::with_adaptive) decides without
-    /// filling).
-    Stale,
 }
 
 /// A cut block's envelopes plus the reason the cut happened.
@@ -78,28 +74,16 @@ impl IntoIterator for Cut {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BlockCutter {
-    /// Envelopes per block (the paper evaluates 10 and 100). With the
-    /// adaptive tuner this is the *current* target, moved AIMD-style
-    /// within `[min_block_size, max_block_size]`.
+    /// Envelopes per block (the paper evaluates 10 and 100).
     block_size: usize,
     /// Byte cap: a block is cut early rather than exceed this.
     max_block_bytes: usize,
     buffer: Vec<Bytes>,
     buffered_bytes: usize,
-    /// Hard floor for the adaptive target.
-    min_block_size: usize,
-    /// Hard ceiling for the adaptive target.
-    max_block_size: usize,
-    /// Consecutive decides that left envelopes buffered without any
-    /// cut; fed by [`BlockCutter::on_decide`].
-    stale_decides: u32,
-    /// Decides a partial block may age before the tuner halves the
-    /// target and flushes it. `0` disables the tuner entirely.
-    stale_limit: u32,
 }
 
 impl BlockCutter {
-    /// Creates a fixed-target cutter.
+    /// Creates a cutter.
     ///
     /// # Panics
     ///
@@ -111,34 +95,7 @@ impl BlockCutter {
             max_block_bytes,
             buffer: Vec::with_capacity(block_size),
             buffered_bytes: 0,
-            min_block_size: block_size,
-            max_block_size: block_size,
-            stale_decides: 0,
-            stale_limit: 0,
         }
-    }
-
-    /// Enables the AIMD tuner: the target moves within
-    /// `[min, max]` — additive increase when decides keep arriving
-    /// full, halving (plus a flush of the aging buffer) after
-    /// `stale_limit` consecutive decides that cut nothing.
-    ///
-    /// Every tuner input is a property of the ordered stream, so all
-    /// replicas move the target in lockstep and keep cutting at
-    /// identical stream positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min` is zero, `min > max`, or `stale_limit` is zero.
-    pub fn with_adaptive(mut self, min: usize, max: usize, stale_limit: u32) -> BlockCutter {
-        assert!(min > 0, "minimum block size must be positive");
-        assert!(min <= max, "block size floor above ceiling");
-        assert!(stale_limit > 0, "stale limit must be positive");
-        self.min_block_size = min;
-        self.max_block_size = max;
-        self.stale_limit = stale_limit;
-        self.block_size = self.block_size.clamp(min, max);
-        self
     }
 
     /// Envelopes currently buffered.
@@ -146,53 +103,9 @@ impl BlockCutter {
         self.buffer.len()
     }
 
-    /// The current envelopes-per-block target.
+    /// The envelopes-per-block target.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// Whether the AIMD tuner is active.
-    pub fn is_adaptive(&self) -> bool {
-        self.stale_limit > 0
-    }
-
-    /// Feeds the tuner one decide's worth of stream observations:
-    /// `pushed` envelopes arrived on this channel and `cuts` blocks
-    /// were cut during the decide. Returns a stale flush when the
-    /// target halves with envelopes still buffered.
-    ///
-    /// AIMD: a decide that filled a whole block (`pushed >=` target,
-    /// `cuts > 0`) raises the target by an eighth — larger blocks
-    /// amortize signing under load. `stale_limit` consecutive decides
-    /// that cut nothing while envelopes wait halve the target (never
-    /// below the floor) and flush the buffer so latency stays bounded
-    /// when load drops.
-    pub fn on_decide(&mut self, pushed: usize, cuts: usize) -> Option<Cut> {
-        if self.stale_limit == 0 {
-            return None;
-        }
-        if cuts > 0 {
-            self.stale_decides = 0;
-            if pushed >= self.block_size {
-                let step = (self.block_size / 8).max(1);
-                self.block_size = (self.block_size + step).min(self.max_block_size);
-            }
-            return None;
-        }
-        if self.buffer.is_empty() {
-            self.stale_decides = 0;
-            return None;
-        }
-        self.stale_decides += 1;
-        if self.stale_decides < self.stale_limit {
-            return None;
-        }
-        self.stale_decides = 0;
-        self.block_size = (self.block_size / 2).max(self.min_block_size);
-        Some(Cut {
-            envelopes: self.drain(),
-            reason: CutReason::Stale,
-        })
     }
 
     /// Adds one ordered envelope; returns a full block's envelopes when
@@ -233,22 +146,9 @@ impl BlockCutter {
         std::mem::take(&mut self.buffer)
     }
 
-    /// Clones the pending envelopes (used for tentative-execution undo
-    /// records).
-    pub fn snapshot_envelopes(&self) -> Vec<Bytes> {
-        self.buffer.clone()
-    }
-
-    /// Replaces the pending envelopes (tentative-execution rollback).
-    pub fn restore_envelopes(&mut self, envelopes: Vec<Bytes>) {
-        self.buffered_bytes = envelopes.iter().map(Bytes::len).sum();
-        self.buffer = envelopes;
-    }
-
     /// Serializes the cutter's replicated state (checkpointing:
-    /// buffered envelopes are decided-but-uncut, and the adaptive
-    /// target/staleness counters steer future cuts, so all must
-    /// survive recovery identically at every replica).
+    /// buffered envelopes are decided-but-uncut, so they must survive
+    /// recovery identically at every replica).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode(&mut out);
@@ -261,13 +161,8 @@ impl BlockCutter {
     ///
     /// Returns a [`WireError`] for malformed snapshots.
     pub fn restore(&mut self, snapshot: &mut Reader<'_>) -> Result<(), WireError> {
-        let block_size = u64::decode(snapshot)? as usize;
-        self.stale_decides = u32::decode(snapshot)?;
         self.buffer = decode_seq(snapshot)?;
         self.buffered_bytes = self.buffer.iter().map(Bytes::len).sum();
-        if block_size > 0 {
-            self.block_size = block_size.clamp(self.min_block_size, self.max_block_size);
-        }
         Ok(())
     }
 }
@@ -277,15 +172,11 @@ impl BlockCutter {
 // constructing a fresh value.
 impl Encode for BlockCutter {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.block_size as u64).encode(out);
-        self.stale_decides.encode(out);
         encode_seq(&self.buffer, out);
     }
 
     fn encoded_len(&self) -> usize {
-        (self.block_size as u64).encoded_len()
-            + self.stale_decides.encoded_len()
-            + seq_encoded_len(&self.buffer)
+        seq_encoded_len(&self.buffer)
     }
 }
 
@@ -389,91 +280,6 @@ mod tests {
         let _ = BlockCutter::new(0, 100);
     }
 
-    #[test]
-    fn adaptive_grows_on_full_decides_and_caps_at_ceiling() {
-        let mut cutter = BlockCutter::new(8, usize::MAX).with_adaptive(2, 32, 4);
-        assert!(cutter.is_adaptive());
-        // Saturating decides: each delivered at least a full block.
-        let mut last = cutter.block_size();
-        for _ in 0..40 {
-            let pushed = cutter.block_size();
-            for _ in 0..pushed {
-                cutter.push(env(4));
-            }
-            assert!(cutter.on_decide(pushed, 1).is_none());
-            assert!(cutter.block_size() >= last);
-            last = cutter.block_size();
-        }
-        assert_eq!(cutter.block_size(), 32, "target pinned to the ceiling");
-    }
-
-    #[test]
-    fn adaptive_halves_and_flushes_after_stale_decides() {
-        let mut cutter = BlockCutter::new(16, usize::MAX).with_adaptive(2, 32, 3);
-        cutter.push(env(4));
-        cutter.push(env(4));
-        // Two idle decides age the buffer; the third trips the tuner.
-        assert!(cutter.on_decide(0, 0).is_none());
-        assert!(cutter.on_decide(0, 0).is_none());
-        let cut = cutter.on_decide(0, 0).expect("stale flush");
-        assert_eq!(cut.reason, CutReason::Stale);
-        assert_eq!(cut.len(), 2);
-        assert_eq!(cutter.pending(), 0);
-        assert_eq!(cutter.block_size(), 8, "target halved");
-        // Repeated droughts walk the target to the floor, never below.
-        for _ in 0..10 {
-            cutter.push(env(4));
-            for _ in 0..3 {
-                cutter.on_decide(0, 0);
-            }
-        }
-        assert_eq!(cutter.block_size(), 2);
-    }
-
-    #[test]
-    fn adaptive_idle_decides_do_not_count_as_stale() {
-        let mut cutter = BlockCutter::new(8, usize::MAX).with_adaptive(2, 32, 2);
-        // Nothing buffered: decides pass without aging anything.
-        for _ in 0..10 {
-            assert!(cutter.on_decide(0, 0).is_none());
-        }
-        assert_eq!(cutter.block_size(), 8);
-        // A fresh envelope starts the stale clock from zero.
-        cutter.push(env(4));
-        assert!(cutter.on_decide(1, 0).is_none());
-        assert!(cutter.on_decide(0, 0).is_some());
-    }
-
-    #[test]
-    fn fixed_cutter_ignores_decide_feed() {
-        let mut cutter = BlockCutter::new(8, usize::MAX);
-        cutter.push(env(4));
-        for _ in 0..20 {
-            assert!(cutter.on_decide(0, 0).is_none());
-        }
-        assert_eq!(cutter.block_size(), 8);
-        assert_eq!(cutter.pending(), 1);
-    }
-
-    #[test]
-    fn snapshot_restores_adaptive_target() {
-        let mut cutter = BlockCutter::new(8, usize::MAX).with_adaptive(2, 32, 3);
-        for _ in 0..8 {
-            cutter.push(env(4));
-        }
-        cutter.on_decide(8, 1); // grows to 9
-        cutter.push(env(4));
-        cutter.on_decide(0, 0); // one stale decide on the clock
-        let snap = cutter.snapshot();
-
-        let mut restored = BlockCutter::new(8, usize::MAX).with_adaptive(2, 32, 3);
-        let mut reader = Reader::new(&snap);
-        restored.restore(&mut reader).unwrap();
-        assert_eq!(restored.block_size(), cutter.block_size());
-        assert_eq!(restored.stale_decides, cutter.stale_decides);
-        assert_eq!(restored.pending(), cutter.pending());
-    }
-
     /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
@@ -519,89 +325,40 @@ mod tests {
         }
 
         /// No cut exceeds the byte cap (except a lone oversized
-        /// envelope, which cannot be split), even while the
-        /// adaptive tuner moves the count target.
+        /// envelope, which cannot be split).
         #[test]
         fn byte_cap_respected_under_adaptation() {
             for_each_case(0xc077_0003, CASES, |rng| {
-                let decides = rng.vec(1..40, |r| r.vec(0..12, |r| r.next_in(1..300)));
-                let (min, span) = (rng.next_in(1..5), rng.next_in(0..20));
-                let stale_limit = rng.next_in(1..5) as u32;
-                let max = min + span;
-                let mut cutter = BlockCutter::new(min + span / 2, 600)
-                    .with_adaptive(min, max, stale_limit);
-                let check = |cut: &Cut| {
-                    let bytes: usize = cut.iter().map(Bytes::len).sum();
-                    bytes <= 600 || cut.len() == 1
-                };
-                for sizes in &decides {
-                    let mut cuts = 0usize;
-                    for len in sizes {
-                        if let Some(cut) = cutter.push(Bytes::from(vec![0u8; *len])) {
-                            assert!(check(&cut), "cut over byte cap");
-                            assert!(cut.len() <= max, "cut over count ceiling");
-                            cuts += 1;
-                        }
-                    }
-                    if let Some(cut) = cutter.on_decide(sizes.len(), cuts) {
-                        assert!(check(&cut), "stale cut over byte cap");
-                        assert!(cut.len() <= max, "stale cut over count ceiling");
+                let sizes = rng.vec(1..400, |r| r.next_in(1..300));
+                let block_size = rng.next_in(1..25);
+                let mut cutter = BlockCutter::new(block_size, 600);
+                for len in sizes {
+                    if let Some(cut) = cutter.push(Bytes::from(vec![0u8; len])) {
+                        let bytes: usize = cut.iter().map(Bytes::len).sum();
+                        assert!(bytes <= 600 || cut.len() == 1, "cut over byte cap");
+                        assert!(cut.len() <= block_size, "cut over count cap");
                     }
                 }
             });
         }
 
-        /// The adaptive target never leaves `[min, max]`, whatever
-        /// the decide pattern.
-        #[test]
-        fn adaptive_target_stays_within_bounds() {
-            for_each_case(0xc077_0004, CASES, |rng| {
-                let decides = rng.vec(1..200, |r| (r.next_in(0..40), r.next_in(0..4)));
-                let (min, span) = (rng.next_in(1..8), rng.next_in(0..40));
-                let stale_limit = rng.next_in(1..6) as u32;
-                let max = min + span;
-                let mut cutter = BlockCutter::new(min, usize::MAX)
-                    .with_adaptive(min, max, stale_limit);
-                for (pushed, cuts) in decides {
-                    for _ in 0..pushed {
-                        cutter.push(Bytes::from(vec![0u8; 8]));
-                    }
-                    cutter.on_decide(pushed, cuts);
-                    assert!(cutter.block_size() >= min, "target under floor");
-                    assert!(cutter.block_size() <= max, "target over ceiling");
-                }
-            });
-        }
-
-        /// `encoded_len` stays exact with the adaptive fields in
-        /// the snapshot, and restore round-trips the full state.
+        /// `encoded_len` is exact, and restore round-trips the state.
         #[test]
         fn snapshot_encoded_len_exact() {
             for_each_case(0xc077_0005, CASES, |rng| {
                 let lens = rng.vec(0..30, |r| r.next_in(0..100));
-                let ops = rng.vec(0..20, |r| (r.next_in(0..20), r.next_in(0..3)));
-                let (min, span) = (rng.next_in(1..5), rng.next_in(0..20));
-                let stale_limit = rng.next_in(1..5) as u32;
-                let max = min + span;
-                let mut cutter = BlockCutter::new(min, usize::MAX)
-                    .with_adaptive(min, max, stale_limit);
+                let mut cutter = BlockCutter::new(31, usize::MAX);
                 for len in &lens {
                     cutter.push(Bytes::from(vec![0xcd; *len]));
-                }
-                for (pushed, cuts) in ops {
-                    cutter.on_decide(pushed, cuts);
                 }
                 let mut out = Vec::new();
                 cutter.encode(&mut out);
                 assert_eq!(out.len(), cutter.encoded_len(), "encoded_len drifted");
 
-                let mut restored = BlockCutter::new(min, usize::MAX)
-                    .with_adaptive(min, max, stale_limit);
+                let mut restored = BlockCutter::new(31, usize::MAX);
                 let mut reader = Reader::new(&out);
                 restored.restore(&mut reader).unwrap();
-                assert_eq!(restored.block_size(), cutter.block_size());
-                assert_eq!(restored.stale_decides, cutter.stale_decides);
-                assert_eq!(restored.pending(), cutter.pending());
+                assert_eq!(restored.buffer, cutter.buffer);
                 assert_eq!(restored.buffered_bytes, cutter.buffered_bytes);
             });
         }

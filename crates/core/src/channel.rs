@@ -41,10 +41,10 @@ pub fn tag_envelope(channel: &str, envelope: &[u8]) -> Bytes {
 /// [`SYSTEM_CHANNEL`] with their bytes unchanged, so raw submitters
 /// (benchmark drivers, the WAN simulator) interoperate.
 pub fn untag_envelope(bytes: &Bytes) -> (String, Bytes) {
-    if bytes.first() != Some(&TAG_MAGIC) {
+    let Some((&TAG_MAGIC, tagged)) = bytes.split_first() else {
         return (SYSTEM_CHANNEL.to_string(), bytes.clone());
-    }
-    let mut reader = Reader::new(&bytes[1..]);
+    };
+    let mut reader = Reader::new(tagged);
     match String::decode(&mut reader) {
         Ok(channel) if !channel.is_empty() => {
             let offset = bytes.len() - reader.remaining();

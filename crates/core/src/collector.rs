@@ -145,7 +145,7 @@ impl Collecting {
     }
 
     /// Caches a verified triple; returns the net change in entry count.
-    // lint:allow(panic): `pop_front` runs only after the length check proved the deque non-empty
+    #[expect(clippy::expect_used, reason = "`pop_front` runs only after the length check proved the deque non-empty")]
     fn insert_verified(&mut self, triple: VerifiedTriple) -> i64 {
         if !self.verified.insert(triple) {
             return 0;

@@ -28,17 +28,9 @@ struct ChainState {
 }
 
 impl ChainState {
-    fn new(
-        block_size: usize,
-        max_block_bytes: usize,
-        adaptive: Option<(usize, usize, u32)>,
-    ) -> ChainState {
-        let mut cutter = BlockCutter::new(block_size, max_block_bytes);
-        if let Some((min, max, stale_limit)) = adaptive {
-            cutter = cutter.with_adaptive(min, max, stale_limit);
-        }
+    fn new(block_size: usize, max_block_bytes: usize) -> ChainState {
         ChainState {
-            cutter,
+            cutter: BlockCutter::new(block_size, max_block_bytes),
             next_number: 1,
             prev_hash: Hash256::ZERO,
         }
@@ -69,12 +61,6 @@ pub struct OrderingNodeConfig {
     /// `BatchTimeout` (batch boundaries are identical at all replicas),
     /// bounding envelope latency under light traffic.
     pub flush_on_batch_end: bool,
-    /// AIMD blockcutter tuning as `(min, max, stale_limit)`: the
-    /// envelopes-per-block target self-adjusts between the floor and
-    /// ceiling from the observed decide rate and fill ratio, flushing
-    /// aging partial blocks after `stale_limit` cut-less decides. All
-    /// tuner inputs are stream-derived, so replicas stay in lockstep.
-    pub adaptive_cutter: Option<(usize, usize, u32)>,
     /// Registry to record blockcutter and signing-pool metrics into
     /// (`core.cutter.*`, `core.signing.*`). `None` disables recording.
     pub registry: Option<Arc<Registry>>,
@@ -105,7 +91,6 @@ impl OrderingNodeConfig {
             signing_threads: 16,
             double_sign: false,
             flush_on_batch_end: false,
-            adaptive_cutter: None,
             registry: None,
             flight: None,
         }
@@ -132,19 +117,6 @@ impl OrderingNodeConfig {
     /// Enables deterministic partial-block flushing at batch boundaries.
     pub fn with_flush_on_batch_end(mut self, enabled: bool) -> OrderingNodeConfig {
         self.flush_on_batch_end = enabled;
-        self
-    }
-
-    /// Enables AIMD blockcutter tuning within `[min, max]`, flushing
-    /// partial blocks after `stale_limit` consecutive cut-less decides.
-    pub fn with_adaptive_cutter(
-        mut self,
-        min: usize,
-        max: usize,
-        stale_limit: u32,
-    ) -> OrderingNodeConfig {
-        self.adaptive_cutter = Some((min, max, stale_limit));
-        self.block_size = self.block_size.clamp(min, max);
         self
     }
 
@@ -269,15 +241,6 @@ impl OrderingNodeApp {
             .unwrap_or(0)
     }
 
-    /// The cutter's current envelopes-per-block target on `channel`
-    /// (moves under the AIMD tuner; fixed otherwise).
-    pub fn target_block_size_on(&self, channel: &str) -> usize {
-        self.chains
-            .get(channel)
-            .map(|c| c.cutter.block_size())
-            .unwrap_or(self.config.block_size)
-    }
-
     /// Chains `envelopes` into the next block on `channel` and hands it
     /// to the block sink.
     fn seal_block(
@@ -304,28 +267,20 @@ impl Application for OrderingNodeApp {
                 chains: self.chains.clone(),
             });
         }
-        // Per-channel (envelopes pushed, blocks cut) this decide —
-        // the adaptive tuner's stream-derived observations.
-        let mut activity: BTreeMap<String, (usize, usize)> = BTreeMap::new();
         for request in &batch.requests {
             self.stats.envelopes_ordered.fetch_add(1, Ordering::Relaxed);
             let (channel, envelope) = untag_envelope(&request.payload);
             let block_size = self.config.block_size;
             let max_block_bytes = self.config.max_block_bytes;
-            let adaptive = self.config.adaptive_cutter;
             let chain = self
                 .chains
                 .entry(channel.clone())
-                .or_insert_with(|| ChainState::new(block_size, max_block_bytes, adaptive));
-            let tally = activity.entry(channel.clone()).or_insert((0, 0));
-            tally.0 += 1;
+                .or_insert_with(|| ChainState::new(block_size, max_block_bytes));
             if let Some(cut) = chain.cutter.push(envelope) {
-                tally.1 += 1;
                 if let Some(obs) = &self.cutter_obs {
                     let reason = match cut.reason {
                         CutReason::Size => &obs.cut_size,
                         CutReason::Bytes => &obs.cut_bytes,
-                        CutReason::Stale => &obs.cut_stale,
                     };
                     obs.record_cut(reason, cut.len(), chain.cutter.block_size());
                 }
@@ -338,34 +293,6 @@ impl Application for OrderingNodeApp {
                 );
             }
         }
-        if self.config.adaptive_cutter.is_some() {
-            // Every channel observes every decide: a channel that saw
-            // no traffic still ages its buffered envelopes. Decide
-            // boundaries are identical at all replicas, so the tuner
-            // moves in lockstep everywhere.
-            let channels: Vec<String> = self.chains.keys().cloned().collect();
-            for channel in channels {
-                let (pushed, cuts) = activity.get(&channel).copied().unwrap_or((0, 0));
-                let chain = self.chains.get_mut(&channel).expect("channel exists"); // lint:allow(panic): `channels` was collected from this map's own keys
-                if let Some(cut) = chain.cutter.on_decide(pushed, cuts) {
-                    if let Some(obs) = &self.cutter_obs {
-                        obs.record_cut(&obs.cut_stale, cut.len(), chain.cutter.block_size());
-                    }
-                    Self::seal_block(
-                        chain,
-                        channel,
-                        cut.into_envelopes(),
-                        &mut *self.sink,
-                        &self.stats,
-                    );
-                }
-            }
-            if let Some(obs) = &self.cutter_obs {
-                if let Some(chain) = self.chains.values().next() {
-                    obs.target_block_size.set(chain.cutter.block_size() as i64);
-                }
-            }
-        }
         if self.config.flush_on_batch_end {
             // Deterministic flush: batch boundaries are the same at
             // every replica, so partial blocks still match.
@@ -376,7 +303,8 @@ impl Application for OrderingNodeApp {
                 .map(|(channel, _)| channel.clone())
                 .collect();
             for channel in channels {
-                let chain = self.chains.get_mut(&channel).expect("channel exists"); // lint:allow(panic): `channels` was collected from this map's own keys
+                #[expect(clippy::expect_used, reason = "`channels` was collected from this map's own keys")]
+                let chain = self.chains.get_mut(&channel).expect("channel exists");
                 let envelopes = chain.cutter.drain();
                 if let Some(obs) = &self.cutter_obs {
                     obs.record_cut(
@@ -420,18 +348,15 @@ impl Application for OrderingNodeApp {
         Bytes::from(out)
     }
 
-    // lint:allow(panic): a snapshot that fails to decode was certified by consensus yet is corrupt — halting beats running with unknown state
+    #[expect(clippy::expect_used, reason = "a snapshot that fails to decode was certified by consensus yet is corrupt — halting beats running with unknown state")]
     fn restore(&mut self, snapshot: &[u8]) {
         let mut reader = Reader::new(snapshot);
         let count = u32::decode(&mut reader).expect("valid snapshot");
         let mut chains = BTreeMap::new();
         for _ in 0..count {
             let channel = String::decode(&mut reader).expect("valid snapshot");
-            let mut chain = ChainState::new(
-                self.config.block_size,
-                self.config.max_block_bytes,
-                self.config.adaptive_cutter,
-            );
+            let mut chain =
+                ChainState::new(self.config.block_size, self.config.max_block_bytes);
             chain.next_number = u64::decode(&mut reader).expect("valid snapshot");
             chain.prev_hash = Hash256::decode(&mut reader).expect("valid snapshot");
             chain

@@ -9,8 +9,6 @@
 //! | `core.cutter.cut_size`           | counter   | blocks cut because the envelope count was reached |
 //! | `core.cutter.cut_bytes`          | counter   | blocks cut early by the byte cap |
 //! | `core.cutter.cut_batch_end`      | counter   | partial blocks flushed at batch boundaries |
-//! | `core.cutter.cut_stale`          | counter   | aging partial blocks flushed by the adaptive tuner |
-//! | `core.cutter.target_block_size`  | gauge     | current adaptive envelopes-per-block target |
 //! | `core.cutter.block_fill_pct`     | histogram | envelopes per block as % of the configured size |
 //! | `core.signing.queue_wait_us`     | histogram | block submitted → a signer picks it up |
 //! | `core.signing.sign_us`           | histogram | ECDSA signing time per block (group time / group size) |
@@ -35,12 +33,6 @@ pub struct CutterObs {
     pub cut_bytes: Arc<Counter>,
     /// Partial blocks flushed at consensus-batch boundaries.
     pub cut_batch_end: Arc<Counter>,
-    /// Aging partial blocks flushed by the adaptive tuner's stale
-    /// trigger.
-    pub cut_stale: Arc<Counter>,
-    /// The adaptive tuner's current envelopes-per-block target (equals
-    /// the configured size when the tuner is off).
-    pub target_block_size: Arc<Gauge>,
     /// Envelopes per cut block as a percentage of the configured block
     /// size (100 for every count-triggered cut; lower for byte-cap cuts
     /// and batch-end flushes).
@@ -54,8 +46,6 @@ impl CutterObs {
             cut_size: registry.counter("core.cutter.cut_size"),
             cut_bytes: registry.counter("core.cutter.cut_bytes"),
             cut_batch_end: registry.counter("core.cutter.cut_batch_end"),
-            cut_stale: registry.counter("core.cutter.cut_stale"),
-            target_block_size: registry.gauge("core.cutter.target_block_size"),
             block_fill_pct: registry.histogram("core.cutter.block_fill_pct"),
         }
     }
@@ -145,18 +135,13 @@ mod tests {
         let frontend = FrontendObs::new(&registry);
         cutter.record_cut(&cutter.cut_size, 10, 10);
         cutter.record_cut(&cutter.cut_batch_end, 3, 10);
-        cutter.record_cut(&cutter.cut_stale, 2, 10);
-        cutter.target_block_size.set(12);
+        cutter.record_cut(&cutter.cut_bytes, 2, 10);
         signing.queue_wait_us.record(42);
         frontend.delivered_blocks.inc();
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("core.cutter.cut_size"), Some(1));
         assert_eq!(snap.counter_value("core.cutter.cut_batch_end"), Some(1));
-        assert_eq!(snap.counter_value("core.cutter.cut_stale"), Some(1));
-        assert_eq!(
-            snap.gauge_value("core.cutter.target_block_size"),
-            Some(12)
-        );
+        assert_eq!(snap.counter_value("core.cutter.cut_bytes"), Some(1));
         let fill = snap.histogram("core.cutter.block_fill_pct").unwrap();
         assert_eq!(fill.count, 3);
         assert_eq!(fill.max, 100);

@@ -55,10 +55,6 @@ pub struct ServiceOptions {
     /// Consensus sliding-window depth: slots the leader keeps in
     /// flight at once (1 = unpipelined).
     pub pipeline_depth: usize,
-    /// AIMD blockcutter tuning as `(min, max, stale_limit)`: the
-    /// envelopes-per-block target self-adjusts between the hard floor
-    /// and ceiling from the observed decide rate and fill ratio.
-    pub adaptive_cutter: Option<(usize, usize, u32)>,
 }
 
 impl ServiceOptions {
@@ -76,7 +72,6 @@ impl ServiceOptions {
             double_sign: false,
             flush_on_batch_end: false,
             pipeline_depth: 1,
-            adaptive_cutter: None,
         }
     }
 
@@ -137,19 +132,6 @@ impl ServiceOptions {
         self
     }
 
-    /// Enables AIMD blockcutter tuning: the envelopes-per-block target
-    /// floats within `[min, max]`, and a partial block is flushed after
-    /// `stale_limit` consecutive decides that cut nothing.
-    pub fn with_adaptive_cutter(
-        mut self,
-        min: usize,
-        max: usize,
-        stale_limit: u32,
-    ) -> ServiceOptions {
-        self.adaptive_cutter = Some((min, max, stale_limit));
-        self
-    }
-
     /// The SMR-layer options these service options imply. Together with
     /// [`RuntimeOptions::node_config`] and
     /// [`ServiceOptions::app_config`] this is the single assembly path
@@ -178,7 +160,7 @@ impl ServiceOptions {
     /// # Panics
     ///
     /// Panics if `i` is not a replica of `keys`' cluster.
-    // lint:allow(panic): bootstrap — a replica index outside the cluster must fail startup loudly
+    #[expect(clippy::indexing_slicing, reason = "bootstrap — a replica index outside the cluster must fail startup loudly")]
     pub fn app_config(
         &self,
         i: usize,
@@ -191,9 +173,6 @@ impl ServiceOptions {
             .with_signing_threads(self.signing_threads)
             .with_double_sign(self.double_sign)
             .with_flush_on_batch_end(self.flush_on_batch_end);
-        if let Some((min, max, stale_limit)) = self.adaptive_cutter {
-            config = config.with_adaptive_cutter(min, max, stale_limit);
-        }
         config.registry = registry;
         config.flight = flight;
         config

@@ -167,6 +167,7 @@ impl SigningPool {
                 let stats = Arc::clone(&stats);
                 let obs = obs.clone();
                 let flight = flight.clone();
+                #[expect(clippy::expect_used, reason = "OS thread-spawn failure at pool construction is unrecoverable")]
                 // lint:allow(thread): the handles are collected into `workers` below and joined in SigningPool::drop
                 std::thread::Builder::new()
                     .name(format!("signer-{node}-{w}"))
@@ -212,7 +213,7 @@ impl SigningPool {
                             }
                         }
                     })
-                    .expect("spawn signer thread") // lint:allow(panic): OS thread-spawn failure at pool construction is unrecoverable
+                    .expect("spawn signer thread")
             })
             .collect();
         SigningPool {

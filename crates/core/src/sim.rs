@@ -329,7 +329,8 @@ impl FrontendActor {
                 if client != self.client.0.to_le_bytes() {
                     continue;
                 }
-                let seq = u64::from_le_bytes(seq.try_into().expect("8 bytes")); // lint:allow(panic): `get(..12)` then `split_at(4)` leaves exactly 8 bytes
+                #[expect(clippy::expect_used, reason = "`get(..12)` then `split_at(4)` leaves exactly 8 bytes")]
+                let seq = u64::from_le_bytes(seq.try_into().expect("8 bytes"));
                 if let Some(submitted) = self.submit_times.remove(&seq) {
                     if let Some(flight) = &self.flight {
                         flight.record(

@@ -41,7 +41,7 @@ impl PartialOrd for U256 {
 }
 
 impl Ord for U256 {
-    // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
+    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     fn cmp(&self, other: &Self) -> Ordering {
         for i in (0..4).rev() {
             match self.limbs[i].cmp(&other.limbs[i]) {
@@ -105,8 +105,8 @@ impl U256 {
     }
 
     /// Interprets 32 big-endian bytes.
-    #[allow(clippy::needless_range_loop)] // limb indices are the clearer idiom here
-    // lint:allow(panic): `i * 8..(i + 1) * 8` with `i < 4` slices a `[u8; 32]` into exact 8-byte chunks
+    #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom here")]
+    #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "`i * 8..(i + 1) * 8` with `i < 4` slices a `[u8; 32]` into exact 8-byte chunks")]
     pub fn from_be_bytes(bytes: &[u8; 32]) -> U256 {
         let mut limbs = [0u64; 4];
         for i in 0..4 {
@@ -117,8 +117,8 @@ impl U256 {
     }
 
     /// Serializes to 32 big-endian bytes.
-    #[allow(clippy::needless_range_loop)] // limb indices are the clearer idiom here
-    // lint:allow(panic): `i * 8..(i + 1) * 8` with `i < 4` slices a `[u8; 32]` into exact 8-byte chunks
+    #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom here")]
+    #[expect(clippy::indexing_slicing, reason = "`i * 8..(i + 1) * 8` with `i < 4` slices a `[u8; 32]` into exact 8-byte chunks")]
     pub fn to_be_bytes(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for i in 0..4 {
@@ -133,7 +133,7 @@ impl U256 {
     }
 
     /// Returns bit `i` (0 = least significant). Bits ≥ 256 are zero.
-    // lint:allow(panic): `i / 64 < 4` is guaranteed by the `i >= 256` early return
+    #[expect(clippy::indexing_slicing, reason = "`i / 64 < 4` is guaranteed by the `i >= 256` early return")]
     pub fn bit(&self, i: usize) -> bool {
         if i >= 256 {
             return false;
@@ -142,7 +142,7 @@ impl U256 {
     }
 
     /// Number of significant bits (0 for zero).
-    // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
+    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     pub fn bit_len(&self) -> usize {
         for i in (0..4).rev() {
             if self.limbs[i] != 0 {
@@ -153,8 +153,8 @@ impl U256 {
     }
 
     /// Wrapping addition; returns `(sum, carry)`.
-    #[allow(clippy::needless_range_loop)] // limb indices are the clearer idiom
-    // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
+    #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom")]
+    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     pub fn adc(&self, other: &U256) -> (U256, bool) {
         let mut limbs = [0u64; 4];
         let mut carry = 0u64;
@@ -167,8 +167,8 @@ impl U256 {
     }
 
     /// Wrapping subtraction; returns `(difference, borrow)`.
-    #[allow(clippy::needless_range_loop)] // limb indices are the clearer idiom
-    // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
+    #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom")]
+    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     pub fn sbb(&self, other: &U256) -> (U256, bool) {
         let mut limbs = [0u64; 4];
         let mut borrow = false;
@@ -183,8 +183,8 @@ impl U256 {
 
     /// Limb-wise select: `b` when `cond`, else `a`, without a branch.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // three arrays walked in step
-    // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
+    #[allow(clippy::needless_range_loop, reason = "three arrays walked in step")]
+    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     fn select(cond: bool, a: &U256, b: &U256) -> U256 {
         let mask = 0u64.wrapping_sub(cond as u64);
         let mut limbs = [0u64; 4];
@@ -234,7 +234,7 @@ impl U256 {
     }
 
     /// Full 256x256 -> 512-bit multiplication (little-endian 8 limbs).
-    // lint:allow(panic): `i + j` with `i, j < 4` stays inside the fixed 8-limb product array
+    #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
     pub fn widening_mul(&self, other: &U256) -> [u64; 8] {
         let mut t = [0u64; 8];
         for i in 0..4 {
@@ -254,7 +254,7 @@ impl U256 {
     /// Exploits the symmetry of the cross products (`a_i·a_j` appears
     /// twice for `i ≠ j`): 6 cross multiplications doubled once, plus 4
     /// diagonal squares, versus 16 multiplications for the generic path.
-    // lint:allow(panic): `i + j` with `i, j < 4` stays inside the fixed 8-limb product array
+    #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
     pub fn widening_square(&self) -> [u64; 8] {
         let a = &self.limbs;
         let mut t = [0u64; 8];
@@ -415,8 +415,8 @@ impl Monty {
     /// Interleaved CIOS product specialised to the P-256 field prime:
     /// five multiplications per round instead of nine (see
     /// [`Monty::reduce_wide_p256`] for the Solinas round derivation).
-    #[allow(clippy::needless_range_loop)] // CIOS is written in index form
-    // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
+    #[allow(clippy::needless_range_loop, reason = "CIOS is written in index form")]
+    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     fn montgomery_mul_p256(&self, a: &U256, b: &U256) -> U256 {
         const M3: u64 = 0xffff_ffff_0000_0001;
         let mut t = [0u64; 6];
@@ -489,7 +489,7 @@ impl Monty {
     /// carry loop. The deferred carry is absorbed *before* the `mu·m[3]`
     /// product is added so the u128 accumulator cannot overflow even
     /// when `m[3] = 2^64 - 1`.
-    // lint:allow(panic): `i + j` with `i, j < 4` stays inside the fixed 8-limb product array
+    #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
     fn reduce_wide_generic(&self, wide: &[u64; 8]) -> U256 {
         let m = &self.modulus.limbs;
         let mut t = *wide;
@@ -536,7 +536,7 @@ impl Monty {
     /// One multiplication per round instead of five; the carry leaving
     /// round `i` is deferred to round `i + 1`'s limb-`i+4` write exactly
     /// as in the generic path.
-    // lint:allow(panic): `i + j` with `i, j < 4` stays inside the fixed 8-limb product array
+    #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
     fn reduce_wide_p256(&self, wide: &[u64; 8]) -> U256 {
         const M3: u64 = 0xffff_ffff_0000_0001;
         let mut t = *wide;
@@ -568,8 +568,8 @@ impl Monty {
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // CIOS is written in index form
-    // lint:allow(panic): limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction
+    #[allow(clippy::needless_range_loop, reason = "CIOS is written in index form")]
+    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     fn montgomery_reduce_product(&self, a: &U256, b: &U256) -> U256 {
         let m = &self.modulus.limbs;
         let mut t = [0u64; 6];

@@ -83,11 +83,9 @@ impl Signature {
     /// Returns `None` if the length is wrong or a component is out of
     /// range.
     pub fn from_bytes(bytes: &[u8]) -> Option<Signature> {
-        if bytes.len() != 64 {
-            return None;
-        }
-        let r = U256::from_be_bytes(bytes[..32].try_into().ok()?);
-        let s = U256::from_be_bytes(bytes[32..].try_into().ok()?);
+        let (r, s) = bytes.split_first_chunk::<32>()?;
+        let r = U256::from_be_bytes(r);
+        let s = U256::from_be_bytes(s.try_into().ok()?);
         Signature::from_scalars(r, s)
     }
 }
@@ -340,7 +338,7 @@ impl SigningKey {
 
     /// Signs a 32-byte message digest with an RFC 6979 deterministic
     /// nonce: [`SigningKey::sign_digests`] of one.
-    // lint:allow(panic): `sign_digests` returns one signature per digest
+    #[expect(clippy::expect_used, reason = "`sign_digests` returns one signature per digest")]
     pub fn sign_digest(&self, digest: &Hash256) -> Signature {
         self.sign_digests(std::slice::from_ref(digest))
             .pop()

@@ -8,7 +8,7 @@
 /// ```
 /// assert_eq!(hlf_crypto::hex::encode(&[0xde, 0xad, 0x01]), "dead01");
 /// ```
-// lint:allow(panic): nibble values are `< 16`, the exact alphabet length
+#[expect(clippy::indexing_slicing, reason = "nibble values are `< 16`, the exact alphabet length")]
 pub fn encode(bytes: &[u8]) -> String {
     const ALPHABET: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
@@ -30,8 +30,8 @@ pub fn encode(bytes: &[u8]) -> String {
 /// assert_eq!(hlf_crypto::hex::decode("xyz"), None);
 /// ```
 pub fn decode(s: &str) -> Option<Vec<u8>> {
-    let s = s.as_bytes();
-    if !s.len().is_multiple_of(2) {
+    let (pairs, odd) = s.as_bytes().as_chunks::<2>();
+    if !odd.is_empty() {
         return None;
     }
     let nibble = |c: u8| -> Option<u8> {
@@ -42,9 +42,9 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
             _ => None,
         }
     };
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
+    let mut out = Vec::with_capacity(pairs.len());
+    for &[hi, lo] in pairs {
+        out.push((nibble(hi)? << 4) | nibble(lo)?);
     }
     Some(out)
 }

@@ -24,7 +24,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Hash256 {
 
 /// Computes HMAC-SHA256 over the concatenation of `parts` without copying
 /// them into one buffer.
-// lint:allow(panic): `key.len() ≤ BLOCK_SIZE` on the copy branch and `i < BLOCK_SIZE` over `[u8; BLOCK_SIZE]` pads
+#[expect(clippy::indexing_slicing, reason = "`key.len() ≤ BLOCK_SIZE` on the copy branch and `i < BLOCK_SIZE` over `[u8; BLOCK_SIZE]` pads")]
 pub fn hmac_sha256_multi(key: &[u8], parts: &[&[u8]]) -> Hash256 {
     let mut key_block = [0u8; BLOCK_SIZE];
     if key.len() > BLOCK_SIZE {

@@ -20,21 +20,21 @@ pub const GX_HEX: &str = "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a139
 pub const GY_HEX: &str = "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
 
 /// Montgomery context for the field prime `p`.
-// lint:allow(panic): parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests
+#[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
 pub fn field() -> &'static Monty {
     static CTX: OnceLock<Monty> = OnceLock::new();
     CTX.get_or_init(|| Monty::new(U256::from_hex(P_HEX).expect("valid p")))
 }
 
 /// Montgomery context for the group order `n`.
-// lint:allow(panic): parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests
+#[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
 pub fn scalar_field() -> &'static Monty {
     static CTX: OnceLock<Monty> = OnceLock::new();
     CTX.get_or_init(|| Monty::new(U256::from_hex(N_HEX).expect("valid n")))
 }
 
 /// The group order as a plain integer.
-// lint:allow(panic): parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests
+#[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
 pub fn order() -> &'static U256 {
     static N: OnceLock<U256> = OnceLock::new();
     N.get_or_init(|| U256::from_hex(N_HEX).expect("valid n"))
@@ -49,7 +49,7 @@ struct CurveConsts {
     g: Point,
 }
 
-// lint:allow(panic): parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests
+#[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
 fn consts() -> &'static CurveConsts {
     static C: OnceLock<CurveConsts> = OnceLock::new();
     C.get_or_init(|| {
@@ -135,7 +135,7 @@ const SCALAR_INV_TAIL: [(usize, usize); 27] = [
 /// so the sequence of operations — and every table index — is the same
 /// for every input: constant-time by construction. Checked against
 /// [`Monty::inv`] by the tests below.
-// lint:allow(panic): `power / 2` with `power ≤ 15` from the constant `SCALAR_INV_TAIL` indexes the 8-entry `odd` table, as does `i - 1` with `i ∈ 1..8`
+#[expect(clippy::indexing_slicing, reason = "`power / 2` with `power ≤ 15` from the constant `SCALAR_INV_TAIL` indexes the 8-entry `odd` table, as does `i - 1` with `i ∈ 1..8`")]
 pub(crate) fn invert_scalar(a: &U256) -> U256 {
     cost::count(cost::Op::ScalarInversion);
     let sf = scalar_field();
@@ -227,7 +227,7 @@ pub(crate) struct CombTable {
 impl CombTable {
     /// Builds the comb of a non-identity point: 960 additions and one
     /// batched field inversion.
-    // lint:allow(panic): `chunks_exact(15)` yields exactly 15-entry chunks, so the array conversion cannot fail
+    #[expect(clippy::expect_used, reason = "`chunks_exact(15)` yields exactly 15-entry chunks, so the array conversion cannot fail")]
     pub(crate) fn new(point: &Point) -> CombTable {
         debug_assert!(!point.is_identity(), "the identity has no comb");
         let mut jacobian = Vec::with_capacity(64 * 15);
@@ -251,7 +251,7 @@ impl CombTable {
     /// `acc + scalar · P`: 64 nibble lookups, each one mixed addition,
     /// and **no doublings at all** (every `16^i` shift is baked into the
     /// table).
-    // lint:allow(panic): `63 - 2i` and `62 - 2i` with `i < 32` index the 64 comb windows; nibbles `≤ 15` index the 15-entry window
+    #[expect(clippy::indexing_slicing, reason = "`63 - 2i` and `62 - 2i` with `i < 32` index the 64 comb windows; nibbles `≤ 15` index the 15-entry window")]
     pub(crate) fn mul_add(&self, scalar: &U256, mut acc: Point) -> Point {
         // lint:secret-scope(scalar, bytes, byte, hi, lo) — signing walks the
         // generator's comb with the RFC 6979 nonce.
@@ -326,7 +326,7 @@ pub struct Point {
 }
 
 impl fmt::Debug for Point {
-    // lint:allow(panic): `to_affine()` is reached only on the non-identity branch
+    #[expect(clippy::expect_used, reason = "`to_affine()` is reached only on the non-identity branch")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_identity() {
             write!(f, "Point(identity)")
@@ -588,7 +588,7 @@ impl Point {
 
     /// Builds the affine window table `[P, 2P, .., 15P]` for this
     /// (non-identity) point, normalized with one batched inversion.
-    // lint:allow(panic): indices `j - 1`, `j / 2 - 1`, `j - 2` with `j ∈ 2..=15` stay inside the 15-entry table; `batch_normalize` of 15 points yields 15
+    #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "indices `j - 1`, `j / 2 - 1`, `j - 2` with `j ∈ 2..=15` stay inside the 15-entry table; `batch_normalize` of 15 points yields 15")]
     fn window_table(&self) -> [AffinePoint; 15] {
         let mut jacobian = [Point::identity(); 15];
         jacobian[0] = *self;
@@ -607,7 +607,7 @@ impl Point {
     /// [`Point::window_table`] through the global direct-mapped cache:
     /// repeated multiplications by the same point (ECDSA public keys)
     /// skip the table build and its field inversion entirely.
-    // lint:allow(panic): `slot` is reduced `% WINDOW_CACHE_SLOTS`, the cache's exact length
+    #[expect(clippy::indexing_slicing, reason = "`slot` is reduced `% WINDOW_CACHE_SLOTS`, the cache's exact length")]
     fn window_table_cached(&self) -> [AffinePoint; 15] {
         let key = (self.x, self.y, self.z);
         let bytes = self.x.to_be_bytes();
@@ -633,7 +633,7 @@ impl Point {
     /// The scalar is interpreted as a plain (non-Montgomery) integer.
     /// Agreement with the naive `Point::mul_reference` path is enforced
     /// by property tests.
-    // lint:allow(panic): `nibble ∈ 1..=15` after the zero check indexes the 15-entry window table
+    #[expect(clippy::indexing_slicing, reason = "`nibble ∈ 1..=15` after the zero check indexes the 15-entry window table")]
     pub fn mul(&self, scalar: &U256) -> Point {
         // lint:secret-scope(scalar, bytes, nibble) — when the caller's
         // scalar is secret, its nibbles steer the window walk below.
@@ -713,7 +713,7 @@ impl Point {
     /// The `G` additions come straight from the precomputed comb table's
     /// first window; the `Q` additions use a batch-normalized affine
     /// window table. This is the ECDSA verification hot path.
-    // lint:allow(panic): `i < 32` indexes the 32-byte scalar encodings; nibbles `≤ 15` index the 15-entry tables
+    #[expect(clippy::indexing_slicing, reason = "`i < 32` indexes the 32-byte scalar encodings; nibbles `≤ 15` index the 15-entry tables")]
     pub fn lincomb(u1: &U256, q: &Point, u2: &U256) -> Point {
         if q.is_identity() || u2.is_zero() {
             return Point::mul_base(u1);
@@ -800,15 +800,17 @@ impl Point {
     ///
     /// Returns `None` for malformed encodings or off-curve coordinates.
     pub fn from_sec1_bytes(bytes: &[u8]) -> Option<Point> {
-        match bytes.first() {
-            Some(0x00) if bytes.len() == 1 => Some(Point::identity()),
-            Some(0x04) if bytes.len() == 65 => {
-                let x = U256::from_be_bytes(bytes[1..33].try_into().ok()?);
-                let y = U256::from_be_bytes(bytes[33..65].try_into().ok()?);
+        let (&tag, coords) = bytes.split_first()?;
+        match tag {
+            0x00 if coords.is_empty() => Some(Point::identity()),
+            0x04 => {
+                let (x, y) = coords.split_first_chunk::<32>()?;
+                let x = U256::from_be_bytes(x);
+                let y = U256::from_be_bytes(y.try_into().ok()?);
                 Point::from_affine(&x, &y)
             }
-            Some(&tag @ (0x02 | 0x03)) if bytes.len() == 33 => {
-                let x = U256::from_be_bytes(bytes[1..33].try_into().ok()?);
+            0x02 | 0x03 => {
+                let x = U256::from_be_bytes(coords.try_into().ok()?);
                 Point::decompress(&x, tag == 0x03)
             }
             _ => None,

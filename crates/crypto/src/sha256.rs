@@ -138,7 +138,7 @@ impl Digest {
     }
 
     /// Absorbs `data` into the hash state.
-    // lint:allow(panic): `take ≤ 64 - buffered` and `tail.len() < 64` keep every range inside the 64-byte buffer
+    #[expect(clippy::indexing_slicing, reason = "`take ≤ 64 - buffered` and `tail.len() < 64` keep every range inside the 64-byte buffer")]
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
@@ -164,7 +164,7 @@ impl Digest {
     }
 
     /// Finishes the hash and returns the digest, consuming the hasher.
-    // lint:allow(panic): `buffered < 64` between calls, so the pad byte and the tail ranges lie inside the 64-byte buffer
+    #[expect(clippy::indexing_slicing, reason = "`buffered < 64` between calls, so the pad byte and the tail ranges lie inside the 64-byte buffer")]
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 8-byte big-endian bit length.
@@ -228,7 +228,7 @@ fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
     }
 }
 
-// lint:allow(panic): schedule indices are `< 64` over `[u32; 64]`; `chunks_exact(4)` yields exact 4-byte chunks
+#[expect(clippy::expect_used, clippy::indexing_slicing, reason = "schedule indices are `< 64` over `[u32; 64]`; `chunks_exact(4)` yields exact 4-byte chunks")]
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -304,7 +304,7 @@ mod shani {
     }
 
     /// Four round constants, `K[4 * group..][..4]`, the first in lane 0.
-    // lint:allow(panic): callers pass `group < 16`, so `4 * group + 3 < 64`, the length of `K`
+    #[expect(clippy::indexing_slicing, reason = "callers pass `group < 16`, so `4 * group + 3 < 64`, the length of `K`")]
     #[inline]
     #[target_feature(enable = "sse2")]
     fn round_constants(group: usize) -> __m128i {
@@ -318,7 +318,7 @@ mod shani {
     /// Safe to call only where the processor has `sha`, `sse2`, `ssse3`
     /// and `sse4.1` ([`available`]); the compiler makes every other
     /// caller say so in an `unsafe` block.
-    // lint:allow(panic): `as_chunks::<16>` of a 64-byte block has 4 elements; `% 4` keeps the ring indices inside `[__m128i; 4]`
+    #[expect(clippy::indexing_slicing, reason = "`as_chunks::<16>` of a 64-byte block has 4 elements; `% 4` keeps the ring indices inside `[__m128i; 4]`")]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);

@@ -347,7 +347,8 @@ impl Envelope {
     fn client_digest(&self) -> Hash256 {
         *self.cached_client_digest.get_or_init(|| {
             let canonical = self.canonical_bytes();
-            let content = &canonical[..canonical.len() - 64]; // lint:allow(panic): canonical bytes always end with the 64-byte signature
+            #[expect(clippy::indexing_slicing, reason = "canonical bytes always end with the 64-byte signature")]
+            let content = &canonical[..canonical.len() - 64];
             sha256_concat(&[b"hlfbft/envelope/v1", content])
         })
     }
@@ -363,7 +364,8 @@ impl Envelope {
     /// the offline trace merger can join per-node flight-recorder
     /// events back to the transaction.
     pub fn trace_id(&self) -> u64 {
-        u64::from_le_bytes(self.tx_id().as_bytes()[..8].try_into().expect("8 bytes")) // lint:allow(panic): a SHA-256 digest has 32 bytes
+        #[expect(clippy::expect_used, reason = "a SHA-256 digest has 32 bytes")]
+        u64::from_le_bytes(self.tx_id().as_bytes()[..8].try_into().expect("8 bytes"))
     }
 
     /// Verifies the client signature.

@@ -68,6 +68,21 @@
 //! assert_eq!(peer.state().get("k").unwrap().0.as_ref(), b"v");
 //! ```
 
+// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
+// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod block;
 pub mod chaincode;
 pub mod client;

@@ -14,11 +14,6 @@ pub struct Version {
     pub tx: u32,
 }
 
-impl Version {
-    /// The version of keys never written (Fabric uses "key absent").
-    pub const GENESIS: Version = Version { block: 0, tx: 0 };
-}
-
 impl Encode for Version {
     fn encode(&self, out: &mut Vec<u8>) {
         self.block.encode(out);

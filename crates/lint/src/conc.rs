@@ -1,10 +1,9 @@
 //! Cross-file combine — stage two of the analyzer, and the home of the
 //! interprocedural concurrency passes.
 //!
-//! [`combine`] consumes one [`FileFacts`] per workspace file (freshly
-//! extracted or reloaded from the `--cache`), builds the workspace-wide
-//! name-based call graph, propagates held-guard and may-block sets
-//! across call edges, and emits the cross-file findings:
+//! [`combine`] consumes one [`FileFacts`] per workspace file, builds
+//! the workspace-wide name-based call graph, propagates held-guard and
+//! may-block sets across call edges, and emits the cross-file findings:
 //!
 //! | pass | invariant |
 //! |------|-----------|
@@ -38,29 +37,12 @@
 //! participate fully.
 
 use crate::facts::{AcqFact, CallKind, FileFacts, FnFacts};
-use crate::report::{Finding, Report, Severity};
+use crate::report::{Finding, Report};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
-
-/// Pass names with `'static` lifetime for [`Finding::pass`].
-fn static_pass(name: &str) -> &'static str {
-    match name {
-        "panic" => "panic",
-        "unsafe" => "unsafe",
-        "lock-order" => "lock-order",
-        "consttime" => "consttime",
-        "codec" => "codec",
-        "println" => "println",
-        "metric-name" => "metric-name",
-        "blocking" => "blocking",
-        "thread" => "thread",
-        _ => "lint",
-    }
-}
 
 /// Combines per-file facts into the final report, running the
-/// cross-file passes. `timings` accumulates per-pass microseconds.
-pub fn combine(facts: &[FileFacts], timings: &mut BTreeMap<String, u64>) -> Report {
+/// cross-file passes.
+pub fn combine(facts: &[FileFacts]) -> Report {
     let mut report = Report {
         files_scanned: facts.len(),
         ..Report::default()
@@ -73,19 +55,10 @@ pub fn combine(facts: &[FileFacts], timings: &mut BTreeMap<String, u64>) -> Repo
                 file: f.path.clone(),
                 line: *line,
                 pass: "lint",
-                severity: Severity::Error,
                 message: format!("file does not lex: {msg}"),
             });
         }
-        for lf in &f.findings {
-            report.findings.push(Finding {
-                file: f.path.clone(),
-                line: lf.line,
-                pass: static_pass(&lf.pass),
-                severity: Severity::Error,
-                message: lf.message.clone(),
-            });
-        }
+        report.findings.extend(f.findings.iter().cloned());
     }
 
     let by_path: BTreeMap<&str, &FileFacts> = facts.iter().map(|f| (f.path.as_str(), f)).collect();
@@ -94,22 +67,10 @@ pub fn combine(facts: &[FileFacts], timings: &mut BTreeMap<String, u64>) -> Repo
     };
 
     let graph = Graph::build(facts);
-
-    let start = Instant::now();
     finish_codec(facts, &suppressed, &mut report.findings);
-    bump(timings, "codec", start);
-
-    let start = Instant::now();
     pass_lock_order(&graph, &suppressed, &mut report.findings);
-    bump(timings, "lock-order", start);
-
-    let start = Instant::now();
     pass_blocking(&graph, &suppressed, &mut report.findings);
-    bump(timings, "blocking", start);
-
-    let start = Instant::now();
     pass_thread(facts, &graph, &suppressed, &mut report.findings);
-    bump(timings, "thread", start);
 
     // Meta pass: malformed and unused suppressions.
     for f in facts {
@@ -118,7 +79,6 @@ pub fn combine(facts: &[FileFacts], timings: &mut BTreeMap<String, u64>) -> Repo
                 file: f.path.clone(),
                 line: *line,
                 pass: "lint",
-                severity: Severity::Error,
                 message: msg.clone(),
             });
         }
@@ -130,7 +90,6 @@ pub fn combine(facts: &[FileFacts], timings: &mut BTreeMap<String, u64>) -> Repo
                     file: f.path.clone(),
                     line: a.line,
                     pass: "lint",
-                    severity: Severity::Error,
                     message: format!(
                         "unused suppression lint:allow({}) — nothing to silence here; remove it",
                         a.pass
@@ -142,11 +101,6 @@ pub fn combine(facts: &[FileFacts], timings: &mut BTreeMap<String, u64>) -> Repo
 
     report.sort();
     report
-}
-
-fn bump(timings: &mut BTreeMap<String, u64>, pass: &str, start: Instant) {
-    let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    *timings.entry(pass.to_string()).or_insert(0) += us;
 }
 
 // ---------------------------------------------------------------------
@@ -387,7 +341,6 @@ fn finish_codec(
                 file: (*file).to_string(),
                 line: *line,
                 pass: "codec",
-                severity: Severity::Error,
                 message: format!(
                     "`impl Encode for {ty}` has no matching `impl Decode` — every wire message \
                      must decode exactly what it encodes"
@@ -399,7 +352,6 @@ fn finish_codec(
                 file: (*file).to_string(),
                 line: *line,
                 pass: "codec",
-                severity: Severity::Error,
                 message: format!(
                     "`impl Encode for {ty}` does not override `encoded_len` — the default \
                      scratch-encode defeats single-allocation sends"
@@ -528,7 +480,6 @@ fn pass_lock_order(
             file,
             line,
             pass: "lock-order",
-            severity: Severity::Error,
             message: format!("lock acquisition cycle {ring} — deadlock candidate{hint}"),
         });
     }
@@ -559,7 +510,7 @@ fn render_chain(caller: &str, chain: &[String]) -> String {
     s
 }
 
-// lint:allow(panic): `pos` comes from `position()` on the same path, and rotation indices are taken modulo the cycle length
+#[expect(clippy::indexing_slicing, reason = "`pos` comes from `position()` on the same path, and rotation indices are taken modulo the cycle length")]
 fn dfs_cycles<'g>(
     node: &'g str,
     adj: &BTreeMap<&'g str, Vec<&'g str>>,
@@ -614,8 +565,7 @@ fn pass_blocking(
                         file: ctx.file.to_string(),
                         line: op.line,
                         pass: "blocking",
-                        severity: Severity::Error,
-                        message: format!(
+                                message: format!(
                             "`{}` while `{}` guard is live — IO/waiting under a lock stalls \
                              every thread contending for it; drop the guard first or justify \
                              with `// lint:allow(blocking): <reason>`",
@@ -652,8 +602,7 @@ fn pass_blocking(
                     file: ctx.file.to_string(),
                     line: c.line,
                     pass: "blocking",
-                    severity: Severity::Error,
-                    message: format!(
+                        message: format!(
                         "call chain {} blocks while `{}` guard is live{site} — drop the guard \
                          before calling, or justify with `// lint:allow(blocking): <reason>`",
                         render_chain_bare(&chain),
@@ -701,7 +650,6 @@ fn pass_thread(
                 file: ctx.file.to_string(),
                 line: s.line,
                 pass: "thread",
-                severity: Severity::Error,
                 message: format!(
                     "spawned thread in {}() is neither joined nor explicitly detached — join \
                      the handle or mark `// lint:allow(detach): <reason>`",
@@ -779,7 +727,6 @@ fn pass_thread(
                 file: f.path.clone(),
                 line: *line,
                 pass: "thread",
-                severity: Severity::Error,
                 message: format!(
                     "channel wait cycle {ring} — each context receives before it sends, so all \
                      can starve together; reorder the sends or justify with \

@@ -1,41 +1,20 @@
 //! Per-file fact extraction — stage one of the two-stage analyzer.
 //!
 //! `extract` analyzes one source file in isolation and produces a
-//! [`FileFacts`]: the file's local findings (panic, unsafe, println,
-//! metric-name, consttime, codec-local) plus everything the cross-file
-//! stage ([`crate::conc::combine`]) needs — lock field declarations,
+//! [`FileFacts`]: the file's local findings (metric-name, consttime,
+//! codec-local) plus everything the cross-file stage
+//! ([`crate::conc::combine`]) needs — lock field declarations,
 //! per-function acquisition/call/blocking-op facts, spawn sites,
 //! channel endpoints, codec impls, and the suppression table.
-//!
-//! `FileFacts` is deliberately self-contained and serializable (a small
-//! hand-rolled JSON codec lives at the bottom of this module), which is
-//! what makes the incremental `--cache` mode possible: an unchanged
-//! file's facts are reloaded by content hash instead of re-lexed, and
-//! only the cheap combine stage re-runs over the full workspace.
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::passes::{
-    collect_codec_impls, pass_consttime, pass_metric_names, pass_panic, pass_println, pass_unsafe,
-    EncodeImpl, FileClass, FileCtx, SourceFile,
+    collect_codec_impls, pass_consttime, pass_metric_names, EncodeImpl, FileCtx, SourceFile,
 };
-use crate::report::{json_str, Finding};
+use crate::report::Finding;
 use crate::scan::{is_non_index_keyword, scan, Structure};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// One finding produced by the local (per-file) passes, with the pass
-/// name stored as an owned string so it survives the cache round-trip.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LocalFinding {
-    /// 1-based line.
-    pub line: u32,
-    /// Pass name (`panic`, `unsafe`, …, `lint` for lex/meta issues).
-    pub pass: String,
-    /// Human-readable message.
-    pub message: String,
-}
 
 /// A `lint:allow` suppression as seen by the combine stage.
 #[derive(Debug)]
@@ -47,10 +26,7 @@ pub struct AllowFact {
     pub line: u32,
     /// Inclusive line scope.
     pub scope: (u32, u32),
-    /// Consumed by a local pass during extraction (persisted in the
-    /// cache so reloaded files keep their local usage).
-    pub used_local: bool,
-    /// Consumed by any pass this run (local or cross-file).
+    /// Consumed by a pass (local or cross-file).
     pub used: Cell<bool>,
 }
 
@@ -83,26 +59,6 @@ pub enum CallKind {
     Method,
     /// `path::func(…)` — resolved only when unique, same rationale.
     Path,
-}
-
-impl CallKind {
-    fn code(self) -> u64 {
-        match self {
-            CallKind::Bare => 0,
-            CallKind::SelfMethod => 1,
-            CallKind::Method => 2,
-            CallKind::Path => 3,
-        }
-    }
-
-    fn from_code(code: u64) -> CallKind {
-        match code {
-            1 => CallKind::SelfMethod,
-            2 => CallKind::Method,
-            3 => CallKind::Path,
-            _ => CallKind::Bare,
-        }
-    }
 }
 
 /// One call site inside a function body.
@@ -193,14 +149,10 @@ pub struct FnFacts {
 pub struct FileFacts {
     /// Repo-relative path.
     pub path: String,
-    /// File class (decides which facts were collected).
-    pub class: Option<FileClass>,
-    /// FNV-1a hash of the source text (cache key).
-    pub hash: u64,
     /// Set when the file failed to lex (no other facts collected).
     pub lex_error: Option<(u32, String)>,
     /// Local pass findings (already suppression-filtered).
-    pub findings: Vec<LocalFinding>,
+    pub findings: Vec<Finding>,
     /// Suppression table.
     pub allows: Vec<AllowFact>,
     /// Malformed `lint:` comments.
@@ -229,32 +181,12 @@ impl FileFacts {
     }
 }
 
-/// FNV-1a 64-bit content hash (cache key).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Extracts all per-file facts. Convenience wrapper that discards
-/// per-pass timings.
+/// Extracts all per-file facts.
 pub fn extract(file: &SourceFile) -> FileFacts {
-    extract_timed(file, &mut BTreeMap::new())
-}
-
-/// Extracts all per-file facts, accumulating per-pass wall-clock
-/// microseconds into `timings`.
-pub fn extract_timed(file: &SourceFile, timings: &mut BTreeMap<String, u64>) -> FileFacts {
     let mut facts = FileFacts {
         path: file.path.clone(),
-        class: Some(file.class),
-        hash: fnv1a(file.text.as_bytes()),
         ..FileFacts::default()
     };
-    let lex_start = Instant::now();
     let toks = match lex(&file.text) {
         Ok(toks) => toks,
         Err(e) => {
@@ -263,39 +195,17 @@ pub fn extract_timed(file: &SourceFile, timings: &mut BTreeMap<String, u64>) -> 
         }
     };
     let st = scan(&file.text, &toks);
-    bump(timings, "lex", lex_start);
-
     let ctx = FileCtx {
         path: &file.path,
         src: &file.text,
         toks: &toks,
         st: &st,
     };
-    let mut local: Vec<Finding> = Vec::new();
-    timed(timings, "unsafe", || pass_unsafe(&ctx, &mut local));
-    if file.class == FileClass::Lib {
-        timed(timings, "panic", || pass_panic(&ctx, &mut local));
-        timed(timings, "println", || pass_println(&ctx, &mut local));
-        timed(timings, "metric-name", || pass_metric_names(&ctx, &mut local));
-        timed(timings, "consttime", || pass_consttime(&ctx, &mut local));
-        timed(timings, "codec", || {
-            let (encodes, decodes) = collect_codec_impls(&ctx, &mut local);
-            facts.encodes = encodes;
-            facts.decodes = decodes;
-        });
-        timed(timings, "facts", || {
-            collect_lock_fields(&file.text, &toks, &st, &mut facts.lock_fields);
-            collect_fn_facts(&ctx, &mut facts.fns);
-        });
-    }
-    facts.findings = local
-        .into_iter()
-        .map(|f| LocalFinding {
-            line: f.line,
-            pass: f.pass.to_string(),
-            message: f.message,
-        })
-        .collect();
+    pass_metric_names(&ctx, &mut facts.findings);
+    pass_consttime(&ctx, &mut facts.findings);
+    (facts.encodes, facts.decodes) = collect_codec_impls(&ctx, &mut facts.findings);
+    collect_lock_fields(&file.text, &toks, &st, &mut facts.lock_fields);
+    collect_fn_facts(&ctx, &mut facts.fns);
     facts.malformed = st.malformed.clone();
     facts.allows = st
         .allows
@@ -304,22 +214,10 @@ pub fn extract_timed(file: &SourceFile, timings: &mut BTreeMap<String, u64>) -> 
             pass: s.pass.clone(),
             line: s.line,
             scope: s.scope,
-            used_local: s.used.get(),
             used: Cell::new(s.used.get()),
         })
         .collect();
     facts
-}
-
-fn bump(timings: &mut BTreeMap<String, u64>, pass: &str, start: Instant) {
-    let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    *timings.entry(pass.to_string()).or_insert(0) += us;
-}
-
-fn timed<F: FnOnce()>(timings: &mut BTreeMap<String, u64>, pass: &str, f: F) {
-    let start = Instant::now();
-    f();
-    bump(timings, pass, start);
 }
 
 // ---------------------------------------------------------------------
@@ -328,7 +226,7 @@ fn timed<F: FnOnce()>(timings: &mut BTreeMap<String, u64>, pass: &str, f: F) {
 
 /// Collects names of fields/statics/bindings declared as `Mutex<…>` or
 /// `RwLock<…>` (including through `Arc<…>` wrappers).
-// lint:allow(panic): `code[]` entries are token indices from the scanner, and `i`/`k` stay below `code.len()`
+#[expect(clippy::indexing_slicing, reason = "`code[]` entries are token indices from the scanner, and `i`/`k` stay below `code.len()`")]
 pub(crate) fn collect_lock_fields(src: &str, toks: &[Tok], st: &Structure, out: &mut Vec<String>) {
     let mut set: BTreeSet<String> = out.iter().cloned().collect();
     let code = &st.code;
@@ -1174,523 +1072,4 @@ pub(crate) fn guard_live_range(
             (call_end, fn_close)
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// cache serialization
-// ---------------------------------------------------------------------
-
-fn class_code(class: Option<FileClass>) -> u64 {
-    match class {
-        Some(FileClass::Lib) => 0,
-        Some(FileClass::Bench) => 1,
-        Some(FileClass::Test) => 2,
-        Some(FileClass::Example) => 3,
-        None => 255,
-    }
-}
-
-fn class_from_code(code: u64) -> Option<FileClass> {
-    match code {
-        0 => Some(FileClass::Lib),
-        1 => Some(FileClass::Bench),
-        2 => Some(FileClass::Test),
-        3 => Some(FileClass::Example),
-        _ => None,
-    }
-}
-
-fn push_chan_ops(out: &mut String, ops: &[ChanOp]) {
-    out.push('[');
-    for (i, o) in ops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{},{},{}]", json_str(&o.chan), o.ci, o.line);
-    }
-    out.push(']');
-}
-
-/// Serializes file facts as the `--cache` JSON document. Only facts
-/// (not timings) are persisted; `used_local` carries local suppression
-/// usage across the round-trip, while cross-file usage is recomputed
-/// on every run.
-pub fn facts_to_json(facts: &[FileFacts]) -> String {
-    let mut out = String::from("{\"version\":1,\"files\":[");
-    for (i, f) in facts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n{{\"path\":{},\"class\":{},\"hash\":{},\"lex\":",
-            json_str(&f.path),
-            class_code(f.class),
-            f.hash
-        );
-        match &f.lex_error {
-            Some((line, msg)) => {
-                let _ = write!(out, "[{line},{}]", json_str(msg));
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"findings\":[");
-        for (k, lf) in f.findings.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "[{},{},{}]",
-                lf.line,
-                json_str(&lf.pass),
-                json_str(&lf.message)
-            );
-        }
-        out.push_str("],\"allows\":[");
-        for (k, a) in f.allows.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "[{},{},{},{},{}]",
-                json_str(&a.pass),
-                a.line,
-                a.scope.0,
-                a.scope.1,
-                u8::from(a.used_local)
-            );
-        }
-        out.push_str("],\"malformed\":[");
-        for (k, (line, msg)) in f.malformed.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{line},{}]", json_str(msg));
-        }
-        out.push_str("],\"locks\":[");
-        for (k, l) in f.lock_fields.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(l));
-        }
-        out.push_str("],\"encodes\":[");
-        for (k, e) in f.encodes.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "[{},{},{}]",
-                json_str(&e.ty),
-                e.line,
-                u8::from(e.has_len)
-            );
-        }
-        out.push_str("],\"decodes\":[");
-        for (k, d) in f.decodes.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(d));
-        }
-        out.push_str("],\"fns\":[");
-        for (k, fun) in f.fns.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n [{},{},{},{},[",
-                json_str(&fun.name),
-                fun.line,
-                fun.spawn_line,
-                u8::from(fun.returns_guard)
-            );
-            for (j, a) in fun.acquires.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "[{},{},{},{},{},{}]",
-                    json_str(&a.lock),
-                    json_str(&a.method),
-                    a.ci,
-                    a.line,
-                    a.live.0,
-                    a.live.1
-                );
-            }
-            out.push_str("],[");
-            for (j, c) in fun.calls.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "[{},{},{},{},{},{},{}]",
-                    json_str(&c.name),
-                    c.kind.code(),
-                    c.ci,
-                    c.line,
-                    c.live.0,
-                    c.live.1,
-                    json_str(&c.arg_lock)
-                );
-            }
-            out.push_str("],[");
-            for (j, o) in fun.blocking.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{},{}]", json_str(&o.op), o.ci, o.line);
-            }
-            out.push_str("],[");
-            for (j, s) in fun.spawns.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", s.line, u8::from(s.handled));
-            }
-            out.push_str("],");
-            push_chan_ops(&mut out, &fun.sends);
-            out.push(',');
-            push_chan_ops(&mut out, &fun.recvs);
-            out.push(']');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Minimal JSON value for the cache parser.
-enum JVal {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn num(&self) -> Option<u64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[JVal]> {
-        match self {
-            JVal::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn field<'a>(&'a self, name: &str) -> Option<&'a JVal> {
-        match self {
-            JVal::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Panic-free recursive-descent JSON parser, restricted to what the
-/// cache writer emits: objects, arrays, strings, unsigned integers,
-/// and `null`. Anything else (floats, bools, negatives, excessive
-/// nesting) rejects the document — the caller falls back to a full
-/// re-analysis.
-struct JParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JParser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Option<JVal> {
-        if depth > 24 {
-            return None;
-        }
-        self.skip_ws();
-        match self.bytes.get(self.pos)? {
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.eat(b'}') {
-                    return Some(JVal::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    if !self.eat(b':') {
-                        return None;
-                    }
-                    fields.push((key, self.value(depth + 1)?));
-                    if self.eat(b',') {
-                        continue;
-                    }
-                    return self.eat(b'}').then_some(JVal::Obj(fields));
-                }
-            }
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.eat(b']') {
-                    return Some(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    if self.eat(b',') {
-                        continue;
-                    }
-                    return self.eat(b']').then_some(JVal::Arr(items));
-                }
-            }
-            b'"' => Some(JVal::Str(self.string()?)),
-            b'n' => {
-                if self.bytes.get(self.pos..self.pos + 4) == Some(b"null") {
-                    self.pos += 4;
-                    Some(JVal::Null)
-                } else {
-                    None
-                }
-            }
-            b'0'..=b'9' => {
-                let mut n: u64 = 0;
-                let mut any = false;
-                while let Some(d) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
-                    n = n
-                        .checked_mul(10)?
-                        .checked_add(u64::from(d - b'0'))?;
-                    self.pos += 1;
-                    any = true;
-                }
-                any.then_some(JVal::Num(n))
-            }
-            _ => None,
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return None;
-        }
-        self.pos += 1;
-        let mut out: Vec<u8> = Vec::new();
-        loop {
-            let b = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            match b {
-                b'"' => break,
-                b'\\' => {
-                    let e = *self.bytes.get(self.pos)?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b'r' => out.push(b'\r'),
-                        b't' => out.push(b'\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            self.pos += 4;
-                            let s = std::str::from_utf8(hex).ok()?;
-                            let code = u32::from_str_radix(s, 16).ok()?;
-                            let c = char::from_u32(code)?;
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        }
-                        _ => return None,
-                    }
-                }
-                _ => out.push(b),
-            }
-        }
-        String::from_utf8(out).ok()
-    }
-}
-
-fn chan_ops_from(v: &JVal) -> Option<Vec<ChanOp>> {
-    let mut out = Vec::new();
-    for item in v.arr()? {
-        let row = item.arr()?;
-        out.push(ChanOp {
-            chan: row.first()?.str()?.to_string(),
-            ci: u32::try_from(row.get(1)?.num()?).ok()?,
-            line: u32::try_from(row.get(2)?.num()?).ok()?,
-        });
-    }
-    Some(out)
-}
-
-fn fn_from(v: &JVal) -> Option<FnFacts> {
-    let row = v.arr()?;
-    let mut fun = FnFacts {
-        name: row.first()?.str()?.to_string(),
-        line: u32::try_from(row.get(1)?.num()?).ok()?,
-        spawn_line: u32::try_from(row.get(2)?.num()?).ok()?,
-        returns_guard: row.get(3)?.num()? != 0,
-        ..FnFacts::default()
-    };
-    for item in row.get(4)?.arr()? {
-        let a = item.arr()?;
-        fun.acquires.push(AcqFact {
-            lock: a.first()?.str()?.to_string(),
-            method: a.get(1)?.str()?.to_string(),
-            ci: u32::try_from(a.get(2)?.num()?).ok()?,
-            line: u32::try_from(a.get(3)?.num()?).ok()?,
-            live: (
-                u32::try_from(a.get(4)?.num()?).ok()?,
-                u32::try_from(a.get(5)?.num()?).ok()?,
-            ),
-        });
-    }
-    for item in row.get(5)?.arr()? {
-        let c = item.arr()?;
-        fun.calls.push(CallFact {
-            name: c.first()?.str()?.to_string(),
-            kind: CallKind::from_code(c.get(1)?.num()?),
-            ci: u32::try_from(c.get(2)?.num()?).ok()?,
-            line: u32::try_from(c.get(3)?.num()?).ok()?,
-            live: (
-                u32::try_from(c.get(4)?.num()?).ok()?,
-                u32::try_from(c.get(5)?.num()?).ok()?,
-            ),
-            arg_lock: c.get(6)?.str()?.to_string(),
-        });
-    }
-    for item in row.get(6)?.arr()? {
-        let o = item.arr()?;
-        fun.blocking.push(OpFact {
-            op: o.first()?.str()?.to_string(),
-            ci: u32::try_from(o.get(1)?.num()?).ok()?,
-            line: u32::try_from(o.get(2)?.num()?).ok()?,
-        });
-    }
-    for item in row.get(7)?.arr()? {
-        let s = item.arr()?;
-        fun.spawns.push(SpawnFact {
-            line: u32::try_from(s.first()?.num()?).ok()?,
-            handled: s.get(1)?.num()? != 0,
-        });
-    }
-    fun.sends = chan_ops_from(row.get(8)?)?;
-    fun.recvs = chan_ops_from(row.get(9)?)?;
-    Some(fun)
-}
-
-fn file_from(v: &JVal) -> Option<FileFacts> {
-    let mut f = FileFacts {
-        path: v.field("path")?.str()?.to_string(),
-        class: class_from_code(v.field("class")?.num()?),
-        hash: v.field("hash")?.num()?,
-        ..FileFacts::default()
-    };
-    match v.field("lex")? {
-        JVal::Null => {}
-        lex => {
-            let row = lex.arr()?;
-            f.lex_error = Some((
-                u32::try_from(row.first()?.num()?).ok()?,
-                row.get(1)?.str()?.to_string(),
-            ));
-        }
-    }
-    for item in v.field("findings")?.arr()? {
-        let row = item.arr()?;
-        f.findings.push(LocalFinding {
-            line: u32::try_from(row.first()?.num()?).ok()?,
-            pass: row.get(1)?.str()?.to_string(),
-            message: row.get(2)?.str()?.to_string(),
-        });
-    }
-    for item in v.field("allows")?.arr()? {
-        let row = item.arr()?;
-        let used_local = row.get(4)?.num()? != 0;
-        f.allows.push(AllowFact {
-            pass: row.first()?.str()?.to_string(),
-            line: u32::try_from(row.get(1)?.num()?).ok()?,
-            scope: (
-                u32::try_from(row.get(2)?.num()?).ok()?,
-                u32::try_from(row.get(3)?.num()?).ok()?,
-            ),
-            used_local,
-            used: Cell::new(used_local),
-        });
-    }
-    for item in v.field("malformed")?.arr()? {
-        let row = item.arr()?;
-        f.malformed.push((
-            u32::try_from(row.first()?.num()?).ok()?,
-            row.get(1)?.str()?.to_string(),
-        ));
-    }
-    for item in v.field("locks")?.arr()? {
-        f.lock_fields.push(item.str()?.to_string());
-    }
-    for item in v.field("encodes")?.arr()? {
-        let row = item.arr()?;
-        f.encodes.push(EncodeImpl {
-            ty: row.first()?.str()?.to_string(),
-            line: u32::try_from(row.get(1)?.num()?).ok()?,
-            has_len: row.get(2)?.num()? != 0,
-        });
-    }
-    for item in v.field("decodes")?.arr()? {
-        f.decodes.push(item.str()?.to_string());
-    }
-    for item in v.field("fns")?.arr()? {
-        f.fns.push(fn_from(item)?);
-    }
-    Some(f)
-}
-
-/// Parses a `--cache` document written by [`facts_to_json`]. Returns
-/// `None` on any malformation (wrong version included) — the cache is
-/// advisory, so the caller just re-analyzes from scratch.
-pub fn facts_from_json(text: &str) -> Option<Vec<FileFacts>> {
-    let mut p = JParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let doc = p.value(0)?;
-    if doc.field("version")?.num()? != 1 {
-        return None;
-    }
-    let mut out = Vec::new();
-    for item in doc.field("files")?.arr()? {
-        out.push(file_from(item)?);
-    }
-    Some(out)
 }

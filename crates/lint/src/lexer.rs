@@ -5,8 +5,8 @@
 //! nested block comments, char-vs-lifetime quotes, and byte literals
 //! can never be confused with code, because that is exactly how
 //! grep-based lints get fooled. Comments are kept as tokens — the
-//! suppression grammar (`// lint:allow(...)`) and the `// SAFETY:`
-//! audit live in them.
+//! suppression grammar (`// lint:allow(...)`) and the secret-scope
+//! markers live in them.
 
 use std::fmt;
 
@@ -60,7 +60,6 @@ pub struct Tok {
 
 impl Tok {
     /// The token's text within `src`.
-    // lint:allow(panic): token spans are byte ranges the lexer produced over this same `src`
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start..self.end]
     }

@@ -1,72 +1,46 @@
 //! `hlf-lint` command-line driver.
 //!
 //! ```text
-//! hlf-lint --workspace                 # scan the whole workspace, strict
-//! hlf-lint --warn crates/bench         # advisory scan of one path
-//! hlf-lint --workspace --json out.json # also write the stable report
-//! hlf-lint --workspace --cache .lint-cache.json  # incremental mode
+//! hlf-lint --workspace                 # scan the workspace's library sources
+//! hlf-lint crates/smr/src              # scan one path
 //! hlf-lint --root /repo --workspace    # run from elsewhere
 //! ```
 //!
-//! Exit status: 0 when no error findings (or `--warn`), 1 when
-//! findings remain, 2 on usage or I/O errors.
-//!
-//! `--cache FILE` keys per-file facts by FNV-1a content hash: unchanged
-//! files skip lexing and the local passes entirely, and only the
-//! cross-file combine stage re-runs over the whole workspace. The cache
-//! is advisory — a missing, stale, or malformed cache file just means a
-//! full analysis.
+//! Exit status: 0 when there are no findings, 1 when findings remain,
+//! 2 on usage or I/O errors.
 
-use hlf_lint::conc::combine;
-use hlf_lint::facts::{extract_timed, facts_from_json, facts_to_json, fnv1a, FileFacts};
 use hlf_lint::walk::{discover_path, discover_workspace};
-use hlf_lint::{Severity, SourceFile};
-use std::collections::BTreeMap;
+use hlf_lint::{analyze, SourceFile};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
     workspace: bool,
-    warn: bool,
-    json: Option<PathBuf>,
-    cache: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: hlf-lint [--root DIR] [--json FILE] [--cache FILE] [--warn] (--workspace | PATH...)\n\
+    "usage: hlf-lint [--root DIR] (--workspace | PATH...)\n\
      \n\
-     Runs the invariant passes (panic, unsafe, lock-order, blocking,\n\
-     thread, consttime, codec, println, metric-name) over the workspace's\n\
-     library crates, plus the unsafe audit over benches/tests/examples.\n\
-     --warn downgrades findings to advisories (exit 0). --json writes the\n\
-     stable machine-readable report. --cache enables incremental\n\
-     re-analysis keyed by per-file content hashes."
+     Runs the invariant passes no toolchain lint covers (lock-order,\n\
+     blocking, thread, consttime, codec, metric-name) over the\n\
+     workspace's library crates. Panic, unsafe and stdout discipline are\n\
+     clippy's: `make lint` runs both."
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
         workspace: false,
-        warn: false,
-        json: None,
-        cache: None,
         paths: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => opts.workspace = true,
-            "--warn" => opts.warn = true,
             "--root" => {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a directory")?);
-            }
-            "--json" => {
-                opts.json = Some(PathBuf::from(args.next().ok_or("--json needs a file path")?));
-            }
-            "--cache" => {
-                opts.cache = Some(PathBuf::from(args.next().ok_or("--cache needs a file path")?));
             }
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => {
@@ -108,66 +82,14 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Load the cache (advisory): path → facts, keyed valid by hash.
-    let mut cached: BTreeMap<String, FileFacts> = BTreeMap::new();
-    if let Some(cache_path) = &opts.cache {
-        if let Ok(text) = std::fs::read_to_string(cache_path) {
-            match facts_from_json(&text) {
-                Some(entries) => {
-                    for f in entries {
-                        cached.insert(f.path.clone(), f);
-                    }
-                }
-                None => eprintln!(
-                    "hlf-lint: cache {} is unreadable — running full analysis",
-                    cache_path.display()
-                ),
-            }
-        }
-    }
-
-    let mut timings: BTreeMap<String, u64> = BTreeMap::new();
-    let mut facts: Vec<FileFacts> = Vec::new();
-    let mut reused = 0usize;
-    for f in &files {
-        let hash = fnv1a(f.text.as_bytes());
-        match cached.remove(&f.path) {
-            Some(hit) if hit.hash == hash => {
-                reused += 1;
-                facts.push(hit);
-            }
-            _ => facts.push(extract_timed(f, &mut timings)),
-        }
-    }
-
-    let mut report = combine(&facts, &mut timings);
-    report.timings_us = timings;
-    if opts.warn {
-        for f in &mut report.findings {
-            f.severity = Severity::Warn;
-        }
-    }
-
-    // Persist the refreshed cache (drop entries for files that no
-    // longer exist — `cached` retains only unmatched paths here).
-    if let Some(cache_path) = &opts.cache {
-        if let Err(e) = std::fs::write(cache_path, facts_to_json(&facts)) {
-            eprintln!("hlf-lint: cannot write cache {}: {e}", cache_path.display());
-        }
-    }
-
+    let report = analyze(&files);
     for f in &report.findings {
         eprintln!("{}", f.render());
     }
     let counts = report.counts();
     let summary: Vec<String> = counts.iter().map(|(p, n)| format!("{p}: {n}")).collect();
-    let cache_note = if opts.cache.is_some() {
-        format!(" ({reused} cached, {} analyzed)", files.len() - reused)
-    } else {
-        String::new()
-    };
     eprintln!(
-        "hlf-lint: {} file(s){cache_note}, {} finding(s){}{}, {} suppression(s) honored",
+        "hlf-lint: {} file(s), {} finding(s){}{}, {} suppression(s) honored",
         report.files_scanned,
         report.findings.len(),
         if summary.is_empty() { "" } else { " — " },
@@ -175,14 +97,7 @@ fn main() -> ExitCode {
         report.suppressions_used,
     );
 
-    if let Some(json_path) = &opts.json {
-        if let Err(e) = std::fs::write(json_path, report.to_json()) {
-            eprintln!("hlf-lint: cannot write {}: {e}", json_path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if report.findings.is_empty() || opts.warn {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

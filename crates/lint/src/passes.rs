@@ -2,11 +2,8 @@
 //!
 //! | pass       | invariant enforced                                        |
 //! |------------|-----------------------------------------------------------|
-//! | `panic`    | no unjustified panic paths in library non-test code       |
-//! | `unsafe`   | every `unsafe` carries an adjacent `// SAFETY:` comment   |
 //! | `consttime`| no secret-dependent control flow in `lint:secret-scope`s  |
 //! | `codec`    | unique tags per `Encode` impl (completeness cross-file)   |
-//! | `println`  | library crates log through hlf-obs, never stdout          |
 //! | `metric-name` | metric names follow the `crate.subsystem.name` scheme  |
 //!
 //! The interprocedural passes — `lock-order`, `blocking-while-locked`
@@ -20,29 +17,23 @@
 
 use crate::facts::FileFacts;
 use crate::lexer::{int_value, Tok, TokKind};
-use crate::report::{Finding, Report, Severity};
+use crate::report::{Finding, Report};
 use crate::scan::{is_non_index_keyword, Structure};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// What kind of file is being analyzed; decides which passes run.
+/// What kind of file is being analyzed. Every pass states an invariant
+/// of library code, so library sources are the only kind there is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileClass {
     /// A library crate source file: all passes.
     Lib,
-    /// Bench harness code (prints reports, drives scenarios): only the
-    /// `unsafe` audit.
-    Bench,
-    /// Test-only source: only the `unsafe` audit.
-    Test,
-    /// Examples: only the `unsafe` audit.
-    Example,
 }
 
 /// One file handed to the analyzer.
 pub struct SourceFile {
     /// Repo-relative path used in findings.
     pub path: String,
-    /// Class (decides enabled passes).
+    /// Class (library source, the only kind).
     pub class: FileClass,
     /// Full source text.
     pub text: String,
@@ -88,7 +79,6 @@ impl FileCtx<'_> {
             file: self.path.to_string(),
             line,
             pass,
-            severity: Severity::Error,
             message,
         });
     }
@@ -98,195 +88,8 @@ impl FileCtx<'_> {
 /// per-file facts ([`crate::facts::extract`]), then combines them
 /// workspace-wide ([`crate::conc::combine`]).
 pub fn analyze(files: &[SourceFile]) -> Report {
-    analyze_timed(files, &mut BTreeMap::new())
-}
-
-/// [`analyze`] accumulating per-pass wall-clock microseconds into
-/// `timings`; the result's `timings_us` field carries the totals.
-pub fn analyze_timed(files: &[SourceFile], timings: &mut BTreeMap<String, u64>) -> Report {
-    let facts: Vec<FileFacts> = files
-        .iter()
-        .map(|f| crate::facts::extract_timed(f, timings))
-        .collect();
-    let mut report = crate::conc::combine(&facts, timings);
-    report.timings_us = timings.clone();
-    report
-}
-
-// ---------------------------------------------------------------------
-// panic-discipline
-// ---------------------------------------------------------------------
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-pub(crate) fn pass_panic(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let n = ctx.st.code.len();
-    for ci in 0..n {
-        let line = ctx.cline(ci);
-        if ctx.st.in_test(line) {
-            continue;
-        }
-        let text = ctx.ctext(ci);
-        match ctx.ckind(ci) {
-            Some(TokKind::Ident) => {
-                if (text == "unwrap" || text == "expect")
-                    && ctx.ctext(ci.wrapping_sub(1)) == "."
-                    && ctx.ctext(ci + 1) == "("
-                {
-                    ctx.emit(
-                        out,
-                        "panic",
-                        line,
-                        format!(
-                            "`.{text}()` can panic mid-consensus — return an error or justify \
-                             with `// lint:allow(panic): <reason>`"
-                        ),
-                    );
-                } else if PANIC_MACROS.contains(&text) && ctx.ctext(ci + 1) == "!" {
-                    ctx.emit(
-                        out,
-                        "panic",
-                        line,
-                        format!(
-                            "`{text}!` in library code — a panicked correct replica is an \
-                             availability fault the 3f+1 sizing did not budget for"
-                        ),
-                    );
-                }
-            }
-            Some(TokKind::Punct) if text == "[" => {
-                if let Some(f) = indexing_finding(ctx, ci) {
-                    ctx.emit(out, "panic", line, f);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Classifies a `[` token: returns a message when it is a fallible
-/// index expression. Pure-literal indices and full ranges (`[..]`,
-/// `[0]`, `[..32]`) are exempt — their bounds are fixed at the call
-/// site and reviewed with the surrounding code.
-fn indexing_finding(ctx: &FileCtx<'_>, ci: usize) -> Option<String> {
-    let prev_ci = ci.checked_sub(1)?;
-    let indexable = match ctx.ckind(prev_ci) {
-        Some(TokKind::Ident) => !is_non_index_keyword(ctx.ctext(prev_ci)),
-        Some(TokKind::Punct) => matches!(ctx.ctext(prev_ci), ")" | "]" | "?"),
-        _ => false,
-    };
-    if !indexable {
-        return None;
-    }
-    let close = ctx.mate(ci)?;
-    if close <= ci + 1 {
-        return None; // `[]` — not valid index syntax anyway
-    }
-    let mut has_dynamic = false;
-    for k in ci + 1..close {
-        match ctx.ckind(k) {
-            Some(TokKind::Int) => {}
-            Some(TokKind::Punct) if ctx.ctext(k) == "." => {}
-            _ => {
-                has_dynamic = true;
-                break;
-            }
-        }
-    }
-    if !has_dynamic {
-        return None;
-    }
-    Some(
-        "indexing with a runtime value can panic — use `.get()`/split APIs or justify with \
-         `// lint:allow(panic): <reason>`"
-            .to_string(),
-    )
-}
-
-// ---------------------------------------------------------------------
-// unsafe-audit
-// ---------------------------------------------------------------------
-
-// lint:allow(panic): `ti` is a valid token index supplied by the pass driver
-pub(crate) fn pass_unsafe(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    for (ti, t) in ctx.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text(ctx.src) != "unsafe" {
-            continue;
-        }
-        // The contiguous comment block nearest above (ending at most two
-        // lines up — blank lines allowed, code is not) must contain a
-        // line starting `SAFETY:`. Walking the whole block accepts the
-        // common multi-line form, where `SAFETY:` opens the block and
-        // the nearest comment token is a continuation line.
-        let strip = |c: &Tok| -> String {
-            c.text(ctx.src)
-                .trim_start_matches('/')
-                .trim_start_matches('*')
-                .trim_start_matches('!')
-                .trim_start()
-                .to_string()
-        };
-        let mut ok = false;
-        let mut expect_line: Option<u32> = None;
-        for c in ctx.toks[..ti].iter().rev() {
-            if !matches!(c.kind, TokKind::LineComment | TokKind::BlockComment) {
-                break;
-            }
-            match expect_line {
-                None => {
-                    if t.line.saturating_sub(c.end_line) > 2 {
-                        break;
-                    }
-                }
-                Some(l) => {
-                    if c.end_line + 1 < l {
-                        break;
-                    }
-                }
-            }
-            if strip(c).starts_with("SAFETY:") {
-                ok = true;
-                break;
-            }
-            expect_line = Some(c.line);
-        }
-        if !ok {
-            ctx.emit(
-                out,
-                "unsafe",
-                t.line,
-                "`unsafe` without an immediately preceding `// SAFETY:` comment".to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// println-discipline
-// ---------------------------------------------------------------------
-
-pub(crate) fn pass_println(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    for ci in 0..ctx.st.code.len() {
-        let text = ctx.ctext(ci);
-        if (text == "println" || text == "print")
-            && ctx.ckind(ci) == Some(TokKind::Ident)
-            && ctx.ctext(ci + 1) == "!"
-        {
-            let line = ctx.cline(ci);
-            if ctx.st.in_test(line) {
-                continue;
-            }
-            ctx.emit(
-                out,
-                "println",
-                line,
-                format!(
-                    "`{text}!` in a library crate — log through hlf-obs (`log!`/metrics); \
-                     stdout is a perf bug and invisible to collectors"
-                ),
-            );
-        }
-    }
+    let facts: Vec<FileFacts> = files.iter().map(crate::facts::extract).collect();
+    crate::conc::combine(&facts)
 }
 
 // ---------------------------------------------------------------------

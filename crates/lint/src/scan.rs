@@ -1,6 +1,6 @@
 //! Structural scanning over the token stream: bracket matching, item
 //! discovery (`fn`, `impl`, `mod`), `#[cfg(test)]` regions, and the
-//! comment grammars (`lint:allow`, `lint:secret-scope`, `SAFETY:`).
+//! comment grammars (`lint:allow`, `lint:secret-scope`).
 //!
 //! This is deliberately not a parser. The passes need four things a
 //! token-level scan answers reliably: where functions start and end,
@@ -161,7 +161,7 @@ pub fn scan(src: &str, toks: &[Tok]) -> Structure {
 }
 
 /// Pairs up `()`, `[]`, `{}` across code tokens.
-// lint:allow(panic): `code[]` entries are token indices from the scanner; stack entries are prior `ci` values
+#[expect(clippy::indexing_slicing, reason = "`code[]` entries are token indices from the scanner; stack entries are prior `ci` values")]
 fn match_delims(src: &str, toks: &[Tok], code: &[usize]) -> Vec<usize> {
     let mut mate = vec![usize::MAX; code.len()];
     let mut stack: Vec<(usize, u8)> = Vec::new();
@@ -551,7 +551,6 @@ fn join_ty(parts: &[String]) -> String {
 }
 
 /// Parses `lint:` comment grammars and computes suppression scopes.
-// lint:allow(panic): slice bounds are positions `find()` just located inside the same string
 fn scan_comments(src: &str, toks: &[Tok], st: &mut Structure) {
     for (ti, t) in toks.iter().enumerate() {
         if !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
@@ -633,7 +632,7 @@ fn comment_body(text: &str) -> &str {
 /// - trailing comment (code earlier on the same line) → that line span;
 /// - standalone comment directly above a `fn` item → the whole fn;
 /// - standalone comment otherwise → the following statement.
-// lint:allow(panic): `ti` is a valid token index, and all derived indices are bounds-guarded before use
+#[expect(clippy::indexing_slicing, reason = "`ti` is a valid token index, and all derived indices are bounds-guarded before use")]
 fn suppression_scope(src: &str, toks: &[Tok], st: &Structure, ti: usize) -> (u32, u32) {
     let line = toks[ti].line;
     let trailing = toks[..ti]
@@ -770,14 +769,14 @@ mod tests {
     fn allow_scopes() {
         let src = "\
 fn f() {
-    x.unwrap(); // lint:allow(panic): trailing
-    // lint:allow(panic): next statement
+    x.recv(); // lint:allow(blocking): trailing
+    // lint:allow(blocking): next statement
     y
-        .unwrap();
+        .recv();
 }
-// lint:allow(panic): whole fn
+// lint:allow(blocking): whole fn
 fn g() {
-    z.unwrap();
+    z.recv();
 }
 ";
         let st = scan_src(src);
@@ -786,13 +785,13 @@ fn g() {
         assert_eq!(st.allows[1].scope, (3, 5));
         assert_eq!(st.allows[2].scope.0, 7);
         assert!(st.allows[2].scope.1 >= 10);
-        assert!(st.suppressed("panic", 9));
+        assert!(st.suppressed("blocking", 9));
         assert!(!st.suppressed("consttime", 9));
     }
 
     #[test]
     fn malformed_allow_reported() {
-        let st = scan_src("// lint:allow(panic) missing reason\nfn f() {}\n");
+        let st = scan_src("// lint:allow(blocking) missing reason\nfn f() {}\n");
         assert_eq!(st.malformed.len(), 1);
         let st = scan_src("// lint:bogus-directive\nfn f() {}\n");
         assert_eq!(st.malformed.len(), 1);

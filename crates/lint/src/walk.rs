@@ -1,5 +1,4 @@
-//! Workspace discovery: finds the `.rs` files to scan and classifies
-//! them into [`FileClass`]es.
+//! Workspace discovery: finds the library `.rs` files to scan.
 
 use crate::passes::{FileClass, SourceFile};
 use std::fs;
@@ -10,11 +9,9 @@ use std::path::{Path, PathBuf};
 /// deliberately-violating sources).
 const SKIP_DIRS: &[&str] = &["fixtures", "target", ".git"];
 
-/// Collects every workspace source file under `root`, classified.
-///
-/// Layout knowledge: `crates/*/src` and the top-level `src/` are
-/// library code; `crates/bench` is the bench harness; `crates/*/tests`,
-/// the top-level `tests/`, and `examples/` are test/example code.
+/// Collects every library source file under `root`: `crates/*/src`
+/// (bar `crates/bench`, the harness that prints reports and drives
+/// scenarios) and the top-level `src/`.
 ///
 /// # Errors
 ///
@@ -26,27 +23,20 @@ pub fn discover_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
         let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
             .filter_map(|e| e.ok())
             .map(|e| e.path())
-            .filter(|p| p.is_dir())
+            .filter(|p| p.is_dir() && p.file_name().is_some_and(|n| n != "bench"))
             .collect();
         crate_dirs.sort();
         for dir in crate_dirs {
-            let is_bench = dir.file_name().is_some_and(|n| n == "bench");
-            collect(root, &dir.join("src"), if is_bench { FileClass::Bench } else { FileClass::Lib }, &mut files)?;
-            collect(root, &dir.join("tests"), FileClass::Test, &mut files)?;
-            collect(root, &dir.join("examples"), FileClass::Example, &mut files)?;
-            collect(root, &dir.join("benches"), FileClass::Bench, &mut files)?;
+            collect(root, &dir.join("src"), &mut files)?;
         }
     }
-    collect(root, &root.join("src"), FileClass::Lib, &mut files)?;
-    collect(root, &root.join("tests"), FileClass::Test, &mut files)?;
-    collect(root, &root.join("examples"), FileClass::Example, &mut files)?;
+    collect(root, &root.join("src"), &mut files)?;
     files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)
 }
 
 /// Collects the `.rs` files under an explicitly named file or
-/// directory, classified by its path (`…/tests/…` → test, `…/bench…` →
-/// bench, else library).
+/// directory.
 ///
 /// # Errors
 ///
@@ -66,35 +56,17 @@ pub fn discover_path(root: &Path, arg: &Path) -> io::Result<Vec<SourceFile>> {
     }
     let mut files = Vec::new();
     if full.is_file() {
-        push_file(root, &full, classify(&full), &mut files)?;
+        push_file(root, &full, &mut files)?;
     } else {
-        collect(root, &full, classify(&full), &mut files)?;
+        collect(root, &full, &mut files)?;
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)
 }
 
-fn classify(path: &Path) -> FileClass {
-    let s = path.to_string_lossy();
-    if s.contains("/tests/") || s.ends_with("/tests") {
-        FileClass::Test
-    } else if s.contains("/examples/") || s.ends_with("/examples") {
-        FileClass::Example
-    } else if s.contains("/bench/") || s.contains("/benches/") || s.ends_with("/bench") {
-        FileClass::Bench
-    } else {
-        FileClass::Lib
-    }
-}
-
 /// Recursively gathers `.rs` files under `dir` (silently skips a
 /// missing dir — not every crate has every layout directory).
-fn collect(
-    root: &Path,
-    dir: &Path,
-    class: FileClass,
-    out: &mut Vec<SourceFile>,
-) -> io::Result<()> {
+fn collect(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -109,22 +81,15 @@ fn collect(
             if SKIP_DIRS.contains(&name) {
                 continue;
             }
-            // `src/bin/` under the bench crate stays Bench; under a
-            // library crate binaries are still library-rule code.
-            collect(root, &path, class, out)?;
+            collect(root, &path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            push_file(root, &path, class, out)?;
+            push_file(root, &path, out)?;
         }
     }
     Ok(())
 }
 
-fn push_file(
-    root: &Path,
-    path: &Path,
-    class: FileClass,
-    out: &mut Vec<SourceFile>,
-) -> io::Result<()> {
+fn push_file(root: &Path, path: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
     let text = fs::read_to_string(path)?;
     let rel = path
         .strip_prefix(root)
@@ -133,21 +98,8 @@ fn push_file(
         .into_owned();
     out.push(SourceFile {
         path: rel,
-        class,
+        class: FileClass::Lib,
         text,
     });
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classify_by_path_shape() {
-        assert_eq!(classify(Path::new("/r/crates/wire/tests/x.rs")), FileClass::Test);
-        assert_eq!(classify(Path::new("/r/examples/demo.rs")), FileClass::Example);
-        assert_eq!(classify(Path::new("/r/crates/bench/src/bin/fig7.rs")), FileClass::Bench);
-        assert_eq!(classify(Path::new("/r/crates/wire/src/lib.rs")), FileClass::Lib);
-    }
 }

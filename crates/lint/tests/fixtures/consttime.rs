@@ -7,7 +7,7 @@ pub fn flagged(secret: u32, table: &[u32; 4]) -> u32 {
     if secret == 0 {
         return 1;
     }
-    table[idx] // lint:allow(panic): fixture — `idx` is masked to `0..4`
+    table[idx]
 }
 
 pub fn justified(secret: u32) -> u32 {

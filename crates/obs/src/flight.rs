@@ -14,8 +14,8 @@
 //!
 //! Dumps serialise to the same stable hand-rolled JSON dialect as
 //! [`crate::Snapshot`]: fixed key order, no whitespace, integers only —
-//! `to_json` → `from_json` → `to_json` is byte-identical, which the
-//! offline `trace_report` merger relies on.
+//! `to_json` → `from_json` → `to_json` is byte-identical, which
+//! merging per-node dumps offline relies on.
 
 use crate::snapshot::json;
 use crate::snapshot::json_string;
@@ -322,7 +322,7 @@ impl FlightDump {
 }
 
 /// Serialises several dumps as `{"dumps":[...]}` — the on-disk format
-/// of `trace_report` per-node dump files.
+/// of a per-node dump file.
 pub fn dumps_to_json(dumps: &[FlightDump]) -> String {
     let mut out = String::from("{\"dumps\":[");
     for (i, dump) in dumps.iter().enumerate() {
@@ -419,7 +419,7 @@ impl FlightRecorder {
 
     /// Records an event with an explicit timestamp (deterministic
     /// simulations pass virtual time). Wait-free, allocation-free.
-    // lint:allow(panic): the ring size is a power of two, so `ticket & (len - 1)` is always in bounds
+    #[expect(clippy::indexing_slicing, reason = "the ring size is a power of two, so `ticket & (len - 1)` is always in bounds")]
     pub fn record(&self, at_us: u64, kind: EventKind, a: u64, b: u64, c: u64) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
@@ -474,7 +474,7 @@ impl FlightRecorder {
     /// in the ring, oldest first, together with the new cursor to pass
     /// next time. Events overwritten between drains are silently lost —
     /// size the ring for the drain interval. Start with cursor `0`.
-    // lint:allow(panic): the ring size is a power of two, so `(seq-1) & (len-1)` is always in bounds
+    #[expect(clippy::indexing_slicing, reason = "the ring size is a power of two, so `(seq-1) & (len-1)` is always in bounds")]
     pub fn events_since(&self, cursor: u64) -> (u64, Vec<FlightEvent>) {
         let head = self.head.load(Ordering::Acquire);
         // Sequences are 1-based (`ticket + 1`); anything older than one

@@ -71,7 +71,7 @@ impl StragglerDetector {
     /// Feeds one vote-arrival lag observation (µs) for `peer` and
     /// returns a state change if the observation crossed the suspicion
     /// threshold in either direction.
-    // lint:allow(panic): `peer` is range-checked against `peers.len()` at entry
+    #[expect(clippy::indexing_slicing, reason = "`peer` is range-checked against `peers.len()` at entry")]
     pub fn observe(&mut self, peer: usize, lag_us: u64) -> Option<SuspicionEvent> {
         if peer >= self.peers.len() {
             return None;
@@ -109,7 +109,7 @@ impl StragglerDetector {
 
     /// Median EWMA across peers with enough samples; `None` until at
     /// least two peers qualify (a lone peer cannot be its own baseline).
-    // lint:allow(panic): `lags.len() / 2` is in bounds — the `len < 2` case returned `None` above
+    #[expect(clippy::indexing_slicing, reason = "`lags.len() / 2` is in bounds — the `len < 2` case returned `None` above")]
     fn median_us(&self) -> Option<f64> {
         let mut lags: Vec<f64> = self
             .peers

@@ -82,7 +82,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    // lint:allow(panic): the Vec is built with exactly NUM_BUCKETS entries, so the array conversion cannot fail
+    #[expect(clippy::unreachable, reason = "the Vec is built with exactly NUM_BUCKETS entries, so the array conversion cannot fail")]
     pub fn new() -> Histogram {
         // `AtomicU64` is not `Copy`; build the table through a Vec.
         let buckets: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
@@ -101,7 +101,7 @@ impl Histogram {
 
     /// Records one observation.
     #[inline]
-    // lint:allow(panic): `bucket_index` maps every u64 into `0..NUM_BUCKETS` by construction
+    #[expect(clippy::indexing_slicing, reason = "`bucket_index` maps every u64 into `0..NUM_BUCKETS` by construction")]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -111,7 +111,7 @@ impl Histogram {
     }
 
     /// Records `n` identical observations.
-    // lint:allow(panic): `bucket_index` maps every u64 into `0..NUM_BUCKETS` by construction
+    #[expect(clippy::indexing_slicing, reason = "`bucket_index` maps every u64 into `0..NUM_BUCKETS` by construction")]
     pub fn record_n(&self, v: u64, n: u64) {
         if n == 0 {
             return;

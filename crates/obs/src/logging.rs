@@ -67,12 +67,6 @@ pub fn enabled(level: Level) -> bool {
     level as u8 <= max_level()
 }
 
-/// Pins the level programmatically (first caller wins, including the
-/// lazy env read). Mainly for tests and tools.
-pub fn set_max_level(level: Level) {
-    let _ = MAX_LEVEL.set(level as u8);
-}
-
 /// Logs at an explicit [`Level`] with `format!` syntax.
 #[macro_export]
 macro_rules! log {

@@ -56,7 +56,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if the name is registered as a different metric kind.
-    // lint:allow(panic): documented API contract — registering one name as two metric kinds is a programming bug caught at first use
+    #[expect(clippy::panic, reason = "documented API contract — registering one name as two metric kinds is a programming bug caught at first use")]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut metrics = match self.metrics.lock() {
             Ok(m) => m,
@@ -76,7 +76,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if the name is registered as a different metric kind.
-    // lint:allow(panic): documented API contract — registering one name as two metric kinds is a programming bug caught at first use
+    #[expect(clippy::panic, reason = "documented API contract — registering one name as two metric kinds is a programming bug caught at first use")]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut metrics = match self.metrics.lock() {
             Ok(m) => m,
@@ -96,7 +96,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if the name is registered as a different metric kind.
-    // lint:allow(panic): documented API contract — registering one name as two metric kinds is a programming bug caught at first use
+    #[expect(clippy::panic, reason = "documented API contract — registering one name as two metric kinds is a programming bug caught at first use")]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut metrics = match self.metrics.lock() {
             Ok(m) => m,

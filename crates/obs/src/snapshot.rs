@@ -288,7 +288,7 @@ impl Snapshot {
 }
 
 /// Serializes several registry snapshots as
-/// `{"registries": [snapshot, ...]}` — the `obs_report` dump format.
+/// `{"registries": [snapshot, ...]}` — a whole cluster in one document.
 pub fn to_json_many(snapshots: &[Snapshot]) -> String {
     let mut out = String::from("{\"registries\":[");
     for (i, s) in snapshots.iter().enumerate() {
@@ -311,7 +311,7 @@ pub fn from_json_many(json: &str) -> Result<Vec<Snapshot>, String> {
     list.iter().map(snapshot_from_value).collect()
 }
 
-// lint:allow(panic): `triple[i]` with `i ∈ 0..3` follows the `len() != 3` rejection
+#[expect(clippy::indexing_slicing, reason = "`triple[i]` with `i ∈ 0..3` follows the `len() != 3` rejection")]
 fn snapshot_from_value(value: &json::Value) -> Result<Snapshot, String> {
     let registry = value
         .get("registry")
@@ -463,14 +463,14 @@ pub(crate) mod json {
         Ok(value)
     }
 
-    // lint:allow(panic): every index is preceded by an explicit bounds check in this hand-rolled parser
+    #[expect(clippy::indexing_slicing, reason = "every index is preceded by an explicit bounds check in this hand-rolled parser")]
     fn skip_ws(bytes: &[u8], pos: &mut usize) {
         while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
             *pos += 1;
         }
     }
 
-    // lint:allow(panic): every index is preceded by an explicit bounds check in this hand-rolled parser
+    #[expect(clippy::indexing_slicing, reason = "every index is preceded by an explicit bounds check in this hand-rolled parser")]
     fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
         if *pos < bytes.len() && bytes[*pos] == want {
             *pos += 1;
@@ -494,7 +494,7 @@ pub(crate) mod json {
         }
     }
 
-    // lint:allow(panic): `*pos < bytes.len()` is established by the caller's dispatch on `bytes.get(*pos)`
+    #[expect(clippy::indexing_slicing, reason = "`*pos < bytes.len()` is established by the caller's dispatch on `bytes.get(*pos)`")]
     fn parse_literal(
         bytes: &[u8],
         pos: &mut usize,
@@ -558,7 +558,7 @@ pub(crate) mod json {
         }
     }
 
-    // lint:allow(panic): every index is preceded by an explicit bounds check in this hand-rolled parser
+    #[expect(clippy::indexing_slicing, reason = "every index is preceded by an explicit bounds check in this hand-rolled parser")]
     fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
         expect(bytes, pos, b'"')?;
         let mut out = String::new();
@@ -612,7 +612,7 @@ pub(crate) mod json {
         }
     }
 
-    // lint:allow(panic): loop indices are bounds-checked; the digit span is ASCII so the UTF-8 view cannot fail
+    #[expect(clippy::unwrap_used, clippy::indexing_slicing, reason = "loop indices are bounds-checked; the digit span is ASCII so the UTF-8 view cannot fail")]
     fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let start = *pos;
         if bytes.get(*pos) == Some(&b'-') {

@@ -34,7 +34,7 @@ impl TimeSeries {
     }
 
     /// Appends a sample, evicting the oldest if the window is full.
-    // lint:allow(panic): `next` is always < len once the ring has wrapped
+    #[expect(clippy::indexing_slicing, reason = "`next` is always < len once the ring has wrapped")]
     pub fn push(&mut self, value: f64) {
         if self.samples.len() < self.cap {
             self.samples.push(value);
@@ -46,7 +46,7 @@ impl TimeSeries {
     }
 
     /// Samples in the window, oldest first.
-    // lint:allow(panic): `next` never exceeds len, so both splits are in bounds
+    #[expect(clippy::indexing_slicing, reason = "`next` never exceeds len, so both splits are in bounds")]
     pub fn values(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.samples.len());
         out.extend_from_slice(&self.samples[self.next..]);
@@ -65,7 +65,7 @@ impl TimeSeries {
     }
 
     /// Newest sample, if any.
-    // lint:allow(panic): guarded by the emptiness / wrap checks above the index
+    #[expect(clippy::indexing_slicing, reason = "guarded by the emptiness / wrap checks above the index")]
     pub fn last(&self) -> Option<f64> {
         if self.samples.is_empty() {
             None
@@ -84,7 +84,7 @@ impl TimeSeries {
     /// Renders the window as a sparkline, one glyph per sample, scaled
     /// between the window min and max. A flat (or empty) window renders
     /// as the lowest glyph so the string width still equals `len()`.
-    // lint:allow(panic): glyph index is clamped with `.min(len - 1)`
+    #[expect(clippy::indexing_slicing, reason = "glyph index is clamped with `.min(len - 1)`")]
     pub fn sparkline(&self) -> String {
         let values = self.values();
         let mut lo = f64::INFINITY;

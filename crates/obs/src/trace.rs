@@ -35,8 +35,8 @@ impl TraceContext {
 
     /// The canonical context for a client request: the id derives
     /// deterministically from `(client, seq)` so every node in the
-    /// pipeline — and the offline `trace_report` merger — computes the
-    /// same id without coordination.
+    /// pipeline — and whatever merges their flight dumps offline —
+    /// computes the same id without coordination.
     pub fn for_request(client: u32, seq: u64, origin_us: u64) -> TraceContext {
         TraceContext {
             id: trace_id(client, seq),
@@ -75,7 +75,7 @@ pub fn trace_enabled() -> bool {
 }
 
 /// Pins the tracing flag programmatically (first caller wins, including
-/// the lazy env read). Mainly for tests and the `trace_report` tool.
+/// the lazy env read). Mainly for tests and tools.
 pub fn set_trace_enabled(enabled: bool) {
     let _ = TRACE_ENABLED.set(enabled);
 }

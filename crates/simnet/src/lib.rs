@@ -51,6 +51,21 @@
 //! assert_eq!(sim.now(), SimTime::from_millis(40)); // 4 one-way hops
 //! ```
 
+// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
+// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod regions;
 pub mod rng;
 
@@ -192,12 +207,6 @@ impl LatencyModel {
     /// Adds uniform random jitter in `[0, bound)` to every delivery.
     pub fn with_jitter(mut self, bound: SimTime) -> LatencyModel {
         self.jitter = bound;
-        self
-    }
-
-    /// Sets the delay for a node sending to itself.
-    pub fn with_local_delay(mut self, delay: SimTime) -> LatencyModel {
-        self.local_delay = delay;
         self
     }
 
@@ -486,13 +495,8 @@ impl<M: SimMessage> Simulation<M> {
         &self.samples
     }
 
-    /// Consumes the simulation, returning recorded samples.
-    pub fn into_samples(self) -> Vec<Sample> {
-        self.samples
-    }
-
     /// Immutable access to an actor (for post-run inspection).
-    // lint:allow(panic): an out-of-range actor index is harness misuse and must fail the test loudly
+    #[expect(clippy::indexing_slicing, reason = "an out-of-range actor index is harness misuse and must fail the test loudly")]
     pub fn actor(&self, index: usize) -> &dyn Actor<M> {
         self.actors[index].as_ref()
     }
@@ -547,7 +551,8 @@ impl<M: SimMessage> Simulation<M> {
                 samples: &mut self.samples,
                 rng: &mut self.rng,
             };
-            let actor = &mut self.actors[actor_index]; // lint:allow(panic): the event queue only holds indices of registered actors
+            #[expect(clippy::indexing_slicing, reason = "the event queue only holds indices of registered actors")]
+            let actor = &mut self.actors[actor_index];
             match payload {
                 None => actor.on_start(&mut ctx),
                 Some(Payload::Message { from, msg }) => actor.on_message(from, msg, &mut ctx),
@@ -556,9 +561,10 @@ impl<M: SimMessage> Simulation<M> {
         }
         for effect in effects {
             match effect {
+                #[expect(clippy::panic, reason = "actor misuse must fail the simulation loudly")]
                 Effect::Send { to, msg } => {
                     if to >= self.actors.len() {
-                        panic!("send to unknown actor {to}"); // lint:allow(panic): actor misuse must fail the simulation loudly
+                        panic!("send to unknown actor {to}");
                     }
                     if self.faults.drops(actor_index, to, self.now, &mut self.rng) {
                         continue;
@@ -597,7 +603,7 @@ impl<M: SimMessage> Simulation<M> {
 
 /// Computes a percentile (0-100) of `values` using nearest-rank on a
 /// sorted copy. Returns `None` for empty input.
-// lint:allow(panic): samples are finite durations (no NaN), and the rank is clamped to `len - 1` after the empty check
+#[expect(clippy::expect_used, clippy::indexing_slicing, reason = "samples are finite durations (no NaN), and the rank is clamped to `len - 1` after the empty check")]
 pub fn percentile(values: &[f64], pct: f64) -> Option<f64> {
     if values.is_empty() {
         return None;

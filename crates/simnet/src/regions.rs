@@ -106,20 +106,20 @@ impl RegionMatrix {
     }
 
     /// Round-trip time between two regions.
-    // lint:allow(panic): `Region::index()` is `0..N_REGIONS` by construction, matching the matrix dimensions
+    #[expect(clippy::indexing_slicing, reason = "`Region::index()` is `0..N_REGIONS` by construction, matching the matrix dimensions")]
     pub fn rtt(&self, a: Region, b: Region) -> SimTime {
         SimTime::from_millis(self.rtt_ms[a.index()][b.index()])
     }
 
     /// One-way propagation delay (half the RTT).
-    // lint:allow(panic): `Region::index()` is `0..N_REGIONS` by construction, matching the matrix dimensions
+    #[expect(clippy::indexing_slicing, reason = "`Region::index()` is `0..N_REGIONS` by construction, matching the matrix dimensions")]
     pub fn one_way(&self, a: Region, b: Region) -> SimTime {
         SimTime::from_micros(self.rtt_ms[a.index()][b.index()] * 1000 / 2)
     }
 
     /// Builds a node-indexed one-way delay function for
     /// [`crate::LatencyModel::from_fn`], given each node's region.
-    // lint:allow(panic): a node index outside the placement table is harness misuse and must fail the simulation loudly
+    #[expect(clippy::indexing_slicing, reason = "a node index outside the placement table is harness misuse and must fail the simulation loudly")]
     pub fn delay_fn(
         &self,
         placement: Vec<Region>,

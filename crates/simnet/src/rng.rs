@@ -98,7 +98,8 @@ impl SimRng {
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
             let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]); // lint:allow(panic): `chunks_mut(8)` yields chunks of at most 8 bytes
+            #[expect(clippy::indexing_slicing, reason = "`chunks_mut(8)` yields chunks of at most 8 bytes")]
+            chunk.copy_from_slice(&v[..chunk.len()]);
         }
     }
 

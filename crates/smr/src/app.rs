@@ -148,10 +148,10 @@ impl Application for CounterApp {
         Bytes::copy_from_slice(&self.value.to_le_bytes())
     }
 
+    #[expect(clippy::expect_used, reason = "a snapshot shorter than the counter was certified by consensus yet is corrupt — halting beats running with unknown state")]
     fn restore(&mut self, snapshot: &[u8]) {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&snapshot[..8]);
-        self.value = u64::from_le_bytes(bytes);
+        let bytes = snapshot.first_chunk::<8>().expect("valid snapshot");
+        self.value = u64::from_le_bytes(*bytes);
         self.tentative_undo.clear();
     }
 }

@@ -269,7 +269,7 @@ impl ServiceProxy {
         let slice = self.config.invoke_timeout / (self.config.retransmissions + 1);
         let mut next_retransmit = sent_at + slice;
         // payload -> distinct replicas that sent it
-        #[allow(clippy::mutable_key_type)] // `Bytes` hashes and compares by content, not by its pool handle
+        #[allow(clippy::mutable_key_type, reason = "`Bytes` hashes and compares by content, not by its pool handle")]
         let mut votes: HashMap<Bytes, Vec<NodeId>> = HashMap::new();
         loop {
             let now = Instant::now();

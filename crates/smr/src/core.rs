@@ -115,9 +115,10 @@ impl NodeStats {
 }
 
 /// What a driver feeds into [`NodeCore::step`].
-// A frame is moved into `step` once; boxing it would cost an allocation
-// per frame to shrink a value that is never stored.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "a frame is moved into `step` once; boxing it would cost an allocation per frame to shrink a value that is never stored"
+)]
 #[derive(Clone, Debug)]
 pub enum Input {
     /// A decoded frame from a peer. The driver vouches for `PeerId`
@@ -542,7 +543,7 @@ impl NodeCore {
         self.try_complete_transfer(now_us, out);
     }
 
-    // lint:allow(panic): the map is indexed only over a range `covered` proved fully present
+    #[expect(clippy::indexing_slicing, reason = "the map is indexed only over a range `covered` proved fully present")]
     fn try_complete_transfer(&mut self, now_us: u64, out: &mut Vec<Output>) {
         let Some(transfer) = &self.transfer else {
             return;

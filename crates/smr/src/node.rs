@@ -87,11 +87,6 @@ impl PushHandle {
     pub fn pool(&self) -> &BufferPool {
         self.sender.pool()
     }
-
-    /// Number of currently connected clients.
-    pub fn client_count(&self) -> usize {
-        self.clients.read().len()
-    }
 }
 
 /// Handle to a running replica node thread.
@@ -187,10 +182,10 @@ pub fn spawn_replica(
     };
 
     let thread_shutdown = Arc::clone(&shutdown);
+    #[expect(clippy::expect_used, reason = "OS thread-spawn failure at boot is unrecoverable — the replica cannot exist without its worker thread")]
     let thread = std::thread::Builder::new()
         .name(format!("replica-{}", node.0))
         .spawn(move || worker.run(&thread_shutdown))
-        // lint:allow(panic): OS thread-spawn failure at boot is unrecoverable — the replica cannot exist without its worker thread
         .expect("spawn replica thread");
 
     NodeHandle {

@@ -100,7 +100,7 @@ impl RuntimeOptions {
     ///
     /// Panics on invalid `(n, f)` or WHEAT-spare combinations and on
     /// `i >= n`.
-    // lint:allow(panic): bootstrap — an invalid (n, f) topology or replica index must fail startup loudly
+    #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "bootstrap — an invalid (n, f) topology or replica index must fail startup loudly")]
     pub fn node_config(
         &self,
         i: usize,
@@ -243,7 +243,7 @@ impl ClusterRuntime {
         }
     }
 
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
+    #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     fn node_config(&self, i: usize) -> NodeConfig {
         // Flight recording costs a ring write per protocol event; only
         // arm it when tracing was requested.
@@ -273,13 +273,13 @@ impl ClusterRuntime {
     }
 
     /// Node statistics handle (panics if the node was crashed).
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
+    #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     pub fn stats(&self, i: usize) -> &crate::node::NodeStats {
         self.handles[i].as_ref().expect("node running").stats()
     }
 
     /// Shared statistics handle for node `i` (panics if crashed).
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
+    #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     pub fn stats_arc(&self, i: usize) -> std::sync::Arc<crate::node::NodeStats> {
         self.handles[i].as_ref().expect("node running").stats_arc()
     }
@@ -287,7 +287,7 @@ impl ClusterRuntime {
     /// Node `i`'s metrics registry. Unlike [`ClusterRuntime::stats`],
     /// this works while the node is crashed (the registry is owned by
     /// the runtime and survives restarts).
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
+    #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     pub fn obs_registry(&self, i: usize) -> Arc<Registry> {
         Arc::clone(&self.registries[i])
     }
@@ -300,7 +300,7 @@ impl ClusterRuntime {
     /// Node `i`'s flight recorder. Only populated while `HLF_TRACE` is
     /// on, but the handle always exists (like the registries, it
     /// survives crash/restart cycles).
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
+    #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     pub fn flight(&self, i: usize) -> Arc<FlightRecorder> {
         Arc::clone(&self.flights[i])
     }
@@ -340,7 +340,7 @@ impl ClusterRuntime {
     }
 
     /// Crashes node `i`: its thread stops and its mailbox disappears.
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
+    #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     pub fn crash(&mut self, i: usize) {
         if let Some(handle) = self.handles[i].take() {
             self.network.part(PeerId::replica(i as u32));
@@ -356,7 +356,7 @@ impl ClusterRuntime {
     /// # Panics
     ///
     /// Panics if the node is still running.
-    // lint:allow(panic): cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly
+    #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     pub fn restart(&mut self, i: usize, app: Box<dyn Application>, log: Box<dyn LogStore>) {
         assert!(self.handles[i].is_none(), "node {i} still running");
         let handle = self.spawn_node(i, app, log);

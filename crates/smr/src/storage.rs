@@ -158,7 +158,7 @@ impl FileLog {
     /// # Errors
     ///
     /// Returns any I/O error opening or reading the file.
-    // lint:allow(panic): the `offset + 4 + len ≤ bytes.len()` guards make every slice range in-bounds; the 4-byte conversion is exact
+    #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "the `offset + 4 + len ≤ bytes.len()` guards make every slice range in-bounds; the 4-byte conversion is exact")]
     pub fn open(path: PathBuf) -> std::io::Result<FileLog> {
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
@@ -207,7 +207,7 @@ impl FileLog {
         &self.path
     }
 
-    // lint:allow(panic): losing durable agreement history is worse than crashing — a replica that cannot write its log must stop
+    #[expect(clippy::expect_used, reason = "losing durable agreement history is worse than crashing — a replica that cannot write its log must stop")]
     fn write_record(&mut self, record: &FileRecord) {
         let body = to_bytes(record);
         let mut framed = Vec::with_capacity(4 + body.len());

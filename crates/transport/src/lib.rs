@@ -30,6 +30,21 @@
 //! assert_eq!(&msg[..], b"hello");
 //! ```
 
+// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
+// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod admin;
 pub mod hub;
 pub mod tcp;
@@ -547,11 +562,9 @@ impl Authenticator {
     /// Returns `None` if the message is too short or the tag does not
     /// verify.
     pub fn open_shared(&self, sealed: &Bytes) -> Option<Bytes> {
-        if sealed.len() < 32 {
-            return None;
-        }
-        let expected = self.tag(&sealed[32..]);
-        if constant_time_eq(&sealed[..32], &expected) {
+        let (tag, payload) = sealed.split_first_chunk::<32>()?;
+        let expected = self.tag(payload);
+        if constant_time_eq(tag, &expected) {
             Some(sealed.slice(32..))
         } else {
             None

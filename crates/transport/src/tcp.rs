@@ -828,7 +828,7 @@ impl TcpNetwork {
     /// consumer, and handing it out twice is a harness bug.
     pub fn endpoint(&self) -> Endpoint {
         let rx = lock_clean(&self.endpoint_rx).take();
-        // lint:allow(panic): single-consumer contract, misuse is a harness bug.
+        #[expect(clippy::expect_used, reason = "single-consumer contract, misuse is a harness bug.")]
         let rx = rx.expect("TcpNetwork::endpoint may only be called once");
         Endpoint::new(self.core.id, Backend::Tcp(Arc::clone(&self.core)), rx)
     }

@@ -100,7 +100,7 @@ impl Bytes {
     }
 
     /// The viewed bytes as a slice.
-    // lint:allow(panic): `off + len` was bounds-checked against the backing buffer at construction
+    #[expect(clippy::indexing_slicing, reason = "`off + len` was bounds-checked against the backing buffer at construction")]
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
             Repr::Static(s) => &s[self.off..self.off + self.len],
@@ -320,7 +320,8 @@ impl PoolInner {
             return;
         }
         buf.clear();
-        let mut free = self.free.lock().expect("pool lock"); // lint:allow(panic): the pool mutex is held only for push/pop, never across a panic site
+        #[expect(clippy::expect_used, reason = "the pool mutex is held only for push/pop, never across a panic site")]
+        let mut free = self.free.lock().expect("pool lock");
         if free.len() < self.max_idle {
             free.push(buf);
             self.recycled.fetch_add(1, Ordering::Relaxed);
@@ -378,7 +379,8 @@ impl BufferPool {
     /// Takes a cleared buffer with at least `capacity` bytes reserved,
     /// reusing a recycled one when available.
     pub fn take(&self, capacity: usize) -> Vec<u8> {
-        let reused = self.inner.free.lock().expect("pool lock").pop(); // lint:allow(panic): the pool mutex is held only for push/pop, never across a panic site
+        #[expect(clippy::expect_used, reason = "the pool mutex is held only for push/pop, never across a panic site")]
+        let reused = self.inner.free.lock().expect("pool lock").pop();
         match reused {
             Some(mut buf) => {
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
@@ -408,7 +410,8 @@ impl BufferPool {
 
     /// Number of buffers currently idle in the free list.
     pub fn idle(&self) -> usize {
-        self.inner.free.lock().expect("pool lock").len() // lint:allow(panic): the pool mutex is held only for push/pop, never across a panic site
+        #[expect(clippy::expect_used, reason = "the pool mutex is held only for push/pop, never across a panic site")]
+        self.inner.free.lock().expect("pool lock").len()
     }
 
     /// Cumulative pool counters.
@@ -460,7 +463,7 @@ mod tests {
         let a = Bytes::from(b"same".to_vec());
         let b = Bytes::from_static(b"same");
         assert_eq!(a, b);
-        #[allow(clippy::mutable_key_type)] // the point of the test: keyed by content
+        #[allow(clippy::mutable_key_type, reason = "the point of the test: keyed by content")]
         let mut set = std::collections::HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));

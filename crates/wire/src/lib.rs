@@ -42,6 +42,21 @@
 //! # }
 //! ```
 
+// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
+// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod bytes;
 pub mod ids;
 pub mod trace;
@@ -143,13 +158,15 @@ impl<'a> Reader<'a> {
         if self.remaining() < n {
             return Err(WireError::UnexpectedEof);
         }
-        let out = &self.input[self.pos..self.pos + n]; // lint:allow(panic): guarded by the `remaining() < n` check above
+        #[expect(clippy::indexing_slicing, reason = "guarded by the `remaining() < n` check above")]
+        let out = &self.input[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
 
     fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes")) // lint:allow(panic): `take(N)` returns exactly `N` bytes on success
+        #[expect(clippy::expect_used, reason = "`take(N)` returns exactly `N` bytes on success")]
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
     /// Takes `n` bytes as a [`Bytes`] value: a zero-copy view when the
@@ -311,7 +328,8 @@ impl Decode for usize {
 }
 
 fn encode_len(len: usize, out: &mut Vec<u8>) {
-    let len = u32::try_from(len).expect("value length fits in u32"); // lint:allow(panic): the wire format caps every value at u32 length; encoding more is a caller bug
+    #[expect(clippy::expect_used, reason = "the wire format caps every value at u32 length; encoding more is a caller bug")]
+    let len = u32::try_from(len).expect("value length fits in u32");
     len.encode(out);
 }
 

@@ -76,7 +76,7 @@ pub fn decode_trailing_trace(r: &mut Reader<'_>) -> Result<Option<TraceContext>,
     if r.remaining() == 0 {
         return Ok(None);
     }
-    let marker = r.take(1)?[0];
+    let marker = u8::decode(r)?;
     if marker != TRACE_MARKER {
         return Err(WireError::InvalidDiscriminant(marker));
     }

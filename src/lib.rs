@@ -22,6 +22,21 @@
 //! See `README.md` for a quickstart, `DESIGN.md` for the system
 //! inventory and `EXPERIMENTS.md` for paper-vs-measured results.
 
+// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
+// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 pub use hlf_consensus as consensus;
 pub use hlf_crypto as crypto;
 pub use hlf_fabric as fabric;
