@@ -122,7 +122,7 @@ pub fn run_lan_throughput(config: &LanConfig) -> LanResult {
     for slot in 0..config.receivers {
         let frontend_config = service
             .options()
-            .frontend_config(hlf_wire::ClientId(5000 + slot as u32), service.orderer_keys());
+            .frontend_config(hlf_wire::ClientId(5000 + slot as u32), service.keys());
         let frontend = Frontend::connect(service.network(), frontend_config);
         let stop = Arc::clone(&stop);
         receiver_threads.push(std::thread::spawn(move || {

@@ -25,7 +25,7 @@ use crate::messages::{
 use crate::obs::{HealthObs, ReplicaObs};
 use crate::quorum::{QuorumSystem, QuorumTracker};
 use crate::sync::{select_window, validate_sync_window, MAX_WINDOW};
-use hlf_crypto::ecdsa::{PinnedKey, SigningKey, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
 use hlf_crypto::sha256::Hash256;
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, StragglerDetector};
@@ -39,6 +39,9 @@ const FUTURE_HORIZON: u64 = 64;
 const RECENT_DECISIONS: usize = 64;
 /// Per-client cap on remembered delivered request ids (dedup window).
 const DEDUP_WINDOW: usize = 4096;
+/// Delivered entries the pending deque may hold beyond its live ones
+/// before it is compacted (see [`Replica::purge_pending`]).
+const PENDING_SLACK: usize = 64;
 
 /// First 8 bytes of a digest as a little-endian `u64` — the compact
 /// value identity flight events carry for the cluster auditor. Truncation
@@ -66,8 +69,11 @@ pub struct Config {
     pub node: NodeId,
     /// The quorum system (classic or WHEAT-weighted).
     pub quorums: QuorumSystem,
-    /// Every replica's public key, indexed by node id.
-    pub keys: Vec<VerifyingKey>,
+    /// Every replica's public key, indexed by node id, pinned: every
+    /// vote, STOP-DATA and decision proof is verified against one of
+    /// these. Pin a key set once and hand each replica clones, which
+    /// share the comb tables.
+    pub keys: Vec<PinnedKey>,
     /// This replica's private key (for WRITE/ACCEPT votes and
     /// STOP-DATA records).
     pub signing_key: SigningKey,
@@ -110,7 +116,7 @@ impl Config {
     pub fn new(
         node: NodeId,
         quorums: QuorumSystem,
-        keys: Vec<VerifyingKey>,
+        keys: Vec<PinnedKey>,
         signing_key: SigningKey,
     ) -> Config {
         assert_eq!(keys.len(), quorums.n(), "one key per replica");
@@ -208,6 +214,43 @@ pub struct Metrics {
     pub reproposals: u64,
 }
 
+/// Request ids proposed in a live slot, counted with multiplicity (a
+/// re-binding SYNC may put one request in two slots). Kept in step with
+/// every slot's proposal, so a proposal is built or checked against it
+/// in O(batch) rather than by collecting every live slot's requests.
+#[derive(Debug, Default)]
+struct InFlight {
+    counts: HashMap<(ClientId, u64), u32>,
+}
+
+impl InFlight {
+    fn add(&mut self, batch: &Batch) {
+        for request in &batch.requests {
+            *self.counts.entry(request.id()).or_insert(0) += 1;
+        }
+    }
+
+    fn remove(&mut self, batch: &Batch) {
+        for request in &batch.requests {
+            let id = request.id();
+            if let Some(count) = self.counts.get_mut(&id) {
+                *count -= 1;
+                if *count == 0 {
+                    self.counts.remove(&id);
+                }
+            }
+        }
+    }
+
+    fn contains(&self, id: &(ClientId, u64)) -> bool {
+        self.counts.contains_key(id)
+    }
+
+    fn clear(&mut self) {
+        self.counts.clear();
+    }
+}
+
 /// Per-instance consensus state.
 #[derive(Debug)]
 struct Instance {
@@ -295,9 +338,6 @@ impl Instance {
 /// ```
 pub struct Replica {
     cfg: Config,
-    /// `cfg.keys` with their comb tables, pinned once here: every vote,
-    /// STOP-DATA and decision proof is verified against one of these.
-    keys: Vec<PinnedKey>,
     regency: u32,
     /// Current undecided instance id (instances start at 1).
     next_cid: u64,
@@ -305,9 +345,18 @@ pub struct Replica {
     /// `next_cid .. next_cid + pipeline_depth` (the sliding window);
     /// entries are created lazily and removed when the slot commits.
     insts: BTreeMap<u64, Instance>,
-    /// FIFO pool of requests not yet decided.
-    pending: VecDeque<Request>,
-    pending_ids: HashSet<(ClientId, u64)>,
+    /// FIFO pool of requests not yet decided, each with the ticket it
+    /// was queued under. An entry is live while `pending_ids` maps its id
+    /// to that ticket: delivery drops the id there at once and the entry
+    /// here lazily ([`Replica::purge_pending`]).
+    pending: VecDeque<(u64, Request)>,
+    /// The live pending requests and their tickets: dedup, membership
+    /// and the `max_pending` count.
+    pending_ids: HashMap<(ClientId, u64), u64>,
+    /// Ticket of the next queued request.
+    next_ticket: u64,
+    /// Requests proposed in a live slot; new batches skip them.
+    in_flight: InFlight,
     /// Recently delivered request ids per client (dedup).
     delivered: HashMap<ClientId, BTreeSet<u64>>,
     /// Most recent decision (reported in STOP-DATA).
@@ -368,7 +417,7 @@ impl std::fmt::Debug for Replica {
             .field("node", &self.cfg.node)
             .field("regency", &self.regency)
             .field("next_cid", &self.next_cid)
-            .field("pending", &self.pending.len())
+            .field("pending", &self.pending_ids.len())
             .field("syncing", &self.syncing)
             .finish()
     }
@@ -381,12 +430,13 @@ impl Replica {
         let n = cfg.quorums.n();
         Replica {
             insts: BTreeMap::new(),
-            keys: PinnedKey::pin_all(&cfg.keys),
             cfg,
             regency: 0,
             next_cid: 1,
             pending: VecDeque::new(),
-            pending_ids: HashSet::new(),
+            pending_ids: HashMap::new(),
+            next_ticket: 0,
+            in_flight: InFlight::default(),
             delivered: HashMap::new(),
             last_decision: None,
             recent_decisions: VecDeque::new(),
@@ -491,7 +541,7 @@ impl Replica {
     /// Every replica's public key, indexed by node id, pinned for
     /// repeated verification.
     pub fn keys(&self) -> &[PinnedKey] {
-        &self.keys
+        &self.cfg.keys
     }
 
     /// This replica's id.
@@ -526,7 +576,7 @@ impl Replica {
 
     /// Number of requests waiting to be ordered.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending_ids.len()
     }
 
     /// Counter snapshot.
@@ -570,14 +620,36 @@ impl Replica {
         self.insts.entry(cid).or_insert_with(|| Instance::new(regency))
     }
 
-    /// Request ids proposed in any live slot. Excluded from new batches
-    /// so the pipeline never orders the same request in two slots.
-    fn in_flight_ids(&self) -> HashSet<(ClientId, u64)> {
-        self.insts
-            .values()
-            .filter_map(|i| i.proposal.as_ref())
-            .flat_map(|(batch, _)| batch.requests.iter().map(|r| r.id()))
-            .collect()
+    /// Checks `in_flight` against the live slots' proposals (debug
+    /// builds only: this is the O(window) scan the set replaces).
+    fn debug_check_in_flight(&self) {
+        if cfg!(debug_assertions) {
+            let mut expect = InFlight::default();
+            for (batch, _) in self.insts.values().filter_map(|i| i.proposal.as_ref()) {
+                expect.add(batch);
+            }
+            debug_assert_eq!(self.in_flight.counts, expect.counts, "in-flight set out of step");
+        }
+    }
+
+    /// Resets slot `cid` to `regency`, dropping its proposal from the
+    /// in-flight set.
+    fn bump_slot(&mut self, cid: u64, regency: u32) {
+        let slot = self.inst_mut(cid);
+        let dropped = slot.proposal.take();
+        slot.bump_epoch(regency);
+        if let Some((batch, _)) = dropped {
+            self.in_flight.remove(&batch);
+        }
+    }
+
+    /// Resets every live slot to `regency`: no proposal survives, so
+    /// nothing is in flight.
+    fn bump_all_slots(&mut self, regency: u32) {
+        for slot in self.insts.values_mut() {
+            slot.bump_epoch(regency);
+        }
+        self.in_flight.clear();
     }
 
     /// Mirrors window occupancy into the pipeline gauge.
@@ -659,7 +731,7 @@ impl Replica {
                 // the client never reached it.
                 self.forwarded = true;
                 if !self.is_leader() {
-                    let requests = self.pending.iter().take(self.cfg.batch_max).cloned().collect();
+                    let requests = self.live_pending().take(self.cfg.batch_max).cloned().collect();
                     actions.push(Action::Send(self.leader(), ConsensusMsg::Forward { requests }));
                 }
             }
@@ -687,6 +759,7 @@ impl Replica {
         }
         self.next_cid = last_decided + 1;
         self.insts.clear();
+        self.in_flight.clear();
         self.fetching_value = false;
         self.frontier_since = self.now_ms;
         self.stall_dumped = false;
@@ -714,17 +787,19 @@ impl Replica {
     }
 
     fn enqueue_request(&mut self, request: Request) {
-        if self.pending.len() >= self.cfg.max_pending {
+        if self.pending_ids.len() >= self.cfg.max_pending {
             return;
         }
         let id = request.id();
-        if self.pending_ids.contains(&id) || self.was_delivered(&id) {
+        if self.pending_ids.contains_key(&id) || self.was_delivered(&id) {
             return;
         }
-        self.pending_ids.insert(id);
-        self.pending.push_back(request);
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.pending_ids.insert(id, ticket);
+        self.pending.push_back((ticket, request));
         if let Some(obs) = &self.obs {
-            obs.pending_requests.set(self.pending.len() as i64);
+            obs.pending_requests.set(self.pending_ids.len() as i64);
         }
         if self.oldest_pending_since.is_none() {
             self.oldest_pending_since = Some(self.now_ms);
@@ -739,6 +814,21 @@ impl Replica {
             .is_some_and(|set| set.contains(&id.1))
     }
 
+    /// Whether a `pending` entry is still waiting (not yet delivered,
+    /// not superseded by a later queuing of the same id).
+    fn is_live(&self, ticket: u64, request: &Request) -> bool {
+        self.pending_ids.get(&request.id()) == Some(&ticket)
+    }
+
+    /// The live pending requests, oldest first.
+    fn live_pending(&self) -> impl Iterator<Item = &Request> {
+        self.pending
+            .iter()
+            .filter(|(ticket, request)| self.is_live(*ticket, request))
+            .map(|(_, request)| request)
+    }
+
+    /// Records a decided batch: O(batch), whatever the pool holds.
     fn mark_delivered(&mut self, batch: &Batch) {
         for request in &batch.requests {
             let id = request.id();
@@ -750,8 +840,26 @@ impl Replica {
                 set.remove(&min);
             }
         }
-        let ids: HashSet<(ClientId, u64)> = batch.requests.iter().map(|r| r.id()).collect();
-        self.pending.retain(|r| !ids.contains(&r.id()));
+        self.purge_pending();
+    }
+
+    /// Drops delivered entries from the front of `pending` — where the
+    /// leader's FIFO batches take them from — and compacts the whole
+    /// deque once delivered entries elsewhere outnumber the live ones.
+    /// Each entry is dropped once, so this is amortised O(1) per request,
+    /// and the deque never holds more than `2 × live + PENDING_SLACK`.
+    fn purge_pending(&mut self) {
+        while let Some((ticket, request)) = self.pending.front() {
+            if self.is_live(*ticket, request) {
+                break;
+            }
+            self.pending.pop_front();
+        }
+        if self.pending.len() > 2 * self.pending_ids.len() + PENDING_SLACK {
+            let live = &self.pending_ids;
+            self.pending
+                .retain(|(ticket, request)| live.get(&request.id()) == Some(ticket));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -771,7 +879,7 @@ impl Replica {
             else {
                 return; // window full
             };
-            if self.pending.is_empty() {
+            if self.pending_ids.is_empty() {
                 return;
             }
             let batch = self.build_batch();
@@ -791,15 +899,17 @@ impl Replica {
         }
     }
 
+    /// The oldest live requests no live slot carries yet, up to the
+    /// batch caps.
     fn build_batch(&self) -> Batch {
-        let in_flight = self.in_flight_ids();
+        self.debug_check_in_flight();
         let mut requests = Vec::new();
         let mut bytes = 0usize;
-        for request in &self.pending {
+        for request in self.live_pending() {
             if requests.len() >= self.cfg.batch_max {
                 break;
             }
-            if in_flight.contains(&request.id()) {
+            if self.in_flight.contains(&request.id()) {
                 continue;
             }
             bytes += request.payload.len();
@@ -943,13 +1053,13 @@ impl Replica {
         // free of already-delivered requests, and disjoint from every
         // other live slot (a leader must not order a request twice
         // inside the window).
-        let in_flight = self.in_flight_ids();
+        self.debug_check_in_flight();
         if batch.is_empty()
             || batch.len() > self.cfg.batch_max
             || batch.payload_bytes() > self.cfg.max_batch_bytes
             || batch.requests.iter().any(|r| {
                 let id = r.id();
-                self.was_delivered(&id) || in_flight.contains(&id)
+                self.was_delivered(&id) || self.in_flight.contains(&id)
             })
         {
             return;
@@ -971,12 +1081,16 @@ impl Replica {
             self.rollback_from(cid, actions);
         }
         let now = self.now_ms;
-        let epoch = {
+        self.in_flight.add(&batch);
+        let (epoch, replaced) = {
             let slot = self.inst_mut(cid);
-            slot.proposal = Some((batch.clone(), hash));
+            let replaced = slot.proposal.replace((batch.clone(), hash));
             slot.proposed_at = Some(now);
-            slot.epoch
+            (slot.epoch, replaced)
         };
+        if let Some((replaced, _)) = replaced {
+            self.in_flight.remove(&replaced);
+        }
         self.recent_proposed_at.push_back((cid, now));
         if self.recent_proposed_at.len() > 128 {
             self.recent_proposed_at.pop_front();
@@ -1048,7 +1162,7 @@ impl Replica {
             return;
         }
         if from != self.cfg.node {
-            let Some(key) = self.keys.get(from.as_usize()) else {
+            let Some(key) = self.cfg.keys.get(from.as_usize()) else {
                 return;
             };
             if !vote.verify(key) {
@@ -1083,7 +1197,7 @@ impl Replica {
         else {
             return;
         };
-        let Some(key) = self.keys.get(from.as_usize()) else {
+        let Some(key) = self.cfg.keys.get(from.as_usize()) else {
             return;
         };
         if !vote.verify(key) {
@@ -1222,7 +1336,7 @@ impl Replica {
             return;
         }
         if from != self.cfg.node {
-            let Some(key) = self.keys.get(from.as_usize()) else {
+            let Some(key) = self.cfg.keys.get(from.as_usize()) else {
                 return;
             };
             if !vote.verify(key) {
@@ -1324,6 +1438,9 @@ impl Replica {
     fn commit(&mut self, batch: Batch, proof: DecisionProof, actions: &mut Vec<Action>) {
         let cid = self.next_cid;
         let slot = self.insts.remove(&cid);
+        if let Some((proposed, _)) = slot.as_ref().and_then(|s| s.proposal.as_ref()) {
+            self.in_flight.remove(proposed);
+        }
         let proposed_at = slot.as_ref().and_then(|s| s.proposed_at);
         let write_quorum_at = slot.as_ref().and_then(|s| s.write_quorum_at);
         self.mark_delivered(&batch);
@@ -1336,7 +1453,7 @@ impl Replica {
         self.metrics.delivered_requests += batch.len() as u64;
         if let Some(obs) = &self.obs {
             obs.decided.inc();
-            obs.pending_requests.set(self.pending.len() as i64);
+            obs.pending_requests.set(self.pending_ids.len() as i64);
             obs.accept_quorum_votes.record(proof.votes.len() as u64);
             if let Some(t0) = write_quorum_at {
                 obs.accept_phase_ms.record(self.now_ms.saturating_sub(t0));
@@ -1375,7 +1492,7 @@ impl Replica {
         self.fetching_value = false;
         self.timeout_ms = self.cfg.request_timeout_ms;
         self.forwarded = false;
-        self.oldest_pending_since = if self.pending.is_empty() {
+        self.oldest_pending_since = if self.pending_ids.is_empty() {
             None
         } else {
             Some(self.now_ms)
@@ -1496,9 +1613,7 @@ impl Replica {
         );
 
         // Pause every live slot's votes; keep sticky write history.
-        for slot in self.insts.values_mut() {
-            slot.bump_epoch(regency);
-        }
+        self.bump_all_slots(regency);
 
         let leader = self.leader();
         if leader == self.cfg.node {
@@ -1533,7 +1648,7 @@ impl Replica {
         if !self.syncing || sd.regency != self.regency || self.leader() != self.cfg.node {
             return;
         }
-        let Some(key) = self.keys.get(sd.node.as_usize()) else {
+        let Some(key) = self.cfg.keys.get(sd.node.as_usize()) else {
             return;
         };
         if !sd.verify_signature(key) {
@@ -1545,7 +1660,7 @@ impl Replica {
         }
         let collect: Vec<StopData> = self.collect.values().cloned().collect();
         let Ok(selection) =
-            select_window(&collect, self.regency, &self.cfg.quorums, &self.keys)
+            select_window(&collect, self.regency, &self.cfg.quorums, &self.cfg.keys)
         else {
             return;
         };
@@ -1631,7 +1746,7 @@ impl Replica {
             &batch,
             &rebinds,
             &self.cfg.quorums,
-            &self.keys,
+            &self.cfg.keys,
         )
         .is_err()
         {
@@ -1659,9 +1774,7 @@ impl Replica {
                 self.cfg.node.as_usize(),
                 regency
             );
-            for slot in self.insts.values_mut() {
-                slot.bump_epoch(regency);
-            }
+            self.bump_all_slots(regency);
             self.stop_votes.retain(|&r, _| r > regency);
         }
 
@@ -1734,7 +1847,7 @@ impl Replica {
                 digest64(&value.digest()),
                 regency as u64,
             );
-            self.inst_mut(slot_cid).bump_epoch(regency);
+            self.bump_slot(slot_cid, regency);
             self.accept_proposal(slot_cid, value, actions);
         }
     }
@@ -1803,7 +1916,7 @@ impl Replica {
         }
         if proof.cid != cid
             || proof.hash != batch.digest()
-            || proof.verify(&self.cfg.quorums, &self.keys).is_err()
+            || proof.verify(&self.cfg.quorums, &self.cfg.keys).is_err()
         {
             return;
         }
@@ -1828,11 +1941,15 @@ mod tests {
     use super::*;
     use hlf_wire::Bytes;
 
+    fn pinned(signing: &[SigningKey]) -> Vec<PinnedKey> {
+        signing.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect()
+    }
+
     fn make_replicas(n: usize, f: usize) -> Vec<Replica> {
         let signing: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed(format!("replica-unit-{i}").as_bytes()))
             .collect();
-        let keys: Vec<VerifyingKey> = signing.iter().map(|k| *k.verifying_key()).collect();
+        let keys = pinned(&signing);
         (0..n)
             .map(|i| {
                 Replica::new(Config::new(
@@ -2158,6 +2275,95 @@ mod tests {
         assert_eq!(batch.len(), 400);
     }
 
+    /// The seqs of every request replica `i` committed, in commit order.
+    fn committed_seqs(cluster: &crate::testing::Cluster, i: usize) -> Vec<u64> {
+        cluster
+            .decisions(i)
+            .iter()
+            .flat_map(|(_, batch)| batch.requests.iter().map(|r| r.id().1))
+            .collect()
+    }
+
+    /// A deep queue drained through a hundred decisions. Two followers
+    /// queued the requests in another order than the leader proposes
+    /// them, so delivered entries pile up mid-deque there; at every step
+    /// every replica's deque stays within `2 × live + PENDING_SLACK`,
+    /// the in-flight set matches the live slots, and in the end every
+    /// request is decided exactly once and the pool is empty.
+    #[test]
+    fn deep_queue_stays_bounded_through_many_decisions() {
+        const REQUESTS: u64 = 2_000;
+        let mut cluster = crate::testing::Cluster::with_configs(
+            4,
+            QuorumSystem::classic(4, 1).unwrap(),
+            |cfg| {
+                let mut cfg = cfg.with_batch_max(20).with_pipeline_depth(4);
+                cfg.max_pending = REQUESTS as usize;
+                cfg
+            },
+        );
+        let arrival = |i: usize, k: u64| match i {
+            2 => REQUESTS + 1 - k,                                 // reversed
+            3 if k <= REQUESTS / 2 => 2 * k,                       // evens first,
+            3 => 2 * (k - REQUESTS / 2) - 1,                       // then odds
+            _ => k,
+        };
+        for k in 1..=REQUESTS {
+            for i in 0..4 {
+                cluster.submit_to(i, req(arrival(i, k)));
+            }
+        }
+        assert_eq!(cluster.replica(3).pending_len(), REQUESTS as usize, "max_pending admits them all");
+        let mut deepest = 0;
+        while cluster.step() {
+            for i in 0..4 {
+                let r = cluster.replica(i);
+                assert!(
+                    r.pending.len() <= 2 * r.pending_ids.len() + PENDING_SLACK,
+                    "replica {i}: {} entries for {} live",
+                    r.pending.len(),
+                    r.pending_ids.len()
+                );
+                deepest = deepest.max(r.pending.len() - r.pending_ids.len());
+                r.debug_check_in_flight();
+            }
+        }
+        assert!(deepest > PENDING_SLACK, "delivered entries never piled up: {deepest}");
+        for i in 0..4 {
+            let mut seqs = committed_seqs(&cluster, i);
+            assert!(cluster.decisions(i).len() >= 100, "replica {i}");
+            seqs.sort_unstable();
+            assert_eq!(seqs, (1..=REQUESTS).collect::<Vec<_>>(), "replica {i}");
+            let r = cluster.replica(i);
+            assert_eq!((r.pending_len(), r.pending.len()), (0, 0), "replica {i}");
+            assert!(r.in_flight.counts.is_empty(), "replica {i}");
+        }
+    }
+
+    /// Delivered requests leave the pool's count and every Forward at
+    /// once, even while their entries still sit in the deque.
+    #[test]
+    fn delivered_entries_are_neither_counted_nor_forwarded() {
+        let mut cluster = crate::testing::Cluster::classic(4, 1);
+        cluster.submit_to(0, req(1));
+        cluster.submit_to(0, req(2));
+        cluster.replica_mut(1).on_requests(0, (1..=5).rev().map(req).collect());
+        cluster.run_to_quiescence();
+        assert_eq!(committed_seqs(&cluster, 1), vec![1, 2]);
+        let follower = cluster.replica_mut(1);
+        assert_eq!((follower.pending_len(), follower.pending.len()), (3, 5));
+        // Room for two more live requests, whatever the deque holds.
+        follower.cfg.max_pending = 5;
+        follower.on_requests(0, vec![req(6), req(7), req(8)]);
+        assert_eq!(follower.pending_len(), 5);
+        let Some(Action::Send(NodeId(0), ConsensusMsg::Forward { requests })) =
+            follower.on_tick(2_500).pop()
+        else {
+            panic!("expected a Forward to the leader");
+        };
+        assert_eq!(requests, vec![req(5), req(4), req(3), req(6), req(7)]);
+    }
+
     #[test]
     fn byzantine_leader_equivocation_cannot_decide_two_values() {
         // The leader sends different batches to different replicas. With
@@ -2383,7 +2589,7 @@ mod tests {
         let signing: Vec<SigningKey> = (0..4)
             .map(|i| SigningKey::from_seed(format!("replica-unit-{i}").as_bytes()))
             .collect();
-        let keys: Vec<VerifyingKey> = signing.iter().map(|k| *k.verifying_key()).collect();
+        let keys = pinned(&signing);
         let leader = Replica::new(
             Config::new(
                 NodeId(0),

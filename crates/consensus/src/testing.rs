@@ -10,7 +10,7 @@
 use crate::messages::{Batch, ConsensusMsg, Request};
 use crate::quorum::QuorumSystem;
 use crate::replica::{Action, Config, Replica};
-use hlf_crypto::ecdsa::{SigningKey, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
 use hlf_wire::NodeId;
 use std::collections::{HashSet, VecDeque};
 
@@ -61,13 +61,15 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
-/// Deterministic key material for a test cluster of size `n`.
-pub fn test_keys(n: usize) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
+/// Deterministic key material for a test cluster of size `n`: the
+/// signing keys and the public keys, pinned once (clone them into each
+/// replica's [`Config`]; clones share the tables).
+pub fn test_keys(n: usize) -> (Vec<SigningKey>, Vec<PinnedKey>) {
     let signing: Vec<SigningKey> = (0..n)
         .map(|i| SigningKey::from_seed(format!("cluster-key-{i}").as_bytes()))
         .collect();
-    let verifying = signing.iter().map(|k| *k.verifying_key()).collect();
-    (signing, verifying)
+    let pinned = signing.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect();
+    (signing, pinned)
 }
 
 impl Cluster {

@@ -8,7 +8,7 @@
 //! both run it, so they cannot disagree on the copy threshold.
 
 use crate::obs::FrontendObs;
-use hlf_crypto::ecdsa::{PinnedKey, Signature, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, Signature};
 use hlf_crypto::sha256::Hash256;
 use hlf_fabric::block::{Block, BlockSignature};
 use hlf_obs::flight::EventKind;
@@ -96,10 +96,11 @@ impl FrontendConfig {
         self
     }
 
-    /// Switches to signature verification with `f + 1` copies.
-    pub fn with_verification(mut self, orderer_keys: &[VerifyingKey]) -> FrontendConfig {
+    /// Switches to signature verification with `f + 1` copies, against
+    /// clones of the orderers' pinned keys (which share their tables).
+    pub fn with_verification(mut self, orderer_keys: &[PinnedKey]) -> FrontendConfig {
         self.policy = DeliveryPolicy::Verify {
-            orderer_keys: PinnedKey::pin_all(orderer_keys),
+            orderer_keys: orderer_keys.to_vec(),
         };
         self
     }

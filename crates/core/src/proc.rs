@@ -81,5 +81,5 @@ pub fn connect_frontend_endpoint(
     endpoint: Endpoint,
 ) -> Frontend {
     let keys = ClusterKeys::derive("runtime", n);
-    Frontend::connect_endpoint(endpoint, options.frontend_config(ClientId(id), &keys.verifying))
+    Frontend::connect_endpoint(endpoint, options.frontend_config(ClientId(id), &keys))
 }

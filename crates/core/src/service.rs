@@ -193,14 +193,14 @@ impl ServiceOptions {
         OrderingNodeApp::new(config, sink)
     }
 
-    /// The configuration of frontend `id` of a cluster whose orderers
-    /// hold `orderer_keys`: copy threshold from the execution mode,
-    /// verification keys when enabled.
-    pub fn frontend_config(&self, id: ClientId, orderer_keys: &[VerifyingKey]) -> FrontendConfig {
-        let config = FrontendConfig::new(id, orderer_keys.len(), self.f)
+    /// The configuration of frontend `id` of the cluster holding `keys`:
+    /// copy threshold from the execution mode, the orderers' pinned keys
+    /// when verification is enabled.
+    pub fn frontend_config(&self, id: ClientId, keys: &ClusterKeys) -> FrontendConfig {
+        let config = FrontendConfig::new(id, keys.verifying.len(), self.f)
             .with_tentative(self.tentative_execution());
         if self.frontend_verification {
-            config.with_verification(orderer_keys)
+            config.with_verification(keys.pinned())
         } else {
             config
         }
@@ -212,7 +212,9 @@ pub struct OrderingService {
     runtime: ClusterRuntime,
     options: ServiceOptions,
     n: usize,
-    orderer_keys: Vec<VerifyingKey>,
+    /// The cluster's keys; replicas and frontends share their pinned
+    /// tables.
+    keys: ClusterKeys,
     next_frontend: u32,
     /// Shared registry for every frontend created via
     /// [`OrderingService::frontend`].
@@ -239,16 +241,16 @@ impl OrderingService {
     ///
     /// Panics on invalid `(n, f)` or WHEAT-spare combinations.
     pub fn start(n: usize, options: ServiceOptions) -> OrderingService {
-        // The runtime derives its consensus keys deterministically; the
-        // ordering apps sign blocks with the same keys.
+        // One key set for consensus, block signing and the frontends;
+        // its clones share the pinned comb tables.
         let keys = ClusterKeys::derive("runtime", n);
-        let orderer_keys = keys.verifying.clone();
+        let app_keys = keys.clone();
         let app_options = options.clone();
         let runtime = ClusterRuntime::start_custom(
-            n,
+            keys.clone(),
             options.runtime_options(),
             move |i, push, registry, flight| {
-                Box::new(app_options.threaded_app(i, &keys, registry, flight, push))
+                Box::new(app_options.threaded_app(i, &app_keys, registry, flight, push))
             },
             |_| Box::new(MemoryLog::new()),
         );
@@ -256,7 +258,7 @@ impl OrderingService {
             runtime,
             options,
             n,
-            orderer_keys,
+            keys,
             next_frontend: 1000,
             frontend_registry: Registry::new("frontends"),
             frontend_flight: Arc::new(hlf_obs::FlightRecorder::new("frontends")),
@@ -276,7 +278,13 @@ impl OrderingService {
     /// Public keys whose signatures appear on blocks (for committing
     /// peers' validation).
     pub fn orderer_keys(&self) -> &[VerifyingKey] {
-        &self.orderer_keys
+        &self.keys.verifying
+    }
+
+    /// The cluster's key material: what [`ServiceOptions::frontend_config`]
+    /// takes for a frontend assembled by hand.
+    pub fn keys(&self) -> &ClusterKeys {
+        &self.keys
     }
 
     /// The underlying transport (fault injection in tests).
@@ -307,7 +315,7 @@ impl OrderingService {
         self.next_frontend += 1;
         let config = self
             .options
-            .frontend_config(ClientId(self.next_frontend), &self.orderer_keys);
+            .frontend_config(ClientId(self.next_frontend), &self.keys);
         let mut frontend = Frontend::connect(self.runtime.network(), config);
         frontend.attach_obs(&self.frontend_registry);
         if hlf_obs::trace_enabled() {

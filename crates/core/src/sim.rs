@@ -763,7 +763,7 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
         let flight = frontend_flights.get(slot).cloned();
         let mut collector = BlockCollector::new(
             options
-                .frontend_config(client, &keys.verifying)
+                .frontend_config(client, &keys)
                 .with_tentative(tentative),
         );
         if let Some(flight) = &flight {

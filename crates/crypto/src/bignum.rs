@@ -153,6 +153,7 @@ impl U256 {
     }
 
     /// Wrapping addition; returns `(sum, carry)`.
+    #[inline]
     #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom")]
     #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     pub fn adc(&self, other: &U256) -> (U256, bool) {
@@ -167,6 +168,7 @@ impl U256 {
     }
 
     /// Wrapping subtraction; returns `(difference, borrow)`.
+    #[inline]
     #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom")]
     #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     pub fn sbb(&self, other: &U256) -> (U256, bool) {
@@ -200,6 +202,7 @@ impl U256 {
     /// selects the result — the carry/compare outcome is a coin flip on
     /// random field elements, so a branch here mispredicts constantly
     /// inside the point-arithmetic inner loops.
+    #[inline]
     pub fn add_mod(&self, other: &U256, modulus: &U256) -> U256 {
         debug_assert!(self < modulus && other < modulus);
         let (sum, carry) = self.adc(other);
@@ -209,6 +212,7 @@ impl U256 {
 
     /// Modular subtraction for `self, other < modulus` (branch-free,
     /// see [`U256::add_mod`]).
+    #[inline]
     pub fn sub_mod(&self, other: &U256, modulus: &U256) -> U256 {
         debug_assert!(self < modulus && other < modulus);
         let (diff, borrow) = self.sbb(other);
@@ -254,6 +258,7 @@ impl U256 {
     /// Exploits the symmetry of the cross products (`a_i·a_j` appears
     /// twice for `i ≠ j`): 6 cross multiplications doubled once, plus 4
     /// diagonal squares, versus 16 multiplications for the generic path.
+    #[inline]
     #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
     pub fn widening_square(&self) -> [u64; 8] {
         let a = &self.limbs;
@@ -404,6 +409,7 @@ impl Monty {
     /// For the P-256 field prime the schoolbook product feeds the
     /// Solinas-specialised reduction (20 multiplications total instead
     /// of CIOS's 36); other moduli use interleaved CIOS.
+    #[inline(always)]
     pub fn mul(&self, a: &U256, b: &U256) -> U256 {
         if self.p256_field {
             self.montgomery_mul_p256(a, b)
@@ -415,6 +421,7 @@ impl Monty {
     /// Interleaved CIOS product specialised to the P-256 field prime:
     /// five multiplications per round instead of nine (see
     /// [`Monty::reduce_wide_p256`] for the Solinas round derivation).
+    #[inline(always)]
     #[allow(clippy::needless_range_loop, reason = "CIOS is written in index form")]
     #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
     fn montgomery_mul_p256(&self, a: &U256, b: &U256) -> U256 {
@@ -467,12 +474,14 @@ impl Monty {
     /// compared with the CIOS product — the point doubling chains of
     /// [`crate::p256`] are squaring-heavy, so this shows up directly in
     /// ECDSA sign/verify latency.
+    #[inline(always)]
     pub fn square(&self, a: &U256) -> U256 {
         self.reduce_wide(&a.widening_square())
     }
 
     /// Montgomery reduction of a 512-bit value `t < m·2^256`:
     /// returns `t · R^{-1} mod m`.
+    #[inline(always)]
     pub fn reduce_wide(&self, wide: &[u64; 8]) -> U256 {
         if self.p256_field {
             self.reduce_wide_p256(wide)
@@ -536,6 +545,7 @@ impl Monty {
     /// One multiplication per round instead of five; the carry leaving
     /// round `i` is deferred to round `i + 1`'s limb-`i+4` write exactly
     /// as in the generic path.
+    #[inline(always)]
     #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
     fn reduce_wide_p256(&self, wide: &[u64; 8]) -> U256 {
         const M3: u64 = 0xffff_ffff_0000_0001;
@@ -614,13 +624,27 @@ impl Monty {
     }
 
     /// Domain addition.
+    #[inline(always)]
     pub fn add(&self, a: &U256, b: &U256) -> U256 {
         a.add_mod(b, &self.modulus)
     }
 
     /// Domain subtraction.
+    #[inline(always)]
     pub fn sub(&self, a: &U256, b: &U256) -> U256 {
         a.sub_mod(b, &self.modulus)
+    }
+
+    /// Domain negation of a *non-zero* `a` when `negate` is set, `a`
+    /// itself otherwise — without a branch on either: the subtraction
+    /// always runs and a mask selects. (Zero would come back as the
+    /// non-canonical `modulus`; the callers negate curve `y`
+    /// coordinates, which are never zero on P-256.)
+    #[inline]
+    pub(crate) fn neg_if(&self, a: &U256, negate: bool) -> U256 {
+        debug_assert!(!a.is_zero());
+        let (negated, _) = self.modulus.sbb(a);
+        U256::select(negate, a, &negated)
     }
 
     /// Domain negation.

@@ -209,63 +209,101 @@ fn batch_normalize(points: &[Point]) -> Vec<AffinePoint> {
         .collect()
 }
 
-/// Precomputed radix-16 comb for one fixed point `P`.
+/// Windows of a [`SignedComb`]: `37 · 7 = 259` bits cover a 256-bit
+/// scalar plus the carry its signed recoding can push out of the top.
+const COMB_WINDOWS: usize = 37;
+/// Entries per window: the digit magnitudes `1..=64`.
+const COMB_ENTRIES: usize = 64;
+
+/// Booth recoding of a scalar into 37 signed radix-128 digits
+/// `d_i ∈ [−64, 64]` with `scalar = Σ d_i · 128^i`.
 ///
-/// `windows[i][j - 1] = j · 16^i · P` for `i ∈ 0..64`, `j ∈ 1..=15`,
-/// stored affine (960 points, 60 KiB, ~0.4 ms to build). A
-/// multiplication by `P` then decomposes the scalar into 64 nibbles and
-/// performs **only mixed additions — zero runtime doublings**, since
-/// every needed doubling is baked into the table.
+/// Window `i` holds bits `7i .. 7i + 7`; a window above 64 (after the
+/// carry from below) becomes `w − 128` and carries one into the next.
+/// The top window holds 4 bits plus at most that carry, so nothing
+/// leaves window 36. Branch-free: the carry is `(v + 63) >> 7`, and
+/// every shift and limb index comes from the loop position, never the
+/// scalar.
+fn signed_digits(scalar: &U256) -> [i8; COMB_WINDOWS] {
+    // lint:secret-scope(scalar, limbs, pair, v, carry, digits, digit) — the
+    // digits of an RFC 6979 nonce are as secret as the nonce.
+    let limbs = scalar.limbs();
+    let mut digits = [0i8; COMB_WINDOWS];
+    let mut carry = 0u64;
+    for (i, digit) in digits.iter_mut().enumerate() {
+        let (limb, shift) = ((7 * i) / 64, (7 * i) % 64);
+        let low = limbs.get(limb).copied().unwrap_or(0) as u128;
+        let high = limbs.get(limb + 1).copied().unwrap_or(0) as u128;
+        let pair = low | high << 64;
+        let v = ((pair >> shift) & 0x7f) as u64 + carry; // 0..=128
+        carry = (v + 63) >> 7; // 1 exactly when v > 64
+        *digit = (v as i64 - (carry << 7) as i64) as i8;
+    }
+    digits
+}
+
+/// Precomputed signed-digit comb for one fixed point `P`.
+///
+/// `windows[i][j - 1] = j · 128^i · P` for `i ∈ 0..37`, `j ∈ 1..=64`,
+/// stored affine (2,368 points, 148 KiB, ~1 ms to build). A
+/// multiplication by `P` recodes the scalar into 37 signed digits
+/// ([`signed_digits`]) and performs **at most 37 mixed additions and
+/// zero doublings**: every power of 128 is baked into the table, and a
+/// negative digit adds the entry with its `y` negated branch-free.
 ///
 /// One table for the generator serves [`Point::mul_base`]; ECDSA
 /// verification builds one per long-lived public key
 /// ([`crate::ecdsa::PinnedKey`]).
-pub(crate) struct CombTable {
-    windows: Vec<[AffinePoint; 15]>,
+pub(crate) struct SignedComb {
+    windows: Vec<[AffinePoint; COMB_ENTRIES]>,
 }
 
-impl CombTable {
-    /// Builds the comb of a non-identity point: 960 additions and one
-    /// batched field inversion.
-    #[expect(clippy::expect_used, reason = "`chunks_exact(15)` yields exactly 15-entry chunks, so the array conversion cannot fail")]
-    pub(crate) fn new(point: &Point) -> CombTable {
+impl SignedComb {
+    /// Builds the comb of a non-identity point: per window 32 doublings
+    /// and 31 additions, then one batched field inversion for all 2,368
+    /// entries.
+    #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "`j - 1`, `j / 2 - 1` and `j - 2` with `j ∈ 2..=64` index the 64-entry `multiples`; `chunks_exact(64)` yields exactly 64-entry chunks")]
+    pub(crate) fn new(point: &Point) -> SignedComb {
         debug_assert!(!point.is_identity(), "the identity has no comb");
-        let mut jacobian = Vec::with_capacity(64 * 15);
-        let mut base = *point; // 16^i · P
-        for _ in 0..64 {
-            let mut multiple = base; // j · base
-            for _ in 1..=15 {
-                jacobian.push(multiple);
-                multiple = multiple.add(&base);
+        let mut jacobian = Vec::with_capacity(COMB_WINDOWS * COMB_ENTRIES);
+        let mut base = *point; // 128^i · P
+        for _ in 0..COMB_WINDOWS {
+            let mut multiples = [base; COMB_ENTRIES]; // multiples[j - 1] = j · base
+            for j in 2..=COMB_ENTRIES {
+                multiples[j - 1] = if j % 2 == 0 {
+                    multiples[j / 2 - 1].double()
+                } else {
+                    multiples[j - 2].add(&base)
+                };
             }
-            base = multiple; // 16 · old base
+            jacobian.extend_from_slice(&multiples);
+            base = multiples[COMB_ENTRIES - 1].double(); // 128 · old base
         }
-        let affine = batch_normalize(&jacobian);
-        let windows = affine
-            .chunks_exact(15)
-            .map(|chunk| <[AffinePoint; 15]>::try_from(chunk).expect("15-entry window"))
+        let windows = batch_normalize(&jacobian)
+            .chunks_exact(COMB_ENTRIES)
+            .map(|chunk| <[AffinePoint; COMB_ENTRIES]>::try_from(chunk).expect("64-entry window"))
             .collect();
-        CombTable { windows }
+        SignedComb { windows }
     }
 
-    /// `acc + scalar · P`: 64 nibble lookups, each one mixed addition,
-    /// and **no doublings at all** (every `16^i` shift is baked into the
-    /// table).
-    #[expect(clippy::indexing_slicing, reason = "`63 - 2i` and `62 - 2i` with `i < 32` index the 64 comb windows; nibbles `≤ 15` index the 15-entry window")]
+    /// `acc + scalar · P` for any 256-bit `scalar`: one mixed addition
+    /// per nonzero signed digit (at most 37) and **no doublings**.
+    #[expect(clippy::indexing_slicing, reason = "`magnitude ∈ 1..=64` after the zero check indexes the 64-entry window")]
     pub(crate) fn mul_add(&self, scalar: &U256, mut acc: Point) -> Point {
-        // lint:secret-scope(scalar, bytes, byte, hi, lo) — signing walks the
-        // generator's comb with the RFC 6979 nonce.
-        let bytes = scalar.to_be_bytes();
-        for (i, byte) in bytes.iter().enumerate() {
-            // bytes[i] contributes nibbles at windows 63-2i (high) and
-            // 62-2i (low) of the radix-16 decomposition.
-            let hi = (byte >> 4) as usize;
-            let lo = (byte & 0x0f) as usize;
-            if hi != 0 { // lint:allow(consttime): nibble-skip is a documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
-                acc = acc.add_affine(&self.windows[63 - 2 * i][hi - 1]); // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
-            }
-            if lo != 0 { // lint:allow(consttime): nibble-skip is a documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
-                acc = acc.add_affine(&self.windows[62 - 2 * i][lo - 1]); // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+        // lint:secret-scope(scalar, digits, digit, sign, magnitude, entry) —
+        // signing walks the generator's comb with the RFC 6979 nonce.
+        let f = field();
+        let digits = signed_digits(scalar);
+        for (window, digit) in self.windows.iter().zip(digits) {
+            let sign = digit >> 7; // 0, or −1 for a negative digit
+            let magnitude = ((digit ^ sign) - sign) as usize; // |digit| ∈ 0..=64
+            if magnitude != 0 { // lint:allow(consttime): zero-digit skip is a documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+                let entry = &window[magnitude - 1]; // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+                let signed = AffinePoint {
+                    x: entry.x,
+                    y: f.neg_if(&entry.y, sign != 0),
+                };
+                acc = acc.add_affine(&signed);
             }
         }
         acc
@@ -273,9 +311,9 @@ impl CombTable {
 }
 
 /// The generator's comb, built on first use.
-fn base_table() -> &'static CombTable {
-    static T: OnceLock<CombTable> = OnceLock::new();
-    T.get_or_init(|| CombTable::new(&Point::generator()))
+fn base_table() -> &'static SignedComb {
+    static T: OnceLock<SignedComb> = OnceLock::new();
+    T.get_or_init(|| SignedComb::new(&Point::generator()))
 }
 
 /// Direct-mapped global cache of per-point affine window tables.
@@ -542,6 +580,7 @@ impl Point {
     /// affine operand needs no `z2` work; this is why the window tables
     /// below are normalized to affine before the main loop.
     fn add_affine(&self, other: &AffinePoint) -> Point {
+        cost::count(cost::Op::MixedAddition);
         let f = field();
         if self.is_identity() {
             return Point {
@@ -700,8 +739,8 @@ impl Point {
         acc
     }
 
-    /// `scalar * G` via the generator's precomputed [`CombTable`]: 64
-    /// mixed additions, no runtime doublings.
+    /// `scalar * G` via the generator's precomputed [`SignedComb`]: at
+    /// most 37 mixed additions, no runtime doublings.
     pub fn mul_base(scalar: &U256) -> Point {
         base_table().mul_add(scalar, Point::identity())
     }
@@ -710,9 +749,10 @@ impl Point {
     /// `u1·G + u2·Q` with a *shared* doubling chain, so the two
     /// multiplications cost one ladder of 252 doublings instead of two.
     ///
-    /// The `G` additions come straight from the precomputed comb table's
-    /// first window; the `Q` additions use a batch-normalized affine
-    /// window table. This is the ECDSA verification hot path.
+    /// The `G` additions come straight from the first 15 entries of the
+    /// generator comb's first window (`[G, 2G, .., 64G]`); the `Q`
+    /// additions use a batch-normalized affine window table. This is the
+    /// verification path for keys that are not pinned.
     #[expect(clippy::indexing_slicing, reason = "`i < 32` indexes the 32-byte scalar encodings; nibbles `≤ 15` index the 15-entry tables")]
     pub fn lincomb(u1: &U256, q: &Point, u2: &U256) -> Point {
         if q.is_identity() || u2.is_zero() {
@@ -721,7 +761,7 @@ impl Point {
         if u1.is_zero() {
             return q.mul(u2);
         }
-        let g_table = &base_table().windows[0]; // [G, 2G, .., 15G]
+        let g_table = &base_table().windows[0]; // [G, 2G, .., 64G]; nibbles use 15
         let q_table = q.window_table_cached();
         let b1 = u1.to_be_bytes();
         let b2 = u2.to_be_bytes();
@@ -884,8 +924,9 @@ impl Point {
 
 /// Per-thread operation counts for the deterministic cost guards: a
 /// test runs one signature group or one verification under
-/// [`cost::measure`] and asserts how many inversions and doublings it
-/// took. Outside tests [`cost::count`] is empty and compiles away.
+/// [`cost::measure`] and asserts how many inversions, doublings and
+/// mixed additions it took. Outside tests [`cost::count`] is empty and
+/// compiles away.
 pub(crate) mod cost {
     /// The operations the guards count.
     #[derive(Clone, Copy)]
@@ -893,6 +934,7 @@ pub(crate) mod cost {
         FieldInversion,
         ScalarInversion,
         Doubling,
+        MixedAddition,
     }
 
     #[cfg(not(test))]
@@ -910,17 +952,32 @@ pub(crate) mod cost {
 
     #[cfg(test)]
     thread_local! {
-        static COUNTS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+        static COUNTS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
     }
 
-    /// Runs `work` and returns its `(field inversions, scalar
-    /// inversions, point doublings)` on this thread.
+    /// What one piece of work cost, operation by operation.
     #[cfg(test)]
-    pub(crate) fn measure(work: impl FnOnce()) -> (u64, u64, u64) {
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) struct Costs {
+        pub(crate) field_inversions: u64,
+        pub(crate) scalar_inversions: u64,
+        pub(crate) doublings: u64,
+        pub(crate) mixed_additions: u64,
+    }
+
+    /// Runs `work` and returns what it cost on this thread.
+    #[cfg(test)]
+    pub(crate) fn measure(work: impl FnOnce()) -> Costs {
         let before = COUNTS.get();
         work();
         let after = COUNTS.get();
-        (after[0] - before[0], after[1] - before[1], after[2] - before[2])
+        let spent = |op: Op| after[op as usize] - before[op as usize];
+        Costs {
+            field_inversions: spent(Op::FieldInversion),
+            scalar_inversions: spent(Op::ScalarInversion),
+            doublings: spent(Op::Doubling),
+            mixed_additions: spent(Op::MixedAddition),
+        }
     }
 }
 
@@ -1189,28 +1246,111 @@ mod tests {
     }
 
     /// Pins the table [`Point::mul_base`] walks: entry `j - 1` of window
-    /// `i` of the generator's comb is `j · 16^i · G`, computed here by
-    /// the reference ladder.
+    /// `i` of the generator's comb is `j · 128^i · G`, computed here by
+    /// the reference ladder as `j · (128^i · G)`.
     #[test]
     fn generator_comb_entries_are_the_multiples_of_g() {
         let f = field();
-        let comb = CombTable::new(&Point::generator());
-        assert_eq!(comb.windows.len(), 64);
-        let mut shift = U256::ONE; // 16^i
+        let comb = SignedComb::new(&Point::generator());
+        assert_eq!(comb.windows.len(), 37);
         for (i, window) in comb.windows.iter().enumerate() {
-            let mut scalar = U256::ZERO; // j · 16^i
-            for (j, entry) in window.iter().enumerate() {
-                scalar = scalar.adc(&shift).0;
-                let (x, y) = Point::generator().mul_reference(&scalar).to_affine().unwrap();
-                assert_eq!((f.from_monty(&entry.x), f.from_monty(&entry.y)), (x, y), "i={i} j={}", j + 1);
+            let base = Point::generator().mul_reference(&shifted(U256::ONE, 7 * i));
+            for (j, entry) in (1u64..).zip(window) {
+                let (x, y) = base.mul_reference(&U256::from_u64(j)).to_affine().unwrap();
+                assert_eq!((f.from_monty(&entry.x), f.from_monty(&entry.y)), (x, y), "i={i} j={j}");
             }
-            shift = scalar.adc(&shift).0; // 16 · 16^i; wraps to 0 after the last window
         }
         let base = base_table();
         for (built, cached) in comb.windows.iter().zip(&base.windows) {
             for (a, b) in built.iter().zip(cached) {
                 assert_eq!((a.x, a.y), (b.x, b.y));
             }
+        }
+    }
+
+    /// `value · 2^bits`, wrapping at `2^256`.
+    fn shifted(mut value: U256, bits: usize) -> U256 {
+        for _ in 0..bits {
+            value = value.adc(&value).0;
+        }
+        value
+    }
+
+    /// Rebuilds `Σ d_i · 128^i` from the top digit down, wrapping at
+    /// `2^256` (the exact sum is the scalar, so wrapping partial sums
+    /// land on it too).
+    fn from_digits(digits: &[i8]) -> U256 {
+        digits.iter().rev().fold(U256::ZERO, |acc, &d| {
+            let acc = shifted(acc, 7);
+            let magnitude = U256::from_u64(d.unsigned_abs() as u64);
+            if d < 0 { acc.sbb(&magnitude).0 } else { acc.adc(&magnitude).0 }
+        })
+    }
+
+    /// A scalar whose 7-bit windows (bits `7i .. 7i + 7`, the last one
+    /// 4 bits wide) are `windows[i]`.
+    fn from_windows(windows: &[u64]) -> U256 {
+        windows.iter().enumerate().fold(U256::ZERO, |acc, (i, &w)| {
+            acc.adc(&shifted(U256::from_u64(w), 7 * i)).0
+        })
+    }
+
+    /// Scalars at the corners of the signed recoding: 1, `n − 1`, every
+    /// power of two, a window of exactly 64 (the largest digit that
+    /// does not carry) and of 65 (the smallest that does) in every
+    /// position, all-127 windows whose carry ripples into window 36, and
+    /// the all-ones scalar.
+    fn recoding_edge_scalars() -> Vec<U256> {
+        let n = *order();
+        let mut scalars = vec![U256::ONE, n.sbb(&U256::ONE).0, U256::from_limbs([u64::MAX; 4])];
+        scalars.extend((0..256).map(|k| shifted(U256::ONE, k)));
+        for i in 0..COMB_WINDOWS {
+            scalars.push(shifted(U256::from_u64(64), 7 * i));
+            scalars.push(shifted(U256::from_u64(65), 7 * i));
+        }
+        scalars.push(from_windows(&[127; 36])); // 2^252 − 1
+        scalars.push(from_windows(&[64; 36]));
+        scalars.push(from_windows(&[65; 36]));
+        scalars
+    }
+
+    #[test]
+    fn signed_digits_stay_in_range_and_rebuild_the_scalar() {
+        for k in recoding_edge_scalars() {
+            let digits = signed_digits(&k);
+            assert!(digits.iter().all(|d| (-64..=64).contains(d)), "k={k} {digits:?}");
+            assert_eq!(from_digits(&digits), k, "{digits:?}");
+        }
+        // The carry of thirty-six all-127 windows lands in window 36.
+        let digits = signed_digits(&from_windows(&[127; 36]));
+        assert_eq!((digits[0], digits[1], digits[35], digits[36]), (-1, 0, 0, 1));
+        let exact = signed_digits(&U256::from_u64(64));
+        assert_eq!((exact[0], exact[1]), (64, 0));
+        let carried = signed_digits(&U256::from_u64(65));
+        assert_eq!((carried[0], carried[1]), (-63, 1));
+    }
+
+    #[test]
+    fn signed_combs_match_reference_on_recoding_edges() {
+        let q = Point::generator().mul_reference(&U256::from_u64(0xfab));
+        let comb = SignedComb::new(&q);
+        for k in recoding_edge_scalars() {
+            assert_eq!(Point::mul_base(&k), Point::generator().mul_reference(&k), "mul_base, k={k}");
+            assert_eq!(comb.mul_add(&k, Point::identity()), q.mul_reference(&k), "pinned comb, k={k}");
+        }
+    }
+
+    /// Clock-free cost guard: `mul_base` is one mixed addition per
+    /// nonzero signed digit — at most 37 — and no doubling.
+    #[test]
+    fn mul_base_costs_at_most_37_mixed_additions_and_no_doubling() {
+        Point::mul_base(&U256::ONE); // builds the generator's comb outside the count
+        for k in recoding_edge_scalars() {
+            let costs = cost::measure(|| {
+                Point::mul_base(&k);
+            });
+            assert!(costs.mixed_additions <= 37, "k={k} {costs:?}");
+            assert_eq!(costs.doublings, 0, "k={k}");
         }
     }
 
@@ -1308,12 +1448,43 @@ mod tests {
             });
         }
 
+        /// A scalar whose every 7-bit window is a recoding corner (0, 1,
+        /// 63, 64, 65, 127) or random.
+        fn extreme_windows(rng: &mut SimRng) -> U256 {
+            let windows: Vec<u64> = (0..37)
+                .map(|_| match rng.next_u64() % 7 {
+                    0 => 0,
+                    1 => 1,
+                    2 => 63,
+                    3 => 64,
+                    4 => 65,
+                    5 => 127,
+                    _ => rng.next_u64() & 0x7f,
+                })
+                .collect();
+            // Window 36 is bits 252..256: keep its 4 bits.
+            let top = windows[36] & 0x0f;
+            from_windows(&[&windows[..36], &[top]].concat())
+        }
+
+        #[test]
+        fn signed_combs_match_reference_on_extreme_windows() {
+            let q = Point::generator().mul_reference(&U256::from_u64(0x5eed));
+            let comb = SignedComb::new(&q);
+            for_each_case(0x9256_0009, CASES, |rng| {
+                let k = extreme_windows(rng);
+                assert_eq!(from_digits(&signed_digits(&k)), k);
+                assert_eq!(Point::mul_base(&k), Point::generator().mul_reference(&k));
+                assert_eq!(comb.mul_add(&k, Point::identity()), q.mul_reference(&k));
+            });
+        }
+
         #[test]
         fn comb_of_any_point_matches_reference() {
             for_each_case(0x9256_0008, 8, |rng| {
                 let (k, a, seed) = (arb_scalar(rng), arb_scalar(rng), rng.next_u64());
                 let q = Point::generator().mul_reference(&U256::from_u64(seed | 1));
-                let comb = CombTable::new(&q);
+                let comb = SignedComb::new(&q);
                 let acc = Point::generator().mul_reference(&a);
                 assert_eq!(comb.mul_add(&k, acc), q.mul_reference(&k).add(&acc));
                 assert_eq!(comb.mul_add(&U256::ZERO, acc), acc);

@@ -6,11 +6,11 @@ use crate::node::{spawn_replica, NodeConfig, NodeHandle};
 use crate::storage::{LogStore, MemoryLog};
 use hlf_consensus::quorum::QuorumSystem;
 use hlf_consensus::replica::Config as ConsensusConfig;
-use hlf_crypto::ecdsa::{SigningKey, VerifyingKey};
+use hlf_crypto::ecdsa::{PinnedKey, SigningKey, VerifyingKey};
 use hlf_obs::{FlightRecorder, Registry, Snapshot};
 use hlf_transport::{Network, PeerId};
 use hlf_wire::{ClientId, NodeId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Deterministic cluster key material.
@@ -20,6 +20,9 @@ pub struct ClusterKeys {
     pub signing: Vec<SigningKey>,
     /// Per-replica public keys, indexed by node id.
     pub verifying: Vec<VerifyingKey>,
+    /// `verifying` pinned, built on the first [`ClusterKeys::pinned`]
+    /// call and shared by every clone of this value.
+    pinned: Arc<OnceLock<Vec<PinnedKey>>>,
 }
 
 impl ClusterKeys {
@@ -29,7 +32,19 @@ impl ClusterKeys {
             .map(|i| SigningKey::from_seed(format!("{seed}/replica-{i}").as_bytes()))
             .collect();
         let verifying = signing.iter().map(|k| *k.verifying_key()).collect();
-        ClusterKeys { signing, verifying }
+        ClusterKeys {
+            signing,
+            verifying,
+            pinned: Arc::default(),
+        }
+    }
+
+    /// The public keys pinned for verification, index for index. The
+    /// comb tables are built once, on the first call from this value or
+    /// any clone of it, so every replica and collector assembled from
+    /// one key set shares one table per key.
+    pub fn pinned(&self) -> &[PinnedKey] {
+        self.pinned.get_or_init(|| PinnedKey::pin_all(&self.verifying))
     }
 }
 
@@ -118,7 +133,7 @@ impl RuntimeOptions {
         let consensus = ConsensusConfig::new(
             NodeId(i as u32),
             quorums,
-            keys.verifying.clone(),
+            keys.pinned().to_vec(),
             keys.signing[i].clone(),
         )
         .with_tentative_execution(self.tentative_execution)
@@ -177,16 +192,16 @@ impl ClusterRuntime {
         Self::start_with_logs(n, options, app_factory, |_| Box::new(MemoryLog::new()))
     }
 
-    /// Boots a cluster whose applications are built with access to a
-    /// [`crate::node::PushHandle`] (the ordering service's signing pool
-    /// needs one per node), the node's registry and, when tracing is
-    /// on, its flight recorder.
+    /// Boots one replica node per key of `keys`, with applications built
+    /// with access to a [`crate::node::PushHandle`] (the ordering
+    /// service's signing pool needs one per node), the node's registry
+    /// and, when tracing is on, its flight recorder.
     ///
     /// # Panics
     ///
     /// Panics on invalid `(n, f)` combinations.
     pub fn start_custom(
-        n: usize,
+        keys: ClusterKeys,
         options: RuntimeOptions,
         app_builder: impl Fn(
             usize,
@@ -196,7 +211,8 @@ impl ClusterRuntime {
         ) -> Box<dyn Application>,
         log_factory: impl Fn(usize) -> Box<dyn LogStore>,
     ) -> ClusterRuntime {
-        let mut runtime = Self::prepare(n, options);
+        let n = keys.signing.len();
+        let mut runtime = Self::prepare(keys, options);
         for i in 0..n {
             let config = runtime.node_config(i);
             let (registry, flight) = (runtime.obs_registry(i), config.flight.clone());
@@ -223,10 +239,12 @@ impl ClusterRuntime {
         app_factory: impl Fn(usize) -> Box<dyn Application>,
         log_factory: impl Fn(usize) -> Box<dyn LogStore>,
     ) -> ClusterRuntime {
-        Self::start_custom(n, options, |i, _, _, _| app_factory(i), log_factory)
+        let keys = ClusterKeys::derive("runtime", n);
+        Self::start_custom(keys, options, |i, _, _, _| app_factory(i), log_factory)
     }
 
-    fn prepare(n: usize, options: RuntimeOptions) -> ClusterRuntime {
+    fn prepare(keys: ClusterKeys, options: RuntimeOptions) -> ClusterRuntime {
+        let n = keys.signing.len();
         let registries = (0..n).map(|i| Registry::new(format!("node-{i}"))).collect();
         let flights = (0..n)
             .map(|i| Arc::new(FlightRecorder::new(format!("node-{i}"))))
@@ -234,7 +252,7 @@ impl ClusterRuntime {
         ClusterRuntime {
             network: Network::new(),
             handles: Vec::new(),
-            keys: ClusterKeys::derive("runtime", n),
+            keys,
             options,
             next_client: 0,
             registries,

@@ -129,10 +129,21 @@ fn killed_replica_rejoins_with_fresh_session_and_no_replays() {
     order_round(&mut frontend, 0, 60, &mut seen);
 
     // The traced replica's ring covers the whole node: consensus phases
-    // from the core and the signing phase from the signing pool.
-    let kinds: HashSet<EventKind> = traced.events().iter().map(|e| e.kind).collect();
-    for kind in [EventKind::Propose, EventKind::SignStart, EventKind::SignDone] {
-        assert!(kinds.contains(&kind), "replica 0's flight ring has no {kind:?}");
+    // from the core and the signing phase from the signing pool. The
+    // frontend delivers on 3 of 4 copies, so the round can end before
+    // replica 0's signer has finished a block: wait for it, bounded.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let kinds: HashSet<EventKind> = traced.events().iter().map(|e| e.kind).collect();
+        let missing: Vec<EventKind> = [EventKind::Propose, EventKind::SignStart, EventKind::SignDone]
+            .into_iter()
+            .filter(|kind| !kinds.contains(kind))
+            .collect();
+        if missing.is_empty() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "replica 0's flight ring has no {missing:?}");
+        std::thread::sleep(Duration::from_millis(10));
     }
 
     // Kill replica 3: join its workers, close its sockets. Peers see
