@@ -18,27 +18,31 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+/// Ports in the window [`free_ports`] probes.
+const PORT_WINDOW: usize = 10_000;
+
 /// `n` localhost addresses nothing listens on, for processes that are
 /// about to be started to bind.
 ///
-/// The ports come from 20000–29999, below Linux's ephemeral range, so
-/// that no outgoing connection of some process starting at the same
-/// time can be given one of them between this probe and its owner's
-/// bind (an `hlf_node` that cannot bind exits, and its cluster runs one
-/// replica short). A cursor shared by the whole process keeps
-/// concurrent callers' sets apart; it starts at a per-process offset
-/// to do the same, mostly, between processes. Panics on a bind error
-/// other than "in use", and after one pass over the range.
+/// The ports come from a window outside this host's ephemeral range
+/// (see [`port_window_start`]), so that no outgoing connection of some
+/// process starting at the same time can be given one of them between
+/// this probe and its owner's bind (an `hlf_node` that cannot bind
+/// exits, and its cluster runs one replica short). A cursor shared by
+/// the whole process keeps concurrent callers' sets apart; it starts at
+/// a per-process offset to do the same, mostly, between processes.
+/// Panics on a bind error other than "in use", and after one pass over
+/// the window.
 pub fn free_ports(n: usize) -> Vec<SocketAddr> {
-    const RANGE: usize = 10_000;
     static CURSOR: AtomicUsize = AtomicUsize::new(0);
+    let start = port_window_start();
     let offset = std::process::id() as usize * 97;
     let mut free = Vec::with_capacity(n);
-    for _ in 0..RANGE {
+    for _ in 0..PORT_WINDOW {
         if free.len() == n {
             break;
         }
-        let port = 20_000 + (offset + CURSOR.fetch_add(1, Ordering::Relaxed)) % RANGE;
+        let port = start + (offset + CURSOR.fetch_add(1, Ordering::Relaxed)) % PORT_WINDOW;
         let addr = SocketAddr::from(([127, 0, 0, 1], port as u16));
         match TcpListener::bind(addr) {
             Ok(_) => free.push(addr),
@@ -46,8 +50,30 @@ pub fn free_ports(n: usize) -> Vec<SocketAddr> {
             Err(err) => panic!("cannot probe {addr}: {err}"),
         }
     }
-    assert_eq!(free.len(), n, "fewer than {n} free ports in 20000-29999");
+    let end = start + PORT_WINDOW - 1;
+    assert_eq!(free.len(), n, "fewer than {n} free ports in {start}-{end}");
     free
+}
+
+/// First port of [`free_ports`]' window: 20000 when 20000–29999 lies
+/// outside the range in `/proc/sys/net/ipv4/ip_local_port_range` (as it
+/// does on Linux's default 32768–60999) or that file cannot be read;
+/// otherwise the window just above the range, or else just below it.
+fn port_window_start() -> usize {
+    const DEFAULT: usize = 20_000;
+    let range = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range");
+    let range = range.unwrap_or_default();
+    let bounds: Vec<usize> = range.split_whitespace().filter_map(|b| b.parse().ok()).collect();
+    let &[lo, hi] = bounds.as_slice() else {
+        return DEFAULT;
+    };
+    [DEFAULT, hi + 1, lo.saturating_sub(PORT_WINDOW)]
+        .into_iter()
+        .find(|&start| {
+            let end = start + PORT_WINDOW;
+            start >= 1024 && end <= 65_536 && (end <= lo || start > hi)
+        })
+        .unwrap_or(DEFAULT)
 }
 
 /// The service options an `hlf_node` runs with unless a flag says

@@ -1,9 +1,10 @@
 //! The Mod-SMaRt replica: a sans-io consensus state machine.
 //!
-//! The replica consumes *inputs* — client requests, peer messages, clock
-//! ticks — and emits [`Action`]s: messages to send, batches to deliver,
-//! tentative deliveries to roll back. It performs no I/O and reads no
-//! clock, which lets the identical protocol logic run:
+//! The replica consumes [`Input`]s through [`Replica::step`] — client
+//! requests, peer messages, clock ticks — and emits [`Action`]s:
+//! messages to send, batches to deliver, tentative deliveries to roll
+//! back. It performs no I/O and reads no clock, which lets the identical
+//! protocol logic run:
 //!
 //! * on real threads over [`hlf_transport`](https://docs.rs) channels
 //!   for the LAN throughput experiments, and
@@ -159,6 +160,30 @@ impl Config {
         self.pipeline_depth = depth.clamp(1, MAX_WINDOW as usize);
         self
     }
+}
+
+/// What a driver feeds into [`Replica::step`].
+#[expect(
+    clippy::large_enum_variant,
+    reason = "an input is moved into `step` once; boxing the message would cost an allocation per message to shrink a value that is never stored"
+)]
+#[derive(Clone, Debug)]
+pub enum Input {
+    /// A window of client requests that arrived in one frame: all are
+    /// queued before the leader looks for a slot, so an idle leader
+    /// proposes them as one batch.
+    Requests(Vec<Request>),
+    /// A message from peer replica `NodeId`.
+    Message(NodeId, ConsensusMsg),
+    /// Time has passed: drives timeout escalation and fetch retries.
+    Tick,
+    /// Application-level state transfer (or recovery from the durable
+    /// log) reached this instance: the replica resumes after it.
+    ///
+    /// Delivered request ids cannot be reconstructed here; the
+    /// application's own dedup (e.g. the ordering service's envelope
+    /// hashes) covers requests decided while this replica was behind.
+    InstallState(u64),
 }
 
 /// An effect the driver must carry out.
@@ -589,11 +614,6 @@ impl Replica {
         self.syncing
     }
 
-    /// Configured sliding-window depth (1 = unpipelined).
-    pub fn pipeline_depth(&self) -> usize {
-        self.cfg.pipeline_depth
-    }
-
     /// Window slots currently holding an installed proposal.
     pub fn window_occupancy(&self) -> usize {
         self.insts.values().filter(|i| i.proposal.is_some()).count()
@@ -663,46 +683,32 @@ impl Replica {
     // Inputs
     // ------------------------------------------------------------------
 
-    /// Handles a client request arriving at this replica.
-    pub fn on_request(&mut self, now_ms: u64, request: Request) -> Vec<Action> {
-        self.on_requests(now_ms, vec![request])
+    /// Advances the replica by one input at time `now_ms` (any monotonic
+    /// millisecond clock), appending the effects to `actions`.
+    pub fn step(&mut self, now_ms: u64, input: Input, actions: &mut Vec<Action>) {
+        self.now_ms = self.now_ms.max(now_ms);
+        match input {
+            Input::Requests(requests) => self.enqueue_requests(requests, actions),
+            Input::Message(from, msg) => self.handle(from, msg, actions),
+            Input::Tick => self.tick(actions),
+            Input::InstallState(last_decided) => self.resume_after(last_decided, actions),
+        }
     }
 
-    /// Handles a window of client requests that arrived in one frame:
-    /// all are queued before the leader looks for a slot, so an idle
-    /// leader proposes them as one batch.
-    pub fn on_requests(&mut self, now_ms: u64, requests: Vec<Request>) -> Vec<Action> {
-        self.now_ms = self.now_ms.max(now_ms);
-        let mut actions = Vec::new();
-        self.enqueue_requests(requests, &mut actions);
-        actions
-    }
-
-    /// Handles a message from peer `from`.
-    pub fn on_message(&mut self, now_ms: u64, from: NodeId, msg: ConsensusMsg) -> Vec<Action> {
-        self.now_ms = self.now_ms.max(now_ms);
-        let mut actions = Vec::new();
-        self.handle(from, msg, &mut actions);
-        actions
-    }
-
-    /// Advances the replica's clock; drives timeout escalation.
-    pub fn on_tick(&mut self, now_ms: u64) -> Vec<Action> {
-        self.now_ms = self.now_ms.max(now_ms);
-        let mut actions = Vec::new();
+    fn tick(&mut self, actions: &mut Vec<Action>) {
         // Retry an outstanding value fetch whose replies were lost.
         if self.fetching_value
             && self.now_ms.saturating_sub(self.fetch_started_at) > self.timeout_ms
         {
             self.fetching_value = false;
-            self.maybe_fetch_gap(&mut actions);
+            self.maybe_fetch_gap(actions);
         }
         if self.syncing {
             if self.now_ms.saturating_sub(self.sync_started_at) > self.timeout_ms {
-                self.request_regency_change(self.regency + 1, &mut actions);
+                self.request_regency_change(self.regency + 1, actions);
                 self.sync_started_at = self.now_ms;
             }
-            return actions;
+            return;
         }
         // Pipeline stall: a higher slot already decided while the
         // frontier sat unresolved for a full timeout. Snapshot the
@@ -737,25 +743,17 @@ impl Replica {
             }
             if age > 2 * self.timeout_ms {
                 // Stage 2: demand a leader change.
-                self.request_regency_change(self.regency + 1, &mut actions);
+                self.request_regency_change(self.regency + 1, actions);
                 self.oldest_pending_since = Some(self.now_ms);
                 self.forwarded = false;
             }
         }
-        actions
     }
 
-    /// Installs state recovered through application-level state
-    /// transfer: the replica resumes at `last_decided + 1`.
-    ///
-    /// Delivered request ids cannot be reconstructed here; the
-    /// application's own dedup (e.g. the ordering service's envelope
-    /// hashes) covers requests decided while this replica was behind.
-    pub fn install_state(&mut self, now_ms: u64, last_decided: u64) -> Vec<Action> {
-        self.now_ms = self.now_ms.max(now_ms);
-        let mut actions = Vec::new();
+    /// [`Input::InstallState`]: the replica resumes at `last_decided + 1`.
+    fn resume_after(&mut self, last_decided: u64, actions: &mut Vec<Action>) {
         if last_decided < self.next_cid {
-            return actions;
+            return;
         }
         self.next_cid = last_decided + 1;
         self.insts.clear();
@@ -766,12 +764,11 @@ impl Replica {
         self.update_window_gauge();
         if let Some((regency, cid, batch, rebinds)) = self.pending_sync.take() {
             if regency == self.regency && cid == self.next_cid {
-                self.adopt_window(cid, batch, rebinds, &mut actions);
+                self.adopt_window(cid, batch, rebinds, actions);
             }
         }
-        self.drain_future(&mut actions);
-        self.replay_sync_buffer(&mut actions);
-        actions
+        self.drain_future(actions);
+        self.replay_sync_buffer(actions);
     }
 
     // ------------------------------------------------------------------
@@ -1939,17 +1936,11 @@ impl Replica {
 #[allow(clippy::needless_range_loop, reason = "index doubles as the node id in tests")]
 mod tests {
     use super::*;
+    use crate::testing::{step, test_keys, Cluster, Observed};
     use hlf_wire::Bytes;
 
-    fn pinned(signing: &[SigningKey]) -> Vec<PinnedKey> {
-        signing.iter().map(|k| PinnedKey::new(*k.verifying_key())).collect()
-    }
-
     fn make_replicas(n: usize, f: usize) -> Vec<Replica> {
-        let signing: Vec<SigningKey> = (0..n)
-            .map(|i| SigningKey::from_seed(format!("replica-unit-{i}").as_bytes()))
-            .collect();
-        let keys = pinned(&signing);
+        let (signing, keys) = test_keys(n);
         (0..n)
             .map(|i| {
                 Replica::new(Config::new(
@@ -1962,6 +1953,16 @@ mod tests {
             .collect()
     }
 
+    /// The signing keys of `make_replicas(4, _)`.
+    fn signing_keys() -> Vec<SigningKey> {
+        test_keys(4).0
+    }
+
+    /// `replica`'s actions on `msg` from peer `from`, at time 0.
+    fn deliver(replica: &mut Replica, from: u32, msg: ConsensusMsg) -> Vec<Action> {
+        step(replica, 0, Input::Message(NodeId(from), msg))
+    }
+
     fn req(seq: u64) -> Request {
         Request::new(ClientId(9), seq, Bytes::from(vec![seq as u8; 16]))
     }
@@ -1969,7 +1970,7 @@ mod tests {
     #[test]
     fn leader_proposes_on_request() {
         let mut replicas = make_replicas(4, 1);
-        let actions = replicas[0].on_request(0, req(1));
+        let actions = step(&mut replicas[0], 0, Input::Requests(vec![req(1)]));
         assert!(actions.iter().any(|a| matches!(
             a,
             Action::Broadcast(ConsensusMsg::Propose { cid: 1, epoch: 0, .. })
@@ -1982,7 +1983,7 @@ mod tests {
     #[test]
     fn non_leader_does_not_propose() {
         let mut replicas = make_replicas(4, 1);
-        let actions = replicas[1].on_request(0, req(1));
+        let actions = step(&mut replicas[1], 0, Input::Requests(vec![req(1)]));
         assert!(actions.is_empty());
         assert_eq!(replicas[1].pending_len(), 1);
     }
@@ -1990,66 +1991,29 @@ mod tests {
     #[test]
     fn duplicate_requests_are_deduplicated() {
         let mut replicas = make_replicas(4, 1);
-        replicas[1].on_request(0, req(1));
-        replicas[1].on_request(0, req(1));
+        step(&mut replicas[1], 0, Input::Requests(vec![req(1)]));
+        step(&mut replicas[1], 0, Input::Requests(vec![req(1)]));
         assert_eq!(replicas[1].pending_len(), 1);
     }
 
     #[test]
     fn full_happy_path_four_replicas() {
-        let mut replicas = make_replicas(4, 1);
-        // Every replica gets the request (clients broadcast).
-        let mut wire: Vec<(NodeId, ConsensusMsg)> = Vec::new();
-        let mut commits = vec![0usize; 4];
-        for r in replicas.iter_mut() {
-            for action in r.on_request(0, req(1)) {
-                if let Action::Broadcast(msg) = action {
-                    wire.push((r.node(), msg));
-                }
-            }
-        }
-        // Deliver messages until quiescence.
-        while let Some((from, msg)) = wire.pop() {
-            for i in 0..4 {
-                if NodeId(i as u32) == from {
-                    continue;
-                }
-                for action in replicas[i].on_message(0, from, msg.clone()) {
-                    match action {
-                        Action::Broadcast(m) => wire.push((NodeId(i as u32), m)),
-                        Action::Send(to, m) => {
-                            let j = to.as_usize();
-                            for a2 in replicas[j].on_message(0, NodeId(i as u32), m) {
-                                if let Action::Broadcast(m2) = a2 {
-                                    wire.push((NodeId(j as u32), m2));
-                                }
-                            }
-                        }
-                        Action::Commit { cid, batch, .. } => {
-                            assert_eq!(cid, 1);
-                            assert_eq!(batch.len(), 1);
-                            commits[i] += 1;
-                        }
-                        other => panic!("unexpected action {other:?}"),
-                    }
-                }
-            }
-        }
-        // The three non-self-delivering replicas commit; the leader also
-        // commits through its own broadcast loop above.
-        let total: usize = commits.iter().sum();
-        assert!(total >= 3, "commits: {commits:?}");
-        for r in &replicas {
-            if r.metrics().decided_instances > 0 {
-                assert_eq!(r.next_cid(), 2);
-            }
+        // Every replica gets the request (clients broadcast) and commits
+        // it as instance 1, with nothing else on the way.
+        let mut cluster = Cluster::classic(4, 1);
+        cluster.submit_to_all(req(1));
+        cluster.run_to_quiescence();
+        for i in 0..4 {
+            let commit = Observed::Commit(1, Batch::new(vec![req(1)]));
+            assert_eq!(cluster.observed(i), [commit], "replica {i}");
+            assert_eq!(cluster.replica(i).next_cid(), 2);
         }
     }
 
     #[test]
     fn write_votes_with_wrong_epoch_ignored() {
         let mut replicas = make_replicas(4, 1);
-        let signing = SigningKey::from_seed(b"replica-unit-1");
+        let signing = signing_keys().remove(1);
         let vote = Vote::sign(
             &signing,
             VotePhase::Write,
@@ -2058,7 +2022,7 @@ mod tests {
             5, // wrong epoch: regency is 0
             Batch::empty().digest(),
         );
-        let actions = replicas[0].on_message(0, NodeId(1), ConsensusMsg::Write(vote));
+        let actions = deliver(&mut replicas[0], 1, ConsensusMsg::Write(vote));
         assert!(actions.is_empty());
     }
 
@@ -2074,14 +2038,14 @@ mod tests {
             0,
             Batch::empty().digest(),
         );
-        let actions = replicas[0].on_message(0, NodeId(1), ConsensusMsg::Write(vote));
+        let actions = deliver(&mut replicas[0], 1, ConsensusMsg::Write(vote));
         assert!(actions.is_empty());
     }
 
     #[test]
     fn vote_relayed_by_wrong_sender_rejected() {
         let mut replicas = make_replicas(4, 1);
-        let signing = SigningKey::from_seed(b"replica-unit-1");
+        let signing = signing_keys().remove(1);
         let vote = Vote::sign(
             &signing,
             VotePhase::Write,
@@ -2091,7 +2055,7 @@ mod tests {
             Batch::empty().digest(),
         );
         // Node 2 replays node 1's vote: `vote.node != from`.
-        let actions = replicas[0].on_message(0, NodeId(2), ConsensusMsg::Write(vote));
+        let actions = deliver(&mut replicas[0], 2, ConsensusMsg::Write(vote));
         assert!(actions.is_empty());
     }
 
@@ -2099,17 +2063,16 @@ mod tests {
     fn timeout_escalates_to_stop() {
         let mut replicas = make_replicas(4, 1);
         // Node 1 (not leader) has pending requests that never decide.
-        replicas[1].on_requests(0, vec![req(1), req(2), req(3)]);
+        step(&mut replicas[1], 0, Input::Requests(vec![req(1), req(2), req(3)]));
         // Stage 1 at t > timeout: one message forwards them all, in order.
-        let mut actions = replicas[1].on_tick(2_500);
+        let mut actions = step(&mut replicas[1], 2_500, Input::Tick);
         assert_eq!(actions.len(), 1, "one Forward, whatever is pending: {actions:?}");
         let Some(Action::Send(NodeId(0), ConsensusMsg::Forward { requests })) = actions.pop() else {
             panic!("expected a Forward to the leader");
         };
         assert_eq!(requests, vec![req(1), req(2), req(3)]);
         // The leader queues all of them and proposes once.
-        let proposes: Vec<usize> = replicas[0]
-            .on_message(0, NodeId(1), ConsensusMsg::Forward { requests })
+        let proposes: Vec<usize> = deliver(&mut replicas[0], 1, ConsensusMsg::Forward { requests })
             .iter()
             .filter_map(|a| match a {
                 Action::Broadcast(ConsensusMsg::Propose { batch, .. }) => Some(batch.len()),
@@ -2118,7 +2081,7 @@ mod tests {
             .collect();
         assert_eq!(proposes, vec![3]);
         // Stage 2 at t > 2*timeout: STOP for regency 1.
-        let actions = replicas[1].on_tick(4_500);
+        let actions = step(&mut replicas[1], 4_500, Input::Tick);
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Broadcast(ConsensusMsg::Stop { regency: 1 }))));
@@ -2129,9 +2092,9 @@ mod tests {
         let mut replicas = make_replicas(4, 1);
         // Two other replicas demand regency 1; we join without our own
         // timeout having fired.
-        let a1 = replicas[3].on_message(0, NodeId(1), ConsensusMsg::Stop { regency: 1 });
+        let a1 = deliver(&mut replicas[3], 1, ConsensusMsg::Stop { regency: 1 });
         assert!(a1.is_empty());
-        let a2 = replicas[3].on_message(0, NodeId(2), ConsensusMsg::Stop { regency: 1 });
+        let a2 = deliver(&mut replicas[3], 2, ConsensusMsg::Stop { regency: 1 });
         assert!(a2
             .iter()
             .any(|a| matches!(a, Action::Broadcast(ConsensusMsg::Stop { regency: 1 }))));
@@ -2147,7 +2110,7 @@ mod tests {
     #[test]
     fn stale_stop_ignored() {
         let mut replicas = make_replicas(4, 1);
-        let actions = replicas[0].on_message(0, NodeId(1), ConsensusMsg::Stop { regency: 0 });
+        let actions = deliver(&mut replicas[0], 1, ConsensusMsg::Stop { regency: 0 });
         assert!(actions.is_empty());
     }
 
@@ -2156,23 +2119,22 @@ mod tests {
         let mut replicas = make_replicas(4, 1);
         // Manufacture a decision on replica 0 via the full path: use 3
         // replicas' accept votes.
-        let signing: Vec<SigningKey> = (0..4)
-            .map(|i| SigningKey::from_seed(format!("replica-unit-{i}").as_bytes()))
-            .collect();
+        let signing = signing_keys();
         let batch = Batch::new(vec![req(1)]);
         let hash = batch.digest();
-        replicas[0].on_request(0, req(1)); // leader proposes; own write recorded
+        // The leader proposes; its own write is recorded.
+        step(&mut replicas[0], 0, Input::Requests(vec![req(1)]));
         for i in 1..3 {
             let w = Vote::sign(&signing[i], VotePhase::Write, NodeId(i as u32), 1, 0, hash);
-            replicas[0].on_message(0, NodeId(i as u32), ConsensusMsg::Write(w));
+            deliver(&mut replicas[0], i as u32, ConsensusMsg::Write(w));
         }
         for i in 1..3 {
             let a = Vote::sign(&signing[i], VotePhase::Accept, NodeId(i as u32), 1, 0, hash);
-            replicas[0].on_message(0, NodeId(i as u32), ConsensusMsg::Accept(a));
+            deliver(&mut replicas[0], i as u32, ConsensusMsg::Accept(a));
         }
         assert_eq!(replicas[0].metrics().decided_instances, 1);
 
-        let actions = replicas[0].on_message(0, NodeId(3), ConsensusMsg::ValueRequest { cid: 1 });
+        let actions = deliver(&mut replicas[0], 3, ConsensusMsg::ValueRequest { cid: 1 });
         assert!(matches!(
             &actions[..],
             [Action::Send(NodeId(3), ConsensusMsg::ValueReply { cid: 1, .. })]
@@ -2183,7 +2145,7 @@ mod tests {
         let Action::Send(_, reply) = actions.into_iter().next().unwrap() else {
             panic!("a ValueRequest is answered with a Send")
         };
-        let actions = replicas[3].on_message(0, NodeId(0), reply);
+        let actions = deliver(&mut replicas[3], 0, reply);
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Commit { cid: 1, .. })));
@@ -2194,11 +2156,11 @@ mod tests {
     /// `replica`; returns the actions of the vote that completes the
     /// quorum.
     fn feed_accept_quorum(replica: &mut Replica, hash: Hash256) -> Vec<Action> {
+        let signing = signing_keys();
         let mut last = Vec::new();
         for i in 0..3u32 {
-            let key = SigningKey::from_seed(format!("replica-unit-{i}").as_bytes());
-            let accept = Vote::sign(&key, VotePhase::Accept, NodeId(i), 1, 0, hash);
-            last = replica.on_message(0, NodeId(i), ConsensusMsg::Accept(accept));
+            let accept = Vote::sign(&signing[i as usize], VotePhase::Accept, NodeId(i), 1, 0, hash);
+            last = deliver(replica, i, ConsensusMsg::Accept(accept));
         }
         last
     }
@@ -2221,7 +2183,7 @@ mod tests {
         assert_eq!(replica.metrics().decided_instances, 0);
         // The proposal lands: its stored digest is the decided one.
         let propose = ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch.clone() };
-        let actions = replica.on_message(0, NodeId(0), propose);
+        let actions = deliver(&mut replica, 0, propose);
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Commit { cid: 1, batch: b, .. } if *b == batch)));
@@ -2234,7 +2196,7 @@ mod tests {
         // the slot holds a batch, but not the decided one.
         let mut replica = make_replicas(4, 1).remove(3);
         let (batch_a, batch_b) = (Batch::new(vec![req(1)]), Batch::new(vec![req(2)]));
-        replica.on_message(0, NodeId(0), ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch_b });
+        deliver(&mut replica, 0, ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch_b });
         let actions = feed_accept_quorum(&mut replica, batch_a.digest());
         assert_eq!(value_requests(&actions), 3);
         assert!(!actions.iter().any(|a| matches!(a, Action::Commit { .. })));
@@ -2251,15 +2213,12 @@ mod tests {
             hash: batch.digest(),
             votes: vec![],
         };
-        let actions = replicas[3].on_message(
-            0,
-            NodeId(0),
-            ConsensusMsg::ValueReply {
-                cid: 1,
-                batch,
-                proof: forged,
-            },
-        );
+        let reply = ConsensusMsg::ValueReply {
+            cid: 1,
+            batch,
+            proof: forged,
+        };
+        let actions = deliver(&mut replicas[3], 0, reply);
         assert!(actions.is_empty());
         assert_eq!(replicas[3].next_cid(), 1);
     }
@@ -2276,7 +2235,7 @@ mod tests {
     }
 
     /// The seqs of every request replica `i` committed, in commit order.
-    fn committed_seqs(cluster: &crate::testing::Cluster, i: usize) -> Vec<u64> {
+    fn committed_seqs(cluster: &Cluster, i: usize) -> Vec<u64> {
         cluster
             .decisions(i)
             .iter()
@@ -2293,7 +2252,7 @@ mod tests {
     #[test]
     fn deep_queue_stays_bounded_through_many_decisions() {
         const REQUESTS: u64 = 2_000;
-        let mut cluster = crate::testing::Cluster::with_configs(
+        let mut cluster = Cluster::with_configs(
             4,
             QuorumSystem::classic(4, 1).unwrap(),
             |cfg| {
@@ -2344,20 +2303,20 @@ mod tests {
     /// once, even while their entries still sit in the deque.
     #[test]
     fn delivered_entries_are_neither_counted_nor_forwarded() {
-        let mut cluster = crate::testing::Cluster::classic(4, 1);
+        let mut cluster = Cluster::classic(4, 1);
         cluster.submit_to(0, req(1));
         cluster.submit_to(0, req(2));
-        cluster.replica_mut(1).on_requests(0, (1..=5).rev().map(req).collect());
+        step(cluster.replica_mut(1), 0, Input::Requests((1..=5).rev().map(req).collect()));
         cluster.run_to_quiescence();
         assert_eq!(committed_seqs(&cluster, 1), vec![1, 2]);
         let follower = cluster.replica_mut(1);
         assert_eq!((follower.pending_len(), follower.pending.len()), (3, 5));
         // Room for two more live requests, whatever the deque holds.
         follower.cfg.max_pending = 5;
-        follower.on_requests(0, vec![req(6), req(7), req(8)]);
+        step(follower, 0, Input::Requests(vec![req(6), req(7), req(8)]));
         assert_eq!(follower.pending_len(), 5);
         let Some(Action::Send(NodeId(0), ConsensusMsg::Forward { requests })) =
-            follower.on_tick(2_500).pop()
+            step(follower, 2_500, Input::Tick).pop()
         else {
             panic!("expected a Forward to the leader");
         };
@@ -2370,33 +2329,20 @@ mod tests {
         // n = 4, each faction has at most 2 write votes for its hash —
         // below the quorum of 3 — so neither value can be decided.
         let mut replicas = make_replicas(4, 1);
-        let signing: Vec<SigningKey> = (0..4)
-            .map(|i| SigningKey::from_seed(format!("replica-unit-{i}").as_bytes()))
-            .collect();
+        let signing = signing_keys();
         let batch_a = Batch::new(vec![req(1)]);
         let batch_b = Batch::new(vec![req(2)]);
 
         // Replicas 1 and 2 get batch A; replica 3 gets batch B.
+        let propose = |batch: &Batch| ConsensusMsg::Propose {
+            cid: 1,
+            epoch: 0,
+            batch: batch.clone(),
+        };
         for i in [1usize, 2] {
-            replicas[i].on_message(
-                0,
-                NodeId(0),
-                ConsensusMsg::Propose {
-                    cid: 1,
-                    epoch: 0,
-                    batch: batch_a.clone(),
-                },
-            );
+            deliver(&mut replicas[i], 0, propose(&batch_a));
         }
-        replicas[3].on_message(
-            0,
-            NodeId(0),
-            ConsensusMsg::Propose {
-                cid: 1,
-                epoch: 0,
-                batch: batch_b.clone(),
-            },
-        );
+        deliver(&mut replicas[3], 0, propose(&batch_b));
 
         // Exchange all write votes among 1, 2, 3 (leader stays silent).
         let votes: Vec<Vote> = vec![
@@ -2407,11 +2353,8 @@ mod tests {
         for i in 1..4usize {
             for vote in &votes {
                 if vote.node.as_usize() != i {
-                    let actions = replicas[i].on_message(
-                        0,
-                        vote.node,
-                        ConsensusMsg::Write(vote.clone()),
-                    );
+                    let write = ConsensusMsg::Write(vote.clone());
+                    let actions = deliver(&mut replicas[i], vote.node.0, write);
                     // No replica may reach an accept quorum.
                     assert!(!actions
                         .iter()
@@ -2426,8 +2369,6 @@ mod tests {
 
     #[test]
     fn obs_records_phase_latencies_and_counters() {
-        use crate::testing::Cluster;
-
         let mut cluster = Cluster::classic(4, 1);
         let registry = hlf_obs::Registry::new("obs-replica-test");
         for i in 0..4 {
@@ -2467,8 +2408,6 @@ mod tests {
 
     #[test]
     fn obs_counts_tentative_deliveries() {
-        use crate::testing::Cluster;
-
         let mut cluster = Cluster::wheat(5, 1);
         let registry = hlf_obs::Registry::new("obs-wheat-test");
         for i in 0..5 {
@@ -2499,20 +2438,18 @@ mod tests {
         // Normal traffic first so the ring holds pre-anomaly history:
         // the leader's PROPOSE reaches replica 3.
         let batch = Batch::new(vec![req(1)]);
-        replicas[3].on_message(
-            0,
-            NodeId(0),
-            ConsensusMsg::Propose {
-                cid: 1,
-                epoch: 0,
-                batch: batch.clone(),
-            },
-        );
+        let propose = ConsensusMsg::Propose {
+            cid: 1,
+            epoch: 0,
+            batch: batch.clone(),
+        };
+        deliver(&mut replicas[3], 0, propose);
 
         // Two peers demand regency 1; with our amplified STOP that is a
         // certify quorum, so the regency installs.
-        replicas[3].on_message(10, NodeId(1), ConsensusMsg::Stop { regency: 1 });
-        replicas[3].on_message(20, NodeId(2), ConsensusMsg::Stop { regency: 1 });
+        let stop = |from| Input::Message(NodeId(from), ConsensusMsg::Stop { regency: 1 });
+        step(&mut replicas[3], 10, stop(1));
+        step(&mut replicas[3], 20, stop(2));
         assert_eq!(replicas[3].regency(), 1);
 
         let dumps = flight.take_dumps();
@@ -2539,9 +2476,7 @@ mod tests {
     /// detector, surfaced through metrics and the flight recorder.
     #[test]
     fn straggler_detector_flags_slow_peer() {
-        let signing: Vec<SigningKey> = (0..4)
-            .map(|i| SigningKey::from_seed(format!("replica-unit-{i}").as_bytes()))
-            .collect();
+        let signing = signing_keys();
         let registry = hlf_obs::Registry::new("health-test");
         // Drive the leader (replica 0) by hand: peers 1 and 2 vote
         // ~10 ms after each PROPOSE, peer 3 consistently ~150 ms late —
@@ -2555,18 +2490,18 @@ mod tests {
             let request = req(round);
             let batch = Batch::new(vec![request.clone()]);
             let hash = batch.digest();
-            replica.on_request(now, request);
+            step(&mut replica, now, Input::Requests(vec![request]));
             // WRITE phase: fast peers at +10ms, slow peer at +150ms.
             let w1 = Vote::sign(&signing[1], VotePhase::Write, NodeId(1), round, 0, hash);
-            replica.on_message(now + 10, NodeId(1), ConsensusMsg::Write(w1));
+            step(&mut replica, now + 10, Input::Message(NodeId(1), ConsensusMsg::Write(w1)));
             let w3 = Vote::sign(&signing[3], VotePhase::Write, NodeId(3), round, 0, hash);
-            replica.on_message(now + 150, NodeId(3), ConsensusMsg::Write(w3));
+            step(&mut replica, now + 150, Input::Message(NodeId(3), ConsensusMsg::Write(w3)));
             // ACCEPT phase: the quorum needs 3 matching votes; feed the
             // slow peer last so its lag is sampled first.
             let a1 = Vote::sign(&signing[1], VotePhase::Accept, NodeId(1), round, 0, hash);
-            replica.on_message(now + 160, NodeId(1), ConsensusMsg::Accept(a1));
+            step(&mut replica, now + 160, Input::Message(NodeId(1), ConsensusMsg::Accept(a1)));
             let a2 = Vote::sign(&signing[2], VotePhase::Accept, NodeId(2), round, 0, hash);
-            replica.on_message(now + 160, NodeId(2), ConsensusMsg::Accept(a2));
+            step(&mut replica, now + 160, Input::Message(NodeId(2), ConsensusMsg::Accept(a2)));
             now += 1_000;
         }
 
@@ -2586,10 +2521,7 @@ mod tests {
     }
 
     fn make_leader_with_depth(depth: usize) -> (Replica, Vec<SigningKey>) {
-        let signing: Vec<SigningKey> = (0..4)
-            .map(|i| SigningKey::from_seed(format!("replica-unit-{i}").as_bytes()))
-            .collect();
-        let keys = pinned(&signing);
+        let (signing, keys) = test_keys(4);
         let leader = Replica::new(
             Config::new(
                 NodeId(0),
@@ -2607,7 +2539,7 @@ mod tests {
         let (mut leader, signing) = make_leader_with_depth(4);
         let mut actions = Vec::new();
         for seq in 1..=5 {
-            actions.extend(leader.on_request(0, req(seq)));
+            actions.extend(step(&mut leader, 0, Input::Requests(vec![req(seq)])));
         }
         let mut proposed = std::collections::BTreeMap::new();
         for action in &actions {
@@ -2626,12 +2558,12 @@ mod tests {
         let hash = proposed[&1];
         for peer in [1usize, 2] {
             let w = Vote::sign(&signing[peer], VotePhase::Write, NodeId(peer as u32), 1, 0, hash);
-            leader.on_message(10, NodeId(peer as u32), ConsensusMsg::Write(w));
+            step(&mut leader, 10, Input::Message(NodeId(peer as u32), ConsensusMsg::Write(w)));
         }
         let a1 = Vote::sign(&signing[1], VotePhase::Accept, NodeId(1), 1, 0, hash);
-        leader.on_message(20, NodeId(1), ConsensusMsg::Accept(a1));
+        step(&mut leader, 20, Input::Message(NodeId(1), ConsensusMsg::Accept(a1)));
         let a2 = Vote::sign(&signing[2], VotePhase::Accept, NodeId(2), 1, 0, hash);
-        let decide = leader.on_message(20, NodeId(2), ConsensusMsg::Accept(a2));
+        let decide = step(&mut leader, 20, Input::Message(NodeId(2), ConsensusMsg::Accept(a2)));
         assert!(decide.iter().any(|a| matches!(a, Action::Commit { cid: 1, .. })));
         assert!(decide.iter().any(|a| matches!(
             a,
@@ -2648,8 +2580,8 @@ mod tests {
         // vote lands 600 ms after slot 1 opened but only 100 ms after
         // slot 2 did — the peer's lag is 100 ms, not 600 ms.
         let (mut leader, signing) = make_leader_with_depth(2);
-        leader.on_request(0, req(1));
-        let slot2 = leader.on_request(500, req(2));
+        step(&mut leader, 0, Input::Requests(vec![req(1)]));
+        let slot2 = step(&mut leader, 500, Input::Requests(vec![req(2)]));
         let hash2 = slot2
             .iter()
             .find_map(|a| match a {
@@ -2660,7 +2592,7 @@ mod tests {
             })
             .expect("slot 2 proposed");
         let w = Vote::sign(&signing[3], VotePhase::Write, NodeId(3), 2, 0, hash2);
-        leader.on_message(600, NodeId(3), ConsensusMsg::Write(w));
+        step(&mut leader, 600, Input::Message(NodeId(3), ConsensusMsg::Write(w)));
         let lag = leader.health().peer_lag_us(3).expect("lag sample recorded");
         assert!(
             lag <= 150_000,

@@ -5,19 +5,12 @@
 use hlf_wire::Bytes;
 use hlf_consensus::messages::{Batch, ConsensusMsg, Request, Vote, VotePhase};
 use hlf_consensus::quorum::QuorumSystem;
-use hlf_consensus::replica::{Action, Config, Replica};
-use hlf_consensus::testing::{test_keys, Cluster, Observed};
-use hlf_crypto::ecdsa::SigningKey;
+use hlf_consensus::replica::{Action, Config, Input, Replica};
+use hlf_consensus::testing::{step, test_keys, Cluster, Observed};
 use hlf_wire::{ClientId, NodeId};
 
 fn req(seq: u64) -> Request {
     Request::new(ClientId(4), seq, Bytes::from(vec![seq as u8; 16]))
-}
-
-fn cluster_keys(n: usize) -> Vec<SigningKey> {
-    (0..n)
-        .map(|i| SigningKey::from_seed(format!("cluster-key-{i}").as_bytes()))
-        .collect()
 }
 
 /// Builds a standalone replica wired with the same deterministic keys
@@ -32,21 +25,27 @@ fn standalone(n: usize, f: usize, index: usize) -> Replica {
     ))
 }
 
+/// `replica`'s actions on a PROPOSE of `batch` for slot 1, epoch 0,
+/// sent by `from`.
+fn propose(replica: &mut Replica, from: u32, batch: Batch) -> Vec<Action> {
+    let msg = ConsensusMsg::Propose {
+        cid: 1,
+        epoch: 0,
+        batch,
+    };
+    step(replica, 0, Input::Message(NodeId(from), msg))
+}
+
 #[test]
 fn duplicate_proposals_are_idempotent() {
     let mut replica = standalone(4, 1, 1);
     let batch = Batch::new(vec![req(1)]);
-    let propose = ConsensusMsg::Propose {
-        cid: 1,
-        epoch: 0,
-        batch: batch.clone(),
-    };
-    let first = replica.on_message(0, NodeId(0), propose.clone());
+    let first = propose(&mut replica, 0, batch.clone());
     assert!(first
         .iter()
         .any(|a| matches!(a, Action::Broadcast(ConsensusMsg::Write(_)))));
     // A replayed identical proposal must not produce a second write.
-    let second = replica.on_message(0, NodeId(0), propose);
+    let second = propose(&mut replica, 0, batch);
     assert!(second.is_empty());
 }
 
@@ -55,24 +54,8 @@ fn conflicting_second_proposal_ignored() {
     let mut replica = standalone(4, 1, 1);
     let batch_a = Batch::new(vec![req(1)]);
     let batch_b = Batch::new(vec![req(2)]);
-    replica.on_message(
-        0,
-        NodeId(0),
-        ConsensusMsg::Propose {
-            cid: 1,
-            epoch: 0,
-            batch: batch_a,
-        },
-    );
-    let actions = replica.on_message(
-        0,
-        NodeId(0),
-        ConsensusMsg::Propose {
-            cid: 1,
-            epoch: 0,
-            batch: batch_b,
-        },
-    );
+    propose(&mut replica, 0, batch_a);
+    let actions = propose(&mut replica, 0, batch_b);
     assert!(actions.is_empty(), "equivocating second proposal accepted");
 }
 
@@ -80,45 +63,22 @@ fn conflicting_second_proposal_ignored() {
 fn oversized_batch_rejected() {
     let mut replica = standalone(4, 1, 1);
     let too_many = Batch::new((0..500).map(req).collect());
-    let actions = replica.on_message(
-        0,
-        NodeId(0),
-        ConsensusMsg::Propose {
-            cid: 1,
-            epoch: 0,
-            batch: too_many,
-        },
-    );
+    let actions = propose(&mut replica, 0, too_many);
     assert!(actions.is_empty());
 }
 
 #[test]
 fn empty_normal_proposal_rejected() {
     let mut replica = standalone(4, 1, 1);
-    let actions = replica.on_message(
-        0,
-        NodeId(0),
-        ConsensusMsg::Propose {
-            cid: 1,
-            epoch: 0,
-            batch: Batch::empty(),
-        },
-    );
+    let actions = propose(&mut replica, 0, Batch::empty());
     assert!(actions.is_empty());
 }
 
 #[test]
 fn proposal_from_non_leader_rejected() {
     let mut replica = standalone(4, 1, 2);
-    let actions = replica.on_message(
-        0,
-        NodeId(1), // leader of regency 0 is node 0
-        ConsensusMsg::Propose {
-            cid: 1,
-            epoch: 0,
-            batch: Batch::new(vec![req(1)]),
-        },
-    );
+    // The leader of regency 0 is node 0.
+    let actions = propose(&mut replica, 1, Batch::new(vec![req(1)]));
     assert!(actions.is_empty());
 }
 
@@ -126,10 +86,10 @@ fn proposal_from_non_leader_rejected() {
 fn install_state_skips_ahead_and_ignores_regressions() {
     let mut replica = standalone(4, 1, 1);
     assert_eq!(replica.next_cid(), 1);
-    replica.install_state(0, 10);
+    step(&mut replica, 0, Input::InstallState(10));
     assert_eq!(replica.next_cid(), 11);
     // Installing an older state is a no-op.
-    replica.install_state(0, 5);
+    step(&mut replica, 0, Input::InstallState(5));
     assert_eq!(replica.next_cid(), 11);
 }
 
@@ -159,9 +119,6 @@ fn writes_buffered_during_sync_complete_after_sync() {
     // Reproduce the race the randomized tests exposed: a replica
     // receives WRITE votes for the post-sync epoch while it is still
     // collecting the sync itself; they must count afterwards.
-    let mut cluster = Cluster::classic(4, 1);
-    cluster.crash(NodeId(0));
-    cluster.submit_to_all(req(1));
     // Force the leader change with randomized delivery across seeds;
     // progress must happen in every interleaving.
     for seed in 100..110u64 {
@@ -239,18 +196,18 @@ fn wheat_tentative_not_contradicted_by_commit() {
 #[test]
 fn stale_votes_from_previous_epoch_do_not_count() {
     // Votes signed for epoch 0 must be worthless once regency 1 runs.
-    let signing = cluster_keys(4);
+    let (signing, _) = test_keys(4);
     let mut replica = standalone(4, 1, 3);
     // Install regency 1 via stops from 1 and 2 (plus own amplification).
-    replica.on_message(0, NodeId(1), ConsensusMsg::Stop { regency: 1 });
-    replica.on_message(0, NodeId(2), ConsensusMsg::Stop { regency: 1 });
+    step(&mut replica, 0, Input::Message(NodeId(1), ConsensusMsg::Stop { regency: 1 }));
+    step(&mut replica, 0, Input::Message(NodeId(2), ConsensusMsg::Stop { regency: 1 }));
     assert_eq!(replica.regency(), 1);
 
     // A stale epoch-0 write arrives: must not trigger anything even
     // after the sync concludes.
     let batch = Batch::new(vec![req(1)]);
     let stale = Vote::sign(&signing[2], VotePhase::Write, NodeId(2), 1, 0, batch.digest());
-    let actions = replica.on_message(0, NodeId(2), ConsensusMsg::Write(stale));
+    let actions = step(&mut replica, 0, Input::Message(NodeId(2), ConsensusMsg::Write(stale)));
     assert!(actions.is_empty());
 }
 
@@ -277,15 +234,7 @@ fn wheat_tentative_rollback_on_conflicting_sync() {
 
     // Leader 0 proposes batch A.
     let batch_a = Batch::new(vec![req(1)]);
-    let actions = replica.on_message(
-        0,
-        NodeId(0),
-        ConsensusMsg::Propose {
-            cid: 1,
-            epoch: 0,
-            batch: batch_a.clone(),
-        },
-    );
+    let actions = propose(&mut replica, 0, batch_a.clone());
     assert!(actions
         .iter()
         .any(|a| matches!(a, Action::Broadcast(ConsensusMsg::Write(_)))));
@@ -302,7 +251,8 @@ fn wheat_tentative_rollback_on_conflicting_sync() {
             0,
             batch_a.digest(),
         );
-        let actions = replica.on_message(0, NodeId(i as u32), ConsensusMsg::Write(vote));
+        let write = Input::Message(NodeId(i as u32), ConsensusMsg::Write(vote));
+        let actions = step(&mut replica, 0, write);
         tentative_seen |= actions
             .iter()
             .any(|a| matches!(a, Action::DeliverTentative { cid: 1, .. }));
@@ -310,8 +260,9 @@ fn wheat_tentative_rollback_on_conflicting_sync() {
     assert!(tentative_seen, "write quorum must deliver tentatively");
 
     // Regency change to 1 (leader = node 1).
-    replica.on_message(0, NodeId(2), ConsensusMsg::Stop { regency: 1 });
-    let actions = replica.on_message(0, NodeId(3), ConsensusMsg::Stop { regency: 1 });
+    let stop = |from| Input::Message(NodeId(from), ConsensusMsg::Stop { regency: 1 });
+    step(&mut replica, 0, stop(2));
+    let actions = step(&mut replica, 0, stop(3));
     assert!(replica.is_syncing());
     assert!(actions
         .iter()
@@ -337,17 +288,14 @@ fn wheat_tentative_rollback_on_conflicting_sync() {
             )
         })
         .collect();
-    let actions = replica.on_message(
-        0,
-        NodeId(1),
-        ConsensusMsg::Sync {
-            regency: 1,
-            collect,
-            cid: 1,
-            batch: batch_b.clone(),
-            rebinds: vec![],
-        },
-    );
+    let sync = ConsensusMsg::Sync {
+        regency: 1,
+        collect,
+        cid: 1,
+        batch: batch_b.clone(),
+        rebinds: vec![],
+    };
+    let actions = step(&mut replica, 0, Input::Message(NodeId(1), sync));
     assert!(
         actions.iter().any(|a| matches!(a, Action::Rollback { cid: 1 })),
         "conflicting re-proposal must roll the tentative delivery back: {actions:?}"

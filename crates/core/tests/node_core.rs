@@ -1,6 +1,6 @@
 //! Four sans-io nodes (`NodeCore` + an application + `MemoryLog`)
-//! driven from one in-memory queue with a counter for a clock — no
-//! threads, no sleeps.
+//! driven by one `hlf_simnet::Simulation` whose links deliver at once
+//! and in send order — no threads, no sleeps.
 //!
 //! State transfer, on ordering nodes (`OrderingNodeApp`): replica 3 is cut off for 70 decisions: many checkpoint intervals,
 //! so its peers prune the log it would need, and more than consensus
@@ -17,6 +17,7 @@
 
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request, Vote, VotePhase};
 use hlf_crypto::ecdsa::SigningKey;
+use hlf_simnet::{Actor, Ctx, LatencyModel, SimMessage, SimTime, Simulation};
 use hlf_smr::app::{Application, CounterApp};
 use hlf_smr::core::{Input, NodeCore, Output};
 use hlf_smr::runtime::ClusterKeys;
@@ -26,34 +27,100 @@ use hlf_transport::PeerId;
 use hlf_wire::{Bytes, ClientId, NodeId};
 use ordering_core::node::OrderingNodeApp;
 use ordering_core::service::ServiceOptions;
-use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 const N: usize = 4;
 const CLIENT: u32 = 7;
 const CHECKPOINT_EVERY: u64 = 5;
 
-struct Net {
-    cores: Vec<NodeCore>,
-    /// Per node: its metrics registry.
-    registries: Vec<Arc<hlf_obs::Registry>>,
-    queue: VecDeque<(usize, PeerId, SmrMsg)>,
-    now_us: u64,
-    /// Nodes whose links are down: nothing reaches or leaves them.
-    cut: HashSet<usize>,
-    /// Every `StateRequest` broadcast: `(sender, from_cid)`.
-    state_requests: Vec<(usize, u64)>,
-    /// When non-empty, the next `StateRequest` round is lost on the
-    /// way to the honest peers and answered by these frames alone (the
+/// A frame between two replicas.
+#[derive(Clone)]
+struct Frame(SmrMsg);
+
+impl SimMessage for Frame {
+    fn wire_size(&self) -> usize {
+        0
+    }
+}
+
+/// One node as a simulation actor, recording what it emits.
+struct Node {
+    core: NodeCore,
+    /// Its metrics registry.
+    registry: Arc<hlf_obs::Registry>,
+    out: Vec<Output>,
+    /// `from_cid` of every `StateRequest` it broadcast.
+    state_requests: Vec<u64>,
+    /// When non-empty, its next `StateRequest` round is lost on the way
+    /// to the honest peers and answered by these frames alone (the
     /// faulty replica getting its word in first).
     forged_replies: Vec<(PeerId, SmrMsg)>,
-    /// Batch length of every PROPOSE broadcast, in emission order.
+    /// Batch length of every PROPOSE it broadcast, in emission order.
     proposes: Vec<usize>,
-    /// Per node: every reply it addressed to a client, `(client, seq,
-    /// payload)`, in emission order.
-    replies: Vec<Vec<(u32, u64, Bytes)>>,
-    /// Per node: `(cid, batch digest)` of every commit, in order.
-    commits: Vec<Vec<(u64, u64)>>,
+    /// Every reply it addressed to a client, `(client, seq, payload)`,
+    /// in emission order.
+    replies: Vec<(u32, u64, Bytes)>,
+    /// `(cid, batch digest)` of every commit, in order.
+    commits: Vec<(u64, u64)>,
+}
+
+impl Node {
+    fn step(&mut self, input: Input, ctx: &mut Ctx<'_, Frame>) {
+        let mut out = std::mem::take(&mut self.out);
+        self.core.step(ctx.now().as_micros(), input, &mut out);
+        for output in out.drain(..) {
+            match output {
+                Output::ToReplicas(msg) => {
+                    if let SmrMsg::StateRequest { from_cid } = msg {
+                        self.state_requests.push(from_cid);
+                        if !self.forged_replies.is_empty() {
+                            for (forger, reply) in std::mem::take(&mut self.forged_replies) {
+                                self.step(Input::Frame(forger, reply), ctx);
+                            }
+                            continue;
+                        }
+                    }
+                    if let SmrMsg::Consensus(ConsensusMsg::Propose { batch, .. }) = &msg {
+                        self.proposes.push(batch.len());
+                    }
+                    let me = ctx.self_id();
+                    for to in (0..N).filter(|&to| to != me) {
+                        ctx.send(to, Frame(msg.clone()));
+                    }
+                }
+                Output::ToReplica(to, msg) => ctx.send(to.as_usize(), Frame(msg)),
+                Output::ToClient(client, SmrMsg::Reply { seq, payload }) => {
+                    self.replies.push((client.0, seq, payload));
+                }
+                Output::Committed { cid, digest, .. } => self.commits.push((cid, digest)),
+                _ => {}
+            }
+        }
+        self.out = out;
+    }
+
+    /// `(client, seq)` of every reply it emitted, in order.
+    fn executed(&self) -> Vec<(u32, u64)> {
+        self.replies.iter().map(|(client, seq, _)| (*client, *seq)).collect()
+    }
+
+    /// Samples it has recorded in `smr.node.request_decide_us`.
+    fn decide_samples(&self) -> u64 {
+        let snapshot = self.registry.snapshot();
+        snapshot.histogram("smr.node.request_decide_us").map_or(0, |h| h.count)
+    }
+}
+
+impl Actor<Frame> for Node {
+    fn on_message(&mut self, from: usize, Frame(msg): Frame, ctx: &mut Ctx<'_, Frame>) {
+        self.step(Input::Frame(PeerId::Replica(from as u32), msg), ctx);
+    }
+
+    fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_, Frame>) {}
+}
+
+struct Net {
+    sim: Simulation<Frame, Node>,
 }
 
 impl Net {
@@ -77,115 +144,91 @@ impl Net {
             .runtime_options()
             .with_checkpoint_interval(CHECKPOINT_EVERY);
         let keys = ClusterKeys::derive("node-core-test", N);
-        let registries: Vec<_> = (0..N).map(|i| hlf_obs::Registry::new(format!("node-{i}"))).collect();
-        let cores = (0..N)
-            .map(|i| {
-                let config = runtime.node_config(i, &keys, Some(Arc::clone(&registries[i])), None);
-                NodeCore::new(&config, app(&options, i, &keys), Box::new(MemoryLog::new()))
-            })
-            .collect();
-        Net {
-            cores,
-            registries,
-            queue: VecDeque::new(),
-            now_us: 0,
-            cut: HashSet::new(),
-            state_requests: Vec::new(),
-            forged_replies: Vec::new(),
-            proposes: Vec::new(),
-            replies: vec![Vec::new(); N],
-            commits: vec![Vec::new(); N],
+        let mut sim = Simulation::new(LatencyModel::constant(SimTime::ZERO), 0);
+        for i in 0..N {
+            let registry = hlf_obs::Registry::new(format!("node-{i}"));
+            let config = runtime.node_config(i, &keys, Some(Arc::clone(&registry)), None);
+            sim.add_actor(Box::new(Node {
+                core: NodeCore::new(&config, app(&options, i, &keys), Box::new(MemoryLog::new())),
+                registry,
+                out: Vec::new(),
+                state_requests: Vec::new(),
+                forged_replies: Vec::new(),
+                proposes: Vec::new(),
+                replies: Vec::new(),
+                commits: Vec::new(),
+            }));
+        }
+        Net { sim }
+    }
+
+    fn node(&self, node: usize) -> &Node {
+        self.sim.actor(node)
+    }
+
+    /// Heals (`up`) or cuts every link to and from `node`.
+    fn set_links(&mut self, node: usize, up: bool) {
+        for peer in (0..N).filter(|&peer| peer != node) {
+            for (from, to) in [(node, peer), (peer, node)] {
+                if up {
+                    self.sim.heal(from, to);
+                } else {
+                    self.sim.cut(from, to);
+                }
+            }
         }
     }
 
+    /// The nodes a peer can reach: not crashed, not cut off.
     fn reachable(&self) -> Vec<usize> {
-        (0..N).filter(|node| !self.cut.contains(node)).collect()
+        (0..N)
+            .filter(|&node| (0..N).any(|peer| peer != node && self.sim.link_up(peer, node)))
+            .collect()
     }
 
     fn last_cid(&self, node: usize) -> u64 {
-        self.cores[node].stats().last_cid()
+        self.node(node).core.stats().last_cid()
     }
 
-    fn step(&mut self, node: usize, input: Input) {
-        let mut out = Vec::new();
-        self.cores[node].step(self.now_us, input, &mut out);
-        let from = PeerId::Replica(node as u32);
-        for output in out {
-            match output {
-                Output::ToReplicas(msg) => {
-                    if let SmrMsg::StateRequest { from_cid } = msg {
-                        self.state_requests.push((node, from_cid));
-                        if !self.forged_replies.is_empty() {
-                            for (forger, reply) in std::mem::take(&mut self.forged_replies) {
-                                self.now_us += 50;
-                                self.step(node, Input::Frame(forger, reply));
-                            }
-                            continue;
-                        }
-                    }
-                    if let SmrMsg::Consensus(ConsensusMsg::Propose { batch, .. }) = &msg {
-                        self.proposes.push(batch.len());
-                    }
-                    for to in (0..N).filter(|to| *to != node) {
-                        self.queue.push_back((to, from, msg.clone()));
-                    }
-                }
-                Output::ToReplica(to, msg) => self.queue.push_back((to.as_usize(), from, msg)),
-                Output::ToClient(client, SmrMsg::Reply { seq, payload }) => {
-                    self.replies[node].push((client.0, seq, payload));
-                }
-                Output::Committed { cid, digest, .. } => self.commits[node].push((cid, digest)),
-                _ => {}
-            }
-        }
-    }
-
-    /// Delivers queued frames (dropping those on a cut link) until none
-    /// is left. Each delivery advances the clock by 50 µs.
-    fn run(&mut self) {
-        while let Some((to, from, msg)) = self.queue.pop_front() {
-            let PeerId::Replica(sender) = from else { unreachable!() };
-            if self.cut.contains(&to) || self.cut.contains(&(sender as usize)) {
-                continue;
-            }
-            self.now_us += 50;
-            self.step(to, Input::Frame(from, msg));
-        }
+    /// Feeds `input` to `node` now; nothing it sends is delivered yet.
+    fn input(&mut self, node: usize, input: Input) {
+        self.sim.inject(node, |node, ctx| node.step(input, ctx));
     }
 
     /// Client `sender` hands one window to every reachable replica.
     /// Nothing the replicas send in response is delivered yet.
     fn send_window(&mut self, sender: u32, window: &[Request]) {
         for node in self.reachable() {
-            self.now_us += 50;
-            self.step(node, Input::Frame(PeerId::Client(sender), SmrMsg::Requests(window.to_vec())));
+            self.input(node, Input::Frame(PeerId::Client(sender), SmrMsg::Requests(window.to_vec())));
         }
     }
 
     /// The client submits one envelope to every reachable replica.
     fn submit(&mut self, seq: u64) {
         self.send_window(CLIENT, &[request(CLIENT, seq)]);
-        self.run();
+        self.sim.run();
     }
 
-    /// Samples `node` has recorded in `smr.node.request_decide_us`.
-    fn decide_samples(&self, node: usize) -> u64 {
-        let snapshot = self.registries[node].snapshot();
-        snapshot.histogram("smr.node.request_decide_us").map_or(0, |h| h.count)
+    /// Batch length of every PROPOSE broadcast, node by node (in these
+    /// runs only the leader proposes).
+    fn proposes(&self) -> Vec<usize> {
+        (0..N).flat_map(|node| self.node(node).proposes.clone()).collect()
     }
 
-    /// `(client, seq)` of every reply `node` emitted, in order.
-    fn executed(&self, node: usize) -> Vec<(u32, u64)> {
-        self.replies[node].iter().map(|(client, seq, _)| (*client, *seq)).collect()
+    /// Every `StateRequest` broadcast: `(sender, from_cid)`.
+    fn state_requests(&self) -> Vec<(usize, u64)> {
+        (0..N)
+            .flat_map(|node| self.node(node).state_requests.iter().map(move |&cid| (node, cid)))
+            .collect()
     }
 
     /// Moves the clock forward and ticks every reachable replica.
     fn tick(&mut self, advance_us: u64) {
-        self.now_us += advance_us;
+        self.sim.advance(SimTime::from_micros(advance_us));
         for node in self.reachable() {
-            self.step(node, Input::Tick);
+            self.input(node, Input::Tick);
         }
-        self.run();
+        self.sim.run();
     }
 }
 
@@ -227,7 +270,7 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     // 5 and prune, so their logs no longer reach back to cid 3; and a
     // replica only keeps its last 64 decisions for value fetches, so
     // consensus-level catch-up cannot close the gap either.
-    net.cut.insert(3);
+    net.set_links(3, false);
     for seq in 3..=72 {
         net.submit(seq);
     }
@@ -237,12 +280,12 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     // It comes back just as the leader (replica 0, the faulty one)
     // falls silent. The next request can only be ordered after a view
     // change, whose SYNC tells replica 3 how far behind it is.
-    net.cut.remove(&3);
-    net.cut.insert(0);
-    net.forged_replies = vec![(PeerId::Replica(0), forged_reply(71))];
+    net.set_links(3, true);
+    net.sim.crash(0);
+    net.sim.actor_mut(3).forged_replies = vec![(PeerId::Replica(0), forged_reply(71))];
     net.submit(73);
     for _ in 0..60 {
-        if !net.state_requests.is_empty() {
+        if !net.state_requests().is_empty() {
             break;
         }
         net.tick(100_000);
@@ -251,9 +294,9 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     // It asked for everything after its last decision. Only the forged
     // answer has come back so far: an entry "proven" by keys outside
     // the cluster and a checkpoint with a single voucher move nothing.
-    assert_eq!(net.state_requests, vec![(3, 3)]);
+    assert_eq!(net.state_requests(), vec![(3, 3)]);
     assert_eq!(net.last_cid(3), 2);
-    assert_eq!(net.cores[3].stats().state_transfers(), 0);
+    assert_eq!(net.node(3).core.stats().state_transfers(), 0);
 
     // The retry reaches replicas 1 and 2: their identical checkpoint at
     // cid 70 is attested by f + 1 senders, entries 71 and 72 carry valid
@@ -265,16 +308,16 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
         }
         net.tick(100_000);
     }
-    assert_eq!(net.cores[3].stats().state_transfers(), 1);
+    assert_eq!(net.node(3).core.stats().state_transfers(), 1);
     assert!((1..N).all(|node| net.last_cid(node) == 73), "view change did not resume ordering");
-    assert!(net.state_requests.iter().all(|(node, _)| *node == 3));
+    assert!(net.state_requests().iter().all(|(node, _)| *node == 3));
     // Had the forged entry for cid 71 been kept, it would have shadowed
     // the real one and forked replica 3's chain. Next block number,
     // previous header hash and buffered envelopes are byte-equal to its
     // peers'.
-    let snapshot = net.cores[3].app().snapshot();
-    assert_eq!(snapshot, net.cores[1].app().snapshot());
-    assert_eq!(snapshot, net.cores[2].app().snapshot());
+    let snapshot = net.node(3).core.app().snapshot();
+    assert_eq!(snapshot, net.node(1).core.app().snapshot());
+    assert_eq!(snapshot, net.node(2).core.app().snapshot());
 }
 
 #[test]
@@ -282,38 +325,38 @@ fn window_naming_a_foreign_client_is_dropped_whole() {
     let mut net = Net::counters();
     let window = [request(CLIENT, 1), request(CLIENT + 1, 1), request(CLIENT, 2)];
     net.send_window(CLIENT, &window);
-    net.run();
-    assert_eq!(net.proposes, Vec::<usize>::new(), "nothing may be proposed");
-    assert!((0..N).all(|node| net.last_cid(node) == 0 && net.executed(node).is_empty()));
+    net.sim.run();
+    assert_eq!(net.proposes(), Vec::<usize>::new(), "nothing may be proposed");
+    assert!((0..N).all(|node| net.last_cid(node) == 0 && net.node(node).executed().is_empty()));
     // Not even its own requests were queued: the next honest window is
     // ordered alone.
     net.send_window(CLIENT, &[request(CLIENT, 3)]);
-    net.run();
-    assert_eq!(net.proposes, vec![1]);
-    assert!((0..N).all(|node| net.executed(node) == [(CLIENT, 3)]));
+    net.sim.run();
+    assert_eq!(net.proposes(), vec![1]);
+    assert!((0..N).all(|node| net.node(node).executed() == [(CLIENT, 3)]));
 }
 
 #[test]
 fn answered_seq_in_a_window_is_replayed_and_the_rest_is_ordered() {
     let mut net = Net::counters();
     net.submit(1);
-    let answer = net.replies[2][0].clone();
+    let answer = net.node(2).replies[0].clone();
     assert_eq!((answer.0, answer.1), (CLIENT, 1));
 
     // A retransmission of seq 1 rides in a window with a new request.
     net.send_window(CLIENT, &[request(CLIENT, 1), request(CLIENT, 2)]);
     for node in 0..N {
         // Answered from the reply cache at once, byte for byte...
-        assert_eq!(net.replies[node].len(), 2);
-        assert_eq!(net.replies[node][1], net.replies[node][0]);
+        assert_eq!(net.node(node).replies.len(), 2);
+        assert_eq!(net.node(node).replies[1], net.node(node).replies[0]);
     }
-    assert_eq!(net.replies[2][1], answer);
-    net.run();
+    assert_eq!(net.node(2).replies[1], answer);
+    net.sim.run();
     // ...and not ordered again, while seq 2 is.
-    assert_eq!(net.proposes, vec![1, 1]);
+    assert_eq!(net.proposes(), vec![1, 1]);
     for node in 0..N {
-        assert_eq!(net.cores[node].stats().executed_requests(), 2);
-        assert_eq!(net.executed(node), [(CLIENT, 1), (CLIENT, 1), (CLIENT, 2)]);
+        assert_eq!(net.node(node).core.stats().executed_requests(), 2);
+        assert_eq!(net.node(node).executed(), [(CLIENT, 1), (CLIENT, 1), (CLIENT, 2)]);
     }
 }
 
@@ -326,28 +369,26 @@ fn answered_seq_in_a_window_is_replayed_and_the_rest_is_ordered() {
 fn request_decide_clock_starts_at_first_sight_propose_included() {
     let mut net = Net::counters();
     let window = SmrMsg::Requests(vec![request(CLIENT, 1)]);
-    net.now_us += 50;
-    net.step(0, Input::Frame(PeerId::Client(CLIENT), window.clone()));
-    net.run();
+    net.input(0, Input::Frame(PeerId::Client(CLIENT), window.clone()));
+    net.sim.run();
     for node in 0..N {
         assert_eq!(net.last_cid(node), 1);
-        assert_eq!(net.decide_samples(node), 1, "node {node}");
-        assert_eq!(net.cores[node].open_request_stamps(), 0, "node {node}");
+        assert_eq!(net.node(node).decide_samples(), 1, "node {node}");
+        assert_eq!(net.node(node).core.open_request_stamps(), 0, "node {node}");
     }
     for node in 1..N {
-        net.now_us += 50;
-        net.step(node, Input::Frame(PeerId::Client(CLIENT), window.clone()));
+        net.input(node, Input::Frame(PeerId::Client(CLIENT), window.clone()));
     }
-    net.run();
+    net.sim.run();
     for node in 0..N {
-        assert_eq!(net.cores[node].open_request_stamps(), 0, "stale stamp on node {node}");
+        assert_eq!(net.node(node).core.open_request_stamps(), 0, "stale stamp on node {node}");
     }
     // The usual order of arrival — client copy first, PROPOSE second —
     // still gives one sample per request, clocked from the client copy.
     net.submit(2);
     for node in 0..N {
-        assert_eq!(net.decide_samples(node), 2, "node {node}");
-        assert_eq!(net.cores[node].open_request_stamps(), 0, "node {node}");
+        assert_eq!(net.node(node).decide_samples(), 2, "node {node}");
+        assert_eq!(net.node(node).core.open_request_stamps(), 0, "node {node}");
     }
 }
 
@@ -357,10 +398,10 @@ fn duplicates_inside_and_across_windows_are_ordered_once() {
     net.send_window(CLIENT, &[request(CLIENT, 1), request(CLIENT, 1), request(CLIENT, 2)]);
     // Seq 2 is now pending (in flight at the leader) everywhere.
     net.send_window(CLIENT, &[request(CLIENT, 2), request(CLIENT, 3)]);
-    net.run();
+    net.sim.run();
     for node in 0..N {
-        assert_eq!(net.cores[node].stats().executed_requests(), 3);
-        assert_eq!(net.executed(node), [(CLIENT, 1), (CLIENT, 2), (CLIENT, 3)]);
+        assert_eq!(net.node(node).core.stats().executed_requests(), 3);
+        assert_eq!(net.node(node).executed(), [(CLIENT, 1), (CLIENT, 2), (CLIENT, 3)]);
     }
 }
 
@@ -369,9 +410,9 @@ fn idle_leader_proposes_a_window_as_one_batch() {
     let mut net = Net::counters();
     let window: Vec<Request> = (1..=7).map(|seq| request(CLIENT, seq)).collect();
     net.send_window(CLIENT, &window);
-    assert_eq!(net.proposes, vec![7], "one PROPOSE carrying the whole window");
-    net.run();
-    assert_eq!(net.proposes, vec![7]);
+    assert_eq!(net.proposes(), vec![7], "one PROPOSE carrying the whole window");
+    net.sim.run();
+    assert_eq!(net.proposes(), vec![7]);
     assert!((0..N).all(|node| net.last_cid(node) == 1));
 }
 
@@ -390,9 +431,9 @@ fn any_window_size_orders_every_request_once_in_seq_order() {
                 net.send_window(client, &requests);
             }
         }
-        net.run();
+        net.sim.run();
         for node in 0..N {
-            let executed = net.executed(node);
+            let executed = net.node(node).executed();
             assert_eq!(executed.len() as u64, 2 * PER_CLIENT, "window {window}, node {node}");
             for client in clients {
                 let of_client: Vec<u64> = executed
@@ -402,8 +443,8 @@ fn any_window_size_orders_every_request_once_in_seq_order() {
                     .collect();
                 assert_eq!(of_client, seqs, "window {window}, node {node}, client {client}");
             }
-            assert_eq!(net.commits[node], net.commits[0], "window {window}: node {node}'s chain differs");
+            assert_eq!(net.node(node).commits, net.node(0).commits, "window {window}: node {node}'s chain differs");
         }
-        assert!(!net.commits[0].is_empty());
+        assert!(!net.node(0).commits.is_empty());
     }
 }

@@ -9,6 +9,21 @@
 //! Exit status: 0 when there are no findings, 1 when findings remain,
 //! 2 on usage or I/O errors.
 
+// The library's panic, `unsafe` and stdout discipline (DESIGN.md §7);
+// an exception is an `#[expect(clippy::.., reason = "..")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::print_stdout,
+    clippy::allow_attributes_without_reason
+)]
+
 use hlf_lint::walk::{discover_path, discover_workspace};
 use hlf_lint::{analyze, SourceFile};
 use std::path::PathBuf;

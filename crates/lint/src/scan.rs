@@ -51,8 +51,6 @@ pub struct ImplItem {
 pub struct Suppression {
     /// The pass it silences.
     pub pass: String,
-    /// The mandatory justification text.
-    pub reason: String,
     /// Line the comment sits on.
     pub line: u32,
     /// Inclusive line range it governs.
@@ -579,7 +577,6 @@ fn scan_comments(src: &str, toks: &[Tok], st: &mut Structure) {
             let scope = suppression_scope(src, toks, st, ti);
             st.allows.push(Suppression {
                 pass,
-                reason: reason.to_string(),
                 line: t.line,
                 scope,
                 used: Cell::new(false),

@@ -19,7 +19,7 @@
 
 use crate::snapshot::json;
 use crate::snapshot::json_string;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -418,15 +418,29 @@ impl FlightRecorder {
     }
 
     /// Records an event with an explicit timestamp (deterministic
-    /// simulations pass virtual time). Wait-free, allocation-free.
+    /// simulations pass virtual time). Wait-free, allocation-free. When
+    /// the ring laps mid-write, the writer that finds its slot taken by
+    /// another writer, or already holding a newer event, drops its event.
     #[expect(clippy::indexing_slicing, reason = "the ring size is a power of two, so `ticket & (len - 1)` is always in bounds")]
     pub fn record(&self, at_us: u64, kind: EventKind, a: u64, b: u64, c: u64) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
-        // Seqlock write: mark the slot in-flight, fill it, publish the
-        // 1-based sequence. A concurrent reader that observes WRITING
-        // or a mismatched sequence discards the slot.
-        slot.seq.store(SLOT_WRITING, Ordering::Release);
+        // Seqlock write: claim the slot (only one writer fills it at a
+        // time), fill it, publish the 1-based sequence. A concurrent
+        // reader that observes WRITING or a mismatched sequence discards
+        // the slot.
+        // `held > ticket`: another writer is in it (SLOT_WRITING is the
+        // largest value) or it already holds a newer event.
+        let held = slot.seq.load(Ordering::Relaxed);
+        if held > ticket
+            || slot
+                .seq
+                .compare_exchange(held, SLOT_WRITING, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        fence(Ordering::Release);
         slot.at_us.store(at_us, Ordering::Relaxed);
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
@@ -457,7 +471,8 @@ impl FlightRecorder {
             let c = slot.c.load(Ordering::Relaxed);
             // Re-check: if the slot was reused mid-read the sequence
             // moved and the fields above may be torn — drop it.
-            if slot.seq.load(Ordering::Acquire) != seq {
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != seq {
                 continue;
             }
             let Some(kind) = EventKind::from_u64(kind) else {
@@ -491,7 +506,8 @@ impl FlightRecorder {
             let a = slot.a.load(Ordering::Relaxed);
             let b = slot.b.load(Ordering::Relaxed);
             let c = slot.c.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq {
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != seq {
                 continue;
             }
             let Some(kind) = EventKind::from_u64(kind) else {

@@ -44,7 +44,8 @@
 //!     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_, Ping>) {}
 //! }
 //!
-//! let mut sim = Simulation::new(LatencyModel::constant(SimTime::from_millis(10)), 42);
+//! let mut sim: Simulation<Ping> =
+//!     Simulation::new(LatencyModel::constant(SimTime::from_millis(10)), 42);
 //! sim.add_actor(Box::new(Starter));
 //! sim.add_actor(Box::new(Echo));
 //! sim.run();
@@ -419,15 +420,18 @@ impl FaultPlan {
     }
 }
 
-/// The discrete-event simulation driver.
-pub struct Simulation<M> {
-    actors: Vec<Box<dyn Actor<M>>>,
+/// The discrete-event simulation driver, over actors of type `A` (any
+/// [`Actor`] by default, one concrete type for typed access). A run that
+/// panics prints its seed and fault plan, which replay it.
+pub struct Simulation<M, A: ?Sized = dyn Actor<M>> {
+    actors: Vec<Box<A>>,
     queue: BinaryHeap<Reverse<QueuedEvent<M>>>,
     now: SimTime,
     seq: u64,
     latency: LatencyModel,
     faults: FaultPlan,
     rng: SimRng,
+    seed: u64,
     samples: Vec<Sample>,
     events_processed: u64,
     halted: bool,
@@ -435,7 +439,7 @@ pub struct Simulation<M> {
     max_events: u64,
 }
 
-impl<M> fmt::Debug for Simulation<M> {
+impl<M, A: ?Sized> fmt::Debug for Simulation<M, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("actors", &self.actors.len())
@@ -446,9 +450,20 @@ impl<M> fmt::Debug for Simulation<M> {
     }
 }
 
-impl<M: SimMessage> Simulation<M> {
+impl<M, A: ?Sized> Drop for Simulation<M, A> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "simulation failed: seed {:#x}, {:?}, at {} after {} events",
+                self.seed, self.faults, self.now, self.events_processed
+            );
+        }
+    }
+}
+
+impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
     /// Creates a simulation with the given latency model and RNG seed.
-    pub fn new(latency: LatencyModel, seed: u64) -> Simulation<M> {
+    pub fn new(latency: LatencyModel, seed: u64) -> Simulation<M, A> {
         Simulation {
             actors: Vec::new(),
             queue: BinaryHeap::new(),
@@ -457,6 +472,7 @@ impl<M: SimMessage> Simulation<M> {
             latency,
             faults: FaultPlan::none(),
             rng: SimRng::new(seed),
+            seed,
             samples: Vec::new(),
             events_processed: 0,
             halted: false,
@@ -469,13 +485,47 @@ impl<M: SimMessage> Simulation<M> {
         self.faults = faults;
     }
 
+    /// Replaces the latency model.
+    pub fn set_latency(&mut self, latency: LatencyModel) {
+        self.latency = latency;
+    }
+
+    /// Restarts the random stream from `seed`.
+    pub fn set_seed(&mut self, seed: u64) {
+        self.rng = SimRng::new(seed);
+        self.seed = seed;
+    }
+
+    /// Crashes `node` now (see [`FaultPlan::crash_at`]).
+    pub fn crash(&mut self, node: usize) {
+        self.faults.crashes.push((node, self.now));
+    }
+
+    /// Drops every message sent from `from` to `to` until [`Simulation::heal`].
+    pub fn cut(&mut self, from: usize, to: usize) {
+        self.faults.blocked.push((from, to));
+    }
+
+    /// Undoes [`Simulation::cut`] (and [`FaultPlan::block_link`]).
+    pub fn heal(&mut self, from: usize, to: usize) {
+        self.faults.blocked.retain(|&link| link != (from, to));
+    }
+
+    /// Whether a message sent from `from` to `to` now gets through:
+    /// neither end crashed and the link not cut (random loss aside).
+    pub fn link_up(&self, from: usize, to: usize) -> bool {
+        !self.faults.blocked.contains(&(from, to))
+            && !self.faults.is_crashed(from, self.now)
+            && !self.faults.is_crashed(to, self.now)
+    }
+
     /// Limits the total number of events processed (default 2e8).
     pub fn set_max_events(&mut self, max: u64) {
         self.max_events = max;
     }
 
     /// Adds an actor; returns its index.
-    pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> usize {
+    pub fn add_actor(&mut self, actor: Box<A>) -> usize {
         self.actors.push(actor);
         self.actors.len() - 1
     }
@@ -497,14 +547,30 @@ impl<M: SimMessage> Simulation<M> {
 
     /// Immutable access to an actor (for post-run inspection).
     #[expect(clippy::indexing_slicing, reason = "an out-of-range actor index is harness misuse and must fail the test loudly")]
-    pub fn actor(&self, index: usize) -> &dyn Actor<M> {
-        self.actors[index].as_ref()
+    pub fn actor(&self, index: usize) -> &A {
+        &self.actors[index]
+    }
+
+    /// Mutable access to an actor, outside any event.
+    #[expect(clippy::indexing_slicing, reason = "an out-of-range actor index is harness misuse and must fail the test loudly")]
+    pub fn actor_mut(&mut self, index: usize) -> &mut A {
+        &mut self.actors[index]
+    }
+
+    /// Hands actor `index` an input from outside the simulation, now:
+    /// `input` runs on the actor with a live [`Ctx`], and what it sends
+    /// or schedules is queued as if an event had caused it. A crashed
+    /// actor gets nothing.
+    pub fn inject(&mut self, index: usize, input: impl FnOnce(&mut A, &mut Ctx<'_, M>)) {
+        if !self.faults.is_crashed(index, self.now) {
+            self.dispatch(index, input);
+        }
     }
 
     fn start_if_needed(&mut self) {
         if self.events_processed == 0 && self.now == SimTime::ZERO && !self.halted {
             for i in 0..self.actors.len() {
-                self.dispatch(i, None);
+                self.dispatch(i, |actor, ctx| actor.on_start(ctx));
             }
         }
     }
@@ -519,28 +585,52 @@ impl<M: SimMessage> Simulation<M> {
     /// deadline itself still execute).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_if_needed();
-        while !self.halted && self.events_processed < self.max_events {
-            let Some(Reverse(event)) = self.queue.pop() else {
-                break;
-            };
-            if event.at > deadline {
-                // Put it back for a later run_until call.
-                self.queue.push(Reverse(event));
-                self.now = deadline;
-                break;
-            }
-            debug_assert!(event.at >= self.now, "time went backwards");
-            self.now = event.at;
-            let to = event.to;
-            if self.faults.is_crashed(to, self.now) {
-                continue;
-            }
-            self.events_processed += 1;
-            self.dispatch(to, Some(event.payload));
-        }
+        while self.next_event(deadline) {}
     }
 
-    fn dispatch(&mut self, actor_index: usize, payload: Option<Payload<M>>) {
+    /// Runs every event due within `span`, then moves the clock to its
+    /// end.
+    pub fn advance(&mut self, span: SimTime) {
+        let end = self.now + span;
+        self.run_until(end);
+        self.now = end;
+    }
+
+    /// Processes the next event, however far ahead; `false` when the
+    /// queue is empty, a halt was requested or the budget is spent.
+    pub fn step(&mut self) -> bool {
+        self.start_if_needed();
+        self.next_event(SimTime::from_micros(u64::MAX))
+    }
+
+    /// Processes the next event due by `deadline`. A delivery to a
+    /// crashed actor is dropped, and counts as progress.
+    fn next_event(&mut self, deadline: SimTime) -> bool {
+        if self.halted || self.events_processed >= self.max_events {
+            return false;
+        }
+        let Some(Reverse(event)) = self.queue.pop() else {
+            return false;
+        };
+        if event.at > deadline {
+            // Put it back for a later run_until call.
+            self.queue.push(Reverse(event));
+            self.now = deadline;
+            return false;
+        }
+        debug_assert!(event.at >= self.now, "time went backwards");
+        self.now = event.at;
+        if !self.faults.is_crashed(event.to, self.now) {
+            self.events_processed += 1;
+            self.dispatch(event.to, |actor, ctx| match event.payload {
+                Payload::Message { from, msg } => actor.on_message(from, msg, ctx),
+                Payload::Timer { token } => actor.on_timer(token, ctx),
+            });
+        }
+        true
+    }
+
+    fn dispatch(&mut self, actor_index: usize, event: impl FnOnce(&mut A, &mut Ctx<'_, M>)) {
         let mut effects = Vec::new();
         {
             let mut ctx = Ctx {
@@ -552,12 +642,8 @@ impl<M: SimMessage> Simulation<M> {
                 rng: &mut self.rng,
             };
             #[expect(clippy::indexing_slicing, reason = "the event queue only holds indices of registered actors")]
-            let actor = &mut self.actors[actor_index];
-            match payload {
-                None => actor.on_start(&mut ctx),
-                Some(Payload::Message { from, msg }) => actor.on_message(from, msg, &mut ctx),
-                Some(Payload::Timer { token }) => actor.on_timer(token, &mut ctx),
-            }
+            let actor: &mut A = &mut self.actors[actor_index];
+            event(actor, &mut ctx);
         }
         for effect in effects {
             match effect {
@@ -650,7 +736,7 @@ mod tests {
     }
 
     fn ring_sim(n: usize, hops: u64, delay_ms: u64) -> Simulation<Num> {
-        let mut sim = Simulation::new(
+        let mut sim: Simulation<Num> = Simulation::new(
             LatencyModel::constant(SimTime::from_millis(delay_ms)),
             7,
         );

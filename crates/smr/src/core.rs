@@ -14,7 +14,7 @@ use crate::obs::NodeObs;
 use crate::storage::LogStore;
 use crate::wire::{LogEntry, SmrMsg};
 use hlf_consensus::messages::{ConsensusMsg, Request};
-use hlf_consensus::replica::{digest64, signer_bitmap, Action, Config as ConsensusConfig, Replica};
+use hlf_consensus::replica::{self, digest64, signer_bitmap, Action, Config as ConsensusConfig, Replica};
 use hlf_consensus::{HealthObs, ReplicaObs};
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
@@ -172,6 +172,9 @@ pub struct NodeCore {
     consensus: ConsensusConfig,
     checkpoint_interval: u64,
     replica: Replica,
+    /// What the replica's current step asked for; drained, and reused by
+    /// the next step.
+    actions: Vec<Action>,
     app: Box<dyn Application>,
     log: Box<dyn LogStore>,
     stats: Arc<NodeStats>,
@@ -219,6 +222,7 @@ impl NodeCore {
             consensus: config.consensus.clone(),
             checkpoint_interval: config.checkpoint_interval,
             replica,
+            actions: Vec::new(),
             app,
             log,
             stats: Arc::new(NodeStats::default()),
@@ -275,16 +279,14 @@ impl NodeCore {
                 "node {} recovered to cid {recovered} from durable log",
                 self.node().0
             );
-            let actions = self.replica.install_state(now_us / 1000, recovered);
             self.stats.last_cid.store(recovered, Ordering::Relaxed);
-            self.apply(now_us, actions, out);
+            self.consensus(now_us, replica::Input::InstallState(recovered), out);
         }
     }
 
     /// Advances the node by one input at time `now_us` (any monotonic
     /// microsecond clock), appending the resulting effects to `out`.
     pub fn step(&mut self, now_us: u64, input: Input, out: &mut Vec<Output>) {
-        let now_ms = now_us / 1000;
         match input {
             Input::Frame(PeerId::Client(id), SmrMsg::Requests(mut requests)) => {
                 let client = ClientId(id);
@@ -311,8 +313,7 @@ impl NodeCore {
                     return;
                 };
                 self.note_first_sight(std::slice::from_ref(last), now_us);
-                let actions = self.replica.on_requests(now_ms, requests);
-                self.apply(now_us, actions, out);
+                self.consensus(now_us, replica::Input::Requests(requests), out);
             }
             Input::Frame(PeerId::Client(id), SmrMsg::Subscribe) => self.join(ClientId(id), out),
             Input::Frame(PeerId::Replica(id), SmrMsg::Consensus(msg)) => {
@@ -326,8 +327,7 @@ impl NodeCore {
                     ConsensusMsg::Forward { requests } => self.note_first_sight(requests, now_us),
                     _ => {}
                 }
-                let actions = self.replica.on_message(now_ms, NodeId(id), msg);
-                self.apply(now_us, actions, out);
+                self.consensus(now_us, replica::Input::Message(NodeId(id), msg), out);
             }
             Input::Frame(PeerId::Replica(id), SmrMsg::StateRequest { from_cid }) => {
                 self.serve_state(NodeId(id), from_cid, out);
@@ -337,8 +337,7 @@ impl NodeCore {
             }
             Input::Frame(..) => {}
             Input::Tick => {
-                let actions = self.replica.on_tick(now_ms);
-                self.apply(now_us, actions, out);
+                self.consensus(now_us, replica::Input::Tick, out);
                 let outs = self.app.on_tick();
                 self.route(outs, out);
                 self.transfer_retry(now_us, out);
@@ -383,57 +382,65 @@ impl NodeCore {
         }
     }
 
-    fn apply(&mut self, now_us: u64, actions: Vec<Action>, out: &mut Vec<Output>) {
-        for action in actions {
-            match action {
-                Action::Broadcast(msg) => out.push(Output::ToReplicas(SmrMsg::Consensus(msg))),
-                Action::Send(to, msg) => out.push(Output::ToReplica(to, SmrMsg::Consensus(msg))),
-                Action::DeliverTentative { cid, batch } => {
-                    let outs = self.app.execute_batch(cid, &batch, true);
-                    self.tentative_executed.insert(cid);
+    /// Steps consensus with `input` and carries out what it asks for.
+    fn consensus(&mut self, now_us: u64, input: replica::Input, out: &mut Vec<Output>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        self.replica.step(now_us / 1000, input, &mut actions);
+        for action in actions.drain(..) {
+            self.apply(now_us, action, out);
+        }
+        self.actions = actions;
+    }
+
+    fn apply(&mut self, now_us: u64, action: Action, out: &mut Vec<Output>) {
+        match action {
+            Action::Broadcast(msg) => out.push(Output::ToReplicas(SmrMsg::Consensus(msg))),
+            Action::Send(to, msg) => out.push(Output::ToReplica(to, SmrMsg::Consensus(msg))),
+            Action::DeliverTentative { cid, batch } => {
+                let outs = self.app.execute_batch(cid, &batch, true);
+                self.tentative_executed.insert(cid);
+                self.route(outs, out);
+            }
+            Action::Rollback { cid } => {
+                let outs = self.app.rollback(cid);
+                self.tentative_executed.remove(&cid);
+                self.route(outs, out);
+            }
+            Action::Commit { cid, batch, proof } => {
+                self.log.append(cid, &batch, &proof);
+                if self.tentative_executed.remove(&cid) {
+                    self.app.confirm(cid);
+                } else {
+                    let outs = self.app.execute_batch(cid, &batch, false);
                     self.route(outs, out);
                 }
-                Action::Rollback { cid } => {
-                    let outs = self.app.rollback(cid);
-                    self.tentative_executed.remove(&cid);
-                    self.route(outs, out);
-                }
-                Action::Commit { cid, batch, proof } => {
-                    self.log.append(cid, &batch, &proof);
-                    if self.tentative_executed.remove(&cid) {
-                        self.app.confirm(cid);
-                    } else {
-                        let outs = self.app.execute_batch(cid, &batch, false);
-                        self.route(outs, out);
-                    }
-                    self.stats.decided.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .executed_requests
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    self.stats.last_cid.store(cid, Ordering::Relaxed);
-                    if let Some(obs) = &self.obs {
-                        obs.commit_batch_len.record(batch.len() as u64);
-                        for request in &batch.requests {
-                            if let Some(&(seq, seen_us)) = self.request_seen.get(&request.client) {
-                                if seq == request.seq {
-                                    self.request_seen.remove(&request.client);
-                                    obs.request_decide_us.record(now_us.saturating_sub(seen_us));
-                                }
+                self.stats.decided.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .executed_requests
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                self.stats.last_cid.store(cid, Ordering::Relaxed);
+                if let Some(obs) = &self.obs {
+                    obs.commit_batch_len.record(batch.len() as u64);
+                    for request in &batch.requests {
+                        if let Some(&(seq, seen_us)) = self.request_seen.get(&request.client) {
+                            if seq == request.seq {
+                                self.request_seen.remove(&request.client);
+                                obs.request_decide_us.record(now_us.saturating_sub(seen_us));
                             }
                         }
                     }
-                    if cid % self.checkpoint_interval == 0 {
-                        let snapshot = self.app.snapshot();
-                        self.log.checkpoint(cid, &snapshot);
-                    }
-                    out.push(Output::Committed {
-                        cid,
-                        digest: digest64(&proof.hash),
-                        signers: signer_bitmap(proof.votes.iter().map(|vote| vote.node)),
-                    });
                 }
-                Action::Behind { target_cid } => self.start_transfer(now_us, target_cid, out),
+                if cid % self.checkpoint_interval == 0 {
+                    let snapshot = self.app.snapshot();
+                    self.log.checkpoint(cid, &snapshot);
+                }
+                out.push(Output::Committed {
+                    cid,
+                    digest: digest64(&proof.hash),
+                    signers: signer_bitmap(proof.votes.iter().map(|vote| vote.node)),
+                });
             }
+            Action::Behind { target_cid } => self.start_transfer(now_us, target_cid, out),
         }
     }
 
@@ -611,7 +618,6 @@ impl NodeCore {
             "node {} finished state transfer at cid {reached}",
             self.node().0
         );
-        let actions = self.replica.install_state(now_us / 1000, reached);
-        self.apply(now_us, actions, out);
+        self.consensus(now_us, replica::Input::InstallState(reached), out);
     }
 }
