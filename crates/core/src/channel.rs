@@ -10,7 +10,7 @@
 
 use hlf_wire::Bytes;
 use hlf_fabric::block::SYSTEM_CHANNEL;
-use hlf_wire::{Decode, Encode, Reader};
+use hlf_wire::{Decode, Encode, Reader, MAX_LEN};
 
 const TAG_MAGIC: u8 = 0xC7;
 
@@ -35,23 +35,30 @@ pub fn tag_envelope(channel: &str, envelope: &[u8]) -> Bytes {
     Bytes::from(out)
 }
 
-/// Splits a tagged envelope back into `(channel, payload)`.
+/// Splits a tagged envelope back into `(channel, payload)`; the channel
+/// name is borrowed from the envelope, so nothing is allocated.
 ///
 /// Untagged (or corrupt) payloads deterministically map to the
 /// [`SYSTEM_CHANNEL`] with their bytes unchanged, so raw submitters
 /// (benchmark drivers, the WAN simulator) interoperate.
-pub fn untag_envelope(bytes: &Bytes) -> (String, Bytes) {
-    let Some((&TAG_MAGIC, tagged)) = bytes.split_first() else {
-        return (SYSTEM_CHANNEL.to_string(), bytes.clone());
+pub fn untag_envelope(bytes: &Bytes) -> (&str, Bytes) {
+    match tagged_channel(bytes) {
+        Some((channel, offset)) => (channel, bytes.slice(offset..)),
+        None => (SYSTEM_CHANNEL, bytes.clone()),
+    }
+}
+
+/// The non-empty UTF-8 channel name of a tagged envelope and the offset
+/// of its payload, or `None` when the bytes carry no valid tag.
+fn tagged_channel(bytes: &[u8]) -> Option<(&str, usize)> {
+    let (&TAG_MAGIC, tagged) = bytes.split_first()? else {
+        return None;
     };
     let mut reader = Reader::new(tagged);
-    match String::decode(&mut reader) {
-        Ok(channel) if !channel.is_empty() => {
-            let offset = bytes.len() - reader.remaining();
-            (channel, bytes.slice(offset..))
-        }
-        _ => (SYSTEM_CHANNEL.to_string(), bytes.clone()),
-    }
+    let len = u32::decode(&mut reader).ok().filter(|&len| len <= MAX_LEN)?;
+    let name = reader.take(usize::try_from(len).ok()?).ok()?;
+    let channel = std::str::from_utf8(name).ok().filter(|name| !name.is_empty())?;
+    Some((channel, bytes.len() - reader.remaining()))
 }
 
 #[cfg(test)]

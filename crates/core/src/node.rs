@@ -245,7 +245,7 @@ impl OrderingNodeApp {
     /// to the block sink.
     fn seal_block(
         chain: &mut ChainState,
-        channel: String,
+        channel: &str,
         envelopes: Vec<Bytes>,
         sink: &mut dyn FnMut(Block),
         stats: &OrderingNodeStats,
@@ -270,12 +270,15 @@ impl Application for OrderingNodeApp {
         for request in &batch.requests {
             self.stats.envelopes_ordered.fetch_add(1, Ordering::Relaxed);
             let (channel, envelope) = untag_envelope(&request.payload);
-            let block_size = self.config.block_size;
-            let max_block_bytes = self.config.max_block_bytes;
-            let chain = self
-                .chains
-                .entry(channel.clone())
-                .or_insert_with(|| ChainState::new(block_size, max_block_bytes));
+            // Looked up by the borrowed name: only a new channel
+            // allocates one.
+            if !self.chains.contains_key(channel) {
+                let chain = ChainState::new(self.config.block_size, self.config.max_block_bytes);
+                self.chains.insert(channel.to_owned(), chain);
+            }
+            let Some(chain) = self.chains.get_mut(channel) else {
+                continue; // inserted just above
+            };
             if let Some(cut) = chain.cutter.push(envelope) {
                 if let Some(obs) = &self.cutter_obs {
                     let reason = match cut.reason {
@@ -313,7 +316,7 @@ impl Application for OrderingNodeApp {
                         chain.cutter.block_size(),
                     );
                 }
-                Self::seal_block(chain, channel, envelopes, &mut *self.sink, &self.stats);
+                Self::seal_block(chain, &channel, envelopes, &mut *self.sink, &self.stats);
             }
         }
         // Blocks leave through the sink (custom replier); execution

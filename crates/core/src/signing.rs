@@ -66,10 +66,11 @@ impl SigningStats {
 
 /// Most blocks a worker signs as one group ([`Block::sign_group`]). A
 /// group of `g` pays its two inversions once, so the inversions' share
-/// of a signature falls as `1/g`: at 16 it is under a microsecond of
-/// ~14 (a cap of 64 measured the same throughput, a cap of 4 about 8 %
-/// less). A worker also never holds more than this many blocks away
-/// from the other workers.
+/// of a signature falls as `1/g` (a cap of 64 measured the same
+/// throughput as 16, a cap of 4 about 8 % less); on an AVX-512 IFMA host
+/// 16 nonces are also two full 8-lane walks of the generator's comb. A
+/// worker also never holds more than this many blocks away from the
+/// other workers.
 const GROUP_MAX: usize = 16;
 
 /// A fixed-size pool of signer threads.

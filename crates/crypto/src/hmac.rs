@@ -24,34 +24,52 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Hash256 {
 
 /// Computes HMAC-SHA256 over the concatenation of `parts` without copying
 /// them into one buffer.
-#[expect(clippy::indexing_slicing, reason = "`key.len() ≤ BLOCK_SIZE` on the copy branch and `i < BLOCK_SIZE` over `[u8; BLOCK_SIZE]` pads")]
 pub fn hmac_sha256_multi(key: &[u8], parts: &[&[u8]]) -> Hash256 {
-    let mut key_block = [0u8; BLOCK_SIZE];
-    if key.len() > BLOCK_SIZE {
-        let hashed = crate::sha256::sha256(key);
-        key_block[..32].copy_from_slice(hashed.as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacKey::new(key).mac(parts)
+}
+
+/// An HMAC-SHA-256 key with its two pad blocks already absorbed.
+///
+/// Every MAC starts by compressing `key ⊕ ipad` and `key ⊕ opad`; a key
+/// that signs several messages (RFC 6979 derives a nonce with five MACs
+/// under three keys) pays for those two blocks once, here, and each
+/// [`HmacKey::mac`] clones the two hash states.
+pub(crate) struct HmacKey {
+    /// SHA-256 state after `key ⊕ ipad`.
+    inner: Digest,
+    /// SHA-256 state after `key ⊕ opad`.
+    outer: Digest,
+}
+
+impl HmacKey {
+    /// Absorbs the key's two pad blocks (a key longer than a block is
+    /// hashed first, per RFC 2104).
+    #[expect(clippy::indexing_slicing, reason = "`key.len() ≤ BLOCK_SIZE` on the copy branch")]
+    pub(crate) fn new(key: &[u8]) -> HmacKey {
+        let mut key_block = [0u8; BLOCK_SIZE];
+        if key.len() > BLOCK_SIZE {
+            let hashed = crate::sha256::sha256(key);
+            key_block[..32].copy_from_slice(hashed.as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Digest::new();
+        inner.update(&key_block.map(|byte| byte ^ 0x36));
+        let mut outer = Digest::new();
+        outer.update(&key_block.map(|byte| byte ^ 0x5c));
+        HmacKey { inner, outer }
     }
 
-    let mut ipad = [0x36u8; BLOCK_SIZE];
-    let mut opad = [0x5cu8; BLOCK_SIZE];
-    for i in 0..BLOCK_SIZE {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
+    /// HMAC-SHA256 under this key over the concatenation of `parts`.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> Hash256 {
+        let mut inner = self.inner.clone();
+        for p in parts {
+            inner.update(p);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize()
     }
-
-    let mut inner = Digest::new();
-    inner.update(&ipad);
-    for p in parts {
-        inner.update(p);
-    }
-    let inner_hash = inner.finalize();
-
-    let mut outer = Digest::new();
-    outer.update(&opad);
-    outer.update(inner_hash.as_bytes());
-    outer.finalize()
 }
 
 #[cfg(test)]
@@ -105,6 +123,17 @@ mod tests {
                 "case {i}"
             );
         }
+    }
+
+    /// One key, several MACs: each equals the stand-alone HMAC.
+    #[test]
+    fn reused_key_matches_one_shot() {
+        let key = HmacKey::new(b"key");
+        assert_eq!(key.mac(&[b"one"]), hmac_sha256(b"key", b"one"));
+        assert_eq!(key.mac(&[b"t", b"wo"]), hmac_sha256(b"key", b"two"));
+        assert_eq!(key.mac(&[]), hmac_sha256(b"key", b""));
+        let long = HmacKey::new(&[0xaa; 131]);
+        assert_eq!(long.mac(&[b"x"]), hmac_sha256(&[0xaa; 131], b"x"));
     }
 
     #[test]

@@ -8,6 +8,9 @@ use crate::bignum::{Monty, U256};
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
+#[cfg(target_arch = "x86_64")]
+mod lanes;
+
 /// Field prime `p = 2^256 - 2^224 + 2^192 + 2^96 - 1`.
 pub const P_HEX: &str = "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff";
 /// Group order `n`.
@@ -314,6 +317,29 @@ impl SignedComb {
 fn base_table() -> &'static SignedComb {
     static T: OnceLock<SignedComb> = OnceLock::new();
     T.get_or_init(|| SignedComb::new(&Point::generator()))
+}
+
+/// Nonces per lane walk of the generator's comb (`lanes`): one per
+/// 64-bit lane of an AVX-512 register.
+const LANES: usize = 8;
+
+/// The fewest nonces worth a lane walk. A walk costs the same for one
+/// filled lane as for eight, and about what one scalar walk costs: a
+/// lone nonce — a vote's signature — gains nothing from it and keeps
+/// [`Point::mul_base`], two already sign faster in the lanes.
+const LANE_CROSSOVER: usize = 2;
+
+/// Which walk [`Point::mul_base_group`] gives a chunk of at least
+/// [`LANE_CROSSOVER`] nonces on this host, as CPUID selects it:
+/// `"avx512-ifma"` or `"scalar"`, for the tests to say what they
+/// compared.
+#[cfg(test)]
+pub(crate) fn mul_base_group_backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if lanes::available() {
+        return "avx512-ifma";
+    }
+    "scalar"
 }
 
 /// Direct-mapped global cache of per-point affine window tables.
@@ -745,6 +771,45 @@ impl Point {
         base_table().mul_add(scalar, Point::identity())
     }
 
+    /// `k·G` for every scalar of a group, equal point for point to
+    /// [`Point::mul_base`] of each: where CPUID reports AVX-512 IFMA,
+    /// chunks of eight walk the comb side by side, one nonce per lane
+    /// (`lanes`), and a chunk below [`LANE_CROSSOVER`] — or any chunk on
+    /// any other processor — walks it one scalar at a time.
+    pub(crate) fn mul_base_group(scalars: &[U256]) -> Vec<Point> {
+        let mut points = Vec::with_capacity(scalars.len());
+        for chunk in scalars.chunks(LANES) {
+            let walked = (chunk.len() >= LANE_CROSSOVER).then(|| Point::mul_base_lanes(chunk));
+            match walked.flatten() {
+                Some(walked) => points.extend(walked),
+                None => points.extend(chunk.iter().map(Point::mul_base)),
+            }
+        }
+        points
+    }
+
+    /// One lane walk of up to eight scalars, or `None` where the
+    /// processor lacks the instructions. A lane that comes back as the
+    /// identity — `k ≡ 0 (mod n)`, or a walk that met a doubling or the
+    /// opposite point, which the lanes' mixed addition does not handle —
+    /// is walked again by [`Point::mul_base`].
+    #[cfg(target_arch = "x86_64")]
+    fn mul_base_lanes(scalars: &[U256]) -> Option<Vec<Point>> {
+        let mut points = lanes::mul_base(scalars)?;
+        for (point, scalar) in points.iter_mut().zip(scalars) {
+            if point.is_identity() {
+                *point = Point::mul_base(scalar);
+            }
+        }
+        Some(points)
+    }
+
+    /// No lane walk off x86-64.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn mul_base_lanes(_: &[U256]) -> Option<Vec<Point>> {
+        None
+    }
+
     /// Strauss–Shamir interleaved double-scalar multiplication:
     /// `u1·G + u2·Q` with a *shared* doubling chain, so the two
     /// multiplications cost one ladder of 252 doublings instead of two.
@@ -935,6 +1000,9 @@ pub(crate) mod cost {
         ScalarInversion,
         Doubling,
         MixedAddition,
+        /// One window of a lane walk: a mixed addition in each of eight
+        /// lanes.
+        LaneStep,
     }
 
     #[cfg(not(test))]
@@ -952,7 +1020,7 @@ pub(crate) mod cost {
 
     #[cfg(test)]
     thread_local! {
-        static COUNTS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
+        static COUNTS: std::cell::Cell<[u64; 5]> = const { std::cell::Cell::new([0; 5]) };
     }
 
     /// What one piece of work cost, operation by operation.
@@ -963,6 +1031,7 @@ pub(crate) mod cost {
         pub(crate) scalar_inversions: u64,
         pub(crate) doublings: u64,
         pub(crate) mixed_additions: u64,
+        pub(crate) lane_steps: u64,
     }
 
     /// Runs `work` and returns what it cost on this thread.
@@ -977,6 +1046,7 @@ pub(crate) mod cost {
             scalar_inversions: spent(Op::ScalarInversion),
             doublings: spent(Op::Doubling),
             mixed_additions: spent(Op::MixedAddition),
+            lane_steps: spent(Op::LaneStep),
         }
     }
 }
@@ -1354,12 +1424,106 @@ mod tests {
         }
     }
 
+    /// Says which walk the lane tests compared with the scalar one, so a
+    /// log of a host without AVX-512 IFMA shows that they compared the
+    /// scalar walk with itself.
+    fn announce_lanes() {
+        eprintln!(
+            "p256: lane walk is {}, reference is the scalar walk",
+            mul_base_group_backend()
+        );
+    }
+
+    /// One lane walk of `chunk` where the processor has it, else the
+    /// scalar walk of each scalar.
+    fn lane_walk(chunk: &[U256]) -> Vec<Point> {
+        Point::mul_base_lanes(chunk).unwrap_or_else(|| chunk.iter().map(Point::mul_base).collect())
+    }
+
+    /// Every scalar through lane walks of every width 1..=8, against
+    /// [`Point::mul_base`].
+    fn assert_lanes_match_scalar(scalars: &[U256]) {
+        announce_lanes();
+        for width in 1..=LANES {
+            for chunk in scalars.chunks(width) {
+                let walked = lane_walk(chunk);
+                assert_eq!(walked.len(), chunk.len());
+                for (lane, (k, point)) in chunk.iter().zip(&walked).enumerate() {
+                    assert_eq!(*point, Point::mul_base(k), "k={k}, lane {lane} of {width}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_walk_matches_scalar_on_recoding_edges() {
+        let mut scalars = recoding_edge_scalars();
+        scalars.push(U256::from_u64(2));
+        assert_lanes_match_scalar(&scalars);
+    }
+
+    /// `k = 0` never leaves the identity, and `k = n` meets the opposite
+    /// point in window 36: both lanes come back with `Z = 0` from the
+    /// walk, beside lanes that do not, and the scalar walk redoes them.
+    #[test]
+    fn lane_walk_flags_identity_lanes_for_the_scalar_walk() {
+        announce_lanes();
+        let n = *order();
+        let chunk = [U256::from_u64(5), U256::ZERO, n.sbb(&U256::ONE).0, n, U256::ONE];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(raw) = lanes::mul_base(&chunk) {
+            let flagged: Vec<bool> = raw.iter().map(Point::is_identity).collect();
+            assert_eq!(flagged, [false, true, false, true, false]);
+        }
+        let walked = lane_walk(&chunk);
+        for (k, point) in chunk.iter().zip(&walked) {
+            assert_eq!(*point, Point::mul_base(k), "k={k}");
+        }
+        assert!(walked[1].is_identity() && walked[3].is_identity());
+        assert_eq!(Point::mul_base_group(&chunk), walked);
+    }
+
+    /// Clock-free cost guard of the dispatch: a chunk of eight is one
+    /// lane walk (37 lane steps, no scalar mixed addition) where the
+    /// processor has IFMA, and a chunk below the crossover never walks
+    /// the lanes.
+    #[test]
+    fn group_walk_takes_the_lanes_from_the_crossover_up() {
+        announce_lanes();
+        Point::mul_base_group(&[U256::ONE; LANES]); // builds both tables outside the count
+        let lanes = mul_base_group_backend() != "scalar";
+        for len in 1..=2 * LANES + 1 {
+            let scalars: Vec<U256> = (1..=len as u64).map(|i| U256::from_u64(i * 0x1234_5678_9abc)).collect();
+            let costs = cost::measure(|| {
+                Point::mul_base_group(&scalars);
+            });
+            // Chunks of eight, then the rest: each chunk of at least
+            // the crossover is one walk on an IFMA host.
+            let chunks: Vec<usize> = scalars.chunks(LANES).map(<[U256]>::len).collect();
+            let walked = |chunk: &&usize| lanes && **chunk >= LANE_CROSSOVER;
+            let walks = chunks.iter().filter(walked).count() as u64;
+            let scalar_walked: usize = chunks.iter().filter(|c| !walked(c)).sum();
+            assert_eq!(costs.lane_steps, 37 * walks, "{len} scalars: {costs:?}");
+            assert!(costs.mixed_additions <= 37 * scalar_walked as u64, "{len} scalars: {costs:?}");
+            assert_eq!(costs.mixed_additions == 0, scalar_walked == 0, "{len} scalars: {costs:?}");
+        }
+    }
+
     /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
         use hlf_simnet::{for_each_case, SimRng};
 
         const CASES: u64 = 64;
+
+        #[test]
+        fn lane_walk_matches_scalar_on_seeded_scalars() {
+            let mut rng = SimRng::new(0x9256_000a);
+            let scalars: Vec<U256> = (0..1000)
+                .map(|i| if i % 4 == 3 { sparse_scalar(&mut rng) } else { arb_scalar(&mut rng) })
+                .collect();
+            assert_lanes_match_scalar(&scalars);
+        }
 
         fn arb_limbs(rng: &mut SimRng) -> [u64; 4] {
             [rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()]

@@ -199,6 +199,8 @@ fn state_hash(state: &[u32; 8]) -> Hash256 {
 /// [`compress_blocks_scalar`] everywhere else.
 fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % 64, 0);
+    #[cfg(test)]
+    COMPRESSIONS.set(COMPRESSIONS.get() + data.len() as u64 / 64);
     #[cfg(target_arch = "x86_64")]
     if shani::available() {
         // SAFETY: `available()` just confirmed that this processor has
@@ -207,6 +209,13 @@ fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         return;
     }
     compress_blocks_scalar(state, data);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Blocks [`compress_blocks`] has compressed on this thread, for the
+    /// clock-free cost guards.
+    pub(crate) static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Which of the two [`compress_blocks`] implementations CPUID selects on

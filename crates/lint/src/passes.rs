@@ -203,6 +203,21 @@ pub(crate) fn pass_consttime(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                             );
                         }
                     }
+                    // A SIMD gather (`_mm512_i64gather_epi64`, ..) is a
+                    // table lookup per lane, with the offsets as indices.
+                    gather if gather.starts_with("_mm") && gather.contains("gather") => {
+                        if let Some(name) = span_mentions(ctx, ci + 1, SpanEnd::Semi, &secrets) {
+                            ctx.emit(
+                                out,
+                                "consttime",
+                                line,
+                                format!(
+                                    "`{gather}` at offsets from secret `{name}` — cache-line \
+                                     timing leaks the index"
+                                ),
+                            );
+                        }
+                    }
                     _ => {}
                 },
                 Some(TokKind::Punct) if text == "%" || text == "/" => {

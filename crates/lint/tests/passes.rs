@@ -85,6 +85,19 @@ fn consttime_pass_catches_seeded_secret_branch() {
     assert!(by_pass(&findings, "panic").is_empty(), "{findings:?}");
 }
 
+/// A SIMD gather is a table lookup per lane: offsets from a secret are
+/// flagged like `table[secret]`, public offsets are not, and the
+/// suppression on the justified one is consumed.
+#[test]
+fn consttime_pass_catches_gathers_at_secret_offsets() {
+    let findings = run("consttime_gather.rs", include_str!("fixtures/consttime_gather.rs"));
+    let hits = by_pass(&findings, "consttime");
+    assert_eq!(hits.len(), 1, "{findings:?}");
+    assert_eq!(hits[0].0, 8, "the gather at secret offsets is on line 8");
+    assert!(hits[0].1.contains("secret `offsets`"), "{}", hits[0].1);
+    assert!(by_pass(&findings, "lint").is_empty(), "{findings:?}");
+}
+
 #[test]
 fn metric_name_pass_detects_and_suppresses() {
     let findings = run("metric_name.rs", include_str!("fixtures/metric_name.rs"));

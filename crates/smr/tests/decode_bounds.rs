@@ -7,12 +7,16 @@
 //! client socket).
 //!
 //! One table over the three element types that cross the transport in
-//! sequences: `Request` (windows, batches, forwards), `LogEntry` (state
-//! transfer) and `Vote` (decision proofs, write certificates).
+//! sequences — `Request` (windows, batches, forwards), `LogEntry` (state
+//! transfer) and `Vote` (decision proofs, write certificates) — and the
+//! two message enums every replica decodes from every frame:
+//! `ConsensusMsg`, every variant, and `SmrMsg`, every variant.
 
-use hlf_consensus::messages::{Batch, DecisionProof, Request, Vote, VotePhase};
+use hlf_consensus::messages::{
+    Batch, ConsensusMsg, DecisionProof, Request, SlotRebind, SlotReport, StopData, Vote, VotePhase,
+};
 use hlf_crypto::ecdsa::SigningKey;
-use hlf_smr::wire::LogEntry;
+use hlf_smr::wire::{LogEntry, SmrMsg};
 use hlf_wire::{decode_seq, encode_seq, Bytes, ClientId, Decode, Encode, NodeId, Reader, WireError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Debug;
@@ -122,7 +126,83 @@ fn sequences_of_untrusted_input_fail_typed_and_reserve_within_the_input() {
         })
         .collect();
 
-    check("Request", requests);
-    check("Vote", votes);
-    check("LogEntry", entries);
+    check("Request", requests.clone());
+    check("Vote", votes.clone());
+    check("LogEntry", entries.clone());
+
+    let proof = |cid| DecisionProof {
+        cid,
+        hash: batch.digest(),
+        votes: votes.clone(),
+    };
+    let last_write = Some((1, batch.digest()));
+    let stop_data = |node| {
+        let slot = SlotReport {
+            cid: 6,
+            last_write,
+            value: Some(batch.clone()),
+            write_cert: votes.clone(),
+        };
+        let slots = vec![slot];
+        let value = Some(batch.clone());
+        StopData::sign_with_slots(&key, NodeId(node), 2, 5, last_write, value, votes.clone(), slots, Some(proof(4)))
+    };
+    let messages = vec![
+        ConsensusMsg::Propose {
+            cid: 5,
+            epoch: 1,
+            batch: batch.clone(),
+        },
+        ConsensusMsg::Write(votes[0].clone()),
+        ConsensusMsg::Accept(votes[1].clone()),
+        ConsensusMsg::Stop { regency: 2 },
+        ConsensusMsg::StopData(StopData::sign(&key, NodeId(3), 2, 5, None, None, vec![], None)),
+        ConsensusMsg::Sync {
+            regency: 2,
+            collect: vec![stop_data(0), stop_data(1)],
+            cid: 5,
+            batch: batch.clone(),
+            rebinds: vec![
+                SlotRebind {
+                    cid: 6,
+                    batch: batch.clone(),
+                },
+                SlotRebind {
+                    cid: 7,
+                    batch: Batch::new(vec![]),
+                },
+            ],
+        },
+        ConsensusMsg::Forward {
+            requests: requests.clone(),
+        },
+        ConsensusMsg::ValueRequest { cid: 4 },
+        ConsensusMsg::ValueReply {
+            cid: 4,
+            batch: batch.clone(),
+            proof: proof(4),
+        },
+    ];
+    check("ConsensusMsg", messages.clone());
+
+    let frames = vec![
+        SmrMsg::Requests(requests),
+        SmrMsg::Reply {
+            seq: 3,
+            payload: Bytes::from_static(b"block"),
+        },
+        SmrMsg::Consensus(messages[0].clone()),
+        SmrMsg::Consensus(messages[5].clone()),
+        SmrMsg::StateRequest { from_cid: 5 },
+        SmrMsg::StateReply {
+            checkpoint: Some((4, Bytes::from_static(b"snapshot"))),
+            entries,
+        },
+        SmrMsg::StateReply {
+            checkpoint: None,
+            entries: vec![],
+        },
+        SmrMsg::Subscribe,
+    ];
+    check("SmrMsg", frames);
 }

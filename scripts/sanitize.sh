@@ -14,7 +14,10 @@
 # offsets and every length the differential suite draws) next to its
 # `ecdsa` and `p256` tests (index-form limb loops, comb tables and the
 # group-signing vectors at every group size the differential suite
-# draws).
+# draws). The `p256` filter also takes in the AVX-512 IFMA lane walk:
+# its gathers from the lane comb table, its digit loads and its result
+# stores, through the lane tests, which live under `p256` for that reason
+# (on a host without IFMA they compare the scalar walk with itself).
 #
 # Both modes are *gated*, not required: when the toolchain pieces are
 # missing the script prints a SKIP notice and exits 0, so the verify
