@@ -18,19 +18,17 @@
 //!   --count 5000
 //! ```
 //!
-//! Flags may also come from a TOML file (`--config node.toml`; flat
-//! `key = value` pairs plus a `[peers]` table); command-line flags win
-//! over file values. A replica runs until stdin reaches EOF (so a
-//! parent process stopping — or closing the pipe — stops the node) or
+//! A replica runs until stdin reaches EOF (so a parent process
+//! stopping — or closing the pipe — stops the node) or
 //! `--duration-s` elapses; on exit it writes its obs registry snapshot
 //! (including the `transport.net.*` socket counters) to `--obs-out`.
 //! With `--obs-interval-secs` the snapshot is also rewritten
 //! periodically (atomic rename, so readers never see a torn file),
 //! covering shutdown paths that skip the exit dump.
 //!
-//! With `--admin-port` (or `--admin-listen ADDR`) a replica also
+//! With `--admin-listen ADDR` a replica also
 //! serves the authenticated telemetry endpoint (`hlf_top` scrapes it
-//! live: metrics snapshots/deltas, flight-recorder dumps, health).
+//! live: metric deltas, flight-recorder dumps, health).
 
 use bench::cluster::{await_links, drive, node_options, Driven};
 use hlf_obs::{FlightRecorder, Registry};
@@ -57,7 +55,6 @@ struct NodeArgs {
     obs_out: Option<String>,
     obs_interval_secs: Option<u64>,
     admin_listen: Option<String>,
-    admin_port: Option<u16>,
     out: Option<String>,
     duration_s: Option<u64>,
     // Frontend workload knobs.
@@ -79,7 +76,6 @@ impl Default for NodeArgs {
             obs_out: None,
             obs_interval_secs: None,
             admin_listen: None,
-            admin_port: None,
             out: None,
             duration_s: None,
             count: 5_000,
@@ -94,9 +90,8 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Applies one `key = value` pair (from a flag or the TOML file).
+/// Applies one `--key value` flag.
 fn apply(args: &mut NodeArgs, key: &str, value: &str) {
-    let value = value.trim().trim_matches('"');
     let parse_num = |v: &str| -> u64 {
         v.parse()
             .unwrap_or_else(|_| die(&format!("invalid number for {key}: {v}")))
@@ -108,28 +103,18 @@ fn apply(args: &mut NodeArgs, key: &str, value: &str) {
         "f" => args.options.f = parse_num(value) as usize,
         "listen" => args.listen = value.to_string(),
         "secret" => args.secret = value.to_string(),
-        "block-size" | "block_size" => args.options.block_size = parse_num(value) as usize,
-        "pipeline-depth" | "pipeline_depth" => {
-            args.options.pipeline_depth = parse_num(value) as usize
-        }
-        "signing-threads" | "signing_threads" => {
-            args.options.signing_threads = parse_num(value) as usize
-        }
-        "batch-max" | "batch_max" => args.options.batch_max = parse_num(value) as usize,
-        "request-timeout-ms" | "request_timeout_ms" => {
-            args.options.request_timeout_ms = parse_num(value)
-        }
-        "obs-out" | "obs_out" => args.obs_out = Some(value.to_string()),
-        "obs-interval-secs" | "obs_interval_secs" => {
-            args.obs_interval_secs = Some(parse_num(value))
-        }
-        "admin-listen" | "admin_listen" => args.admin_listen = Some(value.to_string()),
-        // Shorthand: same interface as --listen, on the given port.
-        "admin-port" | "admin_port" => args.admin_port = Some(parse_num(value) as u16),
+        "block-size" => args.options.block_size = parse_num(value) as usize,
+        "pipeline-depth" => args.options.pipeline_depth = parse_num(value) as usize,
+        "signing-threads" => args.options.signing_threads = parse_num(value) as usize,
+        "batch-max" => args.options.batch_max = parse_num(value) as usize,
+        "request-timeout-ms" => args.options.request_timeout_ms = parse_num(value),
+        "obs-out" => args.obs_out = Some(value.to_string()),
+        "obs-interval-secs" => args.obs_interval_secs = Some(parse_num(value)),
+        "admin-listen" => args.admin_listen = Some(value.to_string()),
         "out" => args.out = Some(value.to_string()),
-        "duration-s" | "duration_s" => args.duration_s = Some(parse_num(value)),
+        "duration-s" => args.duration_s = Some(parse_num(value)),
         "count" => args.count = parse_num(value),
-        "envelope-bytes" | "envelope_bytes" => args.envelope_bytes = parse_num(value) as usize,
+        "envelope-bytes" => args.envelope_bytes = parse_num(value) as usize,
         "window" => args.window = parse_num(value),
         "peer" => {
             let Some((peer, addr)) = value.split_once('=') else {
@@ -137,7 +122,7 @@ fn apply(args: &mut NodeArgs, key: &str, value: &str) {
             };
             args.peers.push((parse_peer(peer), parse_addr(addr)));
         }
-        other => die(&format!("unknown option: {other}")),
+        other => die(&format!("unknown option: --{other}")),
     }
 }
 
@@ -152,40 +137,8 @@ fn parse_addr(s: &str) -> SocketAddr {
         .unwrap_or_else(|_| die(&format!("invalid socket address: {s}")))
 }
 
-/// Minimal TOML subset: `key = value` pairs, a `[peers]` table whose
-/// entries are `"replica:0" = "127.0.0.1:7100"`, comments, blanks.
-fn load_config(args: &mut NodeArgs, path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|err| die(&format!("cannot read config {path}: {err}")));
-    let mut in_peers = false;
-    for raw in text.lines() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            in_peers = line == "[peers]";
-            if !in_peers && line != "[node]" {
-                die(&format!("unknown config section {line}"));
-            }
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            die(&format!("config line is not key = value: {raw}"));
-        };
-        let key = key.trim().trim_matches('"');
-        if in_peers {
-            let addr = value.trim().trim_matches('"');
-            args.peers.push((parse_peer(key), parse_addr(addr)));
-        } else {
-            apply(args, key, value);
-        }
-    }
-}
-
 fn parse_args() -> NodeArgs {
     let mut args = NodeArgs::default();
-    let mut flags: Vec<(String, String)> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let Some(key) = arg.strip_prefix("--") else {
@@ -194,15 +147,7 @@ fn parse_args() -> NodeArgs {
         let value = argv
             .next()
             .unwrap_or_else(|| die(&format!("--{key} wants a value")));
-        if key == "config" {
-            load_config(&mut args, &value);
-        } else {
-            flags.push((key.to_string(), value));
-        }
-    }
-    // Flags override the config file.
-    for (key, value) in &flags {
-        apply(&mut args, key, value);
+        apply(&mut args, key, &value);
     }
     if args.role.is_empty() {
         die("--role replica|frontend is required");
@@ -230,19 +175,6 @@ fn write_obs_atomic(path: &str, json: &str) {
     }
 }
 
-/// Where the admin endpoint should listen: `--admin-listen` verbatim,
-/// or `--admin-port` on the same interface as `--listen`.
-fn admin_addr(args: &NodeArgs) -> Option<SocketAddr> {
-    if let Some(listen) = &args.admin_listen {
-        return Some(parse_addr(listen));
-    }
-    args.admin_port.map(|port| {
-        let mut addr = parse_addr(&args.listen);
-        addr.set_port(port);
-        addr
-    })
-}
-
 fn run_replica(args: &NodeArgs) {
     let registry = Registry::new(format!("node-{}", args.id));
     let network = bind_network(args, PeerId::Replica(args.id), Some(Arc::clone(&registry)));
@@ -252,7 +184,7 @@ fn run_replica(args: &NodeArgs) {
         args.n,
         network.local_addr()
     );
-    let admin_listen = admin_addr(args);
+    let admin_listen = args.admin_listen.as_deref().map(parse_addr);
     // The flight ring exists whenever someone can read it: the admin
     // endpoint (remote scrapes) or HLF_TRACE (local dumps).
     let flight = (admin_listen.is_some() || hlf_obs::trace_enabled())

@@ -1,7 +1,7 @@
 //! **`hlf-top`: live telemetry for a deployed multi-process cluster.**
 //!
 //! Attaches to the admin endpoints of running `hlf_node` replicas
-//! (`--admin-port` / `--admin-listen`), scrapes each at `--interval-ms`
+//! (`hlf_node --admin-listen ADDR`), scrapes each at `--interval-ms`
 //! (default 1 Hz), and renders the same per-replica dashboard the
 //! in-process simulator shows under `HLF_DASH=1` — regency, pipeline
 //! window, decide frontier, tx/s and p50/p99 sparklines — now across
@@ -19,8 +19,9 @@
 //!   --prom-out /tmp/hlf.prom --duration-s 30
 //! ```
 //!
-//! Metric scrapes use the delta protocol (`MetricsDelta`), so
-//! steady-state refreshes ship only movement; the accumulated
+//! Metric scrapes use the delta protocol (`MetricsDelta`; the first
+//! delta on a connection is the full registry), so steady-state
+//! refreshes ship only movement; the accumulated
 //! per-node snapshots are merged back to full registries for the
 //! `--prom-out` Prometheus text exposition (rewritten atomically every
 //! refresh — point node_exporter's textfile collector, or anything

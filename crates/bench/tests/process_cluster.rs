@@ -106,9 +106,10 @@ fn four_replica_processes_order_a_workload_audited_live() {
     assert!(observed > 0, "hlf_top audited no flight events");
 }
 
-/// One node with its admin endpoint up answers `MetricsSnapshot` and
-/// `Health`, its registry renders as Prometheus text, and `hlf_top
-/// --once` produces the same exposition plus a health line from it.
+/// One node with its admin endpoint up answers its first `MetricsDelta`
+/// with the full registry and answers `Health`, its registry renders as
+/// Prometheus text, and `hlf_top --once` produces the same exposition
+/// plus a health line from it.
 #[test]
 fn hlf_top_scrapes_a_node_admin_endpoint() {
     let (spec, admin) = cluster("admin-scrape", 1);
@@ -128,7 +129,7 @@ fn hlf_top_scrapes_a_node_admin_endpoint() {
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     };
-    let snapshot = client.metrics_snapshot().expect("MetricsSnapshot");
+    let snapshot = client.metrics_delta().expect("first MetricsDelta").delta;
     assert_eq!(snapshot.registry, "node-0");
     assert!(!snapshot.metrics.is_empty(), "snapshot carried no metrics");
     let health = client.health().expect("Health");

@@ -1,7 +1,7 @@
 //! Cross-backend wire compatibility.
 //!
 //! A TCP link must carry, for every frame, exactly
-//! `[u32-le length][Authenticator::seal(session, framed)]` where
+//! `[u32-le length][Authenticator::seal_with(session, framed)]` where
 //! `framed` is the byte-identical output of the in-process `Framed`
 //! codec — HMAC seal and the optional 17-byte trace trailer included.
 //! This test plays the accepting side of the socket protocol with
@@ -72,7 +72,7 @@ fn read_frame(stream: &mut std::net::TcpStream, session: &Authenticator) -> Byte
     let mut sealed = vec![0u8; len];
     stream.read_exact(&mut sealed).expect("frame body");
     session
-        .open(&sealed)
+        .open_shared(&Bytes::from(sealed))
         .expect("frame must open under the session key")
 }
 
@@ -169,7 +169,7 @@ fn wrong_session_key_rejects_frames() {
     let imposter = Authenticator::for_link(b"other-secret", me, sender_id)
         .rekey(&[1u8; 16], &[2u8; 16]);
     assert!(
-        imposter.open(&sealed).is_none(),
+        imposter.open_shared(&Bytes::from(sealed)).is_none(),
         "a different cluster secret must not open the frame"
     );
     network.shutdown();

@@ -3,12 +3,12 @@
 //! Every `hlf_node` process can serve an [`AdminServer`] on a port
 //! separate from its consensus listener. A scraper (`hlf_top`, the
 //! check-harness smoke, external tooling via the Prometheus dump)
-//! connects with an [`AdminClient`] and issues four request kinds:
+//! connects with an [`AdminClient`] and issues three request kinds:
 //!
-//! * [`AdminRequest::MetricsSnapshot`] — the full registry snapshot.
 //! * [`AdminRequest::MetricsDelta`] — the change since the scrape
 //!   cursor ([`hlf_obs::ScrapeSession`]), so steady-state 1 Hz scrapes
-//!   ship a few hundred bytes instead of the whole registry.
+//!   ship a few hundred bytes instead of the whole registry. The first
+//!   delta on a connection is the full registry snapshot.
 //! * [`AdminRequest::FlightDump`] — drain the node's flight-recorder
 //!   ring through the existing `events_since` cursor.
 //! * [`AdminRequest::Health`] — a fixed-size gauge block (regency,
@@ -16,18 +16,12 @@
 //!
 //! # Wire format
 //!
-//! The admin plane deliberately reuses the data plane's security
-//! envelope: the same `HELLO`/`ACK` handshake shape as
-//! [`tcp`](crate::tcp) under the same pairwise
-//! [`Authenticator::for_link`] key, and the same
-//! `len(4 LE) | tag(32) | payload` frames under the per-connection
-//! session key. The only difference is the handshake domain labels
-//! (`hlf-admin-hello` / `hlf-admin-ack` instead of `hlf-hello` /
-//! `hlf-ack`), so an admin handshake transcript can never be replayed
-//! against a consensus listener or vice versa. Because every
-//! connection exchanges fresh nonces, a restarted node re-keys and a
-//! scraper's per-connection cursors start over cleanly — stale deltas
-//! cannot leak across process generations.
+//! The admin plane runs the data plane's session (`session.rs`): the
+//! same handshake, listener and `len(4 LE) | tag(32) | payload` frames
+//! under the same pairwise [`Authenticator::for_link`] keys, with its
+//! own handshake labels (`hlf-admin-hello` / `hlf-admin-ack`) so a
+//! transcript never replays across planes. Every connection re-keys,
+//! so a restarted node's scrapers start their cursors over cleanly.
 //!
 //! Requests are 9 bytes (`kind(1) | cursor(8 LE)`). Responses echo
 //! the kind byte and carry a kind-specific body; the metric bodies
@@ -35,40 +29,25 @@
 //! parses, framed by small fixed binary headers (epoch/cursor), so
 //! this crate needs no JSON parser of its own.
 
+use crate::session::{self, invalid, Identity, Service, Session, Sockets};
 use crate::{Authenticator, PeerId};
-use hlf_crypto::hmac::hmac_sha256_multi;
 use hlf_obs::{FlightDump, FlightRecorder, Registry, ScrapeSession, Snapshot};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::io;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Handshake / protocol version (shared with the data plane).
-const WIRE_VERSION: u8 = 1;
-/// Handshake magic (shared with the data plane).
-const MAGIC: &[u8; 4] = b"HLFT";
-/// HELLO message length: magic 4 + version 1 + kind 1 + id 4 + nonce 16 + tag 32.
-const HELLO_LEN: usize = 58;
-/// ACK message length: nonce 16 + tag 32.
-const ACK_LEN: usize = 48;
-/// Domain labels: distinct from the data plane's `hlf-hello`/`hlf-ack`
-/// so neither plane's handshake replays against the other.
-const HELLO_LABEL: &[u8] = b"hlf-admin-hello";
-const ACK_LABEL: &[u8] = b"hlf-admin-ack";
 /// Largest accepted admin frame body (tag + payload). Registry
 /// snapshots are a few KiB; 4 MiB bounds a full flight-ring dump.
 const MAX_FRAME: usize = 4 << 20;
-/// How long handshake reads may block before the connection is culled.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One admin request. `cursor` fields echo the cursor from the
 /// previous response of the same kind (0 on the first request).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdminRequest {
-    /// Full registry snapshot.
-    MetricsSnapshot,
-    /// Changes since the scrape cursor.
+    /// Changes since the scrape cursor (everything, on the first
+    /// request of a connection).
     MetricsDelta {
         /// Cursor echoed from the previous delta response.
         cursor: u64,
@@ -83,14 +62,12 @@ pub enum AdminRequest {
 }
 
 impl AdminRequest {
-    const KIND_SNAPSHOT: u8 = 1;
     const KIND_DELTA: u8 = 2;
     const KIND_FLIGHT: u8 = 3;
     const KIND_HEALTH: u8 = 4;
 
     fn kind(&self) -> u8 {
         match self {
-            AdminRequest::MetricsSnapshot => Self::KIND_SNAPSHOT,
             AdminRequest::MetricsDelta { .. } => Self::KIND_DELTA,
             AdminRequest::FlightDump { .. } => Self::KIND_FLIGHT,
             AdminRequest::Health => Self::KIND_HEALTH,
@@ -101,7 +78,7 @@ impl AdminRequest {
     pub fn encode(&self) -> [u8; 9] {
         let cursor = match self {
             AdminRequest::MetricsDelta { cursor } | AdminRequest::FlightDump { cursor } => *cursor,
-            _ => 0,
+            AdminRequest::Health => 0,
         };
         let mut out = [0u8; 9];
         let (kind_byte, rest) = out.split_at_mut(1);
@@ -117,7 +94,6 @@ impl AdminRequest {
         }
         let cursor = read_u64(buf, 1)?;
         match *buf.first()? {
-            Self::KIND_SNAPSHOT => Some(AdminRequest::MetricsSnapshot),
             Self::KIND_DELTA => Some(AdminRequest::MetricsDelta { cursor }),
             Self::KIND_FLIGHT => Some(AdminRequest::FlightDump { cursor }),
             Self::KIND_HEALTH => Some(AdminRequest::Health),
@@ -211,7 +187,7 @@ pub struct DeltaReply {
 /// embedder assembles from whatever stats it owns.
 #[derive(Clone)]
 pub struct AdminSources {
-    /// Registry answering `MetricsSnapshot` / `MetricsDelta`.
+    /// Registry answering `MetricsDelta`.
     pub registry: Arc<Registry>,
     /// Flight ring answering `FlightDump`; `None` serves empty dumps.
     pub flight: Option<Arc<FlightRecorder>>,
@@ -220,13 +196,40 @@ pub struct AdminSources {
 }
 
 struct AdminShared {
-    id: PeerId,
-    secret: Vec<u8>,
+    me: Identity,
     sources: AdminSources,
     epoch: u64,
-    shutdown: AtomicBool,
-    streams: Mutex<Vec<TcpStream>>,
-    nonce_counter: AtomicU64,
+    sockets: Sockets,
+}
+
+impl Service for AdminShared {
+    fn identity(&self) -> &Identity {
+        &self.me
+    }
+
+    fn sockets(&self) -> &Sockets {
+        &self.sockets
+    }
+
+    /// The request loop for one scraper. Scrape cursors are per
+    /// connection: a reconnect (and therefore a node or scraper
+    /// restart) starts from scratch.
+    fn serve(&self, peer: PeerId, key: Authenticator, stream: TcpStream) {
+        hlf_obs::debug!("admin: accepted scraper {peer} on {}", self.me.id);
+        let mut session = Session::new(stream, key);
+        let mut scrape = ScrapeSession::new(self.epoch);
+        while !self.sockets.is_closed() {
+            let Ok(frame) = session.recv(MAX_FRAME) else {
+                break;
+            };
+            let Some(request) = AdminRequest::decode(&frame) else {
+                break;
+            };
+            if session.send(&build_response(self, &mut scrape, request)).is_err() {
+                break;
+            }
+        }
+    }
 }
 
 /// The serving side of the admin plane: own listener, one handler
@@ -248,22 +251,13 @@ impl AdminServer {
         secret: impl Into<Vec<u8>>,
         sources: AdminSources,
     ) -> io::Result<AdminServer> {
-        let listener = TcpListener::bind(listen)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(AdminShared {
-            id,
-            secret: secret.into(),
+            me: Identity::new(id, secret, session::ADMIN),
             sources,
             epoch: fresh_epoch(),
-            shutdown: AtomicBool::new(false),
-            streams: Mutex::new(Vec::new()),
-            nonce_counter: AtomicU64::new(1),
+            sockets: Sockets::default(),
         });
-        let acceptor = Arc::clone(&shared);
-        // lint:allow(detach): the acceptor is detached; shutdown() sets the flag and kicks the listener with a loopback connect to unblock accept
-        std::thread::Builder::new()
-            .name(format!("admin-accept-{id}"))
-            .spawn(move || acceptor_loop(&acceptor, &listener))?;
+        let local_addr = session::listen(listen, Arc::clone(&shared))?;
         Ok(AdminServer { shared, local_addr })
     }
 
@@ -280,24 +274,7 @@ impl AdminServer {
     /// Stops accepting and closes every admin connection. Idempotent;
     /// also runs on drop.
     pub fn shutdown(&self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Drain under the lock, shut the sockets down outside it:
-        // `shutdown()` is a syscall that can stall on a wedged scraper,
-        // and serve_connection threads take `streams` when registering.
-        let drained: Vec<TcpStream> = self
-            .shared
-            .streams
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .drain(..)
-            .collect();
-        for stream in drained {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        // Unblock the acceptor's blocking accept().
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
+        self.shared.sockets.close(self.local_addr);
     }
 }
 
@@ -324,98 +301,6 @@ fn read_u64(buf: &[u8], at: usize) -> Option<u64> {
         .map(u64::from_le_bytes)
 }
 
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn acceptor_loop(shared: &Arc<AdminShared>, listener: &TcpListener) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let Ok((stream, addr)) = listener.accept() else {
-            continue;
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let handler = Arc::clone(shared);
-        // lint:allow(detach): per-scraper threads are detached; shutdown() closes their registered sockets, which ends serve_connection
-        std::thread::Builder::new()
-            .name(format!("admin-serve-{addr}"))
-            .spawn(move || serve_connection(&handler, stream))
-            .ok();
-    }
-}
-
-/// Acceptor-side handshake + request loop for one scraper connection.
-fn serve_connection(shared: &Arc<AdminShared>, mut stream: TcpStream) {
-    if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-
-    // HELLO (same layout as the data plane, admin domain label).
-    let mut hello = [0u8; HELLO_LEN];
-    if stream.read_exact(&mut hello).is_err() {
-        return;
-    }
-    let (body, hello_tag) = hello.split_at(HELLO_LEN - 32);
-    let (magic, rest) = body.split_at(4);
-    let (version_kind, rest) = rest.split_at(2);
-    let (id_bytes, nonce_i) = rest.split_at(4);
-    if magic != MAGIC || version_kind.first() != Some(&WIRE_VERSION) {
-        return;
-    }
-    let raw_id = u32::from_le_bytes(id_bytes.try_into().unwrap_or_default());
-    let peer = match version_kind.get(1) {
-        Some(0) => PeerId::Replica(raw_id),
-        Some(1) => PeerId::Client(raw_id),
-        _ => return,
-    };
-    let link = Authenticator::for_link(&shared.secret, shared.id, peer);
-    let expect = link.tag_labeled(HELLO_LABEL, &[body]);
-    if !crate::constant_time_eq(hello_tag, &expect) {
-        return;
-    }
-
-    // ACK + session key.
-    let nonce_a = fresh_nonce(shared);
-    let mut ack = [0u8; ACK_LEN];
-    let ack_tag = link.tag_labeled(ACK_LABEL, &[nonce_i, &nonce_a]);
-    ack.split_at_mut(16).0.copy_from_slice(&nonce_a);
-    ack.split_at_mut(16).1.copy_from_slice(&ack_tag);
-    if stream.write_all(&ack).is_err() || stream.set_read_timeout(None).is_err() {
-        return;
-    }
-    let session = link.rekey(nonce_i, &nonce_a);
-    if let Ok(clone) = stream.try_clone() {
-        shared
-            .streams
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(clone);
-    }
-    hlf_obs::debug!("admin: accepted scraper {peer} on {}", shared.id);
-
-    // Request loop. Scrape cursors are per connection: a reconnect
-    // (and therefore a node or scraper restart) starts from scratch.
-    let mut scrape = ScrapeSession::new(shared.epoch);
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let Ok(frame) = read_frame(&mut stream) else {
-            break;
-        };
-        let Some(request_bytes) = session.open(&frame) else {
-            break;
-        };
-        let Some(request) = AdminRequest::decode(request_bytes.as_ref()) else {
-            break;
-        };
-        let response = build_response(shared, &mut scrape, request);
-        if write_frame(&mut stream, &session, &response).is_err() {
-            break;
-        }
-    }
-}
-
 /// Builds one response body (kind echo + kind-specific payload).
 fn build_response(
     shared: &AdminShared,
@@ -424,9 +309,6 @@ fn build_response(
 ) -> Vec<u8> {
     let mut out = vec![request.kind()];
     match request {
-        AdminRequest::MetricsSnapshot => {
-            out.extend_from_slice(shared.sources.registry.snapshot().to_json().as_bytes());
-        }
         AdminRequest::MetricsDelta { cursor } => {
             let (new_cursor, delta) = scrape.serve(shared.sources.registry.snapshot(), cursor);
             out.extend_from_slice(&shared.epoch.to_le_bytes());
@@ -467,54 +349,6 @@ fn build_response(
     out
 }
 
-/// Unique per-connection nonce (uniqueness, not unpredictability, is
-/// what re-keying needs) — same construction as the data plane.
-fn fresh_nonce(shared: &AdminShared) -> [u8; 16] {
-    let count = shared.nonce_counter.fetch_add(1, Ordering::Relaxed);
-    nonce_from(&shared.secret, count, shared.id)
-}
-
-fn nonce_from(secret: &[u8], count: u64, id: PeerId) -> [u8; 16] {
-    let now = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let digest = hmac_sha256_multi(
-        secret,
-        &[
-            b"hlf-admin-nonce",
-            &count.to_le_bytes(),
-            &now.to_le_bytes(),
-            &id.flight_code().to_le_bytes(),
-        ],
-    );
-    let mut nonce = [0u8; 16];
-    nonce.copy_from_slice(digest.as_bytes().split_at(16).0);
-    nonce
-}
-
-/// Reads one `len | sealed` frame off the wire.
-fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if !(32..=MAX_FRAME).contains(&len) {
-        return Err(invalid("admin frame length out of range"));
-    }
-    let mut buf = vec![0u8; len];
-    stream.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-/// Seals `payload` under `session` and writes it as one frame.
-fn write_frame(stream: &mut TcpStream, session: &Authenticator, payload: &[u8]) -> io::Result<()> {
-    let sealed = session.seal(payload);
-    let mut msg = Vec::with_capacity(4 + sealed.len());
-    msg.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
-    msg.extend_from_slice(sealed.as_ref());
-    stream.write_all(&msg)
-}
-
 /// The scraping side: one authenticated connection to one node's
 /// admin endpoint, with the delta/flight cursors tracked internally —
 /// callers just call [`metrics_delta`](AdminClient::metrics_delta) /
@@ -523,8 +357,7 @@ fn write_frame(stream: &mut TcpStream, session: &Authenticator, payload: &[u8]) 
 /// connection, which is exactly the reset semantics the protocol
 /// wants.
 pub struct AdminClient {
-    stream: TcpStream,
-    session: Authenticator,
+    session: Session,
     delta_cursor: u64,
     flight_cursor: u64,
 }
@@ -543,44 +376,10 @@ impl AdminClient {
         me: PeerId,
         server: PeerId,
     ) -> io::Result<AdminClient> {
-        static CLIENT_NONCE: AtomicU64 = AtomicU64::new(1);
-        let mut stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let link = Authenticator::for_link(secret, me, server);
-
-        let nonce_i = nonce_from(secret, CLIENT_NONCE.fetch_add(1, Ordering::Relaxed), me);
-        let mut hello = [0u8; HELLO_LEN];
-        let (kind, raw_id) = match me {
-            PeerId::Replica(id) => (0u8, id),
-            PeerId::Client(id) => (1u8, id),
-        };
-        {
-            let (magic_part, rest) = hello.split_at_mut(4);
-            magic_part.copy_from_slice(MAGIC);
-            let (vk_part, rest) = rest.split_at_mut(2);
-            vk_part.copy_from_slice(&[WIRE_VERSION, kind]);
-            let (id_part, rest) = rest.split_at_mut(4);
-            id_part.copy_from_slice(&raw_id.to_le_bytes());
-            rest.split_at_mut(16).0.copy_from_slice(&nonce_i);
-        }
-        let body_len = HELLO_LEN - 32;
-        let tag = link.tag_labeled(HELLO_LABEL, &[hello.split_at(body_len).0]);
-        hello.split_at_mut(body_len).1.copy_from_slice(&tag);
-        stream.write_all(&hello)?;
-
-        let mut ack = [0u8; ACK_LEN];
-        stream.read_exact(&mut ack)?;
-        let (nonce_a, ack_tag) = ack.split_at(16);
-        let expect = link.tag_labeled(ACK_LABEL, &[&nonce_i, nonce_a]);
-        if !crate::constant_time_eq(ack_tag, &expect) {
-            return Err(invalid("admin handshake ack failed authentication"));
-        }
-        let session = link.rekey(&nonce_i, nonce_a);
-        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+        let me = Identity::new(me, secret, session::ADMIN);
+        let (stream, key) = session::initiate(&me, server, addr)?;
         Ok(AdminClient {
-            stream,
-            session,
+            session: Session::new(stream, key),
             delta_cursor: 0,
             flight_cursor: 0,
         })
@@ -588,12 +387,8 @@ impl AdminClient {
 
     /// One request/response exchange; returns the kind-checked body.
     fn exchange(&mut self, request: AdminRequest) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.stream, &self.session, &request.encode())?;
-        let frame = read_frame(&mut self.stream)?;
-        let response = self
-            .session
-            .open(&frame)
-            .ok_or_else(|| invalid("admin response failed authentication"))?;
+        self.session.send(&request.encode())?;
+        let response = self.session.recv(MAX_FRAME)?;
         let (kind, body) = response
             .as_ref()
             .split_first()
@@ -602,17 +397,6 @@ impl AdminClient {
             return Err(invalid("admin response kind mismatch"));
         }
         Ok(body.to_vec())
-    }
-
-    /// Fetches the node's full registry snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors or malformed/forged responses (`InvalidData`).
-    pub fn metrics_snapshot(&mut self) -> io::Result<Snapshot> {
-        let body = self.exchange(AdminRequest::MetricsSnapshot)?;
-        let text = std::str::from_utf8(&body).map_err(|_| invalid("snapshot is not UTF-8"))?;
-        Snapshot::from_json(text).map_err(|err| invalid(&format!("bad snapshot json: {err}")))
     }
 
     /// Fetches the change since the previous call on this connection
@@ -707,15 +491,17 @@ mod tests {
 
     #[test]
     fn request_encoding_round_trips() {
-        for request in [
-            AdminRequest::MetricsSnapshot,
-            AdminRequest::MetricsDelta { cursor: 7 },
-            AdminRequest::FlightDump { cursor: u64::MAX },
-            AdminRequest::Health,
+        for (request, kind) in [
+            (AdminRequest::MetricsDelta { cursor: 7 }, 2),
+            (AdminRequest::FlightDump { cursor: u64::MAX }, 3),
+            (AdminRequest::Health, 4),
         ] {
+            assert_eq!(request.encode()[0], kind);
             assert_eq!(AdminRequest::decode(&request.encode()), Some(request));
         }
         assert_eq!(AdminRequest::decode(&[]), None);
+        // Kind 1 was the full-snapshot request; the first delta is that now.
+        assert_eq!(AdminRequest::decode(&[1, 0, 0, 0, 0, 0, 0, 0, 0]), None);
         assert_eq!(AdminRequest::decode(&[9; 9]), None);
     }
 
@@ -740,7 +526,7 @@ mod tests {
         let server = serve(Arc::clone(&registry), None);
         let mut client = client(&server);
 
-        let snap = client.metrics_snapshot().unwrap();
+        let snap = client.metrics_delta().unwrap().delta;
         assert_eq!(snap.registry, "node-0");
         assert_eq!(snap.counter_value("a.b.count"), Some(42));
 
@@ -782,7 +568,6 @@ mod tests {
         let registry_a = Registry::new("node-0");
         registry_a.counter("a.b.count").add(100);
         let server_a = serve(registry_a, None);
-        let addr_kind = (PeerId::client(9000), PeerId::replica(0));
         let mut client_a = client(&server_a);
         let before = client_a.metrics_delta().unwrap();
         assert_eq!(before.delta.counter_value("a.b.count"), Some(100));
@@ -795,13 +580,7 @@ mod tests {
         let registry_b = Registry::new("node-0");
         registry_b.counter("a.b.count").add(3);
         let server_b = serve(registry_b, None);
-        let mut client_b = AdminClient::connect(
-            server_b.local_addr(),
-            b"admin-test",
-            addr_kind.0,
-            addr_kind.1,
-        )
-        .unwrap();
+        let mut client_b = client(&server_b);
         let after = client_b.metrics_delta().unwrap();
         assert_ne!(after.epoch, epoch_a, "epoch must change across restarts");
         // Full value, not 3 - 100 wrapped into garbage.

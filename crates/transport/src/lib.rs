@@ -8,6 +8,10 @@
 //!   (the paper's §6.2 LAN/WAN clusters run replicas as OS processes).
 //!   Length-framed, HMAC-sealed, with per-peer send coalescing into
 //!   `writev` and reconnect/re-key with exponential backoff.
+//! * [`admin`] — the authenticated telemetry endpoint each node can
+//!   serve beside its consensus listener. Both TCP planes run the one
+//!   HELLO/ACK handshake, nonce and listener of the crate-private
+//!   `session` module, separated only by the handshake's domain labels.
 //!
 //! Protocol code (SMR nodes, clients, the ordering frontends) is
 //! backend-agnostic: it receives an [`Endpoint`] and never learns
@@ -47,6 +51,7 @@
 
 pub mod admin;
 pub mod hub;
+mod session;
 pub mod tcp;
 
 pub use admin::{AdminClient, AdminRequest, AdminServer, AdminSources, DeltaReply, HealthReport};
@@ -467,9 +472,9 @@ impl Endpoint {
 /// channels BFT-SMaRt establishes between replicas.
 ///
 /// Both sides derive the same link key from their shared secret seeds;
-/// [`seal`](Authenticator::seal) prepends a 32-byte tag that
-/// [`open`](Authenticator::open) verifies. The TCP backend layers a
-/// per-connection session key on top via
+/// [`seal_with`](Authenticator::seal_with) prepends a 32-byte tag that
+/// [`open_shared`](Authenticator::open_shared) verifies. The TCP planes
+/// layer a per-connection session key on top via
 /// [`rekey`](Authenticator::rekey), so every reconnect re-keys the
 /// link.
 #[derive(Clone, Debug)]
@@ -516,16 +521,7 @@ impl Authenticator {
         *hmac_sha256_multi(&self.key, &all).as_bytes()
     }
 
-    /// Prepends the authentication tag to `payload`.
-    pub fn seal(&self, payload: &[u8]) -> Bytes {
-        let tag = self.tag(payload);
-        let mut out = Vec::with_capacity(32 + payload.len());
-        out.extend_from_slice(&tag);
-        out.extend_from_slice(payload);
-        Bytes::from(out)
-    }
-
-    /// Like [`seal`](Authenticator::seal), but takes the output buffer
+    /// Prepends the authentication tag to `payload`, in a buffer taken
     /// from `pool` so it recycles when the sealed message is dropped.
     pub fn seal_with(&self, payload: &[u8], pool: &BufferPool) -> Bytes {
         let tag = self.tag(payload);
@@ -533,25 +529,6 @@ impl Authenticator {
         out.extend_from_slice(&tag);
         out.extend_from_slice(payload);
         pool.wrap(out)
-    }
-
-    /// Verifies and strips the tag.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` if the message is too short or the tag does not
-    /// verify.
-    pub fn open(&self, sealed: &[u8]) -> Option<Bytes> {
-        if sealed.len() < 32 {
-            return None;
-        }
-        let (tag, payload) = sealed.split_at(32);
-        let expected = self.tag(payload);
-        if constant_time_eq(tag, &expected) {
-            Some(Bytes::copy_from_slice(payload))
-        } else {
-            None
-        }
     }
 
     /// Verifies the tag and returns the payload as a zero-copy view of
@@ -772,17 +749,17 @@ mod tests {
     fn authenticator_roundtrip_and_tamper() {
         let auth_a = Authenticator::for_link(b"secret", PeerId::replica(0), PeerId::replica(1));
         let auth_b = Authenticator::for_link(b"secret", PeerId::replica(1), PeerId::replica(0));
-        let sealed = auth_a.seal(b"propose");
-        assert_eq!(auth_b.open(&sealed).unwrap(), Bytes::from_static(b"propose"));
+        let sealed = auth_a.seal_with(b"propose", &BufferPool::default());
+        assert_eq!(auth_b.open_shared(&sealed).unwrap(), Bytes::from_static(b"propose"));
 
         let mut tampered = sealed.to_vec();
         *tampered.last_mut().unwrap() ^= 1;
-        assert!(auth_b.open(&tampered).is_none());
-        assert!(auth_b.open(&sealed[..10]).is_none());
+        assert!(auth_b.open_shared(&Bytes::from(tampered)).is_none());
+        assert!(auth_b.open_shared(&sealed.slice(..10)).is_none());
 
         // Different cluster secret cannot open.
         let rogue = Authenticator::for_link(b"other", PeerId::replica(0), PeerId::replica(1));
-        assert!(rogue.open(&sealed).is_none());
+        assert!(rogue.open_shared(&sealed).is_none());
     }
 
     #[test]
@@ -790,13 +767,13 @@ mod tests {
         let link = Authenticator::for_link(b"secret", PeerId::replica(0), PeerId::replica(1));
         let s1 = link.rekey(b"nonce-a1", b"nonce-b1");
         let s2 = link.rekey(b"nonce-a2", b"nonce-b1");
-        let sealed = s1.seal(b"frame");
-        assert!(s1.open(&sealed).is_some());
-        assert!(s2.open(&sealed).is_none(), "different nonces, different key");
-        assert!(link.open(&sealed).is_none(), "link key does not open session frames");
+        let sealed = s1.seal_with(b"frame", &BufferPool::default());
+        assert!(s1.open_shared(&sealed).is_some());
+        assert!(s2.open_shared(&sealed).is_none(), "different nonces, different key");
+        assert!(link.open_shared(&sealed).is_none(), "link key does not open session frames");
         // Deterministic: same nonces derive the same session key.
         let s1_again = link.rekey(b"nonce-a1", b"nonce-b1");
-        assert!(s1_again.open(&sealed).is_some());
+        assert!(s1_again.open_shared(&sealed).is_some());
     }
 
     #[test]

@@ -26,19 +26,10 @@
 //! carries one peer's traffic toward us and replies flow over the
 //! reverse link that the peer dials itself.
 //!
-//! Handshake (after `connect`):
-//!
-//! ```text
-//! initiator -> acceptor   "HLFT" | version(1) | kind(1) | id(4 LE) | nonce_i(16) | tag(32)
-//! acceptor  -> initiator  nonce_a(16) | tag(32)
-//! ```
-//!
-//! Both tags are HMACs under the pairwise link key
-//! ([`Authenticator::for_link`]) with distinct domain-separation
-//! labels, so neither message can be replayed as the other. Both sides
-//! then derive the **session key** `HMAC(link, "hlf-session" || nonce_i
-//! || nonce_a)` ([`Authenticator::rekey`]); fresh nonces on every
-//! connection mean every reconnect re-keys the link.
+//! Each connection opens with the HELLO/ACK handshake that
+//! `session.rs` owns for both planes, under the data plane's labels
+//! (`hlf-hello` / `hlf-ack`): it authenticates the dialler and gives
+//! the connection a fresh session key.
 //!
 //! Data frames:
 //!
@@ -46,8 +37,8 @@
 //! len(4 LE) | tag(32) | payload(len - 32)
 //! ```
 //!
-//! `tag || payload` is exactly [`Authenticator::seal`] output under the
-//! session key, and `payload` is exactly the bytes the in-process hub
+//! `tag || payload` is exactly [`Authenticator::seal_with`] output under
+//! the session key, and `payload` is exactly the bytes the in-process hub
 //! would deliver — the [`Framed`](../../hlf_smr) codec output,
 //! optional 17-byte trace trailer included. Strip the length prefix
 //! and the seal and the existing `Reader` paths decode socket bytes
@@ -65,26 +56,17 @@
 //! Reconnection uses exponential backoff from `initial_backoff`
 //! (25 ms) doubling to `max_backoff` (2 s).
 
+use crate::session::{self, Identity, Service, Sockets};
 use crate::{lock_clean, Authenticator, Backend, Endpoint, PeerId, TransportError};
-use hlf_crypto::hmac::hmac_sha256_multi;
 use hlf_obs::{Counter, Gauge, Registry};
 use hlf_wire::{BufferPool, Bytes};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::Duration;
 
-/// Handshake / protocol version.
-const WIRE_VERSION: u8 = 1;
-/// Handshake magic.
-const MAGIC: &[u8; 4] = b"HLFT";
-/// HELLO message length: magic 4 + version 1 + kind 1 + id 4 + nonce 16 + tag 32.
-const HELLO_LEN: usize = 58;
-/// ACK message length: nonce 16 + tag 32.
-const ACK_LEN: usize = 48;
 /// Per-frame header: length prefix 4 + HMAC tag 32.
 const FRAME_HEADER: usize = 36;
 /// Largest accepted frame body (tag + payload); mirrors the codec's
@@ -95,8 +77,6 @@ const MAX_BATCH: usize = 256;
 /// Reader-side bulk-read window: one `read` syscall typically yields
 /// many coalesced frames, which are then carved out copy-cheap.
 const READ_SCRATCH: usize = 256 << 10;
-/// How long handshake reads may block before the connection is culled.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Condvar wait slice, so writers notice shutdown promptly.
 const WAIT_SLICE: Duration = Duration::from_millis(200);
 
@@ -292,8 +272,7 @@ impl PeerLink {
 
 /// Shared state behind a TCP [`Endpoint`] and all its socket threads.
 pub(crate) struct TcpCore {
-    id: PeerId,
-    secret: Vec<u8>,
+    me: Identity,
     pool: BufferPool,
     /// Address book: where each peer listens. Updated by `add_peer`.
     addrs: RwLock<HashMap<PeerId, SocketAddr>>,
@@ -301,15 +280,12 @@ pub(crate) struct TcpCore {
     links: RwLock<HashMap<PeerId, Arc<PeerLink>>>,
     incoming: Sender<(PeerId, Bytes)>,
     obs: NetObs,
-    shutdown: AtomicBool,
-    /// Live sockets, so `shutdown` can unblock reader/writer threads.
-    streams: Mutex<Vec<TcpStream>>,
-    nonce_counter: AtomicU64,
+    /// Live sockets and the shutdown flag, so `shutdown` can unblock
+    /// reader/writer threads.
+    sockets: Sockets,
     initial_backoff: Duration,
     max_backoff: Duration,
     max_queue_bytes: usize,
-    /// Back-reference for spawning threads that need the core.
-    this: Weak<TcpCore>,
 }
 
 impl TcpCore {
@@ -319,16 +295,17 @@ impl TcpCore {
 
     /// Backend send: loopback short-circuits, everything else queues on
     /// the peer's link for coalesced writing.
-    pub(crate) fn send(&self, to: PeerId, payload: Bytes) -> Result<(), TransportError> {
-        if self.shutdown.load(Ordering::Acquire) {
-            return Err(TransportError::Disconnected(self.id));
+    pub(crate) fn send(self: &Arc<Self>, to: PeerId, payload: Bytes) -> Result<(), TransportError> {
+        let id = self.me.id;
+        if self.sockets.is_closed() {
+            return Err(TransportError::Disconnected(id));
         }
-        if to == self.id {
+        if to == id {
             // Self-sends never touch a socket (mirrors hub delivery).
             return self
                 .incoming
-                .send((self.id, payload))
-                .map_err(|_| TransportError::Disconnected(self.id));
+                .send((id, payload))
+                .map_err(|_| TransportError::Disconnected(id));
         }
         let link = self.link_for(to)?;
         link.enqueue(payload, self.max_queue_bytes, &self.obs);
@@ -337,7 +314,7 @@ impl TcpCore {
 
     /// Existing link for `to`, or a fresh one (with writer thread) if
     /// the address book knows the peer.
-    fn link_for(&self, to: PeerId) -> Result<Arc<PeerLink>, TransportError> {
+    fn link_for(self: &Arc<Self>, to: PeerId) -> Result<Arc<PeerLink>, TransportError> {
         if let Some(link) = self.links.read().ok().and_then(|l| l.get(&to).cloned()) {
             return Ok(link);
         }
@@ -365,109 +342,27 @@ impl TcpCore {
             first
         };
         if needs_writer {
-            if let Some(core) = self.this.upgrade() {
-                let thread_link = Arc::clone(&link);
-                // lint:allow(detach): writer threads are intentionally detached; writer_loop exits when the shutdown flag is set and the condvar wakes it
-                std::thread::Builder::new()
-                    .name(format!("tcp-write-{to}"))
-                    .spawn(move || core.writer_loop(&thread_link))
-                    .ok();
-            }
+            let (core, thread_link) = (Arc::clone(self), Arc::clone(&link));
+            // lint:allow(detach): writer threads are intentionally detached; writer_loop exits when the shutdown flag is set and the condvar wakes it
+            std::thread::Builder::new()
+                .name(format!("tcp-write-{to}"))
+                .spawn(move || core.writer_loop(&thread_link))
+                .ok();
         }
         Ok(link)
     }
 
-    /// Unique per-connection nonce: a secret-keyed digest over a
-    /// counter, the wall clock and our identity. Uniqueness (not
-    /// unpredictability) is what re-keying needs.
-    fn fresh_nonce(&self) -> [u8; 16] {
-        let count = self.nonce_counter.fetch_add(1, Ordering::Relaxed);
-        let now = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let digest = hmac_sha256_multi(
-            &self.secret,
-            &[
-                b"hlf-nonce",
-                &count.to_le_bytes(),
-                &now.to_le_bytes(),
-                &self.id.flight_code().to_le_bytes(),
-            ],
-        );
-        let mut nonce = [0u8; 16];
-        nonce.copy_from_slice(digest.as_bytes().split_at(16).0);
-        nonce
-    }
-
-    fn track_stream(&self, stream: &TcpStream) {
-        if let Ok(clone) = stream.try_clone() {
-            lock_clean(&self.streams).push(clone);
-        }
-    }
-
-    // ---- initiator side -------------------------------------------------
-
-    /// Dials `peer`, handshakes, and returns the connected stream plus
-    /// the per-session authenticator.
-    fn connect_once(&self, peer: PeerId) -> io::Result<(TcpStream, Authenticator)> {
-        let addr = self
-            .addrs
-            .read()
-            .ok()
-            .and_then(|a| a.get(&peer).copied())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer has no address"))?;
-        let mut stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let link = Authenticator::for_link(&self.secret, self.id, peer);
-
-        // HELLO: magic | version | kind | id | nonce | tag(label "hello").
-        let nonce_i = self.fresh_nonce();
-        let mut hello = [0u8; HELLO_LEN];
-        let (kind, raw_id) = match self.id {
-            PeerId::Replica(id) => (0u8, id),
-            PeerId::Client(id) => (1u8, id),
-        };
-        {
-            let (magic_part, rest) = hello.split_at_mut(4);
-            magic_part.copy_from_slice(MAGIC);
-            let (vk_part, rest) = rest.split_at_mut(2);
-            vk_part.copy_from_slice(&[WIRE_VERSION, kind]);
-            let (id_part, rest) = rest.split_at_mut(4);
-            id_part.copy_from_slice(&raw_id.to_le_bytes());
-            rest.split_at_mut(16).0.copy_from_slice(&nonce_i);
-        }
-        let body_len = HELLO_LEN - 32;
-        let tag = link.tag_labeled(b"hlf-hello", &[hello.split_at(body_len).0]);
-        hello.split_at_mut(body_len).1.copy_from_slice(&tag);
-        stream.write_all(&hello)?;
-
-        // ACK: acceptor nonce + tag over both nonces (label "ack").
-        let mut ack = [0u8; ACK_LEN];
-        stream.read_exact(&mut ack)?;
-        let (nonce_a, ack_tag) = ack.split_at(16);
-        let expect = link.tag_labeled(b"hlf-ack", &[&nonce_i, nonce_a]);
-        if !crate::constant_time_eq(ack_tag, &expect) {
-            self.obs.auth_failures.inc();
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "handshake ack failed authentication",
-            ));
-        }
-        let session = link.rekey(&nonce_i, nonce_a);
-        stream.set_read_timeout(None)?;
-        Ok((stream, session))
-    }
-
-    /// Dials with exponential backoff until connected or shut down.
+    /// Dials `peer` and handshakes, with exponential backoff, until
+    /// connected or shut down.
     fn connect_with_backoff(&self, peer: PeerId, ever_connected: bool) -> Option<(TcpStream, Authenticator)> {
         let mut backoff = self.initial_backoff;
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            match self.connect_once(peer) {
+        while !self.sockets.is_closed() {
+            let addr = self.addrs.read().ok().and_then(|a| a.get(&peer).copied());
+            let dialled = addr.map_or_else(
+                || Err(io::Error::new(io::ErrorKind::NotFound, "peer has no address")),
+                |addr| session::initiate(&self.me, peer, addr),
+            );
+            match dialled {
                 Ok(conn) => {
                     self.obs.connects.inc();
                     if ever_connected {
@@ -477,6 +372,9 @@ impl TcpCore {
                     return Some(conn);
                 }
                 Err(err) => {
+                    if err.kind() == io::ErrorKind::InvalidData {
+                        self.obs.auth_failures.inc();
+                    }
                     hlf_obs::debug!("dial {peer} failed: {err}; retry in {backoff:?}");
                     self.obs.backoff_ms.set(backoff.as_millis() as i64);
                     std::thread::sleep(backoff);
@@ -484,6 +382,7 @@ impl TcpCore {
                 }
             }
         }
+        None
     }
 
     /// Writer thread body: connect, drain the queue into `writev`
@@ -492,16 +391,16 @@ impl TcpCore {
         let mut ever_connected = false;
         let mut batch: Vec<Bytes> = Vec::with_capacity(MAX_BATCH);
         let mut headers: Vec<[u8; FRAME_HEADER]> = Vec::with_capacity(MAX_BATCH);
-        'session: while !self.shutdown.load(Ordering::Acquire) {
+        'session: while !self.sockets.is_closed() {
             let Some((mut stream, session)) = self.connect_with_backoff(link.peer, ever_connected)
             else {
                 return; // shut down while dialing
             };
             ever_connected = true;
-            self.track_stream(&stream);
+            let _tracked = self.sockets.track(&stream);
             self.obs.open_links.inc();
             loop {
-                if self.shutdown.load(Ordering::Acquire) {
+                if self.sockets.is_closed() {
                     self.obs.open_links.dec();
                     return;
                 }
@@ -564,79 +463,26 @@ impl TcpCore {
         self.obs.frames_out.add(batch.len() as u64);
         Ok(())
     }
+}
 
-    // ---- acceptor side --------------------------------------------------
-
-    /// Accept-loop body (one thread per endpoint).
-    fn acceptor_loop(&self, listener: &TcpListener) {
-        while !self.shutdown.load(Ordering::Acquire) {
-            let Ok((stream, addr)) = listener.accept() else {
-                continue;
-            };
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            if let Some(core) = self.this.upgrade() {
-                // lint:allow(detach): reader threads are detached; reader_session exits when its socket is shut down (peer close or our shutdown() draining streams)
-                std::thread::Builder::new()
-                    .name(format!("tcp-read-{addr}"))
-                    .spawn(move || core.reader_session(stream))
-                    .ok();
-            }
-        }
+impl Service for TcpCore {
+    fn identity(&self) -> &Identity {
+        &self.me
     }
 
-    /// Handshakes an inbound connection and pumps its frames into the
+    fn sockets(&self) -> &Sockets {
+        &self.sockets
+    }
+
+    fn rejected(&self) {
+        self.obs.auth_failures.inc();
+    }
+
+    /// Pumps an authenticated inbound connection's frames into the
     /// endpoint mailbox until the peer disconnects.
-    fn reader_session(&self, mut stream: TcpStream) {
-        if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err()
-            || stream.set_nodelay(true).is_err()
-        {
-            return;
-        }
-
-        // HELLO.
-        let mut hello = [0u8; HELLO_LEN];
-        if stream.read_exact(&mut hello).is_err() {
-            return;
-        }
-        let (body, hello_tag) = hello.split_at(HELLO_LEN - 32);
-        let (magic, rest) = body.split_at(4);
-        let (version_kind, rest) = rest.split_at(2);
-        let (id_bytes, nonce_i) = rest.split_at(4);
-        if magic != MAGIC || version_kind.first() != Some(&WIRE_VERSION) {
-            self.obs.auth_failures.inc();
-            return;
-        }
-        let raw_id = u32::from_le_bytes(id_bytes.try_into().unwrap_or_default());
-        let peer = match version_kind.get(1) {
-            Some(0) => PeerId::Replica(raw_id),
-            Some(1) => PeerId::Client(raw_id),
-            _ => {
-                self.obs.auth_failures.inc();
-                return;
-            }
-        };
-        let link = Authenticator::for_link(&self.secret, self.id, peer);
-        let expect = link.tag_labeled(b"hlf-hello", &[body]);
-        if !crate::constant_time_eq(hello_tag, &expect) {
-            self.obs.auth_failures.inc();
-            return;
-        }
-
-        // ACK + session key.
-        let nonce_a = self.fresh_nonce();
-        let mut ack = [0u8; ACK_LEN];
-        let ack_tag = link.tag_labeled(b"hlf-ack", &[nonce_i, &nonce_a]);
-        ack.split_at_mut(16).0.copy_from_slice(&nonce_a);
-        ack.split_at_mut(16).1.copy_from_slice(&ack_tag);
-        if stream.write_all(&ack).is_err() || stream.set_read_timeout(None).is_err() {
-            return;
-        }
-        let session = link.rekey(nonce_i, &nonce_a);
-        self.track_stream(&stream);
+    fn serve(&self, peer: PeerId, session: Authenticator, mut stream: TcpStream) {
         self.obs.open_links.inc();
-        hlf_obs::debug!("accepted {peer} on {}", self.id);
+        hlf_obs::debug!("accepted {peer} on {}", self.me.id);
 
         // Frame pump. The peer's writer coalesces many frames into one
         // writev, so we mirror that on the read side: bulk-read into a
@@ -776,33 +622,23 @@ impl TcpNetwork {
     ///
     /// Any socket-level bind failure (address in use, permissions).
     pub fn bind(config: TcpConfig) -> io::Result<TcpNetwork> {
-        let listener = TcpListener::bind(config.listen)?;
-        let local_addr = listener.local_addr()?;
         let registry = config
             .registry
             .unwrap_or_else(|| Registry::new(format!("transport-{}", config.id)));
         let (tx, rx) = mpsc::channel();
-        let core = Arc::new_cyclic(|this| TcpCore {
-            id: config.id,
-            secret: config.secret,
+        let core = Arc::new(TcpCore {
+            me: Identity::new(config.id, config.secret, session::DATA),
             pool: BufferPool::default(),
             addrs: RwLock::new(config.peers.into_iter().collect()),
             links: RwLock::new(HashMap::new()),
             incoming: tx,
             obs: NetObs::register(&registry),
-            shutdown: AtomicBool::new(false),
-            streams: Mutex::new(Vec::new()),
-            nonce_counter: AtomicU64::new(1),
+            sockets: Sockets::default(),
             initial_backoff: config.initial_backoff,
             max_backoff: config.max_backoff,
             max_queue_bytes: config.max_queue_bytes.max(1),
-            this: this.clone(),
         });
-        let acceptor_core = Arc::clone(&core);
-        // lint:allow(detach): the acceptor is detached; shutdown() sets the flag and dials the listener to unblock accept, after which the loop returns
-        std::thread::Builder::new()
-            .name(format!("tcp-accept-{}", core.id))
-            .spawn(move || acceptor_core.acceptor_loop(&listener))?;
+        let local_addr = session::listen(config.listen, Arc::clone(&core))?;
         Ok(TcpNetwork {
             core,
             local_addr,
@@ -817,7 +653,7 @@ impl TcpNetwork {
 
     /// This network's identity.
     pub fn id(&self) -> PeerId {
-        self.core.id
+        self.core.me.id
     }
 
     /// The endpoint for this process.
@@ -830,7 +666,7 @@ impl TcpNetwork {
         let rx = lock_clean(&self.endpoint_rx).take();
         #[expect(clippy::expect_used, reason = "single-consumer contract, misuse is a harness bug.")]
         let rx = rx.expect("TcpNetwork::endpoint may only be called once");
-        Endpoint::new(self.core.id, Backend::Tcp(Arc::clone(&self.core)), rx)
+        Endpoint::new(self.core.me.id, Backend::Tcp(Arc::clone(&self.core)), rx)
     }
 
     /// Adds (or re-addresses) a peer. A writer already retrying an old
@@ -865,7 +701,7 @@ impl TcpNetwork {
     /// Stops every thread and closes every socket. Idempotent; also
     /// runs on drop.
     pub fn shutdown(&self) {
-        if self.core.shutdown.swap(true, Ordering::AcqRel) {
+        if !self.core.sockets.close(self.local_addr) {
             return;
         }
         // Wake writers parked on their queues.
@@ -874,16 +710,6 @@ impl TcpNetwork {
                 link.wake.notify_all();
             }
         }
-        // Unblock readers and half-written writers. Drain under the
-        // lock, shut the sockets down outside it: `shutdown()` is a
-        // syscall that can stall on a wedged peer, and reader threads
-        // take `streams` on every accepted connection.
-        let drained: Vec<TcpStream> = lock_clean(&self.core.streams).drain(..).collect();
-        for stream in drained {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        // Unblock the acceptor's blocking accept().
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
     }
 }
 

@@ -7,7 +7,8 @@
 #
 # Runs the threaded test surface under the sanitizer with
 # `RUSTFLAGS=-Zsanitizer=... cargo +nightly test`, in a target directory
-# of its own: the transport unit tests (TCP links + admin socket), the
+# of its own: the transport unit tests (TCP links, admin socket, and the
+# table of bad HELLOs both planes' shared handshake rejects), the
 # cross-backend `tcp_codec` suite, the kill/restart `tcp_cluster`
 # integration test, and `hlf-crypto`'s `sha256` tests (the SHA-NI
 # compress loads message blocks through raw pointers, at unaligned
