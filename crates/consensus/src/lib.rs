@@ -47,6 +47,7 @@ pub mod messages;
 pub mod obs;
 pub mod quorum;
 pub mod replica;
+pub mod session;
 pub mod sync;
 pub mod testing;
 
@@ -54,6 +55,7 @@ pub use messages::{Batch, ConsensusMsg, DecisionProof, Request, StopData, Vote, 
 pub use obs::{HealthObs, ReplicaObs};
 pub use quorum::{QuorumError, QuorumSystem};
 pub use replica::{Action, Config, Metrics, Replica};
+pub use session::Executed;
 
 use std::error::Error;
 use std::fmt;

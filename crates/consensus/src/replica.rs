@@ -25,6 +25,7 @@ use crate::messages::{
 };
 use crate::obs::{HealthObs, ReplicaObs};
 use crate::quorum::{QuorumSystem, QuorumTracker};
+use crate::session::{Executed, Sessions, WINDOW};
 use crate::sync::{select_window, validate_sync_window, MAX_WINDOW};
 use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
 use hlf_crypto::sha256::Hash256;
@@ -38,11 +39,6 @@ use std::sync::Arc;
 const FUTURE_HORIZON: u64 = 64;
 /// How many recent decisions are cached to answer `ValueRequest`s.
 const RECENT_DECISIONS: usize = 64;
-/// Per-client cap on remembered delivered request ids (dedup window).
-const DEDUP_WINDOW: usize = 4096;
-/// Delivered entries the pending deque may hold beyond its live ones
-/// before it is compacted (see [`Replica::purge_pending`]).
-const PENDING_SLACK: usize = 64;
 
 /// First 8 bytes of a digest as a little-endian `u64` — the compact
 /// value identity flight events carry for the cluster auditor. Truncation
@@ -86,12 +82,16 @@ pub struct Config {
     pub max_batch_bytes: usize,
     /// Base request timeout; twice this triggers a leader change.
     pub request_timeout_ms: u64,
-    /// Cap on the pending request pool.
+    /// Cap on the requests queued across every client's session.
     pub max_pending: usize,
     /// Sliding-window depth: how many consensus slots may run agreement
     /// at once. `1` reproduces classic one-at-a-time operation; larger
     /// values keep the WAN pipe full (decides still release in order).
     pub pipeline_depth: usize,
+    /// Every this many decisions (0: never), the decision's
+    /// [`Action::Commit`] carries the executed half of every session
+    /// for the checkpoint taken there.
+    pub checkpoint_interval: u64,
 }
 
 impl std::fmt::Debug for Config {
@@ -133,6 +133,7 @@ impl Config {
             request_timeout_ms: 2_000,
             max_pending: 100_000,
             pipeline_depth: 1,
+            checkpoint_interval: 256,
         }
     }
 
@@ -160,6 +161,22 @@ impl Config {
         self.pipeline_depth = depth.clamp(1, MAX_WINDOW as usize);
         self
     }
+
+    /// Overrides the checkpoint period (in decisions; 0 = never).
+    pub fn with_checkpoint_interval(mut self, interval: u64) -> Config {
+        self.checkpoint_interval = interval;
+        self
+    }
+
+    /// How far above a client's `executed_below` a batch may reach:
+    /// [`WINDOW`], less what the slots a follower has not yet committed
+    /// can carry, so PROPOSE validation on a follower up to a window
+    /// behind never rejects a batch a correct leader built. (A window
+    /// deeper than half of [`WINDOW`] keeps the other half.)
+    fn propose_ahead(&self) -> u64 {
+        let in_window = (self.pipeline_depth as u64).saturating_mul(self.batch_max as u64);
+        WINDOW - in_window.min(WINDOW / 2)
+    }
 }
 
 /// What a driver feeds into [`Replica::step`].
@@ -178,12 +195,11 @@ pub enum Input {
     /// Time has passed: drives timeout escalation and fetch retries.
     Tick,
     /// Application-level state transfer (or recovery from the durable
-    /// log) reached this instance: the replica resumes after it.
-    ///
-    /// Delivered request ids cannot be reconstructed here; the
-    /// application's own dedup (e.g. the ordering service's envelope
-    /// hashes) covers requests decided while this replica was behind.
-    InstallState(u64),
+    /// log) reached this instance, with the executed half of every
+    /// session as of that instance: the replica resumes after it, and
+    /// its sessions dedup exactly as if it had decided every instance
+    /// itself.
+    InstallState(u64, Executed),
 }
 
 /// An effect the driver must carry out.
@@ -200,6 +216,10 @@ pub enum Action {
         cid: u64,
         /// The tentatively delivered batch.
         batch: Batch,
+        /// Positions in `batch` to skip: requests already executed, or
+        /// carried by a lower tentative slot or earlier in this batch
+        /// (the positions [`Action::Commit`] will skip if it holds).
+        skipped: Vec<usize>,
     },
     /// Undo the tentative delivery of `cid` (leader change re-bound a
     /// different value).
@@ -215,6 +235,14 @@ pub enum Action {
         batch: Batch,
         /// Transferable quorum proof of the decision.
         proof: DecisionProof,
+        /// Positions in `batch` to skip, ascending: requests its
+        /// client's window marks executed (or out of reach). The batch
+        /// itself stays verbatim, since the proof covers its digest.
+        skipped: Vec<usize>,
+        /// At every [`Config::checkpoint_interval`]th decision, the
+        /// executed half of every session after this batch, which the
+        /// checkpoint taken here must carry.
+        checkpoint: Option<Executed>,
     },
     /// The replica detected it is behind: the application layer should
     /// run state transfer up to `target_cid`.
@@ -237,43 +265,6 @@ pub struct Metrics {
     pub rollbacks: u64,
     /// In-flight slots re-proposed by a new regent's SYNC.
     pub reproposals: u64,
-}
-
-/// Request ids proposed in a live slot, counted with multiplicity (a
-/// re-binding SYNC may put one request in two slots). Kept in step with
-/// every slot's proposal, so a proposal is built or checked against it
-/// in O(batch) rather than by collecting every live slot's requests.
-#[derive(Debug, Default)]
-struct InFlight {
-    counts: HashMap<(ClientId, u64), u32>,
-}
-
-impl InFlight {
-    fn add(&mut self, batch: &Batch) {
-        for request in &batch.requests {
-            *self.counts.entry(request.id()).or_insert(0) += 1;
-        }
-    }
-
-    fn remove(&mut self, batch: &Batch) {
-        for request in &batch.requests {
-            let id = request.id();
-            if let Some(count) = self.counts.get_mut(&id) {
-                *count -= 1;
-                if *count == 0 {
-                    self.counts.remove(&id);
-                }
-            }
-        }
-    }
-
-    fn contains(&self, id: &(ClientId, u64)) -> bool {
-        self.counts.contains_key(id)
-    }
-
-    fn clear(&mut self) {
-        self.counts.clear();
-    }
 }
 
 /// Per-instance consensus state.
@@ -370,22 +361,11 @@ pub struct Replica {
     /// `next_cid .. next_cid + pipeline_depth` (the sliding window);
     /// entries are created lazily and removed when the slot commits.
     insts: BTreeMap<u64, Instance>,
-    /// FIFO pool of requests not yet decided, each with the ticket it
-    /// was queued under. An entry is live while `pending_ids` maps its id
-    /// to that ticket: delivery drops the id there at once and the entry
-    /// here lazily ([`Replica::purge_pending`]).
-    pending: VecDeque<(u64, Request)>,
-    /// The live pending requests and their tickets: dedup, membership
-    /// and the `max_pending` count.
-    pending_ids: HashMap<(ClientId, u64), u64>,
-    /// Ticket of the next queued request.
-    next_ticket: u64,
-    /// Requests proposed in a live slot; new batches skip them.
-    in_flight: InFlight,
-    /// Recently delivered request ids per client (dedup).
-    delivered: HashMap<ClientId, BTreeSet<u64>>,
-    /// Most recent decision (reported in STOP-DATA).
-    last_decision: Option<(u64, Batch, DecisionProof)>,
+    /// One session per client: the request pool, in-flight counts and
+    /// what has executed.
+    sessions: Sessions,
+    /// Recent decisions, oldest first; the last one's proof is reported
+    /// in STOP-DATA.
     recent_decisions: VecDeque<(u64, Batch, DecisionProof)>,
     // Timeout machinery.
     now_ms: u64,
@@ -442,7 +422,7 @@ impl std::fmt::Debug for Replica {
             .field("node", &self.cfg.node)
             .field("regency", &self.regency)
             .field("next_cid", &self.next_cid)
-            .field("pending", &self.pending_ids.len())
+            .field("pending", &self.sessions.queued())
             .field("syncing", &self.syncing)
             .finish()
     }
@@ -458,12 +438,7 @@ impl Replica {
             cfg,
             regency: 0,
             next_cid: 1,
-            pending: VecDeque::new(),
-            pending_ids: HashMap::new(),
-            next_ticket: 0,
-            in_flight: InFlight::default(),
-            delivered: HashMap::new(),
-            last_decision: None,
+            sessions: Sessions::default(),
             recent_decisions: VecDeque::new(),
             now_ms: 0,
             oldest_pending_since: None,
@@ -601,7 +576,18 @@ impl Replica {
 
     /// Number of requests waiting to be ordered.
     pub fn pending_len(&self) -> usize {
-        self.pending_ids.len()
+        self.sessions.queued()
+    }
+
+    /// Whether request `(client, seq)` has executed here (its client's
+    /// session window marks it).
+    pub fn was_executed(&self, id: &(ClientId, u64)) -> bool {
+        self.sessions.window(id.0).is_executed(id.1)
+    }
+
+    /// The executed half of every session, as of the last commit.
+    pub fn executed(&self) -> Executed {
+        self.sessions.executed()
     }
 
     /// Counter snapshot.
@@ -640,36 +626,39 @@ impl Replica {
         self.insts.entry(cid).or_insert_with(|| Instance::new(regency))
     }
 
-    /// Checks `in_flight` against the live slots' proposals (debug
-    /// builds only: this is the O(window) scan the set replaces).
+    /// Checks the sessions' in-flight counts against the live slots'
+    /// proposals (debug builds only: this is the O(window) scan the
+    /// counts replace).
     fn debug_check_in_flight(&self) {
         if cfg!(debug_assertions) {
-            let mut expect = InFlight::default();
+            let mut expect: HashMap<(ClientId, u64), u32> = HashMap::new();
             for (batch, _) in self.insts.values().filter_map(|i| i.proposal.as_ref()) {
-                expect.add(batch);
+                for request in &batch.requests {
+                    *expect.entry(request.id()).or_insert(0) += 1;
+                }
             }
-            debug_assert_eq!(self.in_flight.counts, expect.counts, "in-flight set out of step");
+            debug_assert_eq!(self.sessions.in_flight_marks(), expect, "in-flight counts out of step");
         }
     }
 
-    /// Resets slot `cid` to `regency`, dropping its proposal from the
-    /// in-flight set.
+    /// Resets slot `cid` to `regency`, dropping its proposal from
+    /// flight.
     fn bump_slot(&mut self, cid: u64, regency: u32) {
         let slot = self.inst_mut(cid);
         let dropped = slot.proposal.take();
         slot.bump_epoch(regency);
         if let Some((batch, _)) = dropped {
-            self.in_flight.remove(&batch);
+            self.sessions.unmark(&batch);
         }
     }
 
     /// Resets every live slot to `regency`: no proposal survives, so
     /// nothing is in flight.
     fn bump_all_slots(&mut self, regency: u32) {
-        for slot in self.insts.values_mut() {
-            slot.bump_epoch(regency);
+        let cids: Vec<u64> = self.insts.keys().copied().collect();
+        for cid in cids {
+            self.bump_slot(cid, regency);
         }
-        self.in_flight.clear();
     }
 
     /// Mirrors window occupancy into the pipeline gauge.
@@ -691,7 +680,9 @@ impl Replica {
             Input::Requests(requests) => self.enqueue_requests(requests, actions),
             Input::Message(from, msg) => self.handle(from, msg, actions),
             Input::Tick => self.tick(actions),
-            Input::InstallState(last_decided) => self.resume_after(last_decided, actions),
+            Input::InstallState(last_decided, executed) => {
+                self.resume_after(last_decided, executed, actions)
+            }
         }
     }
 
@@ -737,7 +728,7 @@ impl Replica {
                 // the client never reached it.
                 self.forwarded = true;
                 if !self.is_leader() {
-                    let requests = self.live_pending().take(self.cfg.batch_max).cloned().collect();
+                    let requests = self.sessions.unproposed(self.cfg.batch_max);
                     actions.push(Action::Send(self.leader(), ConsensusMsg::Forward { requests }));
                 }
             }
@@ -750,14 +741,19 @@ impl Replica {
         }
     }
 
-    /// [`Input::InstallState`]: the replica resumes at `last_decided + 1`.
-    fn resume_after(&mut self, last_decided: u64, actions: &mut Vec<Action>) {
+    /// [`Input::InstallState`]: the replica resumes at `last_decided + 1`
+    /// with `executed` as its sessions' executed half.
+    fn resume_after(&mut self, last_decided: u64, executed: Executed, actions: &mut Vec<Action>) {
         if last_decided < self.next_cid {
             return;
         }
         self.next_cid = last_decided + 1;
+        self.bump_all_slots(self.regency);
         self.insts.clear();
-        self.in_flight.clear();
+        self.sessions.install(executed);
+        if self.sessions.queued() == 0 {
+            self.oldest_pending_since = None;
+        }
         self.fetching_value = false;
         self.frontier_since = self.now_ms;
         self.stall_dumped = false;
@@ -777,86 +773,15 @@ impl Replica {
 
     /// Queues every request, then proposes once.
     fn enqueue_requests(&mut self, requests: Vec<Request>, actions: &mut Vec<Action>) {
-        for request in requests {
-            self.enqueue_request(request);
+        if self.sessions.enqueue(requests, self.cfg.max_pending) > 0 {
+            if let Some(obs) = &self.obs {
+                obs.pending_requests.set(self.sessions.queued() as i64);
+            }
+            if self.oldest_pending_since.is_none() {
+                self.oldest_pending_since = Some(self.now_ms);
+            }
         }
         self.try_propose(actions);
-    }
-
-    fn enqueue_request(&mut self, request: Request) {
-        if self.pending_ids.len() >= self.cfg.max_pending {
-            return;
-        }
-        let id = request.id();
-        if self.pending_ids.contains_key(&id) || self.was_delivered(&id) {
-            return;
-        }
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.pending_ids.insert(id, ticket);
-        self.pending.push_back((ticket, request));
-        if let Some(obs) = &self.obs {
-            obs.pending_requests.set(self.pending_ids.len() as i64);
-        }
-        if self.oldest_pending_since.is_none() {
-            self.oldest_pending_since = Some(self.now_ms);
-        }
-    }
-
-    /// Whether request `(client, seq)` was already delivered here, as
-    /// far back as the per-client dedup window remembers.
-    pub fn was_delivered(&self, id: &(ClientId, u64)) -> bool {
-        self.delivered
-            .get(&id.0)
-            .is_some_and(|set| set.contains(&id.1))
-    }
-
-    /// Whether a `pending` entry is still waiting (not yet delivered,
-    /// not superseded by a later queuing of the same id).
-    fn is_live(&self, ticket: u64, request: &Request) -> bool {
-        self.pending_ids.get(&request.id()) == Some(&ticket)
-    }
-
-    /// The live pending requests, oldest first.
-    fn live_pending(&self) -> impl Iterator<Item = &Request> {
-        self.pending
-            .iter()
-            .filter(|(ticket, request)| self.is_live(*ticket, request))
-            .map(|(_, request)| request)
-    }
-
-    /// Records a decided batch: O(batch), whatever the pool holds.
-    fn mark_delivered(&mut self, batch: &Batch) {
-        for request in &batch.requests {
-            let id = request.id();
-            self.pending_ids.remove(&id);
-            let set = self.delivered.entry(id.0).or_default();
-            set.insert(id.1);
-            while set.len() > DEDUP_WINDOW {
-                let Some(&min) = set.iter().next() else { break };
-                set.remove(&min);
-            }
-        }
-        self.purge_pending();
-    }
-
-    /// Drops delivered entries from the front of `pending` — where the
-    /// leader's FIFO batches take them from — and compacts the whole
-    /// deque once delivered entries elsewhere outnumber the live ones.
-    /// Each entry is dropped once, so this is amortised O(1) per request,
-    /// and the deque never holds more than `2 × live + PENDING_SLACK`.
-    fn purge_pending(&mut self) {
-        while let Some((ticket, request)) = self.pending.front() {
-            if self.is_live(*ticket, request) {
-                break;
-            }
-            self.pending.pop_front();
-        }
-        if self.pending.len() > 2 * self.pending_ids.len() + PENDING_SLACK {
-            let live = &self.pending_ids;
-            self.pending
-                .retain(|(ticket, request)| live.get(&request.id()) == Some(ticket));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -876,7 +801,7 @@ impl Replica {
             else {
                 return; // window full
             };
-            if self.pending_ids.is_empty() {
+            if self.sessions.queued() == 0 {
                 return;
             }
             let batch = self.build_batch();
@@ -896,26 +821,12 @@ impl Replica {
         }
     }
 
-    /// The oldest live requests no live slot carries yet, up to the
-    /// batch caps.
-    fn build_batch(&self) -> Batch {
+    /// Queued requests no live slot carries yet, round-robin across
+    /// clients, up to the batch caps.
+    fn build_batch(&mut self) -> Batch {
         self.debug_check_in_flight();
-        let mut requests = Vec::new();
-        let mut bytes = 0usize;
-        for request in self.live_pending() {
-            if requests.len() >= self.cfg.batch_max {
-                break;
-            }
-            if self.in_flight.contains(&request.id()) {
-                continue;
-            }
-            bytes += request.payload.len();
-            if !requests.is_empty() && bytes > self.cfg.max_batch_bytes {
-                break;
-            }
-            requests.push(request.clone());
-        }
-        Batch::new(requests)
+        let ahead = self.cfg.propose_ahead();
+        Batch::new(self.sessions.build_batch(self.cfg.batch_max, ahead, self.cfg.max_batch_bytes))
     }
 
     // ------------------------------------------------------------------
@@ -1047,17 +958,14 @@ impl Replica {
             return;
         }
         // Validate the batch: non-empty (normal path), within limits,
-        // free of already-delivered requests, and disjoint from every
-        // other live slot (a leader must not order a request twice
+        // each request fresh in its client's window, and disjoint from
+        // every other live slot (a leader must not order a request twice
         // inside the window).
         self.debug_check_in_flight();
         if batch.is_empty()
             || batch.len() > self.cfg.batch_max
             || batch.payload_bytes() > self.cfg.max_batch_bytes
-            || batch.requests.iter().any(|r| {
-                let id = r.id();
-                self.was_delivered(&id) || self.in_flight.contains(&id)
-            })
+            || !self.sessions.proposable(&batch)
         {
             return;
         }
@@ -1078,7 +986,7 @@ impl Replica {
             self.rollback_from(cid, actions);
         }
         let now = self.now_ms;
-        self.in_flight.add(&batch);
+        self.sessions.mark(&batch);
         let (epoch, replaced) = {
             let slot = self.inst_mut(cid);
             let replaced = slot.proposal.replace((batch.clone(), hash));
@@ -1086,7 +994,7 @@ impl Replica {
             (slot.epoch, replaced)
         };
         if let Some((replaced, _)) = replaced {
-            self.in_flight.remove(&replaced);
+            self.sessions.unmark(&replaced);
         }
         self.recent_proposed_at.push_back((cid, now));
         if self.recent_proposed_at.len() > 128 {
@@ -1302,6 +1210,7 @@ impl Replica {
             let Some((batch, hash)) = slot.proposal.clone() else {
                 break;
             };
+            let skipped = self.tentative_skips(cid, &batch);
             self.inst_mut(cid).tentative = Some(hash);
             if let Some(obs) = &self.obs {
                 obs.tentative_deliveries.inc();
@@ -1313,8 +1222,39 @@ impl Replica {
                 self.cfg.node.as_usize(),
                 cid
             );
-            actions.push(Action::DeliverTentative { cid, batch });
+            actions.push(Action::DeliverTentative { cid, batch, skipped });
         }
+    }
+
+    /// The positions of slot `cid`'s tentative batch that its commit will
+    /// skip, provided every lower tentative slot commits as delivered:
+    /// requests executed already, or carried by a lower live slot or
+    /// earlier in the batch. A request only this slot carries and that
+    /// is fresh in its window is decided at once; any other replays the
+    /// lower slots into a copy of its client's window.
+    fn tentative_skips(&self, cid: u64, batch: &Batch) -> Vec<usize> {
+        let mut skipped = Vec::new();
+        for (pos, request) in batch.requests.iter().enumerate() {
+            let window = self.sessions.window(request.client);
+            if self.sessions.in_flight(request.client, request.seq) <= 1 && window.is_fresh(request.seq) {
+                continue;
+            }
+            let mut window = window.clone();
+            let lower = self
+                .insts
+                .range(self.next_cid..cid)
+                .filter_map(|(_, slot)| slot.proposal.as_ref())
+                .flat_map(|(lower, _)| lower.requests.iter());
+            for earlier in lower.chain(batch.requests.iter().take(pos)) {
+                if earlier.client == request.client {
+                    window.execute(earlier.seq);
+                }
+            }
+            if !window.is_fresh(request.seq) {
+                skipped.push(pos);
+            }
+        }
+        skipped
     }
 
     fn handle_accept(&mut self, from: NodeId, vote: Vote, actions: &mut Vec<Action>) {
@@ -1413,11 +1353,19 @@ impl Replica {
         if self.syncing {
             return;
         }
-        while let Some((batch, proof)) = self
+        while self
             .insts
             .get(&self.next_cid)
-            .and_then(|slot| slot.decided.clone())
+            .is_some_and(|slot| slot.decided.is_some())
         {
+            // `commit` removes the slot; its decision moves out with it.
+            let Some((batch, proof)) = self
+                .insts
+                .get_mut(&self.next_cid)
+                .and_then(|slot| slot.decided.take())
+            else {
+                break;
+            };
             self.commit(batch, proof, actions);
         }
         // The new frontier may hold an accept quorum for a value this
@@ -1435,13 +1383,18 @@ impl Replica {
     fn commit(&mut self, batch: Batch, proof: DecisionProof, actions: &mut Vec<Action>) {
         let cid = self.next_cid;
         let slot = self.insts.remove(&cid);
-        if let Some((proposed, _)) = slot.as_ref().and_then(|s| s.proposal.as_ref()) {
-            self.in_flight.remove(proposed);
+        // The decided batch is usually the slot's own proposal, whose
+        // in-flight counts drop as it executes; any other proposal the
+        // slot held drops separately.
+        let proposal = slot.as_ref().and_then(|s| s.proposal.as_ref());
+        let proposed = proposal.is_some_and(|(_, hash)| *hash == proof.hash);
+        if let Some((other, _)) = proposal.filter(|_| !proposed) {
+            self.sessions.unmark(other);
         }
+        let skipped = self.sessions.commit(&batch, proposed);
         let proposed_at = slot.as_ref().and_then(|s| s.proposed_at);
         let write_quorum_at = slot.as_ref().and_then(|s| s.write_quorum_at);
-        self.mark_delivered(&batch);
-        self.last_decision = Some((cid, batch.clone(), proof.clone()));
+        let checkpoint = cid.is_multiple_of(self.cfg.checkpoint_interval).then(|| self.sessions.executed());
         self.recent_decisions.push_back((cid, batch.clone(), proof.clone()));
         while self.recent_decisions.len() > RECENT_DECISIONS {
             self.recent_decisions.pop_front();
@@ -1450,7 +1403,7 @@ impl Replica {
         self.metrics.delivered_requests += batch.len() as u64;
         if let Some(obs) = &self.obs {
             obs.decided.inc();
-            obs.pending_requests.set(self.pending_ids.len() as i64);
+            obs.pending_requests.set(self.sessions.queued() as i64);
             obs.accept_quorum_votes.record(proof.votes.len() as u64);
             if let Some(t0) = write_quorum_at {
                 obs.accept_phase_ms.record(self.now_ms.saturating_sub(t0));
@@ -1480,7 +1433,13 @@ impl Replica {
             batch.len()
         );
 
-        actions.push(Action::Commit { cid, batch, proof });
+        actions.push(Action::Commit {
+            cid,
+            batch,
+            proof,
+            skipped,
+            checkpoint,
+        });
 
         // Advance the frontier; higher slots stay live in the window.
         self.next_cid += 1;
@@ -1489,7 +1448,7 @@ impl Replica {
         self.fetching_value = false;
         self.timeout_ms = self.cfg.request_timeout_ms;
         self.forwarded = false;
-        self.oldest_pending_since = if self.pending_ids.is_empty() {
+        self.oldest_pending_since = if self.sessions.queued() == 0 {
             None
         } else {
             Some(self.now_ms)
@@ -1569,7 +1528,7 @@ impl Replica {
         self.collect.clear();
         self.stop_votes.retain(|&r, _| r > regency);
 
-        let decision = self.last_decision.as_ref().map(|(_, _, proof)| proof.clone());
+        let decision = self.recent_decisions.back().map(|(_, _, proof)| proof.clone());
         let quorums = &self.cfg.quorums;
         let quorum_cert = |slot: &Instance| {
             if quorums.is_quorum(slot.last_write_cert.iter().map(|v| v.node)) {
@@ -1936,6 +1895,7 @@ impl Replica {
 #[allow(clippy::needless_range_loop, reason = "index doubles as the node id in tests")]
 mod tests {
     use super::*;
+    use crate::session::WINDOW;
     use crate::testing::{step, test_keys, Cluster, Observed};
     use hlf_wire::Bytes;
 
@@ -2226,12 +2186,13 @@ mod tests {
     #[test]
     fn batch_respects_limits() {
         let mut replicas = make_replicas(4, 1);
-        // More requests than batch_max: proposal caps at batch_max.
-        for seq in 0..500 {
-            replicas[0].enqueue_request(req(seq));
-        }
-        let batch = replicas[0].build_batch();
+        // More requests than batch_max, queued at a follower (which
+        // proposes nothing): a batch caps at batch_max, oldest first.
+        step(&mut replicas[1], 0, Input::Requests((1..=500).map(req).collect()));
+        assert_eq!(replicas[1].pending_len(), 500);
+        let batch = replicas[1].build_batch();
         assert_eq!(batch.len(), 400);
+        assert!(batch.requests.iter().map(|r| r.seq).eq(1..=400));
     }
 
     /// The seqs of every request replica `i` committed, in commit order.
@@ -2245,10 +2206,10 @@ mod tests {
 
     /// A deep queue drained through a hundred decisions. Two followers
     /// queued the requests in another order than the leader proposes
-    /// them, so delivered entries pile up mid-deque there; at every step
-    /// every replica's deque stays within `2 × live + PENDING_SLACK`,
-    /// the in-flight set matches the live slots, and in the end every
-    /// request is decided exactly once and the pool is empty.
+    /// them, so their client's ring fills from the front and from the
+    /// middle; at every step every ring stays within one `WINDOW` of
+    /// entries, the in-flight counts match the live slots, and in the
+    /// end every request is decided exactly once and the pool is empty.
     #[test]
     fn deep_queue_stays_bounded_through_many_decisions() {
         const REQUESTS: u64 = 2_000;
@@ -2273,34 +2234,29 @@ mod tests {
             }
         }
         assert_eq!(cluster.replica(3).pending_len(), REQUESTS as usize, "max_pending admits them all");
-        let mut deepest = 0;
         while cluster.step() {
             for i in 0..4 {
                 let r = cluster.replica(i);
-                assert!(
-                    r.pending.len() <= 2 * r.pending_ids.len() + PENDING_SLACK,
-                    "replica {i}: {} entries for {} live",
-                    r.pending.len(),
-                    r.pending_ids.len()
-                );
-                deepest = deepest.max(r.pending.len() - r.pending_ids.len());
+                let ring = r.sessions.longest_ring();
+                assert!(ring <= WINDOW as usize, "replica {i}: a ring of {ring}");
+                assert!(ring >= r.pending_len(), "replica {i}: one client holds every request");
                 r.debug_check_in_flight();
             }
         }
-        assert!(deepest > PENDING_SLACK, "delivered entries never piled up: {deepest}");
         for i in 0..4 {
             let mut seqs = committed_seqs(&cluster, i);
             assert!(cluster.decisions(i).len() >= 100, "replica {i}");
             seqs.sort_unstable();
             assert_eq!(seqs, (1..=REQUESTS).collect::<Vec<_>>(), "replica {i}");
             let r = cluster.replica(i);
-            assert_eq!((r.pending_len(), r.pending.len()), (0, 0), "replica {i}");
-            assert!(r.in_flight.counts.is_empty(), "replica {i}");
+            assert_eq!((r.pending_len(), r.sessions.longest_ring()), (0, 0), "replica {i}");
+            assert!(r.sessions.in_flight_marks().is_empty(), "replica {i}");
         }
     }
 
-    /// Delivered requests leave the pool's count and every Forward at
-    /// once, even while their entries still sit in the deque.
+    /// Executed requests leave the pool's count and every Forward at
+    /// once, whatever order they were queued in, and a Forward lists a
+    /// client's requests in seq order.
     #[test]
     fn delivered_entries_are_neither_counted_nor_forwarded() {
         let mut cluster = Cluster::classic(4, 1);
@@ -2310,8 +2266,8 @@ mod tests {
         cluster.run_to_quiescence();
         assert_eq!(committed_seqs(&cluster, 1), vec![1, 2]);
         let follower = cluster.replica_mut(1);
-        assert_eq!((follower.pending_len(), follower.pending.len()), (3, 5));
-        // Room for two more live requests, whatever the deque holds.
+        assert_eq!((follower.pending_len(), follower.sessions.longest_ring()), (3, 3));
+        // Room for two more queued requests.
         follower.cfg.max_pending = 5;
         step(follower, 0, Input::Requests(vec![req(6), req(7), req(8)]));
         assert_eq!(follower.pending_len(), 5);
@@ -2320,7 +2276,39 @@ mod tests {
         else {
             panic!("expected a Forward to the leader");
         };
-        assert_eq!(requests, vec![req(5), req(4), req(3), req(6), req(7)]);
+        assert_eq!(requests, (3..=7).map(req).collect::<Vec<_>>());
+    }
+
+    /// A PROPOSE that carries one request twice (a faulty leader's):
+    /// WHEAT's tentative delivery and the commit skip the second copy
+    /// alike, so the confirmed tentative execution is the committed one.
+    #[test]
+    fn a_request_twice_in_one_batch_is_skipped_tentatively_and_at_commit() {
+        let (signing, keys) = test_keys(4);
+        let cfg = Config::new(NodeId(1), QuorumSystem::classic(4, 1).unwrap(), keys, signing[1].clone());
+        let mut follower = Replica::new(cfg.with_tentative_execution(true));
+        let batch = Batch::new(vec![req(1), req(1), req(2)]);
+        let hash = batch.digest();
+        let mut actions = deliver(&mut follower, 0, ConsensusMsg::Propose { cid: 1, epoch: 0, batch });
+        for phase in [VotePhase::Write, VotePhase::Accept] {
+            for peer in [0u32, 2] {
+                let vote = Vote::sign(&signing[peer as usize], phase, NodeId(peer), 1, 0, hash);
+                let msg = match phase {
+                    VotePhase::Write => ConsensusMsg::Write(vote),
+                    VotePhase::Accept => ConsensusMsg::Accept(vote),
+                };
+                actions.extend(deliver(&mut follower, peer, msg));
+            }
+        }
+        let skips: Vec<&Vec<usize>> = actions
+            .iter()
+            .filter_map(|action| match action {
+                Action::DeliverTentative { skipped, .. } | Action::Commit { skipped, .. } => Some(skipped),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(skips, [&vec![1], &vec![1]]);
+        assert!(follower.was_executed(&req(1).id()) && follower.was_executed(&req(2).id()));
     }
 
     #[test]

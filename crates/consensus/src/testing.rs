@@ -75,7 +75,7 @@ impl Node {
                     ctx.send(to.as_usize(), msg);
                     continue;
                 }
-                Action::DeliverTentative { cid, batch } => Observed::Tentative(cid, batch),
+                Action::DeliverTentative { cid, batch, .. } => Observed::Tentative(cid, batch),
                 Action::Rollback { cid } => Observed::Rollback(cid),
                 Action::Commit { cid, batch, .. } => Observed::Commit(cid, batch),
                 Action::Behind { target_cid } => Observed::Behind(target_cid),

@@ -5,6 +5,7 @@
 use hlf_wire::Bytes;
 use hlf_consensus::messages::{Batch, ConsensusMsg, Request, Vote, VotePhase};
 use hlf_consensus::quorum::QuorumSystem;
+use hlf_consensus::session::Executed;
 use hlf_consensus::replica::{Action, Config, Input, Replica};
 use hlf_consensus::testing::{step, test_keys, Cluster, Observed};
 use hlf_wire::{ClientId, NodeId};
@@ -86,10 +87,10 @@ fn proposal_from_non_leader_rejected() {
 fn install_state_skips_ahead_and_ignores_regressions() {
     let mut replica = standalone(4, 1, 1);
     assert_eq!(replica.next_cid(), 1);
-    step(&mut replica, 0, Input::InstallState(10));
+    step(&mut replica, 0, Input::InstallState(10, Executed::default()));
     assert_eq!(replica.next_cid(), 11);
     // Installing an older state is a no-op.
-    step(&mut replica, 0, Input::InstallState(5));
+    step(&mut replica, 0, Input::InstallState(5, Executed::default()));
     assert_eq!(replica.next_cid(), 11);
 }
 

@@ -14,6 +14,7 @@ use hlf_fabric::block::{Block, BlockSignature};
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_wire::{ClientId, NodeId};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -114,11 +115,38 @@ impl FrontendConfig {
 
 type VerifiedTriple = (u32, Hash256, Signature);
 
+/// The copies of one block number that share one header.
+#[derive(Debug)]
+struct Candidate {
+    /// The first copy's content (every copy counted here is byte-equal).
+    block: Block,
+    signatures: Vec<BlockSignature>,
+    nodes: HashSet<NodeId>,
+    /// Whether `block`'s envelopes hash to its header, once a
+    /// mismatching copy made someone check.
+    consistent: Option<bool>,
+}
+
+impl Candidate {
+    fn new(block: Block) -> Candidate {
+        Candidate {
+            block,
+            signatures: Vec::new(),
+            nodes: HashSet::new(),
+            consistent: None,
+        }
+    }
+
+    fn consistent(&mut self) -> bool {
+        *self.consistent.get_or_insert_with(|| self.block.data_consistent())
+    }
+}
+
 /// Per-block-number collection state.
 #[derive(Debug)]
 struct Collecting {
-    /// header hash -> (block content, signatures gathered, nodes seen)
-    candidates: HashMap<Hash256, (Block, Vec<BlockSignature>, HashSet<NodeId>)>,
+    /// header hash -> the copies carrying that header
+    candidates: HashMap<Hash256, Candidate>,
     /// `(node, header hash, signature)` triples that already passed
     /// ECDSA verification in this collection round, so re-pushed copies
     /// skip the expensive check (verification mode only). Bounded to
@@ -276,24 +304,7 @@ impl BlockCollector {
             self.discard_copy();
             return;
         }
-        // The header hash covers the data hash, so the SHA-256 pass over
-        // the envelopes is paid once per distinct header: the first copy
-        // must hash to its header, a later copy must carry the envelopes
-        // of the stored, already-checked candidate. (Other envelopes
-        // that also hash to this header would be a SHA-256 collision.)
         let header_hash = block.header_hash();
-        let checked = self
-            .collecting
-            .get(&slot)
-            .and_then(|round| round.candidates.get(&header_hash));
-        let consistent = match checked {
-            Some((stored, _, _)) => block.envelopes == stored.envelopes,
-            None => block.data_consistent(),
-        };
-        if !consistent {
-            self.discard_copy();
-            return;
-        }
         let mut newly_verified = None;
         if let DeliveryPolicy::Verify { orderer_keys } = &self.config.policy {
             // The copy must carry a valid signature from its sender.
@@ -351,22 +362,49 @@ impl BlockCollector {
         if let Some(triple) = newly_verified {
             self.verify_cache_entries += entry.insert_verified(triple);
         }
-        let (stored, signatures, nodes) = entry
-            .candidates
-            .entry(header_hash)
-            .or_insert_with(|| (block.clone(), Vec::new(), HashSet::new()));
-        if !nodes.insert(from) {
+        // The first copy under a header is stored unchecked, and a later
+        // one that is byte-equal joins it: threshold-many equal copies
+        // from distinct nodes include a correct node's, so what is
+        // delivered hashes to its header. Only two different copies
+        // under one header pay the SHA-256 pass over the envelopes, to
+        // tell which one lies. (Both hashing to it would be a SHA-256
+        // collision.)
+        let mut liars = 0;
+        let candidate = match entry.candidates.entry(header_hash) {
+            Entry::Vacant(vacant) => vacant.insert(Candidate::new(block.clone())),
+            Entry::Occupied(occupied) => {
+                let stored = occupied.into_mut();
+                if stored.block.envelopes != block.envelopes {
+                    if stored.consistent() || !block.data_consistent() {
+                        self.discard_copy();
+                        return;
+                    }
+                    // The stored copies lied: this one takes their place.
+                    liars = stored.nodes.len();
+                    *stored = Candidate::new(block.clone());
+                    stored.consistent = Some(true);
+                }
+                stored
+            }
+        };
+        if !candidate.nodes.insert(from) {
             return; // duplicate copy from the same node
         }
         for signature in block.signatures {
-            if !signatures.iter().any(|s| s.node == signature.node) {
-                signatures.push(signature);
+            if !candidate.signatures.iter().any(|s| s.node == signature.node) {
+                candidate.signatures.push(signature);
             }
         }
-        if nodes.len() >= threshold {
-            let copies = nodes.len() as u64;
-            let mut complete = stored.clone();
-            complete.signatures = signatures.clone();
+        let copies = candidate.nodes.len() as u64;
+        let complete = (candidate.nodes.len() >= threshold).then(|| {
+            let mut complete = candidate.block.clone();
+            complete.signatures = candidate.signatures.clone();
+            complete
+        });
+        for _ in 0..liars {
+            self.discard_copy();
+        }
+        if let Some(complete) = complete {
             if let Some(round) = self.collecting.remove(&slot) {
                 self.verify_cache_entries -= round.verified.len() as i64;
                 let round_us = now_us.saturating_sub(round.first_seen_us);
@@ -442,6 +480,7 @@ impl BlockCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlf_crypto::ecdsa::SigningKey;
     use hlf_wire::Bytes;
 
     fn collector() -> BlockCollector {
@@ -482,19 +521,59 @@ mod tests {
         assert_eq!(collector.stats().discarded_copies, 1);
     }
 
+    /// A tampered first copy is stored unchecked (a faulty orderer can
+    /// open a round with a self-consistent forgery just as well, and
+    /// `max_collecting` bounds rounds), but the first honest copy under
+    /// its header exposes it: the honest block delivers, and the forgery
+    /// is the one copy discarded.
     #[test]
-    fn first_copy_must_hash_to_its_header() {
+    fn tampered_first_copy_gives_way_to_the_honest_ones() {
         let mut collector = collector();
         let honest = honest_block();
         collector.offer(NodeId(3), tampered(&honest), 0);
-        assert_eq!(collector.stats().discarded_copies, 1);
-        assert!(collector.collecting.is_empty(), "a rejected copy allocates no round");
-        // The forgery left nothing behind for honest copies to be
-        // compared with.
+        assert_eq!(collector.stats().discarded_copies, 0, "stored unchecked");
         for node in 0..3 {
             collector.offer(NodeId(node), honest.clone(), 1);
         }
         assert_eq!(collector.pop_ready().map(|b| b.envelopes), Some(honest.envelopes));
         assert_eq!(collector.stats().discarded_copies, 1);
+    }
+
+    /// Under either policy, a tampered copy (validly signed by its
+    /// faulty sender) that arrives before the honest ones or after the
+    /// first of them: the honest block delivers, consistent, and the
+    /// tampered copy is the one discarded.
+    #[test]
+    fn tampered_copy_before_or_after_honest_ones_is_discarded() {
+        let keys: Vec<SigningKey> = (0..4)
+            .map(|node| SigningKey::from_seed(format!("collector-{node}").as_bytes()))
+            .collect();
+        let pinned: Vec<PinnedKey> = keys.iter().map(|key| PinnedKey::new(*key.verifying_key())).collect();
+        let honest = honest_block();
+        let copy = |block: &Block, node: u32| {
+            let mut copy = block.clone();
+            copy.sign(node, &keys[node as usize]);
+            (NodeId(node), copy)
+        };
+        for verify in [false, true] {
+            for tampered_at in [0, 1] {
+                let mut config = FrontendConfig::new(ClientId(50), 4, 1);
+                if verify {
+                    config = config.with_verification(&pinned);
+                }
+                let needed = copies_needed(4, 1, false, &config.policy);
+                let mut collector = BlockCollector::new(config);
+                let mut copies: Vec<(NodeId, Block)> = (0..needed as u32).map(|node| copy(&honest, node)).collect();
+                copies.insert(tampered_at, copy(&tampered(&honest), 3));
+                for (t, (from, block)) in copies.into_iter().enumerate() {
+                    collector.offer(from, block, t as u64);
+                }
+                let case = format!("verify {verify}, tampered copy at {tampered_at}");
+                let delivered = collector.pop_ready().expect(&case);
+                assert_eq!(delivered.envelopes, honest.envelopes, "{case}");
+                assert!(delivered.data_consistent(), "{case}");
+                assert_eq!(collector.stats().discarded_copies, 1, "{case}");
+            }
+        }
     }
 }

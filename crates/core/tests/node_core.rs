@@ -17,7 +17,7 @@
 
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request, Vote, VotePhase};
 use hlf_crypto::ecdsa::SigningKey;
-use hlf_simnet::{Actor, Ctx, LatencyModel, SimMessage, SimTime, Simulation};
+use hlf_simnet::{Actor, Ctx, FaultPlan, LatencyModel, SimMessage, SimTime, Simulation};
 use hlf_smr::app::{Application, CounterApp};
 use hlf_smr::core::{Input, NodeCore, Output};
 use hlf_smr::runtime::ClusterKeys;
@@ -446,5 +446,56 @@ fn any_window_size_orders_every_request_once_in_seq_order() {
             assert_eq!(net.node(node).commits, net.node(0).commits, "window {window}: node {node}'s chain differs");
         }
         assert!(!net.node(0).commits.is_empty());
+    }
+}
+
+/// What replica `node`'s counter says: 8 per executed request (every
+/// payload here is one `u64`).
+fn counter(net: &Net, node: usize) -> u64 {
+    let snapshot = net.node(node).core.app().snapshot();
+    snapshot.as_slice().first_chunk::<8>().map_or(0, |bytes| u64::from_le_bytes(*bytes))
+}
+
+/// Exactly once through a state transfer and a regency change, on a
+/// lossy network (seeded). Client 7 hands seq 1 to replica 1 while it
+/// is cut off, then to the others, which decide it (with seqs 2 and 3)
+/// without replica 1. Then the leader crashes and replica 1 leads
+/// regency 1: the free choice of its SYNC re-proposes seq 1 from its
+/// pool, and it catches up on cids 1 to 3 by state transfer before it
+/// votes. Seq 1 is decided a second time, and every replica skips it
+/// there: each request executes once on every replica.
+#[test]
+fn request_decided_again_after_a_transfer_and_a_regency_executes_once() {
+    let mut net = Net::counters();
+    net.sim.set_seed(0x5e55_1015);
+    net.sim.set_faults(FaultPlan::none().drop_probability(0.03));
+    net.set_links(1, false);
+    net.input(1, Input::Frame(PeerId::Client(CLIENT), SmrMsg::Requests(vec![request(CLIENT, 1)])));
+    for seq in 1..=3 {
+        net.submit(seq);
+    }
+    for _ in 0..50 {
+        if [0, 2, 3].iter().all(|&node| net.last_cid(node) >= 3) {
+            break;
+        }
+        net.submit(3);
+        net.tick(100_000);
+    }
+    assert_eq!(net.last_cid(1), 0);
+
+    net.set_links(1, true);
+    net.sim.crash(0);
+    net.send_window(CLIENT, &[request(CLIENT, 4)]);
+    net.sim.run();
+    for _ in 0..100 {
+        if (1..N).all(|node| counter(&net, node) >= 4 * 8) {
+            break;
+        }
+        net.tick(100_000);
+    }
+    assert_eq!(net.node(1).core.stats().state_transfers(), 1, "replica 1 caught up by transfer");
+    for node in 1..N {
+        assert_eq!(counter(&net, node), 4 * 8, "replica {node} executed a request twice or missed one");
+        assert_eq!(net.node(node).core.stats().duplicates_skipped(), 1, "replica {node}");
     }
 }

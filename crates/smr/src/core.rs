@@ -13,13 +13,14 @@ use crate::app::{Application, Dest, Outbound};
 use crate::obs::NodeObs;
 use crate::storage::LogStore;
 use crate::wire::{LogEntry, SmrMsg};
-use hlf_consensus::messages::{ConsensusMsg, Request};
+use hlf_consensus::messages::{Batch, ConsensusMsg, Request};
 use hlf_consensus::replica::{self, digest64, signer_bitmap, Action, Config as ConsensusConfig, Replica};
-use hlf_consensus::{HealthObs, ReplicaObs};
+use hlf_consensus::{Executed, HealthObs, ReplicaObs};
 use hlf_obs::flight::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_transport::PeerId;
-use hlf_wire::{Bytes, ClientId, NodeId};
+use hlf_wire::{Bytes, ClientId, Decode, Encode, NodeId, Reader, WireError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,10 +34,10 @@ const REQUEST_SEEN_MAX: usize = 1 << 16;
 
 /// Node-level configuration on top of the consensus [`ConsensusConfig`].
 pub struct NodeConfig {
-    /// Consensus parameters (quorums, keys, timeouts...).
+    /// Consensus parameters (quorums, keys, timeouts, and the
+    /// checkpoint period: the node checkpoints at every decision whose
+    /// commit carries the sessions' executed half).
     pub consensus: ConsensusConfig,
-    /// Checkpoint the application every this many decisions.
-    pub checkpoint_interval: u64,
     /// Granularity of the driver's clock: how often it feeds
     /// [`Input::Tick`].
     pub tick_interval: Duration,
@@ -52,12 +53,10 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Paper-flavoured defaults: checkpoint every 256 decisions, 20 ms
-    /// ticks, no metrics registry.
+    /// 20 ms ticks, no metrics registry.
     pub fn new(consensus: ConsensusConfig) -> NodeConfig {
         NodeConfig {
             consensus,
-            checkpoint_interval: 256,
             tick_interval: Duration::from_millis(20),
             registry: None,
             flight: None,
@@ -81,7 +80,6 @@ impl std::fmt::Debug for NodeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeConfig")
             .field("consensus", &self.consensus)
-            .field("checkpoint_interval", &self.checkpoint_interval)
             .finish()
     }
 }
@@ -93,6 +91,7 @@ pub struct NodeStats {
     executed_requests: AtomicU64,
     last_cid: AtomicU64,
     state_transfers: AtomicU64,
+    duplicates_skipped: AtomicU64,
 }
 
 impl NodeStats {
@@ -111,6 +110,11 @@ impl NodeStats {
     /// Completed state transfers.
     pub fn state_transfers(&self) -> u64 {
         self.state_transfers.load(Ordering::Relaxed)
+    }
+    /// Decided requests the executor skipped because their session had
+    /// already executed them (the log keeps them, verbatim).
+    pub fn duplicates_skipped(&self) -> u64 {
+        self.duplicates_skipped.load(Ordering::Relaxed)
     }
 }
 
@@ -170,7 +174,6 @@ struct Transfer {
 /// One replica node, minus I/O.
 pub struct NodeCore {
     consensus: ConsensusConfig,
-    checkpoint_interval: u64,
     replica: Replica,
     /// What the replica's current step asked for; drained, and reused by
     /// the next step.
@@ -220,7 +223,6 @@ impl NodeCore {
         }
         NodeCore {
             consensus: config.consensus.clone(),
-            checkpoint_interval: config.checkpoint_interval,
             replica,
             actions: Vec::new(),
             app,
@@ -258,19 +260,31 @@ impl NodeCore {
         self.app.as_ref()
     }
 
-    /// Replays the durable log into the application. Call once, before
-    /// the first [`NodeCore::step`].
+    /// Replays the durable log into the application and the sessions.
+    /// Call once, before the first [`NodeCore::step`].
     pub fn recover(&mut self, now_us: u64, out: &mut Vec<Output>) {
         let mut recovered = 0u64;
-        if let Some((cid, snapshot)) = self.log.last_checkpoint() {
+        let mut executed = Executed::default();
+        if let Some((cid, checkpoint)) = self.log.last_checkpoint() {
+            let Ok((sessions, snapshot)) = split_checkpoint(&checkpoint) else {
+                // Left empty, the node catches up by state transfer.
+                hlf_obs::warn!("node {} ignores an unreadable checkpoint at cid {cid}", self.node().0);
+                return;
+            };
             self.app.restore(&snapshot);
+            executed = sessions;
             recovered = cid;
         }
+        let mut owed = BTreeMap::new();
         for entry in self.log.entries_from(recovered + 1) {
-            // Replies of replayed batches went out before the restart.
-            self.app.execute_batch(entry.cid, &entry.batch, false);
+            let skipped = executed.execute(&entry.batch);
+            let outs = self.app.execute_batch(entry.cid, &executable(&entry.batch, &skipped), false);
+            last_replies(outs, &mut owed);
             recovered = entry.cid;
         }
+        // Replies of replayed batches went out before the restart; the
+        // cache answers a client that missed its last one.
+        self.reply_cache.extend(owed);
         if recovered > 0 {
             if let Some(obs) = &self.obs {
                 obs.recoveries.inc();
@@ -280,7 +294,7 @@ impl NodeCore {
                 self.node().0
             );
             self.stats.last_cid.store(recovered, Ordering::Relaxed);
-            self.consensus(now_us, replica::Input::InstallState(recovered), out);
+            self.consensus(now_us, replica::Input::InstallState(recovered, executed), out);
         }
     }
 
@@ -359,7 +373,7 @@ impl NodeCore {
         }
         for run in requests.chunk_by(|a, b| a.client == b.client) {
             let Some(last) = run.last() else { continue };
-            if self.replica.was_delivered(&last.id()) {
+            if self.replica.was_executed(&last.id()) {
                 continue;
             }
             // A faulty leader can name any client in a PROPOSE: past
@@ -396,8 +410,8 @@ impl NodeCore {
         match action {
             Action::Broadcast(msg) => out.push(Output::ToReplicas(SmrMsg::Consensus(msg))),
             Action::Send(to, msg) => out.push(Output::ToReplica(to, SmrMsg::Consensus(msg))),
-            Action::DeliverTentative { cid, batch } => {
-                let outs = self.app.execute_batch(cid, &batch, true);
+            Action::DeliverTentative { cid, batch, skipped } => {
+                let outs = self.app.execute_batch(cid, &executable(&batch, &skipped), true);
                 self.tentative_executed.insert(cid);
                 self.route(outs, out);
             }
@@ -406,21 +420,34 @@ impl NodeCore {
                 self.tentative_executed.remove(&cid);
                 self.route(outs, out);
             }
-            Action::Commit { cid, batch, proof } => {
+            Action::Commit {
+                cid,
+                batch,
+                proof,
+                skipped,
+                checkpoint,
+            } => {
+                // The log keeps the batch verbatim: the proof covers it.
+                // The executor runs what the sessions have not executed,
+                // the same requests on every replica.
                 self.log.append(cid, &batch, &proof);
                 if self.tentative_executed.remove(&cid) {
                     self.app.confirm(cid);
                 } else {
-                    let outs = self.app.execute_batch(cid, &batch, false);
+                    let outs = self.app.execute_batch(cid, &executable(&batch, &skipped), false);
                     self.route(outs, out);
                 }
                 self.stats.decided.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .executed_requests
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    .fetch_add((batch.len() - skipped.len()) as u64, Ordering::Relaxed);
+                self.stats
+                    .duplicates_skipped
+                    .fetch_add(skipped.len() as u64, Ordering::Relaxed);
                 self.stats.last_cid.store(cid, Ordering::Relaxed);
                 if let Some(obs) = &self.obs {
                     obs.commit_batch_len.record(batch.len() as u64);
+                    obs.duplicates_skipped.add(skipped.len() as u64);
                     for request in &batch.requests {
                         if let Some(&(seq, seen_us)) = self.request_seen.get(&request.client) {
                             if seq == request.seq {
@@ -430,8 +457,8 @@ impl NodeCore {
                         }
                     }
                 }
-                if cid % self.checkpoint_interval == 0 {
-                    let snapshot = self.app.snapshot();
+                if let Some(executed) = checkpoint {
+                    let snapshot = checkpoint_bytes(&executed, &self.app.snapshot());
                     self.log.checkpoint(cid, &snapshot);
                 }
                 out.push(Output::Committed {
@@ -579,29 +606,50 @@ impl NodeCore {
                 _ => return,
             }
         };
-        let base = checkpoint.as_ref().map_or(last_cid, |(cid, _)| *cid);
+        // The sessions' executed half continues from the checkpoint's,
+        // or from this replica's own.
+        let (base, executed, restore) = match checkpoint {
+            Some((cid, bytes)) => match split_checkpoint(&bytes) {
+                Ok((executed, snapshot)) => (cid, executed, Some((cid, bytes, snapshot))),
+                Err(_) => return,
+            },
+            None => (last_cid, self.replica.executed(), None),
+        };
         let entries = (base + 1..=need_up_to)
             .map(|cid| transfer.entries[&cid].clone())
             .collect();
-        self.finish_transfer(now_us, checkpoint, entries, need_up_to, out);
+        self.finish_transfer(now_us, restore, executed, entries, need_up_to, out);
     }
 
+    /// Installs the transferred state: the checkpoint (its cid, its
+    /// bytes, the application's part of them), if any, then the entries
+    /// after it, replayed into `executed` as they execute.
     fn finish_transfer(
         &mut self,
         now_us: u64,
-        checkpoint: Option<(u64, Bytes)>,
+        checkpoint: Option<(u64, Bytes, Bytes)>,
+        mut executed: Executed,
         entries: Vec<LogEntry>,
         reached: u64,
         out: &mut Vec<Output>,
     ) {
-        if let Some((cid, snapshot)) = checkpoint {
+        if let Some((cid, bytes, snapshot)) = checkpoint {
             self.app.restore(&snapshot);
-            self.log.checkpoint(cid, &snapshot);
+            self.log.checkpoint(cid, &bytes);
         }
+        let mut owed = BTreeMap::new();
         for entry in entries {
-            // Clients already hold these replies from the live replicas.
-            self.app.execute_batch(entry.cid, &entry.batch, false);
+            let skipped = executed.execute(&entry.batch);
+            let outs = self.app.execute_batch(entry.cid, &executable(&entry.batch, &skipped), false);
+            last_replies(outs, &mut owed);
             self.log.append(entry.cid, &entry.batch, &entry.proof);
+        }
+        // Clients hold most of these replies from the live replicas. The
+        // last one of each may be what it still waits for, and that
+        // request has executed here: answer it, and cache it.
+        for (client, (seq, payload)) in owed {
+            self.reply_cache.insert(client, (seq, payload.clone()));
+            out.push(Output::ToClient(client, SmrMsg::Reply { seq, payload }));
         }
         self.transfer = None;
         self.tentative_executed.clear();
@@ -618,6 +666,51 @@ impl NodeCore {
             "node {} finished state transfer at cid {reached}",
             self.node().0
         );
-        self.consensus(now_us, replica::Input::InstallState(reached), out);
+        self.consensus(now_us, replica::Input::InstallState(reached, executed), out);
     }
+}
+
+/// Records in `owed` the last reply to each client among `outs` (of a
+/// batch executed without routing its outputs).
+fn last_replies(outs: Vec<Outbound>, owed: &mut BTreeMap<ClientId, (u64, Bytes)>) {
+    for Outbound { dest, seq, payload } in outs {
+        if let Dest::Client(client) = dest {
+            if seq > 0 {
+                owed.insert(client, (seq, payload));
+            }
+        }
+    }
+}
+
+/// A checkpoint's bytes: the executed half of every session, then the
+/// application's snapshot.
+fn checkpoint_bytes(executed: &Executed, snapshot: &Bytes) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(executed.encoded_len() + snapshot.len());
+    executed.encode(&mut bytes);
+    bytes.extend_from_slice(snapshot.as_slice());
+    bytes
+}
+
+/// Splits a checkpoint into the sessions' executed half and the
+/// application's snapshot (a view of `checkpoint`, not a copy).
+fn split_checkpoint(checkpoint: &Bytes) -> Result<(Executed, Bytes), WireError> {
+    let mut reader = Reader::for_shared(checkpoint);
+    let executed = Executed::decode(&mut reader)?;
+    let snapshot = reader.take_view(reader.remaining())?;
+    Ok((executed, snapshot))
+}
+
+/// The requests of `batch` the executor runs: all but the ascending
+/// `skipped` positions.
+fn executable<'a>(batch: &'a Batch, skipped: &[usize]) -> Cow<'a, Batch> {
+    if skipped.is_empty() {
+        return Cow::Borrowed(batch);
+    }
+    let kept = batch
+        .requests
+        .iter()
+        .enumerate()
+        .filter(|(pos, _)| skipped.binary_search(pos).is_err())
+        .map(|(_, request)| request.clone());
+    Cow::Owned(Batch::new(kept.collect()))
 }

@@ -11,6 +11,7 @@
 //! | `smr.node.state_transfers`       | counter   | completed state transfers |
 //! | `smr.node.state_transfer_rounds` | counter   | StateRequest broadcast rounds |
 //! | `smr.node.recoveries`            | counter   | startups that replayed a durable log |
+//! | `smr.node.duplicates_skipped`    | counter   | decided requests not executed: their session had executed them |
 //! | `smr.client.invoke_us`           | histogram | synchronous invocation round-trip |
 //! | `smr.client.retransmits`         | counter   | request retransmissions |
 //! | `smr.client.invoke_timeouts`     | counter   | invocations that timed out |
@@ -34,6 +35,9 @@ pub struct NodeObs {
     pub state_transfer_rounds: Arc<Counter>,
     /// Startups that found and replayed a non-empty durable log.
     pub recoveries: Arc<Counter>,
+    /// Decided requests the executor skipped because their client's
+    /// session had already executed them.
+    pub duplicates_skipped: Arc<Counter>,
 }
 
 impl NodeObs {
@@ -45,6 +49,7 @@ impl NodeObs {
             state_transfers: registry.counter("smr.node.state_transfers"),
             state_transfer_rounds: registry.counter("smr.node.state_transfer_rounds"),
             recoveries: registry.counter("smr.node.recoveries"),
+            duplicates_skipped: registry.counter("smr.node.duplicates_skipped"),
         }
     }
 }

@@ -139,9 +139,9 @@ impl RuntimeOptions {
         .with_tentative_execution(self.tentative_execution)
         .with_batch_max(self.batch_max)
         .with_request_timeout_ms(self.request_timeout_ms)
-        .with_pipeline_depth(self.pipeline_depth);
+        .with_pipeline_depth(self.pipeline_depth)
+        .with_checkpoint_interval(self.checkpoint_interval);
         let mut config = NodeConfig::new(consensus);
-        config.checkpoint_interval = self.checkpoint_interval;
         config.registry = registry;
         config.flight = flight;
         config

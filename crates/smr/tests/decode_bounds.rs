@@ -10,14 +10,17 @@
 //! sequences — `Request` (windows, batches, forwards), `LogEntry` (state
 //! transfer) and `Vote` (decision proofs, write certificates) — and the
 //! two message enums every replica decodes from every frame:
-//! `ConsensusMsg`, every variant, and `SmrMsg`, every variant.
+//! `ConsensusMsg`, every variant, and `SmrMsg`, every variant. Plus the
+//! session table every checkpoint carries (a state transfer installs
+//! one that `f + 1` peers sent, a restart one read off the disk).
 
 use hlf_consensus::messages::{
     Batch, ConsensusMsg, DecisionProof, Request, SlotRebind, SlotReport, StopData, Vote, VotePhase,
 };
+use hlf_consensus::session::{Executed, Window};
 use hlf_crypto::ecdsa::SigningKey;
 use hlf_smr::wire::{LogEntry, SmrMsg};
-use hlf_wire::{decode_seq, encode_seq, Bytes, ClientId, Decode, Encode, NodeId, Reader, WireError};
+use hlf_wire::{decode_seq, encode_seq, from_bytes, to_bytes, Bytes, ClientId, Decode, Encode, NodeId, Reader, WireError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,4 +208,43 @@ fn sequences_of_untrusted_input_fail_typed_and_reserve_within_the_input() {
         SmrMsg::Subscribe,
     ];
     check("SmrMsg", frames);
+    check_session_checkpoints();
+}
+
+/// The executed half of the sessions, as a checkpoint carries it: a
+/// sequence of `(client, window)` pairs in ascending client order. The
+/// table above runs on its pairs (truncation, count bombs, bit flips:
+/// a window that is not canonical is a typed error); the table itself
+/// adds its order check. (Run from the test above: the allocation
+/// watcher is process-wide, so two tests at once would see each
+/// other's allocations.)
+fn check_session_checkpoints() {
+    let window = |seqs: &[u64]| {
+        let mut window = Window::default();
+        for &seq in seqs {
+            assert!(window.execute(seq));
+        }
+        window
+    };
+    let pairs = vec![
+        (ClientId(3), window(&[1, 2, 3])),
+        (ClientId(7), window(&[1, 5, 70, 200, 8000])),
+        (ClientId(9), Window::default()),
+    ];
+    check("session window", pairs.clone());
+
+    let requests = [(3, 1), (3, 2), (7, 5), (7, 1), (7, 300)]
+        .map(|(client, seq)| Request::new(ClientId(client), seq, Bytes::from_static(b"")));
+    let mut executed = Executed::default();
+    assert!(executed.execute(&Batch::new(requests.to_vec())).is_empty());
+    let bytes = to_bytes(&executed);
+    assert_eq!(from_bytes::<Executed>(&bytes), Ok(executed.clone()));
+    for cut in 0..bytes.len() {
+        assert_eq!(from_bytes::<Executed>(&bytes[..cut]), Err(WireError::UnexpectedEof), "cut at {cut}");
+    }
+    // The same pairs, clients descending: not the table of any replica.
+    let mut descending = Vec::new();
+    let listed = [ClientId(7), ClientId(3)];
+    encode_seq(&listed.map(|client| (client, executed.window(client).cloned().unwrap_or_default())), &mut descending);
+    assert_eq!(from_bytes::<Executed>(&descending), Err(WireError::InvalidValue("session table order")));
 }
