@@ -12,6 +12,7 @@ use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
 use hlf_crypto::sha256::{sha256, sha256_concat, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use hlf_wire::{ClientId, NodeId};
+use std::sync::{Arc, OnceLock};
 
 /// A client request: the unit the ordering service totally orders
 /// (an opaque Fabric envelope, from consensus's point of view).
@@ -74,16 +75,39 @@ fn len_prefix(len: usize) -> [u8; 4] {
 
 /// An ordered batch of requests — the value one consensus instance
 /// decides.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+///
+/// A batch caches its *leaves*, `sha256(payload)` of each request, the
+/// first time [`Batch::digest`] or [`Batch::leaves`] needs them. Clones
+/// share the cache; a decoded batch starts without one, so a replica
+/// hashes every payload it votes on itself. Mutating `requests` after
+/// the batch has been hashed is a logic error: build a new batch with
+/// [`Batch::new`] instead (nothing in this workspace does).
+#[derive(Clone, Default)]
 pub struct Batch {
     /// The requests, in proposal order.
     pub requests: Vec<Request>,
+    /// Behind a thin pointer, so the cache adds 16 bytes to a batch and
+    /// to every message that carries one.
+    leaves: OnceLock<Arc<Vec<Hash256>>>,
+}
+
+impl PartialEq for Batch {
+    fn eq(&self, other: &Batch) -> bool {
+        self.requests == other.requests
+    }
+}
+impl Eq for Batch {}
+
+impl std::fmt::Debug for Batch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Batch").field("requests", &self.requests).finish()
+    }
 }
 
 impl Batch {
     /// Creates a batch from requests.
     pub fn new(requests: Vec<Request>) -> Batch {
-        Batch { requests }
+        Batch { requests, leaves: OnceLock::new() }
     }
 
     /// An empty batch (used by the synchronization phase to conclude an
@@ -102,22 +126,37 @@ impl Batch {
         self.requests.len()
     }
 
+    /// `sha256(payload)` of every request, in order: computed from the
+    /// bytes this batch holds on first use, then kept with it.
+    pub fn leaves(&self) -> &[Hash256] {
+        self.leaves
+            .get_or_init(|| Arc::new(self.requests.iter().map(|r| sha256(&r.payload)).collect()))
+    }
+
+    /// A copy of the batch without its leaf cache, for anything that
+    /// outlives execution (the decision log, recent decisions).
+    pub fn without_leaves(&self) -> Batch {
+        Batch::new(self.requests.clone())
+    }
+
     /// Canonical digest of the batch (what WRITE/ACCEPT votes refer to).
     ///
-    /// It is `sha256("hlfbft/batch/v1" ‖ encode_seq(requests))`, hashed
-    /// as it is produced: each payload goes to the hasher as the view
-    /// it is, so no copy of the batch is built.
+    /// It is `sha256("hlfbft/batch/v2" ‖ n ‖ Σ client ‖ seq ‖ len ‖
+    /// leaf)`, each field in its wire encoding and `leaf` the request's
+    /// entry of [`Batch::leaves`]: every payload byte is hashed once per
+    /// batch value, and the ordering application cuts its blocks from
+    /// the same leaves.
     pub fn digest(&self) -> Hash256 {
         let mut digest = Digest::new();
-        digest.update(b"hlfbft/batch/v1");
+        digest.update(b"hlfbft/batch/v2");
         digest.update(&len_prefix(self.requests.len()));
-        for request in &self.requests {
-            let mut header = [0u8; 16];
-            header[..4].copy_from_slice(&request.client.0.to_le_bytes());
-            header[4..12].copy_from_slice(&request.seq.to_le_bytes());
-            header[12..].copy_from_slice(&len_prefix(request.payload.len()));
-            digest.update(&header);
-            digest.update(&request.payload);
+        for (request, leaf) in self.requests.iter().zip(self.leaves()) {
+            let mut entry = [0u8; 48];
+            entry[..4].copy_from_slice(&request.client.0.to_le_bytes());
+            entry[4..12].copy_from_slice(&request.seq.to_le_bytes());
+            entry[12..16].copy_from_slice(&len_prefix(request.payload.len()));
+            entry[16..].copy_from_slice(leaf.as_bytes());
+            digest.update(&entry);
         }
         digest.finalize()
     }
@@ -140,9 +179,7 @@ impl Encode for Batch {
 
 impl Decode for Batch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Batch {
-            requests: decode_seq(r)?,
-        })
+        Ok(Batch::new(decode_seq(r)?))
     }
 }
 
@@ -823,6 +860,23 @@ mod tests {
         assert!(Batch::empty().is_empty());
     }
 
+    /// Leaves are computed from the batch's own bytes, shared by its
+    /// clones, and neither kept by `without_leaves` nor decoded.
+    #[test]
+    fn leaves_are_local_shared_by_clones_and_never_decoded() {
+        let batch = sample_batch();
+        let hash = batch.digest();
+        let leaves: Vec<Hash256> = batch.requests.iter().map(|r| sha256(&r.payload)).collect();
+        assert_eq!(batch.leaves(), &leaves[..]);
+        let cached = batch.leaves.get().unwrap();
+        assert!(batch.clone().leaves.get().is_some_and(|shared| Arc::ptr_eq(shared, cached)));
+        assert!(batch.without_leaves().leaves.get().is_none());
+        let decoded: Batch = from_bytes(&to_bytes(&batch)).unwrap();
+        assert!(decoded.leaves.get().is_none());
+        assert_eq!(decoded.digest(), hash);
+        assert_eq!(decoded, batch);
+    }
+
     #[test]
     fn vote_sign_verify_and_domain_separation() {
         let (sk, vk) = keys(1);
@@ -1039,14 +1093,21 @@ mod tests {
             });
         }
 
-        /// The streamed digest is the digest of the materialised
-        /// encoding, so proofs and log records written before the
-        /// streaming still verify.
+        /// The streamed digest is the digest of the materialised v2
+        /// encoding: the request count, then each request's client, seq
+        /// and payload length in their wire encoding and the hash of its
+        /// payload.
         #[test]
         fn batch_digest_matches_materialised_encoding() {
             let materialised = |batch: &Batch| {
-                let mut bytes = b"hlfbft/batch/v1".to_vec();
-                encode_seq(&batch.requests, &mut bytes);
+                let mut bytes = b"hlfbft/batch/v2".to_vec();
+                (batch.requests.len() as u32).encode(&mut bytes);
+                for request in &batch.requests {
+                    request.client.encode(&mut bytes);
+                    request.seq.encode(&mut bytes);
+                    (request.payload.len() as u32).encode(&mut bytes);
+                    sha256(&request.payload).encode(&mut bytes);
+                }
                 sha256(&bytes)
             };
             assert_eq!(Batch::empty().digest(), materialised(&Batch::empty()));

@@ -1395,7 +1395,8 @@ impl Replica {
         let proposed_at = slot.as_ref().and_then(|s| s.proposed_at);
         let write_quorum_at = slot.as_ref().and_then(|s| s.write_quorum_at);
         let checkpoint = cid.is_multiple_of(self.cfg.checkpoint_interval).then(|| self.sessions.executed());
-        self.recent_decisions.push_back((cid, batch.clone(), proof.clone()));
+        // Kept past execution, so without the leaf cache.
+        self.recent_decisions.push_back((cid, batch.without_leaves(), proof.clone()));
         while self.recent_decisions.len() > RECENT_DECISIONS {
             self.recent_decisions.pop_front();
         }

@@ -9,6 +9,7 @@
 //! wall-clock `BatchTimeout` requires an *ordered* time trigger, as the
 //! reference implementation routes through consensus; see DESIGN.md.)
 
+use hlf_crypto::sha256::{sha256, Hash256};
 use hlf_wire::Bytes;
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Encode, Reader, WireError};
 
@@ -20,9 +21,13 @@ pub enum CutReason {
     Size,
     /// The next envelope would have exceeded the byte cap.
     Bytes,
+    /// A deterministic flush point took whatever was buffered
+    /// ([`BlockCutter::drain`]).
+    Flush,
 }
 
-/// A cut block's envelopes plus the reason the cut happened.
+/// A cut block's envelopes, their leaves, and the reason the cut
+/// happened.
 ///
 /// Dereferences to the envelope slice, so existing `cut.len()` /
 /// iteration call sites keep working.
@@ -30,15 +35,12 @@ pub enum CutReason {
 pub struct Cut {
     /// The envelopes, in stream order.
     pub envelopes: Vec<Bytes>,
+    /// `sha256` of each envelope, in the same order: what
+    /// [`hlf_fabric::block::Block::from_leaves`] builds the data hash
+    /// from.
+    pub leaves: Vec<Hash256>,
     /// What triggered the cut.
     pub reason: CutReason,
-}
-
-impl Cut {
-    /// Consumes the cut, returning just the envelopes.
-    pub fn into_envelopes(self) -> Vec<Bytes> {
-        self.envelopes
-    }
 }
 
 impl std::ops::Deref for Cut {
@@ -79,6 +81,9 @@ pub struct BlockCutter {
     /// Byte cap: a block is cut early rather than exceed this.
     max_block_bytes: usize,
     buffer: Vec<Bytes>,
+    /// `sha256` of each buffered envelope. Local: a snapshot carries
+    /// only the envelopes, and a restore hashes them again.
+    leaves: Vec<Hash256>,
     buffered_bytes: usize,
 }
 
@@ -94,6 +99,7 @@ impl BlockCutter {
             block_size,
             max_block_bytes,
             buffer: Vec::with_capacity(block_size),
+            leaves: Vec::with_capacity(block_size),
             buffered_bytes: 0,
         }
     }
@@ -108,42 +114,44 @@ impl BlockCutter {
         self.block_size
     }
 
-    /// Adds one ordered envelope; returns a full block's envelopes when
-    /// the addition completes a block, tagged with the [`CutReason`].
+    /// Adds one ordered envelope, hashing it for its leaf; see
+    /// [`BlockCutter::push_hashed`].
+    pub fn push(&mut self, envelope: Bytes) -> Option<Cut> {
+        let leaf = sha256(&envelope);
+        self.push_hashed(envelope, leaf)
+    }
+
+    /// Adds one ordered envelope whose leaf, `sha256(envelope)`, the
+    /// caller computed from the same bytes; returns a full block's
+    /// envelopes when the addition completes a block, tagged with the
+    /// [`CutReason`].
     ///
     /// An envelope that would push the buffer past `max_block_bytes`
     /// first cuts the buffered envelopes (if any), then starts the next
     /// block — mirroring Fabric's `PreferredMaxBytes` behaviour, and
     /// still a pure function of the stream.
-    pub fn push(&mut self, envelope: Bytes) -> Option<Cut> {
+    pub fn push_hashed(&mut self, envelope: Bytes, leaf: Hash256) -> Option<Cut> {
         let overflow = !self.buffer.is_empty()
             && self.buffered_bytes + envelope.len() > self.max_block_bytes;
-        if overflow {
-            let envelopes = self.drain();
-            self.buffered_bytes = envelope.len();
-            self.buffer.push(envelope);
-            return Some(Cut {
-                envelopes,
-                reason: CutReason::Bytes,
-            });
-        }
+        let cut = overflow.then(|| Cut { reason: CutReason::Bytes, ..self.drain() });
         self.buffered_bytes += envelope.len();
         self.buffer.push(envelope);
-        if self.buffer.len() >= self.block_size {
-            Some(Cut {
-                envelopes: self.drain(),
-                reason: CutReason::Size,
-            })
-        } else {
-            None
+        self.leaves.push(leaf);
+        if cut.is_some() || self.buffer.len() < self.block_size {
+            return cut;
         }
+        Some(Cut { reason: CutReason::Size, ..self.drain() })
     }
 
     /// Cuts whatever is buffered (used by deterministic flush points
     /// and snapshots).
-    pub fn drain(&mut self) -> Vec<Bytes> {
+    pub fn drain(&mut self) -> Cut {
         self.buffered_bytes = 0;
-        std::mem::take(&mut self.buffer)
+        Cut {
+            envelopes: std::mem::take(&mut self.buffer),
+            leaves: std::mem::take(&mut self.leaves),
+            reason: CutReason::Flush,
+        }
     }
 
     /// Serializes the cutter's replicated state (checkpointing:
@@ -155,21 +163,23 @@ impl BlockCutter {
         out
     }
 
-    /// Restores the cutter's replicated state from a snapshot.
+    /// Restores the cutter's replicated state from a snapshot, hashing
+    /// each buffered envelope for its leaf.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] for malformed snapshots.
     pub fn restore(&mut self, snapshot: &mut Reader<'_>) -> Result<(), WireError> {
         self.buffer = decode_seq(snapshot)?;
+        self.leaves = self.buffer.iter().map(|envelope| sha256(envelope)).collect();
         self.buffered_bytes = self.buffer.iter().map(Bytes::len).sum();
         Ok(())
     }
 }
 
 // lint:allow(codec): snapshot-only encoding — the decode direction is
-// `restore()`, which rebuilds `buffered_bytes` in place instead of
-// constructing a fresh value.
+// `restore()`, which rebuilds `buffered_bytes` and the leaves in place
+// instead of constructing a fresh value.
 impl Encode for BlockCutter {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_seq(&self.buffer, out);
@@ -237,6 +247,7 @@ mod tests {
         cutter.push(env(2));
         let cut = cutter.drain();
         assert_eq!(cut.len(), 2);
+        assert_eq!(cut.reason, CutReason::Flush);
         assert_eq!(cutter.pending(), 0);
         assert!(cutter.drain().is_empty());
     }
@@ -287,20 +298,32 @@ mod tests {
 
         const CASES: u64 = 64;
 
-        /// No envelope is lost or duplicated by cutting.
+        /// No envelope is lost or duplicated by cutting, and every cut
+        /// carries each envelope's own leaf, whichever way it came in.
         #[test]
         fn conservation() {
             for_each_case(0xc077_0001, CASES, |rng| {
                 let sizes = rng.vec(1..100, |r| r.next_in(1..200));
                 let mut cutter = BlockCutter::new(rng.next_in(1..20), 500);
                 let mut out = Vec::new();
+                let mut take = |cut: Cut| {
+                    let leaves: Vec<Hash256> = cut.iter().map(|e| sha256(e)).collect();
+                    assert_eq!(cut.leaves, leaves);
+                    out.extend(cut);
+                };
                 for (i, len) in sizes.iter().enumerate() {
                     let envelope = Bytes::from(vec![i as u8; *len]);
-                    if let Some(cut) = cutter.push(envelope) {
-                        out.extend(cut);
+                    let cut = if rng.next_range(2) == 0 {
+                        cutter.push(envelope)
+                    } else {
+                        let leaf = sha256(&envelope);
+                        cutter.push_hashed(envelope, leaf)
+                    };
+                    if let Some(cut) = cut {
+                        take(cut);
                     }
                 }
-                out.extend(cutter.drain());
+                take(cutter.drain());
                 assert_eq!(out.len(), sizes.len());
                 for (i, envelope) in out.iter().enumerate() {
                     assert_eq!(envelope.len(), sizes[i]);
@@ -359,6 +382,7 @@ mod tests {
                 let mut reader = Reader::new(&out);
                 restored.restore(&mut reader).unwrap();
                 assert_eq!(restored.buffer, cutter.buffer);
+                assert_eq!(restored.leaves, cutter.leaves);
                 assert_eq!(restored.buffered_bytes, cutter.buffered_bytes);
             });
         }

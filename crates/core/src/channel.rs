@@ -4,15 +4,47 @@
 //! "gathers envelopes from all channels in the network, orders them
 //! using atomic broadcast, and creates signed chain blocks" (paper §3,
 //! step 4) — one hash chain per channel. The ordering nodes never look
-//! inside an envelope, but they must know which chain it extends, so
-//! frontends prepend a small channel tag that the ordering node strips
-//! before block cutting.
+//! inside an envelope, but they must know which chain it extends, so a
+//! frontend prepends a small channel tag ([`channel_payload`]) that the
+//! ordering node strips before block cutting ([`untag_envelope`]).
+//!
+//! The [`SYSTEM_CHANNEL`] needs no tag: an envelope on it travels
+//! untagged, unless its first byte is the tag's magic byte and it could
+//! be read as a tag. An untagged payload *is* the envelope, so the hash
+//! each replica takes of the payload when it votes on the batch is the
+//! envelope's leaf in the block's data hash too (DESIGN.md, "Hash
+//! once").
 
 use hlf_wire::Bytes;
 use hlf_fabric::block::SYSTEM_CHANNEL;
 use hlf_wire::{Decode, Encode, Reader, MAX_LEN};
 
-const TAG_MAGIC: u8 = 0xC7;
+/// The first byte of a channel tag.
+pub const TAG_MAGIC: u8 = 0xC7;
+
+/// The request payload that carries `envelope` on `channel`: the
+/// envelope itself on the [`SYSTEM_CHANNEL`] when its first byte is not
+/// the tag's magic byte, otherwise the envelope behind its channel tag.
+/// [`untag_envelope`] maps either back to `(channel, envelope)`.
+///
+/// # Examples
+///
+/// ```
+/// use hlf_wire::Bytes;
+/// use ordering_core::channel::{channel_payload, untag_envelope};
+///
+/// let plain = Bytes::from_static(b"envelope bytes");
+/// let payload = channel_payload("system", plain.clone());
+/// assert_eq!(payload, plain);
+/// assert_eq!(untag_envelope(&payload), ("system", plain));
+/// ```
+pub fn channel_payload(channel: &str, envelope: Bytes) -> Bytes {
+    if channel == SYSTEM_CHANNEL && envelope.first() != Some(&TAG_MAGIC) {
+        envelope
+    } else {
+        tag_envelope(channel, &envelope)
+    }
+}
 
 /// Wraps an envelope with its channel tag.
 ///
@@ -40,7 +72,11 @@ pub fn tag_envelope(channel: &str, envelope: &[u8]) -> Bytes {
 ///
 /// Untagged (or corrupt) payloads deterministically map to the
 /// [`SYSTEM_CHANNEL`] with their bytes unchanged, so raw submitters
-/// (benchmark drivers, the WAN simulator) interoperate.
+/// (benchmark drivers, the WAN simulator) interoperate. The returned
+/// envelope is then `bytes` itself, the same view, and the only case
+/// where it is as long as `bytes` (a tag takes at least five bytes): a
+/// caller holding `sha256(bytes)` holds the envelope's hash exactly
+/// when the lengths agree.
 pub fn untag_envelope(bytes: &Bytes) -> (&str, Bytes) {
     match tagged_channel(bytes) {
         Some((channel, offset)) => (channel, bytes.slice(offset..)),
@@ -105,6 +141,22 @@ mod tests {
         let (channel, payload) = untag_envelope(&tagged);
         assert_eq!(channel, "ch");
         assert!(payload.is_empty());
+    }
+
+    #[test]
+    fn system_envelopes_go_untagged_unless_they_start_like_a_tag() {
+        let plain = Bytes::from_static(b"plain envelope");
+        let weird = Bytes::from(vec![TAG_MAGIC; 9]);
+        let payload = channel_payload(SYSTEM_CHANNEL, plain.clone());
+        // The payload is the envelope itself: the same view, no copy.
+        assert!(payload.shares_storage_with(&plain) && payload == plain);
+        assert_eq!(channel_payload(SYSTEM_CHANNEL, weird.clone()), tag_envelope(SYSTEM_CHANNEL, &weird));
+        assert_eq!(channel_payload("ch", plain.clone()), tag_envelope("ch", &plain));
+        assert_eq!(channel_payload(SYSTEM_CHANNEL, Bytes::default()), Bytes::default());
+        for envelope in [plain, weird, Bytes::default()] {
+            let payload = channel_payload(SYSTEM_CHANNEL, envelope.clone());
+            assert_eq!(untag_envelope(&payload), (SYSTEM_CHANNEL, envelope));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! With verification enabled (paper footnote 8), `f + 1` copies
 //! suffice.
 
-use crate::channel::tag_envelope;
+use crate::channel::channel_payload;
 use crate::collector::BlockCollector;
 use hlf_wire::Bytes;
 use hlf_fabric::block::{Block, SYSTEM_CHANNEL};
@@ -103,7 +103,9 @@ impl Frontend {
         self.collector.stats()
     }
 
-    /// Relays an opaque envelope on the default [`SYSTEM_CHANNEL`].
+    /// Relays an opaque envelope on the default [`SYSTEM_CHANNEL`],
+    /// untagged unless its first byte could start a channel tag
+    /// ([`channel_payload`]).
     ///
     /// The envelope joins the proxy's request window
     /// ([`ServiceProxy::invoke_async`]) and leaves with it: when the
@@ -121,8 +123,7 @@ impl Frontend {
     /// own hash chain of blocks.
     pub fn submit_to_channel(&mut self, channel: &str, envelope: impl Into<Bytes>) {
         self.collector.count_submitted();
-        let tagged = tag_envelope(channel, &envelope.into());
-        let seq = self.proxy.invoke_async(tagged);
+        let seq = self.proxy.invoke_async(channel_payload(channel, envelope.into()));
         if let Some(flight) = &self.flight {
             let id = self.id().0;
             flight.record_now(EventKind::Submit, hlf_obs::trace_id(id, seq), id as u64, seq);
@@ -258,6 +259,31 @@ mod tests {
         replica
             .send(PeerId::client(50), Bytes::from(hlf_wire::to_bytes(&msg)))
             .unwrap();
+    }
+
+    /// What the frontend sends for a plain system-channel envelope is
+    /// the envelope itself; one whose first byte is the tag's magic byte
+    /// goes behind a tag. Both untag to the envelope on the system
+    /// channel.
+    #[test]
+    fn system_envelopes_travel_untagged_unless_they_start_like_a_tag() {
+        use crate::channel::{tag_envelope, untag_envelope, TAG_MAGIC};
+        use hlf_smr::wire::SmrMsg;
+        let (mut frontend, replicas, _n) = fixture(DeliveryPolicy::MatchOnly, 4, 1);
+        let plain = Bytes::from_static(b"plain envelope");
+        let weird = Bytes::from(vec![TAG_MAGIC; 9]);
+        frontend.submit(plain.clone());
+        frontend.submit(weird.clone());
+        frontend.flush();
+        let (_, frame) = replicas[0].recv_timeout(Duration::from_secs(2)).unwrap();
+        let Ok(SmrMsg::Requests(requests)) = hlf_wire::from_bytes(&frame) else {
+            panic!("expected one window of requests");
+        };
+        let payloads: Vec<Bytes> = requests.into_iter().map(|request| request.payload).collect();
+        assert_eq!(payloads, [plain.clone(), tag_envelope(SYSTEM_CHANNEL, &weird)]);
+        for (payload, envelope) in payloads.iter().zip([plain, weird]) {
+            assert_eq!(untag_envelope(payload), (SYSTEM_CHANNEL, envelope));
+        }
     }
 
     #[test]

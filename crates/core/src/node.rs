@@ -2,7 +2,7 @@
 //! turns the totally ordered envelope stream into signed blocks
 //! (paper §5.1, "Ordering Nodes" side of Figure 5).
 
-use crate::blockcutter::{BlockCutter, CutReason};
+use crate::blockcutter::{BlockCutter, Cut, CutReason};
 use crate::channel::untag_envelope;
 use crate::obs::CutterObs;
 use hlf_wire::Bytes;
@@ -241,17 +241,26 @@ impl OrderingNodeApp {
             .unwrap_or(0)
     }
 
-    /// Chains `envelopes` into the next block on `channel` and hands it
-    /// to the block sink.
+    /// Chains `cut` into the next block on `channel` and hands it to the
+    /// block sink.
     fn seal_block(
         chain: &mut ChainState,
         channel: &str,
-        envelopes: Vec<Bytes>,
+        cut: Cut,
         sink: &mut dyn FnMut(Block),
         stats: &OrderingNodeStats,
+        obs: Option<&CutterObs>,
     ) {
-        let block =
-            Block::build_in_channel(channel, chain.next_number, chain.prev_hash, envelopes);
+        if let Some(obs) = obs {
+            let reason = match cut.reason {
+                CutReason::Size => &obs.cut_size,
+                CutReason::Bytes => &obs.cut_bytes,
+                CutReason::Flush => &obs.cut_batch_end,
+            };
+            obs.record_cut(reason, cut.len(), chain.cutter.block_size());
+        }
+        let (number, prev) = (chain.next_number, chain.prev_hash);
+        let block = Block::from_leaves(channel, number, prev, cut.envelopes, &cut.leaves);
         chain.prev_hash = block.header_hash();
         chain.next_number += 1;
         stats.blocks_cut.fetch_add(1, Ordering::Relaxed);
@@ -267,7 +276,9 @@ impl Application for OrderingNodeApp {
                 chains: self.chains.clone(),
             });
         }
-        for request in &batch.requests {
+        // Each payload's leaf, hashed when the batch was digested (or
+        // now, for a batch that never was).
+        for (request, leaf) in batch.requests.iter().zip(batch.leaves()) {
             self.stats.envelopes_ordered.fetch_add(1, Ordering::Relaxed);
             let (channel, envelope) = untag_envelope(&request.payload);
             // Looked up by the borrowed name: only a new channel
@@ -279,44 +290,26 @@ impl Application for OrderingNodeApp {
             let Some(chain) = self.chains.get_mut(channel) else {
                 continue; // inserted just above
             };
-            if let Some(cut) = chain.cutter.push(envelope) {
-                if let Some(obs) = &self.cutter_obs {
-                    let reason = match cut.reason {
-                        CutReason::Size => &obs.cut_size,
-                        CutReason::Bytes => &obs.cut_bytes,
-                    };
-                    obs.record_cut(reason, cut.len(), chain.cutter.block_size());
-                }
-                Self::seal_block(
-                    chain,
-                    channel,
-                    cut.into_envelopes(),
-                    &mut *self.sink,
-                    &self.stats,
-                );
+            // An untagged payload is its envelope, so its leaf is the
+            // envelope's; a tagged one is hashed again without its tag.
+            let cut = if envelope.len() == request.payload.len() {
+                chain.cutter.push_hashed(envelope, *leaf)
+            } else {
+                chain.cutter.push(envelope)
+            };
+            if let Some(cut) = cut {
+                let obs = self.cutter_obs.as_ref();
+                Self::seal_block(chain, channel, cut, &mut *self.sink, &self.stats, obs);
             }
         }
         if self.config.flush_on_batch_end {
             // Deterministic flush: batch boundaries are the same at
             // every replica, so partial blocks still match.
-            let channels: Vec<String> = self
-                .chains
-                .iter()
-                .filter(|(_, chain)| chain.cutter.pending() > 0)
-                .map(|(channel, _)| channel.clone())
-                .collect();
-            for channel in channels {
-                #[expect(clippy::expect_used, reason = "`channels` was collected from this map's own keys")]
-                let chain = self.chains.get_mut(&channel).expect("channel exists");
-                let envelopes = chain.cutter.drain();
-                if let Some(obs) = &self.cutter_obs {
-                    obs.record_cut(
-                        &obs.cut_batch_end,
-                        envelopes.len(),
-                        chain.cutter.block_size(),
-                    );
+            for (channel, chain) in &mut self.chains {
+                if chain.cutter.pending() > 0 {
+                    let (cut, obs) = (chain.cutter.drain(), self.cutter_obs.as_ref());
+                    Self::seal_block(chain, channel, cut, &mut *self.sink, &self.stats, obs);
                 }
-                Self::seal_block(chain, &channel, envelopes, &mut *self.sink, &self.stats);
             }
         }
         // Blocks leave through the sink (custom replier); execution
@@ -488,6 +481,117 @@ mod tests {
         app.execute_batch(2, &batch(2, 12), false);
         let sizes: Vec<usize> = blocks.try_iter().map(|b| b.envelopes.len()).collect();
         assert_eq!(sizes, vec![10, 2]);
+    }
+
+    /// Seeded property loops (see `hlf_simnet::for_each_case`).
+    mod properties {
+        use super::*;
+        use crate::channel::{channel_payload, TAG_MAGIC};
+        use hlf_fabric::block::SYSTEM_CHANNEL;
+        use hlf_simnet::{for_each_case, SimRng};
+
+        /// One random envelope and the channel it goes on: a raw
+        /// system-channel envelope, one whose first byte is the tag's
+        /// magic byte (so it travels tagged), or one on another channel.
+        fn envelope(rng: &mut SimRng) -> (&'static str, Bytes) {
+            let mut bytes = rng.bytes(0..300);
+            match rng.next_range(3) {
+                0 => {
+                    if bytes.first() == Some(&TAG_MAGIC) {
+                        bytes[0] = 0;
+                    }
+                    (SYSTEM_CHANNEL, Bytes::from(bytes))
+                }
+                1 => {
+                    bytes.insert(0, TAG_MAGIC);
+                    (SYSTEM_CHANNEL, Bytes::from(bytes))
+                }
+                _ => (["ch-a", "ch-b"][rng.next_range(2) as usize], Bytes::from(bytes)),
+            }
+        }
+
+        /// Every block the application builds from a batch's leaves has
+        /// the data hash `Block::data_hash` computes from its envelope
+        /// bytes, and each channel's blocks chain and hold exactly that
+        /// channel's envelopes in order. Batches arrive digested (leaves
+        /// cached) or not, some with skipped requests (the owned copy
+        /// the executor builds), through cutter carry-over across
+        /// batches, snapshot/restore in the middle of a block and WHEAT
+        /// rollbacks.
+        #[test]
+        fn blocks_built_from_leaves_match_their_envelope_bytes() {
+            for_each_case(0x1eaf_0001, 64, |rng| {
+                let config = config(rng.next_in(1..6)).with_flush_on_batch_end(rng.next_range(3) == 0);
+                let (tx, blocks) = channel();
+                let app_on = |tx: &std::sync::mpsc::Sender<Block>| {
+                    let tx = tx.clone();
+                    OrderingNodeApp::new(config.clone(), move |block| {
+                        let _ = tx.send(block);
+                    })
+                };
+                let mut app = app_on(&tx);
+                // Per channel: envelopes executed for good, and the blocks
+                // kept (a rolled-back execution's blocks are discarded,
+                // as a frontend discards them).
+                let mut expected: BTreeMap<&str, Vec<Bytes>> = BTreeMap::new();
+                let mut kept: Vec<Block> = Vec::new();
+                let mut seq = 0u64;
+                for cid in 1..=rng.next_in(1..12) as u64 {
+                    let envelopes = rng.vec(1..9, envelope);
+                    let requests = envelopes.iter().map(|(channel, envelope)| {
+                        seq += 1;
+                        Request::new(ClientId(1), seq, channel_payload(channel, envelope.clone()))
+                    });
+                    let mut batch = Batch::new(requests.collect());
+                    let mut executed = envelopes;
+                    if rng.next_range(2) == 0 {
+                        batch.digest();
+                    }
+                    if rng.next_range(4) == 0 {
+                        // Skipped requests: the executor runs a copy that
+                        // holds the rest and no leaves.
+                        let skip = rng.next_in(0..batch.len());
+                        let mut rest = batch.requests.clone();
+                        rest.remove(skip);
+                        executed.remove(skip);
+                        batch = Batch::new(rest);
+                    }
+                    match rng.next_range(5) {
+                        0 => {
+                            app.execute_batch(cid, &batch, true);
+                            blocks.try_iter().for_each(drop);
+                            app.rollback(cid);
+                            continue;
+                        }
+                        1 => {
+                            let snapshot = app.snapshot();
+                            app = app_on(&tx);
+                            app.restore(&snapshot);
+                        }
+                        _ => {}
+                    }
+                    app.execute_batch(cid, &batch, false);
+                    kept.extend(blocks.try_iter());
+                    for (channel, envelope) in executed {
+                        expected.entry(channel).or_default().push(envelope);
+                    }
+                }
+                for block in &kept {
+                    assert_eq!(block.header.data_hash, Block::data_hash(&block.envelopes));
+                }
+                for (channel, envelopes) in expected {
+                    let mut prev = Hash256::ZERO;
+                    let mut cut = Vec::new();
+                    for block in kept.iter().filter(|b| b.header.channel == channel) {
+                        assert_eq!(block.header.prev_hash, prev, "{channel} chain broken");
+                        prev = block.header_hash();
+                        cut.extend(block.envelopes.iter().cloned());
+                    }
+                    assert_eq!(cut.len() + app.pending_on(channel), envelopes.len(), "{channel}");
+                    assert_eq!(cut[..], envelopes[..cut.len()], "{channel}: envelopes differ");
+                }
+            });
+        }
     }
 
     #[test]

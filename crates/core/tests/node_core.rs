@@ -43,6 +43,12 @@ impl SimMessage for Frame {
     }
 }
 
+/// What a peer receives of `msg`: its decoding, as off a socket, so
+/// every batch arrives without the sender's leaf cache.
+fn over_the_wire(msg: &SmrMsg) -> SmrMsg {
+    hlf_wire::from_bytes(&hlf_wire::to_bytes(msg)).expect("a sent message decodes")
+}
+
 /// One node as a simulation actor, recording what it emits.
 struct Node {
     core: NodeCore,
@@ -62,6 +68,8 @@ struct Node {
     replies: Vec<(u32, u64, Bytes)>,
     /// `(cid, batch digest)` of every commit, in order.
     commits: Vec<(u64, u64)>,
+    /// While set, the ACCEPT votes it broadcasts are lost.
+    drop_accepts: bool,
 }
 
 impl Node {
@@ -83,12 +91,15 @@ impl Node {
                     if let SmrMsg::Consensus(ConsensusMsg::Propose { batch, .. }) = &msg {
                         self.proposes.push(batch.len());
                     }
+                    if self.drop_accepts && matches!(msg, SmrMsg::Consensus(ConsensusMsg::Accept(_))) {
+                        continue;
+                    }
                     let me = ctx.self_id();
                     for to in (0..N).filter(|&to| to != me) {
-                        ctx.send(to, Frame(msg.clone()));
+                        ctx.send(to, Frame(over_the_wire(&msg)));
                     }
                 }
-                Output::ToReplica(to, msg) => ctx.send(to.as_usize(), Frame(msg)),
+                Output::ToReplica(to, msg) => ctx.send(to.as_usize(), Frame(over_the_wire(&msg))),
                 Output::ToClient(client, SmrMsg::Reply { seq, payload }) => {
                     self.replies.push((client.0, seq, payload));
                 }
@@ -126,20 +137,30 @@ struct Net {
 impl Net {
     /// Four ordering nodes.
     fn new() -> Net {
-        Net::with_apps(|options, i, keys| {
+        Net::with_apps(Net::options(), |options, i, keys| {
             Box::new(OrderingNodeApp::new(options.app_config(i, keys, None, None), |_| {}))
         })
     }
 
     /// Four replicated counters.
     fn counters() -> Net {
-        Net::with_apps(|_, _, _| Box::new(CounterApp::new()))
+        Net::with_apps(Net::options(), |_, _, _| Box::new(CounterApp::new()))
     }
 
-    fn with_apps(app: impl Fn(&ServiceOptions, usize, &ClusterKeys) -> Box<dyn Application>) -> Net {
-        let options = ServiceOptions::new(1)
-            .with_block_size(2)
-            .with_request_timeout_ms(200);
+    /// Four replicated counters that execute tentatively (WHEAT's
+    /// delivery at the WRITE quorum, on classic quorums).
+    fn tentative_counters() -> Net {
+        Net::with_apps(Net::options().with_tentative(true), |_, _, _| Box::new(CounterApp::new()))
+    }
+
+    fn options() -> ServiceOptions {
+        ServiceOptions::new(1).with_block_size(2).with_request_timeout_ms(200)
+    }
+
+    fn with_apps(
+        options: ServiceOptions,
+        app: impl Fn(&ServiceOptions, usize, &ClusterKeys) -> Box<dyn Application>,
+    ) -> Net {
         let runtime = options
             .runtime_options()
             .with_checkpoint_interval(CHECKPOINT_EVERY);
@@ -157,6 +178,7 @@ impl Net {
                 proposes: Vec::new(),
                 replies: Vec::new(),
                 commits: Vec::new(),
+                drop_accepts: false,
             }));
         }
         Net { sim }
@@ -220,6 +242,50 @@ impl Net {
         (0..N)
             .flat_map(|node| self.node(node).state_requests.iter().map(move |&cid| (node, cid)))
             .collect()
+    }
+
+    /// Loses (`true`) or delivers every ACCEPT vote from now on.
+    fn drop_accepts(&mut self, drop: bool) {
+        for node in 0..N {
+            self.sim.actor_mut(node).drop_accepts = drop;
+        }
+    }
+
+    /// Forces a STOP for `regency` at this point of the schedule: every
+    /// reachable replica hears it from `f + 1` peers, so each joins as
+    /// if its own request timer had run out now. Nothing is delivered
+    /// yet.
+    fn force_stop(&mut self, regency: u32) {
+        for node in self.reachable() {
+            for from in (0..N).filter(|&peer| peer != node).take(2) {
+                let stop = SmrMsg::Consensus(ConsensusMsg::Stop { regency });
+                self.input(node, Input::Frame(PeerId::Replica(from as u32), stop));
+            }
+        }
+    }
+
+    /// Ticks, and has the client retransmit seqs `1..=last` now and
+    /// then, until every reachable replica's counter has executed them
+    /// all (or a deadline passes).
+    fn settle(&mut self, last: u64) {
+        for round in 0..200 {
+            if self.reachable().iter().all(|&node| counter(self, node) >= last * 8) {
+                return;
+            }
+            if round % 5 == 4 {
+                let window: Vec<Request> = (1..=last).map(|seq| request(CLIENT, seq)).collect();
+                self.send_window(CLIENT, &window);
+            }
+            self.tick(100_000);
+        }
+    }
+
+    /// Every reachable replica executed each of seqs `1..=last` exactly
+    /// once.
+    fn assert_executed_once(&self, last: u64) {
+        for node in self.reachable() {
+            assert_eq!(counter(self, node), last * 8, "replica {node} executed a request twice or missed one");
+        }
     }
 
     /// Moves the clock forward and ticks every reachable replica.
@@ -498,4 +564,101 @@ fn request_decided_again_after_a_transfer_and_a_regency_executes_once() {
         assert_eq!(counter(&net, node), 4 * 8, "replica {node} executed a request twice or missed one");
         assert_eq!(net.node(node).core.stats().duplicates_skipped(), 1, "replica {node}");
     }
+}
+
+/// Forced STOP before PROPOSE (seeded 2 % loss): the window of seqs 2
+/// and 3 reaches the followers but not the leader, and every timer runs
+/// out before the leader hears of it. Replica 1 leads regency 1 and
+/// orders the window from its pool; the leader's late copy, and every
+/// retransmission, executes nowhere again.
+#[test]
+fn forced_stop_before_propose_executes_each_request_once() {
+    let mut net = Net::counters();
+    net.sim.set_seed(0x5709_0001);
+    net.sim.set_faults(FaultPlan::none().drop_probability(0.02));
+    net.submit(1);
+    let window = SmrMsg::Requests(vec![request(CLIENT, 2), request(CLIENT, 3)]);
+    for node in 1..N {
+        net.input(node, Input::Frame(PeerId::Client(CLIENT), window.clone()));
+    }
+    net.force_stop(1);
+    net.sim.run();
+    net.input(0, Input::Frame(PeerId::Client(CLIENT), window));
+    net.sim.run();
+    net.settle(3);
+    net.assert_executed_once(3);
+}
+
+/// Forced STOP between WRITE and ACCEPT: every replica has written the
+/// window of seqs 2 and 3 (its ACCEPT votes are lost), none has decided
+/// it. The new leader re-binds the written value from the STOP-DATA it
+/// collects, and each replica digests the rebind it decodes from the
+/// SYNC afresh.
+#[test]
+fn forced_stop_between_write_and_accept_executes_each_request_once() {
+    let mut net = Net::counters();
+    net.sim.set_seed(0x5709_0002);
+    net.submit(1);
+    net.drop_accepts(true);
+    net.send_window(CLIENT, &[request(CLIENT, 2), request(CLIENT, 3)]);
+    net.sim.run();
+    assert!((0..N).all(|node| net.last_cid(node) == 1 && counter(&net, node) == 8));
+    net.drop_accepts(false);
+    net.force_stop(1);
+    net.sim.run();
+    net.settle(3);
+    net.assert_executed_once(3);
+    assert!((0..N).all(|node| net.last_cid(node) == 2), "the written value was not re-bound");
+}
+
+/// Forced STOP after a tentative delivery: every replica has executed
+/// the window of seqs 2 and 3 at its WRITE quorum, none has decided it.
+/// Regency 1 re-binds the same value, so the commit confirms the
+/// tentative execution instead of running it again.
+#[test]
+fn forced_stop_after_a_tentative_delivery_executes_each_request_once() {
+    let mut net = Net::tentative_counters();
+    net.sim.set_seed(0x5709_0003);
+    net.submit(1);
+    net.drop_accepts(true);
+    net.send_window(CLIENT, &[request(CLIENT, 2), request(CLIENT, 3)]);
+    net.sim.run();
+    assert!((0..N).all(|node| net.last_cid(node) == 1 && counter(&net, node) == 3 * 8));
+    net.drop_accepts(false);
+    net.force_stop(1);
+    net.sim.run();
+    net.settle(3);
+    net.assert_executed_once(3);
+    assert!((0..N).all(|node| net.last_cid(node) == 2));
+}
+
+/// Forced STOP during a state transfer: replica 3 misses 40 decisions,
+/// so its peers have pruned what it would need, though the client's
+/// copies of the last three still reach it and wait in its pool. A
+/// first forced STOP's SYNC tells it how far behind it is; a second
+/// STOP, to regency 3, which replica 3 leads, lands while its state
+/// request is still unanswered. It ends with the same count as its
+/// peers.
+#[test]
+fn forced_stop_during_a_state_transfer_executes_each_request_once() {
+    let mut net = Net::counters();
+    net.sim.set_seed(0x5709_0004);
+    net.submit(1);
+    net.set_links(3, false);
+    for seq in 2..=41 {
+        if seq >= 39 {
+            net.input(3, Input::Frame(PeerId::Client(CLIENT), SmrMsg::Requests(vec![request(CLIENT, seq)])));
+        }
+        net.submit(seq);
+    }
+    net.set_links(3, true);
+    net.send_window(CLIENT, &[request(CLIENT, 42)]);
+    net.force_stop(1);
+    while net.state_requests().is_empty() && net.sim.step() {}
+    assert_eq!(net.state_requests().len(), 1, "replica 3 did not ask for state");
+    net.force_stop(3);
+    net.sim.run();
+    net.settle(42);
+    net.assert_executed_once(42);
+    assert!(net.node(3).core.stats().state_transfers() >= 1, "replica 3 caught up by transfer");
 }

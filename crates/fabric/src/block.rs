@@ -7,7 +7,7 @@
 
 use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
-use hlf_crypto::sha256::{sha256_concat, Digest, Hash256};
+use hlf_crypto::sha256::{sha256, sha256_concat, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use std::sync::OnceLock;
 
@@ -139,13 +139,26 @@ impl std::fmt::Debug for Block {
 
 impl Block {
     /// Computes the data hash for a set of envelopes.
+    ///
+    /// It is `sha256("hlfbft/block-data/v2" ‖ n ‖ Σ len ‖
+    /// sha256(envelope))`, each length a `u32` in its wire encoding: a
+    /// hash over the envelopes' leaves. Every verifier calls this and
+    /// hashes each envelope from its bytes; an ordering node that holds
+    /// the leaves already builds with [`Block::from_leaves`] instead.
     pub fn data_hash(envelopes: &[Bytes]) -> Hash256 {
+        Block::data_hash_of(envelopes.iter().map(|envelope| (envelope.len(), sha256(envelope))))
+    }
+
+    /// The data hash over `(length, leaf)` pairs.
+    fn data_hash_of(leaves: impl ExactSizeIterator<Item = (usize, Hash256)>) -> Hash256 {
         let mut digest = Digest::new();
-        digest.update(b"hlfbft/block-data/v1");
-        digest.update(&(envelopes.len() as u32).to_le_bytes());
-        for envelope in envelopes {
-            digest.update(&(envelope.len() as u32).to_le_bytes());
-            digest.update(envelope);
+        digest.update(b"hlfbft/block-data/v2");
+        digest.update(&(leaves.len() as u32).to_le_bytes());
+        for (len, leaf) in leaves {
+            let mut entry = [0u8; 36];
+            entry[..4].copy_from_slice(&(len as u32).to_le_bytes());
+            entry[4..].copy_from_slice(leaf.as_bytes());
+            digest.update(&entry);
         }
         digest.finalize()
     }
@@ -153,20 +166,42 @@ impl Block {
     /// Builds an unsigned block on the [`SYSTEM_CHANNEL`] chaining onto
     /// `prev_hash`.
     pub fn build(number: u64, prev_hash: Hash256, envelopes: Vec<Bytes>) -> Block {
-        Block::build_in_channel(SYSTEM_CHANNEL, number, prev_hash, envelopes)
+        let data_hash = Block::data_hash(&envelopes);
+        Block::with_data_hash(SYSTEM_CHANNEL.into(), number, prev_hash, envelopes, data_hash)
     }
 
-    /// Builds an unsigned block on an explicit channel.
-    pub fn build_in_channel(
+    /// Builds an unsigned block on an explicit channel from envelopes
+    /// whose leaves, `sha256(envelope)` each in order, the caller
+    /// computed from the same bytes: its data hash is
+    /// [`Block::data_hash`] of `envelopes` without hashing them again.
+    /// A wrong leaf makes a block no verifier accepts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves` and `envelopes` differ in length.
+    pub fn from_leaves(
         channel: impl Into<String>,
         number: u64,
         prev_hash: Hash256,
         envelopes: Vec<Bytes>,
+        leaves: &[Hash256],
     ) -> Block {
-        let data_hash = Block::data_hash(&envelopes);
+        assert_eq!(leaves.len(), envelopes.len(), "one leaf per envelope");
+        let lens = envelopes.iter().map(Bytes::len);
+        let data_hash = Block::data_hash_of(lens.zip(leaves.iter().copied()));
+        Block::with_data_hash(channel.into(), number, prev_hash, envelopes, data_hash)
+    }
+
+    fn with_data_hash(
+        channel: String,
+        number: u64,
+        prev_hash: Hash256,
+        envelopes: Vec<Bytes>,
+        data_hash: Hash256,
+    ) -> Block {
         Block {
             header: BlockHeader {
-                channel: channel.into(),
+                channel,
                 number,
                 prev_hash,
                 data_hash,
@@ -608,15 +643,24 @@ mod tests {
             });
         }
 
-        /// `data_hash` is the hash of its domain tag and the envelope
-        /// list's wire encoding.
+        /// `data_hash` is the hash of its v2 domain tag, the envelope
+        /// count, and each envelope's length and hash in their wire
+        /// encoding; a block built from the same leaves carries it.
         #[test]
         fn data_hash_matches_materialised_encoding() {
             for_each_case(0xb10c_0003, 64, |rng| {
                 let envelopes = rng.vec(0..8, |r| Bytes::from(r.bytes(0..200)));
-                let mut bytes = b"hlfbft/block-data/v1".to_vec();
-                encode_seq(&envelopes, &mut bytes);
+                let mut bytes = b"hlfbft/block-data/v2".to_vec();
+                (envelopes.len() as u32).encode(&mut bytes);
+                for envelope in &envelopes {
+                    (envelope.len() as u32).encode(&mut bytes);
+                    sha256(envelope).encode(&mut bytes);
+                }
                 assert_eq!(Block::data_hash(&envelopes), sha256(&bytes));
+                let leaves: Vec<Hash256> = envelopes.iter().map(|e| sha256(e)).collect();
+                let block = Block::from_leaves("c", 1, Hash256::ZERO, envelopes, &leaves);
+                assert_eq!(block.header.data_hash, sha256(&bytes));
+                assert!(block.data_consistent());
             });
         }
 

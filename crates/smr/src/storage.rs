@@ -16,7 +16,8 @@ use std::path::PathBuf;
 
 /// Stable storage for decided batches and checkpoints.
 pub trait LogStore: Send {
-    /// Appends a decided batch (called in cid order).
+    /// Appends a decided batch (called in cid order). Implementations
+    /// keep it without its leaf cache ([`Batch::without_leaves`]).
     fn append(&mut self, cid: u64, batch: &Batch, proof: &DecisionProof);
     /// Records a checkpoint of the application at `cid` and prunes log
     /// entries at or below it.
@@ -58,7 +59,7 @@ impl LogStore for MemoryLog {
     fn append(&mut self, cid: u64, batch: &Batch, proof: &DecisionProof) {
         self.entries.push(LogEntry {
             cid,
-            batch: batch.clone(),
+            batch: batch.without_leaves(),
             proof: proof.clone(),
         });
         self.last_cid = self.last_cid.max(cid);
@@ -225,7 +226,7 @@ impl LogStore for FileLog {
     fn append(&mut self, cid: u64, batch: &Batch, proof: &DecisionProof) {
         let entry = LogEntry {
             cid,
-            batch: batch.clone(),
+            batch: batch.without_leaves(),
             proof: proof.clone(),
         };
         self.write_record(&FileRecord::Entry(entry.clone()));

@@ -5,6 +5,7 @@
 
 use hlf_wire::Bytes;
 use hlf_bft::fabric::block::SYSTEM_CHANNEL;
+use hlf_bft::ordering::channel::TAG_MAGIC;
 use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -64,6 +65,29 @@ fn channels_form_independent_chains() {
             }
         }
     }
+    service.shutdown();
+}
+
+/// A plain envelope travels untagged and one whose first byte is the
+/// channel tag's magic byte travels tagged; both land on the system
+/// chain byte for byte, in submission order.
+#[test]
+fn system_envelopes_land_byte_for_byte_tagged_or_not() {
+    let mut service = OrderingService::start(
+        4,
+        ServiceOptions::new(1)
+            .with_block_size(2)
+            .with_signing_threads(2),
+    );
+    let mut frontend = service.frontend();
+    let plain = Bytes::from_static(b"plain envelope");
+    let weird = Bytes::from(vec![TAG_MAGIC; 9]);
+    frontend.submit(plain.clone());
+    frontend.submit(weird.clone());
+    let block = frontend.next_block(Duration::from_secs(30)).expect("block delivered");
+    assert_eq!(block.header.channel, SYSTEM_CHANNEL);
+    assert_eq!(block.envelopes, [plain, weird]);
+    assert!(block.data_consistent());
     service.shutdown();
 }
 
