@@ -11,7 +11,7 @@ use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
 use hlf_crypto::sha256::{sha256, sha256_concat, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
-use hlf_wire::{ClientId, NodeId};
+use hlf_wire::{ClientId, NodeId, MAX_LEN};
 use std::sync::{Arc, OnceLock};
 
 /// A client request: the unit the ordering service totally orders
@@ -41,6 +41,58 @@ impl Request {
     pub fn id(&self) -> (ClientId, u64) {
         (self.client, self.seq)
     }
+}
+
+/// The first byte of a payload *tag*.
+///
+/// A payload may start with a tag, [`TAG_MAGIC`] and then a non-empty
+/// UTF-8 name as a wire string, that tells the application where the
+/// rest of the payload, its *body*, goes (the ordering node's channels).
+/// The batch digest hashes a tag as it is and the body into a leaf
+/// ([`Batch::leaves`]), so an application that strips the tag holds the
+/// hash of the body it keeps.
+pub const TAG_MAGIC: u8 = 0xC7;
+
+/// `body` behind a tag naming `name`: the payload [`payload_tag`] splits
+/// back into `(name, offset of body)` when `name` is not empty.
+///
+/// # Examples
+///
+/// ```
+/// use hlf_consensus::messages::{payload_tag, tag_payload};
+///
+/// let payload = tag_payload("trading", b"body");
+/// assert_eq!(payload_tag(&payload), Some(("trading", 12)));
+/// assert_eq!(&payload[12..], b"body");
+/// ```
+pub fn tag_payload(name: &str, body: &[u8]) -> Bytes {
+    // Exact: magic byte + u32 length prefix + name + body.
+    let mut out = Vec::with_capacity(1 + 4 + name.len() + body.len());
+    out.push(TAG_MAGIC);
+    out.extend_from_slice(&len_prefix(name.len()));
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(body);
+    Bytes::from(out)
+}
+
+/// The name in `payload`'s tag and the offset of its body, or `None`
+/// when the payload carries no valid tag and is all body.
+pub fn payload_tag(payload: &[u8]) -> Option<(&str, usize)> {
+    let (&TAG_MAGIC, tagged) = payload.split_first()? else {
+        return None;
+    };
+    let mut reader = Reader::new(tagged);
+    let len = u32::decode(&mut reader).ok().filter(|&len| len <= MAX_LEN)?;
+    let name = reader.take(usize::try_from(len).ok()?).ok()?;
+    let name = std::str::from_utf8(name).ok().filter(|name| !name.is_empty())?;
+    Some((name, payload.len() - reader.remaining()))
+}
+
+/// `payload` split into its tag and its body; the tag is empty when the
+/// payload has none.
+fn split_tag(payload: &[u8]) -> (&[u8], &[u8]) {
+    let offset = payload_tag(payload).map_or(0, |(_, offset)| offset);
+    payload.split_at_checked(offset).unwrap_or((&[], payload))
 }
 
 impl Encode for Request {
@@ -76,7 +128,8 @@ fn len_prefix(len: usize) -> [u8; 4] {
 /// An ordered batch of requests — the value one consensus instance
 /// decides.
 ///
-/// A batch caches its *leaves*, `sha256(payload)` of each request, the
+/// A batch caches its *leaves*, `sha256(body)` of each request's
+/// payload (the payload behind its tag, if any: [`payload_tag`]), the
 /// first time [`Batch::digest`] or [`Batch::leaves`] needs them. Clones
 /// share the cache; a decoded batch starts without one, so a replica
 /// hashes every payload it votes on itself. Mutating `requests` after
@@ -126,11 +179,12 @@ impl Batch {
         self.requests.len()
     }
 
-    /// `sha256(payload)` of every request, in order: computed from the
-    /// bytes this batch holds on first use, then kept with it.
+    /// `sha256(body)` of every request's payload, in order: computed
+    /// from the bytes this batch holds on first use, then kept with it.
     pub fn leaves(&self) -> &[Hash256] {
-        self.leaves
-            .get_or_init(|| Arc::new(self.requests.iter().map(|r| sha256(&r.payload)).collect()))
+        self.leaves.get_or_init(|| {
+            Arc::new(self.requests.iter().map(|r| sha256(split_tag(&r.payload).1)).collect())
+        })
     }
 
     /// A copy of the batch without its leaf cache, for anything that
@@ -141,22 +195,26 @@ impl Batch {
 
     /// Canonical digest of the batch (what WRITE/ACCEPT votes refer to).
     ///
-    /// It is `sha256("hlfbft/batch/v2" ‖ n ‖ Σ client ‖ seq ‖ len ‖
-    /// leaf)`, each field in its wire encoding and `leaf` the request's
-    /// entry of [`Batch::leaves`]: every payload byte is hashed once per
-    /// batch value, and the ordering application cuts its blocks from
-    /// the same leaves.
+    /// It is `sha256("hlfbft/batch/v2" ‖ n ‖ Σ client ‖ seq ‖ len ‖ tag
+    /// ‖ leaf)`, each field in its wire encoding: `len` the payload's
+    /// length, `tag` the payload's tag as a byte string (empty when it
+    /// has none) and `leaf` the request's entry of [`Batch::leaves`].
+    /// Every payload byte is hashed once per batch value, and the
+    /// ordering application cuts its blocks from the same leaves.
     pub fn digest(&self) -> Hash256 {
         let mut digest = Digest::new();
         digest.update(b"hlfbft/batch/v2");
         digest.update(&len_prefix(self.requests.len()));
         for (request, leaf) in self.requests.iter().zip(self.leaves()) {
-            let mut entry = [0u8; 48];
-            entry[..4].copy_from_slice(&request.client.0.to_le_bytes());
-            entry[4..12].copy_from_slice(&request.seq.to_le_bytes());
-            entry[12..16].copy_from_slice(&len_prefix(request.payload.len()));
-            entry[16..].copy_from_slice(leaf.as_bytes());
-            digest.update(&entry);
+            let (tag, _) = split_tag(&request.payload);
+            let mut head = [0u8; 20];
+            head[..4].copy_from_slice(&request.client.0.to_le_bytes());
+            head[4..12].copy_from_slice(&request.seq.to_le_bytes());
+            head[12..16].copy_from_slice(&len_prefix(request.payload.len()));
+            head[16..].copy_from_slice(&len_prefix(tag.len()));
+            digest.update(&head);
+            digest.update(tag);
+            digest.update(leaf.as_bytes());
         }
         digest.finalize()
     }
@@ -877,6 +935,26 @@ mod tests {
         assert_eq!(decoded, batch);
     }
 
+    /// A tagged payload's leaf is the hash of its body; the tag itself
+    /// is in the digest, so the same body behind two tags has one leaf
+    /// and two digests.
+    #[test]
+    fn tagged_payloads_hash_their_body_into_the_leaf() {
+        let tagged = |name: &str| Batch::new(vec![Request::new(ClientId(1), 1, tag_payload(name, b"body"))]);
+        let (a, b) = (tagged("a"), tagged("b"));
+        assert_eq!(payload_tag(&a.requests[0].payload), Some(("a", 6)));
+        assert_eq!(a.leaves(), [sha256(b"body")]);
+        assert_eq!(a.leaves(), b.leaves());
+        assert_ne!(a.digest(), b.digest());
+        // No tag (a bare magic byte, an empty name, a truncated name): the
+        // payload is all body.
+        for payload in [&[TAG_MAGIC][..], &[TAG_MAGIC, 0, 0, 0, 0], &[TAG_MAGIC, 2, 0, 0, 0, b'a']] {
+            assert_eq!(payload_tag(payload), None);
+            let batch = Batch::new(vec![Request::new(ClientId(1), 1, payload.to_vec())]);
+            assert_eq!(batch.leaves(), [sha256(payload)]);
+        }
+    }
+
     #[test]
     fn vote_sign_verify_and_domain_separation() {
         let (sk, vk) = keys(1);
@@ -1094,28 +1172,34 @@ mod tests {
         }
 
         /// The streamed digest is the digest of the materialised v2
-        /// encoding: the request count, then each request's client, seq
-        /// and payload length in their wire encoding and the hash of its
-        /// payload.
+        /// encoding: the request count, then each request's client, seq,
+        /// payload length and tag in their wire encoding and the hash of
+        /// the payload's body.
         #[test]
         fn batch_digest_matches_materialised_encoding() {
             let materialised = |batch: &Batch| {
                 let mut bytes = b"hlfbft/batch/v2".to_vec();
                 (batch.requests.len() as u32).encode(&mut bytes);
                 for request in &batch.requests {
+                    let payload = &request.payload;
+                    let offset = payload_tag(payload).map_or(0, |(_, offset)| offset);
                     request.client.encode(&mut bytes);
                     request.seq.encode(&mut bytes);
-                    (request.payload.len() as u32).encode(&mut bytes);
-                    sha256(&request.payload).encode(&mut bytes);
+                    (payload.len() as u32).encode(&mut bytes);
+                    payload.slice(..offset).encode(&mut bytes);
+                    sha256(&payload[offset..]).encode(&mut bytes);
                 }
                 sha256(&bytes)
             };
             assert_eq!(Batch::empty().digest(), materialised(&Batch::empty()));
             for_each_case(0xc0de_0003, 64, |rng| {
                 let batch = Batch::new(rng.vec(0..12, |r| {
-                    // A third of the payloads are empty; the rest reach
-                    // past several hash blocks.
-                    let payload = if r.next_range(3) == 0 { Vec::new() } else { r.bytes(0..300) };
+                    // A third of the payloads are empty, a third tagged;
+                    // the rest reach past several hash blocks.
+                    let mut payload = if r.next_range(3) == 0 { Vec::new() } else { r.bytes(0..300) };
+                    if r.next_range(3) == 0 {
+                        payload = tag_payload(&"ch".repeat(r.next_in(0..4)), &payload).to_vec();
+                    }
                     Request::new(ClientId(r.next_u64() as u32), r.next_u64(), payload)
                 }));
                 assert_eq!(batch.digest(), materialised(&batch));

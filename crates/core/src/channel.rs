@@ -8,19 +8,22 @@
 //! frontend prepends a small channel tag ([`channel_payload`]) that the
 //! ordering node strips before block cutting ([`untag_envelope`]).
 //!
+//! The tag is consensus's payload tag ([`payload_tag`]): each replica
+//! hashes a payload's body, the envelope behind the tag, when it votes
+//! on the batch, and that hash is the envelope's leaf in the block's
+//! data hash too (DESIGN.md, "Hash once").
+//!
 //! The [`SYSTEM_CHANNEL`] needs no tag: an envelope on it travels
 //! untagged, unless its first byte is the tag's magic byte and it could
-//! be read as a tag. An untagged payload *is* the envelope, so the hash
-//! each replica takes of the payload when it votes on the batch is the
-//! envelope's leaf in the block's data hash too (DESIGN.md, "Hash
-//! once").
+//! be read as a tag. That saves a copy of every system-channel
+//! envelope.
 
 use hlf_wire::Bytes;
+use hlf_consensus::messages::payload_tag;
+/// Wraps an envelope with its channel tag.
+pub use hlf_consensus::messages::tag_payload as tag_envelope;
+pub use hlf_consensus::messages::TAG_MAGIC;
 use hlf_fabric::block::SYSTEM_CHANNEL;
-use hlf_wire::{Decode, Encode, Reader, MAX_LEN};
-
-/// The first byte of a channel tag.
-pub const TAG_MAGIC: u8 = 0xC7;
 
 /// The request payload that carries `envelope` on `channel`: the
 /// envelope itself on the [`SYSTEM_CHANNEL`] when its first byte is not
@@ -46,55 +49,20 @@ pub fn channel_payload(channel: &str, envelope: Bytes) -> Bytes {
     }
 }
 
-/// Wraps an envelope with its channel tag.
-///
-/// # Examples
-///
-/// ```
-/// use ordering_core::channel::{tag_envelope, untag_envelope};
-///
-/// let tagged = tag_envelope("trading", b"envelope bytes");
-/// let (channel, payload) = untag_envelope(&tagged);
-/// assert_eq!(channel, "trading");
-/// assert_eq!(payload.as_ref(), b"envelope bytes");
-/// ```
-pub fn tag_envelope(channel: &str, envelope: &[u8]) -> Bytes {
-    // Exact: magic byte + u32 length prefix + channel + envelope.
-    let mut out = Vec::with_capacity(1 + 4 + channel.len() + envelope.len());
-    out.push(TAG_MAGIC);
-    channel.to_string().encode(&mut out);
-    out.extend_from_slice(envelope);
-    Bytes::from(out)
-}
-
 /// Splits a tagged envelope back into `(channel, payload)`; the channel
 /// name is borrowed from the envelope, so nothing is allocated.
 ///
 /// Untagged (or corrupt) payloads deterministically map to the
 /// [`SYSTEM_CHANNEL`] with their bytes unchanged, so raw submitters
-/// (benchmark drivers, the WAN simulator) interoperate. The returned
-/// envelope is then `bytes` itself, the same view, and the only case
-/// where it is as long as `bytes` (a tag takes at least five bytes): a
-/// caller holding `sha256(bytes)` holds the envelope's hash exactly
-/// when the lengths agree.
+/// (the benchmark harness, the WAN simulator) interoperate. Either way the
+/// envelope is the payload's body as [`payload_tag`] splits it, so a
+/// replica's leaf for the payload (`Batch::leaves`) is the envelope's
+/// hash.
 pub fn untag_envelope(bytes: &Bytes) -> (&str, Bytes) {
-    match tagged_channel(bytes) {
+    match payload_tag(bytes) {
         Some((channel, offset)) => (channel, bytes.slice(offset..)),
         None => (SYSTEM_CHANNEL, bytes.clone()),
     }
-}
-
-/// The non-empty UTF-8 channel name of a tagged envelope and the offset
-/// of its payload, or `None` when the bytes carry no valid tag.
-fn tagged_channel(bytes: &[u8]) -> Option<(&str, usize)> {
-    let (&TAG_MAGIC, tagged) = bytes.split_first()? else {
-        return None;
-    };
-    let mut reader = Reader::new(tagged);
-    let len = u32::decode(&mut reader).ok().filter(|&len| len <= MAX_LEN)?;
-    let name = reader.take(usize::try_from(len).ok()?).ok()?;
-    let channel = std::str::from_utf8(name).ok().filter(|name| !name.is_empty())?;
-    Some((channel, bytes.len() - reader.remaining()))
 }
 
 #[cfg(test)]

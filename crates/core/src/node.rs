@@ -276,8 +276,9 @@ impl Application for OrderingNodeApp {
                 chains: self.chains.clone(),
             });
         }
-        // Each payload's leaf, hashed when the batch was digested (or
-        // now, for a batch that never was).
+        // Each payload's leaf, the hash of the envelope behind its tag,
+        // hashed when the batch was digested (or now, for a batch that
+        // never was).
         for (request, leaf) in batch.requests.iter().zip(batch.leaves()) {
             self.stats.envelopes_ordered.fetch_add(1, Ordering::Relaxed);
             let (channel, envelope) = untag_envelope(&request.payload);
@@ -290,14 +291,7 @@ impl Application for OrderingNodeApp {
             let Some(chain) = self.chains.get_mut(channel) else {
                 continue; // inserted just above
             };
-            // An untagged payload is its envelope, so its leaf is the
-            // envelope's; a tagged one is hashed again without its tag.
-            let cut = if envelope.len() == request.payload.len() {
-                chain.cutter.push_hashed(envelope, *leaf)
-            } else {
-                chain.cutter.push(envelope)
-            };
-            if let Some(cut) = cut {
+            if let Some(cut) = chain.cutter.push_hashed(envelope, *leaf) {
                 let obs = self.cutter_obs.as_ref();
                 Self::seal_block(chain, channel, cut, &mut *self.sink, &self.stats, obs);
             }
