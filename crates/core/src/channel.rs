@@ -19,9 +19,7 @@
 //! envelope.
 
 use hlf_wire::Bytes;
-use hlf_consensus::messages::payload_tag;
-/// Wraps an envelope with its channel tag.
-pub use hlf_consensus::messages::tag_payload as tag_envelope;
+use hlf_consensus::messages::{payload_tag, tag_payload};
 pub use hlf_consensus::messages::TAG_MAGIC;
 use hlf_fabric::block::SYSTEM_CHANNEL;
 
@@ -47,6 +45,23 @@ pub fn channel_payload(channel: &str, envelope: Bytes) -> Bytes {
     } else {
         tag_envelope(channel, &envelope)
     }
+}
+
+/// Wraps an envelope with its channel tag, consensus's payload tag
+/// ([`tag_payload`]).
+///
+/// # Examples
+///
+/// ```
+/// use ordering_core::channel::{tag_envelope, untag_envelope};
+///
+/// let tagged = tag_envelope("trading", b"envelope bytes");
+/// let (channel, payload) = untag_envelope(&tagged);
+/// assert_eq!(channel, "trading");
+/// assert_eq!(payload.as_ref(), b"envelope bytes");
+/// ```
+pub fn tag_envelope(channel: &str, envelope: &[u8]) -> Bytes {
+    tag_payload(channel, envelope)
 }
 
 /// Splits a tagged envelope back into `(channel, payload)`; the channel
