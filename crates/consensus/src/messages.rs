@@ -15,7 +15,8 @@ use hlf_wire::{ClientId, NodeId, MAX_LEN};
 use std::sync::{Arc, OnceLock};
 
 /// A client request: the unit the ordering service totally orders
-/// (an opaque Fabric envelope, from consensus's point of view).
+/// (an opaque Fabric envelope, from consensus's point of view, behind
+/// an optional tag: [`payload_tag`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Issuing client (a frontend in the ordering service).
