@@ -287,7 +287,7 @@ impl OrderingService {
         &self.keys
     }
 
-    /// The underlying transport (fault injection in tests).
+    /// The underlying transport hub (to connect frontends by hand).
     pub fn network(&self) -> &Network {
         self.runtime.network()
     }

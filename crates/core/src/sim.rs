@@ -1150,6 +1150,26 @@ mod tests {
     }
 
     #[test]
+    fn isolated_frontend_link_does_not_stall_others() {
+        // Replicas 0 and 1 never reach frontend 1 (Oregon): it sees two
+        // copies of each block, one short of 2f + 1, and delivers
+        // nothing. The other frontends must be unaffected.
+        let config = quick_config(Protocol::BftSmart).with_audit();
+        let n = replica_regions(Protocol::BftSmart).len();
+        let result = run_geo(&config, FaultPlan::none().block_link(0, n + 1).block_link(1, n + 1));
+        for (slot, fl) in result.frontends.iter().enumerate() {
+            if slot == 1 {
+                assert_eq!(fl.samples, 0, "{}: the starved frontend delivered", fl.region);
+            } else {
+                assert!(fl.samples > 100, "{}: {} samples", fl.region, fl.samples);
+            }
+        }
+        let audit = result.audit.expect("audit requested");
+        let lines: Vec<String> = audit.violations.iter().map(|v| v.to_line()).collect();
+        assert!(lines.is_empty(), "false positives with a starved frontend: {lines:?}");
+    }
+
+    #[test]
     fn placements_match_paper() {
         assert_eq!(replica_regions(Protocol::BftSmart).len(), 4);
         let wheat = replica_regions(Protocol::Wheat);

@@ -14,9 +14,13 @@
 //! out the order it executed in): what one client frame may carry and
 //! how it is ordered; and where the request→decide clock of
 //! `smr.node.request_decide_us` starts.
+//!
+//! Loss and exactly-once: seeded `FaultPlan` loss between the replicas,
+//! with forced STOPs at chosen points of the schedule.
 
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request, Vote, VotePhase};
 use hlf_crypto::ecdsa::SigningKey;
+use hlf_fabric::block::Block;
 use hlf_simnet::{Actor, Ctx, FaultPlan, LatencyModel, SimMessage, SimTime, Simulation};
 use hlf_smr::app::{Application, CounterApp};
 use hlf_smr::core::{Input, NodeCore, Output};
@@ -27,6 +31,7 @@ use hlf_transport::PeerId;
 use hlf_wire::{Bytes, ClientId, NodeId};
 use ordering_core::node::OrderingNodeApp;
 use ordering_core::service::ServiceOptions;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 
 const N: usize = 4;
@@ -132,14 +137,23 @@ impl Actor<Frame> for Node {
 
 struct Net {
     sim: Simulation<Frame, Node>,
+    /// What each ordering node's block sink has been handed, unsigned
+    /// and in cut order (none on counters).
+    cut: Vec<Receiver<Block>>,
 }
 
 impl Net {
     /// Four ordering nodes.
     fn new() -> Net {
-        Net::with_apps(Net::options(), |options, i, keys| {
-            Box::new(OrderingNodeApp::new(options.app_config(i, keys, None, None), |_| {}))
-        })
+        let (sinks, cut): (Vec<_>, Vec<_>) = (0..N).map(|_| channel()).unzip();
+        let mut net = Net::with_apps(Net::options(), |options, i, keys| {
+            let sink = sinks[i].clone();
+            Box::new(OrderingNodeApp::new(options.app_config(i, keys, None, None), move |block| {
+                let _ = sink.send(block);
+            }))
+        });
+        net.cut = cut;
+        net
     }
 
     /// Four replicated counters.
@@ -181,7 +195,7 @@ impl Net {
                 drop_accepts: false,
             }));
         }
-        Net { sim }
+        Net { sim, cut: Vec::new() }
     }
 
     fn node(&self, node: usize) -> &Node {
@@ -661,4 +675,67 @@ fn forced_stop_during_a_state_transfer_executes_each_request_once() {
     net.settle(42);
     net.assert_executed_once(42);
     assert!(net.node(3).core.stats().state_transfers() >= 1, "replica 3 caught up by transfer");
+}
+
+/// One client's ten sequential requests, over seeded 5 % loss between
+/// the replicas: each is answered with the count that includes it, by
+/// more than `f` replicas, and executes once on every replica. (On
+/// about one seed in twelve a replica ends one decision behind: it lost
+/// its ACCEPT quorum for the last instance, and nothing makes it fetch
+/// that value until a later instance runs. ROADMAP item 1 has it.)
+#[test]
+fn message_loss_is_tolerated() {
+    let mut net = Net::counters();
+    net.sim.set_seed(0x1055_0005);
+    net.sim.set_faults(FaultPlan::none().drop_probability(0.05));
+    for seq in 1..=10 {
+        net.submit(seq);
+        net.settle(seq);
+    }
+    net.assert_executed_once(10);
+    for seq in 1..=10u64 {
+        let repliers = (0..N)
+            .filter(|&node| net.node(node).replies.iter().any(|(_, s, _)| *s == seq))
+            .count();
+        assert!(repliers > 1, "seq {seq} answered by {repliers} replica(s)");
+    }
+    for node in 0..N {
+        for (client, seq, reply) in &net.node(node).replies {
+            assert_eq!((*client, reply.as_ref()), (CLIENT, &(seq * 8).to_le_bytes()[..]), "replica {node}, seq {seq}");
+        }
+    }
+}
+
+/// Sixteen envelopes in one window, over seeded 3 % loss between the
+/// replicas: every replica cuts the same chain, and it holds each
+/// envelope exactly once. These replicas push to no frontend: a lost
+/// block push is never re-sent (ROADMAP item 5), and this does not test
+/// it. (One window is one instance: the tail gap above can leave a
+/// replica with no block on about one seed in a hundred.)
+#[test]
+fn ordering_tolerates_message_loss() {
+    let mut net = Net::new();
+    net.sim.set_seed(0x1055_0003);
+    net.sim.set_faults(FaultPlan::none().drop_probability(0.03));
+    let window: Vec<Request> = (1..=16).map(|seq| request(CLIENT, seq)).collect();
+    net.send_window(CLIENT, &window);
+    net.sim.run();
+    let mut chains: Vec<Vec<Block>> = vec![Vec::new(); N];
+    for _ in 0..200 {
+        for (chain, cut) in chains.iter_mut().zip(&net.cut) {
+            chain.extend(cut.try_iter());
+        }
+        if chains.iter().all(|chain| chain.iter().map(|b| b.envelopes.len()).sum::<usize>() >= 16) {
+            break;
+        }
+        net.tick(100_000);
+    }
+    for (node, chain) in chains.iter().enumerate() {
+        assert_eq!(chain, &chains[0], "replica {node} cut another chain");
+    }
+    let mut ordered: Vec<Bytes> = chains[0].iter().flat_map(|b| b.envelopes.iter().cloned()).collect();
+    ordered.sort();
+    let mut sent: Vec<Bytes> = window.into_iter().map(|r| r.payload).collect();
+    sent.sort();
+    assert_eq!(ordered, sent, "the chain does not hold each envelope exactly once");
 }

@@ -133,12 +133,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Starts a [`crate::SpanTimer`] that records elapsed microseconds
-    /// into this histogram when dropped.
-    pub fn span(&self) -> crate::SpanTimer<'_> {
-        crate::SpanTimer::new(self)
-    }
-
     /// Point-in-time copy with only the non-empty buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();

@@ -8,8 +8,6 @@
 //! - [`Counter`] / [`Gauge`] — lock-free atomic scalars.
 //! - [`Histogram`] — log-linear-bucket latency histogram (HDR-style,
 //!   16 sub-buckets per power of two) with p50/p90/p99/max snapshots.
-//! - [`SpanTimer`] — RAII scope timer that records elapsed µs into a
-//!   histogram on drop.
 //! - [`Registry`] — a named bag of metrics that a node *owns* (no
 //!   globals); exporters walk [`Snapshot`]s.
 //! - [`Snapshot`] — point-in-time copy with a human-readable text
@@ -45,9 +43,6 @@
 //!
 //! decided.inc();
 //! latency.record(1_250);
-//! {
-//!     let _span = latency.span(); // records elapsed µs on drop
-//! }
 //!
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter_value("smr.node.decided"), Some(1));
@@ -80,7 +75,6 @@ pub mod metrics;
 pub mod prometheus;
 pub mod registry;
 pub mod snapshot;
-pub mod span;
 pub mod timeseries;
 pub mod trace;
 
@@ -97,6 +91,5 @@ pub use registry::{Metric, Registry};
 pub use snapshot::{
     from_json_many, to_json_many, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot,
 };
-pub use span::SpanTimer;
 pub use timeseries::TimeSeries;
 pub use trace::{set_trace_enabled, trace_enabled, trace_id, trace_id_parts, TraceContext};

@@ -280,7 +280,7 @@ impl ClusterRuntime {
         spawn_replica(self.node_config(i), endpoint, log, |_| app)
     }
 
-    /// The shared transport hub (for fault injection).
+    /// The shared transport hub (to connect frontends and proxies).
     pub fn network(&self) -> &Network {
         &self.network
     }
@@ -357,14 +357,13 @@ impl ClusterRuntime {
         ServiceProxy::new(&self.network, config)
     }
 
-    /// Crashes node `i`: its thread stops and its mailbox disappears.
+    /// Crashes node `i`: it leaves the hub at once, mute and deaf, and
+    /// then its threads stop.
     #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
     pub fn crash(&mut self, i: usize) {
         if let Some(handle) = self.handles[i].take() {
             self.network.part(PeerId::replica(i as u32));
-            self.network.isolate(PeerId::replica(i as u32));
             handle.shutdown();
-            self.network.heal(PeerId::replica(i as u32));
         }
     }
 

@@ -2,10 +2,8 @@
 //! state transfer, durability and concurrency.
 
 use hlf_smr::app::CounterApp;
-use hlf_smr::client::ProxyConfig;
 use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
 use hlf_smr::storage::{FileLog, MemoryLog};
-use hlf_wire::ClientId;
 use std::time::Duration;
 
 fn counter_value(reply: &[u8]) -> u64 {
@@ -306,23 +304,4 @@ fn node_metrics_survive_crash_and_restart() {
     for i in 0..4 {
         let _ = std::fs::remove_file(dir.join(format!("obs-{i}.log")));
     }
-}
-
-#[test]
-fn message_loss_is_tolerated() {
-    let options = RuntimeOptions::classic(1).with_request_timeout_ms(200);
-    let cluster = ClusterRuntime::start(4, options, |_| Box::new(CounterApp::new()));
-    cluster.network().set_drop_probability(0.05, 42);
-    let mut client = cluster.proxy_with({
-        let mut cfg = ProxyConfig::classic(ClientId(77), 4, 1);
-        cfg.invoke_timeout = Duration::from_secs(30);
-        cfg
-    });
-    let mut expected = 0u64;
-    for _ in 0..10 {
-        expected += 1;
-        let reply = client.invoke(vec![0u8; 1]).unwrap();
-        assert_eq!(counter_value(&reply), expected);
-    }
-    cluster.shutdown();
 }

@@ -1,64 +1,20 @@
-//! In-process message hub: the deterministic, fault-injectable
-//! backend used by tests, simulations and single-process benchmarks.
+//! In-process message hub: the backend of the threaded tests and the
+//! single-process benchmarks. It is a plain switch with no fault state;
+//! loss, link cuts and crashes at chosen instants are
+//! `hlf_simnet::FaultPlan`'s, in the deterministic simulator.
 //!
 //! Every participant [`join`](Network::join)s the hub and gets an
 //! [`Endpoint`] whose inbound mailbox is an unbounded `std::sync::mpsc`
 //! channel. Sends are synchronous hand-offs into the destination
-//! mailbox, subject to injected faults (blocked links, isolation,
-//! deterministic probabilistic drops).
+//! mailbox. A participant that [`part`](Network::part)s can neither send
+//! nor receive until it joins again: that is how a thread-driven node
+//! crashes.
 
-use crate::{lock_clean, Backend, Endpoint, PeerId, TransportError};
+use crate::{Backend, Endpoint, PeerId, TransportError};
 use hlf_wire::{BufferPool, Bytes};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Deterministic SplitMix64 stream for probabilistic drop decisions:
-/// same seed, same drop pattern, so partition tests are reproducible.
-#[derive(Debug, Default)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1).
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// Injected network faults, applied to every send through the hub.
-#[derive(Debug, Default)]
-struct FaultState {
-    /// Directed links that silently drop traffic.
-    blocked_links: HashSet<(PeerId, PeerId)>,
-    /// Peers cut off in both directions.
-    isolated: HashSet<PeerId>,
-    /// Probability in [0, 1] that any send is dropped.
-    drop_probability: f64,
-    rng: SplitMix64,
-}
-
-impl FaultState {
-    /// Returns `true` if this send should be dropped.
-    fn should_drop(&mut self, from: PeerId, to: PeerId) -> bool {
-        if self.isolated.contains(&from) || self.isolated.contains(&to) {
-            return true;
-        }
-        if self.blocked_links.contains(&(from, to)) {
-            return true;
-        }
-        self.drop_probability > 0.0 && self.rng.next_f64() < self.drop_probability
-    }
-}
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Mailbox senders of the joined peers.
 type Peers = HashMap<PeerId, Sender<(PeerId, Bytes)>>;
@@ -66,15 +22,14 @@ type Peers = HashMap<PeerId, Sender<(PeerId, Bytes)>>;
 /// Shared hub state behind every in-process [`Endpoint`].
 pub(crate) struct Hub {
     peers: RwLock<Peers>,
-    faults: Mutex<FaultState>,
     /// Pool shared by every endpoint on this hub, so send buffers
     /// recycle no matter which participant allocated them.
     pub(crate) pool: BufferPool,
 }
 
 impl Hub {
-    /// The peer table, poison-tolerant like [`lock_clean`]: a map
-    /// insert or remove stays consistent if a holder unwinds.
+    /// The peer table, poison-tolerant like [`crate::lock_clean`]: a
+    /// map insert or remove stays consistent if a holder unwinds.
     fn peers(&self) -> RwLockReadGuard<'_, Peers> {
         self.peers.read().unwrap_or_else(PoisonError::into_inner)
     }
@@ -83,16 +38,19 @@ impl Hub {
         self.peers.write().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Hands `payload` to `to`'s mailbox. A sender that has parted is
+    /// refused like an unknown destination: a crashed node is mute as
+    /// well as deaf.
     pub(crate) fn send(
         &self,
         from: PeerId,
         to: PeerId,
         payload: Bytes,
     ) -> Result<(), TransportError> {
-        if lock_clean(&self.faults).should_drop(from, to) {
-            return Err(TransportError::Dropped);
-        }
         let peers = self.peers();
+        if !peers.contains_key(&from) {
+            return Err(TransportError::UnknownPeer(from));
+        }
         let tx = peers.get(&to).ok_or(TransportError::UnknownPeer(to))?;
         tx.send((from, payload))
             .map_err(|_| TransportError::Disconnected(to))
@@ -100,7 +58,7 @@ impl Hub {
 }
 
 /// Handle on an in-process hub. Cheap to clone; all clones share the
-/// same peer table, fault state and buffer pool.
+/// same peer table and buffer pool.
 #[derive(Clone)]
 pub struct Network {
     hub: Arc<Hub>,
@@ -118,7 +76,6 @@ impl Network {
         Network {
             hub: Arc::new(Hub {
                 peers: RwLock::new(HashMap::new()),
-                faults: Mutex::new(FaultState::default()),
                 pool: BufferPool::default(),
             }),
         }
@@ -141,56 +98,12 @@ impl Network {
         Endpoint::new(id, Backend::Hub(Arc::clone(&self.hub)), rx)
     }
 
-    /// Removes `id` from the hub, as if its process exited. Subsequent
-    /// sends to it fail with [`TransportError::UnknownPeer`]; the peer
-    /// may [`join`](Network::join) again later (crash/restart tests).
+    /// Removes `id` from the hub, as if its process exited. From now on
+    /// sends to it, and sends from any handle it still holds, fail with
+    /// [`TransportError::UnknownPeer`]; the peer may
+    /// [`join`](Network::join) again later (crash/restart tests).
     pub fn part(&self, id: PeerId) {
         self.hub.peers_mut().remove(&id);
-    }
-
-    /// Silently drops all traffic on the directed link `from -> to`.
-    pub fn block_link(&self, from: PeerId, to: PeerId) {
-        lock_clean(&self.hub.faults).blocked_links.insert((from, to));
-    }
-
-    /// Clears every blocked link.
-    pub fn unblock_all(&self) {
-        lock_clean(&self.hub.faults).blocked_links.clear();
-    }
-
-    /// Cuts `id` off in both directions.
-    pub fn isolate(&self, id: PeerId) {
-        lock_clean(&self.hub.faults).isolated.insert(id);
-    }
-
-    /// Reconnects a previously [`isolate`](Network::isolate)d peer.
-    pub fn heal(&self, id: PeerId) {
-        lock_clean(&self.hub.faults).isolated.remove(&id);
-    }
-
-    /// Drops every send with probability `p`, deterministically from
-    /// `seed`.
-    pub fn set_drop_probability(&self, p: f64, seed: u64) {
-        let mut faults = lock_clean(&self.hub.faults);
-        faults.drop_probability = p.clamp(0.0, 1.0);
-        faults.rng = SplitMix64 { state: seed };
-    }
-
-    /// Splits the network into two halves that cannot talk to each
-    /// other (both directions blocked between every cross pair).
-    pub fn partition(&self, side_a: &[PeerId], side_b: &[PeerId]) {
-        let mut faults = lock_clean(&self.hub.faults);
-        for &a in side_a {
-            for &b in side_b {
-                faults.blocked_links.insert((a, b));
-                faults.blocked_links.insert((b, a));
-            }
-        }
-    }
-
-    /// Currently joined peers, in unspecified order.
-    pub fn peers(&self) -> Vec<PeerId> {
-        self.hub.peers().keys().copied().collect()
     }
 
     /// The hub-wide buffer pool.

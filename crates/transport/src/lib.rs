@@ -1,9 +1,9 @@
 //! Point-to-point transport for the ordering cluster, with two
 //! interchangeable backends behind one authenticated [`Endpoint`] API:
 //!
-//! * [`hub`] — the in-process channel hub used by tests, benchmarks
-//!   and the deterministic simulations. Supports fault injection
-//!   (blocked links, drops, isolation).
+//! * [`hub`] — the in-process channel hub used by the threaded tests
+//!   and the single-process benchmarks: a plain switch. Injected loss
+//!   and link cuts live in the deterministic simulator (`hlf_simnet`).
 //! * [`tcp`] — real kernel TCP sockets for multi-process deployments
 //!   (the paper's §6.2 LAN/WAN clusters run replicas as OS processes).
 //!   Length-framed, HMAC-sealed, with per-peer send coalescing into
@@ -64,14 +64,13 @@ use hlf_obs::FlightRecorder;
 use hlf_wire::{BufferPool, Bytes};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Locks `m`, recovering the guard if a holder panicked: the state
-/// behind the transport's mutexes (send queues, socket lists, fault
-/// tables) is plain collections that stay consistent under unwind.
+/// behind the transport's mutexes (send queues, socket lists) is plain
+/// collections that stay consistent under unwind.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -165,9 +164,6 @@ pub enum TransportError {
     Disconnected(PeerId),
     /// No message arrived before the timeout.
     Timeout,
-    /// The hub dropped the message due to an injected fault. Callers
-    /// usually treat this as success (the network "lost" the packet).
-    Dropped,
     /// Message failed authentication.
     BadAuthenticator(PeerId),
 }
@@ -178,7 +174,6 @@ impl fmt::Display for TransportError {
             TransportError::UnknownPeer(p) => write!(f, "unknown peer {p}"),
             TransportError::Disconnected(p) => write!(f, "peer {p} disconnected"),
             TransportError::Timeout => f.write_str("receive timed out"),
-            TransportError::Dropped => f.write_str("message dropped by fault injection"),
             TransportError::BadAuthenticator(p) => {
                 write!(f, "bad message authenticator from {p}")
             }
@@ -187,39 +182,6 @@ impl fmt::Display for TransportError {
 }
 
 impl Error for TransportError {}
-
-/// Per-endpoint traffic counters.
-#[derive(Debug, Default)]
-pub struct TrafficStats {
-    messages_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    messages_received: AtomicU64,
-    bytes_received: AtomicU64,
-}
-
-impl TrafficStats {
-    /// Messages sent by this endpoint.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent.load(Ordering::Relaxed)
-    }
-    /// Payload bytes sent by this endpoint.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-    /// Messages received by this endpoint.
-    pub fn messages_received(&self) -> u64 {
-        self.messages_received.load(Ordering::Relaxed)
-    }
-    /// Payload bytes received by this endpoint.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-
-    fn note_sent(&self, bytes: usize) {
-        self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
 
 /// Which backend carries an endpoint's traffic.
 #[derive(Clone)]
@@ -277,7 +239,6 @@ pub struct Endpoint {
     id: PeerId,
     backend: Backend,
     incoming: Receiver<(PeerId, Bytes)>,
-    stats: Arc<TrafficStats>,
     /// Optional flight recorder: every received frame is logged as an
     /// [`EventKind::Frame`] event so anomaly dumps show the message
     /// arrivals leading up to the anomaly. `None` costs nothing.
@@ -299,7 +260,6 @@ impl fmt::Debug for Endpoint {
 pub struct SenderHandle {
     id: PeerId,
     backend: Backend,
-    stats: Arc<TrafficStats>,
 }
 
 impl fmt::Debug for SenderHandle {
@@ -325,10 +285,7 @@ impl SenderHandle {
     ///
     /// See [`Endpoint::send`].
     pub fn send(&self, to: PeerId, payload: Bytes) -> Result<(), TransportError> {
-        let len = payload.len();
-        self.backend.send(self.id, to, payload)?;
-        self.stats.note_sent(len);
-        Ok(())
+        self.backend.send(self.id, to, payload)
     }
 }
 
@@ -342,7 +299,6 @@ impl Endpoint {
             id,
             backend,
             incoming,
-            stats: Arc::new(TrafficStats::default()),
             flight: None,
         }
     }
@@ -364,13 +320,7 @@ impl Endpoint {
         SenderHandle {
             id: self.id,
             backend: self.backend.clone(),
-            stats: Arc::clone(&self.stats),
         }
-    }
-
-    /// Shared traffic counters (clone the `Arc` to watch from outside).
-    pub fn stats(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Attaches a flight recorder; every subsequently received frame is
@@ -391,24 +341,12 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// [`TransportError::UnknownPeer`] if the destination never joined
-    /// (hub) or has no configured address (TCP),
-    /// [`TransportError::Disconnected`] if its endpoint was dropped, and
-    /// [`TransportError::Dropped`] if fault injection consumed the
-    /// message.
+    /// [`TransportError::UnknownPeer`] if the destination, or on the hub
+    /// this endpoint itself, is not joined (or, on TCP, the destination
+    /// has no configured address), and [`TransportError::Disconnected`]
+    /// if the destination's endpoint was dropped.
     pub fn send(&self, to: PeerId, payload: Bytes) -> Result<(), TransportError> {
-        let len = payload.len();
-        self.backend.send(self.id, to, payload)?;
-        self.stats.note_sent(len);
-        Ok(())
-    }
-
-    /// Sends `payload` to every peer in `recipients`, ignoring
-    /// individual delivery failures (the BFT layers tolerate loss).
-    pub fn multicast(&self, recipients: &[PeerId], payload: &Bytes) {
-        for &to in recipients {
-            let _ = self.send(to, payload.clone());
-        }
+        self.backend.send(self.id, to, payload)
     }
 
     /// Receives the next message, blocking indefinitely.
@@ -453,10 +391,6 @@ impl Endpoint {
     }
 
     fn note_received(&self, from: PeerId, payload: &Bytes) {
-        self.stats.messages_received.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_received
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
         if let Some(flight) = &self.flight {
             flight.record_now(
                 EventKind::Frame,
@@ -619,9 +553,6 @@ mod tests {
         a.send(b.id(), Bytes::from_static(b"two")).unwrap();
         assert_eq!(b.recv().unwrap().1, Bytes::from_static(b"one"));
         assert_eq!(b.recv().unwrap().1, Bytes::from_static(b"two"));
-        assert_eq!(a.stats().messages_sent(), 2);
-        assert_eq!(b.stats().messages_received(), 2);
-        assert_eq!(a.stats().bytes_sent(), 6);
     }
 
     #[test]
@@ -654,77 +585,33 @@ mod tests {
     }
 
     #[test]
-    fn blocked_link_is_one_directional() {
-        let (network, a, b) = pair();
-        network.block_link(a.id(), b.id());
-        assert_eq!(
-            a.send(b.id(), Bytes::from_static(b"x")),
-            Err(TransportError::Dropped)
-        );
-        // Reverse direction still works.
-        b.send(a.id(), Bytes::from_static(b"y")).unwrap();
-        assert_eq!(a.recv().unwrap().1, Bytes::from_static(b"y"));
-        network.unblock_all();
-        a.send(b.id(), Bytes::from_static(b"z")).unwrap();
-        assert_eq!(b.recv().unwrap().1, Bytes::from_static(b"z"));
-    }
-
-    #[test]
-    fn isolation_and_heal() {
-        let (network, a, b) = pair();
-        network.isolate(b.id());
-        assert_eq!(
-            a.send(b.id(), Bytes::from_static(b"x")),
-            Err(TransportError::Dropped)
-        );
-        assert_eq!(
-            b.send(a.id(), Bytes::from_static(b"x")),
-            Err(TransportError::Dropped)
-        );
-        network.heal(b.id());
-        a.send(b.id(), Bytes::from_static(b"x")).unwrap();
-        assert!(b.try_recv().is_some());
-    }
-
-    #[test]
-    fn probabilistic_drops_are_deterministic() {
-        let run = |seed: u64| {
-            let (network, a, b) = pair();
-            network.set_drop_probability(0.5, seed);
-            let mut outcomes = Vec::new();
-            for _ in 0..64 {
-                outcomes.push(a.send(b.id(), Bytes::from_static(b"p")).is_ok());
-            }
-            outcomes
-        };
-        assert_eq!(run(11), run(11));
-        let outcomes = run(11);
-        let delivered = outcomes.iter().filter(|&&ok| ok).count();
-        assert!(delivered > 10 && delivered < 54, "drop rate wildly off");
-    }
-
-    #[test]
-    fn multicast_reaches_all_live_peers() {
-        let network = Network::new();
-        let sender = network.join(PeerId::replica(0));
-        let receivers: Vec<Endpoint> =
-            (1..4).map(|i| network.join(PeerId::replica(i))).collect();
-        let targets: Vec<PeerId> = receivers.iter().map(|r| r.id()).collect();
-        sender.multicast(&targets, &Bytes::from_static(b"block"));
-        for r in &receivers {
-            assert_eq!(r.recv().unwrap().1, Bytes::from_static(b"block"));
-        }
-    }
-
-    #[test]
     fn part_simulates_process_exit() {
         let (network, a, b) = pair();
+        let b_sender = b.sender();
         network.part(b.id());
+        // Deaf and mute: nothing reaches it, and nothing it still holds
+        // a handle for leaves it.
         assert_eq!(
             a.send(b.id(), Bytes::from_static(b"x")),
             Err(TransportError::UnknownPeer(b.id()))
         );
+        assert_eq!(
+            b.send(a.id(), Bytes::from_static(b"y")),
+            Err(TransportError::UnknownPeer(b.id()))
+        );
+        assert_eq!(
+            b_sender.send(a.id(), Bytes::from_static(b"y")),
+            Err(TransportError::UnknownPeer(b.id()))
+        );
+        assert!(a.try_recv().is_none());
+        // A restart under the same id sends and receives again.
+        let id = b.id();
         drop(b);
+        let b = network.join(id);
+        a.send(id, Bytes::from_static(b"x")).unwrap();
+        assert_eq!(b.recv().unwrap(), (a.id(), Bytes::from_static(b"x")));
+        b.send(a.id(), Bytes::from_static(b"y")).unwrap();
+        assert_eq!(a.recv().unwrap(), (id, Bytes::from_static(b"y")));
     }
 
     #[test]
@@ -798,19 +685,6 @@ mod tests {
         }
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
-        // Stats are shared with the originating endpoint.
-        assert_eq!(a.stats().messages_sent(), 4);
-    }
-
-    #[test]
-    fn sender_handle_respects_faults() {
-        let (network, a, b) = pair();
-        let sender = a.sender();
-        network.block_link(a.id(), b.id());
-        assert_eq!(
-            sender.send(b.id(), Bytes::from_static(b"x")),
-            Err(TransportError::Dropped)
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #   scripts/soak.sh <test> <runs> <busy-loops>
 #
 #   <test>        a test's name; its last path segment is enough
-#                 (message_loss_is_tolerated). `tier1` runs the whole
+#                 (leader_crash_triggers_failover). `tier1` runs the whole
 #                 tier-1 command, `cargo test -q`, instead
 #   <runs>        how many runs
 #   <busy-loops>  spinning shell loops to run beside it (0: idle box)

@@ -8,12 +8,14 @@
 //!
 //! * [`crypto`] — SHA-256 / HMAC / P-256 ECDSA built from scratch,
 //! * [`wire`] — the canonical binary wire format,
-//! * [`transport`] — in-process reliable channels with fault injection,
-//! * [`simnet`] — deterministic discrete-event WAN simulator,
+//! * [`transport`] — authenticated point-to-point links: an in-process
+//!   hub and kernel TCP sockets,
+//! * [`simnet`] — deterministic discrete-event WAN simulator, and the
+//!   one fault injector (seeded loss, link cuts, crashes),
 //! * [`consensus`] — BFT-SMaRt's Mod-SMaRt protocol plus the WHEAT
 //!   geo-replication optimizations (sans-io state machine),
 //! * [`smr`] — the state-machine-replication layer (clients, batching,
-//!   checkpoints, state transfer, reconfiguration),
+//!   checkpoints, state transfer, recovery),
 //! * [`fabric`] — a miniature Hyperledger-Fabric-style substrate
 //!   (envelopes, blocks, ledger, validation, endorsement),
 //! * [`ordering`] — the paper's contribution: the BFT ordering service
