@@ -724,9 +724,13 @@ impl Replica {
         if let Some(t0) = self.oldest_pending_since {
             let age = self.now_ms.saturating_sub(t0);
             if age > self.timeout_ms && !self.forwarded {
-                // Stage 1: forward pending requests to the leader in case
-                // the client never reached it.
+                // Stage 1: ask every peer for the frontier's value in case
+                // only this replica missed its decision (its ACCEPT quorum
+                // lost: no later instance may run to show it the gap),
+                // and forward pending requests to the leader in case the
+                // client never reached it.
                 self.forwarded = true;
+                self.request_value(self.next_cid, actions);
                 if !self.is_leader() {
                     let requests = self.sessions.unproposed(self.cfg.batch_max);
                     actions.push(Action::Send(self.leader(), ConsensusMsg::Forward { requests }));
@@ -1335,11 +1339,7 @@ impl Replica {
                     if cid == self.next_cid && !self.fetching_value {
                         self.fetching_value = true;
                         self.fetch_started_at = self.now_ms;
-                        for node in self.cfg.quorums.nodes() {
-                            if node != self.cfg.node {
-                                actions.push(Action::Send(node, ConsensusMsg::ValueRequest { cid }));
-                            }
-                        }
+                        self.request_value(cid, actions);
                     }
                     return;
                 }
@@ -1844,6 +1844,16 @@ impl Replica {
     // Value transfer
     // ------------------------------------------------------------------
 
+    /// Asks every peer for the value decided at `cid`. A peer that has
+    /// it answers with its decision proof, so one answer suffices.
+    fn request_value(&self, cid: u64, actions: &mut Vec<Action>) {
+        for node in self.cfg.quorums.nodes() {
+            if node != self.cfg.node {
+                actions.push(Action::Send(node, ConsensusMsg::ValueRequest { cid }));
+            }
+        }
+    }
+
     fn handle_value_request(&mut self, from: NodeId, cid: u64, actions: &mut Vec<Action>) {
         if let Some((_, batch, proof)) = self
             .recent_decisions
@@ -2025,9 +2035,10 @@ mod tests {
         let mut replicas = make_replicas(4, 1);
         // Node 1 (not leader) has pending requests that never decide.
         step(&mut replicas[1], 0, Input::Requests(vec![req(1), req(2), req(3)]));
-        // Stage 1 at t > timeout: one message forwards them all, in order.
+        // Stage 1 at t > timeout: every peer is asked for the
+        // frontier's value, and one message forwards them all, in order.
         let mut actions = step(&mut replicas[1], 2_500, Input::Tick);
-        assert_eq!(actions.len(), 1, "one Forward, whatever is pending: {actions:?}");
+        assert_eq!(actions.len(), 4, "three ValueRequests, one Forward, whatever is pending: {actions:?}");
         let Some(Action::Send(NodeId(0), ConsensusMsg::Forward { requests })) = actions.pop() else {
             panic!("expected a Forward to the leader");
         };

@@ -19,6 +19,10 @@
 //! Vmax-co-located frontends beating Vmin ones, block size 100 adding
 //! fill delay — is reproduced faithfully; absolute numbers track the
 //! RTT matrix.
+//!
+//! The same world, on a zero-latency LAN with no frontends, is where
+//! the node core's own tests run (seeded loss, cut links, crashes and
+//! forced STOPs): one driver of [`NodeCore`] in the simulator.
 
 use crate::collector::BlockCollector;
 use crate::node::OrderingNodeApp;
@@ -32,15 +36,17 @@ use hlf_simnet::regions::{Region, RegionMatrix};
 use hlf_simnet::{
     percentile, Actor, Ctx, FaultPlan, LatencyModel, SimMessage, SimTime, Simulation,
 };
-use hlf_smr::core::{Input, NodeCore, Output};
+use hlf_smr::app::Application;
+use hlf_smr::core::{Input, NodeConfig, NodeCore, Output};
 use hlf_smr::runtime::ClusterKeys;
 use hlf_smr::storage::MemoryLog;
 use hlf_smr::wire::SmrMsg;
 use hlf_transport::PeerId;
-use hlf_wire::{ClientId, Encode, NodeId};
+use hlf_wire::{Bytes, ClientId, NodeId};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which protocol variant to simulate.
@@ -54,25 +60,32 @@ pub enum Protocol {
     Wheat,
 }
 
-/// Messages crossing the simulated WAN.
+/// Messages crossing the simulated network.
 #[derive(Clone, Debug)]
-pub enum GeoMsg {
-    /// A frame of the SMR protocol — envelope submission, consensus
-    /// traffic, state transfer — exactly as a threaded node would put
-    /// it on its transport. Replica-to-replica frames carry a
-    /// sender-unique id so [`EventKind::FrameSeq`] send/recv pairs can
-    /// be stitched into a causal cluster timeline. The tag is
-    /// bookkeeping, not protocol state: it never reaches the node core
-    /// and does not count toward the wire size.
-    Smr(SmrMsg, u64),
+enum GeoMsg {
+    /// An encoded frame of the SMR protocol — envelope submission,
+    /// consensus traffic, state transfer — byte for byte what a threaded
+    /// node puts on its transport. The receiver decodes it, so every
+    /// batch arrives without the sender's leaf cache, as off a socket.
+    /// Replica-to-replica frames carry a sender-unique id so
+    /// [`EventKind::FrameSeq`] send/recv pairs can be stitched into a
+    /// causal cluster timeline. The tag is bookkeeping, not protocol
+    /// state: it never reaches the node core and does not count toward
+    /// the wire size.
+    Smr(Bytes, u64),
     /// Replica-to-frontend block copy (the signing pool's push).
     Block(Block),
+}
+
+/// The bytes a transport carries for `msg`.
+fn encode(msg: &SmrMsg) -> Bytes {
+    Bytes::from(hlf_wire::to_bytes(msg))
 }
 
 impl SimMessage for GeoMsg {
     fn wire_size(&self) -> usize {
         match self {
-            GeoMsg::Smr(msg, _) => msg.encoded_len(),
+            GeoMsg::Smr(frame, _) => frame.len(),
             GeoMsg::Block(block) => block.wire_size(),
         }
     }
@@ -84,9 +97,6 @@ const SUBMIT_TOKEN: u64 = 1;
 const SIGN_TOKEN_BASE: u64 = 1000;
 /// Frontend `slot` is SMR client `FRONTEND_CLIENT_BASE + slot`.
 const FRONTEND_CLIENT_BASE: u32 = 100;
-/// The nodes' tick period (ms). Coarser than a threaded node's 20 ms:
-/// ticks only drive timeouts, and WAN timeouts are seconds.
-const TICK_EVERY_MS: u64 = 500;
 /// XOR mask applied to a digest when forging an injected flight event;
 /// non-zero, so the forged digest always conflicts with the real one.
 const FORGED_DIGEST_MASK: u64 = 0x00ff_00ff_00ff_00ff;
@@ -107,19 +117,25 @@ pub enum AuditInjection {
     DroppedCertifiedValue { node: usize, nth: u64 },
 }
 
+/// Sees each output of one replica before the world carries it out;
+/// `false` drops it.
+type Interposer = Box<dyn FnMut(&Output) -> bool>;
+
 /// An ordering node inside the simulator: the simnet driver of a
-/// [`NodeCore`]. Everything here is simulation — virtual links, the
-/// crash instant, the modelled signing delay, audit bookkeeping; the
-/// protocol is the core's.
+/// [`NodeCore`]. Everything here is simulation — virtual links and
+/// clock, the modelled signing delay, audit bookkeeping; the protocol
+/// is the core's.
 struct ReplicaActor {
     core: NodeCore,
     n: usize,
+    /// [`NodeConfig::tick_interval`]: it steps [`Input::Tick`] this often.
+    tick_every: SimTime,
     /// Actor indices of the frontends. Placement is static: every
     /// frontend receives every block from the first one on.
     frontends: Vec<usize>,
     /// Blocks the application cut during the current step (the far
-    /// end of its block sink).
-    cut_blocks: Receiver<Block>,
+    /// end of its block sink), when it pushes blocks to the frontends.
+    cut_blocks: Option<Receiver<Block>>,
     sign_delay: SimTime,
     next_sign_token: u64,
     signing: HashMap<u64, Block>,
@@ -134,15 +150,32 @@ struct ReplicaActor {
     commits_seen: u64,
     /// Observability-layer fault injection (auditor validation).
     inject: Option<AuditInjection>,
-    /// Crash-stop instant: from here on the node is mute and deaf.
-    crash_at: Option<SimTime>,
+    /// Sees each output first and may drop it (none in the geo runs).
+    interpose: Option<Interposer>,
     /// Reused across steps.
     out: Vec<Output>,
 }
 
 impl ReplicaActor {
-    fn crashed(&self, now: SimTime) -> bool {
-        self.crash_at.is_some_and(|at| now >= at)
+    /// Replica `config.consensus.node` of `n`, on an empty log, recording
+    /// into `config.flight` and pushing to no frontend.
+    fn new(config: &NodeConfig, app: Box<dyn Application>, n: usize) -> ReplicaActor {
+        ReplicaActor {
+            core: NodeCore::new(config, app, Box::new(MemoryLog::new())),
+            n,
+            tick_every: SimTime::from_micros(config.tick_interval.as_micros() as u64),
+            frontends: Vec::new(),
+            cut_blocks: None,
+            sign_delay: SimTime::from_micros(500),
+            next_sign_token: SIGN_TOKEN_BASE,
+            signing: HashMap::new(),
+            flight: config.flight.clone(),
+            next_frame: 0,
+            commits_seen: 0,
+            inject: None,
+            interpose: None,
+            out: Vec::new(),
+        }
     }
 
     /// The transport identity of actor `index`.
@@ -154,16 +187,16 @@ impl ReplicaActor {
         }
     }
 
-    /// Sends one frame to a peer replica, recording the
+    /// Sends one encoded frame to a peer replica, recording the
     /// [`EventKind::FrameSeq`] send half under a sender-unique tag so
     /// the audit timeline can stitch the matching receive to it.
-    fn send_frame(&mut self, to: usize, msg: SmrMsg, ctx: &mut Ctx<'_, GeoMsg>) {
+    fn send_frame(&mut self, to: usize, frame: Bytes, ctx: &mut Ctx<'_, GeoMsg>) {
         let tag = ((ctx.self_id() as u64) << 40) | self.next_frame;
         self.next_frame += 1;
         if let Some(flight) = &self.flight {
             flight.record(ctx.now().as_micros(), EventKind::FrameSeq, to as u64, tag, 0);
         }
-        ctx.send(to, GeoMsg::Smr(msg, tag));
+        ctx.send(to, GeoMsg::Smr(frame, tag));
     }
 
     /// Records the forged flight event of a configured
@@ -201,14 +234,20 @@ impl ReplicaActor {
 
     fn flush(&mut self, out: &mut Vec<Output>, ctx: &mut Ctx<'_, GeoMsg>) {
         for output in out.drain(..) {
+            if let Some(interpose) = &mut self.interpose {
+                if !interpose(&output) {
+                    continue;
+                }
+            }
             match output {
                 Output::ToReplicas(msg) => {
+                    let frame = encode(&msg);
                     let me = ctx.self_id();
                     for node in (0..self.n).filter(|node| *node != me) {
-                        self.send_frame(node, msg.clone(), ctx);
+                        self.send_frame(node, frame.clone(), ctx);
                     }
                 }
-                Output::ToReplica(to, msg) => self.send_frame(to.as_usize(), msg, ctx),
+                Output::ToReplica(to, msg) => self.send_frame(to.as_usize(), encode(&msg), ctx),
                 // The ordering application answers through its block
                 // sink, never with replies; frontend placement is static.
                 Output::ToClient(..) | Output::ToAllClients(..) | Output::ClientJoined(_) => {}
@@ -220,7 +259,10 @@ impl ReplicaActor {
         }
         // The modelled signing pool: every block the application cut
         // in this step is held for the ECDSA delay, then transmitted.
-        while let Ok(block) = self.cut_blocks.try_recv() {
+        let Some(cut_blocks) = &self.cut_blocks else {
+            return;
+        };
+        while let Ok(block) = cut_blocks.try_recv() {
             if let Some(flight) = &self.flight {
                 let number = block.header.number;
                 flight.record(ctx.now().as_micros(), EventKind::SignStart, number, 0, 0);
@@ -236,29 +278,27 @@ impl ReplicaActor {
 impl Actor<GeoMsg> for ReplicaActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GeoMsg>) {
         self.drive(ctx, NodeCore::recover);
-        ctx.set_timer(SimTime::from_millis(TICK_EVERY_MS), TICK_TOKEN);
+        ctx.set_timer(self.tick_every, TICK_TOKEN);
     }
 
     fn on_message(&mut self, from: usize, msg: GeoMsg, ctx: &mut Ctx<'_, GeoMsg>) {
-        if self.crashed(ctx.now()) {
-            return;
-        }
-        let GeoMsg::Smr(msg, tag) = msg else { return };
+        let GeoMsg::Smr(frame, tag) = msg else { return };
         if from < self.n {
             if let Some(flight) = &self.flight {
                 flight.record(ctx.now().as_micros(), EventKind::FrameSeq, from as u64, tag, 1);
             }
         }
+        // A frame that does not decode is dropped, as by a socket reader.
+        let Ok(msg) = hlf_wire::from_bytes_shared::<SmrMsg>(&frame) else {
+            return;
+        };
         self.step(Input::Frame(self.peer_of(from), msg), ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, GeoMsg>) {
-        if self.crashed(ctx.now()) {
-            return;
-        }
         if token == TICK_TOKEN {
             self.step(Input::Tick, ctx);
-            ctx.set_timer(SimTime::from_millis(TICK_EVERY_MS), TICK_TOKEN);
+            ctx.set_timer(self.tick_every, TICK_TOKEN);
         } else if let Some(block) = self.signing.remove(&token) {
             if let Some(flight) = &self.flight {
                 let number = block.header.number;
@@ -310,8 +350,9 @@ impl FrontendActor {
                 seq,
             );
         }
+        let frame = GeoMsg::Smr(encode(&SmrMsg::Requests(vec![request])), 0);
         for &replica in &self.replicas {
-            ctx.send(replica, GeoMsg::Smr(SmrMsg::Requests(vec![request.clone()]), 0));
+            ctx.send(replica, frame.clone());
         }
     }
 
@@ -370,44 +411,36 @@ impl Actor<GeoMsg> for FrontendActor {
     }
 }
 
-/// State shared between the in-sim [`AuditorActor`] and the experiment
-/// driver (which takes the final summary after the run).
-struct AuditShared {
+/// Passive in-sim auditor: on a virtual-time timer it drains every
+/// replica's flight ring into its [`ClusterAuditor`], and — when
+/// `HLF_DASH` is on — redraws the live dashboard once per virtual
+/// second. It never sends a message, so attaching it cannot perturb
+/// the simulated protocol run; the experiment reads its summary after
+/// the run.
+struct AuditorActor {
     auditor: ClusterAuditor,
     dashboard: Dashboard,
+    recorders: Vec<Arc<FlightRecorder>>,
     /// Per-replica [`FlightRecorder::events_since`] cursors.
     cursors: Vec<u64>,
+    drain_every: SimTime,
+    draw: bool,
+    next_draw_us: u64,
 }
 
-impl AuditShared {
+impl AuditorActor {
     /// Drains every replica ring incrementally into the auditor (and
     /// the dashboard aggregates).
-    fn drain(&mut self, recorders: &[Arc<FlightRecorder>]) {
-        for (node, recorder) in recorders.iter().enumerate() {
-            let cursor = self.cursors.get(node).copied().unwrap_or(0);
-            let (head, events) = recorder.events_since(cursor);
-            if let Some(slot) = self.cursors.get_mut(node) {
-                *slot = head;
-            }
+    fn drain(&mut self) {
+        for (node, (recorder, cursor)) in self.recorders.iter().zip(&mut self.cursors).enumerate() {
+            let (head, events) = recorder.events_since(*cursor);
+            *cursor = head;
             for event in &events {
                 self.auditor.observe(node, event);
                 self.dashboard.observe(node, event);
             }
         }
     }
-}
-
-/// Passive in-sim auditor: on a virtual-time timer it drains every
-/// replica's flight ring into the shared [`ClusterAuditor`], and — when
-/// `HLF_DASH` is on — redraws the live dashboard once per virtual
-/// second. It never sends a message, so attaching it cannot perturb
-/// the simulated protocol run.
-struct AuditorActor {
-    shared: Arc<Mutex<AuditShared>>,
-    recorders: Vec<Arc<FlightRecorder>>,
-    drain_every: SimTime,
-    draw: bool,
-    next_draw_us: u64,
 }
 
 impl Actor<GeoMsg> for AuditorActor {
@@ -418,17 +451,24 @@ impl Actor<GeoMsg> for AuditorActor {
     fn on_message(&mut self, _from: usize, _msg: GeoMsg, _ctx: &mut Ctx<'_, GeoMsg>) {}
 
     fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, GeoMsg>) {
-        let mut guard = self.shared.lock().unwrap_or_else(|e| e.into_inner());
-        let shared = &mut *guard;
-        shared.drain(&self.recorders);
+        self.drain();
         if self.draw && ctx.now().as_micros() >= self.next_draw_us {
-            shared.dashboard.draw_to_stderr(&shared.auditor);
+            self.dashboard.draw_to_stderr(&self.auditor);
             self.next_draw_us = self.next_draw_us.saturating_add(1_000_000);
         }
-        drop(guard);
         ctx.set_timer(self.drain_every, TICK_TOKEN);
     }
 }
+
+/// An actor of the world, reachable by its concrete type (a test
+/// reaches a replica's core, the experiment its auditor's summary).
+trait Member: Actor<GeoMsg> + Any {}
+
+impl<T: Actor<GeoMsg> + Any> Member for T {}
+
+/// The simulated world. Actor indices: replicas `0..n`, then the
+/// frontends, if any, then the auditor, if any.
+type World = Simulation<GeoMsg, dyn Member>;
 
 /// Configuration of one geo-distributed run.
 #[derive(Clone, Debug)]
@@ -585,7 +625,8 @@ pub struct FrontendLatency {
 /// Result of a geo-distributed run.
 #[derive(Clone, Debug)]
 pub struct GeoResult {
-    /// Per-frontend latency summaries, in [`frontend_regions`] order.
+    /// Per-frontend latency summaries, in placement order: Canada,
+    /// Oregon, Virginia, São Paulo.
     pub frontends: Vec<FrontendLatency>,
     /// Aggregate delivered envelopes per simulated second.
     pub throughput: f64,
@@ -602,7 +643,7 @@ pub struct GeoResult {
 }
 
 /// Replica placement for a protocol (paper §6.3).
-pub fn replica_regions(protocol: Protocol) -> Vec<Region> {
+fn replica_regions(protocol: Protocol) -> Vec<Region> {
     match protocol {
         Protocol::BftSmart => vec![
             Region::Oregon,
@@ -624,7 +665,7 @@ pub fn replica_regions(protocol: Protocol) -> Vec<Region> {
 }
 
 /// Frontend placement (paper §6.3): Canada, Oregon, Virginia, São Paulo.
-pub fn frontend_regions() -> Vec<Region> {
+fn frontend_regions() -> Vec<Region> {
     vec![
         Region::Canada,
         Region::Oregon,
@@ -643,7 +684,8 @@ pub fn run_geo_experiment(config: &GeoConfig) -> GeoResult {
 }
 
 /// [`run_geo_experiment`] under a link-fault plan (actor indices:
-/// replicas first, then frontends).
+/// replicas first, then frontends). [`GeoConfig::crash_replica`] joins
+/// the plan.
 fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     assert!(config.rate_per_frontend > 0.0, "rate must be positive");
     assert!(config.duration > SimTime::ZERO, "duration must be positive");
@@ -695,8 +737,11 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     .with_bandwidth_bps(125_000_000)
     .with_jitter(SimTime::from_millis(2));
 
-    let mut sim: Simulation<GeoMsg> = Simulation::new(model, config.seed);
-    sim.set_faults(faults);
+    let mut sim = World::new(model, config.seed);
+    sim.set_faults(match config.crash_replica {
+        Some((node, at)) => faults.crash_at(node, at),
+        None => faults,
+    });
     let frontend_indices: Vec<usize> = (n..n + frontends.len()).collect();
     let registries: Vec<Arc<Registry>> = if config.collect_obs {
         (0..n)
@@ -728,8 +773,10 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     for i in 0..n {
         let registry = registries.get(i).cloned();
         let flight = replica_flights.get(i).cloned();
-        let mut node_config = runtime_options.node_config(i, &keys, registry.clone(), flight.clone());
-        node_config.tick_interval = Duration::from_millis(TICK_EVERY_MS);
+        let mut node_config = runtime_options.node_config(i, &keys, registry.clone(), flight);
+        // Coarser than a threaded node's 20 ms: ticks only drive
+        // timeouts, and WAN timeouts are seconds.
+        node_config.tick_interval = Duration::from_millis(500);
         // The application's block sink is a queue the actor drains
         // into signing timers after every step.
         let (cut_tx, cut_blocks) = channel();
@@ -739,23 +786,11 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
                 let _ = cut_tx.send(block);
             },
         );
-        sim.add_actor(Box::new(ReplicaActor {
-            core: NodeCore::new(&node_config, Box::new(app), Box::new(MemoryLog::new())),
-            n,
-            frontends: frontend_indices.clone(),
-            cut_blocks,
-            sign_delay: SimTime::from_micros(500),
-            next_sign_token: SIGN_TOKEN_BASE,
-            signing: HashMap::new(),
-            flight,
-            next_frame: 0,
-            commits_seen: 0,
-            inject: config.inject,
-            crash_at: config
-                .crash_replica
-                .and_then(|(node, at)| (node == i).then_some(at)),
-            out: Vec::new(),
-        }));
+        let mut replica = ReplicaActor::new(&node_config, Box::new(app), n);
+        replica.frontends = frontend_indices.clone();
+        replica.cut_blocks = Some(cut_blocks);
+        replica.inject = config.inject;
+        sim.add_actor(Box::new(replica));
     }
     let gap = SimTime::from_micros((1_000_000.0 / config.rate_per_frontend) as u64);
     for slot in 0..frontends.len() {
@@ -782,23 +817,17 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
             flight,
         }));
     }
-    let audit_shared = if config.audit {
-        let shared = Arc::new(Mutex::new(AuditShared {
+    if config.audit {
+        sim.add_actor(Box::new(AuditorActor {
             auditor: ClusterAuditor::new(n, f),
             dashboard: Dashboard::new(n),
-            cursors: vec![0; n],
-        }));
-        sim.add_actor(Box::new(AuditorActor {
-            shared: Arc::clone(&shared),
             recorders: replica_flights.clone(),
+            cursors: vec![0; n],
             drain_every: SimTime::from_millis(200),
             draw: dash_enabled(),
             next_draw_us: 1_000_000,
         }));
-        Some(shared)
-    } else {
-        None
-    };
+    }
 
     sim.run_until(config.duration.saturating_add(SimTime::from_secs(10)));
 
@@ -847,13 +876,13 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
 
     // Final catch-up drain: the timer fires every 200 ms, so the tail
     // of the run may not have been consumed yet.
-    let audit = audit_shared.map(|shared| {
-        let mut guard = shared.lock().unwrap_or_else(|e| e.into_inner());
-        guard.drain(&replica_flights);
-        AuditSummary {
-            violations: guard.auditor.violations().to_vec(),
-            events: guard.auditor.observed(),
-        }
+    let audit = config.audit.then(|| sim.actor_mut(n + frontends.len())).and_then(|auditor| {
+        let auditor = (auditor as &mut dyn Any).downcast_mut::<AuditorActor>()?;
+        auditor.drain();
+        Some(AuditSummary {
+            violations: auditor.auditor.violations().to_vec(),
+            events: auditor.auditor.observed(),
+        })
     });
 
     GeoResult {
@@ -864,6 +893,9 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
         audit,
     }
 }
+
+#[cfg(test)]
+mod node_core;
 
 #[cfg(test)]
 mod tests {

@@ -434,6 +434,8 @@ pub struct Simulation<M, A: ?Sized = dyn Actor<M>> {
     seed: u64,
     samples: Vec<Sample>,
     events_processed: u64,
+    /// Whether every actor's `on_start` has run.
+    started: bool,
     halted: bool,
     /// Safety valve against runaway simulations.
     max_events: u64,
@@ -475,6 +477,7 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
             seed,
             samples: Vec::new(),
             events_processed: 0,
+            started: false,
             halted: false,
             max_events: 200_000_000,
         }
@@ -568,7 +571,8 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
     }
 
     fn start_if_needed(&mut self) {
-        if self.events_processed == 0 && self.now == SimTime::ZERO && !self.halted {
+        if !self.started && !self.halted {
+            self.started = true;
             for i in 0..self.actors.len() {
                 self.dispatch(i, |actor, ctx| actor.on_start(ctx));
             }
@@ -804,6 +808,28 @@ mod tests {
         sim.run();
         let order: Vec<f64> = sim.samples().iter().map(|s| s.value).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
+    }
+
+    /// A run resumed before any event is due does not start its actors
+    /// again.
+    #[test]
+    fn actors_start_once() {
+        struct OneTimer;
+        impl Actor<Num> for OneTimer {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Num>) {
+                ctx.set_timer(SimTime::from_millis(10), 0);
+            }
+            fn on_message(&mut self, _f: usize, _m: Num, _c: &mut Ctx<'_, Num>) {}
+            fn on_timer(&mut self, _t: u64, ctx: &mut Ctx<'_, Num>) {
+                ctx.sample("timer", 0.0);
+            }
+        }
+        let mut sim: Simulation<Num> = Simulation::new(LatencyModel::constant(SimTime::ZERO), 0);
+        sim.add_actor(Box::new(OneTimer));
+        sim.run_until(SimTime::ZERO);
+        sim.run_until(SimTime::ZERO);
+        sim.run();
+        assert_eq!(sim.samples().len(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Threaded integration tests for the ordering service: crashed
 //! orderers, leader failover mid-stream, and the WHEAT configuration end
 //! to end. Message loss and cut links are tested on the deterministic
-//! simulator (`core/tests/node_core.rs`, `core::sim`'s tests).
+//! simulator (`core::sim`'s tests, `core::sim::node_core` among them).
 
 use hlf_wire::Bytes;
 use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
