@@ -100,14 +100,14 @@ fn apply(args: &mut NodeArgs, key: &str, value: &str) {
         "role" => args.role = value.to_string(),
         "id" => args.id = parse_num(value) as u32,
         "n" => args.n = parse_num(value) as usize,
-        "f" => args.options.f = parse_num(value) as usize,
+        "f" => args.options.runtime.f = parse_num(value) as usize,
         "listen" => args.listen = value.to_string(),
         "secret" => args.secret = value.to_string(),
         "block-size" => args.options.block_size = parse_num(value) as usize,
-        "pipeline-depth" => args.options.pipeline_depth = parse_num(value) as usize,
+        "pipeline-depth" => args.options.runtime.pipeline_depth = parse_num(value) as usize,
         "signing-threads" => args.options.signing_threads = parse_num(value) as usize,
-        "batch-max" => args.options.batch_max = parse_num(value) as usize,
-        "request-timeout-ms" => args.options.request_timeout_ms = parse_num(value),
+        "batch-max" => args.options.runtime.batch_max = parse_num(value) as usize,
+        "request-timeout-ms" => args.options.runtime.request_timeout_ms = parse_num(value),
         "obs-out" => args.obs_out = Some(value.to_string()),
         "obs-interval-secs" => args.obs_interval_secs = Some(parse_num(value)),
         "admin-listen" => args.admin_listen = Some(value.to_string()),
@@ -185,9 +185,10 @@ fn run_replica(args: &NodeArgs) {
         network.local_addr()
     );
     let admin_listen = args.admin_listen.as_deref().map(parse_addr);
-    // The flight ring exists whenever someone can read it: the admin
-    // endpoint (remote scrapes) or HLF_TRACE (local dumps).
-    let flight = (admin_listen.is_some() || hlf_obs::trace_enabled())
+    // The flight ring exists only where someone can read it: behind the
+    // admin endpoint.
+    let flight = admin_listen
+        .is_some()
         .then(|| Arc::new(FlightRecorder::new(format!("node-{}", args.id))));
     let handle = start_replica_endpoint_with_flight(
         args.id as usize,

@@ -76,7 +76,7 @@ pub mod sim;
 pub use blockcutter::{BlockCutter, Cut, CutReason};
 pub use collector::{copies_needed, BlockCollector, DeliveryPolicy, FrontendConfig, FrontendStats};
 pub use frontend::Frontend;
-pub use node::{OrderingNodeApp, OrderingNodeConfig, OrderingNodeStats};
+pub use node::{OrderingNodeApp, OrderingNodeConfig};
 pub use obs::{CutterObs, FrontendObs, SigningObs};
 pub use service::{OrderingService, ServiceOptions};
 pub use signing::{signing_sink, SigningPool, SigningStats};

@@ -14,7 +14,6 @@ use hlf_obs::Registry;
 use hlf_smr::app::{Application, Outbound};
 use hlf_wire::{Decode, Encode, Reader};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-channel chain state: exactly the paper's tiny application state
@@ -133,24 +132,6 @@ impl OrderingNodeConfig {
     }
 }
 
-/// Live counters shared with benchmarks.
-#[derive(Debug, Default)]
-pub struct OrderingNodeStats {
-    blocks_cut: AtomicU64,
-    envelopes_ordered: AtomicU64,
-}
-
-impl OrderingNodeStats {
-    /// Blocks cut (and handed to the block sink) so far.
-    pub fn blocks_cut(&self) -> u64 {
-        self.blocks_cut.load(Ordering::Relaxed)
-    }
-    /// Envelopes fed through the blockcutter so far.
-    pub fn envelopes_ordered(&self) -> u64 {
-        self.envelopes_ordered.load(Ordering::Relaxed)
-    }
-}
-
 /// Undo record for WHEAT tentative execution: a snapshot of every
 /// channel's chain state (channels are few and their state is tiny).
 #[derive(Debug)]
@@ -172,7 +153,6 @@ pub struct OrderingNodeApp {
     /// Where cut, chained, still unsigned blocks go. The application is
     /// clock- and thread-free: signing and transmission are the sink's.
     sink: Box<dyn FnMut(Block) + Send>,
-    stats: Arc<OrderingNodeStats>,
     cutter_obs: Option<CutterObs>,
     undo: Vec<Undo>,
 }
@@ -198,15 +178,9 @@ impl OrderingNodeApp {
             chains: BTreeMap::new(),
             config,
             sink: Box::new(sink),
-            stats: Arc::new(OrderingNodeStats::default()),
             cutter_obs,
             undo: Vec::new(),
         }
-    }
-
-    /// Live counters.
-    pub fn stats(&self) -> Arc<OrderingNodeStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Next block number to be assigned on a channel (1 for unknown
@@ -248,7 +222,6 @@ impl OrderingNodeApp {
         channel: &str,
         cut: Cut,
         sink: &mut dyn FnMut(Block),
-        stats: &OrderingNodeStats,
         obs: Option<&CutterObs>,
     ) {
         if let Some(obs) = obs {
@@ -263,7 +236,6 @@ impl OrderingNodeApp {
         let block = Block::from_leaves(channel, number, prev, cut.envelopes, &cut.leaves);
         chain.prev_hash = block.header_hash();
         chain.next_number += 1;
-        stats.blocks_cut.fetch_add(1, Ordering::Relaxed);
         sink(block);
     }
 }
@@ -280,7 +252,6 @@ impl Application for OrderingNodeApp {
         // hashed when the batch was digested (or now, for a batch that
         // never was).
         for (request, leaf) in batch.requests.iter().zip(batch.leaves()) {
-            self.stats.envelopes_ordered.fetch_add(1, Ordering::Relaxed);
             let (channel, envelope) = untag_envelope(&request.payload);
             // Looked up by the borrowed name: only a new channel
             // allocates one.
@@ -293,7 +264,7 @@ impl Application for OrderingNodeApp {
             };
             if let Some(cut) = chain.cutter.push_hashed(envelope, *leaf) {
                 let obs = self.cutter_obs.as_ref();
-                Self::seal_block(chain, channel, cut, &mut *self.sink, &self.stats, obs);
+                Self::seal_block(chain, channel, cut, &mut *self.sink, obs);
             }
         }
         if self.config.flush_on_batch_end {
@@ -302,7 +273,7 @@ impl Application for OrderingNodeApp {
             for (channel, chain) in &mut self.chains {
                 if chain.cutter.pending() > 0 {
                     let (cut, obs) = (chain.cutter.drain(), self.cutter_obs.as_ref());
-                    Self::seal_block(chain, channel, cut, &mut *self.sink, &self.stats, obs);
+                    Self::seal_block(chain, channel, cut, &mut *self.sink, obs);
                 }
             }
         }
@@ -401,8 +372,8 @@ mod tests {
         assert_eq!(blocks[0].header.prev_hash, Hash256::ZERO);
         assert_eq!(blocks[1].header.prev_hash, blocks[0].header.hash());
         assert_eq!(blocks[0].envelopes.len(), 5);
-        assert_eq!(app.stats().blocks_cut(), 2);
-        assert_eq!(app.stats().envelopes_ordered(), 12);
+        assert_eq!(blocks[1].envelopes.len(), 5);
+        assert_eq!(app.pending_on(hlf_fabric::block::SYSTEM_CHANNEL), 2);
         // Signing is the sink's job: the application emits bare blocks.
         assert!(blocks[0].signatures.is_empty());
     }

@@ -1,17 +1,21 @@
-//! Multi-process deployment assembly: one ordering replica or
-//! frontend per OS process, over the TCP transport.
+//! Ordering-replica assembly, and its per-process entry points for one
+//! ordering replica or frontend per OS process over TCP.
 //!
-//! [`OrderingService::start`](crate::service::OrderingService::start)
-//! boots a whole cluster in one address space; this module is its
-//! per-process counterpart. Every process derives the same
-//! deterministic cluster key material (`ClusterKeys::derive("runtime",
-//! n)`), so a replica started here interoperates with any other
-//! process started with the same `(n, options)` — and with in-process
-//! clusters, which is what the cross-backend benchmarks compare.
+//! [`start_replica`] is the one place a threaded ordering replica is
+//! put together: [`OrderingService::start`](crate::service::OrderingService::start)
+//! runs it once per hub endpoint (and again on a restart), and
+//! [`start_replica_endpoint`] once per TCP endpoint. Every process
+//! derives the same deterministic cluster key material
+//! (`ClusterKeys::derive("runtime", n)`), so a replica started here
+//! interoperates with any other process started with the same
+//! `(n, options)` — and with in-process clusters, which is what the
+//! cross-backend benchmarks compare.
 
 use crate::frontend::Frontend;
+use crate::node::OrderingNodeApp;
 use crate::service::ServiceOptions;
-use hlf_obs::Registry;
+use crate::signing::signing_sink;
+use hlf_obs::{FlightRecorder, Registry};
 use hlf_smr::node::{spawn_replica, NodeHandle};
 use hlf_smr::runtime::ClusterKeys;
 use hlf_smr::storage::MemoryLog;
@@ -19,10 +23,32 @@ use hlf_transport::Endpoint;
 use hlf_wire::ClientId;
 use std::sync::Arc;
 
+/// Starts ordering replica `i` of the cluster holding `keys` on
+/// `endpoint`: consensus and blocks record into `registry` and, when
+/// given, `flight`; blocks are signed on a pool and pushed to every
+/// subscribed frontend.
+pub(crate) fn start_replica(
+    i: usize,
+    keys: &ClusterKeys,
+    options: &ServiceOptions,
+    endpoint: Endpoint,
+    registry: Arc<Registry>,
+    flight: Option<Arc<FlightRecorder>>,
+) -> NodeHandle {
+    let node_config =
+        options.runtime.node_config(i, keys, Some(Arc::clone(&registry)), flight.clone());
+    let app_config = options.app_config(i, keys, Some(registry), flight);
+    spawn_replica(node_config, endpoint, Box::new(MemoryLog::new()), move |push| {
+        let sink = signing_sink(&app_config, push);
+        Box::new(OrderingNodeApp::new(app_config, sink))
+    })
+}
+
 /// Starts ordering replica `i` of an `n`-node cluster on an
 /// already-built transport endpoint (normally
-/// [`hlf_transport::TcpNetwork::endpoint`]). Returns the node handle;
-/// the process typically parks until signalled and then drops it.
+/// [`hlf_transport::TcpNetwork::endpoint`]), without a flight recorder.
+/// Returns the node handle; the process typically parks until signalled
+/// and then drops it.
 ///
 /// # Panics
 ///
@@ -34,14 +60,11 @@ pub fn start_replica_endpoint(
     endpoint: Endpoint,
     registry: Arc<Registry>,
 ) -> NodeHandle {
-    let flight = hlf_obs::trace_enabled()
-        .then(|| Arc::new(hlf_obs::FlightRecorder::new(format!("node-{i}"))));
-    start_replica_endpoint_with_flight(i, n, options, endpoint, registry, flight)
+    start_replica_endpoint_with_flight(i, n, options, endpoint, registry, None)
 }
 
-/// [`start_replica_endpoint`] with an explicit flight recorder (e.g.
-/// one shared with an admin/telemetry endpoint), instead of the
-/// `HLF_TRACE`-gated default. The recorder receives the node's
+/// [`start_replica_endpoint`] with a flight recorder (e.g. one shared
+/// with an admin/telemetry endpoint). The recorder receives the node's
 /// consensus, state-transfer *and* signing-phase events.
 ///
 /// # Panics
@@ -54,22 +77,9 @@ pub fn start_replica_endpoint_with_flight(
     options: &ServiceOptions,
     endpoint: Endpoint,
     registry: Arc<Registry>,
-    flight: Option<Arc<hlf_obs::FlightRecorder>>,
+    flight: Option<Arc<FlightRecorder>>,
 ) -> NodeHandle {
-    let keys = ClusterKeys::derive("runtime", n);
-    let node_config = options.runtime_options().node_config(
-        i,
-        &keys,
-        Some(Arc::clone(&registry)),
-        flight.clone(),
-    );
-    let options = options.clone();
-    spawn_replica(
-        node_config,
-        endpoint,
-        Box::new(MemoryLog::new()),
-        move |push| Box::new(options.threaded_app(i, &keys, registry, flight, push)),
-    )
+    start_replica(i, &ClusterKeys::derive("runtime", n), options, endpoint, registry, flight)
 }
 
 /// Connects a frontend for an `n`-node cluster on an already-built

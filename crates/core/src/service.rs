@@ -2,14 +2,12 @@
 //! cluster + frontends, ready for use by a Fabric-style network.
 
 use crate::frontend::{Frontend, FrontendConfig};
-use crate::node::{OrderingNodeApp, OrderingNodeConfig};
-use crate::signing::signing_sink;
+use crate::node::OrderingNodeConfig;
+use crate::proc::start_replica;
 use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::VerifyingKey;
 use hlf_obs::{FlightRecorder, Registry, Snapshot};
-use hlf_smr::node::PushHandle;
 use hlf_smr::runtime::{ClusterKeys, ClusterRuntime, RuntimeOptions};
-use hlf_smr::storage::MemoryLog;
 use hlf_transport::Network;
 use hlf_wire::ClientId;
 use std::sync::Arc;
@@ -24,26 +22,18 @@ use std::time::Duration;
 /// `hub_large_fanout`'s peak RSS. At 64 that is under 40 MiB.
 const CHECKPOINT_EVERY: u64 = 64;
 
-/// Service-level options.
+/// Service-level options: the SMR layer's, plus what an ordering node
+/// and its frontends add on top.
 #[derive(Clone, Debug)]
 pub struct ServiceOptions {
-    /// Fault threshold; the cluster has `3f + 1` nodes (or more with
-    /// WHEAT spares).
-    pub f: usize,
+    /// Fault threshold (the cluster has `3f + 1` nodes, or more with
+    /// WHEAT spares), quorums, execution mode, consensus batch cap,
+    /// request timeout, checkpoint period and pipeline depth.
+    pub runtime: RuntimeOptions,
     /// Envelopes per block.
     pub block_size: usize,
     /// Signer threads per node.
     pub signing_threads: usize,
-    /// WHEAT: weighted quorums + tentative execution.
-    pub wheat: bool,
-    /// Tentative execution alone (no weighted quorums). Implied by
-    /// `wheat`; set it separately to study tentative delivery on a
-    /// classic `3f + 1` cluster.
-    pub tentative: bool,
-    /// Consensus batch cap.
-    pub batch_max: usize,
-    /// Request timeout before leader-change escalation.
-    pub request_timeout_ms: u64,
     /// Frontends verify orderer signatures (then `f + 1` copies
     /// suffice; paper footnote 8).
     pub frontend_verification: bool,
@@ -52,26 +42,18 @@ pub struct ServiceOptions {
     /// Flush partial blocks at batch boundaries (deterministic
     /// `BatchTimeout` stand-in).
     pub flush_on_batch_end: bool,
-    /// Consensus sliding-window depth: slots the leader keeps in
-    /// flight at once (1 = unpipelined).
-    pub pipeline_depth: usize,
 }
 
 impl ServiceOptions {
     /// Paper-default options for fault threshold `f`.
     pub fn new(f: usize) -> ServiceOptions {
         ServiceOptions {
-            f,
+            runtime: RuntimeOptions::classic(f).with_checkpoint_interval(CHECKPOINT_EVERY),
             block_size: 10,
             signing_threads: 4,
-            wheat: false,
-            tentative: false,
-            batch_max: 400,
-            request_timeout_ms: 2_000,
             frontend_verification: false,
             double_sign: false,
             flush_on_batch_end: false,
-            pipeline_depth: 1,
         }
     }
 
@@ -88,16 +70,18 @@ impl ServiceOptions {
     }
 
     /// Enables WHEAT (weighted quorums + tentative execution). The
-    /// cluster must then be created with `3f + 1 + f·k` nodes.
+    /// cluster must then be created with `3f + 1 + f·k` nodes. A later
+    /// [`ServiceOptions::with_tentative`] overrides the execution mode.
     pub fn with_wheat(mut self, wheat: bool) -> ServiceOptions {
-        self.wheat = wheat;
+        self.runtime.wheat_weights = wheat;
+        self.runtime.tentative_execution = wheat;
         self
     }
 
-    /// Enables tentative execution without weighted quorums (works on a
-    /// classic `3f + 1` cluster).
+    /// Sets tentative execution (delivery after the WRITE quorum)
+    /// alone; it works on a classic `3f + 1` cluster.
     pub fn with_tentative(mut self, tentative: bool) -> ServiceOptions {
-        self.tentative = tentative;
+        self.runtime.tentative_execution = tentative;
         self
     }
 
@@ -109,7 +93,7 @@ impl ServiceOptions {
 
     /// Sets the request timeout.
     pub fn with_request_timeout_ms(mut self, ms: u64) -> ServiceOptions {
-        self.request_timeout_ms = ms;
+        self.runtime.request_timeout_ms = ms;
         self
     }
 
@@ -128,29 +112,8 @@ impl ServiceOptions {
     /// Sets the consensus sliding-window depth (slots in flight at
     /// once; 1 disables pipelining).
     pub fn with_pipeline_depth(mut self, depth: usize) -> ServiceOptions {
-        self.pipeline_depth = depth;
+        self.runtime.pipeline_depth = depth;
         self
-    }
-
-    /// The SMR-layer options these service options imply. Together with
-    /// [`RuntimeOptions::node_config`] and
-    /// [`ServiceOptions::app_config`] this is the single assembly path
-    /// of an ordering node, whatever drives it (hub threads, one
-    /// process per replica over TCP, the geo simulator).
-    pub fn runtime_options(&self) -> RuntimeOptions {
-        let mut runtime = RuntimeOptions::classic(self.f)
-            .with_checkpoint_interval(CHECKPOINT_EVERY)
-            .with_batch_max(self.batch_max)
-            .with_request_timeout_ms(self.request_timeout_ms)
-            .with_pipeline_depth(self.pipeline_depth);
-        runtime.wheat_weights = self.wheat;
-        runtime.tentative_execution = self.tentative_execution();
-        runtime
-    }
-
-    /// Whether replicas deliver tentatively (after the WRITE quorum).
-    fn tentative_execution(&self) -> bool {
-        self.wheat || self.tentative
     }
 
     /// The application-layer configuration of replica `i`. The ordering
@@ -178,27 +141,12 @@ impl ServiceOptions {
         config
     }
 
-    /// The ordering application of replica `i` on a threaded node (hub
-    /// or TCP): blocks are signed on a pool and pushed through `push`.
-    pub fn threaded_app(
-        &self,
-        i: usize,
-        keys: &ClusterKeys,
-        registry: Arc<Registry>,
-        flight: Option<Arc<FlightRecorder>>,
-        push: PushHandle,
-    ) -> OrderingNodeApp {
-        let config = self.app_config(i, keys, Some(registry), flight);
-        let sink = signing_sink(&config, push);
-        OrderingNodeApp::new(config, sink)
-    }
-
     /// The configuration of frontend `id` of the cluster holding `keys`:
     /// copy threshold from the execution mode, the orderers' pinned keys
     /// when verification is enabled.
     pub fn frontend_config(&self, id: ClientId, keys: &ClusterKeys) -> FrontendConfig {
-        let config = FrontendConfig::new(id, keys.verifying.len(), self.f)
-            .with_tentative(self.tentative_execution());
+        let config = FrontendConfig::new(id, keys.verifying.len(), self.runtime.f)
+            .with_tentative(self.runtime.tentative_execution);
         if self.frontend_verification {
             config.with_verification(keys.pinned())
         } else {
@@ -211,7 +159,6 @@ impl ServiceOptions {
 pub struct OrderingService {
     runtime: ClusterRuntime,
     options: ServiceOptions,
-    n: usize,
     /// The cluster's keys; replicas and frontends share their pinned
     /// tables.
     keys: ClusterKeys,
@@ -219,23 +166,22 @@ pub struct OrderingService {
     /// Shared registry for every frontend created via
     /// [`OrderingService::frontend`].
     frontend_registry: Arc<Registry>,
-    /// Shared flight recorder for every frontend (submit, collect and
-    /// deliver events); populated only while `HLF_TRACE` is on.
-    frontend_flight: Arc<FlightRecorder>,
 }
 
 impl std::fmt::Debug for OrderingService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrderingService")
-            .field("n", &self.n)
-            .field("f", &self.options.f)
+            .field("n", &self.n())
+            .field("f", &self.options.runtime.f)
             .field("block_size", &self.options.block_size)
             .finish()
     }
 }
 
 impl OrderingService {
-    /// Boots an ordering cluster of `n` nodes.
+    /// Boots an ordering cluster of `n` nodes on one in-process hub;
+    /// [`ClusterRuntime::restart`] on [`OrderingService::runtime_mut`]
+    /// brings a crashed node back the same way.
     ///
     /// # Panics
     ///
@@ -244,30 +190,23 @@ impl OrderingService {
         // One key set for consensus, block signing and the frontends;
         // its clones share the pinned comb tables.
         let keys = ClusterKeys::derive("runtime", n);
-        let app_keys = keys.clone();
-        let app_options = options.clone();
-        let runtime = ClusterRuntime::start_custom(
-            keys.clone(),
-            options.runtime_options(),
-            move |i, push, registry, flight| {
-                Box::new(app_options.threaded_app(i, &app_keys, registry, flight, push))
-            },
-            |_| Box::new(MemoryLog::new()),
-        );
+        let (node_keys, node_options) = (keys.clone(), options.clone());
+        let runtime =
+            ClusterRuntime::start_with(n, options.runtime.clone(), move |i, endpoint, registry| {
+                start_replica(i, &node_keys, &node_options, endpoint, registry, None)
+            });
         OrderingService {
             runtime,
             options,
-            n,
             keys,
             next_frontend: 1000,
             frontend_registry: Registry::new("frontends"),
-            frontend_flight: Arc::new(hlf_obs::FlightRecorder::new("frontends")),
         }
     }
 
     /// Number of ordering nodes.
     pub fn n(&self) -> usize {
-        self.n
+        self.runtime.n()
     }
 
     /// The service options in effect.
@@ -318,35 +257,7 @@ impl OrderingService {
             .frontend_config(ClientId(self.next_frontend), &self.keys);
         let mut frontend = Frontend::connect(self.runtime.network(), config);
         frontend.attach_obs(&self.frontend_registry);
-        if hlf_obs::trace_enabled() {
-            frontend.attach_flight(Arc::clone(&self.frontend_flight));
-        }
         frontend
-    }
-
-    /// Node `i`'s flight recorder (populated only under `HLF_TRACE`).
-    pub fn flight(&self, i: usize) -> Arc<hlf_obs::FlightRecorder> {
-        self.runtime.flight(i)
-    }
-
-    /// The flight recorder shared by every frontend from
-    /// [`OrderingService::frontend`].
-    pub fn frontend_flight(&self) -> Arc<hlf_obs::FlightRecorder> {
-        Arc::clone(&self.frontend_flight)
-    }
-
-    /// Drains pending anomaly dumps from every node recorder and the
-    /// shared frontend recorder.
-    pub fn take_flight_dumps(&self) -> Vec<hlf_obs::FlightDump> {
-        let mut dumps = self.runtime.take_flight_dumps();
-        dumps.extend(self.frontend_flight.take_dumps());
-        dumps
-    }
-
-    /// Node `i`'s obs registry (consensus, SMR, cutter and signing
-    /// metrics).
-    pub fn obs_registry(&self, i: usize) -> Arc<Registry> {
-        self.runtime.obs_registry(i)
     }
 
     /// Snapshots of every registry in the service: each node's
@@ -388,5 +299,27 @@ impl OrderingService {
     /// Stops all ordering nodes.
     pub fn shutdown(self) {
         self.runtime.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn options_carry_the_smr_defaults_and_execution_modes() {
+        let options = ServiceOptions::new(1).runtime;
+        assert_eq!(options.f, 1);
+        assert_eq!(options.checkpoint_interval, 64);
+        assert_eq!(options.batch_max, 400);
+        assert_eq!(options.request_timeout_ms, 2_000);
+        assert_eq!(options.pipeline_depth, 1);
+        assert!(!options.wheat_weights && !options.tentative_execution);
+
+        let wheat = ServiceOptions::new(1).with_wheat(true).runtime;
+        assert!(wheat.wheat_weights && wheat.tentative_execution);
+
+        let tentative = ServiceOptions::new(1).with_tentative(true).runtime;
+        assert!(!tentative.wheat_weights && tentative.tentative_execution);
     }
 }

@@ -702,17 +702,14 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     let weighted = config.weights_override.unwrap_or(default_weights);
     let tentative = config.tentative_override.unwrap_or(default_tentative);
     // The nodes are assembled exactly like the shipped ones, from
-    // service options. The one shape those cannot express is the
-    // ablation "weights without tentative execution" (`wheat` implies
-    // tentative there), hence the two overrides below.
+    // service options; `with_tentative` after `with_wheat` also gives
+    // the ablation "weights without tentative execution".
     let options = ServiceOptions::new(f)
         .with_block_size(config.block_size)
         .with_wheat(weighted)
         .with_tentative(tentative)
         .with_request_timeout_ms(config.request_timeout_ms)
         .with_pipeline_depth(config.pipeline_depth);
-    let mut runtime_options = options.runtime_options();
-    runtime_options.tentative_execution = tentative;
     let keys = ClusterKeys::derive("geo", n);
 
     // Latency model: one-way region delays + 1 Gbit/s per-link
@@ -773,7 +770,7 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     for i in 0..n {
         let registry = registries.get(i).cloned();
         let flight = replica_flights.get(i).cloned();
-        let mut node_config = runtime_options.node_config(i, &keys, registry.clone(), flight);
+        let mut node_config = options.runtime.node_config(i, &keys, registry.clone(), flight);
         // Coarser than a threaded node's 20 ms: ticks only drive
         // timeouts, and WAN timeouts are seconds.
         node_config.tick_interval = Duration::from_millis(500);
@@ -796,11 +793,7 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     for slot in 0..frontends.len() {
         let client = ClientId(FRONTEND_CLIENT_BASE + slot as u32);
         let flight = frontend_flights.get(slot).cloned();
-        let mut collector = BlockCollector::new(
-            options
-                .frontend_config(client, &keys)
-                .with_tentative(tentative),
-        );
+        let mut collector = BlockCollector::new(options.frontend_config(client, &keys));
         if let Some(flight) = &flight {
             collector.attach_flight(Arc::clone(flight));
         }

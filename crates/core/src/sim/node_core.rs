@@ -157,9 +157,7 @@ impl Lan {
         options: ServiceOptions,
         app: impl Fn(&ServiceOptions, usize, &ClusterKeys) -> Box<dyn Application>,
     ) -> Lan {
-        let runtime = options
-            .runtime_options()
-            .with_checkpoint_interval(CHECKPOINT_EVERY);
+        let runtime = options.runtime.clone().with_checkpoint_interval(CHECKPOINT_EVERY);
         let keys = ClusterKeys::derive("node-core-test", N);
         let mut lan = Lan {
             sim: World::new(LatencyModel::constant(SimTime::ZERO), 0),

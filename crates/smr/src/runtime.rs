@@ -1,4 +1,8 @@
-//! One-call cluster bootstrap for tests, benchmarks and examples.
+//! One-call in-process cluster bootstrap for tests, benchmarks and
+//! examples: `n` replicas on one transport hub, each started at boot and
+//! again on [`ClusterRuntime::restart`] by the same spawn function, plus
+//! the deterministic key material and the options from which every
+//! deployment shape (hub, TCP processes, simulator) assembles a node.
 
 use crate::app::Application;
 use crate::client::{ProxyConfig, ServiceProxy};
@@ -8,7 +12,7 @@ use hlf_consensus::quorum::QuorumSystem;
 use hlf_consensus::replica::Config as ConsensusConfig;
 use hlf_crypto::ecdsa::{PinnedKey, SigningKey, VerifyingKey};
 use hlf_obs::{FlightRecorder, Registry, Snapshot};
-use hlf_transport::{Network, PeerId};
+use hlf_transport::{Endpoint, Network, PeerId};
 use hlf_wire::{ClientId, NodeId};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -87,22 +91,9 @@ impl RuntimeOptions {
         self
     }
 
-    /// Overrides the batch cap.
-    pub fn with_batch_max(mut self, batch_max: usize) -> RuntimeOptions {
-        self.batch_max = batch_max;
-        self
-    }
-
     /// Overrides the checkpoint period.
     pub fn with_checkpoint_interval(mut self, interval: u64) -> RuntimeOptions {
         self.checkpoint_interval = interval;
-        self
-    }
-
-    /// Sets the consensus sliding-window depth (number of slots the
-    /// leader keeps in flight at once).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> RuntimeOptions {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -148,22 +139,22 @@ impl RuntimeOptions {
     }
 }
 
+/// Starts replica `i` on its hub endpoint, recording into the node's
+/// registry: what a [`ClusterRuntime`] runs at boot and on every
+/// [`ClusterRuntime::restart`].
+type Spawn = Box<dyn Fn(usize, Endpoint, Arc<Registry>) -> NodeHandle + Send>;
+
 /// A running in-process cluster of replica nodes.
 pub struct ClusterRuntime {
     network: Network,
     handles: Vec<Option<NodeHandle>>,
-    keys: ClusterKeys,
     options: RuntimeOptions,
+    spawn: Spawn,
     next_client: u32,
     /// Per-node metrics registries (`node-0` .. `node-{n-1}`), created
     /// up front and reused across [`ClusterRuntime::restart`] so
     /// counters survive a crash/recover cycle.
     registries: Vec<Arc<Registry>>,
-    /// Per-node flight recorders (`node-0` .. `node-{n-1}`), created up
-    /// front like the registries. Nodes only *write* to them when
-    /// `HLF_TRACE` is on, but the handles always exist so callers can
-    /// drain anomaly dumps after a run.
-    flights: Vec<Arc<FlightRecorder>>,
     /// Shared registry for proxies created via [`ClusterRuntime::proxy`].
     client_registry: Arc<Registry>,
 }
@@ -187,48 +178,15 @@ impl ClusterRuntime {
     pub fn start(
         n: usize,
         options: RuntimeOptions,
-        app_factory: impl Fn(usize) -> Box<dyn Application>,
+        app_factory: impl Fn(usize) -> Box<dyn Application> + Send + 'static,
     ) -> ClusterRuntime {
         Self::start_with_logs(n, options, app_factory, |_| Box::new(MemoryLog::new()))
     }
 
-    /// Boots one replica node per key of `keys`, with applications built
-    /// with access to a [`crate::node::PushHandle`] (the ordering
-    /// service's signing pool needs one per node), the node's registry
-    /// and, when tracing is on, its flight recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid `(n, f)` combinations.
-    pub fn start_custom(
-        keys: ClusterKeys,
-        options: RuntimeOptions,
-        app_builder: impl Fn(
-            usize,
-            crate::node::PushHandle,
-            Arc<Registry>,
-            Option<Arc<FlightRecorder>>,
-        ) -> Box<dyn Application>,
-        log_factory: impl Fn(usize) -> Box<dyn LogStore>,
-    ) -> ClusterRuntime {
-        let n = keys.signing.len();
-        let mut runtime = Self::prepare(keys, options);
-        for i in 0..n {
-            let config = runtime.node_config(i);
-            let (registry, flight) = (runtime.obs_registry(i), config.flight.clone());
-            let handle = spawn_replica(
-                config,
-                runtime.network.join(PeerId::replica(i as u32)),
-                log_factory(i),
-                |push| app_builder(i, push, registry, flight),
-            );
-            runtime.handles.push(Some(handle));
-        }
-        runtime
-    }
-
     /// Boots a cluster with caller-provided log stores (e.g.
-    /// [`crate::storage::FileLog`] for durability tests).
+    /// [`crate::storage::FileLog`] for durability tests). A restarted
+    /// node gets a fresh application and the log `log_factory` opens
+    /// for it then.
     ///
     /// # Panics
     ///
@@ -236,48 +194,46 @@ impl ClusterRuntime {
     pub fn start_with_logs(
         n: usize,
         options: RuntimeOptions,
-        app_factory: impl Fn(usize) -> Box<dyn Application>,
-        log_factory: impl Fn(usize) -> Box<dyn LogStore>,
+        app_factory: impl Fn(usize) -> Box<dyn Application> + Send + 'static,
+        log_factory: impl Fn(usize) -> Box<dyn LogStore> + Send + 'static,
     ) -> ClusterRuntime {
         let keys = ClusterKeys::derive("runtime", n);
-        Self::start_custom(keys, options, |i, _, _, _| app_factory(i), log_factory)
+        let node_options = options.clone();
+        Self::start_with(n, options, move |i, endpoint, registry| {
+            let config = node_options.node_config(i, &keys, Some(registry), None);
+            spawn_replica(config, endpoint, log_factory(i), |_| app_factory(i))
+        })
     }
 
-    fn prepare(keys: ClusterKeys, options: RuntimeOptions) -> ClusterRuntime {
-        let n = keys.signing.len();
-        let registries = (0..n).map(|i| Registry::new(format!("node-{i}"))).collect();
-        let flights = (0..n)
-            .map(|i| Arc::new(FlightRecorder::new(format!("node-{i}"))))
-            .collect();
-        ClusterRuntime {
+    /// Boots `n` replica nodes, each started by `spawn(i, endpoint,
+    /// registry)` on its hub endpoint; [`ClusterRuntime::restart`] calls
+    /// `spawn` again. `options` set the proxies' reply threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spawn` does (an invalid `(n, f)` combination).
+    pub fn start_with(
+        n: usize,
+        options: RuntimeOptions,
+        spawn: impl Fn(usize, Endpoint, Arc<Registry>) -> NodeHandle + Send + 'static,
+    ) -> ClusterRuntime {
+        let mut runtime = ClusterRuntime {
             network: Network::new(),
             handles: Vec::new(),
-            keys,
             options,
+            spawn: Box::new(spawn),
             next_client: 0,
-            registries,
-            flights,
+            registries: (0..n).map(|i| Registry::new(format!("node-{i}"))).collect(),
             client_registry: Registry::new("clients"),
-        }
+        };
+        runtime.handles = (0..n).map(|i| Some(runtime.spawn_node(i))).collect();
+        runtime
     }
 
     #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
-    fn node_config(&self, i: usize) -> NodeConfig {
-        // Flight recording costs a ring write per protocol event; only
-        // arm it when tracing was requested.
-        let flight = hlf_obs::trace_enabled().then(|| Arc::clone(&self.flights[i]));
-        self.options
-            .node_config(i, &self.keys, Some(Arc::clone(&self.registries[i])), flight)
-    }
-
-    fn spawn_node(
-        &self,
-        i: usize,
-        app: Box<dyn Application>,
-        log: Box<dyn LogStore>,
-    ) -> NodeHandle {
+    fn spawn_node(&self, i: usize) -> NodeHandle {
         let endpoint = self.network.join(PeerId::replica(i as u32));
-        spawn_replica(self.node_config(i), endpoint, log, |_| app)
+        (self.spawn)(i, endpoint, Arc::clone(&self.registries[i]))
     }
 
     /// The shared transport hub (to connect frontends and proxies).
@@ -313,19 +269,6 @@ impl ClusterRuntime {
     /// The registry shared by all proxies from [`ClusterRuntime::proxy`].
     pub fn client_obs_registry(&self) -> Arc<Registry> {
         Arc::clone(&self.client_registry)
-    }
-
-    /// Node `i`'s flight recorder. Only populated while `HLF_TRACE` is
-    /// on, but the handle always exists (like the registries, it
-    /// survives crash/restart cycles).
-    #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
-    pub fn flight(&self, i: usize) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flights[i])
-    }
-
-    /// Drains every node's pending anomaly dumps, in node order.
-    pub fn take_flight_dumps(&self) -> Vec<hlf_obs::FlightDump> {
-        self.flights.iter().flat_map(|f| f.take_dumps()).collect()
     }
 
     /// Snapshots every node registry plus the client registry, in node
@@ -367,17 +310,16 @@ impl ClusterRuntime {
         }
     }
 
-    /// Restarts a crashed node with a fresh application instance; it
-    /// recovers via its log and state transfer.
+    /// Restarts crashed node `i` through the cluster's spawn function;
+    /// it recovers via its log and state transfer.
     ///
     /// # Panics
     ///
     /// Panics if the node is still running.
     #[expect(clippy::indexing_slicing, reason = "cluster test-runtime harness — node indices come from the caller's own `0..n` loop and misuse must fail tests loudly")]
-    pub fn restart(&mut self, i: usize, app: Box<dyn Application>, log: Box<dyn LogStore>) {
+    pub fn restart(&mut self, i: usize) {
         assert!(self.handles[i].is_none(), "node {i} still running");
-        let handle = self.spawn_node(i, app, log);
-        self.handles[i] = Some(handle);
+        self.handles[i] = Some(self.spawn_node(i));
     }
 
     /// Waits until every live node has decided at least `cid`, up to

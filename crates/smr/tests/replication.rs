@@ -3,7 +3,7 @@
 
 use hlf_smr::app::CounterApp;
 use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
-use hlf_smr::storage::{FileLog, MemoryLog};
+use hlf_smr::storage::FileLog;
 use std::time::Duration;
 
 fn counter_value(reply: &[u8]) -> u64 {
@@ -115,7 +115,7 @@ fn late_replica_catches_up_via_state_transfer() {
     }
     // Restart it with empty state; it must catch up through state
     // transfer (it will see Sync/future traffic and fetch).
-    cluster.restart(3, Box::new(CounterApp::new()), Box::new(MemoryLog::new()));
+    cluster.restart(3);
     for _ in 0..6 {
         client.invoke(vec![0u8; 1]).unwrap();
     }
@@ -156,11 +156,7 @@ fn durable_log_restores_state_across_restart() {
 
     // Crash node 2 and restart from its own durable log only.
     cluster.crash(2);
-    cluster.restart(
-        2,
-        Box::new(CounterApp::new()),
-        Box::new(FileLog::open(dir.join("node-2.log")).unwrap()),
-    );
+    cluster.restart(2);
     // It recovers to cid >= 4 (last checkpoint at 4) immediately from
     // disk, then rejoins; a new request confirms liveness.
     let reply = client.invoke(vec![0u8; 2]).unwrap();
@@ -284,11 +280,7 @@ fn node_metrics_survive_crash_and_restart() {
             .counter_value("consensus.replica.decided"),
         Some(5)
     );
-    cluster.restart(
-        2,
-        Box::new(CounterApp::new()),
-        Box::new(FileLog::open(dir.join("obs-2.log")).unwrap()),
-    );
+    cluster.restart(2);
     client.invoke(vec![0u8; 2]).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while cluster.stats(2).last_cid() < 6 {

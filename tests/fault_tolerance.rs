@@ -89,6 +89,64 @@ fn ordering_survives_leader_crash_mid_stream() {
 }
 
 #[test]
+fn restarted_replica_catches_up_and_completes_the_quorum() {
+    // Batches of at most 2 envelopes, blocks of 2: 280 envelopes are
+    // about 140 decisions, more than two of the 64-decision checkpoint
+    // periods, so the crashed replica can only come level by state
+    // transfer. Its peers' votes are then beyond the 64 instances it
+    // buffers ahead, so it learns it is behind from the SYNC of a
+    // regency change: the short timeout keeps that change quick.
+    let mut options = ServiceOptions::new(1)
+        .with_block_size(2)
+        .with_signing_threads(2)
+        .with_flush_on_batch_end(true)
+        .with_request_timeout_ms(250);
+    options.runtime.batch_max = 2;
+    let mut service = OrderingService::start(4, options);
+    let mut frontend = service.frontend();
+    let (mut sent, mut blocks) = (Vec::new(), Vec::new());
+    let mut order = |wave: u8, count: usize| {
+        let envelopes: Vec<Bytes> = envelopes(count, 64)
+            .into_iter()
+            .map(|envelope| {
+                let mut payload = envelope.to_vec();
+                payload[8] = wave;
+                Bytes::from(payload)
+            })
+            .collect();
+        sent.extend(envelopes.iter().cloned());
+        let timeout = Duration::from_secs(60);
+        blocks.extend(OrderingService::order_all(&mut frontend, envelopes, timeout));
+    };
+
+    order(1, 20);
+    service.runtime_mut().crash(3);
+    order(2, 280);
+    service.runtime_mut().restart(3);
+    order(3, 40);
+    // With replica 2 gone, every decision and every block's 2f + 1
+    // copies need the restarted replica.
+    service.runtime_mut().crash(2);
+    order(4, 60);
+
+    let numbers: Vec<u64> = blocks.iter().map(|block| block.header.number).collect();
+    let expected: Vec<u64> = (1..=numbers.len() as u64).collect();
+    assert_eq!(numbers, expected, "block numbers skip or repeat");
+    let mut received: Vec<Bytes> = blocks.into_iter().flat_map(|block| block.envelopes).collect();
+    received.sort();
+    sent.sort();
+    assert_eq!(received.len(), 400, "envelopes lost");
+    assert_eq!(received, sent, "envelopes lost or duplicated");
+    let transfers = service
+        .runtime_mut()
+        .obs_registry(3)
+        .snapshot()
+        .counter_value("smr.node.state_transfers");
+    assert!(transfers >= Some(1), "replica 3 never transferred state: {transfers:?}");
+    service.shutdown();
+}
+
+#[test]
 fn wheat_configuration_orders_end_to_end() {
     // 5 nodes, f = 1, weighted quorums + tentative execution.
     let mut service = OrderingService::start(
