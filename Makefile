@@ -19,8 +19,12 @@ test:
 # `// lint:allow(<pass>): <why>`. Clippy has the rest: the `#![warn]`
 # block at the top of each library crate turns on panic discipline,
 # SAFETY-documented unsafe and no stdout, and an exception is an
-# `#[expect(clippy::.., reason = "..")]`. Zero findings, no unused or
-# reasonless suppression of either kind.
+# `#[expect(clippy::.., reason = "..")]`. The same clippy run reports
+# rustc's `unreachable_pub`, which the root manifest's
+# `[workspace.lints.rust]` table turns on for every member: `pub` is for
+# what another package names, the rest is `pub(crate)`, where
+# `dead_code` sees it. Zero findings, no unused or reasonless
+# suppression of either kind.
 lint:
 	cargo run --release -p hlf-lint -- --workspace
 	cargo clippy --workspace --all-targets -- -D warnings

@@ -14,7 +14,7 @@
 //! each other instead of scrolling.
 
 use crate::monitor::ClusterAuditor;
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightEvent, TimeSeries};
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -166,7 +166,7 @@ impl Dashboard {
     /// plain-log consumers: cluster time, violation count, per-node
     /// `regency/window/frontier` triples, and the latest tx/s and
     /// latency figures. No ANSI escapes, no newlines.
-    pub fn render_line(&self, auditor: &ClusterAuditor) -> String {
+    pub(crate) fn render_line(&self, auditor: &ClusterAuditor) -> String {
         let mut out = format!(
             "hlf-dash t={:.1}s violations={}",
             self.now_us as f64 / 1e6,
@@ -192,7 +192,7 @@ impl Dashboard {
 
     /// Draws a frame: on a terminal, cursor home + clear-to-end so
     /// frames overwrite in place; when stderr is piped (CI, `make`
-    /// logs), one plain [`render_line`](Dashboard::render_line)
+    /// logs), one plain `render_line`
     /// summary per refresh instead, so `HLF_DASH=1` output stays
     /// readable in captured logs.
     pub fn draw_to_stderr(&self, auditor: &ClusterAuditor) {

@@ -7,17 +7,17 @@
 //! [`FlightRecorder`](hlf_obs::FlightRecorder) event streams every
 //! replica already produces and provides three layers:
 //!
-//! - [`timeline`] — merges per-node rings into one causally-ordered
+//! - `timeline` — merges per-node rings into one causally-ordered
 //!   cluster timeline, stitching a Lamport clock from the simulator's
-//!   wire send/recv ([`hlf_obs::flight::EventKind::FrameSeq`]) events
+//!   wire send/recv ([`hlf_obs::EventKind::FrameSeq`]) events
 //!   so message order survives virtual-timestamp ties.
-//! - [`monitor`] — the online [`ClusterAuditor`]: agreement,
+//! - `monitor` — the online [`ClusterAuditor`]: agreement,
 //!   certified-value preservation across view changes,
 //!   tentative-rollback consistency, quorum-certificate validity
 //!   (≥ 2f+1 distinct signers), and strictly monotonic decide release.
 //!   Breaches become structured [`AuditViolation`]s carrying a slice of
 //!   the recent merged timeline.
-//! - [`dashboard`] — a live in-place text dashboard (`HLF_DASH=1`,
+//! - `dashboard` — a live in-place text dashboard (`HLF_DASH=1`,
 //!   1 Hz): per-replica regency / window occupancy / decide frontier /
 //!   straggler suspicion, plus tx/s and p50/p99 sparklines over
 //!   [`hlf_obs::TimeSeries`] rings.
@@ -43,10 +43,10 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod dashboard;
-pub mod monitor;
-pub mod timeline;
+mod dashboard;
+mod monitor;
+mod timeline;
 
 pub use dashboard::{dash_enabled, Dashboard};
 pub use monitor::{AuditViolation, ClusterAuditor, ViolationKind};
-pub use timeline::{reconstruct, CausalEvent};
+pub use timeline::reconstruct;

@@ -24,7 +24,7 @@
 //! Violations carry a slice of the recent merged timeline so a report
 //! shows *how* the cluster got to the bad state, not just that it did.
 
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::FlightEvent;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -151,7 +151,7 @@ impl ClusterAuditor {
     }
 
     /// Minimum distinct signers a valid certificate needs (2f+1).
-    pub fn min_signers(&self) -> u32 {
+    pub(crate) fn min_signers(&self) -> u32 {
         2 * self.f as u32 + 1
     }
 
@@ -349,7 +349,7 @@ impl ClusterAuditor {
 
     /// Per-replica view for dashboards: `(regency, frontier, live
     /// in-window slots)`.
-    pub fn node_view(&self, node: usize) -> Option<(u64, u64, usize)> {
+    pub(crate) fn node_view(&self, node: usize) -> Option<(u64, u64, usize)> {
         self.nodes
             .get(node)
             .map(|s| (s.regency, s.frontier, s.live_slots.len()))

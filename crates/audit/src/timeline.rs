@@ -10,7 +10,7 @@
 //! records on every wire message: a receive is ordered after its send
 //! no matter how the physical timestamps tie.
 
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::FlightEvent;
 use std::collections::HashMap;
 

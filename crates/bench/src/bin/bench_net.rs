@@ -19,7 +19,7 @@
 //! The `hlf_node` binary is found via `--node-bin` or as a sibling of
 //! this executable (`target/release/hlf_node`).
 
-use bench::cluster::{
+use bench::{
     drive, free_ports, node_options, stop_replicas, sum_counter, ClusterSpec, Driven,
 };
 use ordering_core::service::OrderingService;

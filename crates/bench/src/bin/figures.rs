@@ -28,8 +28,8 @@ use hlf_fabric::block::Block;
 use hlf_obs::Snapshot;
 use hlf_simnet::SimTime;
 use hlf_wire::Bytes;
-use ordering_core::signing::SigningPool;
-use ordering_core::sim::{run_geo_experiment, GeoConfig, Protocol};
+use ordering_core::SigningPool;
+use ordering_core::{run_geo_experiment, GeoConfig, Protocol};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -30,7 +30,7 @@
 //! serves the authenticated telemetry endpoint (`hlf_top` scrapes it
 //! live: metric deltas, flight-recorder dumps, health).
 
-use bench::cluster::{await_links, drive, node_options, Driven};
+use bench::{await_links, drive, node_options, Driven};
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_transport::{AdminServer, AdminSources, HealthReport, PeerId, TcpConfig, TcpNetwork};
 use ordering_core::proc::{connect_frontend_endpoint, start_replica_endpoint_with_flight};
@@ -49,7 +49,7 @@ struct NodeArgs {
     listen: String,
     secret: String,
     peers: Vec<(PeerId, SocketAddr)>,
-    /// `bench::cluster::node_options`, which the processes started
+    /// `bench::node_options`, which the processes started
     /// beside this one also run with, as overridden by flags.
     options: ServiceOptions,
     obs_out: Option<String>,

@@ -29,7 +29,7 @@
 //! dashboard frame plus health lines (and the exposition to
 //! `--prom-out` if given), then exits — useful for scripting.
 
-use hlf_audit::{timeline, ClusterAuditor, Dashboard};
+use hlf_audit::{reconstruct, ClusterAuditor, Dashboard};
 use hlf_obs::{to_prometheus, FlightEvent, Snapshot};
 use hlf_transport::{AdminClient, PeerId};
 use std::net::SocketAddr;
@@ -281,7 +281,7 @@ fn run_top(args: &TopArgs) {
     // Exit report: the causally-ordered cross-process timeline tail
     // plus every invariant violation the auditor saw.
     let rings: Vec<Vec<FlightEvent>> = nodes.iter().map(|n| n.events.clone()).collect();
-    let merged = timeline::reconstruct(&rings);
+    let merged = reconstruct(&rings);
     if !merged.is_empty() {
         eprintln!("\ncluster timeline: {} events merged across {} nodes; tail:", merged.len(), nodes.len());
         for e in merged.iter().rev().take(8).rev() {

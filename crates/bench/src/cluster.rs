@@ -25,7 +25,7 @@ const PORT_WINDOW: usize = 10_000;
 /// about to be started to bind.
 ///
 /// The ports come from a window outside this host's ephemeral range
-/// (see [`port_window_start`]), so that no outgoing connection of some
+/// (see `port_window_start`), so that no outgoing connection of some
 /// process starting at the same time can be given one of them between
 /// this probe and its owner's bind (an `hlf_node` that cannot bind
 /// exits, and its cluster runs one replica short). A cursor shared by

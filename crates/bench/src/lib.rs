@@ -3,16 +3,22 @@
 //! `src/bin/figures.rs` regenerates the tables and figures of the DSN
 //! 2018 paper (see `DESIGN.md` §4 for the experiment index); this
 //! library holds the workload drivers its subcommands share, and
-//! [`cluster`] the process plumbing of `bench_net`, `hlf_node` and the
+//! `cluster` the process plumbing of `bench_net`, `hlf_node` and the
 //! process-cluster tests. Performance numbers are `benchmark/`'s job.
 
-pub mod cluster;
-pub mod trace;
+mod cluster;
+mod trace;
+
+pub use cluster::{
+    await_links, drive, free_ports, node_options, stop_replicas, sum_counter, ClusterSpec, Driven,
+    Proc,
+};
+pub use trace::merge_timelines;
 
 use hlf_wire::Bytes;
 use hlf_consensus::messages::Batch;
 use hlf_obs::Snapshot;
-use hlf_smr::app::{Application, Outbound};
+use hlf_smr::{Application, Outbound};
 use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
 use ordering_core::frontend::Frontend;
 use ordering_core::service::{OrderingService, ServiceOptions};
@@ -240,7 +246,7 @@ pub fn print_phase_breakdown(snapshots: &[Snapshot]) {
 /// BFT-SMaRt ordering rate (the `TP_bftsmart` term of the paper's
 /// equation 1) without block cutting or signing.
 #[derive(Debug, Default)]
-pub struct NullApp;
+pub(crate) struct NullApp;
 
 impl Application for NullApp {
     fn execute_batch(&mut self, _cid: u64, _batch: &Batch, _tentative: bool) -> Vec<Outbound> {
@@ -295,7 +301,7 @@ fn null_app_throughput(
 
     let mut threads = Vec::new();
     for slot in 0..2u8 {
-        let mut proxy = cluster.proxy_with(hlf_smr::client::ProxyConfig::classic(
+        let mut proxy = cluster.proxy_with(hlf_smr::ProxyConfig::classic(
             hlf_wire::ClientId(7000 + slot as u32),
             n,
             f,

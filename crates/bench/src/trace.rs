@@ -15,7 +15,7 @@
 //! re-proposal, keeping per-tx phase attribution exact at any pipeline
 //! depth.
 
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::FlightDump;
 use std::collections::{BTreeMap, HashMap};
 

@@ -4,7 +4,7 @@
 //! deadline and every child is killed when its guard drops, so a
 //! failure is a failed test, never a hung one.
 
-use bench::cluster::{drive, free_ports, stop_replicas, sum_counter, ClusterSpec, Proc};
+use bench::{drive, free_ports, stop_replicas, sum_counter, ClusterSpec, Proc};
 use hlf_obs::to_prometheus;
 use hlf_transport::{AdminClient, PeerId};
 use std::io::Read;

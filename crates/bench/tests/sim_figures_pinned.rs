@@ -8,7 +8,7 @@
 //! models — never noise.
 
 use hlf_simnet::SimTime;
-use ordering_core::sim::{run_geo_experiment, GeoConfig, GeoResult, Protocol};
+use ordering_core::{run_geo_experiment, GeoConfig, GeoResult, Protocol};
 
 const TOLERANCE: f64 = 0.02;
 

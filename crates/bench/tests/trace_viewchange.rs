@@ -5,7 +5,7 @@
 //! the five phase deltas (relay, write, accept, sign, collect) sum to
 //! deliver − submit for every completed transaction, including the ones
 //! whose slots were re-proposed by (or first proposed under) the new
-//! leader. This is what the generalized `bench::trace::merge_timelines`
+//! leader. This is what the generalized `bench::merge_timelines`
 //! buys over the old leader-0-only merge, which silently drops or
 //! mis-attributes everything ordered after the regency change.
 //!
@@ -14,10 +14,10 @@
 //! the straggler detector names the slowed replica, and the auditor
 //! stays silent at window depths 2 and 3.
 
-use bench::trace::merge_timelines;
-use hlf_obs::flight::EventKind;
+use bench::merge_timelines;
+use hlf_obs::EventKind;
 use hlf_simnet::SimTime;
-use ordering_core::sim::{run_geo_experiment, GeoConfig, Protocol};
+use ordering_core::{run_geo_experiment, GeoConfig, Protocol};
 
 const CRASH_AT_S: u64 = 4;
 const REQUEST_TIMEOUT_MS: u64 = 2_000;

@@ -44,18 +44,19 @@
 )]
 
 pub mod messages;
-pub mod obs;
-pub mod quorum;
-pub mod replica;
-pub mod session;
-pub mod sync;
+mod obs;
+mod quorum;
+mod replica;
+mod session;
+mod sync;
 pub mod testing;
 
 pub use messages::{Batch, ConsensusMsg, DecisionProof, Request, StopData, Vote, VotePhase};
 pub use obs::{HealthObs, ReplicaObs};
-pub use quorum::{QuorumError, QuorumSystem};
-pub use replica::{Action, Config, Metrics, Replica};
-pub use session::Executed;
+pub use quorum::QuorumSystem;
+use quorum::QuorumError;
+pub use replica::{digest64, signer_bitmap, Action, Config, Input, Replica};
+pub use session::{Executed, Window};
 
 use std::error::Error;
 use std::fmt;

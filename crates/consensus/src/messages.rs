@@ -221,7 +221,7 @@ impl Batch {
     }
 
     /// Total payload bytes across requests.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         self.requests.iter().map(|r| r.payload.len()).sum()
     }
 }
@@ -615,7 +615,7 @@ impl StopData {
 
     /// Verifies the sender's signature (not the embedded certificates;
     /// the selection function checks those separately).
-    pub fn verify_signature(&self, key: &PinnedKey) -> bool {
+    pub(crate) fn verify_signature(&self, key: &PinnedKey) -> bool {
         let digest = StopData::signing_digest(
             self.regency,
             self.cid,

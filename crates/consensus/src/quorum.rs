@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// # Examples
 ///
 /// ```
-/// use hlf_consensus::quorum::QuorumSystem;
+/// use hlf_consensus::QuorumSystem;
 /// use hlf_wire::NodeId;
 ///
 /// // Classic BFT-SMaRt: n = 4, f = 1 — quorum is any 3 replicas.
@@ -83,7 +83,7 @@ impl QuorumSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`QuorumError::TooFewReplicas`] when `n < 3f + 1` or
+    /// Returns `QuorumError::TooFewReplicas` when `n < 3f + 1` or
     /// `f == 0` with `n == 0`.
     pub fn classic(n: usize, f: usize) -> Result<QuorumSystem, QuorumError> {
         if n < 3 * f + 1 || n == 0 {
@@ -104,8 +104,8 @@ impl QuorumSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`QuorumError::TooFewReplicas`] if `n < 3f + 1`, and
-    /// [`QuorumError::InvalidSpares`] if `Δ = n - (3f+1)` is zero or not
+    /// Returns `QuorumError::TooFewReplicas` if `n < 3f + 1`, and
+    /// `QuorumError::InvalidSpares` if `Δ = n - (3f+1)` is zero or not
     /// a multiple of `f`.
     pub fn wheat_binary(n: usize, f: usize) -> Result<QuorumSystem, QuorumError> {
         if f == 0 || n < 3 * f + 1 {
@@ -138,22 +138,12 @@ impl QuorumSystem {
     }
 
     /// Weight of a single replica (0 for out-of-range ids).
-    pub fn weight(&self, node: NodeId) -> u64 {
+    pub(crate) fn weight(&self, node: NodeId) -> u64 {
         self.weights.get(node.as_usize()).copied().unwrap_or(0)
     }
 
-    /// Weight a vote set must reach to be a quorum.
-    pub fn quorum_weight(&self) -> u64 {
-        self.quorum_weight
-    }
-
-    /// Total weight of all replicas.
-    pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
-    }
-
     /// Sums the weights of `voters` (callers must deduplicate ids).
-    pub fn weight_of(&self, voters: impl Iterator<Item = NodeId>) -> u64 {
+    pub(crate) fn weight_of(&self, voters: impl Iterator<Item = NodeId>) -> u64 {
         voters.map(|v| self.weight(v)).sum()
     }
 
@@ -164,18 +154,18 @@ impl QuorumSystem {
 
     /// The `f + 1` threshold by count — enough to contain one correct
     /// replica. Used for STOP amplification and reply voting.
-    pub fn one_correct_count(&self) -> usize {
+    pub(crate) fn one_correct_count(&self) -> usize {
         self.f + 1
     }
 
     /// The `2f + 1` threshold by count — the classic "certified" count
     /// used by frontends collecting matching blocks.
-    pub fn certify_count(&self) -> usize {
+    pub(crate) fn certify_count(&self) -> usize {
         2 * self.f + 1
     }
 
     /// Replicas needed in a synchronization-phase collect set (`n - f`).
-    pub fn collect_count(&self) -> usize {
+    pub(crate) fn collect_count(&self) -> usize {
         self.n() - self.f
     }
 
@@ -195,36 +185,26 @@ impl QuorumSystem {
 /// equivocation between *slots* therefore cannot leak weight from one
 /// tracker into another.
 #[derive(Clone, Debug, Default)]
-pub struct QuorumTracker {
+pub(crate) struct QuorumTracker {
     votes: HashMap<NodeId, Vote>,
 }
 
 impl QuorumTracker {
     /// An empty tracker.
-    pub fn new() -> QuorumTracker {
+    pub(crate) fn new() -> QuorumTracker {
         QuorumTracker {
             votes: HashMap::new(),
         }
     }
 
-    /// Number of distinct voters seen.
-    pub fn len(&self) -> usize {
-        self.votes.len()
-    }
-
-    /// `true` when no votes were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.votes.is_empty()
-    }
-
     /// `true` if `node` already voted on this slot/phase.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         self.votes.contains_key(&node)
     }
 
     /// Records `vote` under its signer, replacing any earlier vote from
     /// the same node.
-    pub fn insert(&mut self, vote: Vote) {
+    pub(crate) fn insert(&mut self, vote: Vote) {
         self.votes.insert(vote.node, vote);
     }
 
@@ -232,7 +212,7 @@ impl QuorumTracker {
     ///
     /// Votes are grouped by hash; voters are distinct by construction,
     /// so the group weights feed [`QuorumSystem::is_quorum`] directly.
-    pub fn quorum_hash(&self, quorums: &QuorumSystem) -> Option<Hash256> {
+    pub(crate) fn quorum_hash(&self, quorums: &QuorumSystem) -> Option<Hash256> {
         let mut by_hash: HashMap<Hash256, Vec<NodeId>> = HashMap::new();
         for vote in self.votes.values() {
             by_hash.entry(vote.hash).or_default().push(vote.node);
@@ -245,7 +225,7 @@ impl QuorumTracker {
 
     /// The votes matching `hash`, sorted by node id — a certificate
     /// usable in decision proofs and view-change collect messages.
-    pub fn votes_for(&self, hash: Hash256) -> Vec<Vote> {
+    pub(crate) fn votes_for(&self, hash: Hash256) -> Vec<Vote> {
         let mut cert: Vec<Vote> = self
             .votes
             .values()
@@ -256,13 +236,8 @@ impl QuorumTracker {
         cert
     }
 
-    /// Iterates over all recorded votes.
-    pub fn iter(&self) -> impl Iterator<Item = &Vote> {
-        self.votes.values()
-    }
-
     /// Forgets all votes (epoch bump on a slot).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.votes.clear();
     }
 }
@@ -280,8 +255,8 @@ mod tests {
         // The paper's LAN experiments: n = 4, 7, 10 tolerate f = 1, 2, 3.
         for (n, f, q) in [(4, 1, 3), (7, 2, 5), (10, 3, 7)] {
             let sys = QuorumSystem::classic(n, f).unwrap();
-            assert_eq!(sys.quorum_weight(), q, "n={n}");
-            assert_eq!(sys.total_weight(), n as u64);
+            assert_eq!(sys.quorum_weight, q, "n={n}");
+            assert_eq!(sys.weights.iter().sum::<u64>(), n as u64);
             assert_eq!(sys.certify_count(), 2 * f + 1);
             assert_eq!(sys.collect_count(), n - f);
         }
@@ -307,8 +282,8 @@ mod tests {
         assert_eq!(sys.weight(NodeId(1)), 2);
         assert_eq!(sys.weight(NodeId(2)), 1);
         assert_eq!(sys.weight(NodeId(4)), 1);
-        assert_eq!(sys.quorum_weight(), 5);
-        assert_eq!(sys.total_weight(), 7);
+        assert_eq!(sys.quorum_weight, 5);
+        assert_eq!(sys.weights.iter().sum::<u64>(), 7);
 
         // Fast path: both Vmax replicas + any third.
         assert!(sys.is_quorum(ids(&[0, 1, 2])));
@@ -362,7 +337,7 @@ mod tests {
         assert_eq!(sys.weight(NodeId(0)), 2);
         assert_eq!(sys.weight(NodeId(3)), 2);
         assert_eq!(sys.weight(NodeId(4)), 1);
-        assert_eq!(sys.quorum_weight(), 9);
+        assert_eq!(sys.quorum_weight, 9);
     }
 
     #[test]
@@ -422,11 +397,11 @@ mod tests {
         for _ in 0..5 {
             tracker.insert(Vote::sign(&key, VotePhase::Write, NodeId(0), 1, 0, hash));
         }
-        assert_eq!(tracker.len(), 1);
+        assert_eq!(tracker.votes.len(), 1);
         assert!(tracker.contains(NodeId(0)));
         assert_eq!(tracker.quorum_hash(&sys), None);
         tracker.clear();
-        assert!(tracker.is_empty());
+        assert!(tracker.votes.is_empty());
     }
 
     /// Seeded property loops (see `hlf_simnet::for_each_case`).
@@ -442,7 +417,7 @@ mod tests {
                 let f = rng.next_in(1..4);
                 let n = 3 * f + 1;
                 let sys = QuorumSystem::classic(n, f).unwrap();
-                let q = sys.quorum_weight() as usize;
+                let q = sys.quorum_weight as usize;
                 // Minimal quorums: any q replicas. Two sets of size q out
                 // of n overlap in >= 2q - n >= f + 1.
                 assert!(2 * q > n + f);
@@ -460,8 +435,8 @@ mod tests {
                 let sys = QuorumSystem::wheat_binary(n, f).unwrap();
                 let vmax = 1 + (delta / f) as u64;
                 // 2f replicas gain (Vmax - 1) = delta/f extra weight each.
-                assert_eq!(sys.total_weight(), (n as u64) + 2 * (delta as u64));
-                assert!(2 * sys.quorum_weight() > sys.total_weight() + f as u64 * vmax);
+                assert_eq!(sys.weights.iter().sum::<u64>(), (n as u64) + 2 * (delta as u64));
+                assert!(2 * sys.quorum_weight > sys.weights.iter().sum::<u64>() + f as u64 * vmax);
             });
         }
     }

@@ -29,7 +29,7 @@ use crate::session::{Executed, Sessions, WINDOW};
 use crate::sync::{select_window, validate_sync_window, MAX_WINDOW};
 use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
 use hlf_crypto::sha256::Hash256;
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, StragglerDetector};
 use hlf_wire::{ClientId, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -156,7 +156,7 @@ impl Config {
     }
 
     /// Sets the in-flight consensus window depth, clamped to
-    /// `1..=`[`MAX_WINDOW`] (the view-change protocol's horizon).
+    /// `1..=MAX_WINDOW` (the view-change protocol's horizon).
     pub fn with_pipeline_depth(mut self, depth: usize) -> Config {
         self.pipeline_depth = depth.clamp(1, MAX_WINDOW as usize);
         self
@@ -383,6 +383,14 @@ pub struct Replica {
     pending_sync: Option<(u32, u64, Batch, Vec<SlotRebind>)>,
     // Catch-up.
     future: BTreeMap<u64, Vec<(NodeId, ConsensusMsg)>>,
+    /// Highest cid each peer has sent beyond [`FUTURE_HORIZON`], since
+    /// the last state install: how a replica too far behind to buffer
+    /// learns where the group is.
+    far_ahead: BTreeMap<NodeId, u64>,
+    /// Target of the last [`Action::Behind`] raised from `far_ahead`;
+    /// another waits for a state install or a bound `FUTURE_HORIZON`
+    /// higher, so votes do not restart a running transfer.
+    behind_target: Option<u64>,
     fetching_value: bool,
     fetch_started_at: u64,
     /// Current-instance agreement messages that arrived while a
@@ -451,6 +459,8 @@ impl Replica {
             collect: HashMap::new(),
             pending_sync: None,
             future: BTreeMap::new(),
+            far_ahead: BTreeMap::new(),
+            behind_target: None,
             fetching_value: false,
             fetch_started_at: 0,
             sync_buffer: Vec::new(),
@@ -468,7 +478,7 @@ impl Replica {
 
     /// Attaches per-phase histograms and event counters (usually
     /// resolved from the owning node's registry). Without this the
-    /// replica keeps only the plain [`Metrics`] counters.
+    /// replica keeps only the plain `Metrics` counters.
     pub fn attach_obs(&mut self, obs: ReplicaObs) {
         self.obs = Some(obs);
     }
@@ -555,7 +565,7 @@ impl Replica {
     }
 
     /// The leader of regency `r` is replica `r mod n`.
-    pub fn leader_of(&self, regency: u32) -> NodeId {
+    pub(crate) fn leader_of(&self, regency: u32) -> NodeId {
         NodeId(regency % self.cfg.quorums.n() as u32)
     }
 
@@ -565,18 +575,13 @@ impl Replica {
     }
 
     /// Returns `true` if this replica currently leads.
-    pub fn is_leader(&self) -> bool {
+    pub(crate) fn is_leader(&self) -> bool {
         self.leader() == self.cfg.node
     }
 
     /// The instance currently being agreed on.
     pub fn next_cid(&self) -> u64 {
         self.next_cid
-    }
-
-    /// Number of requests waiting to be ordered.
-    pub fn pending_len(&self) -> usize {
-        self.sessions.queued()
     }
 
     /// Whether request `(client, seq)` has executed here (its client's
@@ -752,6 +757,8 @@ impl Replica {
             return;
         }
         self.next_cid = last_decided + 1;
+        self.far_ahead.clear();
+        self.behind_target = None;
         self.bump_all_slots(self.regency);
         self.insts.clear();
         self.sessions.install(executed);
@@ -882,13 +889,47 @@ impl Replica {
     }
 
     /// Buffers a message beyond the live window; triggers value fetch
-    /// if enough distinct peers are demonstrably ahead.
+    /// if enough distinct peers are demonstrably ahead. A message beyond
+    /// [`FUTURE_HORIZON`] is not kept, only noted in [`Self::note_far_ahead`].
     fn buffer_future(&mut self, from: NodeId, msg: ConsensusMsg, cid: u64, actions: &mut Vec<Action>) {
         if cid > self.next_cid + FUTURE_HORIZON {
+            self.note_far_ahead(from, cid, actions);
             return;
         }
         self.future.entry(cid).or_default().push((from, msg));
         self.maybe_fetch_gap(actions);
+    }
+
+    /// Records that `from` sent a message for `cid`, beyond the horizon,
+    /// and raises [`Action::Behind`] once `f + 1` distinct peers have.
+    ///
+    /// The bound is the (f+1)-th highest cid they sent, so at least one
+    /// correct peer sent a message at or above it; a correct replica
+    /// votes only inside its window, so it has decided every instance
+    /// below `bound - pipeline_depth + 1`, the target.
+    fn note_far_ahead(&mut self, from: NodeId, cid: u64, actions: &mut Vec<Action>) {
+        let highest = self.far_ahead.entry(from).or_insert(cid);
+        *highest = (*highest).max(cid);
+        let mut cids: Vec<u64> = self.far_ahead.values().copied().collect();
+        cids.sort_unstable_by(|a, b| b.cmp(a));
+        let Some(&bound) = cids.get(self.cfg.quorums.one_correct_count().saturating_sub(1)) else {
+            return;
+        };
+        let target = bound.saturating_add(1).saturating_sub(self.cfg.pipeline_depth as u64);
+        if self
+            .behind_target
+            .is_some_and(|last| target < last.saturating_add(FUTURE_HORIZON))
+        {
+            return;
+        }
+        self.behind_target = Some(target);
+        hlf_obs::debug!(
+            "replica {} behind: at cid {} while f + 1 peers send cid {} or more",
+            self.cfg.node.as_usize(),
+            self.next_cid,
+            bound
+        );
+        actions.push(Action::Behind { target_cid: target });
     }
 
     /// Starts (or continues) fetching the current instance's decided
@@ -1956,7 +1997,7 @@ mod tests {
         let mut replicas = make_replicas(4, 1);
         let actions = step(&mut replicas[1], 0, Input::Requests(vec![req(1)]));
         assert!(actions.is_empty());
-        assert_eq!(replicas[1].pending_len(), 1);
+        assert_eq!(replicas[1].sessions.queued(), 1);
     }
 
     #[test]
@@ -1964,7 +2005,7 @@ mod tests {
         let mut replicas = make_replicas(4, 1);
         step(&mut replicas[1], 0, Input::Requests(vec![req(1)]));
         step(&mut replicas[1], 0, Input::Requests(vec![req(1)]));
-        assert_eq!(replicas[1].pending_len(), 1);
+        assert_eq!(replicas[1].sessions.queued(), 1);
     }
 
     #[test]
@@ -2176,6 +2217,35 @@ mod tests {
         assert_eq!(replica.next_cid(), 1);
     }
 
+    /// The `Behind` targets `replica` raises while `peers` each send it
+    /// WRITEs for `cid`, `cid + 1` and `cid + 2`.
+    fn behind_on_far_writes(replica: &mut Replica, peers: &[usize], cid: u64) -> Vec<u64> {
+        let signing = signing_keys();
+        let mut targets = Vec::new();
+        for c in cid..cid + 3 {
+            for &peer in peers {
+                let node = NodeId(peer as u32);
+                let w = Vote::sign(&signing[peer], VotePhase::Write, node, c, 0, Batch::empty().digest());
+                for action in deliver(replica, peer as u32, ConsensusMsg::Write(w)) {
+                    if let Action::Behind { target_cid } = action {
+                        targets.push(target_cid);
+                    }
+                }
+            }
+        }
+        targets
+    }
+
+    #[test]
+    fn f_plus_one_peers_beyond_the_horizon_raise_one_behind() {
+        let mut replicas = make_replicas(4, 1);
+        let cid = 1 + FUTURE_HORIZON + 10;
+        // Depth 1: a correct peer voting on `cid` decided all below it.
+        assert_eq!(behind_on_far_writes(&mut replicas[0], &[1, 2], cid), vec![cid]);
+        // One peer alone may be Byzantine: no state transfer for it.
+        assert!(behind_on_far_writes(&mut replicas[1], &[2], cid).is_empty());
+    }
+
     #[test]
     fn bogus_value_reply_rejected() {
         let mut replicas = make_replicas(4, 1);
@@ -2201,7 +2271,7 @@ mod tests {
         // More requests than batch_max, queued at a follower (which
         // proposes nothing): a batch caps at batch_max, oldest first.
         step(&mut replicas[1], 0, Input::Requests((1..=500).map(req).collect()));
-        assert_eq!(replicas[1].pending_len(), 500);
+        assert_eq!(replicas[1].sessions.queued(), 500);
         let batch = replicas[1].build_batch();
         assert_eq!(batch.len(), 400);
         assert!(batch.requests.iter().map(|r| r.seq).eq(1..=400));
@@ -2245,13 +2315,13 @@ mod tests {
                 cluster.submit_to(i, req(arrival(i, k)));
             }
         }
-        assert_eq!(cluster.replica(3).pending_len(), REQUESTS as usize, "max_pending admits them all");
+        assert_eq!(cluster.replica(3).sessions.queued(), REQUESTS as usize, "max_pending admits them all");
         while cluster.step() {
             for i in 0..4 {
                 let r = cluster.replica(i);
                 let ring = r.sessions.longest_ring();
                 assert!(ring <= WINDOW as usize, "replica {i}: a ring of {ring}");
-                assert!(ring >= r.pending_len(), "replica {i}: one client holds every request");
+                assert!(ring >= r.sessions.queued(), "replica {i}: one client holds every request");
                 r.debug_check_in_flight();
             }
         }
@@ -2261,7 +2331,7 @@ mod tests {
             seqs.sort_unstable();
             assert_eq!(seqs, (1..=REQUESTS).collect::<Vec<_>>(), "replica {i}");
             let r = cluster.replica(i);
-            assert_eq!((r.pending_len(), r.sessions.longest_ring()), (0, 0), "replica {i}");
+            assert_eq!((r.sessions.queued(), r.sessions.longest_ring()), (0, 0), "replica {i}");
             assert!(r.sessions.in_flight_marks().is_empty(), "replica {i}");
         }
     }
@@ -2278,11 +2348,11 @@ mod tests {
         cluster.run_to_quiescence();
         assert_eq!(committed_seqs(&cluster, 1), vec![1, 2]);
         let follower = cluster.replica_mut(1);
-        assert_eq!((follower.pending_len(), follower.sessions.longest_ring()), (3, 3));
+        assert_eq!((follower.sessions.queued(), follower.sessions.longest_ring()), (3, 3));
         // Room for two more queued requests.
         follower.cfg.max_pending = 5;
         step(follower, 0, Input::Requests(vec![req(6), req(7), req(8)]));
-        assert_eq!(follower.pending_len(), 5);
+        assert_eq!(follower.sessions.queued(), 5);
         let Some(Action::Send(NodeId(0), ConsensusMsg::Forward { requests })) =
             step(follower, 2_500, Input::Tick).pop()
         else {
@@ -2551,7 +2621,7 @@ mod tests {
         // window to slide.
         assert_eq!(proposed.keys().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         assert_eq!(leader.window_occupancy(), 4);
-        assert_eq!(leader.pending_len(), 5);
+        assert_eq!(leader.sessions.queued(), 5);
 
         // Decide the frontier slot: the window slides and the waiting
         // request is proposed into the freed slot.
@@ -2570,7 +2640,7 @@ mod tests {
             Action::Broadcast(ConsensusMsg::Propose { cid: 5, .. })
         )));
         assert_eq!(leader.window_occupancy(), 4);
-        assert_eq!(leader.pending_len(), 4);
+        assert_eq!(leader.sessions.queued(), 4);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Seqs a session tracks above `executed_below`. A request further
 /// ahead may wait in its session, but no batch may carry it.
-pub const WINDOW: u64 = 8192;
+pub(crate) const WINDOW: u64 = 8192;
 const WORDS: usize = (WINDOW / 64) as usize;
 /// How far above `executed_below` a request may wait: a client that
 /// leaves a gap below its window can park no more than this.
@@ -55,11 +55,6 @@ impl Default for Window {
 }
 
 impl Window {
-    /// Every seq below this has executed.
-    pub fn executed_below(&self) -> u64 {
-        self.executed_below
-    }
-
     fn bit(&self, offset: u64) -> bool {
         usize::try_from(offset / 64)
             .ok()
@@ -68,13 +63,13 @@ impl Window {
     }
 
     /// Whether `seq` has executed.
-    pub fn is_executed(&self, seq: u64) -> bool {
+    pub(crate) fn is_executed(&self, seq: u64) -> bool {
         seq < self.executed_below || self.bit(seq - self.executed_below)
     }
 
     /// Whether `seq` may still execute: not executed, and inside the
     /// window.
-    pub fn is_fresh(&self, seq: u64) -> bool {
+    pub(crate) fn is_fresh(&self, seq: u64) -> bool {
         seq >= self.executed_below
             && seq - self.executed_below < WINDOW
             && !self.bit(seq - self.executed_below)
@@ -711,15 +706,15 @@ mod tests {
         assert!(window.execute(3));
         assert!(window.execute(2));
         assert!(!window.execute(3), "executed once");
-        assert_eq!(window.executed_below(), 1);
+        assert_eq!(window.executed_below, 1);
         assert!(window.execute(1));
-        assert_eq!((window.executed_below(), window.above.len()), (4, 0));
+        assert_eq!((window.executed_below, window.above.len()), (4, 0));
         assert!(window.is_executed(2) && !window.is_executed(4));
         // Out of order across word boundaries, then the gap closes.
         for seq in (5..200).rev() {
             assert!(window.execute(seq));
         }
-        assert_eq!(window.executed_below(), 4);
+        assert_eq!(window.executed_below, 4);
         assert!(window.execute(4));
         assert_eq!(window, Window { executed_below: 200, above: Vec::new() });
         // The window's far edge.
@@ -732,7 +727,7 @@ mod tests {
     fn executed_table_round_trips_in_client_order() {
         let mut executed = Executed::default();
         assert_eq!(executed.execute(&batch(&[(9, 1), (9, 2), (3, 5), (3, 1), (9, 2)])), vec![4]);
-        assert_eq!(executed.window(ClientId(9)).map(Window::executed_below), Some(3));
+        assert_eq!(executed.window(ClientId(9)).map(|w| w.executed_below), Some(3));
         assert!(executed.window(ClientId(3)).is_some_and(|window| window.is_executed(5) && !window.is_executed(4)));
         let bytes = to_bytes(&executed);
         assert_eq!(bytes.len(), executed.encoded_len());

@@ -29,24 +29,13 @@ use std::collections::{BTreeMap, HashSet};
 /// Bounds the slot range the selection function scans and the rebind
 /// vector a SYNC may carry, so a Byzantine collect set cannot force
 /// unbounded work.
-pub const MAX_WINDOW: u64 = 64;
-
-/// Outcome of the selection function.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Selection {
-    /// The instance the group resumes at.
-    pub cid: u64,
-    /// A value that must be re-proposed, when one is bound: the digest,
-    /// the certificate epoch it was bound from, and the batch itself if
-    /// any collect entry carried it.
-    pub bound: Option<BoundValue>,
-}
+pub(crate) const MAX_WINDOW: u64 = 64;
 
 /// Outcome of the window-aware selection function: the frontier
 /// selection plus every later in-flight slot the new regent must
 /// re-propose.
 #[derive(Clone, Debug, PartialEq)]
-pub struct WindowSelection {
+pub(crate) struct WindowSelection {
     /// The instance the group resumes at (the window frontier).
     pub cid: u64,
     /// The frontier's bound value, when one exists.
@@ -59,7 +48,7 @@ pub struct WindowSelection {
 
 /// A value bound by a WRITE certificate in the collect set.
 #[derive(Clone, Debug, PartialEq)]
-pub struct BoundValue {
+pub(crate) struct BoundValue {
     /// Digest of the bound batch.
     pub hash: Hash256,
     /// Epoch of the certificate that bound it.
@@ -107,7 +96,7 @@ fn write_cert_valid(
 ///
 /// Returns [`ConsensusError::InvalidCollect`] if fewer than `n - f`
 /// valid entries remain.
-pub fn validate_collect<'a>(
+pub(crate) fn validate_collect<'a>(
     collect: &'a [StopData],
     regency: u32,
     quorums: &QuorumSystem,
@@ -192,25 +181,6 @@ fn recover_value(valid: &[&StopData], bound: &mut BoundValue) {
     }
 }
 
-/// Runs the selection function over a validated collect set.
-///
-/// # Errors
-///
-/// Returns [`ConsensusError::InvalidCollect`] if the collect set is too
-/// small or malformed.
-pub fn select(
-    collect: &[StopData],
-    regency: u32,
-    quorums: &QuorumSystem,
-    keys: &[PinnedKey],
-) -> Result<Selection, ConsensusError> {
-    let window = select_window(collect, regency, quorums, keys)?;
-    Ok(Selection {
-        cid: window.cid,
-        bound: window.bound,
-    })
-}
-
 /// Runs the window-aware selection function over a collect set: the
 /// frontier selection plus a bound value for every later in-flight slot
 /// certified anywhere in the collect set.
@@ -226,7 +196,7 @@ pub fn select(
 ///
 /// Returns [`ConsensusError::InvalidCollect`] if the collect set is too
 /// small or malformed.
-pub fn select_window(
+pub(crate) fn select_window(
     collect: &[StopData],
     regency: u32,
     quorums: &QuorumSystem,
@@ -287,30 +257,9 @@ pub fn select_window(
     })
 }
 
-/// Verifies a leader's SYNC message against its collect set: re-runs the
-/// selection and checks the leader respected it.
-///
-/// # Errors
-///
-/// Returns [`ConsensusError::InvalidCollect`] when the collect set is
-/// invalid or the proposed value contradicts the bound value.
-pub fn validate_sync(
-    collect: &[StopData],
-    regency: u32,
-    cid: u64,
-    batch: &Batch,
-    quorums: &QuorumSystem,
-    keys: &[PinnedKey],
-) -> Result<Selection, ConsensusError> {
-    let window = validate_sync_window(collect, regency, cid, batch, &[], quorums, keys)?;
-    Ok(Selection {
-        cid: window.cid,
-        bound: window.bound,
-    })
-}
-
-/// Verifies a leader's windowed SYNC: the frontier checks of
-/// [`validate_sync`] plus an exact match between the carried `rebinds`
+/// Verifies a leader's windowed SYNC against its collect set: re-runs
+/// the selection, checks the leader respected the frontier's bound
+/// value, and requires an exact match between the carried `rebinds`
 /// and the window selection — every bound slot re-proposed verbatim,
 /// every unbound gap slot re-proposed empty, nothing omitted or padded.
 ///
@@ -318,7 +267,7 @@ pub fn validate_sync(
 ///
 /// Returns [`ConsensusError::InvalidCollect`] when the collect set is
 /// invalid or the proposed values contradict the selection.
-pub fn validate_sync_window(
+pub(crate) fn validate_sync_window(
     collect: &[StopData],
     regency: u32,
     cid: u64,
@@ -426,7 +375,7 @@ mod tests {
     fn free_selection_when_nothing_written() {
         let fx = fixture(4, 1);
         let collect: Vec<StopData> = (0..3).map(|i| plain_sd(&fx, i, 1, 5)).collect();
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert_eq!(sel.cid, 5);
         assert!(sel.bound.is_none());
     }
@@ -436,7 +385,7 @@ mod tests {
         let fx = fixture(4, 1);
         let collect: Vec<StopData> = (0..2).map(|i| plain_sd(&fx, i, 1, 5)).collect();
         assert!(matches!(
-            select(&collect, 1, &fx.quorums, &fx.vk),
+            select_window(&collect, 1, &fx.quorums, &fx.vk),
             Err(ConsensusError::InvalidCollect(_))
         ));
     }
@@ -446,10 +395,10 @@ mod tests {
         let fx = fixture(4, 1);
         let mut collect: Vec<StopData> = (0..3).map(|i| plain_sd(&fx, i, 1, 5)).collect();
         collect[2].cid = 99; // invalidates the signature
-        assert!(select(&collect, 1, &fx.quorums, &fx.vk).is_err());
+        assert!(select_window(&collect, 1, &fx.quorums, &fx.vk).is_err());
         // Adding a fourth valid entry restores the quorum of valid ones.
         collect.push(plain_sd(&fx, 3, 1, 5));
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert_eq!(sel.cid, 5);
     }
 
@@ -458,7 +407,7 @@ mod tests {
         let fx = fixture(4, 1);
         let sd = plain_sd(&fx, 0, 1, 5);
         let collect = vec![sd.clone(), sd.clone(), sd];
-        assert!(select(&collect, 1, &fx.quorums, &fx.vk).is_err());
+        assert!(select_window(&collect, 1, &fx.quorums, &fx.vk).is_err());
     }
 
     #[test]
@@ -478,16 +427,16 @@ mod tests {
             None,
         );
         let collect = vec![holder, plain_sd(&fx, 1, 1, 5), plain_sd(&fx, 2, 1, 5)];
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert_eq!(sel.cid, 5);
         let bound = sel.bound.expect("value must be bound");
         assert_eq!(bound.hash, h);
         assert_eq!(bound.value, Some(b.clone()));
 
-        // validate_sync accepts the bound value and rejects others.
-        validate_sync(&collect, 1, 5, &b, &fx.quorums, &fx.vk).unwrap();
-        assert!(validate_sync(&collect, 1, 5, &batch(9), &fx.quorums, &fx.vk).is_err());
-        assert!(validate_sync(&collect, 1, 6, &b, &fx.quorums, &fx.vk).is_err());
+        // validate_sync_window accepts the bound value and rejects others.
+        validate_sync_window(&collect, 1, 5, &b, &[], &fx.quorums, &fx.vk).unwrap();
+        assert!(validate_sync_window(&collect, 1, 5, &batch(9), &[], &fx.quorums, &fx.vk).is_err());
+        assert!(validate_sync_window(&collect, 1, 6, &b, &[], &fx.quorums, &fx.vk).is_err());
     }
 
     #[test]
@@ -507,7 +456,7 @@ mod tests {
             None,
         );
         let collect = vec![holder, plain_sd(&fx, 1, 1, 5), plain_sd(&fx, 2, 1, 5)];
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert!(sel.bound.is_none());
     }
 
@@ -535,7 +484,7 @@ mod tests {
             None,
         );
         let collect = vec![holder, plain_sd(&fx, 1, 1, 5), plain_sd(&fx, 2, 1, 5)];
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert!(sel.bound.is_none());
     }
 
@@ -567,7 +516,7 @@ mod tests {
             None,
         );
         let collect = vec![holder_old, holder_new, plain_sd(&fx, 2, 3, 5)];
-        let sel = select(&collect, 3, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 3, &fx.quorums, &fx.vk).unwrap();
         let bound = sel.bound.unwrap();
         assert_eq!(bound.hash, b_new.digest());
         assert_eq!(bound.epoch, 2);
@@ -584,7 +533,7 @@ mod tests {
             plain_sd(&fx, 1, 1, 7),
             plain_sd(&fx, 2, 1, 7),
         ];
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert_eq!(sel.cid, 7);
     }
 
@@ -624,7 +573,7 @@ mod tests {
             Some(proof),
         );
         let collect = vec![ahead, plain_sd(&fx, 1, 1, 7), plain_sd(&fx, 2, 1, 7)];
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert_eq!(sel.cid, 10);
     }
 
@@ -656,7 +605,7 @@ mod tests {
             Some(proof),
         );
         let collect = vec![ahead, plain_sd(&fx, 1, 1, 7), plain_sd(&fx, 2, 1, 7)];
-        let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+        let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert_eq!(sel.cid, 7);
     }
 
@@ -769,7 +718,7 @@ mod tests {
         let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
         assert!(sel.extra.is_empty());
         // And the plain-frontier wrapper still accepts the window.
-        validate_sync(&collect, 1, 5, &batch(1), &fx.quorums, &fx.vk).unwrap();
+        validate_sync_window(&collect, 1, 5, &batch(1), &[], &fx.quorums, &fx.vk).unwrap();
     }
 
     #[test]
@@ -808,7 +757,7 @@ mod tests {
                 plain_sd(&fx, 2, 1, 2),
                 plain_sd(&fx, 3, 1, 2),
             ];
-            let sel = select(&collect, 1, &fx.quorums, &fx.vk).unwrap();
+            let sel = select_window(&collect, 1, &fx.quorums, &fx.vk).unwrap();
             assert_eq!(sel.bound.is_some(), should_bind, "voters {voters:?}");
         }
     }

@@ -4,9 +4,9 @@
 
 use hlf_wire::Bytes;
 use hlf_consensus::messages::{Batch, ConsensusMsg, Request, Vote, VotePhase};
-use hlf_consensus::quorum::QuorumSystem;
-use hlf_consensus::session::Executed;
-use hlf_consensus::replica::{Action, Config, Input, Replica};
+use hlf_consensus::QuorumSystem;
+use hlf_consensus::Executed;
+use hlf_consensus::{Action, Config, Input, Replica};
 use hlf_consensus::testing::{step, test_keys, Cluster, Observed};
 use hlf_wire::{ClientId, NodeId};
 

@@ -64,7 +64,7 @@ impl IntoIterator for Cut {
 ///
 /// ```
 /// use hlf_wire::Bytes;
-/// use ordering_core::blockcutter::{BlockCutter, CutReason};
+/// use ordering_core::{BlockCutter, CutReason};
 ///
 /// let mut cutter = BlockCutter::new(3, 1024 * 1024);
 /// assert!(cutter.push(Bytes::from_static(b"e1")).is_none());
@@ -115,7 +115,7 @@ impl BlockCutter {
     }
 
     /// Adds one ordered envelope, hashing it for its leaf; see
-    /// [`BlockCutter::push_hashed`].
+    /// `BlockCutter::push_hashed`.
     pub fn push(&mut self, envelope: Bytes) -> Option<Cut> {
         let leaf = sha256(&envelope);
         self.push_hashed(envelope, leaf)
@@ -130,7 +130,7 @@ impl BlockCutter {
     /// first cuts the buffered envelopes (if any), then starts the next
     /// block — mirroring Fabric's `PreferredMaxBytes` behaviour, and
     /// still a pure function of the stream.
-    pub fn push_hashed(&mut self, envelope: Bytes, leaf: Hash256) -> Option<Cut> {
+    pub(crate) fn push_hashed(&mut self, envelope: Bytes, leaf: Hash256) -> Option<Cut> {
         let overflow = !self.buffer.is_empty()
             && self.buffered_bytes + envelope.len() > self.max_block_bytes;
         let cut = overflow.then(|| Cut { reason: CutReason::Bytes, ..self.drain() });

@@ -32,7 +32,7 @@ use hlf_fabric::block::SYSTEM_CHANNEL;
 ///
 /// ```
 /// use hlf_wire::Bytes;
-/// use ordering_core::channel::{channel_payload, untag_envelope};
+/// use ordering_core::{channel_payload, untag_envelope};
 ///
 /// let plain = Bytes::from_static(b"envelope bytes");
 /// let payload = channel_payload("system", plain.clone());
@@ -53,7 +53,7 @@ pub fn channel_payload(channel: &str, envelope: Bytes) -> Bytes {
 /// # Examples
 ///
 /// ```
-/// use ordering_core::channel::{tag_envelope, untag_envelope};
+/// use ordering_core::{tag_envelope, untag_envelope};
 ///
 /// let tagged = tag_envelope("trading", b"envelope bytes");
 /// let (channel, payload) = untag_envelope(&tagged);

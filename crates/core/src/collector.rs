@@ -11,7 +11,7 @@ use crate::obs::FrontendObs;
 use hlf_crypto::ecdsa::{PinnedKey, Signature};
 use hlf_crypto::sha256::Hash256;
 use hlf_fabric::block::{Block, BlockSignature};
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_wire::{ClientId, NodeId};
 use std::collections::hash_map::Entry;
@@ -48,7 +48,7 @@ pub enum DeliveryPolicy {
 /// tentative execution a correct node may push a block it later rolls
 /// back, so either policy waits for `⌈(n + f + 1) / 2⌉` copies — the
 /// quorum a tentative result needs to be final (paper §4).
-pub fn copies_needed(n: usize, f: usize, tentative: bool, policy: &DeliveryPolicy) -> usize {
+pub(crate) fn copies_needed(n: usize, f: usize, tentative: bool, policy: &DeliveryPolicy) -> usize {
     if tentative {
         return (n + f + 1).div_ceil(2);
     }
@@ -92,23 +92,17 @@ impl FrontendConfig {
     }
 
     /// Declares whether the cluster executes tentatively.
-    pub fn with_tentative(mut self, tentative: bool) -> FrontendConfig {
+    pub(crate) fn with_tentative(mut self, tentative: bool) -> FrontendConfig {
         self.tentative = tentative;
         self
     }
 
     /// Switches to signature verification with `f + 1` copies, against
     /// clones of the orderers' pinned keys (which share their tables).
-    pub fn with_verification(mut self, orderer_keys: &[PinnedKey]) -> FrontendConfig {
+    pub(crate) fn with_verification(mut self, orderer_keys: &[PinnedKey]) -> FrontendConfig {
         self.policy = DeliveryPolicy::Verify {
             orderer_keys: orderer_keys.to_vec(),
         };
-        self
-    }
-
-    /// Overrides the concurrent collection-round bound.
-    pub fn with_max_collecting(mut self, max: usize) -> FrontendConfig {
-        self.max_collecting = max.max(1);
         self
     }
 }
@@ -211,7 +205,7 @@ pub struct FrontendStats {
 ///
 /// Time is an argument (`now_us`, any monotonic microsecond clock): it
 /// stamps flight events and measures collection rounds, nothing else.
-pub struct BlockCollector {
+pub(crate) struct BlockCollector {
     config: FrontendConfig,
     /// Per-channel next block number to deliver (1 for new channels).
     next_deliver: HashMap<String, u64>,
@@ -242,7 +236,7 @@ impl std::fmt::Debug for BlockCollector {
 
 impl BlockCollector {
     /// An empty collector for the cluster `config` describes.
-    pub fn new(config: FrontendConfig) -> BlockCollector {
+    pub(crate) fn new(config: FrontendConfig) -> BlockCollector {
         BlockCollector {
             config,
             next_deliver: HashMap::new(),
@@ -257,28 +251,28 @@ impl BlockCollector {
     }
 
     /// The configuration in effect.
-    pub fn config(&self) -> &FrontendConfig {
+    pub(crate) fn config(&self) -> &FrontendConfig {
         &self.config
     }
 
     /// Starts recording `core.frontend.*` metrics into `registry`.
-    pub fn attach_obs(&mut self, registry: &Registry) {
+    pub(crate) fn attach_obs(&mut self, registry: &Registry) {
         self.obs = Some(FrontendObs::new(registry));
     }
 
     /// Starts recording collection-phase flight events (and eviction
     /// anomaly dumps) into `flight`.
-    pub fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
+    pub(crate) fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
         self.flight = Some(flight);
     }
 
     /// Counters.
-    pub fn stats(&self) -> FrontendStats {
+    pub(crate) fn stats(&self) -> FrontendStats {
         self.stats
     }
 
     /// Counts one envelope relayed to the cluster in both counter sets.
-    pub fn count_submitted(&mut self) {
+    pub(crate) fn count_submitted(&mut self) {
         self.stats.submitted += 1;
         if let Some(obs) = &self.obs {
             obs.submitted.inc();
@@ -286,7 +280,7 @@ impl BlockCollector {
     }
 
     /// Counts one rejected block copy in both counter sets.
-    pub fn discard_copy(&mut self) {
+    pub(crate) fn discard_copy(&mut self) {
         self.stats.discarded_copies += 1;
         if let Some(obs) = &self.obs {
             obs.discarded_copies.inc();
@@ -298,7 +292,7 @@ impl BlockCollector {
     }
 
     /// Ingests one pushed block copy from `from`.
-    pub fn offer(&mut self, from: NodeId, block: Block, now_us: u64) {
+    pub(crate) fn offer(&mut self, from: NodeId, block: Block, now_us: u64) {
         let slot = (block.header.channel.clone(), block.header.number);
         if slot.1 < self.next_deliver_on(&slot.0) || self.ready.contains_key(&slot) {
             self.discard_copy();
@@ -452,7 +446,7 @@ impl BlockCollector {
     ///
     /// Blocks are released strictly in order; a gap (e.g. number 5
     /// completing before 4) is held back until the predecessor arrives.
-    pub fn pop_ready(&mut self) -> Option<Block> {
+    pub(crate) fn pop_ready(&mut self) -> Option<Block> {
         let slot = self
             .ready
             .keys()
@@ -462,7 +456,7 @@ impl BlockCollector {
     }
 
     /// Like [`BlockCollector::pop_ready`], but only for one channel.
-    pub fn pop_ready_on(&mut self, channel: &str) -> Option<Block> {
+    pub(crate) fn pop_ready_on(&mut self, channel: &str) -> Option<Block> {
         self.take_ready((channel.to_string(), self.next_deliver_on(channel)))
     }
 

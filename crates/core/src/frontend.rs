@@ -10,21 +10,19 @@
 //! suffice.
 
 use crate::channel::channel_payload;
-use crate::collector::BlockCollector;
+use crate::collector::{BlockCollector, FrontendConfig, FrontendStats};
 use hlf_wire::Bytes;
 use hlf_fabric::block::{Block, SYSTEM_CHANNEL};
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
-use hlf_smr::client::{ProxyConfig, Push, ServiceProxy};
+use hlf_smr::{ProxyConfig, Push, ServiceProxy};
 use hlf_transport::Network;
 use hlf_wire::ClientId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use crate::collector::{DeliveryPolicy, FrontendConfig, FrontendStats};
-
 /// The ordering-service frontend: a [`ServiceProxy`] to relay envelopes
-/// and receive pushes, feeding a [`BlockCollector`] that decides when a
+/// and receive pushes, feeding a `BlockCollector` that decides when a
 /// block is trustworthy.
 pub struct Frontend {
     proxy: ServiceProxy,
@@ -60,7 +58,7 @@ impl Frontend {
     /// Connects over an already-built transport endpoint — the
     /// multi-process path, where the endpoint wraps a TCP network
     /// ([`hlf_transport::TcpNetwork::endpoint`]).
-    pub fn connect_endpoint(
+    pub(crate) fn connect_endpoint(
         endpoint: hlf_transport::Endpoint,
         config: FrontendConfig,
     ) -> Frontend {
@@ -212,7 +210,7 @@ impl Frontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::VERIFY_CACHE_PER_SLOT;
+    use crate::collector::{DeliveryPolicy, VERIFY_CACHE_PER_SLOT};
     use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
     use hlf_crypto::sha256::Hash256;
     use hlf_transport::PeerId;
@@ -255,7 +253,7 @@ mod tests {
 
     fn push_block(replica: &hlf_transport::Endpoint, block: &Block) {
         let payload = Bytes::from(hlf_wire::to_bytes(block));
-        let msg = hlf_smr::wire::SmrMsg::Reply { seq: 0, payload };
+        let msg = hlf_smr::SmrMsg::Reply { seq: 0, payload };
         replica
             .send(PeerId::client(50), Bytes::from(hlf_wire::to_bytes(&msg)))
             .unwrap();
@@ -268,7 +266,7 @@ mod tests {
     #[test]
     fn system_envelopes_travel_untagged_unless_they_start_like_a_tag() {
         use crate::channel::{tag_envelope, untag_envelope, TAG_MAGIC};
-        use hlf_smr::wire::SmrMsg;
+        use hlf_smr::SmrMsg;
         let (mut frontend, replicas, _n) = fixture(DeliveryPolicy::MatchOnly, 4, 1);
         let plain = Bytes::from_static(b"plain envelope");
         let weird = Bytes::from(vec![TAG_MAGIC; 9]);
@@ -465,7 +463,7 @@ mod tests {
         let replicas: Vec<_> = (0..4u32).map(|i| network.join(PeerId::replica(i))).collect();
         let mut frontend = Frontend::connect(
             &network,
-            FrontendConfig::new(ClientId(50), 4, 1).with_max_collecting(2),
+            FrontendConfig { max_collecting: 2, ..FrontendConfig::new(ClientId(50), 4, 1) },
         );
         let registry = Registry::new("frontend-bound-test");
         frontend.attach_obs(&registry);

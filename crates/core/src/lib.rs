@@ -13,15 +13,15 @@
 //! * **frontends** ([`frontend::Frontend`]) that relay envelopes on
 //!   behalf of Fabric clients and collect `2f + 1` matching block
 //!   copies (or `f + 1` verified ones; `⌈(n+f+1)/2⌉` while the cluster
-//!   executes tentatively) in a [`collector::BlockCollector`] before
+//!   executes tentatively) in a `collector::BlockCollector` before
 //!   releasing blocks, in order, to committing peers.
 //!
 //! [`service::OrderingService`] assembles the whole thing in-process
 //! and [`proc`] one replica or frontend per OS process over TCP; both
-//! are thread drivers of the sans-io [`hlf_smr::core::NodeCore`].
-//! [`sim`] drives that same node core, the same
-//! [`node::OrderingNodeApp`] and the same
-//! [`collector::BlockCollector`] inside the discrete-event WAN
+//! are thread drivers of the sans-io [`hlf_smr::NodeCore`].
+//! `sim` drives that same node core, the same
+//! `node::OrderingNodeApp` and the same
+//! `collector::BlockCollector` inside the discrete-event WAN
 //! simulator for the paper's geo-distributed latency experiments; only
 //! link latency and the block-signing delay are modelled there.
 //!
@@ -62,21 +62,20 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod blockcutter;
-pub mod channel;
-pub mod collector;
+mod blockcutter;
+mod channel;
+mod collector;
 pub mod frontend;
-pub mod node;
-pub mod obs;
+mod node;
+mod obs;
 pub mod proc;
 pub mod service;
-pub mod signing;
-pub mod sim;
+mod signing;
+mod sim;
 
-pub use blockcutter::{BlockCutter, Cut, CutReason};
-pub use collector::{copies_needed, BlockCollector, DeliveryPolicy, FrontendConfig, FrontendStats};
+pub use blockcutter::{BlockCutter, CutReason};
+pub use channel::{channel_payload, tag_envelope, untag_envelope, TAG_MAGIC};
 pub use frontend::Frontend;
-pub use node::{OrderingNodeApp, OrderingNodeConfig};
-pub use obs::{CutterObs, FrontendObs, SigningObs};
 pub use service::{OrderingService, ServiceOptions};
-pub use signing::{signing_sink, SigningPool, SigningStats};
+pub use signing::{SigningPool, SigningStats};
+pub use sim::{run_geo_experiment, FrontendLatency, GeoConfig, GeoResult, Protocol};

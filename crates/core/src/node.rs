@@ -11,7 +11,7 @@ use hlf_crypto::ecdsa::SigningKey;
 use hlf_crypto::sha256::Hash256;
 use hlf_fabric::block::Block;
 use hlf_obs::Registry;
-use hlf_smr::app::{Application, Outbound};
+use hlf_smr::{Application, Outbound};
 use hlf_wire::{Decode, Encode, Reader};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ impl ChainState {
 
 /// Configuration of one ordering node's application layer.
 #[derive(Clone)]
-pub struct OrderingNodeConfig {
+pub(crate) struct OrderingNodeConfig {
     /// This node's id (used in block signatures).
     pub node: u32,
     /// Key used to sign block headers (may be the consensus key; the
@@ -81,7 +81,7 @@ impl std::fmt::Debug for OrderingNodeConfig {
 impl OrderingNodeConfig {
     /// Paper-default configuration: blocks of 10 envelopes, 16 signer
     /// threads, 8 MiB byte cap.
-    pub fn new(node: u32, signing_key: SigningKey) -> OrderingNodeConfig {
+    pub(crate) fn new(node: u32, signing_key: SigningKey) -> OrderingNodeConfig {
         OrderingNodeConfig {
             node,
             signing_key,
@@ -96,40 +96,29 @@ impl OrderingNodeConfig {
     }
 
     /// Sets the envelopes-per-block target.
-    pub fn with_block_size(mut self, block_size: usize) -> OrderingNodeConfig {
+    pub(crate) fn with_block_size(mut self, block_size: usize) -> OrderingNodeConfig {
         self.block_size = block_size;
         self
     }
 
     /// Sets the signer thread count.
-    pub fn with_signing_threads(mut self, threads: usize) -> OrderingNodeConfig {
+    pub(crate) fn with_signing_threads(mut self, threads: usize) -> OrderingNodeConfig {
         self.signing_threads = threads;
         self
     }
 
     /// Enables HLF 1.0's second block signature (paper footnote 10).
-    pub fn with_double_sign(mut self, enabled: bool) -> OrderingNodeConfig {
+    pub(crate) fn with_double_sign(mut self, enabled: bool) -> OrderingNodeConfig {
         self.double_sign = enabled;
         self
     }
 
     /// Enables deterministic partial-block flushing at batch boundaries.
-    pub fn with_flush_on_batch_end(mut self, enabled: bool) -> OrderingNodeConfig {
+    pub(crate) fn with_flush_on_batch_end(mut self, enabled: bool) -> OrderingNodeConfig {
         self.flush_on_batch_end = enabled;
         self
     }
 
-    /// Records cutter and signing metrics into `registry`.
-    pub fn with_registry(mut self, registry: Arc<Registry>) -> OrderingNodeConfig {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Records signing-phase flight events into `flight`.
-    pub fn with_flight(mut self, flight: Arc<hlf_obs::FlightRecorder>) -> OrderingNodeConfig {
-        self.flight = Some(flight);
-        self
-    }
 }
 
 /// Undo record for WHEAT tentative execution: a snapshot of every
@@ -145,7 +134,7 @@ struct Undo {
 /// Replicated state is exactly what the paper says it is (§5.2): the
 /// next block number and the previous header hash — plus any envelopes
 /// buffered in the blockcutter at a checkpoint boundary.
-pub struct OrderingNodeApp {
+pub(crate) struct OrderingNodeApp {
     config: OrderingNodeConfig,
     /// Channel name -> chain state (BTreeMap: deterministic snapshot
     /// and iteration order across replicas).
@@ -172,7 +161,7 @@ impl OrderingNodeApp {
     /// that is [`crate::signing::signing_sink`] (sign on a pool, push
     /// to every frontend), in the simulator a queue the actor drains
     /// into modelled signing timers.
-    pub fn new(config: OrderingNodeConfig, sink: impl FnMut(Block) + Send + 'static) -> OrderingNodeApp {
+    pub(crate) fn new(config: OrderingNodeConfig, sink: impl FnMut(Block) + Send + 'static) -> OrderingNodeApp {
         let cutter_obs = config.registry.as_deref().map(CutterObs::new);
         OrderingNodeApp {
             chains: BTreeMap::new(),
@@ -181,38 +170,6 @@ impl OrderingNodeApp {
             cutter_obs,
             undo: Vec::new(),
         }
-    }
-
-    /// Next block number to be assigned on a channel (1 for unknown
-    /// channels).
-    pub fn next_number_on(&self, channel: &str) -> u64 {
-        self.chains.get(channel).map(|c| c.next_number).unwrap_or(1)
-    }
-
-    /// Next block number on the system channel.
-    pub fn next_number(&self) -> u64 {
-        self.next_number_on(hlf_fabric::block::SYSTEM_CHANNEL)
-    }
-
-    /// Channels with chain state on this node, in deterministic order.
-    pub fn channels(&self) -> impl Iterator<Item = &str> {
-        self.chains.keys().map(String::as_str)
-    }
-
-    /// The hash the next block on `channel` will chain to.
-    pub fn prev_hash_on(&self, channel: &str) -> Hash256 {
-        self.chains
-            .get(channel)
-            .map(|c| c.prev_hash)
-            .unwrap_or(Hash256::ZERO)
-    }
-
-    /// Envelopes buffered (decided but uncut) on `channel`.
-    pub fn pending_on(&self, channel: &str) -> usize {
-        self.chains
-            .get(channel)
-            .map(|c| c.cutter.pending())
-            .unwrap_or(0)
     }
 
     /// Chains `cut` into the next block on `channel` and hands it to the
@@ -335,8 +292,24 @@ impl Application for OrderingNodeApp {
 mod tests {
     use super::*;
     use hlf_consensus::messages::Request;
+    use hlf_fabric::block::SYSTEM_CHANNEL;
     use hlf_wire::ClientId;
     use std::sync::mpsc::{channel, Receiver};
+
+    /// Next block number on the system channel (1 before the first).
+    fn next_number(app: &OrderingNodeApp) -> u64 {
+        app.chains.get(SYSTEM_CHANNEL).map_or(1, |c| c.next_number)
+    }
+
+    /// The hash the next block on `channel` will chain to.
+    fn prev_hash_on(app: &OrderingNodeApp, channel: &str) -> Hash256 {
+        app.chains.get(channel).map_or(Hash256::ZERO, |c| c.prev_hash)
+    }
+
+    /// Envelopes buffered (decided but uncut) on `channel`.
+    fn pending_on(app: &OrderingNodeApp, channel: &str) -> usize {
+        app.chains.get(channel).map_or(0, |c| c.cutter.pending())
+    }
 
     fn config(block_size: usize) -> OrderingNodeConfig {
         OrderingNodeConfig::new(0, SigningKey::from_seed(b"orderer-0")).with_block_size(block_size)
@@ -373,27 +346,26 @@ mod tests {
         assert_eq!(blocks[1].header.prev_hash, blocks[0].header.hash());
         assert_eq!(blocks[0].envelopes.len(), 5);
         assert_eq!(blocks[1].envelopes.len(), 5);
-        assert_eq!(app.pending_on(hlf_fabric::block::SYSTEM_CHANNEL), 2);
+        assert_eq!(pending_on(&app, SYSTEM_CHANNEL), 2);
         // Signing is the sink's job: the application emits bare blocks.
         assert!(blocks[0].signatures.is_empty());
     }
 
     #[test]
     fn snapshot_restore_roundtrip_with_pending() {
-        use hlf_fabric::block::SYSTEM_CHANNEL;
         let (mut app, _blocks) = app_with_sink(config(10));
         app.execute_batch(1, &batch(1, 13), false);
-        assert_eq!(app.next_number(), 2);
+        assert_eq!(next_number(&app), 2);
         let snap = app.snapshot();
 
         let (mut other, _blocks2) = app_with_sink(config(10));
         other.restore(&snap);
-        assert_eq!(other.next_number(), 2);
+        assert_eq!(next_number(&other), 2);
         assert_eq!(
-            other.prev_hash_on(SYSTEM_CHANNEL),
-            app.prev_hash_on(SYSTEM_CHANNEL)
+            prev_hash_on(&other, SYSTEM_CHANNEL),
+            prev_hash_on(&app, SYSTEM_CHANNEL)
         );
-        assert_eq!(other.pending_on(SYSTEM_CHANNEL), 3);
+        assert_eq!(pending_on(&other, SYSTEM_CHANNEL), 3);
     }
 
     #[test]
@@ -402,19 +374,19 @@ mod tests {
         let (mut app, blocks) = app_with_sink(config(5));
         app.execute_batch(1, &batch(1, 5), false);
         let _b1 = blocks.try_recv().unwrap();
-        let number = app.next_number();
-        let prev = app.prev_hash_on(SYSTEM_CHANNEL);
+        let number = next_number(&app);
+        let prev = prev_hash_on(&app, SYSTEM_CHANNEL);
 
         // Tentative execution cuts a block...
         app.execute_batch(2, &batch(2, 7), true);
-        assert_eq!(app.next_number(), number + 1);
+        assert_eq!(next_number(&app), number + 1);
         let _speculative = blocks.try_recv().unwrap();
 
         // ...that a leader change rolls back.
         app.rollback(2);
-        assert_eq!(app.next_number(), number);
-        assert_eq!(app.prev_hash_on(SYSTEM_CHANNEL), prev);
-        assert_eq!(app.pending_on(SYSTEM_CHANNEL), 0);
+        assert_eq!(next_number(&app), number);
+        assert_eq!(prev_hash_on(&app, SYSTEM_CHANNEL), prev);
+        assert_eq!(pending_on(&app, SYSTEM_CHANNEL), 0);
 
         // Re-execution with the re-bound batch reuses the numbering.
         app.execute_batch(2, &batch(3, 5), false);
@@ -429,9 +401,9 @@ mod tests {
         app.execute_batch(1, &batch(1, 5), true);
         app.confirm(1);
         // A (buggy) rollback after confirm must be a no-op.
-        let n = app.next_number();
+        let n = next_number(&app);
         app.rollback(1);
-        assert_eq!(app.next_number(), n);
+        assert_eq!(next_number(&app), n);
     }
 
     #[test]
@@ -552,7 +524,7 @@ mod tests {
                         prev = block.header_hash();
                         cut.extend(block.envelopes.iter().cloned());
                     }
-                    assert_eq!(cut.len() + app.pending_on(channel), envelopes.len(), "{channel}");
+                    assert_eq!(cut.len() + pending_on(&app, channel), envelopes.len(), "{channel}");
                     assert_eq!(cut[..], envelopes[..cut.len()], "{channel}: envelopes differ");
                 }
             });
@@ -563,9 +535,10 @@ mod tests {
     fn registry_records_cut_reasons_and_fill() {
         let registry = Arc::new(Registry::new("core-node-test"));
         let (mut app, _blocks) = app_with_sink(
-            config(5)
-                .with_flush_on_batch_end(true)
-                .with_registry(Arc::clone(&registry)),
+            OrderingNodeConfig {
+                registry: Some(Arc::clone(&registry)),
+                ..config(5).with_flush_on_batch_end(true)
+            },
         );
         // 12 envelopes, block size 5, flush on batch end: two full cuts
         // (Size) plus a 2-envelope batch-end flush.

@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// Blockcutter metrics, recorded by the ordering node application at
 /// each cut site.
 #[derive(Clone, Debug)]
-pub struct CutterObs {
+pub(crate) struct CutterObs {
     /// Blocks cut because the envelope count reached `block_size`.
     pub cut_size: Arc<Counter>,
     /// Blocks cut early because the next envelope would exceed the
@@ -41,7 +41,7 @@ pub struct CutterObs {
 
 impl CutterObs {
     /// Resolves (creating on first use) the cutter metrics in `registry`.
-    pub fn new(registry: &Registry) -> CutterObs {
+    pub(crate) fn new(registry: &Registry) -> CutterObs {
         CutterObs {
             cut_size: registry.counter("core.cutter.cut_size"),
             cut_bytes: registry.counter("core.cutter.cut_bytes"),
@@ -52,7 +52,7 @@ impl CutterObs {
 
     /// Records one cut of `envelopes` envelopes against a target of
     /// `block_size`, attributing it to the given reason counter.
-    pub fn record_cut(&self, reason: &Counter, envelopes: usize, block_size: usize) {
+    pub(crate) fn record_cut(&self, reason: &Counter, envelopes: usize, block_size: usize) {
         reason.inc();
         self.block_fill_pct
             .record((envelopes * 100 / block_size.max(1)) as u64);
@@ -61,7 +61,7 @@ impl CutterObs {
 
 /// Signing-pool metrics, recorded by the signer worker threads.
 #[derive(Clone, Debug)]
-pub struct SigningObs {
+pub(crate) struct SigningObs {
     /// Block submitted to the pool → a signer dequeues it, in µs.
     pub queue_wait_us: Arc<Histogram>,
     /// ECDSA signing time per block, in µs.
@@ -75,7 +75,7 @@ pub struct SigningObs {
 impl SigningObs {
     /// Resolves (creating on first use) the signing metrics in
     /// `registry`.
-    pub fn new(registry: &Registry) -> SigningObs {
+    pub(crate) fn new(registry: &Registry) -> SigningObs {
         SigningObs {
             queue_wait_us: registry.histogram("core.signing.queue_wait_us"),
             sign_us: registry.histogram("core.signing.sign_us"),
@@ -88,7 +88,7 @@ impl SigningObs {
 /// Frontend metrics, recorded as block copies arrive and rounds
 /// complete.
 #[derive(Clone, Debug)]
-pub struct FrontendObs {
+pub(crate) struct FrontendObs {
     /// First copy of a block arriving → the matching-copy threshold
     /// reached, in µs (the paper's `2f + 1` match time).
     pub collect_round_us: Arc<Histogram>,
@@ -110,7 +110,7 @@ pub struct FrontendObs {
 impl FrontendObs {
     /// Resolves (creating on first use) the frontend metrics in
     /// `registry`.
-    pub fn new(registry: &Registry) -> FrontendObs {
+    pub(crate) fn new(registry: &Registry) -> FrontendObs {
         FrontendObs {
             collect_round_us: registry.histogram("core.frontend.collect_round_us"),
             delivered_blocks: registry.counter("core.frontend.delivered_blocks"),

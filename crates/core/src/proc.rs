@@ -1,7 +1,7 @@
 //! Ordering-replica assembly, and its per-process entry points for one
 //! ordering replica or frontend per OS process over TCP.
 //!
-//! [`start_replica`] is the one place a threaded ordering replica is
+//! `start_replica` is the one place a threaded ordering replica is
 //! put together: [`OrderingService::start`](crate::service::OrderingService::start)
 //! runs it once per hub endpoint (and again on a restart), and
 //! [`start_replica_endpoint`] once per TCP endpoint. Every process
@@ -18,7 +18,7 @@ use crate::signing::signing_sink;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_smr::node::{spawn_replica, NodeHandle};
 use hlf_smr::runtime::ClusterKeys;
-use hlf_smr::storage::MemoryLog;
+use hlf_smr::MemoryLog;
 use hlf_transport::Endpoint;
 use hlf_wire::ClientId;
 use std::sync::Arc;

@@ -1,7 +1,8 @@
 //! One-call assembly of the complete BFT ordering service: ordering
 //! cluster + frontends, ready for use by a Fabric-style network.
 
-use crate::frontend::{Frontend, FrontendConfig};
+use crate::collector::FrontendConfig;
+use crate::frontend::Frontend;
 use crate::node::OrderingNodeConfig;
 use crate::proc::start_replica;
 use hlf_wire::Bytes;
@@ -71,7 +72,7 @@ impl ServiceOptions {
 
     /// Enables WHEAT (weighted quorums + tentative execution). The
     /// cluster must then be created with `3f + 1 + f·k` nodes. A later
-    /// [`ServiceOptions::with_tentative`] overrides the execution mode.
+    /// `ServiceOptions::with_tentative` overrides the execution mode.
     pub fn with_wheat(mut self, wheat: bool) -> ServiceOptions {
         self.runtime.wheat_weights = wheat;
         self.runtime.tentative_execution = wheat;
@@ -80,7 +81,7 @@ impl ServiceOptions {
 
     /// Sets tentative execution (delivery after the WRITE quorum)
     /// alone; it works on a classic `3f + 1` cluster.
-    pub fn with_tentative(mut self, tentative: bool) -> ServiceOptions {
+    pub(crate) fn with_tentative(mut self, tentative: bool) -> ServiceOptions {
         self.runtime.tentative_execution = tentative;
         self
     }
@@ -124,7 +125,7 @@ impl ServiceOptions {
     ///
     /// Panics if `i` is not a replica of `keys`' cluster.
     #[expect(clippy::indexing_slicing, reason = "bootstrap — a replica index outside the cluster must fail startup loudly")]
-    pub fn app_config(
+    pub(crate) fn app_config(
         &self,
         i: usize,
         keys: &ClusterKeys,

@@ -10,7 +10,7 @@ use crate::node::OrderingNodeConfig;
 use crate::obs::SigningObs;
 use hlf_crypto::ecdsa::SigningKey;
 use hlf_fabric::block::Block;
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_smr::node::PushHandle;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +80,7 @@ const GROUP_MAX: usize = 16;
 /// registered frontends through a [`hlf_smr::PushHandle`]).
 ///
 /// A worker takes the first queued block blocking and then whatever is
-/// *already* queued, up to [`GROUP_MAX`], signs the group at once and
+/// *already* queued, up to `GROUP_MAX`, signs the group at once and
 /// delivers its blocks in queue order. It never waits for a group to
 /// fill: a lone block is signed alone and at once.
 pub struct SigningPool {
@@ -139,7 +139,7 @@ impl SigningPool {
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn with_observers(
+    pub(crate) fn with_observers(
         threads: usize,
         node: u32,
         key: SigningKey,
@@ -256,7 +256,7 @@ impl SigningPool {
 /// *custom replier* that broadcasts blocks instead of answering the
 /// invoking client. The pool lives (and is joined) with the returned
 /// closure.
-pub fn signing_sink(
+pub(crate) fn signing_sink(
     config: &OrderingNodeConfig,
     push: PushHandle,
 ) -> impl FnMut(Block) + Send + 'static {
@@ -476,8 +476,8 @@ mod tests {
         let (_, raw) = frontend
             .recv_timeout(Duration::from_secs(5))
             .expect("block pushed");
-        let msg: hlf_smr::wire::SmrMsg = hlf_wire::from_bytes(&raw).unwrap();
-        let hlf_smr::wire::SmrMsg::Reply { seq: 0, payload } = msg else {
+        let msg: hlf_smr::SmrMsg = hlf_wire::from_bytes(&raw).unwrap();
+        let hlf_smr::SmrMsg::Reply { seq: 0, payload } = msg else {
             panic!("expected push")
         };
         hlf_wire::from_bytes(&payload).unwrap()
@@ -487,9 +487,10 @@ mod tests {
     fn signing_sink_signs_and_pushes_to_frontends() {
         let key = SigningKey::from_seed(b"orderer-0");
         let registry = Arc::new(hlf_obs::Registry::new("sink-test"));
-        let config = OrderingNodeConfig::new(0, key.clone())
-            .with_signing_threads(2)
-            .with_registry(Arc::clone(&registry));
+        let config = OrderingNodeConfig {
+            registry: Some(Arc::clone(&registry)),
+            ..OrderingNodeConfig::new(0, key.clone()).with_signing_threads(2)
+        };
         let (mut sink, frontend, _network) = sink_with_frontend(&config);
         for number in 1..=3 {
             sink(block(number));

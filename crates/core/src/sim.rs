@@ -30,17 +30,17 @@ use crate::service::ServiceOptions;
 use hlf_audit::{dash_enabled, AuditViolation, ClusterAuditor, Dashboard};
 use hlf_consensus::messages::Request;
 use hlf_fabric::block::Block;
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightDump, FlightRecorder, Registry, Snapshot};
-use hlf_simnet::regions::{Region, RegionMatrix};
+use hlf_simnet::{Region, RegionMatrix};
 use hlf_simnet::{
     percentile, Actor, Ctx, FaultPlan, LatencyModel, SimMessage, SimTime, Simulation,
 };
-use hlf_smr::app::Application;
-use hlf_smr::core::{Input, NodeConfig, NodeCore, Output};
+use hlf_smr::Application;
+use hlf_smr::{Input, NodeConfig, NodeCore, Output};
 use hlf_smr::runtime::ClusterKeys;
-use hlf_smr::storage::MemoryLog;
-use hlf_smr::wire::SmrMsg;
+use hlf_smr::MemoryLog;
+use hlf_smr::SmrMsg;
 use hlf_transport::PeerId;
 use hlf_wire::{Bytes, ClientId, NodeId};
 use std::any::Any;
@@ -106,7 +106,8 @@ const FORGED_DIGEST_MASK: u64 = 0x00ff_00ff_00ff_00ff;
 /// protocol itself runs untouched, so a detection proves the auditor
 /// works without needing a genuinely unsafe consensus implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AuditInjection {
+#[cfg_attr(not(test), expect(dead_code, reason = "only the auditor's tests inject (`GeoConfig::with_injection`)"))]
+pub(crate) enum AuditInjection {
     /// On `node`'s `nth` (0-based) commit, additionally record a
     /// [`EventKind::DecideHash`] for the same instance with a flipped
     /// digest — a fabricated equivocation.
@@ -509,12 +510,12 @@ pub struct GeoConfig {
     pub pipeline_depth: usize,
     /// Run the online safety auditor ([`hlf_audit::ClusterAuditor`])
     /// over every replica's flight ring while the simulation executes
-    /// and return the [`AuditSummary`] in the result. Implies flight
+    /// and return the `AuditSummary` in the result. Implies flight
     /// recording on the replicas (frontend recording still requires
     /// [`GeoConfig::trace`]); like tracing, it never perturbs the run.
     pub audit: bool,
     /// Observability-layer fault injection for auditor validation.
-    pub inject: Option<AuditInjection>,
+    pub(crate) inject: Option<AuditInjection>,
     /// Crash-stop one replica: `(node, instant)`. From the instant on,
     /// the node neither processes nor emits anything — crash the
     /// regency-0 leader (node 0) to force a view change.
@@ -581,7 +582,8 @@ impl GeoConfig {
     }
 
     /// Seeds an observability-layer fault for auditor validation.
-    pub fn with_injection(mut self, inject: AuditInjection) -> GeoConfig {
+    #[cfg(test)]
+    pub(crate) fn with_injection(mut self, inject: AuditInjection) -> GeoConfig {
         self.inject = Some(inject);
         self
     }

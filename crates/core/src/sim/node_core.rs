@@ -20,13 +20,13 @@ use crate::service::ServiceOptions;
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request, Vote, VotePhase};
 use hlf_crypto::ecdsa::SigningKey;
 use hlf_fabric::block::Block;
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_simnet::{FaultPlan, LatencyModel, SimTime};
-use hlf_smr::app::{Application, CounterApp};
-use hlf_smr::core::{Input, NodeCore, Output};
+use hlf_smr::{Application, CounterApp};
+use hlf_smr::{Input, NodeCore, Output};
 use hlf_smr::runtime::ClusterKeys;
-use hlf_smr::wire::{LogEntry, SmrMsg};
+use hlf_smr::{LogEntry, SmrMsg};
 use hlf_transport::PeerId;
 use hlf_wire::{Bytes, ClientId, NodeId};
 use std::any::Any;

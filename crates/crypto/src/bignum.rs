@@ -9,7 +9,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use hlf_crypto::bignum::U256;
+/// use hlf_crypto::U256;
 ///
 /// let a = U256::from_u64(7);
 /// let b = U256::from_hex("1c").unwrap();
@@ -63,17 +63,17 @@ impl U256 {
     /// The value zero.
     pub const ZERO: U256 = U256 { limbs: [0; 4] };
     /// The value one.
-    pub const ONE: U256 = U256 {
+    pub(crate) const ONE: U256 = U256 {
         limbs: [1, 0, 0, 0],
     };
 
     /// Builds a value from little-endian limbs.
-    pub const fn from_limbs(limbs: [u64; 4]) -> U256 {
+    pub(crate) const fn from_limbs(limbs: [u64; 4]) -> U256 {
         U256 { limbs }
     }
 
     /// Returns the little-endian limbs.
-    pub const fn limbs(&self) -> [u64; 4] {
+    pub(crate) const fn limbs(&self) -> [u64; 4] {
         self.limbs
     }
 
@@ -107,7 +107,7 @@ impl U256 {
     /// Interprets 32 big-endian bytes.
     #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom here")]
     #[expect(clippy::expect_used, clippy::indexing_slicing, reason = "`i * 8..(i + 1) * 8` with `i < 4` slices a `[u8; 32]` into exact 8-byte chunks")]
-    pub fn from_be_bytes(bytes: &[u8; 32]) -> U256 {
+    pub(crate) fn from_be_bytes(bytes: &[u8; 32]) -> U256 {
         let mut limbs = [0u64; 4];
         for i in 0..4 {
             let chunk: [u8; 8] = bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte chunk");
@@ -119,7 +119,7 @@ impl U256 {
     /// Serializes to 32 big-endian bytes.
     #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom here")]
     #[expect(clippy::indexing_slicing, reason = "`i * 8..(i + 1) * 8` with `i < 4` slices a `[u8; 32]` into exact 8-byte chunks")]
-    pub fn to_be_bytes(&self) -> [u8; 32] {
+    pub(crate) fn to_be_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for i in 0..4 {
             out[i * 8..(i + 1) * 8].copy_from_slice(&self.limbs[3 - i].to_be_bytes());
@@ -128,7 +128,7 @@ impl U256 {
     }
 
     /// Returns `true` if the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs == [0; 4]
     }
 
@@ -142,8 +142,8 @@ impl U256 {
     }
 
     /// Number of significant bits (0 for zero).
-    #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
-    pub fn bit_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bit_len(&self) -> usize {
         for i in (0..4).rev() {
             if self.limbs[i] != 0 {
                 return i * 64 + (64 - self.limbs[i].leading_zeros() as usize);
@@ -156,7 +156,7 @@ impl U256 {
     #[inline]
     #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom")]
     #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
-    pub fn adc(&self, other: &U256) -> (U256, bool) {
+    pub(crate) fn adc(&self, other: &U256) -> (U256, bool) {
         let mut limbs = [0u64; 4];
         let mut carry = 0u64;
         for i in 0..4 {
@@ -171,7 +171,7 @@ impl U256 {
     #[inline]
     #[allow(clippy::needless_range_loop, reason = "limb indices are the clearer idiom")]
     #[expect(clippy::indexing_slicing, reason = "limb indices are `0..4` loop counters over fixed `[u64; 4]` arrays — in bounds by construction")]
-    pub fn sbb(&self, other: &U256) -> (U256, bool) {
+    pub(crate) fn sbb(&self, other: &U256) -> (U256, bool) {
         let mut limbs = [0u64; 4];
         let mut borrow = false;
         for i in 0..4 {
@@ -203,7 +203,7 @@ impl U256 {
     /// random field elements, so a branch here mispredicts constantly
     /// inside the point-arithmetic inner loops.
     #[inline]
-    pub fn add_mod(&self, other: &U256, modulus: &U256) -> U256 {
+    pub(crate) fn add_mod(&self, other: &U256, modulus: &U256) -> U256 {
         debug_assert!(self < modulus && other < modulus);
         let (sum, carry) = self.adc(other);
         let (diff, borrow) = sum.sbb(modulus);
@@ -213,7 +213,7 @@ impl U256 {
     /// Modular subtraction for `self, other < modulus` (branch-free,
     /// see [`U256::add_mod`]).
     #[inline]
-    pub fn sub_mod(&self, other: &U256, modulus: &U256) -> U256 {
+    pub(crate) fn sub_mod(&self, other: &U256, modulus: &U256) -> U256 {
         debug_assert!(self < modulus && other < modulus);
         let (diff, borrow) = self.sbb(other);
         let (wrapped, _) = diff.adc(modulus);
@@ -221,14 +221,14 @@ impl U256 {
     }
 
     /// Doubles the value modulo `modulus` (`self < modulus`).
-    pub fn double_mod(&self, modulus: &U256) -> U256 {
+    pub(crate) fn double_mod(&self, modulus: &U256) -> U256 {
         self.add_mod(self, modulus)
     }
 
     /// Reduces an arbitrary 256-bit value modulo `modulus`, assuming
     /// `modulus > 2^255` (true for both P-256 moduli), so at most one
     /// subtraction is needed.
-    pub fn reduce_once(&self, modulus: &U256) -> U256 {
+    pub(crate) fn reduce_once(&self, modulus: &U256) -> U256 {
         debug_assert!(modulus.bit(255), "modulus must exceed 2^255");
         if self >= modulus {
             self.sbb(modulus).0
@@ -238,8 +238,8 @@ impl U256 {
     }
 
     /// Full 256x256 -> 512-bit multiplication (little-endian 8 limbs).
-    #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
-    pub fn widening_mul(&self, other: &U256) -> [u64; 8] {
+    #[cfg(test)]
+    pub(crate) fn widening_mul(&self, other: &U256) -> [u64; 8] {
         let mut t = [0u64; 8];
         for i in 0..4 {
             let mut carry: u128 = 0;
@@ -260,7 +260,7 @@ impl U256 {
     /// diagonal squares, versus 16 multiplications for the generic path.
     #[inline]
     #[expect(clippy::indexing_slicing, reason = "`i + j` with `i, j < 4` stays inside the fixed 8-limb product array")]
-    pub fn widening_square(&self) -> [u64; 8] {
+    pub(crate) fn widening_square(&self) -> [u64; 8] {
         let a = &self.limbs;
         let mut t = [0u64; 8];
         // Cross products a_i * a_j for i < j.
@@ -300,12 +300,12 @@ impl U256 {
 ///
 /// Values inside the Montgomery domain are plain [`U256`]s; the caller is
 /// responsible for keeping domain and plain representations apart (the
-/// [`crate::p256`] module wraps this in typed field/scalar elements).
+/// `crate::p256` module wraps this in typed field/scalar elements).
 ///
 /// # Examples
 ///
 /// ```
-/// use hlf_crypto::bignum::{Monty, U256};
+/// use hlf_crypto::{Monty, U256};
 ///
 /// let m = Monty::new(U256::from_hex(
 ///     "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551",
@@ -384,12 +384,12 @@ impl Monty {
     }
 
     /// The modulus this context reduces by.
-    pub fn modulus(&self) -> &U256 {
+    pub(crate) fn modulus(&self) -> &U256 {
         &self.modulus
     }
 
     /// `1` in the Montgomery domain (`R mod m`).
-    pub fn one(&self) -> U256 {
+    pub(crate) fn one(&self) -> U256 {
         self.r1
     }
 
@@ -475,14 +475,14 @@ impl Monty {
     /// [`crate::p256`] are squaring-heavy, so this shows up directly in
     /// ECDSA sign/verify latency.
     #[inline(always)]
-    pub fn square(&self, a: &U256) -> U256 {
+    pub(crate) fn square(&self, a: &U256) -> U256 {
         self.reduce_wide(&a.widening_square())
     }
 
     /// Montgomery reduction of a 512-bit value `t < m·2^256`:
     /// returns `t · R^{-1} mod m`.
     #[inline(always)]
-    pub fn reduce_wide(&self, wide: &[u64; 8]) -> U256 {
+    pub(crate) fn reduce_wide(&self, wide: &[u64; 8]) -> U256 {
         if self.p256_field {
             self.reduce_wide_p256(wide)
         } else {
@@ -625,13 +625,13 @@ impl Monty {
 
     /// Domain addition.
     #[inline(always)]
-    pub fn add(&self, a: &U256, b: &U256) -> U256 {
+    pub(crate) fn add(&self, a: &U256, b: &U256) -> U256 {
         a.add_mod(b, &self.modulus)
     }
 
     /// Domain subtraction.
     #[inline(always)]
-    pub fn sub(&self, a: &U256, b: &U256) -> U256 {
+    pub(crate) fn sub(&self, a: &U256, b: &U256) -> U256 {
         a.sub_mod(b, &self.modulus)
     }
 
@@ -647,17 +647,9 @@ impl Monty {
         U256::select(negate, a, &negated)
     }
 
-    /// Domain negation.
-    pub fn neg(&self, a: &U256) -> U256 {
-        if a.is_zero() {
-            *a
-        } else {
-            self.modulus.sbb(a).0
-        }
-    }
-
     /// Domain exponentiation by a plain exponent (square-and-multiply).
-    pub fn pow(&self, base: &U256, exponent: &U256) -> U256 {
+    #[cfg(test)]
+    pub(crate) fn pow(&self, base: &U256, exponent: &U256) -> U256 {
         let mut acc = self.one();
         let bits = exponent.bit_len();
         for i in (0..bits).rev() {
@@ -674,7 +666,8 @@ impl Monty {
     /// # Panics
     ///
     /// Panics (debug) if `a` is zero; inversion of zero is undefined.
-    pub fn inv(&self, a: &U256) -> U256 {
+    #[cfg(test)]
+    pub(crate) fn inv(&self, a: &U256) -> U256 {
         debug_assert!(!a.is_zero(), "inversion of zero");
         let exp = self.modulus.sbb(&U256::from_u64(2)).0;
         self.pow(a, &exp)
@@ -822,9 +815,9 @@ mod tests {
     fn neg_is_additive_inverse() {
         let ctx = n_ctx();
         let a = U256::from_u64(424242);
-        let neg = ctx.neg(&a);
+        let neg = ctx.neg_if(&a, true);
         assert!(ctx.add(&a, &neg).is_zero());
-        assert!(ctx.neg(&U256::ZERO).is_zero());
+        assert_eq!(ctx.neg_if(&a, false), a);
     }
 
     #[test]

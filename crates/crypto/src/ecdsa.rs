@@ -51,7 +51,7 @@ impl Signature {
     ///
     /// Returns `None` if either component is zero or not below the group
     /// order.
-    pub fn from_scalars(r: U256, s: U256) -> Option<Signature> {
+    pub(crate) fn from_scalars(r: U256, s: U256) -> Option<Signature> {
         let n = order();
         if r.is_zero() || s.is_zero() || &r >= n || &s >= n {
             return None;
@@ -115,7 +115,7 @@ impl VerifyingKey {
     /// # Errors
     ///
     /// Returns `None` for the identity point.
-    pub fn from_point(point: Point) -> Option<VerifyingKey> {
+    pub(crate) fn from_point(point: Point) -> Option<VerifyingKey> {
         if point.is_identity() {
             None
         } else {
@@ -128,24 +128,10 @@ impl VerifyingKey {
         &self.point
     }
 
-    /// SEC1 uncompressed encoding (65 bytes).
-    pub fn to_sec1_bytes(&self) -> Vec<u8> {
-        self.point.to_sec1_bytes()
-    }
-
-    /// Parses an SEC1 uncompressed encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` for malformed or identity encodings.
-    pub fn from_sec1_bytes(bytes: &[u8]) -> Option<VerifyingKey> {
-        VerifyingKey::from_point(Point::from_sec1_bytes(bytes)?)
-    }
-
     /// Verifies `signature` over a 32-byte message digest.
     ///
     /// Computes `u1·G + u2·Q` with one Strauss–Shamir interleaved
-    /// ladder ([`Point::lincomb`]) rather than two independent scalar
+    /// ladder (`Point::lincomb`) rather than two independent scalar
     /// multiplications, and compares the resulting x-coordinate against
     /// `r` in Jacobian form, skipping the final field inversion. This is
     /// the path for arbitrary keys (clients, endorsers); a key that is
@@ -166,7 +152,7 @@ impl VerifyingKey {
     ///
     /// Kept so the tests can cross-check the fast path against it.
     #[cfg(test)]
-    pub fn verify_digest_reference(
+    pub(crate) fn verify_digest_reference(
         &self,
         digest: &Hash256,
         signature: &Signature,
@@ -316,7 +302,7 @@ impl SigningKey {
     /// # Errors
     ///
     /// Returns `None` if the scalar is zero or not below the group order.
-    pub fn from_scalar(d: U256) -> Option<SigningKey> {
+    pub(crate) fn from_scalar(d: U256) -> Option<SigningKey> {
         if d.is_zero() || &d >= order() {
             return None;
         }
@@ -341,11 +327,6 @@ impl SigningKey {
         }
     }
 
-    /// The private scalar, big-endian.
-    pub fn to_be_bytes(&self) -> [u8; 32] {
-        self.d.to_be_bytes()
-    }
-
     /// The corresponding public key.
     pub fn verifying_key(&self) -> &VerifyingKey {
         &self.public
@@ -366,7 +347,7 @@ impl SigningKey {
     /// A lone signature spends about 11 of its 22 µs inverting: `k⁻¹`
     /// and the Jacobian→affine conversion of `R = k·G`. Here every
     /// digest gets its own RFC 6979 nonce and its own comb walk
-    /// ([`Point::mul_base`]), then Montgomery's trick shares the two
+    /// (`Point::mul_base`), then Montgomery's trick shares the two
     /// inversions across the group. The nonces are the ones
     /// [`SigningKey::sign_digest`] derives, so the signatures are
     /// byte-identical to signing each digest alone; a digest whose `r`
@@ -429,7 +410,7 @@ impl SigningKey {
     ///
     /// Kept so the tests can cross-check the group path against it.
     #[cfg(test)]
-    pub fn sign_digest_reference(&self, digest: &Hash256) -> Signature {
+    pub(crate) fn sign_digest_reference(&self, digest: &Hash256) -> Signature {
         let sf = scalar_field();
         let n = order();
         let z = digest_to_scalar(digest);
@@ -625,8 +606,8 @@ mod tests {
         let a1 = SigningKey::from_seed(b"node-a");
         let a2 = SigningKey::from_seed(b"node-a");
         let b = SigningKey::from_seed(b"node-b");
-        assert_eq!(a1.to_be_bytes(), a2.to_be_bytes());
-        assert_ne!(a1.to_be_bytes(), b.to_be_bytes());
+        assert_eq!(a1.verifying_key(), a2.verifying_key());
+        assert_ne!(a1.verifying_key(), b.verifying_key());
     }
 
     #[test]
@@ -910,7 +891,7 @@ mod tests {
                 let r_inv = sf.from_monty(&sf.inv(&sf.to_monty(&r)));
                 let q = big_r
                     .mul_reference(&s)
-                    .add(&Point::generator().mul_reference(&z).neg())
+                    .add(&Point::generator().mul_reference(&n.sbb(&z).0))
                     .mul_reference(&r_inv);
                 let key = VerifyingKey::from_point(q).unwrap();
                 let sig = Signature::from_scalars(r, s).unwrap();
@@ -921,12 +902,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn verifying_key_sec1_roundtrip() {
-        let key = SigningKey::from_seed(b"sec1");
-        let vk = key.verifying_key();
-        let bytes = vk.to_sec1_bytes();
-        assert_eq!(VerifyingKey::from_sec1_bytes(&bytes), Some(*vk));
-        assert!(VerifyingKey::from_sec1_bytes(&[0x00]).is_none());
-    }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (one-shot and incremental),
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), used by deterministic ECDSA,
-//! * [`bignum`] — fixed-width 256-bit integers with Montgomery arithmetic,
-//! * [`p256`] — the NIST P-256 (secp256r1) group,
+//! * `bignum` — fixed-width 256-bit integers with Montgomery arithmetic,
+//! * `p256` — the NIST P-256 (secp256r1) group,
 //! * [`ecdsa`] — RFC 6979 deterministic ECDSA signing and verification.
 //!
 //! The implementation favours clarity and portability over side-channel
@@ -43,12 +43,14 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod bignum;
+mod bignum;
 pub mod ecdsa;
 pub mod hex;
 pub mod hmac;
-pub mod p256;
+mod p256;
 pub mod sha256;
 
+pub use bignum::{Monty, U256};
 pub use ecdsa::{Signature, SigningKey, VerifyingKey};
+pub use p256::Point;
 pub use sha256::{sha256, Digest, Hash256};

@@ -12,63 +12,60 @@ use std::sync::{Mutex, OnceLock};
 mod lanes;
 
 /// Field prime `p = 2^256 - 2^224 + 2^192 + 2^96 - 1`.
-pub const P_HEX: &str = "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff";
+pub(crate) const P_HEX: &str = "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff";
 /// Group order `n`.
-pub const N_HEX: &str = "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551";
+pub(crate) const N_HEX: &str = "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551";
 /// Curve coefficient `b`.
-pub const B_HEX: &str = "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
+#[cfg(test)]
+const B_HEX: &str = "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
 /// Base-point x coordinate.
-pub const GX_HEX: &str = "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
+pub(crate) const GX_HEX: &str = "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
 /// Base-point y coordinate.
-pub const GY_HEX: &str = "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
+pub(crate) const GY_HEX: &str = "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
 
 /// Montgomery context for the field prime `p`.
 #[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
-pub fn field() -> &'static Monty {
+pub(crate) fn field() -> &'static Monty {
     static CTX: OnceLock<Monty> = OnceLock::new();
     CTX.get_or_init(|| Monty::new(U256::from_hex(P_HEX).expect("valid p")))
 }
 
 /// Montgomery context for the group order `n`.
 #[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
-pub fn scalar_field() -> &'static Monty {
+pub(crate) fn scalar_field() -> &'static Monty {
     static CTX: OnceLock<Monty> = OnceLock::new();
     CTX.get_or_init(|| Monty::new(U256::from_hex(N_HEX).expect("valid n")))
 }
 
 /// The group order as a plain integer.
 #[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
-pub fn order() -> &'static U256 {
+pub(crate) fn order() -> &'static U256 {
     static N: OnceLock<U256> = OnceLock::new();
     N.get_or_init(|| U256::from_hex(N_HEX).expect("valid n"))
 }
 
-struct CurveConsts {
-    /// `a = -3` in Montgomery form.
-    a: U256,
-    /// `b` in Montgomery form.
-    b: U256,
-    /// Base point.
-    g: Point,
+/// The base point `G`.
+#[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
+fn base_point() -> &'static Point {
+    static G: OnceLock<Point> = OnceLock::new();
+    G.get_or_init(|| {
+        let f = field();
+        Point {
+            x: f.to_monty(&U256::from_hex(GX_HEX).expect("valid gx")),
+            y: f.to_monty(&U256::from_hex(GY_HEX).expect("valid gy")),
+            z: f.one(),
+        }
+    })
 }
 
-#[expect(clippy::expect_used, reason = "parses compile-time curve-constant hex — cannot fail for a correct constant, proven by tests")]
-fn consts() -> &'static CurveConsts {
-    static C: OnceLock<CurveConsts> = OnceLock::new();
-    C.get_or_init(|| {
-        let f = field();
-        let three = f.to_monty(&U256::from_u64(3));
-        let a = f.neg(&three);
-        let b = f.to_monty(&U256::from_hex(B_HEX).expect("valid b"));
-        let gx = f.to_monty(&U256::from_hex(GX_HEX).expect("valid gx"));
-        let gy = f.to_monty(&U256::from_hex(GY_HEX).expect("valid gy"));
-        let g = Point {
-            x: gx,
-            y: gy,
-            z: f.one(),
-        };
-        CurveConsts { a, b, g }
-    })
+/// The curve coefficients `a = -3` and `b` in Montgomery form, for the
+/// curve-equation checks the tests hold points against.
+#[cfg(test)]
+fn curve_ab() -> (U256, U256) {
+    let f = field();
+    let a = f.sub(&U256::ZERO, &f.to_monty(&U256::from_u64(3)));
+    let b = f.to_monty(&U256::from_hex(B_HEX).unwrap());
+    (a, b)
 }
 
 /// A non-identity point in affine coordinates (Montgomery-form
@@ -373,14 +370,13 @@ fn window_cache() -> &'static [Mutex<Option<WindowCacheEntry>>] {
 /// # Examples
 ///
 /// ```
-/// use hlf_crypto::p256::Point;
-/// use hlf_crypto::bignum::U256;
+/// use hlf_crypto::Point;
+/// use hlf_crypto::U256;
 ///
 /// let g = Point::generator();
 /// let two_g = g.double();
 /// assert_eq!(g.add(&g), two_g);
 /// assert_eq!(g.mul(&U256::from_u64(2)), two_g);
-/// assert!(g.mul(hlf_crypto::p256::order()).is_identity());
 /// ```
 #[derive(Clone, Copy)]
 pub struct Point {
@@ -438,16 +434,18 @@ impl Point {
 
     /// The standard base point `G`.
     pub fn generator() -> Point {
-        consts().g
+        *base_point()
     }
 
     /// Builds a point from affine coordinates, checking the curve equation.
+    /// Test-only, like [`Point::is_on_curve`] and [`Point::decompress`].
     ///
     /// # Errors
     ///
     /// Returns `None` if `(x, y)` does not satisfy `y^2 = x^3 - 3x + b`
     /// or a coordinate is not a canonical field element.
-    pub fn from_affine(x: &U256, y: &U256) -> Option<Point> {
+    #[cfg(test)]
+    pub(crate) fn from_affine(x: &U256, y: &U256) -> Option<Point> {
         let f = field();
         if x >= f.modulus() || y >= f.modulus() {
             return None;
@@ -467,7 +465,7 @@ impl Point {
     }
 
     /// Returns the affine coordinates, or `None` for the identity.
-    pub fn to_affine(&self) -> Option<(U256, U256)> {
+    pub(crate) fn to_affine(self) -> Option<(U256, U256)> {
         if self.is_identity() {
             return None;
         }
@@ -497,20 +495,22 @@ impl Point {
         self.z.is_zero()
     }
 
-    /// Checks the Jacobian curve equation `Y^2 = X^3 + aXZ^4 + bZ^6`.
-    pub fn is_on_curve(&self) -> bool {
+    /// Checks the Jacobian curve equation `Y^2 = X^3 + aXZ^4 + bZ^6`: the
+    /// oracle the tests hold computed points against.
+    #[cfg(test)]
+    pub(crate) fn is_on_curve(&self) -> bool {
         if self.is_identity() {
             return true;
         }
         let f = field();
-        let c = consts();
+        let (a, b) = curve_ab();
         let y2 = f.square(&self.y);
         let x3 = f.mul(&f.square(&self.x), &self.x);
         let z2 = f.square(&self.z);
         let z4 = f.square(&z2);
         let z6 = f.mul(&z4, &z2);
-        let axz4 = f.mul(&f.mul(&c.a, &self.x), &z4);
-        let bz6 = f.mul(&c.b, &z6);
+        let axz4 = f.mul(&f.mul(&a, &self.x), &z4);
+        let bz6 = f.mul(&b, &z6);
         y2 == f.add(&f.add(&x3, &axz4), &bz6)
     }
 
@@ -730,7 +730,7 @@ impl Point {
     /// paths ([`Point::mul`], [`Point::mul_base`], [`Point::lincomb`])
     /// against.
     #[cfg(test)]
-    pub fn mul_reference(&self, scalar: &U256) -> Point {
+    pub(crate) fn mul_reference(&self, scalar: &U256) -> Point {
         if scalar.is_zero() || self.is_identity() {
             return Point::identity();
         }
@@ -767,7 +767,7 @@ impl Point {
 
     /// `scalar * G` via the generator's precomputed [`SignedComb`]: at
     /// most 37 mixed additions, no runtime doublings.
-    pub fn mul_base(scalar: &U256) -> Point {
+    pub(crate) fn mul_base(scalar: &U256) -> Point {
         base_table().mul_add(scalar, Point::identity())
     }
 
@@ -819,7 +819,7 @@ impl Point {
     /// additions use a batch-normalized affine window table. This is the
     /// verification path for keys that are not pinned.
     #[expect(clippy::indexing_slicing, reason = "`i < 32` indexes the 32-byte scalar encodings; nibbles `≤ 15` index the 15-entry tables")]
-    pub fn lincomb(u1: &U256, q: &Point, u2: &U256) -> Point {
+    pub(crate) fn lincomb(u1: &U256, q: &Point, u2: &U256) -> Point {
         if q.is_identity() || u2.is_zero() {
             return Point::mul_base(u1);
         }
@@ -874,69 +874,8 @@ impl Point {
         false
     }
 
-    /// Negates the point.
-    pub fn neg(&self) -> Point {
-        Point {
-            x: self.x,
-            y: field().neg(&self.y),
-            z: self.z,
-        }
-    }
-
-    /// Encodes as an SEC1 uncompressed point (`0x04 || x || y`), or the
-    /// single byte `0x00` for the identity.
-    pub fn to_sec1_bytes(&self) -> Vec<u8> {
-        match self.to_affine() {
-            None => vec![0x00],
-            Some((x, y)) => {
-                let mut out = Vec::with_capacity(65);
-                out.push(0x04);
-                out.extend_from_slice(&x.to_be_bytes());
-                out.extend_from_slice(&y.to_be_bytes());
-                out
-            }
-        }
-    }
-
-    /// Decodes an SEC1 point: uncompressed (`0x04 || x || y`),
-    /// compressed (`0x02/0x03 || x`), or the identity byte `0x00`.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` for malformed encodings or off-curve coordinates.
-    pub fn from_sec1_bytes(bytes: &[u8]) -> Option<Point> {
-        let (&tag, coords) = bytes.split_first()?;
-        match tag {
-            0x00 if coords.is_empty() => Some(Point::identity()),
-            0x04 => {
-                let (x, y) = coords.split_first_chunk::<32>()?;
-                let x = U256::from_be_bytes(x);
-                let y = U256::from_be_bytes(y.try_into().ok()?);
-                Point::from_affine(&x, &y)
-            }
-            0x02 | 0x03 => {
-                let x = U256::from_be_bytes(coords.try_into().ok()?);
-                Point::decompress(&x, tag == 0x03)
-            }
-            _ => None,
-        }
-    }
-
-    /// Encodes as an SEC1 compressed point (`0x02/0x03 || x`, 33
-    /// bytes), or `0x00` for the identity.
-    pub fn to_sec1_compressed(&self) -> Vec<u8> {
-        match self.to_affine() {
-            None => vec![0x00],
-            Some((x, y)) => {
-                let mut out = Vec::with_capacity(33);
-                out.push(if y.bit(0) { 0x03 } else { 0x02 });
-                out.extend_from_slice(&x.to_be_bytes());
-                out
-            }
-        }
-    }
-
-    /// Recovers the point with the given x coordinate and y parity.
+    /// Recovers the point with the given x coordinate and y parity: how
+    /// a test builds a point with a chosen x.
     ///
     /// Uses the `p ≡ 3 (mod 4)` square root `y = (x³ - 3x + b)^((p+1)/4)`.
     ///
@@ -944,17 +883,18 @@ impl Point {
     ///
     /// Returns `None` when `x` is not a canonical field element or no
     /// curve point has that x coordinate.
-    pub fn decompress(x: &U256, y_is_odd: bool) -> Option<Point> {
+    #[cfg(test)]
+    pub(crate) fn decompress(x: &U256, y_is_odd: bool) -> Option<Point> {
         let f = field();
         if x >= f.modulus() {
             return None;
         }
-        let c = consts();
+        let (a, b) = curve_ab();
         let xm = f.to_monty(x);
         // rhs = x^3 + a*x + b
         let x3 = f.mul(&f.square(&xm), &xm);
-        let ax = f.mul(&c.a, &xm);
-        let rhs = f.add(&f.add(&x3, &ax), &c.b);
+        let ax = f.mul(&a, &xm);
+        let rhs = f.add(&f.add(&x3, &ax), &b);
         // sqrt via (p+1)/4 (valid because p ≡ 3 mod 4)
         let exponent = {
             let (p_plus_1, carry) = f.modulus().adc(&U256::ONE);
@@ -981,7 +921,7 @@ impl Point {
         let y_final = if y_plain.bit(0) == y_is_odd {
             y_plain
         } else {
-            f.from_monty(&f.neg(&y))
+            f.from_monty(&f.sub(&U256::ZERO, &y))
         };
         Point::from_affine(x, &y_final)
     }
@@ -1111,7 +1051,6 @@ mod tests {
     fn n_minus_1_g_is_neg_g() {
         let n_minus_1 = order().sbb(&U256::ONE).0;
         let p = Point::mul_base(&n_minus_1);
-        assert_eq!(p, Point::generator().neg());
         assert_eq!(p.add(&Point::generator()), Point::identity());
     }
 
@@ -1160,35 +1099,6 @@ mod tests {
         let lhs = Point::mul_base(&b).mul(&a);
         let rhs = Point::mul_base(&ab);
         assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn sec1_roundtrip() {
-        let p = Point::mul_base(&U256::from_u64(77));
-        let bytes = p.to_sec1_bytes();
-        assert_eq!(bytes.len(), 65);
-        assert_eq!(Point::from_sec1_bytes(&bytes), Some(p));
-        assert_eq!(
-            Point::from_sec1_bytes(&[0x00]),
-            Some(Point::identity())
-        );
-        assert!(Point::from_sec1_bytes(&bytes[..64]).is_none());
-        let mut corrupted = bytes.clone();
-        corrupted[40] ^= 0x01;
-        assert!(Point::from_sec1_bytes(&corrupted).is_none());
-    }
-
-    #[test]
-    fn compressed_sec1_roundtrip() {
-        for k in [1u64, 2, 3, 7, 12345, 0xdeadbeef] {
-            let p = Point::mul_base(&U256::from_u64(k));
-            let compressed = p.to_sec1_compressed();
-            assert_eq!(compressed.len(), 33);
-            assert!(compressed[0] == 0x02 || compressed[0] == 0x03);
-            assert_eq!(Point::from_sec1_bytes(&compressed), Some(p), "k={k}");
-        }
-        // Identity encodes to a single byte either way.
-        assert_eq!(Point::identity().to_sec1_compressed(), vec![0x00]);
     }
 
     #[test]

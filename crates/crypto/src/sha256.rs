@@ -46,11 +46,6 @@ impl Hash256 {
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
-
-    /// Returns `true` if every byte is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0u8; 32]
-    }
 }
 
 impl fmt::Debug for Hash256 {
@@ -219,9 +214,10 @@ thread_local! {
 }
 
 /// Which of the two [`compress_blocks`] implementations CPUID selects on
-/// this host: `"sha-ni"` or `"scalar"`. For logs and benchmark output;
-/// nothing branches on it.
-pub fn compress_backend() -> &'static str {
+/// this host: `"sha-ni"` or `"scalar"`, for the differential tests' log
+/// line; nothing branches on it.
+#[cfg(test)]
+pub(crate) fn compress_backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if shani::available() {
         return "sha-ni";
@@ -414,7 +410,7 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Hash256 {
 /// whatever the processor offers, with its own padding: the reference
 /// the tests hold [`sha256`] against.
 #[cfg(test)]
-pub fn sha256_reference(data: &[u8]) -> Hash256 {
+pub(crate) fn sha256_reference(data: &[u8]) -> Hash256 {
     let mut state = H0;
     let (blocks, tail) = data.split_at(data.len() & !63);
     compress_blocks_scalar(&mut state, blocks);
@@ -600,7 +596,5 @@ mod tests {
         assert!(format!("{h:?}").starts_with("Hash256("));
         assert!(Hash256::from_hex("zz").is_none());
         assert!(Hash256::from_hex("ab").is_none());
-        assert!(Hash256::ZERO.is_zero());
-        assert!(!h.is_zero());
     }
 }

@@ -365,7 +365,7 @@ impl Ledger {
     }
 
     /// An empty ledger for an explicit channel.
-    pub fn for_channel(channel: impl Into<String>) -> Ledger {
+    pub(crate) fn for_channel(channel: impl Into<String>) -> Ledger {
         Ledger {
             channel: channel.into(),
             blocks: Vec::new(),

@@ -122,8 +122,8 @@ impl FabricClient {
     ///
     /// # Errors
     ///
-    /// [`ClientError::NotEnoughEndorsements`] when fewer than `needed`
-    /// peers endorse; [`ClientError::Assembly`] when their responses
+    /// `ClientError::NotEnoughEndorsements` when fewer than `needed`
+    /// peers endorse; `ClientError::Assembly` when their responses
     /// disagree.
     pub fn transact(
         &mut self,
@@ -221,7 +221,7 @@ mod tests {
         let envelope = client
             .transact_str(&refs, 2, "kv", &["put", "k", "v"])
             .unwrap();
-        assert_eq!(envelope.endorsements().len(), 2);
+        assert_eq!(envelope.endorsements.len(), 2);
         assert!(envelope.verify_client(&client.verifying_key()));
         assert_eq!(envelope.proposal().channel, "ch");
         // Nonces advance per transaction.
@@ -256,7 +256,7 @@ mod tests {
         let envelope = client
             .transact_str(&refs, 2, "kv", &["put", "k", "v"])
             .unwrap();
-        assert_eq!(envelope.endorsements().len(), 2);
+        assert_eq!(envelope.endorsements.len(), 2);
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub struct Envelope {
     proposal: Proposal,
     rw_set: RwSet,
     response: Bytes,
-    endorsements: Vec<Endorsement>,
+    pub(crate) endorsements: Vec<Endorsement>,
     client_signature: Signature,
     /// Encode-once: the canonical wire encoding, computed lazily (or
     /// adopted zero-copy from the input buffer when decoded out of a
@@ -240,8 +240,8 @@ impl Envelope {
     ///
     /// # Errors
     ///
-    /// [`AssemblyError::NoResponses`] on empty input and
-    /// [`AssemblyError::Mismatched`] when endorsers disagree.
+    /// `AssemblyError::NoResponses` on empty input and
+    /// `AssemblyError::Mismatched` when endorsers disagree.
     pub fn assemble(
         proposal: Proposal,
         responses: Vec<ProposalResponse>,
@@ -276,23 +276,13 @@ impl Envelope {
     }
 
     /// The agreed simulation rw-set.
-    pub fn rw_set(&self) -> &RwSet {
+    pub(crate) fn rw_set(&self) -> &RwSet {
         &self.rw_set
     }
 
     /// The agreed chaincode response.
     pub fn response(&self) -> &Bytes {
         &self.response
-    }
-
-    /// Endorsements collected by the client.
-    pub fn endorsements(&self) -> &[Endorsement] {
-        &self.endorsements
-    }
-
-    /// The client signature over the envelope content.
-    pub fn client_signature(&self) -> &Signature {
-        &self.client_signature
     }
 
     fn signing_digest(
@@ -315,7 +305,7 @@ impl Envelope {
     /// Decoding out of a shared buffer seeds this with a zero-copy view
     /// of the input, so an envelope that transits a node is never
     /// re-serialized.
-    pub fn canonical_bytes(&self) -> &Bytes {
+    pub(crate) fn canonical_bytes(&self) -> &Bytes {
         self.canonical.get_or_init(|| {
             let mut out = Vec::with_capacity(self.content_encoded_len());
             self.encode_content(&mut out);
@@ -369,19 +359,19 @@ impl Envelope {
     }
 
     /// Verifies the client signature.
-    pub fn verify_client(&self, key: &VerifyingKey) -> bool {
+    pub(crate) fn verify_client(&self, key: &VerifyingKey) -> bool {
         key.verify_digest(&self.client_digest(), &self.client_signature)
             .is_ok()
     }
 
     /// Counts valid endorsements from distinct peers whose keys are in
     /// `endorser_keys` (indexed by peer id).
-    pub fn valid_endorsements(&self, endorser_keys: &[VerifyingKey]) -> usize {
+    pub(crate) fn valid_endorsements(&self, endorser_keys: &[VerifyingKey]) -> usize {
         self.valid_endorser_set(endorser_keys).len()
     }
 
     /// The set of peer ids with valid endorsements on this envelope.
-    pub fn valid_endorser_set(
+    pub(crate) fn valid_endorser_set(
         &self,
         endorser_keys: &[VerifyingKey],
     ) -> std::collections::HashSet<u32> {
@@ -420,7 +410,7 @@ impl Envelope {
     /// # Errors
     ///
     /// Returns a [`WireError`] for malformed bytes.
-    pub fn from_shared(bytes: &Bytes) -> Result<Envelope, WireError> {
+    pub(crate) fn from_shared(bytes: &Bytes) -> Result<Envelope, WireError> {
         hlf_wire::from_bytes_shared(bytes)
     }
 }
@@ -591,8 +581,8 @@ mod tests {
             envelope.proposal().clone(),
             tampered_set,
             envelope.response().clone(),
-            envelope.endorsements().to_vec(),
-            *envelope.client_signature(),
+            envelope.endorsements.clone(),
+            envelope.client_signature,
         );
         assert_eq!(tampered.valid_endorsements(&vk), 0);
         // And the client signature no longer covers the content either.
@@ -618,7 +608,7 @@ mod tests {
         // the envelope content no matter how the envelope was built.
         let (envelope, _, client_key) = assembled(2);
         let scratch = |e: &Envelope| {
-            Envelope::signing_digest(e.proposal(), e.rw_set(), e.response(), e.endorsements())
+            Envelope::signing_digest(e.proposal(), e.rw_set(), e.response(), &e.endorsements)
         };
 
         // assemble() — digest seeded eagerly at signing time.
@@ -630,8 +620,8 @@ mod tests {
             envelope.proposal().clone(),
             envelope.rw_set().clone(),
             envelope.response().clone(),
-            envelope.endorsements().to_vec(),
-            *envelope.client_signature(),
+            envelope.endorsements.clone(),
+            envelope.client_signature,
         );
         assert_eq!(rebuilt.client_digest(), scratch(&rebuilt));
 

@@ -9,8 +9,8 @@ use std::collections::HashMap;
 /// # Examples
 ///
 /// ```
-/// use hlf_fabric::kvstore::VersionedKv;
-/// use hlf_fabric::types::Version;
+/// use hlf_fabric::VersionedKv;
+/// use hlf_fabric::Version;
 ///
 /// let mut kv = VersionedKv::new();
 /// kv.put("asset1", b"blue".as_slice().into(), Version { block: 1, tx: 0 });
@@ -45,7 +45,7 @@ impl VersionedKv {
     }
 
     /// Deletes a key.
-    pub fn delete(&mut self, key: &str) {
+    pub(crate) fn delete(&mut self, key: &str) {
         self.entries.remove(key);
     }
 
@@ -60,7 +60,7 @@ impl VersionedKv {
     }
 
     /// Checks an rw-set's reads against current versions (MVCC).
-    pub fn mvcc_ok(&self, rw_set: &RwSet) -> bool {
+    pub(crate) fn mvcc_ok(&self, rw_set: &RwSet) -> bool {
         rw_set
             .reads
             .iter()
@@ -140,7 +140,7 @@ impl<'a> SimulationView<'a> {
     }
 
     /// Buffers a delete.
-    pub fn delete(&mut self, key: impl Into<String>) {
+    pub(crate) fn delete(&mut self, key: impl Into<String>) {
         self.rw_set.writes.push(WriteItem {
             key: key.into(),
             value: None,
@@ -168,7 +168,7 @@ impl<'a> SimulationView<'a> {
     }
 
     /// Finishes the simulation, returning the collected rw-set.
-    pub fn into_rw_set(self) -> RwSet {
+    pub(crate) fn into_rw_set(self) -> RwSet {
         self.rw_set
     }
 }
@@ -181,7 +181,7 @@ impl<'a> SimulationView<'a> {
 /// # Examples
 ///
 /// ```
-/// use hlf_fabric::kvstore::composite_key;
+/// use hlf_fabric::composite_key;
 ///
 /// let key = composite_key("owner~asset", &["alice", "car1"]);
 /// let all_of_alice = composite_key("owner~asset", &["alice"]);
@@ -195,12 +195,6 @@ pub fn composite_key(object_type: &str, parts: &[&str]) -> String {
         key.push_str(part);
     }
     key
-}
-
-/// The exclusive upper bound for a prefix-range scan over `prefix`
-/// (the prefix with `\u{1}` appended, since `\u{0}` separates parts).
-pub fn prefix_range_end(prefix: &str) -> String {
-    format!("{prefix}\u{1}")
 }
 
 #[cfg(test)]
@@ -324,11 +318,12 @@ mod tests {
             v(1, 2),
         );
         let prefix = composite_key("owner~asset", &["alice"]);
-        let hits = kv.range(&prefix, &prefix_range_end(&prefix));
+        // `\u{1}` after a prefix bounds its scan: `\u{0}` separates parts.
+        let hits = kv.range(&prefix, &format!("{prefix}\u{1}"));
         assert_eq!(hits.len(), 2, "exactly alice's assets");
         // And the full type scan sees all three.
         let type_prefix = composite_key("owner~asset", &[]);
-        let hits = kv.range(&type_prefix, &prefix_range_end(&type_prefix));
+        let hits = kv.range(&type_prefix, &format!("{type_prefix}\u{1}"));
         assert_eq!(hits.len(), 3);
     }
 

@@ -4,15 +4,15 @@
 //! Fabric v1.0. We cannot ship Fabric's Go codebase, so this crate
 //! rebuilds the parts the ordering service interacts with (paper §3):
 //!
-//! * [`envelope`] — proposals, endorsements, and the signed transaction
+//! * `envelope` — proposals, endorsements, and the signed transaction
 //!   envelopes the ordering service totally orders (protocol steps 1-3),
 //! * [`block`] — hash-chained blocks with orderer signatures, and the
 //!   per-channel [`block::Ledger`],
-//! * [`kvstore`] — the versioned key/value world state with
+//! * `kvstore` — the versioned key/value world state with
 //!   read-tracking simulation views,
-//! * [`chaincode`] — deterministic smart contracts
+//! * `chaincode` — deterministic smart contracts
 //!   ([`chaincode::KvChaincode`], [`chaincode::AssetChaincode`]),
-//! * [`peer`] — endorsing/committing peers: simulation + endorsement
+//! * `peer` — endorsing/committing peers: simulation + endorsement
 //!   signatures (step 2), block validation with endorsement-policy and
 //!   MVCC read-set checks, and state commit (steps 5-6).
 //!
@@ -26,9 +26,9 @@
 //! use hlf_crypto::ecdsa::SigningKey;
 //! use hlf_crypto::sha256::Hash256;
 //! use hlf_fabric::block::Block;
-//! use hlf_fabric::chaincode::KvChaincode;
-//! use hlf_fabric::envelope::{Envelope, Proposal};
-//! use hlf_fabric::peer::{EndorsementPolicy, Peer, PeerConfig};
+//! use hlf_fabric::KvChaincode;
+//! use hlf_fabric::{Envelope, Proposal};
+//! use hlf_fabric::{EndorsementPolicy, Peer, PeerConfig};
 //! use std::collections::HashMap;
 //!
 //! let peer_key = SigningKey::from_seed(b"peer-0");
@@ -84,17 +84,17 @@
 )]
 
 pub mod block;
-pub mod chaincode;
-pub mod client;
-pub mod envelope;
-pub mod kvstore;
-pub mod peer;
-pub mod types;
+mod chaincode;
+mod client;
+mod envelope;
+mod kvstore;
+mod peer;
+mod types;
 
-pub use block::{Block, BlockHeader, BlockSignature, Ledger, LedgerError};
-pub use client::{ClientError, FabricClient};
-pub use chaincode::{AssetChaincode, Chaincode, ChaincodeError, KvChaincode};
-pub use envelope::{AssemblyError, Endorsement, Envelope, Proposal, ProposalResponse};
-pub use kvstore::{composite_key, prefix_range_end, SimulationView, VersionedKv};
-pub use peer::{CommitEvent, EndorseError, EndorsementPolicy, Peer, PeerConfig};
-pub use types::{ReadItem, RwSet, TxValidation, Version, WriteItem};
+pub use block::{Block, BlockSignature, LedgerError};
+pub use client::FabricClient;
+pub use chaincode::{AssetChaincode, KvChaincode};
+pub use envelope::{Envelope, Proposal, ProposalResponse};
+pub use kvstore::{composite_key, VersionedKv};
+pub use peer::{EndorsementPolicy, Peer, PeerConfig};
+pub use types::{TxValidation, Version};

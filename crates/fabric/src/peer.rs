@@ -21,7 +21,7 @@ pub enum EndorsementPolicy {
 
 impl EndorsementPolicy {
     /// Evaluates the policy over the envelope's valid endorsements.
-    pub fn satisfied(&self, envelope: &Envelope, endorser_keys: &[VerifyingKey]) -> bool {
+    pub(crate) fn satisfied(&self, envelope: &Envelope, endorser_keys: &[VerifyingKey]) -> bool {
         match self {
             EndorsementPolicy::AnyN(n) => envelope.valid_endorsements(endorser_keys) >= *n,
             EndorsementPolicy::AllOf(peers) => {
@@ -172,7 +172,7 @@ impl Peer {
     ///
     /// # Errors
     ///
-    /// Returns an [`EndorseError`] for unknown chaincodes/clients or a
+    /// Returns an `EndorseError` for unknown chaincodes/clients or a
     /// failing invocation.
     pub fn endorse(&self, proposal: &Proposal) -> Result<ProposalResponse, EndorseError> {
         if !self.client_keys.contains_key(&proposal.client) {

@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Combines per-file facts into the final report, running the
 /// cross-file passes.
-pub fn combine(facts: &[FileFacts]) -> Report {
+pub(crate) fn combine(facts: &[FileFacts]) -> Report {
     let mut report = Report {
         files_scanned: facts.len(),
         ..Report::default()

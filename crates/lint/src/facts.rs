@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A `lint:allow` suppression as seen by the combine stage.
 #[derive(Debug)]
-pub struct AllowFact {
+pub(crate) struct AllowFact {
     /// Pass name it silences (free-form: includes pseudo-passes such as
     /// `detach`).
     pub pass: String,
@@ -34,7 +34,7 @@ pub struct AllowFact {
 /// `.write()` with an identifier receiver). Validated against the
 /// workspace-wide lock-field set during combine.
 #[derive(Clone, Debug)]
-pub struct AcqFact {
+pub(crate) struct AcqFact {
     /// Receiver identifier (the lock's field/binding name).
     pub lock: String,
     /// `lock`, `read`, or `write`.
@@ -49,7 +49,7 @@ pub struct AcqFact {
 
 /// How a call site names its callee; decides call-graph resolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CallKind {
+pub(crate) enum CallKind {
     /// `func(…)` — resolved by name.
     Bare,
     /// `self.method(…)` — resolved by name.
@@ -63,7 +63,7 @@ pub enum CallKind {
 
 /// One call site inside a function body.
 #[derive(Clone, Debug)]
-pub struct CallFact {
+pub(crate) struct CallFact {
     /// Callee name (final identifier).
     pub name: String,
     /// Resolution class.
@@ -83,7 +83,7 @@ pub struct CallFact {
 /// A direct blocking operation (socket IO, sleep, channel recv, thread
 /// join, process wait) — already classified during extraction.
 #[derive(Clone, Debug)]
-pub struct OpFact {
+pub(crate) struct OpFact {
     /// Short operation description (`write_vectored`, `thread::sleep`,
     /// `recv`, `join`, …).
     pub op: String,
@@ -95,7 +95,7 @@ pub struct OpFact {
 
 /// One `thread::spawn` / `Builder::spawn` site.
 #[derive(Clone, Debug)]
-pub struct SpawnFact {
+pub(crate) struct SpawnFact {
     /// 1-based line of the `spawn` token.
     pub line: u32,
     /// The handle is joined (directly, via a binding, or via a
@@ -106,7 +106,7 @@ pub struct SpawnFact {
 /// A channel endpooint use (`tx.send(…)` / `rx.recv()`), named by the
 /// canonical pair (the `tx` binding of the `let (tx, rx) = channel()`).
 #[derive(Clone, Debug)]
-pub struct ChanOp {
+pub(crate) struct ChanOp {
     /// Canonical channel name.
     pub chan: String,
     /// Code-token index.
@@ -119,11 +119,9 @@ pub struct ChanOp {
 /// passed to `thread::spawn` (a *pseudo-function* running on its own
 /// thread — guards held by the spawning function do not transfer).
 #[derive(Debug, Default)]
-pub struct FnFacts {
+pub(crate) struct FnFacts {
     /// Function name; pseudo-functions are `parent@spawn:<line>`.
     pub name: String,
-    /// 1-based line of the `fn` keyword (or the spawn site).
-    pub line: u32,
     /// Non-zero for spawn-closure pseudo-functions: the spawn line.
     pub spawn_line: u32,
     /// Signature mentions `MutexGuard`/`RwLockReadGuard`/
@@ -146,7 +144,7 @@ pub struct FnFacts {
 
 /// Everything the combine stage needs to know about one file.
 #[derive(Debug, Default)]
-pub struct FileFacts {
+pub(crate) struct FileFacts {
     /// Repo-relative path.
     pub path: String,
     /// Set when the file failed to lex (no other facts collected).
@@ -170,7 +168,7 @@ pub struct FileFacts {
 impl FileFacts {
     /// Finds a live suppression for `pass` covering `line`, marks it
     /// used, and returns whether one existed.
-    pub fn suppressed(&self, pass: &str, line: u32) -> bool {
+    pub(crate) fn suppressed(&self, pass: &str, line: u32) -> bool {
         for a in &self.allows {
             if a.pass == pass && a.scope.0 <= line && line <= a.scope.1 {
                 a.used.set(true);
@@ -182,7 +180,7 @@ impl FileFacts {
 }
 
 /// Extracts all per-file facts.
-pub fn extract(file: &SourceFile) -> FileFacts {
+pub(crate) fn extract(file: &SourceFile) -> FileFacts {
     let mut facts = FileFacts {
         path: file.path.clone(),
         ..FileFacts::default()
@@ -342,14 +340,12 @@ pub(crate) fn collect_fn_facts(ctx: &FileCtx<'_>, out: &mut Vec<FnFacts>) {
         for s in &spawns {
             contexts.push(FnFacts {
                 name: format!("{}@spawn:{}", f.name, s.line),
-                line: s.line,
                 spawn_line: s.line,
                 ..FnFacts::default()
             });
         }
         let mut main_ctx = FnFacts {
             name: f.name.clone(),
-            line: f.start_line,
             returns_guard,
             spawns: spawns
                 .iter()
@@ -831,7 +827,7 @@ fn for_loop_recv(ctx: &FileCtx<'_>, for_ci: usize, chans: &ChannelTable) -> Opti
 
 /// File-level channel registry: canonical pair names plus clone/move
 /// aliases, all name-based.
-pub struct ChannelTable {
+pub(crate) struct ChannelTable {
     /// endpoint binding name → canonical channel name (the tx binding).
     aliases: BTreeMap<String, String>,
 }

@@ -12,7 +12,7 @@ use std::fmt;
 
 /// Token classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (including raw identifiers `r#type`).
     Ident,
     /// A lifetime such as `'a` or `'static` (no closing quote).
@@ -45,7 +45,7 @@ pub enum TokKind {
 
 /// One token: kind plus byte span and 1-based source line.
 #[derive(Clone, Copy, Debug)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Classification.
     pub kind: TokKind,
     /// Byte offset of the first byte.
@@ -60,14 +60,14 @@ pub struct Tok {
 
 impl Tok {
     /// The token's text within `src`.
-    pub fn text<'a>(&self, src: &'a str) -> &'a str {
+    pub(crate) fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start..self.end]
     }
 }
 
 /// A malformed-source diagnostic (unterminated literal or comment).
 #[derive(Clone, Debug)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// 1-based line where the offending token started.
     pub line: u32,
     /// Human-readable description.
@@ -143,7 +143,7 @@ fn ident_then_quote(c: &Cursor<'_>) -> bool {
 /// Returns [`LexError`] on unterminated strings, chars, or block
 /// comments; everything syntactically stranger but delimiter-balanced
 /// lexes fine (the passes are heuristic and tolerate oddities).
-pub fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
     let mut c = Cursor {
         src,
         bytes: src.as_bytes(),
@@ -437,7 +437,7 @@ fn lex_number(c: &mut Cursor<'_>) -> TokKind {
 /// # Errors
 ///
 /// Returns `None` if the literal overflows `u64` or has no digits.
-pub fn int_value(text: &str) -> Option<u64> {
+pub(crate) fn int_value(text: &str) -> Option<u64> {
     let (radix, digits) = match text.as_bytes() {
         [b'0', b'x' | b'X', rest @ ..] => (16, rest),
         [b'0', b'o' | b'O', rest @ ..] => (8, rest),

@@ -18,12 +18,12 @@
 //!
 //! # Passes
 //!
-//! Analysis is two-stage: [`facts::extract`] produces per-file facts
+//! Analysis is two-stage: `facts::extract` produces per-file facts
 //! (local findings plus the call/lock/blocking facts the
-//! interprocedural passes need), and [`conc::combine`] joins them
+//! interprocedural passes need), and `conc::combine` joins them
 //! workspace-wide, building the call graph and running the
 //! `lock-order`, `blocking`, `thread`, and codec-completeness passes.
-//! See [`passes`] for the local passes and the suppression grammar:
+//! See `passes` for the local passes and the suppression grammar:
 //! `// lint:allow(<pass>): <reason>` on the finding's line, the line
 //! above, or above the enclosing `fn` (whole-function scope).
 //!
@@ -57,16 +57,17 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod conc;
-pub mod facts;
-pub mod lexer;
-pub mod passes;
-pub mod report;
-pub mod scan;
-pub mod walk;
+mod conc;
+mod facts;
+mod lexer;
+mod passes;
+mod report;
+mod scan;
+mod walk;
 
 pub use passes::{analyze, FileClass, SourceFile};
 pub use report::{Finding, Report};
+pub use walk::{discover_path, discover_workspace};
 
 #[cfg(test)]
 mod tests {

@@ -24,8 +24,7 @@
     clippy::allow_attributes_without_reason
 )]
 
-use hlf_lint::walk::{discover_path, discover_workspace};
-use hlf_lint::{analyze, SourceFile};
+use hlf_lint::{analyze, discover_path, discover_workspace, SourceFile};
 use std::path::PathBuf;
 use std::process::ExitCode;
 

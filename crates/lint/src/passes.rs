@@ -85,8 +85,8 @@ impl FileCtx<'_> {
 }
 
 /// Analyzes a set of files and returns the combined report: extracts
-/// per-file facts ([`crate::facts::extract`]), then combines them
-/// workspace-wide ([`crate::conc::combine`]).
+/// per-file facts (`crate::facts::extract`), then combines them
+/// workspace-wide (`crate::conc::combine`).
 pub fn analyze(files: &[SourceFile]) -> Report {
     let facts: Vec<FileFacts> = files.iter().map(crate::facts::extract).collect();
     crate::conc::combine(&facts)
@@ -324,7 +324,7 @@ fn span_mentions<'a>(
 /// One `impl Encode for T` record, carried in [`FileFacts`] for the
 /// cross-file completeness check in [`crate::conc`].
 #[derive(Clone, Debug)]
-pub struct EncodeImpl {
+pub(crate) struct EncodeImpl {
     /// The impl's self type, as written.
     pub ty: String,
     /// 1-based line of the `impl`.

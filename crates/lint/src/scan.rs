@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 /// A discovered `fn` item.
 #[derive(Clone, Debug)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     /// The function's name.
     pub name: String,
     /// Code-token index of the `fn` keyword.
@@ -32,7 +32,7 @@ pub struct FnItem {
 
 /// A discovered `impl` block (`impl Trait for Type` or inherent).
 #[derive(Clone, Debug)]
-pub struct ImplItem {
+pub(crate) struct ImplItem {
     /// Trait path's final segment (`Encode` in `impl wire::Encode for
     /// T`), `None` for inherent impls.
     pub trait_name: Option<String>,
@@ -48,7 +48,7 @@ pub struct ImplItem {
 
 /// One `// lint:allow(<pass>): <reason>` suppression comment.
 #[derive(Debug)]
-pub struct Suppression {
+pub(crate) struct Suppression {
     /// The pass it silences.
     pub pass: String,
     /// Line the comment sits on.
@@ -61,18 +61,16 @@ pub struct Suppression {
 
 /// One `// lint:secret-scope(a, b, …)` constant-time region marker.
 #[derive(Clone, Debug)]
-pub struct SecretScope {
+pub(crate) struct SecretScope {
     /// Identifiers treated as secret inside the region.
     pub secrets: Vec<String>,
     /// Inclusive line range: marker line to `lint:end-secret-scope` or
     /// the end of the enclosing function.
     pub range: (u32, u32),
-    /// Marker line (for diagnostics).
-    pub line: u32,
 }
 
 /// Scanned structure of one source file.
-pub struct Structure {
+pub(crate) struct Structure {
     /// Indices into the full token vec for non-comment tokens.
     pub code: Vec<usize>,
     /// For each code token: the code index of the matching close/open
@@ -95,13 +93,13 @@ pub struct Structure {
 
 impl Structure {
     /// True when `line` falls inside a test-only region.
-    pub fn in_test(&self, line: u32) -> bool {
+    pub(crate) fn in_test(&self, line: u32) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= line && line <= b)
     }
 
     /// Finds a live suppression for `pass` covering `line`, marks it
     /// used, and returns whether one existed.
-    pub fn suppressed(&self, pass: &str, line: u32) -> bool {
+    pub(crate) fn suppressed(&self, pass: &str, line: u32) -> bool {
         for s in &self.allows {
             if s.pass == pass && s.scope.0 <= line && line <= s.scope.1 {
                 s.used.set(true);
@@ -112,7 +110,7 @@ impl Structure {
     }
 
     /// The innermost function whose body contains `line`.
-    pub fn enclosing_fn(&self, line: u32) -> Option<&FnItem> {
+    pub(crate) fn enclosing_fn(&self, line: u32) -> Option<&FnItem> {
         self.fns
             .iter()
             .filter(|f| f.start_line <= line && line <= f.end_line)
@@ -129,13 +127,13 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 ];
 
 /// True when `name` is a keyword from [`NON_INDEX_KEYWORDS`].
-pub fn is_non_index_keyword(name: &str) -> bool {
+pub(crate) fn is_non_index_keyword(name: &str) -> bool {
     NON_INDEX_KEYWORDS.contains(&name)
 }
 
 /// Scans `toks` (as produced by [`crate::lexer::lex`]) into a
 /// [`Structure`].
-pub fn scan(src: &str, toks: &[Tok]) -> Structure {
+pub(crate) fn scan(src: &str, toks: &[Tok]) -> Structure {
     let code: Vec<usize> = toks
         .iter()
         .enumerate()
@@ -603,7 +601,6 @@ fn scan_comments(src: &str, toks: &[Tok], st: &mut Structure) {
             st.secret_scopes.push(SecretScope {
                 secrets,
                 range: (t.line, end),
-                line: t.line,
             });
         } else if rest.starts_with("end-secret-scope") {
             // Consumed by `secret_scope_end`; nothing to record.

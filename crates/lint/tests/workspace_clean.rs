@@ -2,7 +2,7 @@
 //! unused suppression in the workspace, not only `make lint`.
 
 use hlf_lint::analyze;
-use hlf_lint::walk::discover_workspace;
+use hlf_lint::discover_workspace;
 use std::path::Path;
 
 #[test]

@@ -133,7 +133,7 @@ impl EventKind {
     }
 
     /// Inverse of [`EventKind::name`].
-    pub fn from_name(name: &str) -> Option<EventKind> {
+    pub(crate) fn from_name(name: &str) -> Option<EventKind> {
         Some(match name {
             "submit" => EventKind::Submit,
             "propose" => EventKind::Propose,
@@ -365,17 +365,15 @@ pub struct FlightRecorder {
     head: AtomicU64,
     origin: Instant,
     dumps: Mutex<Vec<FlightDump>>,
-    dropped_dumps: AtomicU64,
     /// `(reason, last dump timestamp)` token bucket — reasons are few,
     /// so a linear scan beats a map here.
     dump_gate: Mutex<Vec<(String, u64)>>,
-    suppressed_dumps: AtomicU64,
 }
 
 impl FlightRecorder {
     /// Default ring capacity: enough for several seconds of protocol
     /// events on a busy node (~64 B/slot → 256 KiB).
-    pub const DEFAULT_CAPACITY: usize = 4096;
+    pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 
     /// Creates a recorder named `name` with the default capacity.
     pub fn new(name: impl Into<String>) -> FlightRecorder {
@@ -393,9 +391,7 @@ impl FlightRecorder {
             head: AtomicU64::new(0),
             origin: Instant::now(),
             dumps: Mutex::new(Vec::new()),
-            dropped_dumps: AtomicU64::new(0),
             dump_gate: Mutex::new(Vec::new()),
-            suppressed_dumps: AtomicU64::new(0),
         }
     }
 
@@ -525,7 +521,6 @@ impl FlightRecorder {
         match gate.iter_mut().find(|(r, _)| r == reason) {
             Some((_, last)) => {
                 if at_us < last.saturating_add(DUMP_INTERVAL_US) {
-                    self.suppressed_dumps.fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
                 *last = at_us;
@@ -548,16 +543,13 @@ impl FlightRecorder {
         let mut dumps = self.dumps.lock().unwrap_or_else(|e| e.into_inner());
         if dumps.len() < MAX_DUMPS {
             dumps.push(dump);
-        } else {
-            self.dropped_dumps.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Snapshots the ring into an anomaly dump tagged `reason`. The
-    /// dump is retained in-process (up to [`MAX_DUMPS`]) until
+    /// dump is retained in-process (up to `MAX_DUMPS`) until
     /// collected with [`FlightRecorder::take_dumps`]. Rate-limited to
-    /// one dump per `reason` per [`DUMP_INTERVAL_US`]; suppressed dumps
-    /// are counted in [`FlightRecorder::suppressed_dumps`]. Uses a
+    /// one dump per `reason` per `DUMP_INTERVAL_US`. Uses a
     /// poison-proof lock so a panic elsewhere never loses dumps.
     pub fn anomaly(&self, reason: &str) {
         self.push_dump(self.now_us(), reason);
@@ -573,16 +565,6 @@ impl FlightRecorder {
     /// Removes and returns all retained anomaly dumps.
     pub fn take_dumps(&self) -> Vec<FlightDump> {
         std::mem::take(&mut *self.dumps.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Anomaly dumps discarded because the retention cap was hit.
-    pub fn dropped_dumps(&self) -> u64 {
-        self.dropped_dumps.load(Ordering::Relaxed)
-    }
-
-    /// Anomaly dumps suppressed by the per-reason rate limit.
-    pub fn suppressed_dumps(&self) -> u64 {
-        self.suppressed_dumps.load(Ordering::Relaxed)
     }
 }
 
@@ -654,8 +636,6 @@ mod tests {
             rec.anomaly_at(i * 2 * DUMP_INTERVAL_US, "loop");
         }
         assert_eq!(rec.take_dumps().len(), MAX_DUMPS);
-        assert_eq!(rec.dropped_dumps(), 5);
-        assert_eq!(rec.suppressed_dumps(), 0);
     }
 
     #[test]
@@ -667,11 +647,9 @@ mod tests {
         }
         rec.anomaly_at(5000, "rollback"); // distinct reason, own bucket
         assert_eq!(rec.take_dumps().len(), 2);
-        assert_eq!(rec.suppressed_dumps(), 9);
         // A dump after the window reopens is admitted again.
         rec.anomaly_at(DUMP_INTERVAL_US, "pipeline_stall");
         assert_eq!(rec.take_dumps().len(), 1);
-        assert_eq!(rec.suppressed_dumps(), 9);
     }
 
     #[test]

@@ -110,19 +110,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records `n` identical observations.
-    #[expect(clippy::indexing_slicing, reason = "`bucket_index` maps every u64 into `0..NUM_BUCKETS` by construction")]
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -230,7 +217,9 @@ mod tests {
         for v in [1u64, 1, 5, 100, 10_000] {
             h.record(v);
         }
-        h.record_n(7, 3);
+        for _ in 0..3 {
+            h.record(7);
+        }
         let s = h.snapshot();
         assert_eq!(s.count, 8);
         assert_eq!(s.sum, 1 + 1 + 5 + 100 + 10_000 + 21);

@@ -10,8 +10,7 @@
 //!   16 sub-buckets per power of two) with p50/p90/p99/max snapshots.
 //! - [`Registry`] — a named bag of metrics that a node *owns* (no
 //!   globals); exporters walk [`Snapshot`]s.
-//! - [`Snapshot`] — point-in-time copy with a human-readable text
-//!   report ([`Snapshot::to_text`]) and a stable JSON form
+//! - [`Snapshot`] — point-in-time copy with a stable JSON form
 //!   ([`Snapshot::to_json`] / [`Snapshot::from_json`]).
 //! - [`log!`] and friends — leveled stderr logging, off by default,
 //!   gated by the `HLF_LOG` environment variable.
@@ -66,30 +65,28 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod delta;
-pub mod flight;
-pub mod health;
-pub mod histogram;
+mod delta;
+mod flight;
+mod health;
+mod histogram;
 pub mod logging;
-pub mod metrics;
-pub mod prometheus;
-pub mod registry;
-pub mod snapshot;
-pub mod timeseries;
-pub mod trace;
+mod metrics;
+mod prometheus;
+mod registry;
+mod snapshot;
+mod timeseries;
+mod trace;
 
 pub use delta::{delta_since, ScrapeSession};
 pub use flight::{
     dumps_from_json, dumps_to_json, EventKind, FlightDump, FlightEvent, FlightRecorder,
 };
 pub use prometheus::to_prometheus;
-pub use health::{StragglerDetector, SuspicionEvent};
-pub use histogram::Histogram;
+pub use health::StragglerDetector;
+pub use histogram::{bucket_index, bucket_lower, bucket_upper, Histogram, NUM_BUCKETS};
 pub use logging::Level;
 pub use metrics::{Counter, Gauge};
 pub use registry::{Metric, Registry};
-pub use snapshot::{
-    from_json_many, to_json_many, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot,
-};
+pub use snapshot::{HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot};
 pub use timeseries::TimeSeries;
-pub use trace::{set_trace_enabled, trace_enabled, trace_id, trace_id_parts, TraceContext};
+pub use trace::{trace_enabled, trace_id, TraceContext};

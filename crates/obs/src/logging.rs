@@ -57,7 +57,7 @@ fn parse(value: Option<&str>) -> u8 {
 }
 
 /// The maximum enabled level (0 = logging off), from `HLF_LOG`.
-pub fn max_level() -> u8 {
+pub(crate) fn max_level() -> u8 {
     *MAX_LEVEL.get_or_init(|| parse(std::env::var("HLF_LOG").ok().as_deref()))
 }
 

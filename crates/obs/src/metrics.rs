@@ -72,11 +72,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raises the value to `v` if it is currently lower.
-    pub fn set_max(&self, v: i64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -106,10 +101,6 @@ mod tests {
         assert_eq!(g.get(), 7);
         g.set(-3);
         assert_eq!(g.get(), -3);
-        g.set_max(5);
-        assert_eq!(g.get(), 5);
-        g.set_max(1);
-        assert_eq!(g.get(), 5);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::snapshot::{HistogramSnapshot, MetricValue, Snapshot};
 use std::collections::BTreeMap;
 
 /// Mangles a dotted metric name into the Prometheus name alphabet.
-pub fn mangle_name(name: &str) -> String {
+pub(crate) fn mangle_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         match c {
@@ -43,7 +43,7 @@ pub fn mangle_name(name: &str) -> String {
 
 /// Escapes a label value per the exposition format: backslash, double
 /// quote and newline.
-pub fn escape_label(value: &str) -> String {
+pub(crate) fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -202,42 +202,6 @@ impl Snapshot {
         self.metrics.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
-    /// Human-readable report: one line per scalar, a summary line per
-    /// histogram (count / mean / p50 / p90 / p99 / max).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("registry {}\n", self.registry));
-        let width = self
-            .metrics
-            .iter()
-            .map(|m| m.name.len())
-            .max()
-            .unwrap_or(0);
-        for m in &self.metrics {
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("  {:width$}  counter    {v}\n", m.name));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("  {:width$}  gauge      {v}\n", m.name));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "  {:width$}  histogram  count={} mean={:.1} p50={} p90={} p99={} max={}\n",
-                        m.name,
-                        h.count,
-                        h.mean(),
-                        h.p50(),
-                        h.p90(),
-                        h.p99(),
-                        h.max,
-                    ));
-                }
-            }
-        }
-        out
-    }
-
     /// Stable JSON form (see module docs for the schema).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -285,30 +249,6 @@ impl Snapshot {
         let value = json::parse(json)?;
         snapshot_from_value(&value)
     }
-}
-
-/// Serializes several registry snapshots as
-/// `{"registries": [snapshot, ...]}` — a whole cluster in one document.
-pub fn to_json_many(snapshots: &[Snapshot]) -> String {
-    let mut out = String::from("{\"registries\":[");
-    for (i, s) in snapshots.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        s.write_json(&mut out);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Parses the output of [`to_json_many`].
-pub fn from_json_many(json: &str) -> Result<Vec<Snapshot>, String> {
-    let value = json::parse(json)?;
-    let list = value
-        .get("registries")
-        .and_then(|v| v.as_array())
-        .ok_or("missing \"registries\" array")?;
-    list.iter().map(snapshot_from_value).collect()
 }
 
 #[expect(clippy::indexing_slicing, reason = "`triple[i]` with `i ∈ 0..3` follows the `len() != 3` rejection")]
@@ -404,7 +344,7 @@ pub(crate) fn json_string(out: &mut String, s: &str) {
 /// ranges round-trip exactly.
 pub(crate) mod json {
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
+    pub(crate) enum Value {
         Null,
         Bool(bool),
         Int(i128),
@@ -414,7 +354,7 @@ pub(crate) mod json {
     }
 
     impl Value {
-        pub fn get(&self, key: &str) -> Option<&Value> {
+        pub(crate) fn get(&self, key: &str) -> Option<&Value> {
             match self {
                 Value::Object(fields) => {
                     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -423,28 +363,28 @@ pub(crate) mod json {
             }
         }
 
-        pub fn as_str(&self) -> Option<&str> {
+        pub(crate) fn as_str(&self) -> Option<&str> {
             match self {
                 Value::Str(s) => Some(s),
                 _ => None,
             }
         }
 
-        pub fn as_array(&self) -> Option<&[Value]> {
+        pub(crate) fn as_array(&self) -> Option<&[Value]> {
             match self {
                 Value::Array(v) => Some(v),
                 _ => None,
             }
         }
 
-        pub fn as_u64(&self) -> Option<u64> {
+        pub(crate) fn as_u64(&self) -> Option<u64> {
             match self {
                 Value::Int(n) => u64::try_from(*n).ok(),
                 _ => None,
             }
         }
 
-        pub fn as_i64(&self) -> Option<i64> {
+        pub(crate) fn as_i64(&self) -> Option<i64> {
             match self {
                 Value::Int(n) => i64::try_from(*n).ok(),
                 _ => None,
@@ -452,7 +392,7 @@ pub(crate) mod json {
         }
     }
 
-    pub fn parse(input: &str) -> Result<Value, String> {
+    pub(crate) fn parse(input: &str) -> Result<Value, String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
         let value = parse_value(bytes, &mut pos)?;
@@ -670,14 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_many() {
-        let snaps = vec![sample(), Snapshot { registry: "node-1".into(), metrics: vec![] }];
-        let json = to_json_many(&snaps);
-        let back = from_json_many(&json).unwrap();
-        assert_eq!(back, snaps);
-    }
-
-    #[test]
     fn json_round_trips_extreme_values() {
         let snap = Snapshot {
             registry: "edge \"case\"\n".into(),
@@ -789,12 +721,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn text_report_mentions_every_metric() {
-        let text = sample().to_text();
-        assert!(text.contains("registry node-0"));
-        assert!(text.contains("smr.node.decided"));
-        assert!(text.contains("counter"));
-        assert!(text.contains("p99="));
-    }
 }

@@ -53,11 +53,6 @@ pub fn trace_id(client: u32, seq: u64) -> u64 {
     ((client as u64 & 0xffff) << 48) | (seq & 0x0000_ffff_ffff_ffff)
 }
 
-/// Splits a [`trace_id`] back into `(client, seq)`.
-pub fn trace_id_parts(id: u64) -> (u32, u64) {
-    ((id >> 48) as u32, id & 0x0000_ffff_ffff_ffff)
-}
-
 static TRACE_ENABLED: OnceLock<bool> = OnceLock::new();
 
 fn parse(value: Option<&str>) -> bool {
@@ -72,12 +67,6 @@ fn parse(value: Option<&str>) -> bool {
 #[inline]
 pub fn trace_enabled() -> bool {
     *TRACE_ENABLED.get_or_init(|| parse(std::env::var("HLF_TRACE").ok().as_deref()))
-}
-
-/// Pins the tracing flag programmatically (first caller wins, including
-/// the lazy env read). Mainly for tests and tools.
-pub fn set_trace_enabled(enabled: bool) {
-    let _ = TRACE_ENABLED.set(enabled);
 }
 
 #[cfg(test)]
@@ -100,7 +89,7 @@ mod tests {
     fn trace_id_roundtrips() {
         for (client, seq) in [(0u32, 0u64), (1, 1), (104, 88_213), (0xffff, (1 << 48) - 1)] {
             let id = trace_id(client, seq);
-            assert_eq!(trace_id_parts(id), (client, seq));
+            assert_eq!(((id >> 48) as u32, id & 0x0000_ffff_ffff_ffff), (client, seq));
         }
         // Distinct requests get distinct ids.
         assert_ne!(trace_id(1, 2), trace_id(2, 1));

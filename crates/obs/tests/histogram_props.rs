@@ -5,7 +5,7 @@
 //! snapshot/merge algebra has to hold under real interleavings, not
 //! just sequential recording).
 
-use hlf_obs::histogram::{bucket_index, bucket_lower, bucket_upper, NUM_BUCKETS};
+use hlf_obs::{bucket_index, bucket_lower, bucket_upper, NUM_BUCKETS};
 use hlf_obs::{Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot};
 use hlf_simnet::{for_each_case, SimRng};
 use std::ops::Range;

@@ -67,8 +67,8 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod regions;
-pub mod rng;
+mod regions;
+mod rng;
 
 pub use regions::{Region, RegionMatrix};
 pub use rng::{for_each_case, SimRng};
@@ -257,7 +257,6 @@ pub struct Ctx<'a, M> {
 enum Effect<M> {
     Send { to: usize, msg: M },
     Timer { delay: SimTime, token: u64 },
-    Halt,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -299,11 +298,6 @@ impl<'a, M> Ctx<'a, M> {
             at: self.now,
             value,
         });
-    }
-
-    /// Stops the simulation after the current event is processed.
-    pub fn halt(&mut self) {
-        self.effects.push(Effect::Halt);
     }
 }
 
@@ -436,7 +430,6 @@ pub struct Simulation<M, A: ?Sized = dyn Actor<M>> {
     events_processed: u64,
     /// Whether every actor's `on_start` has run.
     started: bool,
-    halted: bool,
     /// Safety valve against runaway simulations.
     max_events: u64,
 }
@@ -478,7 +471,6 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
             samples: Vec::new(),
             events_processed: 0,
             started: false,
-            halted: false,
             max_events: 200_000_000,
         }
     }
@@ -520,11 +512,6 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
         !self.faults.blocked.contains(&(from, to))
             && !self.faults.is_crashed(from, self.now)
             && !self.faults.is_crashed(to, self.now)
-    }
-
-    /// Limits the total number of events processed (default 2e8).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
     }
 
     /// Adds an actor; returns its index.
@@ -571,7 +558,7 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
     }
 
     fn start_if_needed(&mut self) {
-        if !self.started && !self.halted {
+        if !self.started {
             self.started = true;
             for i in 0..self.actors.len() {
                 self.dispatch(i, |actor, ctx| actor.on_start(ctx));
@@ -579,8 +566,8 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
         }
     }
 
-    /// Runs until the event queue is empty, a halt is requested, or the
-    /// event budget is exhausted.
+    /// Runs until the event queue is empty or the event budget is
+    /// exhausted.
     pub fn run(&mut self) {
         self.run_until(SimTime::from_micros(u64::MAX));
     }
@@ -601,7 +588,7 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
     }
 
     /// Processes the next event, however far ahead; `false` when the
-    /// queue is empty, a halt was requested or the budget is spent.
+    /// queue is empty or the budget is spent.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
         self.next_event(SimTime::from_micros(u64::MAX))
@@ -610,7 +597,7 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
     /// Processes the next event due by `deadline`. A delivery to a
     /// crashed actor is dropped, and counts as progress.
     fn next_event(&mut self, deadline: SimTime) -> bool {
-        if self.halted || self.events_processed >= self.max_events {
+        if self.events_processed >= self.max_events {
             return false;
         }
         let Some(Reverse(event)) = self.queue.pop() else {
@@ -685,7 +672,6 @@ impl<M: SimMessage, A: Actor<M> + ?Sized> Simulation<M, A> {
                         payload: Payload::Timer { token },
                     }));
                 }
-                Effect::Halt => self.halted = true,
             }
         }
     }
@@ -900,28 +886,9 @@ mod tests {
             Simulation::new(LatencyModel::constant(SimTime::from_millis(1)), 0);
         sim.add_actor(Box::new(Forever));
         sim.add_actor(Box::new(Forever));
-        sim.set_max_events(1000);
+        sim.max_events = 1000;
         sim.run();
         assert_eq!(sim.events_processed(), 1000);
     }
 
-    #[test]
-    fn halt_stops_immediately() {
-        struct Halter;
-        impl Actor<Num> for Halter {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Num>) {
-                ctx.send(0, Num(1));
-            }
-            fn on_message(&mut self, _f: usize, _m: Num, ctx: &mut Ctx<'_, Num>) {
-                ctx.halt();
-                ctx.send(0, Num(2));
-            }
-            fn on_timer(&mut self, _t: u64, _c: &mut Ctx<'_, Num>) {}
-        }
-        let mut sim: Simulation<Num> =
-            Simulation::new(LatencyModel::constant(SimTime::from_millis(1)), 0);
-        sim.add_actor(Box::new(Halter));
-        sim.run();
-        assert_eq!(sim.events_processed(), 1);
-    }
 }

@@ -28,16 +28,6 @@ pub enum Region {
 }
 
 impl Region {
-    /// All regions in canonical order.
-    pub const ALL: [Region; 6] = [
-        Region::Oregon,
-        Region::Ireland,
-        Region::Sydney,
-        Region::SaoPaulo,
-        Region::Virginia,
-        Region::Canada,
-    ];
-
     /// Human-readable name as used in the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -87,7 +77,7 @@ const RTT_MS: [[u64; 6]; 6] = [
 /// # Examples
 ///
 /// ```
-/// use hlf_simnet::regions::{Region, RegionMatrix};
+/// use hlf_simnet::{Region, RegionMatrix};
 ///
 /// let m = RegionMatrix::aws();
 /// let rtt = m.rtt(Region::Oregon, Region::Ireland);
@@ -137,11 +127,20 @@ impl RegionMatrix {
 mod tests {
     use super::*;
 
+    const ALL: [Region; 6] = [
+        Region::Oregon,
+        Region::Ireland,
+        Region::Sydney,
+        Region::SaoPaulo,
+        Region::Virginia,
+        Region::Canada,
+    ];
+
     #[test]
     fn matrix_is_symmetric() {
         let m = RegionMatrix::aws();
-        for &a in &Region::ALL {
-            for &b in &Region::ALL {
+        for &a in &ALL {
+            for &b in &ALL {
                 assert_eq!(m.rtt(a, b), m.rtt(b, a), "{a} vs {b}");
             }
         }
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn diagonal_is_fast() {
         let m = RegionMatrix::aws();
-        for &r in &Region::ALL {
+        for &r in &ALL {
             assert!(m.rtt(r, r) <= SimTime::from_millis(2));
         }
     }

@@ -12,7 +12,7 @@ use std::ops::Range;
 /// # Examples
 ///
 /// ```
-/// use hlf_simnet::rng::SimRng;
+/// use hlf_simnet::SimRng;
 ///
 /// let mut a = SimRng::new(7);
 /// let mut b = SimRng::new(7);
@@ -75,23 +75,9 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 random bits over 2^53.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_range(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Exponentially distributed value with the given mean.
-    pub fn next_exponential(&mut self, mean: f64) -> f64 {
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
     }
 
     /// Fills `buf` with random bytes.
@@ -181,33 +167,6 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((0.45..0.55).contains(&mean), "mean {mean} not near 0.5");
-    }
-
-    #[test]
-    fn exponential_has_requested_mean() {
-        let mut rng = SimRng::new(3);
-        let mean_target = 25.0;
-        let mut sum = 0.0;
-        for _ in 0..20_000 {
-            let v = rng.next_exponential(mean_target);
-            assert!(v >= 0.0);
-            sum += v;
-        }
-        let mean = sum / 20_000.0;
-        assert!(
-            (mean_target * 0.95..mean_target * 1.05).contains(&mean),
-            "mean {mean} not near {mean_target}"
-        );
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(4);
-        let mut items: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut items);
-        let mut sorted = items.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

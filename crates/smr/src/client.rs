@@ -119,7 +119,7 @@ const WINDOW_MAX_BYTES: usize = 64 * 1024;
 /// Client proxy over a transport [`Endpoint`] (in-process hub or TCP).
 ///
 /// Requests reach every replica in per-client `seq` order; asynchronous
-/// ones travel in windows (see the [module docs](self)).
+/// ones travel in windows (see the module docs).
 pub struct ServiceProxy {
     endpoint: Endpoint,
     config: ProxyConfig,
@@ -256,8 +256,8 @@ impl ServiceProxy {
     ///
     /// # Errors
     ///
-    /// [`InvokeError::Timeout`] if agreement on a reply is not reached
-    /// in time; [`InvokeError::Disconnected`] if the hub is gone.
+    /// `InvokeError::Timeout` if agreement on a reply is not reached
+    /// in time; `InvokeError::Disconnected` if the hub is gone.
     pub fn invoke(&mut self, payload: impl Into<Bytes>) -> Result<Bytes, InvokeError> {
         let payload = payload.into();
         let sent_at = Instant::now();

@@ -14,9 +14,9 @@ use crate::obs::NodeObs;
 use crate::storage::LogStore;
 use crate::wire::{LogEntry, SmrMsg};
 use hlf_consensus::messages::{Batch, ConsensusMsg, Request};
-use hlf_consensus::replica::{self, digest64, signer_bitmap, Action, Config as ConsensusConfig, Replica};
+use hlf_consensus::{digest64, signer_bitmap, Action, Config as ConsensusConfig, Input as ConsensusInput, Replica};
 use hlf_consensus::{Executed, HealthObs, ReplicaObs};
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_transport::PeerId;
 use hlf_wire::{Bytes, ClientId, Decode, Encode, NodeId, Reader, WireError};
@@ -42,7 +42,7 @@ pub struct NodeConfig {
     /// [`Input::Tick`].
     pub tick_interval: Duration,
     /// Metrics registry for this node; when set, the node attaches
-    /// consensus ([`ReplicaObs`]), SMR ([`NodeObs`]) and slow-replica
+    /// consensus ([`ReplicaObs`]), SMR (`NodeObs`) and slow-replica
     /// health ([`HealthObs`]) metrics to it.
     pub registry: Option<Arc<Registry>>,
     /// Flight recorder for this node; when set, consensus-phase and
@@ -294,7 +294,7 @@ impl NodeCore {
                 self.node().0
             );
             self.stats.last_cid.store(recovered, Ordering::Relaxed);
-            self.consensus(now_us, replica::Input::InstallState(recovered, executed), out);
+            self.consensus(now_us, ConsensusInput::InstallState(recovered, executed), out);
         }
     }
 
@@ -327,7 +327,7 @@ impl NodeCore {
                     return;
                 };
                 self.note_first_sight(std::slice::from_ref(last), now_us);
-                self.consensus(now_us, replica::Input::Requests(requests), out);
+                self.consensus(now_us, ConsensusInput::Requests(requests), out);
             }
             Input::Frame(PeerId::Client(id), SmrMsg::Subscribe) => self.join(ClientId(id), out),
             Input::Frame(PeerId::Replica(id), SmrMsg::Consensus(msg)) => {
@@ -341,7 +341,7 @@ impl NodeCore {
                     ConsensusMsg::Forward { requests } => self.note_first_sight(requests, now_us),
                     _ => {}
                 }
-                self.consensus(now_us, replica::Input::Message(NodeId(id), msg), out);
+                self.consensus(now_us, ConsensusInput::Message(NodeId(id), msg), out);
             }
             Input::Frame(PeerId::Replica(id), SmrMsg::StateRequest { from_cid }) => {
                 self.serve_state(NodeId(id), from_cid, out);
@@ -351,7 +351,7 @@ impl NodeCore {
             }
             Input::Frame(..) => {}
             Input::Tick => {
-                self.consensus(now_us, replica::Input::Tick, out);
+                self.consensus(now_us, ConsensusInput::Tick, out);
                 let outs = self.app.on_tick();
                 self.route(outs, out);
                 self.transfer_retry(now_us, out);
@@ -397,7 +397,7 @@ impl NodeCore {
     }
 
     /// Steps consensus with `input` and carries out what it asks for.
-    fn consensus(&mut self, now_us: u64, input: replica::Input, out: &mut Vec<Output>) {
+    fn consensus(&mut self, now_us: u64, input: ConsensusInput, out: &mut Vec<Output>) {
         let mut actions = std::mem::take(&mut self.actions);
         self.replica.step(now_us / 1000, input, &mut actions);
         for action in actions.drain(..) {
@@ -666,7 +666,7 @@ impl NodeCore {
             "node {} finished state transfer at cid {reached}",
             self.node().0
         );
-        self.consensus(now_us, replica::Input::InstallState(reached, executed), out);
+        self.consensus(now_us, ConsensusInput::InstallState(reached, executed), out);
     }
 }
 

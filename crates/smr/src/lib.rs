@@ -1,18 +1,18 @@
 //! State machine replication on top of `hlf-consensus`: the BFT-SMaRt
 //! layer the ordering service runs on.
 //!
-//! * [`app`] — the deterministic [`app::Application`] trait with reply
+//! * `app` — the deterministic [`app::Application`] trait with reply
 //!   routing (including the *custom replier* broadcast the ordering
 //!   service uses),
-//! * [`core`] — the sans-io replica node ([`core::NodeCore`]): every
+//! * `core` — the sans-io replica node ([`core::NodeCore`]): every
 //!   protocol decision above consensus, behind one `step` entry point,
 //! * [`node`] — the threaded driver of that core over a transport
 //!   endpoint (in-process hub or TCP),
-//! * [`client`] — synchronous/asynchronous service proxies with
+//! * `client` — synchronous/asynchronous service proxies with
 //!   `f + 1` / quorum reply policies,
-//! * [`storage`] — the durable decided-batch log and checkpoints,
+//! * `storage` — the durable decided-batch log and checkpoints,
 //! * [`runtime`] — one-call cluster bootstrap,
-//! * [`obs`] — node- and client-side metrics (`smr.node.*`,
+//! * `obs` — node- and client-side metrics (`smr.node.*`,
 //!   `smr.client.*`) over `hlf-obs`.
 //!
 //! # Examples
@@ -20,7 +20,7 @@
 //! A replicated counter served by four replicas:
 //!
 //! ```
-//! use hlf_smr::app::CounterApp;
+//! use hlf_smr::CounterApp;
 //! use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
 //!
 //! let mut cluster = ClusterRuntime::start(
@@ -49,20 +49,19 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod app;
-pub mod client;
-pub mod core;
+mod app;
+mod client;
+mod core;
 pub mod node;
-pub mod obs;
+mod obs;
 pub mod runtime;
-pub mod storage;
-pub mod wire;
+mod storage;
+mod wire;
 
-pub use app::{Application, CounterApp, Dest, Outbound};
-pub use obs::{NodeObs, ProxyObs};
-pub use client::{InvokeError, ProxyConfig, Push, ServiceProxy};
+pub use app::{Application, CounterApp, Outbound};
+pub use client::{ProxyConfig, Push, ServiceProxy};
 pub use core::{Input, NodeCore, Output};
 pub use node::{spawn_replica, NodeConfig, NodeHandle, NodeStats, PushHandle};
 pub use runtime::{ClusterKeys, ClusterRuntime, RuntimeOptions};
 pub use storage::{FileLog, LogStore, MemoryLog};
-pub use wire::{LogEntry, SmrMsg};
+pub use wire::{Framed, LogEntry, SmrMsg};

@@ -1,13 +1,13 @@
 //! The threaded replica node: a [`NodeCore`] driven over a transport
 //! [`Endpoint`] (in-process hub or TCP). This file is I/O only —
 //! receive, decode, [`NodeCore::step`], encode, send, tick; every
-//! protocol decision is in [`crate::core`].
+//! protocol decision is in `crate::core`.
 
 use crate::app::Application;
 use crate::core::{Input, NodeCore, Output};
 use crate::storage::LogStore;
 use crate::wire::{Framed, SmrMsg};
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_transport::{Endpoint, PeerId, SenderHandle};
 use hlf_wire::{from_bytes_shared, to_pooled_bytes, BufferPool, Bytes, ClientId, NodeId};

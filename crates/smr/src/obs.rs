@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// [`crate::node::spawn_replica`] when the [`crate::node::NodeConfig`]
 /// carries a registry.
 #[derive(Clone, Debug)]
-pub struct NodeObs {
+pub(crate) struct NodeObs {
     /// Request received from a client → its batch committed, in µs of
     /// wall time (includes consensus plus node-thread queuing).
     pub request_decide_us: Arc<Histogram>,
@@ -42,7 +42,7 @@ pub struct NodeObs {
 
 impl NodeObs {
     /// Resolves (creating on first use) every node metric in `registry`.
-    pub fn new(registry: &Registry) -> NodeObs {
+    pub(crate) fn new(registry: &Registry) -> NodeObs {
         NodeObs {
             request_decide_us: registry.histogram("smr.node.request_decide_us"),
             commit_batch_len: registry.histogram("smr.node.commit_batch_len"),
@@ -57,7 +57,7 @@ impl NodeObs {
 /// Handles to every client-side proxy metric; attach with
 /// [`crate::client::ServiceProxy::attach_obs`].
 #[derive(Clone, Debug)]
-pub struct ProxyObs {
+pub(crate) struct ProxyObs {
     /// Synchronous invocation round-trip (request sent → reply quorum),
     /// in µs of wall time.
     pub invoke_us: Arc<Histogram>,
@@ -69,7 +69,7 @@ pub struct ProxyObs {
 
 impl ProxyObs {
     /// Resolves (creating on first use) every proxy metric in `registry`.
-    pub fn new(registry: &Registry) -> ProxyObs {
+    pub(crate) fn new(registry: &Registry) -> ProxyObs {
         ProxyObs {
             invoke_us: registry.histogram("smr.client.invoke_us"),
             retransmits: registry.counter("smr.client.retransmits"),

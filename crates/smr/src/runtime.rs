@@ -8,8 +8,8 @@ use crate::app::Application;
 use crate::client::{ProxyConfig, ServiceProxy};
 use crate::node::{spawn_replica, NodeConfig, NodeHandle};
 use crate::storage::{LogStore, MemoryLog};
-use hlf_consensus::quorum::QuorumSystem;
-use hlf_consensus::replica::Config as ConsensusConfig;
+use hlf_consensus::QuorumSystem;
+use hlf_consensus::Config as ConsensusConfig;
 use hlf_crypto::ecdsa::{PinnedKey, SigningKey, VerifyingKey};
 use hlf_obs::{FlightRecorder, Registry, Snapshot};
 use hlf_transport::{Endpoint, Network, PeerId};
@@ -272,7 +272,7 @@ impl ClusterRuntime {
     }
 
     /// Snapshots every node registry plus the client registry, in node
-    /// order, for [`hlf_obs::to_json_many`] or text reports.
+    /// order.
     pub fn obs_snapshots(&self) -> Vec<Snapshot> {
         let mut snaps: Vec<Snapshot> = self.registries.iter().map(|r| r.snapshot()).collect();
         snaps.push(self.client_registry.snapshot());

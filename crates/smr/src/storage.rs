@@ -139,7 +139,7 @@ impl Decode for FileRecord {
 /// # Examples
 ///
 /// ```no_run
-/// use hlf_smr::storage::{FileLog, LogStore};
+/// use hlf_smr::{FileLog, LogStore};
 ///
 /// let mut log = FileLog::open("/tmp/ordering-node-0.log".into()).unwrap();
 /// println!("recovered up to cid {}", log.last_cid());

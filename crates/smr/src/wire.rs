@@ -149,7 +149,7 @@ impl Decode for SmrMsg {
 /// An [`SmrMsg`] plus an optional distributed-tracing context, as it
 /// actually crosses the transport.
 ///
-/// The trace rides as a *trailing optional* field ([`hlf_wire::trace`]):
+/// The trace rides as a *trailing optional* field (`hlf_wire::trace`):
 /// `trace: None` encodes byte-identically to the bare [`SmrMsg`] — the
 /// canonical pre-trace wire format — so signatures, digests, and peers
 /// built without tracing support are all unaffected. A traced frame

@@ -17,9 +17,9 @@
 use hlf_consensus::messages::{
     Batch, ConsensusMsg, DecisionProof, Request, SlotRebind, SlotReport, StopData, Vote, VotePhase,
 };
-use hlf_consensus::session::{Executed, Window};
+use hlf_consensus::{Executed, Window};
 use hlf_crypto::ecdsa::SigningKey;
-use hlf_smr::wire::{LogEntry, SmrMsg};
+use hlf_smr::{LogEntry, SmrMsg};
 use hlf_wire::{decode_seq, encode_seq, from_bytes, to_bytes, Bytes, ClientId, Decode, Encode, NodeId, Reader, WireError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Debug;

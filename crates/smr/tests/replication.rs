@@ -1,9 +1,9 @@
 //! Threaded integration tests for the SMR layer: fault tolerance,
 //! state transfer, durability and concurrency.
 
-use hlf_smr::app::CounterApp;
+use hlf_smr::CounterApp;
 use hlf_smr::runtime::{ClusterRuntime, RuntimeOptions};
-use hlf_smr::storage::FileLog;
+use hlf_smr::FileLog;
 use std::time::Duration;
 
 fn counter_value(reply: &[u8]) -> u64 {

@@ -17,7 +17,7 @@
 //!    `Endpoint` API.
 
 use hlf_obs::TraceContext;
-use hlf_smr::wire::{Framed, SmrMsg};
+use hlf_smr::{Framed, SmrMsg};
 use hlf_consensus::messages::Request;
 use hlf_transport::{Authenticator, Network, PeerId};
 use hlf_transport::{TcpConfig, TcpNetwork};

@@ -45,7 +45,7 @@ const MAX_FRAME: usize = 4 << 20;
 /// One admin request. `cursor` fields echo the cursor from the
 /// previous response of the same kind (0 on the first request).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdminRequest {
+pub(crate) enum AdminRequest {
     /// Changes since the scrape cursor (everything, on the first
     /// request of a connection).
     MetricsDelta {
@@ -75,7 +75,7 @@ impl AdminRequest {
     }
 
     /// Fixed 9-byte encoding: `kind(1) | cursor(8 LE)`.
-    pub fn encode(&self) -> [u8; 9] {
+    pub(crate) fn encode(&self) -> [u8; 9] {
         let cursor = match self {
             AdminRequest::MetricsDelta { cursor } | AdminRequest::FlightDump { cursor } => *cursor,
             AdminRequest::Health => 0,
@@ -88,7 +88,7 @@ impl AdminRequest {
     }
 
     /// Parses the encoding; `None` on bad length or unknown kind.
-    pub fn decode(buf: &[u8]) -> Option<AdminRequest> {
+    pub(crate) fn decode(buf: &[u8]) -> Option<AdminRequest> {
         if buf.len() != 9 {
             return None;
         }
@@ -123,7 +123,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Encoded size: six `u64` little-endian words.
-    pub const ENCODED_LEN: usize = 48;
+    pub(crate) const ENCODED_LEN: usize = 48;
 
     /// Fixed 48-byte little-endian encoding.
     pub fn encode(&self) -> [u8; Self::ENCODED_LEN] {

@@ -1,14 +1,14 @@
 //! Point-to-point transport for the ordering cluster, with two
 //! interchangeable backends behind one authenticated [`Endpoint`] API:
 //!
-//! * [`hub`] — the in-process channel hub used by the threaded tests
+//! * `hub` — the in-process channel hub used by the threaded tests
 //!   and the single-process benchmarks: a plain switch. Injected loss
 //!   and link cuts live in the deterministic simulator (`hlf_simnet`).
-//! * [`tcp`] — real kernel TCP sockets for multi-process deployments
+//! * `tcp` — real kernel TCP sockets for multi-process deployments
 //!   (the paper's §6.2 LAN/WAN clusters run replicas as OS processes).
 //!   Length-framed, HMAC-sealed, with per-peer send coalescing into
 //!   `writev` and reconnect/re-key with exponential backoff.
-//! * [`admin`] — the authenticated telemetry endpoint each node can
+//! * `admin` — the authenticated telemetry endpoint each node can
 //!   serve beside its consensus listener. Both TCP planes run the one
 //!   HELLO/ACK handshake, nonce and listener of the crate-private
 //!   `session` module, separated only by the handshake's domain labels.
@@ -17,7 +17,7 @@
 //! backend-agnostic: it receives an [`Endpoint`] and never learns
 //! whether its bytes cross a channel or a socket. The *bytes* are
 //! identical either way — the TCP backend frames exactly the payload
-//! the in-process hub would deliver (see [`tcp`] module docs).
+//! the in-process hub would deliver (see `tcp` module docs).
 //!
 //! # Examples
 //!
@@ -49,17 +49,17 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod admin;
-pub mod hub;
+mod admin;
+mod hub;
 mod session;
-pub mod tcp;
+mod tcp;
 
-pub use admin::{AdminClient, AdminRequest, AdminServer, AdminSources, DeltaReply, HealthReport};
+pub use admin::{AdminClient, AdminServer, AdminSources, HealthReport};
 pub use hub::Network;
-pub use tcp::{NetStats, TcpConfig, TcpNetwork};
+pub use tcp::{TcpConfig, TcpNetwork};
 
 use hlf_crypto::hmac::hmac_sha256_multi;
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::FlightRecorder;
 use hlf_wire::{BufferPool, Bytes};
 use std::error::Error;
@@ -103,29 +103,12 @@ impl PeerId {
         PeerId::Client(id)
     }
 
-    /// Returns `true` for replica ids.
-    pub fn is_replica(&self) -> bool {
-        matches!(self, PeerId::Replica(_))
-    }
-
     /// Compact form used in flight-recorder events: replicas map to
     /// their id, clients to `id | 1 << 32`.
-    pub fn flight_code(&self) -> u64 {
+    pub(crate) fn flight_code(&self) -> u64 {
         match self {
             PeerId::Replica(id) => *id as u64,
             PeerId::Client(id) => *id as u64 | FLIGHT_CLIENT_BIT,
-        }
-    }
-
-    /// Inverse of [`PeerId::flight_code`]. Returns `None` for values no
-    /// `flight_code` produces, so timeline tooling can reject corrupt
-    /// events instead of misattributing them.
-    pub fn from_flight_code(code: u64) -> Option<PeerId> {
-        let id = u32::try_from(code & !FLIGHT_CLIENT_BIT).ok()?;
-        if code & FLIGHT_CLIENT_BIT != 0 {
-            Some(PeerId::Client(id))
-        } else {
-            Some(PeerId::Replica(id))
         }
     }
 
@@ -222,11 +205,11 @@ impl Backend {
 /// (1 = TCP socket, 0 = in-process hub). `hlf-audit` timeline
 /// stitching keys on `(kind, a, b)` and ignores unknown `c` bits, so
 /// both backends produce stitchable event streams.
-pub mod frame_tag {
+mod frame_tag {
     /// Set on received frames (sends are currently not ring-recorded).
-    pub const RECEIVED_BIT: u64 = 1;
+    pub(crate) const RECEIVED_BIT: u64 = 1;
     /// Set on frames that crossed a real TCP socket.
-    pub const TCP_BIT: u64 = 2;
+    pub(crate) const TCP_BIT: u64 = 2;
 }
 
 /// One participant's handle on the network: the single consumer of its
@@ -325,8 +308,8 @@ impl Endpoint {
 
     /// Attaches a flight recorder; every subsequently received frame is
     /// logged as an [`EventKind::Frame`] event (`a` = sender's
-    /// [`PeerId::flight_code`], `b` = payload bytes, `c` =
-    /// [`frame_tag`] bits).
+    /// `PeerId::flight_code`, `b` = payload bytes, `c` =
+    /// `frame_tag` bits).
     pub fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
         self.flight = Some(flight);
     }
@@ -691,28 +674,22 @@ mod tests {
     fn peer_id_display_and_kind() {
         assert_eq!(PeerId::replica(2).to_string(), "replica-2");
         assert_eq!(PeerId::client(3).to_string(), "client-3");
-        assert!(PeerId::replica(0).is_replica());
-        assert!(!PeerId::client(0).is_replica());
     }
 
     #[test]
     fn flight_code_roundtrips_for_both_kinds() {
         // The doc promises: replicas map to their id, clients to
-        // `id | 1 << 32`. The inverse must recover the exact PeerId for
-        // every id in either space, including the boundary values.
+        // `id | 1 << 32`, for every id in either space, including the
+        // boundary values.
         for id in [0u32, 1, 7, u32::MAX - 1, u32::MAX] {
             for peer in [PeerId::Replica(id), PeerId::Client(id)] {
                 let code = peer.flight_code();
-                assert_eq!(PeerId::from_flight_code(code), Some(peer), "{peer}");
                 match peer {
                     PeerId::Replica(_) => assert_eq!(code, id as u64),
                     PeerId::Client(_) => assert_eq!(code, id as u64 | (1 << 32)),
                 }
             }
         }
-        // Codes outside the two id spaces are rejected, not truncated.
-        assert_eq!(PeerId::from_flight_code(1 << 33), None);
-        assert_eq!(PeerId::from_flight_code(u64::MAX), None);
         // The two spaces stay disjoint.
         assert_ne!(
             PeerId::client(0).flight_code(),

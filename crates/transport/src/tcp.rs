@@ -606,7 +606,7 @@ fn build_slices<'a>(
 }
 
 /// A bound TCP endpoint factory: owns the listener, the acceptor
-/// thread and the shared [`TcpCore`].
+/// thread and the shared `TcpCore`.
 pub struct TcpNetwork {
     core: Arc<TcpCore>,
     local_addr: SocketAddr,

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 /// An immutable, cheaply cloneable and sliceable view of contiguous
 /// bytes.
 ///
-/// See the [module docs](self) for the ownership rules.
+/// See the module docs for the ownership rules.
 #[derive(Clone)]
 pub struct Bytes {
     repr: Repr,
@@ -334,7 +334,7 @@ impl PoolInner {
 /// A free-list of reusable `Vec<u8>` buffers.
 ///
 /// Cloning a pool is cheap and shares the free list. See the
-/// [module docs](self) for sizing guidance.
+/// module docs for sizing guidance.
 #[derive(Clone)]
 pub struct BufferPool {
     inner: Arc<PoolInner>,

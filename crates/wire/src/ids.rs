@@ -8,7 +8,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use hlf_wire::ids::NodeId;
+/// use hlf_wire::NodeId;
 ///
 /// let n = NodeId(3);
 /// assert_eq!(format!("{n}"), "node-3");

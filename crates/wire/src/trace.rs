@@ -21,7 +21,7 @@ use crate::{Decode, Encode, Reader, WireError};
 use hlf_obs::TraceContext;
 
 /// Marker byte introducing a trailing trace context (`'T'`).
-pub const TRACE_MARKER: u8 = 0x54;
+pub(crate) const TRACE_MARKER: u8 = 0x54;
 
 /// Encoded size of a present trailing context (marker + id + origin).
 pub const TRACE_WIRE_LEN: usize = 1 + 8 + 8;

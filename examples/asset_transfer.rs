@@ -9,11 +9,11 @@
 //! ```
 
 use hlf_wire::Bytes;
-use hlf_bft::crypto::ecdsa::SigningKey;
-use hlf_bft::fabric::{
+use hlf_crypto::ecdsa::SigningKey;
+use hlf_fabric::{
     AssetChaincode, EndorsementPolicy, Envelope, Peer, PeerConfig, Proposal,
 };
-use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
+use ordering_core::service::{OrderingService, ServiceOptions};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -70,7 +70,7 @@ fn main() {
     };
 
     let commit_next_block = |peers: &mut Vec<Peer>,
-                                 frontend: &mut hlf_bft::ordering::Frontend| {
+                                 frontend: &mut ordering_core::Frontend| {
         let block = frontend
             .next_block(Duration::from_secs(15))
             .expect("block delivered");

@@ -10,8 +10,8 @@
 //! cargo run --release --example geo_ordering
 //! ```
 
-use hlf_bft::ordering::sim::{run_geo_experiment, GeoConfig, Protocol};
-use hlf_bft::simnet::SimTime;
+use ordering_core::{run_geo_experiment, GeoConfig, Protocol};
+use hlf_simnet::SimTime;
 
 fn main() {
     println!("simulating 30s of geo-distributed ordering (1 KiB envelopes, blocks of 10)\n");
@@ -47,7 +47,7 @@ fn main() {
         bft.throughput, wheat.throughput
     );
 
-    let avg = |fls: &[hlf_bft::ordering::sim::FrontendLatency]| {
+    let avg = |fls: &[ordering_core::FrontendLatency]| {
         fls.iter().map(|f| f.median_ms).sum::<f64>() / fls.len() as f64
     };
     let improvement = 100.0 * (1.0 - avg(&wheat.frontends) / avg(&bft.frontends));

@@ -7,7 +7,7 @@
 //! ```
 
 use hlf_wire::Bytes;
-use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
+use ordering_core::service::{OrderingService, ServiceOptions};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -21,14 +21,14 @@ fn main() {
     let mut frontend = service.frontend();
     println!("4-node ordering cluster up (f = 1, leader = node 0)");
 
-    let submit_wave = |frontend: &mut hlf_bft::ordering::Frontend, tag: u8, count: usize| {
+    let submit_wave = |frontend: &mut ordering_core::Frontend, tag: u8, count: usize| {
         for i in 0..count {
             let mut payload = vec![tag; 64];
             payload[1] = i as u8;
             frontend.submit(Bytes::from(payload));
         }
     };
-    let collect = |frontend: &mut hlf_bft::ordering::Frontend, expected: usize| -> (usize, u64) {
+    let collect = |frontend: &mut ordering_core::Frontend, expected: usize| -> (usize, u64) {
         let mut got = 0;
         let mut last_block = 0;
         let deadline = Instant::now() + Duration::from_secs(60);

@@ -11,13 +11,13 @@
 //! cargo run --release --example multi_channel_bank
 //! ```
 
-use hlf_bft::crypto::ecdsa::SigningKey;
-use hlf_bft::fabric::{EndorsementPolicy, FabricClient, KvChaincode, Peer, PeerConfig};
-use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
+use hlf_crypto::ecdsa::SigningKey;
+use hlf_fabric::{EndorsementPolicy, FabricClient, KvChaincode, Peer, PeerConfig};
+use ordering_core::service::{OrderingService, ServiceOptions};
 use std::collections::HashMap;
 use std::time::Duration;
 
-fn make_peers(channel: &str, count: usize, orderer_keys: Vec<hlf_bft::crypto::ecdsa::VerifyingKey>, client: &FabricClient) -> Vec<Peer> {
+fn make_peers(channel: &str, count: usize, orderer_keys: Vec<hlf_crypto::ecdsa::VerifyingKey>, client: &FabricClient) -> Vec<Peer> {
     let keys: Vec<SigningKey> = (0..count)
         .map(|i| SigningKey::from_seed(format!("{channel}-peer-{i}").as_bytes()))
         .collect();

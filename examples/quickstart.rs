@@ -6,7 +6,7 @@
 //! ```
 
 use hlf_wire::Bytes;
-use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
+use ordering_core::service::{OrderingService, ServiceOptions};
 use std::time::Duration;
 
 fn main() {

@@ -4,46 +4,27 @@
 //! for the Hyperledger Fabric Blockchain Platform"* (Sousa, Bessani,
 //! Vukolić — DSN 2018).
 //!
-//! This facade crate re-exports the workspace's public surface:
+//! The system lives in the workspace's member crates, which the tests
+//! and examples of this package name directly:
 //!
-//! * [`crypto`] — SHA-256 / HMAC / P-256 ECDSA built from scratch,
-//! * [`wire`] — the canonical binary wire format,
-//! * [`transport`] — authenticated point-to-point links: an in-process
+//! * `hlf_crypto` — SHA-256 / HMAC / P-256 ECDSA built from scratch,
+//! * `hlf_wire` — the canonical binary wire format,
+//! * `hlf_transport` — authenticated point-to-point links: an in-process
 //!   hub and kernel TCP sockets,
-//! * [`simnet`] — deterministic discrete-event WAN simulator, and the
+//! * `hlf_simnet` — deterministic discrete-event WAN simulator, and the
 //!   one fault injector (seeded loss, link cuts, crashes),
-//! * [`consensus`] — BFT-SMaRt's Mod-SMaRt protocol plus the WHEAT
+//! * `hlf_consensus` — BFT-SMaRt's Mod-SMaRt protocol plus the WHEAT
 //!   geo-replication optimizations (sans-io state machine),
-//! * [`smr`] — the state-machine-replication layer (clients, batching,
+//! * `hlf_smr` — the state-machine-replication layer (clients, batching,
 //!   checkpoints, state transfer, recovery),
-//! * [`fabric`] — a miniature Hyperledger-Fabric-style substrate
+//! * `hlf_fabric` — a miniature Hyperledger-Fabric-style substrate
 //!   (envelopes, blocks, ledger, validation, endorsement),
-//! * [`ordering`] — the paper's contribution: the BFT ordering service
+//! * `ordering_core` — the paper's contribution: the BFT ordering service
 //!   (blockcutter, signing pool, frontends).
+//!
+//! This crate exports nothing: a member crate's surface is what other
+//! packages name, and a facade re-exporting whole crates would keep every
+//! module public whether or not anything uses it.
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system
 //! inventory and `EXPERIMENTS.md` for paper-vs-measured results.
-
-// Panic, `unsafe` and stdout discipline of this library target (DESIGN.md
-// §7); an exception is an `#[expect(clippy::.., reason = "..")]`.
-#![warn(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::undocumented_unsafe_blocks,
-    clippy::print_stdout,
-    clippy::allow_attributes_without_reason
-)]
-
-pub use hlf_consensus as consensus;
-pub use hlf_crypto as crypto;
-pub use hlf_fabric as fabric;
-pub use hlf_simnet as simnet;
-pub use hlf_smr as smr;
-pub use hlf_transport as transport;
-pub use hlf_wire as wire;
-pub use ordering_core as ordering;

@@ -2,11 +2,11 @@
 //! driven through the deterministic cluster harness.
 
 use hlf_wire::Bytes;
-use hlf_bft::consensus::messages::{Batch, ConsensusMsg, Request, Vote, VotePhase};
-use hlf_bft::consensus::quorum::QuorumSystem;
-use hlf_bft::consensus::replica::{Action, Input};
-use hlf_bft::consensus::testing::{step, test_keys, Cluster};
-use hlf_bft::wire::{ClientId, NodeId};
+use hlf_consensus::messages::{Batch, ConsensusMsg, Request, Vote, VotePhase};
+use hlf_consensus::QuorumSystem;
+use hlf_consensus::{Action, Input};
+use hlf_consensus::testing::{step, test_keys, Cluster};
+use hlf_wire::{ClientId, NodeId};
 use std::collections::BTreeMap;
 
 fn req(client: u32, seq: u64) -> Request {
@@ -66,7 +66,7 @@ fn wheat_safety_under_random_schedules() {
         cluster.assert_prefix_consistent();
         // Tentative deliveries never contradict final commits.
         for i in 0..5 {
-            use hlf_bft::consensus::testing::Observed;
+            use hlf_consensus::testing::Observed;
             let events = cluster.observed(i);
             for event in events {
                 if let Observed::Tentative(cid, batch) = event {

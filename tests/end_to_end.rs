@@ -5,12 +5,12 @@
 //! of §5 in the middle.
 
 use hlf_wire::Bytes;
-use hlf_bft::crypto::ecdsa::{PinnedKey, SigningKey};
-use hlf_bft::fabric::{
+use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
+use hlf_fabric::{
     AssetChaincode, Envelope, EndorsementPolicy, KvChaincode, Peer, PeerConfig, Proposal,
     ProposalResponse, TxValidation,
 };
-use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
+use ordering_core::service::{OrderingService, ServiceOptions};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -109,7 +109,7 @@ fn fabric_transactions_flow_through_bft_ordering() {
 
     // Step 5: the frontend releases blocks of two envelopes each.
     let mut blocks = Vec::new();
-    while blocks.iter().map(|b: &hlf_bft::fabric::Block| b.envelopes.len()).sum::<usize>() < 4 {
+    while blocks.iter().map(|b: &hlf_fabric::Block| b.envelopes.len()).sum::<usize>() < 4 {
         let block = frontend
             .next_block(Duration::from_secs(20))
             .expect("block delivered");
@@ -184,7 +184,7 @@ fn stale_read_set_invalidated_at_commit() {
     frontend.submit_to_channel("ch1", filler.to_bytes());
 
     let mut blocks = Vec::new();
-    while blocks.iter().map(|b: &hlf_bft::fabric::Block| b.envelopes.len()).sum::<usize>() < 4 {
+    while blocks.iter().map(|b: &hlf_fabric::Block| b.envelopes.len()).sum::<usize>() < 4 {
         blocks.push(frontend.next_block(Duration::from_secs(20)).expect("block"));
     }
 

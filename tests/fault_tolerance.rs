@@ -4,7 +4,7 @@
 //! simulator (`core::sim`'s tests, `core::sim::node_core` among them).
 
 use hlf_wire::Bytes;
-use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
+use ordering_core::service::{OrderingService, ServiceOptions};
 use std::time::Duration;
 
 fn envelopes(count: usize, size: usize) -> Vec<Bytes> {
@@ -18,7 +18,7 @@ fn envelopes(count: usize, size: usize) -> Vec<Bytes> {
 }
 
 fn collect_envelopes(
-    frontend: &mut hlf_bft::ordering::Frontend,
+    frontend: &mut ordering_core::Frontend,
     expected: usize,
     timeout: Duration,
 ) -> Vec<Bytes> {
@@ -94,8 +94,9 @@ fn restarted_replica_catches_up_and_completes_the_quorum() {
     // about 140 decisions, more than two of the 64-decision checkpoint
     // periods, so the crashed replica can only come level by state
     // transfer. Its peers' votes are then beyond the 64 instances it
-    // buffers ahead, so it learns it is behind from the SYNC of a
-    // regency change: the short timeout keeps that change quick.
+    // buffers ahead; once f + 1 peers have sent such votes it starts
+    // the transfer itself. The short timeout keeps the regency changes
+    // after the second crash quick.
     let mut options = ServiceOptions::new(1)
         .with_block_size(2)
         .with_signing_threads(2)

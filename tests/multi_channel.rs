@@ -4,9 +4,9 @@
 //! single consensus instance stream.
 
 use hlf_wire::Bytes;
-use hlf_bft::fabric::block::SYSTEM_CHANNEL;
-use hlf_bft::ordering::channel::TAG_MAGIC;
-use hlf_bft::ordering::service::{OrderingService, ServiceOptions};
+use hlf_fabric::block::SYSTEM_CHANNEL;
+use ordering_core::TAG_MAGIC;
+use ordering_core::service::{OrderingService, ServiceOptions};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -32,7 +32,7 @@ fn channels_form_independent_chains() {
     }
 
     // Expect 2 blocks of 3 envelopes per channel.
-    let mut by_channel: HashMap<String, Vec<hlf_bft::fabric::Block>> = HashMap::new();
+    let mut by_channel: HashMap<String, Vec<hlf_fabric::Block>> = HashMap::new();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while by_channel.values().map(|v| v.len()).sum::<usize>() < 6 {
         assert!(std::time::Instant::now() < deadline, "blocks missing");
@@ -49,7 +49,7 @@ fn channels_form_independent_chains() {
         assert_eq!(blocks.len(), 2, "channel {channel}");
         // Each channel's chain starts at 1 and links internally.
         assert_eq!(blocks[0].header.number, 1);
-        assert_eq!(blocks[0].header.prev_hash, hlf_bft::crypto::sha256::Hash256::ZERO);
+        assert_eq!(blocks[0].header.prev_hash, hlf_crypto::sha256::Hash256::ZERO);
         assert_eq!(blocks[1].header.number, 2);
         assert_eq!(blocks[1].header.prev_hash, blocks[0].header.hash());
         // Envelopes stayed in their channel.
@@ -118,8 +118,8 @@ fn per_channel_delivery_api() {
 
 #[test]
 fn peers_reject_foreign_channel_blocks() {
-    use hlf_bft::crypto::ecdsa::SigningKey;
-    use hlf_bft::fabric::{LedgerError, Peer, PeerConfig};
+    use hlf_crypto::ecdsa::SigningKey;
+    use hlf_fabric::{LedgerError, Peer, PeerConfig};
 
     let mut service = OrderingService::start(
         4,

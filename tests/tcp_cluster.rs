@@ -13,7 +13,7 @@
 //! hands one to its admin endpoint): its ring must show the signing
 //! phase, which the multi-process assembly used to leave out.
 
-use hlf_obs::flight::EventKind;
+use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_smr::node::NodeHandle;
 use hlf_transport::{PeerId, TcpConfig, TcpNetwork};
