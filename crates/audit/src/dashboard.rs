@@ -1,43 +1,20 @@
-//! Live text cluster dashboard.
+//! Text cluster dashboard, drawn by `hlf_top`.
 //!
-//! Enabled with `HLF_DASH=1` (latched on first read, like `HLF_TRACE`),
-//! the dashboard redraws in place once per second of *virtual* run time
-//! and shows, per replica: the current regency, pipeline-window
+//! Shows, per replica: the current regency, pipeline-window
 //! occupancy, the decide frontier, and straggler suspicion — plus
-//! cluster-wide tx/s and p50/p99 decide-latency sparklines backed by
-//! [`hlf_obs::TimeSeries`] rings.
+//! cluster-wide tx/s and p50/p99 decide-latency sparklines over
+//! one-second buckets, backed by [`hlf_obs::TimeSeries`] rings.
 //!
 //! The renderer is deterministic and side-effect free
-//! ([`Dashboard::render`] returns a `String`); only
-//! [`Dashboard::draw_to_stderr`] touches a terminal, using the
-//! cursor-home + clear-to-end escape so successive frames overwrite
-//! each other instead of scrolling.
+//! ([`Dashboard::render`] returns a `String`); the caller decides
+//! where the frame goes.
 
 use crate::monitor::ClusterAuditor;
 use hlf_obs::EventKind;
 use hlf_obs::{FlightEvent, TimeSeries};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Sparkline window: last 30 one-second buckets.
 const SPARK_WINDOW: usize = 30;
-
-static DASH_ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// `true` when `HLF_DASH` is set to something other than `0`/empty.
-/// Latched on first call so the check is branch-predictable afterwards.
-pub fn dash_enabled() -> bool {
-    match DASH_ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("HLF_DASH")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false);
-            DASH_ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
 
 /// Per-second aggregation bucket.
 #[derive(Default)]
@@ -161,53 +138,6 @@ impl Dashboard {
         ));
         out
     }
-
-    /// Renders one *single-line* summary of the same frame, for
-    /// plain-log consumers: cluster time, violation count, per-node
-    /// `regency/window/frontier` triples, and the latest tx/s and
-    /// latency figures. No ANSI escapes, no newlines.
-    pub(crate) fn render_line(&self, auditor: &ClusterAuditor) -> String {
-        let mut out = format!(
-            "hlf-dash t={:.1}s violations={}",
-            self.now_us as f64 / 1e6,
-            auditor.violations().len()
-        );
-        for node in 0..self.n {
-            let (regency, frontier, window) = auditor.node_view(node).unwrap_or((0, 0, 0));
-            let straggler = if self.suspected.get(node).copied().unwrap_or(0) > 0 {
-                "!"
-            } else {
-                ""
-            };
-            out.push_str(&format!(" n{node}=r{regency}/w{window}/f{frontier}{straggler}"));
-        }
-        out.push_str(&format!(
-            " tx/s={:.0} p50={:.1}ms p99={:.1}ms",
-            self.tps.last().unwrap_or(0.0),
-            self.p50_ms.last().unwrap_or(0.0),
-            self.p99_ms.last().unwrap_or(0.0)
-        ));
-        out
-    }
-
-    /// Draws a frame: on a terminal, cursor home + clear-to-end so
-    /// frames overwrite in place; when stderr is piped (CI, `make`
-    /// logs), one plain `render_line`
-    /// summary per refresh instead, so `HLF_DASH=1` output stays
-    /// readable in captured logs.
-    pub fn draw_to_stderr(&self, auditor: &ClusterAuditor) {
-        use std::io::IsTerminal;
-        if std::io::stderr().is_terminal() {
-            eprint!("\x1b[H\x1b[J{}", self.render(auditor));
-        } else {
-            eprintln!("{}", self.render_line(auditor));
-        }
-    }
-
-    /// Virtual time of the newest event seen (µs).
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
 }
 
 #[cfg(test)]
@@ -250,23 +180,6 @@ mod tests {
         assert!(frame.contains('⚠'), "straggler marker missing: {frame}");
         aud.observe(0, &ev(1, EventKind::DecideHash, 0, 0xab, 0b0011));
         assert!(dash.render(&aud).contains("violations=1"));
-    }
-
-    #[test]
-    fn render_line_is_single_plain_line() {
-        let mut dash = Dashboard::new(4);
-        let aud = ClusterAuditor::new(4, 1);
-        dash.observe(0, &ev(2_500_000, EventKind::Decide, 0, 3, 9000));
-        dash.observe(1, &ev(2_500_000, EventKind::Suspect, 3, 0, 0));
-        let line = dash.render_line(&aud);
-        assert!(!line.contains('\n'), "multi-line: {line}");
-        assert!(!line.contains('\x1b'), "ANSI escape in plain line: {line}");
-        assert!(line.starts_with("hlf-dash t=2.5s violations=0"), "{line}");
-        for node in 0..4 {
-            assert!(line.contains(&format!(" n{node}=r")), "missing node {node}: {line}");
-        }
-        assert!(line.contains("n3=r0/w0/f0!"), "straggler mark missing: {line}");
-        assert!(line.contains("tx/s="), "{line}");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   (≥ 2f+1 distinct signers), and strictly monotonic decide release.
 //!   Breaches become structured [`AuditViolation`]s carrying a slice of
 //!   the recent merged timeline.
-//! - `dashboard` — a live in-place text dashboard (`HLF_DASH=1`,
-//!   1 Hz): per-replica regency / window occupancy / decide frontier /
+//! - `dashboard` — the text [`Dashboard`] `hlf_top` draws:
+//!   per-replica regency / window occupancy / decide frontier /
 //!   straggler suspicion, plus tx/s and p50/p99 sparklines over
 //!   [`hlf_obs::TimeSeries`] rings.
 //!
@@ -47,6 +47,6 @@ mod dashboard;
 mod monitor;
 mod timeline;
 
-pub use dashboard::{dash_enabled, Dashboard};
+pub use dashboard::Dashboard;
 pub use monitor::{AuditViolation, ClusterAuditor, ViolationKind};
-pub use timeline::reconstruct;
+pub use timeline::{reconstruct, CausalEvent};

@@ -2,15 +2,15 @@
 //!
 //! Attaches to the admin endpoints of running `hlf_node` replicas
 //! (`hlf_node --admin-listen ADDR`), scrapes each at `--interval-ms`
-//! (default 1 Hz), and renders the same per-replica dashboard the
-//! in-process simulator shows under `HLF_DASH=1` — regency, pipeline
-//! window, decide frontier, tx/s and p50/p99 sparklines — now across
-//! OS processes. Every scrape also drains each node's flight-recorder
-//! ring and feeds the events through `hlf-audit`'s `ClusterAuditor`,
-//! so cross-process safety invariants (agreement, certified-value
-//! preservation, monotonic decide release) are checked live; at exit a
-//! causally-ordered cluster timeline plus any violations are printed
-//! and violations fail the process.
+//! (default 1 Hz), and renders `hlf-audit`'s per-replica dashboard —
+//! regency, pipeline window, decide frontier, tx/s and p50/p99
+//! sparklines — across OS processes, redrawn in place on a terminal
+//! and as one frame per refresh when stderr is piped. Every scrape also
+//! drains each node's flight-recorder ring and feeds the events through
+//! `hlf-audit`'s `ClusterAuditor`, so cross-process safety invariants
+//! (agreement, certified-value preservation, monotonic decide release)
+//! are checked live; at exit a causally-ordered cluster timeline plus
+//! any violations are printed and violations fail the process.
 //!
 //! ```sh
 //! hlf_top --secret bench-net \
@@ -269,7 +269,13 @@ fn run_top(args: &TopArgs) {
             }
             break;
         }
-        dashboard.draw_to_stderr(&auditor);
+        let frame = dashboard.render(&auditor);
+        if std::io::IsTerminal::is_terminal(&std::io::stderr()) {
+            // Cursor home + clear to end: frames overwrite in place.
+            eprint!("\x1b[H\x1b[J{frame}");
+        } else {
+            eprint!("{frame}");
+        }
         if deadline.is_some_and(|at| Instant::now() >= at)
             || stop.load(std::sync::atomic::Ordering::Acquire)
         {

@@ -11,9 +11,9 @@ mod trace;
 
 pub use cluster::{
     await_links, drive, free_ports, node_options, stop_replicas, sum_counter, ClusterSpec, Driven,
-    Proc,
+    Proc, Replica,
 };
-pub use trace::merge_timelines;
+pub use trace::{merge_timelines, Timeline};
 
 use hlf_wire::Bytes;
 use hlf_consensus::messages::Batch;

@@ -405,8 +405,7 @@ pub struct Replica {
     /// the runtime when a registry exists; `None` costs nothing).
     obs: Option<ReplicaObs>,
     /// Optional flight recorder for distributed tracing; records
-    /// protocol events and auto-dumps on anomalies (regency change,
-    /// rollback). `None` costs nothing.
+    /// protocol events. `None` costs nothing.
     flight: Option<Arc<FlightRecorder>>,
     /// Per-peer vote-arrival EWMAs flagging slow replicas.
     health: StragglerDetector,
@@ -418,10 +417,10 @@ pub struct Replica {
     recent_proposed_at: VecDeque<(u64, u64)>,
     /// Replica clock when the frontier last advanced; a higher slot
     /// deciding while this sits still for a full timeout is a pipeline
-    /// stall (auto-dumped to the flight recorder once per stall).
+    /// stall (logged once per stall).
     frontier_since: u64,
-    /// Whether the current stall already dumped the flight ring.
-    stall_dumped: bool,
+    /// Whether the current stall has been logged.
+    stall_logged: bool,
 }
 
 impl std::fmt::Debug for Replica {
@@ -472,7 +471,7 @@ impl Replica {
             health_obs: None,
             recent_proposed_at: VecDeque::new(),
             frontier_since: 0,
-            stall_dumped: false,
+            stall_logged: false,
         }
     }
 
@@ -484,8 +483,7 @@ impl Replica {
     }
 
     /// Attaches a flight recorder: subsequent protocol steps record
-    /// trace events into it, and anomalies (regency change, tentative
-    /// rollback) snapshot the ring. Event timestamps use the replica's
+    /// trace events into it. Event timestamps use the replica's
     /// own `now_ms` clock (µs-scaled), so simulated runs stay
     /// deterministic.
     pub fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
@@ -707,24 +705,21 @@ impl Replica {
             return;
         }
         // Pipeline stall: a higher slot already decided while the
-        // frontier sat unresolved for a full timeout. Snapshot the
-        // flight ring once per stall so the blockage is diagnosable.
-        if !self.stall_dumped
+        // frontier sat unresolved for a full timeout. Logged once per
+        // stall so the blockage is diagnosable.
+        if !self.stall_logged
             && self.now_ms.saturating_sub(self.frontier_since) > self.timeout_ms
             && self
                 .insts
                 .range(self.next_cid + 1..)
                 .any(|(_, slot)| slot.decided.is_some())
         {
-            self.stall_dumped = true;
+            self.stall_logged = true;
             hlf_obs::info!(
                 "replica {} pipeline stalled at cid {} (higher slot decided)",
                 self.cfg.node.as_usize(),
                 self.next_cid
             );
-            if let Some(flight) = &self.flight {
-                flight.anomaly_at(self.now_ms * 1000, "pipeline_stall");
-            }
         }
         if let Some(t0) = self.oldest_pending_since {
             let age = self.now_ms.saturating_sub(t0);
@@ -767,7 +762,7 @@ impl Replica {
         }
         self.fetching_value = false;
         self.frontier_since = self.now_ms;
-        self.stall_dumped = false;
+        self.stall_logged = false;
         self.update_window_gauge();
         if let Some((regency, cid, batch, rebinds)) = self.pending_sync.take() {
             if regency == self.regency && cid == self.next_cid {
@@ -1486,7 +1481,7 @@ impl Replica {
         // Advance the frontier; higher slots stay live in the window.
         self.next_cid += 1;
         self.frontier_since = self.now_ms;
-        self.stall_dumped = false;
+        self.stall_logged = false;
         self.fetching_value = false;
         self.timeout_ms = self.cfg.request_timeout_ms;
         self.forwarded = false;
@@ -1554,11 +1549,6 @@ impl Replica {
             self.leader_of(regency).0 as u64,
             0,
         );
-        if let Some(flight) = &self.flight {
-            // A leader change is the canonical anomaly: snapshot the
-            // events that led up to it.
-            flight.anomaly_at(self.now_ms * 1000, "regency_change");
-        }
         hlf_obs::info!(
             "replica {} installs regency {} (leader {})",
             self.cfg.node.as_usize(),
@@ -1764,9 +1754,6 @@ impl Replica {
                 self.leader_of(regency).0 as u64,
                 1,
             );
-            if let Some(flight) = &self.flight {
-                flight.anomaly_at(self.now_ms * 1000, "regency_change");
-            }
             hlf_obs::info!(
                 "replica {} adopts regency {} from SYNC",
                 self.cfg.node.as_usize(),
@@ -1873,11 +1860,6 @@ impl Replica {
                 cid
             );
             actions.push(Action::Rollback { cid });
-        }
-        if !cids.is_empty() {
-            if let Some(flight) = &self.flight {
-                flight.anomaly_at(self.now_ms * 1000, "rollback");
-            }
         }
     }
 
@@ -2496,17 +2478,16 @@ mod tests {
         assert_eq!(snap.counter_value("consensus.replica.decided"), Some(5));
     }
 
-    /// Acceptance criterion: an induced regency change auto-dumps the
-    /// flight recorder, and the dump contains the protocol events that
-    /// led up to the change.
+    /// An induced regency change is recorded in the flight ring after
+    /// the protocol events that led up to it.
     #[test]
     fn flight_recorder_dumps_on_regency_change() {
         let mut replicas = make_replicas(4, 1);
         let flight = Arc::new(FlightRecorder::with_capacity("node-3", 256));
         replicas[3].attach_flight(Arc::clone(&flight));
 
-        // Normal traffic first so the ring holds pre-anomaly history:
-        // the leader's PROPOSE reaches replica 3.
+        // Normal traffic first so the ring holds history: the leader's
+        // PROPOSE reaches replica 3.
         let batch = Batch::new(vec![req(1)]);
         let propose = ConsensusMsg::Propose {
             cid: 1,
@@ -2522,24 +2503,14 @@ mod tests {
         step(&mut replicas[3], 20, stop(2));
         assert_eq!(replicas[3].regency(), 1);
 
-        let dumps = flight.take_dumps();
-        assert_eq!(dumps.len(), 1, "regency change must dump exactly once");
-        let dump = &dumps[0];
-        assert_eq!(dump.reason, "regency_change");
-        assert_eq!(dump.node, "node-3");
-        // The dump holds the history: the PROPOSE/WRITE activity before
-        // the change, and the change itself.
-        let kinds: Vec<EventKind> = dump.events.iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::Propose), "missing pre-anomaly propose");
-        assert!(kinds.contains(&EventKind::TxInBatch), "missing tx link event");
-        assert!(
-            kinds.contains(&EventKind::RegencyChange),
-            "missing the regency change itself"
-        );
-        // And it replays through the stable JSON codec byte-identically.
-        let json = dump.to_json();
-        let back = hlf_obs::FlightDump::from_json(&json).unwrap();
-        assert_eq!(back.to_json(), json);
+        // The ring holds the PROPOSE activity before the change, and
+        // the change itself, in that order.
+        let kinds: Vec<EventKind> = flight.events().iter().map(|e| e.kind).collect();
+        let position = |kind| kinds.iter().position(|k| *k == kind);
+        let propose = position(EventKind::Propose).expect("missing propose");
+        assert!(position(EventKind::TxInBatch).is_some(), "missing tx link event");
+        let change = position(EventKind::RegencyChange).expect("missing the regency change");
+        assert!(propose < change, "the propose must precede the change: {kinds:?}");
     }
 
     /// A persistently slow peer is flagged by the vote-arrival health

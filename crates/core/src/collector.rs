@@ -27,7 +27,7 @@ pub(crate) const VERIFY_CACHE_PER_SLOT: usize = 64;
 
 /// How the frontend decides a pushed block is trustworthy.
 #[derive(Clone, Debug)]
-pub enum DeliveryPolicy {
+pub(crate) enum DeliveryPolicy {
     /// Collect `2f + 1` byte-matching copies; no signature checks
     /// (the paper's default).
     MatchOnly,
@@ -71,7 +71,7 @@ pub struct FrontendConfig {
     /// back, so more copies are needed ([`copies_needed`]).
     pub tentative: bool,
     /// Trust policy for pushed blocks.
-    pub policy: DeliveryPolicy,
+    pub(crate) policy: DeliveryPolicy,
     /// Maximum block numbers collecting copies at once. Byzantine
     /// orderers can push copies for numbers that never complete; past
     /// this bound the least-recently-touched round is evicted.
@@ -185,7 +185,7 @@ impl Collecting {
 
 /// Frontend counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrontendStats {
+pub(crate) struct FrontendStats {
     /// Envelopes relayed to the cluster.
     pub submitted: u64,
     /// Blocks delivered in order.
@@ -215,8 +215,7 @@ pub(crate) struct BlockCollector {
     ready: BTreeMap<(String, u64), Block>,
     stats: FrontendStats,
     obs: Option<FrontendObs>,
-    /// Flight recorder for collection-phase events and eviction
-    /// anomaly dumps.
+    /// Flight recorder for collection-phase and eviction events.
     flight: Option<Arc<FlightRecorder>>,
     /// Monotonic counter stamping collection-round activity (LRU).
     touch: u64,
@@ -260,8 +259,8 @@ impl BlockCollector {
         self.obs = Some(FrontendObs::new(registry));
     }
 
-    /// Starts recording collection-phase flight events (and eviction
-    /// anomaly dumps) into `flight`.
+    /// Starts recording collection-phase and eviction flight events
+    /// into `flight`.
     pub(crate) fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
         self.flight = Some(flight);
     }
@@ -437,7 +436,6 @@ impl BlockCollector {
         }
         if let Some(flight) = &self.flight {
             flight.record(now_us, EventKind::CollectEvict, slot.1, 0, 0);
-            flight.anomaly_at(now_us, "collect_evict");
         }
     }
 

@@ -84,8 +84,8 @@ impl Frontend {
         self.collector.attach_obs(registry);
     }
 
-    /// Starts recording collection-phase flight events (and eviction
-    /// anomaly dumps) into `flight`.
+    /// Starts recording collection-phase and eviction flight events
+    /// into `flight`.
     pub fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
         self.collector.attach_flight(Arc::clone(&flight));
         self.flight = Some(flight);
@@ -97,7 +97,7 @@ impl Frontend {
     }
 
     /// Counters.
-    pub fn stats(&self) -> FrontendStats {
+    pub(crate) fn stats(&self) -> FrontendStats {
         self.collector.stats()
     }
 

@@ -73,9 +73,10 @@ pub mod service;
 mod signing;
 mod sim;
 
-pub use blockcutter::{BlockCutter, CutReason};
+pub use blockcutter::{BlockCutter, Cut, CutReason};
 pub use channel::{channel_payload, tag_envelope, untag_envelope, TAG_MAGIC};
+pub use collector::FrontendConfig;
 pub use frontend::Frontend;
 pub use service::{OrderingService, ServiceOptions};
 pub use signing::{SigningPool, SigningStats};
-pub use sim::{run_geo_experiment, FrontendLatency, GeoConfig, GeoResult, Protocol};
+pub use sim::{run_geo_experiment, AuditSummary, FrontendLatency, GeoConfig, GeoResult, Protocol};

@@ -27,7 +27,7 @@
 use crate::collector::BlockCollector;
 use crate::node::OrderingNodeApp;
 use crate::service::ServiceOptions;
-use hlf_audit::{dash_enabled, AuditViolation, ClusterAuditor, Dashboard};
+use hlf_audit::{AuditViolation, ClusterAuditor};
 use hlf_consensus::messages::Request;
 use hlf_fabric::block::Block;
 use hlf_obs::EventKind;
@@ -413,32 +413,25 @@ impl Actor<GeoMsg> for FrontendActor {
 }
 
 /// Passive in-sim auditor: on a virtual-time timer it drains every
-/// replica's flight ring into its [`ClusterAuditor`], and — when
-/// `HLF_DASH` is on — redraws the live dashboard once per virtual
-/// second. It never sends a message, so attaching it cannot perturb
-/// the simulated protocol run; the experiment reads its summary after
-/// the run.
+/// replica's flight ring into its [`ClusterAuditor`]. It never sends a
+/// message, so attaching it cannot perturb the simulated protocol run;
+/// the experiment reads its summary after the run.
 struct AuditorActor {
     auditor: ClusterAuditor,
-    dashboard: Dashboard,
     recorders: Vec<Arc<FlightRecorder>>,
     /// Per-replica [`FlightRecorder::events_since`] cursors.
     cursors: Vec<u64>,
     drain_every: SimTime,
-    draw: bool,
-    next_draw_us: u64,
 }
 
 impl AuditorActor {
-    /// Drains every replica ring incrementally into the auditor (and
-    /// the dashboard aggregates).
+    /// Drains every replica ring incrementally into the auditor.
     fn drain(&mut self) {
         for (node, (recorder, cursor)) in self.recorders.iter().zip(&mut self.cursors).enumerate() {
             let (head, events) = recorder.events_since(*cursor);
             *cursor = head;
             for event in &events {
                 self.auditor.observe(node, event);
-                self.dashboard.observe(node, event);
             }
         }
     }
@@ -453,10 +446,6 @@ impl Actor<GeoMsg> for AuditorActor {
 
     fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, GeoMsg>) {
         self.drain();
-        if self.draw && ctx.now().as_micros() >= self.next_draw_us {
-            self.dashboard.draw_to_stderr(&self.auditor);
-            self.next_draw_us = self.next_draw_us.saturating_add(1_000_000);
-        }
         ctx.set_timer(self.drain_every, TICK_TOKEN);
     }
 }
@@ -498,7 +487,7 @@ pub struct GeoConfig {
     /// cutter metrics) and return their snapshots in the result.
     pub collect_obs: bool,
     /// Record distributed-trace flight events on every replica and
-    /// frontend and return the per-node flight dumps in the result.
+    /// frontend and return each node's ring in the result.
     /// Event timestamps are virtual-time microseconds, so a traced run
     /// is still deterministic.
     pub trace: bool,
@@ -635,10 +624,9 @@ pub struct GeoResult {
     /// Per-replica obs snapshots (replica order), when
     /// [`GeoConfig::collect_obs`] was set.
     pub obs: Option<Vec<Snapshot>>,
-    /// Flight dumps from every replica (`geo-node-{i}`) then frontend
-    /// (`geo-frontend-{slot}`) recorder, when [`GeoConfig::trace`] was
-    /// set: any anomaly dumps that fired during the run, plus one final
-    /// `"run_end"` dump per recorder capturing its ring.
+    /// The ring of every replica (`geo-node-{i}`) then frontend
+    /// (`geo-frontend-{slot}`) recorder at run end, when
+    /// [`GeoConfig::trace`] was set.
     pub flights: Option<Vec<FlightDump>>,
     /// Online audit summary, when [`GeoConfig::audit`] was set.
     pub audit: Option<AuditSummary>,
@@ -749,7 +737,7 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     } else {
         Vec::new()
     };
-    // Rings sized so a full run's events survive to the end-of-run dump
+    // Rings sized so a full run's events survive to the end-of-run read
     // (replicas log ~10 events per consensus instance plus one per
     // transaction; frontends ~4 per transaction).
     let recording = config.trace || config.audit;
@@ -815,12 +803,9 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     if config.audit {
         sim.add_actor(Box::new(AuditorActor {
             auditor: ClusterAuditor::new(n, f),
-            dashboard: Dashboard::new(n),
             recorders: replica_flights.clone(),
             cursors: vec![0; n],
             drain_every: SimTime::from_millis(200),
-            draw: dash_enabled(),
-            next_draw_us: 1_000_000,
         }));
     }
 
@@ -854,20 +839,16 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
         None
     };
 
-    let flights = if config.trace {
-        let end_us = config
-            .duration
-            .saturating_add(SimTime::from_secs(10))
-            .as_micros();
-        let mut dumps = Vec::new();
-        for recorder in replica_flights.iter().chain(frontend_flights.iter()) {
-            recorder.anomaly_at(end_us, "run_end");
-            dumps.extend(recorder.take_dumps());
-        }
-        Some(dumps)
-    } else {
-        None
-    };
+    let flights = config.trace.then(|| {
+        replica_flights
+            .iter()
+            .chain(&frontend_flights)
+            .map(|recorder| FlightDump {
+                node: recorder.name().to_string(),
+                events: recorder.events(),
+            })
+            .collect()
+    });
 
     // Final catch-up drain: the timer fires every 200 ms, so the tail
     // of the run may not have been consumed yet.
@@ -1004,9 +985,8 @@ mod tests {
             assert_eq!(x.samples, y.samples);
         }
         let dumps = traced.flights.expect("trace requested");
-        // Four replicas + four frontends each dump their ring at run end.
+        // Four replicas + four frontends each return their ring.
         assert_eq!(dumps.len(), 8);
-        assert!(dumps.iter().all(|d| d.reason == "run_end"));
         let kinds: HashSet<EventKind> = dumps
             .iter()
             .flat_map(|d| d.events.iter().map(|e| e.kind))

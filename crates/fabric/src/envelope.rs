@@ -82,7 +82,7 @@ fn endorsement_digest(tx_id: &Hash256, rw_set: &RwSet, response: &Bytes) -> Hash
 
 /// An endorsing peer's signature over a simulation result (step 2).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Endorsement {
+pub(crate) struct Endorsement {
     /// Endorsing peer id.
     pub peer: u32,
     /// Signature over the endorsement digest.
@@ -114,16 +114,16 @@ impl Decode for Endorsement {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProposalResponse {
     /// Read/write sets from simulation.
-    pub rw_set: RwSet,
+    pub(crate) rw_set: RwSet,
     /// Chaincode response payload.
     pub response: Bytes,
     /// The endorsement signature.
-    pub endorsement: Endorsement,
+    pub(crate) endorsement: Endorsement,
 }
 
 impl ProposalResponse {
     /// Signs a simulation result as `peer`.
-    pub fn sign(
+    pub(crate) fn sign(
         peer: u32,
         key: &SigningKey,
         tx_id: &Hash256,
@@ -215,7 +215,7 @@ impl Envelope {
     ///
     /// The signature is taken as-is; use [`Envelope::assemble`] for the
     /// client-side path that signs the content.
-    pub fn new(
+    pub(crate) fn new(
         proposal: Proposal,
         rw_set: RwSet,
         response: Bytes,

@@ -68,7 +68,7 @@ impl VersionedKv {
     }
 
     /// Applies an rw-set's writes at `version`.
-    pub fn apply(&mut self, rw_set: &RwSet, version: Version) {
+    pub(crate) fn apply(&mut self, rw_set: &RwSet, version: Version) {
         for write in &rw_set.writes {
             match &write.value {
                 Some(value) => self.put(write.key.clone(), value.clone(), version),

@@ -92,9 +92,9 @@ mod peer;
 mod types;
 
 pub use block::{Block, BlockSignature, LedgerError};
-pub use client::FabricClient;
-pub use chaincode::{AssetChaincode, KvChaincode};
-pub use envelope::{Envelope, Proposal, ProposalResponse};
-pub use kvstore::{composite_key, VersionedKv};
-pub use peer::{EndorsementPolicy, Peer, PeerConfig};
+pub use client::{ClientError, FabricClient};
+pub use chaincode::{AssetChaincode, Chaincode, ChaincodeError, KvChaincode};
+pub use envelope::{AssemblyError, Envelope, Proposal, ProposalResponse};
+pub use kvstore::{composite_key, SimulationView, VersionedKv};
+pub use peer::{CommitEvent, EndorseError, EndorsementPolicy, Peer, PeerConfig};
 pub use types::{TxValidation, Version};

@@ -36,7 +36,7 @@ impl Decode for Version {
 
 /// A single read recorded during simulation: key and the version it had.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReadItem {
+pub(crate) struct ReadItem {
     /// Key read.
     pub key: String,
     /// Version observed at simulation time (`None` = key was absent).
@@ -65,7 +65,7 @@ impl Decode for ReadItem {
 
 /// A single write: key and new value (`None` deletes the key).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WriteItem {
+pub(crate) struct WriteItem {
     /// Key written.
     pub key: String,
     /// New value; `None` is a delete.
@@ -94,7 +94,7 @@ impl Decode for WriteItem {
 
 /// The read/write sets a chaincode simulation produced.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct RwSet {
+pub(crate) struct RwSet {
     /// Keys read, with observed versions.
     pub reads: Vec<ReadItem>,
     /// Keys written.
@@ -103,7 +103,7 @@ pub struct RwSet {
 
 impl RwSet {
     /// Canonical digest (what endorsers sign).
-    pub fn digest(&self) -> Hash256 {
+    pub(crate) fn digest(&self) -> Hash256 {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"hlfbft/rwset/v1");
         encode_seq(&self.reads, &mut bytes);

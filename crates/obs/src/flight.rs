@@ -1,4 +1,4 @@
-//! Lock-free ring-buffer flight recorder with anomaly dumps.
+//! Lock-free ring-buffer flight recorder.
 //!
 //! Every node keeps a bounded in-memory ring of the most recent
 //! protocol events ([`FlightEvent`]). Recording is wait-free and
@@ -6,21 +6,19 @@
 //! `fetch_add` and published with a per-slot seqlock, so the hot path
 //! (consensus steps, vote arrivals, block signing) pays a handful of
 //! atomic stores regardless of contention. The ring overwrites oldest
-//! entries; its purpose is not a complete log but the *recent past* —
-//! when something anomalous happens (regency change, tentative
-//! rollback, state transfer, collection-round eviction) the recorder
-//! snapshots the ring into a [`FlightDump`] so the events leading up
-//! to the anomaly survive for post-mortem analysis.
+//! entries; its purpose is not a complete log but the *recent past*.
+//! One reader, [`FlightRecorder::events_since`], drains it: the admin
+//! plane serves it to `hlf_top` by cursor, and the simulator reads each
+//! ring whole at run end.
 //!
-//! Dumps serialise to the same stable hand-rolled JSON dialect as
-//! [`crate::Snapshot`]: fixed key order, no whitespace, integers only —
-//! `to_json` → `from_json` → `to_json` is byte-identical, which
-//! merging per-node dumps offline relies on.
+//! A drained ring travels as a [`FlightDump`], in the same stable
+//! hand-rolled JSON dialect as [`crate::Snapshot`]: fixed key order, no
+//! whitespace, integers only — `to_json` → `from_json` → `to_json` is
+//! byte-identical.
 
 use crate::snapshot::json;
 use crate::snapshot::json_string;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// What happened. Stored in a slot as a `u64`; the name mapping is part
@@ -234,15 +232,11 @@ impl Slot {
     }
 }
 
-/// A ring-buffer snapshot taken when an anomaly fired.
+/// The events drained from one node's ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightDump {
     /// Recorder name (usually `node-N`).
     pub node: String,
-    /// Why the dump was taken (e.g. `regency_change`).
-    pub reason: String,
-    /// Microsecond timestamp of the dump on the node's clock.
-    pub at_us: u64,
     /// Ring contents, oldest first.
     pub events: Vec<FlightEvent>,
 }
@@ -254,9 +248,7 @@ impl FlightDump {
         let mut out = String::with_capacity(64 + self.events.len() * 64);
         out.push_str("{\"node\":");
         json_string(&mut out, &self.node);
-        out.push_str(",\"reason\":");
-        json_string(&mut out, &self.reason);
-        out.push_str(&format!(",\"at_us\":{},\"events\":[", self.at_us));
+        out.push_str(",\"events\":[");
         for (i, ev) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -277,24 +269,11 @@ impl FlightDump {
     /// Parses [`FlightDump::to_json`] output.
     pub fn from_json(input: &str) -> Result<FlightDump, String> {
         let value = json::parse(input)?;
-        Self::from_value(&value)
-    }
-
-    pub(crate) fn from_value(value: &json::Value) -> Result<FlightDump, String> {
         let node = value
             .get("node")
             .and_then(|v| v.as_str())
             .ok_or("missing node")?
             .to_string();
-        let reason = value
-            .get("reason")
-            .and_then(|v| v.as_str())
-            .ok_or("missing reason")?
-            .to_string();
-        let at_us = value
-            .get("at_us")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing at_us")?;
         let mut events = Vec::new();
         for ev in value
             .get("events")
@@ -312,51 +291,9 @@ impl FlightDump {
                 c: ev.get("c").and_then(|v| v.as_u64()).ok_or("missing c")?,
             });
         }
-        Ok(FlightDump {
-            node,
-            reason,
-            at_us,
-            events,
-        })
+        Ok(FlightDump { node, events })
     }
 }
-
-/// Serialises several dumps as `{"dumps":[...]}` — the on-disk format
-/// of a per-node dump file.
-pub fn dumps_to_json(dumps: &[FlightDump]) -> String {
-    let mut out = String::from("{\"dumps\":[");
-    for (i, dump) in dumps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&dump.to_json());
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Parses [`dumps_to_json`] output.
-pub fn dumps_from_json(input: &str) -> Result<Vec<FlightDump>, String> {
-    let value = json::parse(input)?;
-    value
-        .get("dumps")
-        .and_then(|v| v.as_array())
-        .ok_or("missing dumps")?
-        .iter()
-        .map(FlightDump::from_value)
-        .collect()
-}
-
-/// Maximum anomaly dumps retained per recorder; older dumps are kept
-/// (the first anomalies are usually the interesting ones) and later
-/// ones dropped, with a counter of how many were discarded.
-const MAX_DUMPS: usize = 32;
-
-/// Token-bucket refill interval for anomaly dumps: at most one dump per
-/// trigger reason per node in any such window. A trigger that can fire
-/// per decide (the pipeline-stall dump under sustained backpressure)
-/// would otherwise exhaust [`MAX_DUMPS`] with near-identical rings.
-const DUMP_INTERVAL_US: u64 = 5_000_000;
 
 /// Per-node lock-free flight recorder. See the module docs.
 pub struct FlightRecorder {
@@ -364,10 +301,6 @@ pub struct FlightRecorder {
     slots: Box<[Slot]>,
     head: AtomicU64,
     origin: Instant,
-    dumps: Mutex<Vec<FlightDump>>,
-    /// `(reason, last dump timestamp)` token bucket — reasons are few,
-    /// so a linear scan beats a map here.
-    dump_gate: Mutex<Vec<(String, u64)>>,
 }
 
 impl FlightRecorder {
@@ -390,8 +323,6 @@ impl FlightRecorder {
             slots: slots.into_boxed_slice(),
             head: AtomicU64::new(0),
             origin: Instant::now(),
-            dumps: Mutex::new(Vec::new()),
-            dump_gate: Mutex::new(Vec::new()),
         }
     }
 
@@ -450,47 +381,25 @@ impl FlightRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Snapshots the ring, oldest event first. Slots mid-write or
-    /// overwritten during the scan are skipped — the snapshot is a
-    /// consistent sample, not a barrier.
+    /// The whole ring, oldest event first: [`Self::events_since`]
+    /// from cursor `0`.
     pub fn events(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == SLOT_EMPTY || seq == SLOT_WRITING {
-                continue;
-            }
-            let at_us = slot.at_us.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            let c = slot.c.load(Ordering::Relaxed);
-            // Re-check: if the slot was reused mid-read the sequence
-            // moved and the fields above may be torn — drop it.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq {
-                continue;
-            }
-            let Some(kind) = EventKind::from_u64(kind) else {
-                continue;
-            };
-            out.push((seq, FlightEvent { at_us, kind, a, b, c }));
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, ev)| ev).collect()
+        self.events_since(0).1
     }
 
     /// Incremental drain for online consumers (the cluster auditor):
     /// returns every event recorded after `cursor` that still survives
     /// in the ring, oldest first, together with the new cursor to pass
     /// next time. Events overwritten between drains are silently lost —
-    /// size the ring for the drain interval. Start with cursor `0`.
+    /// size the ring for the drain interval. Start with cursor `0`. A
+    /// cursor past the head (it arrives from a remote reader) drains
+    /// nothing and returns the head.
     #[expect(clippy::indexing_slicing, reason = "the ring size is a power of two, so `(seq-1) & (len-1)` is always in bounds")]
     pub fn events_since(&self, cursor: u64) -> (u64, Vec<FlightEvent>) {
         let head = self.head.load(Ordering::Acquire);
         // Sequences are 1-based (`ticket + 1`); anything older than one
         // full ring ago has certainly been overwritten.
-        let start = cursor.max(head.saturating_sub(self.slots.len() as u64));
+        let start = cursor.min(head).max(head.saturating_sub(self.slots.len() as u64));
         let mut out = Vec::with_capacity((head - start) as usize);
         for seq in start + 1..=head {
             let slot = &self.slots[((seq - 1) as usize) & (self.slots.len() - 1)];
@@ -512,59 +421,6 @@ impl FlightRecorder {
             out.push(FlightEvent { at_us, kind, a, b, c });
         }
         (head, out)
-    }
-
-    /// Returns `true` if a dump for `reason` at `at_us` passes the
-    /// per-reason token bucket, consuming the token.
-    fn dump_admitted(&self, at_us: u64, reason: &str) -> bool {
-        let mut gate = self.dump_gate.lock().unwrap_or_else(|e| e.into_inner());
-        match gate.iter_mut().find(|(r, _)| r == reason) {
-            Some((_, last)) => {
-                if at_us < last.saturating_add(DUMP_INTERVAL_US) {
-                    return false;
-                }
-                *last = at_us;
-            }
-            None => gate.push((reason.to_string(), at_us)),
-        }
-        true
-    }
-
-    fn push_dump(&self, at_us: u64, reason: &str) {
-        if !self.dump_admitted(at_us, reason) {
-            return;
-        }
-        let dump = FlightDump {
-            node: self.name.clone(),
-            reason: reason.to_string(),
-            at_us,
-            events: self.events(),
-        };
-        let mut dumps = self.dumps.lock().unwrap_or_else(|e| e.into_inner());
-        if dumps.len() < MAX_DUMPS {
-            dumps.push(dump);
-        }
-    }
-
-    /// Snapshots the ring into an anomaly dump tagged `reason`. The
-    /// dump is retained in-process (up to `MAX_DUMPS`) until
-    /// collected with [`FlightRecorder::take_dumps`]. Rate-limited to
-    /// one dump per `reason` per `DUMP_INTERVAL_US`. Uses a
-    /// poison-proof lock so a panic elsewhere never loses dumps.
-    pub fn anomaly(&self, reason: &str) {
-        self.push_dump(self.now_us(), reason);
-    }
-
-    /// Like [`FlightRecorder::anomaly`] but with an explicit timestamp
-    /// (deterministic simulations). The same timestamp drives the
-    /// per-reason rate limit, so suppression is deterministic too.
-    pub fn anomaly_at(&self, at_us: u64, reason: &str) {
-        self.push_dump(at_us, reason);
-    }
-
-    /// Removes and returns all retained anomaly dumps.
-    pub fn take_dumps(&self) -> Vec<FlightDump> {
-        std::mem::take(&mut *self.dumps.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -613,46 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_captures_ring_and_is_taken_once() {
-        let rec = FlightRecorder::with_capacity("node-3", 8);
-        rec.record(1, EventKind::Propose, 5, 0, 2);
-        rec.record(2, EventKind::RegencyChange, 1, 1, 0);
-        rec.anomaly("regency_change");
-        let dumps = rec.take_dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].node, "node-3");
-        assert_eq!(dumps[0].reason, "regency_change");
-        assert_eq!(dumps[0].events.len(), 2);
-        assert_eq!(dumps[0].events[1].kind, EventKind::RegencyChange);
-        assert!(rec.take_dumps().is_empty());
-    }
-
-    #[test]
-    fn dump_retention_is_capped() {
-        let rec = FlightRecorder::with_capacity("node-0", 8);
-        // Space the timestamps past the rate-limit window so every
-        // dump is admitted and the retention cap is what bites.
-        for i in 0..(MAX_DUMPS + 5) as u64 {
-            rec.anomaly_at(i * 2 * DUMP_INTERVAL_US, "loop");
-        }
-        assert_eq!(rec.take_dumps().len(), MAX_DUMPS);
-    }
-
-    #[test]
-    fn dumps_are_rate_limited_per_reason() {
-        let rec = FlightRecorder::with_capacity("node-0", 8);
-        // Burst within one window: only the first dump per reason lands.
-        for i in 0..10u64 {
-            rec.anomaly_at(i * 1000, "pipeline_stall");
-        }
-        rec.anomaly_at(5000, "rollback"); // distinct reason, own bucket
-        assert_eq!(rec.take_dumps().len(), 2);
-        // A dump after the window reopens is admitted again.
-        rec.anomaly_at(DUMP_INTERVAL_US, "pipeline_stall");
-        assert_eq!(rec.take_dumps().len(), 1);
-    }
-
-    #[test]
     fn events_since_drains_incrementally() {
         let rec = FlightRecorder::with_capacity("node-0", 8);
         for i in 0..5u64 {
@@ -672,6 +488,9 @@ mod tests {
         assert_eq!(cursor, 6);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::Decide);
+        // A cursor past the head (a remote reader's, from before the
+        // node restarted) drains nothing and resynchronises to the head.
+        assert_eq!(rec.events_since(100), (6, Vec::new()));
     }
 
     #[test]
@@ -694,8 +513,6 @@ mod tests {
     fn dump_json_roundtrip_is_byte_identical() {
         let dump = FlightDump {
             node: "node-1".into(),
-            reason: "rollback".into(),
-            at_us: 123_456,
             events: vec![
                 FlightEvent {
                     at_us: 1,
@@ -717,20 +534,6 @@ mod tests {
         let parsed = FlightDump::from_json(&json).unwrap();
         assert_eq!(parsed, dump);
         assert_eq!(parsed.to_json(), json);
-    }
-
-    #[test]
-    fn dumps_many_roundtrip() {
-        let rec = FlightRecorder::with_capacity("node-2", 8);
-        rec.record(5, EventKind::StateTransfer, 17, 0, 0);
-        rec.anomaly("state_transfer");
-        rec.record(9, EventKind::CollectEvict, 3, 1, 0);
-        rec.anomaly("collect_evict");
-        let dumps = rec.take_dumps();
-        let json = dumps_to_json(&dumps);
-        let parsed = dumps_from_json(&json).unwrap();
-        assert_eq!(parsed, dumps);
-        assert_eq!(dumps_to_json(&parsed), json);
     }
 
     #[test]
@@ -772,29 +575,10 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_dumps_survive_a_poisoned_panic() {
-        // A panic while recording elsewhere must not lose dumps: the
-        // dump list lock recovers from poisoning.
-        let rec = Arc::new(FlightRecorder::with_capacity("node-0", 8));
-        rec.record(1, EventKind::Propose, 1, 0, 0);
-        let rec2 = Arc::clone(&rec);
-        let _ = std::thread::spawn(move || {
-            let _guard = rec2.dumps.lock().unwrap();
-            panic!("induced");
-        })
-        .join();
-        rec.anomaly("after_poison");
-        let dumps = rec.take_dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].reason, "after_poison");
-        assert_eq!(dumps[0].events.len(), 1);
-    }
-
-    #[test]
     fn ring_tail_survives_unwind() {
-        // Events written before a panic stay in the ring: a later
-        // anomaly dump still sees the lead-up, nothing is rolled back
-        // by scope unwind.
+        // Events written before a panic stay in the ring: a later read
+        // still sees the lead-up, nothing is rolled back by scope
+        // unwind.
         let rec = Arc::new(FlightRecorder::with_capacity("node-0", 16));
         let rec2 = Arc::clone(&rec);
         let result = std::panic::catch_unwind(move || {
@@ -803,11 +587,9 @@ mod tests {
             panic!("mid-flight");
         });
         assert!(result.is_err());
-        rec.anomaly_at(3, "post_panic");
-        let dumps = rec.take_dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].events.len(), 2);
-        assert_eq!(dumps[0].events[0].kind, EventKind::Submit);
-        assert_eq!(dumps[0].events[1].kind, EventKind::Deliver);
+        let events = rec.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].kind, EventKind::Submit);
+        assert_eq!(events[1].kind, EventKind::Deliver);
     }
 }

@@ -14,15 +14,15 @@
 //!   ([`Snapshot::to_json`] / [`Snapshot::from_json`]).
 //! - [`log!`] and friends — leveled stderr logging, off by default,
 //!   gated by the `HLF_LOG` environment variable.
-//! - [`TraceContext`] — compact per-transaction trace identity carried
-//!   inside wire messages, gated by `HLF_TRACE` ([`trace_enabled`]).
 //! - [`FlightRecorder`] — per-node lock-free ring buffer of recent
-//!   protocol events that auto-dumps stable JSON ([`FlightDump`]) on
-//!   anomalies (regency change, rollback, state transfer, eviction).
+//!   protocol events, drained by one cursor reader
+//!   ([`FlightRecorder::events_since`]) into stable JSON
+//!   ([`FlightDump`]); [`trace_id`] names one transaction's events
+//!   across nodes.
 //! - [`StragglerDetector`] — per-peer vote-arrival EWMAs flagging slow
 //!   replicas relative to the median peer.
 //! - [`TimeSeries`] — windowed sample ring with sparkline rendering for
-//!   live dashboards (`HLF_DASH`).
+//!   `hlf_top`'s dashboard.
 //! - [`delta_since`] / [`ScrapeSession`] — delta snapshots and scrape
 //!   cursors, so remote 1 Hz scrapes ship changes instead of the world.
 //! - [`to_prometheus`] — Prometheus text exposition over snapshots,
@@ -78,15 +78,13 @@ mod timeseries;
 mod trace;
 
 pub use delta::{delta_since, ScrapeSession};
-pub use flight::{
-    dumps_from_json, dumps_to_json, EventKind, FlightDump, FlightEvent, FlightRecorder,
-};
+pub use flight::{EventKind, FlightDump, FlightEvent, FlightRecorder};
 pub use prometheus::to_prometheus;
-pub use health::StragglerDetector;
+pub use health::{StragglerDetector, SuspicionEvent};
 pub use histogram::{bucket_index, bucket_lower, bucket_upper, Histogram, NUM_BUCKETS};
 pub use logging::Level;
 pub use metrics::{Counter, Gauge};
 pub use registry::{Metric, Registry};
 pub use snapshot::{HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot};
 pub use timeseries::TimeSeries;
-pub use trace::{trace_enabled, trace_id, TraceContext};
+pub use trace::trace_id;

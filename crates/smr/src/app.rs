@@ -15,7 +15,7 @@ use hlf_wire::ClientId;
 /// the ordering service installs a *custom replier* that pushes every
 /// generated block to all connected frontends (paper §5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dest {
+pub(crate) enum Dest {
     /// One specific client.
     Client(ClientId),
     /// Every currently connected client (custom-replier broadcast).
@@ -26,12 +26,12 @@ pub enum Dest {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Outbound {
     /// Delivery target.
-    pub dest: Dest,
+    pub(crate) dest: Dest,
     /// The request sequence number this answers (0 for unsolicited
     /// pushes such as blocks).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Payload bytes.
-    pub payload: Bytes,
+    pub(crate) payload: Bytes,
 }
 
 impl Outbound {

@@ -11,7 +11,8 @@
 //!
 //! A request never crosses the transport alone if others are waiting
 //! with it. [`ServiceProxy::invoke_async`] appends to a private window;
-//! the window is encoded once, as one [`SmrMsg::Requests`] frame, and
+//! the window is encoded once, as one [`SmrMsg::Requests`] frame (the
+//! message and nothing after it), and
 //! sent to every replica when it holds 64 requests or 64 KiB of
 //! payload, **before the proxy would wait**
 //! ([`ServiceProxy::next_push`] about to block, [`ServiceProxy::try_push`]
@@ -23,10 +24,10 @@
 //! `flush` when the requests must leave.
 
 use crate::obs::ProxyObs;
-use crate::wire::{Framed, SmrMsg};
+use crate::wire::SmrMsg;
 use hlf_wire::Bytes;
 use hlf_consensus::messages::Request;
-use hlf_obs::{Registry, TraceContext};
+use hlf_obs::Registry;
 use hlf_transport::{Endpoint, Network, PeerId, TransportError};
 use hlf_wire::{from_bytes_shared, to_bytes, ClientId, NodeId};
 use std::collections::HashMap;
@@ -131,8 +132,6 @@ pub struct ServiceProxy {
     /// Push messages received while waiting for replies.
     pushes: VecDeque<Push>,
     obs: Option<ProxyObs>,
-    /// Time base for trace-context origin timestamps.
-    origin: Instant,
 }
 
 impl fmt::Debug for ServiceProxy {
@@ -164,7 +163,6 @@ impl ServiceProxy {
             window_bytes: 0,
             pushes: VecDeque::new(),
             obs: None,
-            origin: Instant::now(),
         }
     }
 
@@ -197,24 +195,11 @@ impl ServiceProxy {
 
     /// Sends `requests` (one window, or one synchronous request and its
     /// retransmissions) to every replica as one frame, encoded once.
-    /// When `HLF_TRACE` is on, the frame carries one trace context as a
-    /// trailing wire field, which marks every request in it as traced
-    /// (replicas derive each id from `(client, seq)`); otherwise the
-    /// encoding is byte-identical to the traceless format, so traceless
-    /// replicas interoperate.
     fn transmit(&self, requests: Vec<Request>) {
-        let Some(last) = requests.last() else {
+        if requests.is_empty() {
             return;
-        };
-        let trace = hlf_obs::trace_enabled().then(|| {
-            let origin_us = self.origin.elapsed().as_micros() as u64;
-            TraceContext::for_request(self.config.id.0, last.seq, origin_us)
-        });
-        let framed = Framed {
-            msg: SmrMsg::Requests(requests),
-            trace,
-        };
-        let bytes = Bytes::from(to_bytes(&framed));
+        }
+        let bytes = Bytes::from(to_bytes(&SmrMsg::Requests(requests)));
         for replica in 0..self.config.n {
             let _ = self
                 .endpoint

@@ -46,9 +46,7 @@ pub struct NodeConfig {
     /// health ([`HealthObs`]) metrics to it.
     pub registry: Option<Arc<Registry>>,
     /// Flight recorder for this node; when set, consensus-phase and
-    /// state-transfer events are recorded into its ring, and protocol
-    /// anomalies (regency change, rollback, state transfer) snapshot the
-    /// ring as [`hlf_obs::FlightDump`]s.
+    /// state-transfer events are recorded into its ring.
     pub flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -516,7 +514,6 @@ impl NodeCore {
         );
         if let Some(flight) = &self.flight {
             flight.record(now_us, EventKind::StateTransfer, target_cid, 0, 0);
-            flight.anomaly_at(now_us, "state_transfer");
         }
         self.transfer = Some(Transfer {
             target_cid,

@@ -59,9 +59,9 @@ mod storage;
 mod wire;
 
 pub use app::{Application, CounterApp, Outbound};
-pub use client::{ProxyConfig, Push, ServiceProxy};
+pub use client::{InvokeError, ProxyConfig, Push, ServiceProxy};
 pub use core::{Input, NodeCore, Output};
 pub use node::{spawn_replica, NodeConfig, NodeHandle, NodeStats, PushHandle};
 pub use runtime::{ClusterKeys, ClusterRuntime, RuntimeOptions};
 pub use storage::{FileLog, LogStore, MemoryLog};
-pub use wire::{Framed, LogEntry, SmrMsg};
+pub use wire::{LogEntry, SmrMsg};

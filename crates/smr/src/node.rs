@@ -6,9 +6,8 @@
 use crate::app::Application;
 use crate::core::{Input, NodeCore, Output};
 use crate::storage::LogStore;
-use crate::wire::{Framed, SmrMsg};
-use hlf_obs::EventKind;
-use hlf_obs::{FlightRecorder, Registry};
+use crate::wire::SmrMsg;
+use hlf_obs::Registry;
 use hlf_transport::{Endpoint, PeerId, SenderHandle};
 use hlf_wire::{from_bytes_shared, to_pooled_bytes, BufferPool, Bytes, ClientId, NodeId};
 use std::collections::HashSet;
@@ -175,7 +174,6 @@ pub fn spawn_replica(
         n: config.consensus.quorums.n() as u32,
         endpoint,
         clients,
-        flight: config.flight,
         tick_interval: config.tick_interval,
         started: Instant::now(),
         out: Vec::new(),
@@ -204,7 +202,6 @@ struct NodeWorker {
     n: u32,
     endpoint: Endpoint,
     clients: ClientSet,
-    flight: Option<Arc<FlightRecorder>>,
     tick_interval: Duration,
     started: Instant,
     /// Reused across steps, so a step allocates no output buffer.
@@ -235,27 +232,10 @@ impl NodeWorker {
     fn on_transport(&mut self, from: PeerId, payload: &Bytes) {
         // Decode as views into the transport buffer: the request/reply
         // payload inside becomes a refcounted slice, not a fresh copy.
-        // `Framed` accepts both bare (traceless-peer) frames and frames
-        // carrying a trailing trace context.
-        let Ok(Framed { msg, trace }) = from_bytes_shared::<Framed>(payload) else {
+        let Ok(msg) = from_bytes_shared::<SmrMsg>(payload) else {
             return;
         };
-        let now_us = self.now_us();
-        if let (Some(flight), Some(_), PeerId::Client(id), SmrMsg::Requests(requests)) =
-            (&self.flight, trace, from, &msg)
-        {
-            // Arrival of a traced window at this replica: the frame's one
-            // trace context marks every request in it as traced, and each
-            // request's trace id follows from `(client, seq)`. A window
-            // the core will drop (foreign client id) records nothing.
-            if requests.iter().all(|request| request.client == ClientId(id)) {
-                for request in requests {
-                    let trace = hlf_obs::trace_id(id, request.seq);
-                    flight.record(now_us, EventKind::Submit, trace, id as u64, request.seq);
-                }
-            }
-        }
-        self.core.step(now_us, Input::Frame(from, msg), &mut self.out);
+        self.core.step(self.now_us(), Input::Frame(from, msg), &mut self.out);
         self.flush();
     }
 

@@ -2,12 +2,8 @@
 //! replies/pushes, consensus traffic, and state transfer.
 
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request};
-use hlf_obs::TraceContext;
 use hlf_wire::Bytes;
-use hlf_wire::{
-    decode_seq, decode_trailing_trace, encode_seq, encode_trailing_trace, seq_encoded_len,
-    trailing_trace_len, Decode, Encode, Reader, WireError,
-};
+use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 
 /// One recoverable log entry served during state transfer.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,65 +142,6 @@ impl Decode for SmrMsg {
     }
 }
 
-/// An [`SmrMsg`] plus an optional distributed-tracing context, as it
-/// actually crosses the transport.
-///
-/// The trace rides as a *trailing optional* field (`hlf_wire::trace`):
-/// `trace: None` encodes byte-identically to the bare [`SmrMsg`] — the
-/// canonical pre-trace wire format — so signatures, digests, and peers
-/// built without tracing support are all unaffected. A traced frame
-/// appends 17 bytes after the message. Decoding accepts both forms, so
-/// a tracing node interoperates with traceless peers in either
-/// direction as long as it only *sends* traces when `HLF_TRACE` is on.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Framed {
-    /// The protocol message.
-    pub msg: SmrMsg,
-    /// Optional trace context for the transaction this frame advances.
-    pub trace: Option<TraceContext>,
-}
-
-impl Framed {
-    /// Wraps a message with no trace — the canonical form.
-    pub fn bare(msg: SmrMsg) -> Framed {
-        Framed { msg, trace: None }
-    }
-
-    /// Wraps a message with a trace context.
-    pub fn traced(msg: SmrMsg, trace: TraceContext) -> Framed {
-        Framed {
-            msg,
-            trace: Some(trace),
-        }
-    }
-}
-
-impl From<SmrMsg> for Framed {
-    fn from(msg: SmrMsg) -> Framed {
-        Framed::bare(msg)
-    }
-}
-
-impl Encode for Framed {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.msg.encode(out);
-        encode_trailing_trace(&self.trace, out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.msg.encoded_len() + trailing_trace_len(&self.trace)
-    }
-}
-
-impl Decode for Framed {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Framed {
-            msg: SmrMsg::decode(r)?,
-            trace: decode_trailing_trace(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +202,12 @@ mod tests {
     fn garbage_rejected() {
         assert!(from_bytes::<SmrMsg>(&[42, 0, 0]).is_err());
         assert!(from_bytes::<SmrMsg>(&[]).is_err());
+        // A frame is exactly one message: any byte after it is an error.
+        for msg in sample_messages() {
+            let mut bytes = to_bytes(&msg);
+            bytes.push(0x00);
+            assert_eq!(from_bytes::<SmrMsg>(&bytes), Err(WireError::TrailingBytes(1)));
+        }
     }
 
     fn sample_messages() -> Vec<SmrMsg> {
@@ -284,60 +227,5 @@ mod tests {
             SmrMsg::StateRequest { from_cid: 4 },
             SmrMsg::Subscribe,
         ]
-    }
-
-    /// Mixed-version compatibility, direction 1: frames from a peer
-    /// built *before* tracing existed (bare `SmrMsg` bytes) decode as
-    /// `Framed` with no trace.
-    #[test]
-    fn traceless_peer_bytes_decode_as_framed() {
-        for msg in sample_messages() {
-            let old_bytes = to_bytes(&msg);
-            let framed = from_bytes::<Framed>(&old_bytes).unwrap();
-            assert_eq!(framed.msg, msg);
-            assert_eq!(framed.trace, None);
-        }
-    }
-
-    /// Mixed-version compatibility, direction 2: an untraced frame from
-    /// a tracing-capable node is byte-identical to the old format, so
-    /// traceless peers decode it unchanged.
-    #[test]
-    fn untraced_framed_encoding_matches_old_format() {
-        for msg in sample_messages() {
-            let framed = Framed::bare(msg.clone());
-            let new_bytes = to_bytes(&framed);
-            assert_eq!(new_bytes, to_bytes(&msg), "canonical encoding changed");
-            assert_eq!(framed.encoded_len(), msg.encoded_len());
-            assert_eq!(from_bytes::<SmrMsg>(&new_bytes).unwrap(), msg);
-        }
-    }
-
-    /// Traced frames round-trip through the new codec, and the old
-    /// codec rejects them loudly (trailing bytes) rather than
-    /// misparsing them.
-    #[test]
-    fn traced_framed_roundtrips_and_old_decoder_rejects() {
-        let ctx = TraceContext::new(0xdead_beef, 1_000_000);
-        for msg in sample_messages() {
-            let framed = Framed::traced(msg.clone(), ctx);
-            let bytes = to_bytes(&framed);
-            assert_eq!(bytes.len(), framed.encoded_len());
-            let back = from_bytes::<Framed>(&bytes).unwrap();
-            assert_eq!(back, framed);
-            assert_eq!(
-                from_bytes::<SmrMsg>(&bytes),
-                Err(WireError::TrailingBytes(hlf_wire::TRACE_WIRE_LEN))
-            );
-        }
-    }
-
-    /// A corrupt trailer (junk after the message that is not a trace
-    /// marker) is an error, not a silently dropped trace.
-    #[test]
-    fn corrupt_trailer_rejected() {
-        let mut bytes = to_bytes(&SmrMsg::Subscribe);
-        bytes.push(0x00);
-        assert!(from_bytes::<Framed>(&bytes).is_err());
     }
 }

@@ -1,23 +1,22 @@
 //! Cross-backend wire compatibility.
 //!
 //! A TCP link must carry, for every frame, exactly
-//! `[u32-le length][Authenticator::seal_with(session, framed)]` where
-//! `framed` is the byte-identical output of the in-process `Framed`
-//! codec — HMAC seal and the optional 17-byte trace trailer included.
-//! This test plays the accepting side of the socket protocol with
-//! nothing but the public `Authenticator` API, captures the raw wire
-//! bytes a real `TcpNetwork` sender produces, and checks that
+//! `[u32-le length][Authenticator::seal_with(session, frame)]` where
+//! `frame` is the byte-identical `to_bytes(&SmrMsg)` output the sender
+//! was handed. This test plays the accepting side of the socket
+//! protocol with nothing but the public `Authenticator` API, captures
+//! the raw wire bytes a real `TcpNetwork` sender produces, and checks
+//! that
 //!
-//! 1. the opened payloads are byte-for-byte the `to_bytes(&Framed)`
-//!    encodings the sender was handed (bare *and* traced forms), and
-//! 2. those captured payloads decode through the ordinary
-//!    `hlf_smr::wire` reader paths, trailer handling included, and
+//! 1. the opened payload is byte-for-byte the `SmrMsg` encoding the
+//!    sender was handed, and
+//! 2. the captured payload decodes through the ordinary `SmrMsg`
+//!    reader, and
 //! 3. an in-process hub endpoint hands the receiver the very same
 //!    bytes, so the two backends are interchangeable above the
 //!    `Endpoint` API.
 
-use hlf_obs::TraceContext;
-use hlf_smr::{Framed, SmrMsg};
+use hlf_smr::SmrMsg;
 use hlf_consensus::messages::Request;
 use hlf_transport::{Authenticator, Network, PeerId};
 use hlf_transport::{TcpConfig, TcpNetwork};
@@ -78,19 +77,9 @@ fn read_frame(stream: &mut std::net::TcpStream, session: &Authenticator) -> Byte
 
 #[test]
 fn tcp_frames_carry_byte_identical_framed_codec_output() {
-    // The reference encodings: one bare frame and one with the
-    // 17-byte trace trailer appended.
+    // The reference encoding: one client request window.
     let request = Request::new(ClientId(9), 1, Bytes::from(vec![0xAB; 64]));
-    let bare = to_bytes(&Framed::bare(SmrMsg::Requests(vec![request.clone()])));
-    let traced = to_bytes(&Framed::traced(
-        SmrMsg::Requests(vec![request]),
-        TraceContext::for_request(9, 1, 123),
-    ));
-    assert_eq!(
-        traced.len(),
-        bare.len() + 17,
-        "trace trailer must be exactly 17 trailing bytes"
-    );
+    let frame = to_bytes(&SmrMsg::Requests(vec![request]));
 
     // A raw listener plays replica 0; a real TcpNetwork plays client 9.
     let listener = TcpListener::bind("127.0.0.1:0").expect("listener");
@@ -102,26 +91,16 @@ fn tcp_frames_carry_byte_identical_framed_codec_output() {
     )
     .expect("bind sender");
     let endpoint = network.endpoint();
-    endpoint.send(me, Bytes::from(bare.clone())).expect("send bare");
-    endpoint
-        .send(me, Bytes::from(traced.clone()))
-        .expect("send traced");
+    endpoint.send(me, Bytes::from(frame.clone())).expect("send");
 
     let (session, mut stream) = accept_handshake(&listener, me, sender_id);
-    let captured_bare = read_frame(&mut stream, &session);
-    let captured_traced = read_frame(&mut stream, &session);
+    let captured = read_frame(&mut stream, &session);
 
     // 1. Byte identity with the in-process codec output.
-    assert_eq!(captured_bare.as_ref(), &bare[..], "bare frame bytes");
-    assert_eq!(captured_traced.as_ref(), &traced[..], "traced frame bytes");
+    assert_eq!(captured.as_ref(), &frame[..], "frame bytes");
 
-    // 2. The captured bytes decode through the existing reader paths.
-    let decoded = from_bytes::<Framed>(&captured_bare).expect("decode bare");
-    assert!(decoded.trace.is_none(), "bare frame has no trailer");
-    let decoded = from_bytes::<Framed>(&captured_traced).expect("decode traced");
-    let trace = decoded.trace.expect("traced frame keeps its trailer");
-    assert_eq!(trace.origin_us, 123);
-    match decoded.msg {
+    // 2. The captured bytes decode through the ordinary reader.
+    match from_bytes::<SmrMsg>(&captured).expect("decode") {
         SmrMsg::Requests(requests) => {
             assert_eq!(requests.len(), 1);
             assert_eq!(requests[0].client, ClientId(9));
@@ -134,12 +113,12 @@ fn tcp_frames_carry_byte_identical_framed_codec_output() {
     let hub = Network::new();
     let hub_sender = hub.join(sender_id);
     let hub_receiver = hub.join(me);
-    hub_sender.send(me, Bytes::from(traced.clone())).expect("hub send");
+    hub_sender.send(me, Bytes::from(frame)).expect("hub send");
     let (from, raw) = hub_receiver
         .recv_timeout(Duration::from_secs(5))
         .expect("hub delivery");
     assert_eq!(from, sender_id);
-    assert_eq!(raw, captured_traced, "hub and TCP payloads must match");
+    assert_eq!(raw, captured, "hub and TCP payloads must match");
 
     network.shutdown();
 }

@@ -323,8 +323,6 @@ fn build_response(
                         new_cursor,
                         FlightDump {
                             node: flight.name().to_string(),
-                            reason: "admin-scrape".to_string(),
-                            at_us: flight.now_us(),
                             events,
                         },
                     )
@@ -333,8 +331,6 @@ fn build_response(
                     cursor,
                     FlightDump {
                         node: String::new(),
-                        reason: "no-flight-recorder".to_string(),
-                        at_us: 0,
                         events: Vec::new(),
                     },
                 ),

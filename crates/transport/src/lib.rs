@@ -54,9 +54,9 @@ mod hub;
 mod session;
 mod tcp;
 
-pub use admin::{AdminClient, AdminServer, AdminSources, HealthReport};
+pub use admin::{AdminClient, AdminServer, AdminSources, DeltaReply, HealthReport};
 pub use hub::Network;
-pub use tcp::{TcpConfig, TcpNetwork};
+pub use tcp::{NetStats, TcpConfig, TcpNetwork};
 
 use hlf_crypto::hmac::hmac_sha256_multi;
 use hlf_obs::EventKind;
@@ -223,8 +223,8 @@ pub struct Endpoint {
     backend: Backend,
     incoming: Receiver<(PeerId, Bytes)>,
     /// Optional flight recorder: every received frame is logged as an
-    /// [`EventKind::Frame`] event so anomaly dumps show the message
-    /// arrivals leading up to the anomaly. `None` costs nothing.
+    /// [`EventKind::Frame`] event, so the ring shows the message
+    /// arrivals around any other event. `None` costs nothing.
     flight: Option<Arc<FlightRecorder>>,
 }
 

@@ -39,8 +39,7 @@
 //!
 //! `tag || payload` is exactly [`Authenticator::seal_with`] output under
 //! the session key, and `payload` is exactly the bytes the in-process hub
-//! would deliver — the [`Framed`](../../hlf_smr) codec output,
-//! optional 17-byte trace trailer included. Strip the length prefix
+//! would deliver — one encoded `hlf_smr::SmrMsg`. Strip the length prefix
 //! and the seal and the existing `Reader` paths decode socket bytes
 //! unchanged (the cross-backend codec test in `hlf-smr` captures
 //! socket bytes and proves it).

@@ -59,11 +59,9 @@
 
 mod bytes;
 mod ids;
-mod trace;
 
-pub use bytes::{BufferPool, Bytes};
+pub use bytes::{BufferPool, Bytes, PoolStats};
 pub use ids::{ClientId, NodeId};
-pub use trace::{decode_trailing_trace, encode_trailing_trace, trailing_trace_len, TRACE_WIRE_LEN};
 
 use hlf_crypto::ecdsa::Signature;
 use hlf_crypto::sha256::Hash256;
