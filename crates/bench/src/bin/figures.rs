@@ -224,7 +224,7 @@ fn fig6_signing() {
 // slower.
 // ---------------------------------------------------------------------
 
-fn fig7_lan_throughput(full: bool, collect_obs: bool) {
+fn fig7_lan_throughput(full: bool, print_obs: bool) {
     let (clusters, block_sizes, envelope_sizes, receivers, measure) = if full {
         (
             PAPER_CLUSTERS.to_vec(),
@@ -293,13 +293,12 @@ fn fig7_lan_throughput(full: bool, collect_obs: bool) {
          the reproduced result."
     );
 
-    if collect_obs {
-        // One dedicated instrumented point: n=4, 1 KiB envelopes,
+    if print_obs {
+        // One dedicated point for the breakdown: n=4, 1 KiB envelopes,
         // blocks of 10, single receiver.
         let mut config = LanConfig::new(4, 1);
         config.envelope_size = 1024;
         config.measure = Duration::from_secs(2);
-        config.collect_obs = true;
         let result = run_lan_throughput(&config);
         println!(
             "\n# obs run: 4 orderers, blocks of {}, 1 KiB envelopes, 1 receiver \
@@ -308,9 +307,7 @@ fn fig7_lan_throughput(full: bool, collect_obs: bool) {
             ktps(result.tx_per_sec),
             result.blocks_per_sec
         );
-        if let Some(snapshots) = &result.obs {
-            print_phase_breakdown(snapshots);
-        }
+        print_phase_breakdown(&result.obs);
     }
 }
 
@@ -341,10 +338,10 @@ fn geo_config(protocol: Protocol, envelope_size: usize, block_size: usize) -> Ge
     config
 }
 
-/// Figure 8 (`block_size` 10) or 9 (100). With `collect_obs`, the
-/// 1 KiB runs also capture per-replica obs registries and a per-phase
-/// latency breakdown is printed at the end.
-fn geo_latency(block_size: usize, collect_obs: bool) {
+/// Figure 8 (`block_size` 10) or 9 (100). With `print_obs`, a
+/// per-phase latency breakdown of the 1 KiB runs' per-replica obs
+/// snapshots is printed at the end.
+fn geo_latency(block_size: usize, print_obs: bool) {
     let figure = if block_size == 10 { 8 } else { 9 };
     println!("# Figure {figure}: EC2-style latency, 4 receivers, blocks of {block_size} envelopes");
     println!("# per frontend: median / p90 milliseconds\n");
@@ -357,11 +354,9 @@ fn geo_latency(block_size: usize, collect_obs: bool) {
     for &envelope_size in &PAPER_ENVELOPE_SIZES {
         let mut per_protocol = Vec::new();
         for &(protocol, protocol_name) in &GEO_PROTOCOLS {
-            let mut config = geo_config(protocol, envelope_size, block_size);
-            config.collect_obs = collect_obs && envelope_size == 1024;
-            let result = run_geo_experiment(&config);
-            if let Some(obs) = result.obs {
-                obs_tables.push((protocol_name, obs));
+            let result = run_geo_experiment(&geo_config(protocol, envelope_size, block_size));
+            if print_obs && envelope_size == 1024 {
+                obs_tables.push((protocol_name, result.obs));
             }
             if regions.is_empty() {
                 regions = result

@@ -22,9 +22,6 @@
 //! stopping — or closing the pipe — stops the node) or
 //! `--duration-s` elapses; on exit it writes its obs registry snapshot
 //! (including the `transport.net.*` socket counters) to `--obs-out`.
-//! With `--obs-interval-secs` the snapshot is also rewritten
-//! periodically (atomic rename, so readers never see a torn file),
-//! covering shutdown paths that skip the exit dump.
 //!
 //! With `--admin-listen ADDR` a replica also
 //! serves the authenticated telemetry endpoint (`hlf_top` scrapes it
@@ -37,7 +34,6 @@ use ordering_core::proc::{connect_frontend_endpoint, start_replica_endpoint_with
 use ordering_core::service::ServiceOptions;
 use std::io::Read;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,7 +49,6 @@ struct NodeArgs {
     /// beside this one also run with, as overridden by flags.
     options: ServiceOptions,
     obs_out: Option<String>,
-    obs_interval_secs: Option<u64>,
     admin_listen: Option<String>,
     out: Option<String>,
     duration_s: Option<u64>,
@@ -74,7 +69,6 @@ impl Default for NodeArgs {
             peers: Vec::new(),
             options: node_options(1),
             obs_out: None,
-            obs_interval_secs: None,
             admin_listen: None,
             out: None,
             duration_s: None,
@@ -109,7 +103,6 @@ fn apply(args: &mut NodeArgs, key: &str, value: &str) {
         "batch-max" => args.options.runtime.batch_max = parse_num(value) as usize,
         "request-timeout-ms" => args.options.runtime.request_timeout_ms = parse_num(value),
         "obs-out" => args.obs_out = Some(value.to_string()),
-        "obs-interval-secs" => args.obs_interval_secs = Some(parse_num(value)),
         "admin-listen" => args.admin_listen = Some(value.to_string()),
         "out" => args.out = Some(value.to_string()),
         "duration-s" => args.duration_s = Some(parse_num(value)),
@@ -155,12 +148,10 @@ fn parse_args() -> NodeArgs {
     args
 }
 
-fn bind_network(args: &NodeArgs, id: PeerId, registry: Option<Arc<Registry>>) -> TcpNetwork {
-    let mut config = TcpConfig::new(id, parse_addr(&args.listen), args.secret.as_bytes());
+fn bind_network(args: &NodeArgs, id: PeerId, registry: Arc<Registry>) -> TcpNetwork {
+    let mut config = TcpConfig::new(id, parse_addr(&args.listen), args.secret.as_bytes())
+        .with_registry(registry);
     config.peers = args.peers.clone();
-    if let Some(registry) = registry {
-        config = config.with_registry(registry);
-    }
     TcpNetwork::bind(config)
         .unwrap_or_else(|err| die(&format!("cannot bind {}: {err}", args.listen)))
 }
@@ -177,7 +168,7 @@ fn write_obs_atomic(path: &str, json: &str) {
 
 fn run_replica(args: &NodeArgs) {
     let registry = Registry::new(format!("node-{}", args.id));
-    let network = bind_network(args, PeerId::Replica(args.id), Some(Arc::clone(&registry)));
+    let network = bind_network(args, PeerId::Replica(args.id), Arc::clone(&registry));
     eprintln!(
         "hlf_node: replica {} of {} listening on {}",
         args.id,
@@ -207,9 +198,7 @@ fn run_replica(args: &NodeArgs) {
             registry: Arc::clone(&registry),
             flight,
             health: Arc::new(move || HealthReport {
-                regency: health_registry
-                    .counter("consensus.replica.regency_changes")
-                    .get(),
+                regency: health_registry.gauge("consensus.replica.regency").get().max(0) as u64,
                 window: health_registry.gauge("consensus.pipeline.window").get().max(0) as u64,
                 frontier: stats.last_cid(),
                 suspected: health_registry
@@ -227,28 +216,6 @@ fn run_replica(args: &NodeArgs) {
         server
     });
 
-    // Periodic snapshot dumps so crashes / kills still leave a recent
-    // obs file behind (the exit-path dump below only covers clean
-    // shutdowns).
-    let stop = Arc::new(AtomicBool::new(false));
-    let dumper = args.obs_out.clone().zip(args.obs_interval_secs).map(
-        |(path, secs)| {
-            let dump_registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let interval = Duration::from_secs(secs.max(1));
-                let mut next = Instant::now() + interval;
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(100));
-                    if Instant::now() >= next {
-                        write_obs_atomic(&path, &dump_registry.snapshot().to_json());
-                        next = Instant::now() + interval;
-                    }
-                }
-            })
-        },
-    );
-
     // Park until the parent closes stdin (or the duration elapses).
     match args.duration_s {
         Some(secs) => std::thread::sleep(Duration::from_secs(secs)),
@@ -259,10 +226,6 @@ fn run_replica(args: &NodeArgs) {
         }
     }
 
-    stop.store(true, Ordering::Release);
-    if let Some(thread) = dumper {
-        let _ = thread.join();
-    }
     if let Some(path) = &args.obs_out {
         write_obs_atomic(path, &registry.snapshot().to_json());
     }
@@ -275,7 +238,7 @@ fn run_replica(args: &NodeArgs) {
 
 fn run_frontend(args: &NodeArgs) {
     let registry = Registry::new(format!("frontend-{}", args.id));
-    let network = bind_network(args, PeerId::Client(args.id), Some(Arc::clone(&registry)));
+    let network = bind_network(args, PeerId::Client(args.id), Arc::clone(&registry));
     eprintln!(
         "hlf_node: frontend {} listening on {}",
         args.id,
@@ -283,6 +246,7 @@ fn run_frontend(args: &NodeArgs) {
     );
     let mut frontend =
         connect_frontend_endpoint(args.id, args.n, &args.options, network.endpoint());
+    frontend.attach_obs(&registry);
     if !await_links(&network, args.n, Duration::from_secs(30)) {
         die("frontend could not reach every replica");
     }

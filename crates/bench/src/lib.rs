@@ -56,8 +56,6 @@ pub struct LanConfig {
     pub verify_frontends: bool,
     /// Sign each block twice (paper footnote 10).
     pub double_sign: bool,
-    /// Capture per-node obs snapshots and return them in the result.
-    pub collect_obs: bool,
 }
 
 impl LanConfig {
@@ -73,7 +71,6 @@ impl LanConfig {
             measure: Duration::from_secs(3),
             verify_frontends: false,
             double_sign: false,
-            collect_obs: false,
         }
     }
 }
@@ -97,9 +94,9 @@ pub struct LanResult {
     pub blocks_per_sec: f64,
     /// Total envelopes ordered during the window.
     pub envelopes: u64,
-    /// Obs snapshots (per node, `clients`, `frontends`), when
-    /// [`LanConfig::collect_obs`] was set.
-    pub obs: Option<Vec<Snapshot>>,
+    /// Obs snapshots (per node, `clients`, `frontends`) at the end of
+    /// the run.
+    pub obs: Vec<Snapshot>,
 }
 
 /// Runs one LAN throughput measurement: an in-process ordering cluster,
@@ -186,7 +183,7 @@ pub fn run_lan_throughput(config: &LanConfig) -> LanResult {
     for thread in receiver_threads {
         let _ = thread.join();
     }
-    let obs = config.collect_obs.then(|| service.obs_snapshots());
+    let obs = service.obs_snapshots();
     service.shutdown();
 
     let tx_per_sec = envelopes as f64 / elapsed.as_secs_f64();

@@ -141,7 +141,6 @@ fn slowed_replica_is_suspected_and_its_run_still_telescopes() {
     /// São Paulo in the BFT-SMaRt placement; not the leader.
     const SLOW_NODE: usize = 3;
     let mut config = GeoConfig::new(Protocol::BftSmart)
-        .with_obs()
         .with_trace()
         .with_slow_replica(SLOW_NODE, SimTime::from_millis(250));
     config.duration = SimTime::from_secs(10);
@@ -149,7 +148,7 @@ fn slowed_replica_is_suspected_and_its_run_still_telescopes() {
     config.rate_per_frontend = 100.0;
     let result = run_geo_experiment(&config);
     let dumps = result.flights.as_deref().expect("trace requested");
-    let obs = result.obs.as_deref().expect("obs requested");
+    let obs = &result.obs;
 
     // Emit → parse → re-emit of each ring's JSON is byte-identical.
     for dump in dumps {

@@ -52,9 +52,8 @@ mod sync;
 pub mod testing;
 
 pub use messages::{Batch, ConsensusMsg, DecisionProof, Request, StopData, Vote, VotePhase};
-pub use obs::{HealthObs, ReplicaObs};
 pub use quorum::{QuorumError, QuorumSystem};
-pub use replica::{digest64, signer_bitmap, Action, Config, Input, Metrics, Replica};
+pub use replica::{digest64, signer_bitmap, Action, Config, Input, Replica};
 pub use session::{Executed, Window};
 
 use std::error::Error;

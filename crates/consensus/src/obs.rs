@@ -1,6 +1,9 @@
 //! Replica-side observability: per-phase latency histograms and
 //! protocol event counters, resolved once from an [`hlf_obs::Registry`]
-//! so the consensus hot path records through bare `Arc` derefs.
+//! so the consensus hot path records through bare `Arc` derefs. A
+//! replica always records: into the registry passed to
+//! [`crate::replica::Replica::attach_obs`], or else into a private one
+//! it makes at construction.
 //!
 //! Metric names (see DESIGN.md §Observability):
 //!
@@ -15,6 +18,7 @@
 //! | `consensus.replica.tentative_deliveries` | counter | WHEAT tentative deliveries |
 //! | `consensus.replica.rollbacks`            | counter | tentative deliveries undone |
 //! | `consensus.replica.regency_changes`      | counter | leader changes installed |
+//! | `consensus.replica.regency`              | gauge   | the regency currently installed |
 //! | `consensus.replica.pending_requests`     | gauge   | requests waiting to be ordered |
 //! | `consensus.pipeline.window`      | gauge     | in-flight slots with an installed proposal |
 //! | `consensus.pipeline.ooo_votes`   | histogram | vote slot depth above the frontier (out-of-order) |
@@ -23,10 +27,10 @@
 use hlf_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
-/// Handles to every replica metric. Cheap to clone (a few `Arc`s);
-/// attach with [`crate::replica::Replica::attach_obs`].
-#[derive(Clone, Debug)]
-pub struct ReplicaObs {
+/// Handles to every replica metric; resolved by
+/// [`crate::replica::Replica::attach_obs`].
+#[derive(Debug)]
+pub(crate) struct ReplicaObs {
     /// PROPOSE accepted → WRITE quorum reached, in ms of replica time.
     pub write_phase_ms: Arc<Histogram>,
     /// WRITE quorum reached → instance decided, in ms of replica time.
@@ -43,8 +47,11 @@ pub struct ReplicaObs {
     pub tentative_deliveries: Arc<Counter>,
     /// Tentative deliveries rolled back by a leader change.
     pub rollbacks: Arc<Counter>,
-    /// Regency (leader) changes installed.
+    /// Regency (leader) changes installed: one per install, however
+    /// many regencies it skips.
     pub regency_changes: Arc<Counter>,
+    /// The regency currently installed.
+    pub regency: Arc<Gauge>,
     /// Requests currently waiting to be ordered.
     pub pending_requests: Arc<Gauge>,
     /// In-flight window occupancy: slots holding an installed proposal.
@@ -58,7 +65,7 @@ pub struct ReplicaObs {
 impl ReplicaObs {
     /// Resolves (creating on first use) every replica metric in
     /// `registry`.
-    pub fn new(registry: &Registry) -> ReplicaObs {
+    pub(crate) fn new(registry: &Registry) -> ReplicaObs {
         ReplicaObs {
             write_phase_ms: registry.histogram("consensus.replica.write_phase_ms"),
             accept_phase_ms: registry.histogram("consensus.replica.accept_phase_ms"),
@@ -69,6 +76,7 @@ impl ReplicaObs {
             tentative_deliveries: registry.counter("consensus.replica.tentative_deliveries"),
             rollbacks: registry.counter("consensus.replica.rollbacks"),
             regency_changes: registry.counter("consensus.replica.regency_changes"),
+            regency: registry.gauge("consensus.replica.regency"),
             pending_requests: registry.gauge("consensus.replica.pending_requests"),
             pipeline_window: registry.gauge("consensus.pipeline.window"),
             pipeline_ooo_votes: registry.histogram("consensus.pipeline.ooo_votes"),
@@ -86,8 +94,8 @@ impl ReplicaObs {
 /// | `consensus.health.suspicions`       | counter   | peers newly flagged as stragglers |
 /// | `consensus.health.suspected_peers`  | gauge     | peers currently suspected |
 /// | `consensus.health.peer_lag_us.N`    | gauge     | peer N's EWMA vote-arrival lag |
-#[derive(Clone, Debug)]
-pub struct HealthObs {
+#[derive(Debug)]
+pub(crate) struct HealthObs {
     /// Vote-arrival lag samples (µs) from every peer, every vote.
     pub vote_lag_us: Arc<Histogram>,
     /// Peers newly flagged as stragglers (clears not counted).
@@ -101,7 +109,7 @@ pub struct HealthObs {
 impl HealthObs {
     /// Resolves (creating on first use) the health metrics for an
     /// `n`-replica group in `registry`.
-    pub fn new(registry: &Registry, n: usize) -> HealthObs {
+    pub(crate) fn new(registry: &Registry, n: usize) -> HealthObs {
         HealthObs {
             vote_lag_us: registry.histogram("consensus.health.vote_lag_us"),
             suspicions: registry.counter("consensus.health.suspicions"),

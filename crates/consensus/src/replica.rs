@@ -30,7 +30,7 @@ use crate::sync::{select_window, validate_sync_window, MAX_WINDOW};
 use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
 use hlf_crypto::sha256::Hash256;
 use hlf_obs::EventKind;
-use hlf_obs::{FlightRecorder, StragglerDetector};
+use hlf_obs::{FlightRecorder, Registry, StragglerDetector};
 use hlf_wire::{ClientId, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -252,21 +252,6 @@ pub enum Action {
     },
 }
 
-/// Counters exposed for benchmarks and tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Instances decided.
-    pub decided_instances: u64,
-    /// Requests delivered inside decided batches.
-    pub delivered_requests: u64,
-    /// Regency changes installed.
-    pub regency_changes: u64,
-    /// Tentative deliveries rolled back.
-    pub rollbacks: u64,
-    /// In-flight slots re-proposed by a new regent's SYNC.
-    pub reproposals: u64,
-}
-
 /// Per-instance consensus state.
 #[derive(Debug)]
 struct Instance {
@@ -400,17 +385,16 @@ pub struct Replica {
     /// STOP-DATA records that reached us (as prospective leader) before
     /// our own STOP quorum installed the regency.
     early_stopdata: Vec<(NodeId, StopData)>,
-    metrics: Metrics,
-    /// Optional per-phase histograms and event counters (attached by
-    /// the runtime when a registry exists; `None` costs nothing).
-    obs: Option<ReplicaObs>,
+    /// Per-phase histograms and event counters, in the registry given
+    /// to [`Replica::attach_obs`] or a private one.
+    obs: ReplicaObs,
     /// Optional flight recorder for distributed tracing; records
     /// protocol events. `None` costs nothing.
     flight: Option<Arc<FlightRecorder>>,
     /// Per-peer vote-arrival EWMAs flagging slow replicas.
     health: StragglerDetector,
-    /// Optional metric handles the health detector reports through.
-    health_obs: Option<HealthObs>,
+    /// Metric handles the health detector reports through.
+    health_obs: HealthObs,
     /// Propose times of recently decided instances `(cid, ms)`, so
     /// WRITE votes that arrive after the instance closed — the
     /// hallmark of a straggler — still feed the health detector.
@@ -436,10 +420,12 @@ impl std::fmt::Debug for Replica {
 }
 
 impl Replica {
-    /// Creates a replica at regency 0, instance 1.
+    /// Creates a replica at regency 0, instance 1, recording its
+    /// metrics into a private registry until [`Replica::attach_obs`].
     pub fn new(cfg: Config) -> Replica {
         let timeout = cfg.request_timeout_ms;
         let n = cfg.quorums.n();
+        let registry = Registry::new(format!("replica-{}", cfg.node.0));
         Replica {
             insts: BTreeMap::new(),
             cfg,
@@ -464,22 +450,23 @@ impl Replica {
             fetch_started_at: 0,
             sync_buffer: Vec::new(),
             early_stopdata: Vec::new(),
-            metrics: Metrics::default(),
-            obs: None,
+            obs: ReplicaObs::new(&registry),
             flight: None,
             health: StragglerDetector::new(n),
-            health_obs: None,
+            health_obs: HealthObs::new(&registry, n),
             recent_proposed_at: VecDeque::new(),
             frontier_since: 0,
             stall_logged: false,
         }
     }
 
-    /// Attaches per-phase histograms and event counters (usually
-    /// resolved from the owning node's registry). Without this the
-    /// replica keeps only the plain `Metrics` counters.
-    pub fn attach_obs(&mut self, obs: ReplicaObs) {
-        self.obs = Some(obs);
+    /// Records every consensus and slow-replica health metric
+    /// (`consensus.*`) into `registry` from now on, usually the owning
+    /// node's. Without this the replica records into a private registry
+    /// of its own.
+    pub fn attach_obs(&mut self, registry: &Registry) {
+        self.obs = ReplicaObs::new(registry);
+        self.health_obs = HealthObs::new(registry, self.cfg.quorums.n());
     }
 
     /// Attaches a flight recorder: subsequent protocol steps record
@@ -488,11 +475,6 @@ impl Replica {
     /// deterministic.
     pub fn attach_flight(&mut self, flight: Arc<FlightRecorder>) {
         self.flight = Some(flight);
-    }
-
-    /// Attaches metric handles for the slow-replica health detector.
-    pub fn attach_health_obs(&mut self, obs: HealthObs) {
-        self.health_obs = Some(obs);
     }
 
     /// The slow-replica health detector's current view.
@@ -512,23 +494,18 @@ impl Replica {
     /// the outcome into metrics and the flight recorder.
     fn observe_vote_lag(&mut self, peer: NodeId, lag_us: u64) {
         let transition = self.health.observe(peer.as_usize(), lag_us);
-        if let Some(obs) = &self.health_obs {
-            obs.vote_lag_us.record(lag_us);
-            if let Some(ewma) = self.health.peer_lag_us(peer.as_usize()) {
-                if let Some(gauge) = obs.peer_lag_us.get(peer.as_usize()) {
-                    gauge.set(ewma as i64);
-                }
-            }
-            if let Some(ev) = transition {
-                if ev.suspected {
-                    obs.suspicions.inc();
-                }
-                obs.suspected_peers
-                    .set(self.health.suspected_peers().len() as i64);
+        let obs = &self.health_obs;
+        obs.vote_lag_us.record(lag_us);
+        if let Some(ewma) = self.health.peer_lag_us(peer.as_usize()) {
+            if let Some(gauge) = obs.peer_lag_us.get(peer.as_usize()) {
+                gauge.set(ewma as i64);
             }
         }
         if let Some(ev) = transition {
+            obs.suspected_peers
+                .set(self.health.suspected_peers().len() as i64);
             if ev.suspected {
+                obs.suspicions.inc();
                 hlf_obs::info!(
                     "replica {} suspects peer {} as slow (ewma {}us vs median {}us)",
                     self.cfg.node.as_usize(),
@@ -591,11 +568,6 @@ impl Replica {
     /// The executed half of every session, as of the last commit.
     pub fn executed(&self) -> Executed {
         self.sessions.executed()
-    }
-
-    /// Counter snapshot.
-    pub fn metrics(&self) -> Metrics {
-        self.metrics
     }
 
     /// Returns `true` while a synchronization phase is in progress.
@@ -666,9 +638,7 @@ impl Replica {
 
     /// Mirrors window occupancy into the pipeline gauge.
     fn update_window_gauge(&self) {
-        if let Some(obs) = &self.obs {
-            obs.pipeline_window.set(self.window_occupancy() as i64);
-        }
+        self.obs.pipeline_window.set(self.window_occupancy() as i64);
     }
 
     // ------------------------------------------------------------------
@@ -780,9 +750,7 @@ impl Replica {
     /// Queues every request, then proposes once.
     fn enqueue_requests(&mut self, requests: Vec<Request>, actions: &mut Vec<Action>) {
         if self.sessions.enqueue(requests, self.cfg.max_pending) > 0 {
-            if let Some(obs) = &self.obs {
-                obs.pending_requests.set(self.sessions.queued() as i64);
-            }
+            self.obs.pending_requests.set(self.sessions.queued() as i64);
             if self.oldest_pending_since.is_none() {
                 self.oldest_pending_since = Some(self.now_ms);
             }
@@ -1121,9 +1089,7 @@ impl Replica {
     /// Records how far above the frontier an accepted vote landed.
     fn record_ooo_depth(&self, vote: &Vote) {
         if vote.cid > self.next_cid {
-            if let Some(obs) = &self.obs {
-                obs.pipeline_ooo_votes.record(vote.cid - self.next_cid);
-            }
+            self.obs.pipeline_ooo_votes.record(vote.cid - self.next_cid);
         }
     }
 
@@ -1199,12 +1165,10 @@ impl Replica {
                 // The WRITE quorum just formed: close the WRITE phase.
                 slot.write_quorum_at = Some(now);
             }
-            if let Some(obs) = &self.obs {
-                if let Some(t0) = proposed_at {
-                    obs.write_phase_ms.record(now.saturating_sub(t0));
-                }
-                obs.write_quorum_votes.record(cert_len as u64);
+            if let Some(t0) = proposed_at {
+                self.obs.write_phase_ms.record(now.saturating_sub(t0));
             }
+            self.obs.write_quorum_votes.record(cert_len as u64);
             self.flight_record(
                 EventKind::WriteQuorum,
                 cid,
@@ -1252,9 +1216,7 @@ impl Replica {
             };
             let skipped = self.tentative_skips(cid, &batch);
             self.inst_mut(cid).tentative = Some(hash);
-            if let Some(obs) = &self.obs {
-                obs.tentative_deliveries.inc();
-            }
+            self.obs.tentative_deliveries.inc();
             self.flight_record(EventKind::TentativeDeliver, cid, 0, 0);
             self.flight_record(EventKind::TentativeHash, cid, digest64(&hash), 0);
             hlf_obs::trace!(
@@ -1436,18 +1398,15 @@ impl Replica {
         while self.recent_decisions.len() > RECENT_DECISIONS {
             self.recent_decisions.pop_front();
         }
-        self.metrics.decided_instances += 1;
-        self.metrics.delivered_requests += batch.len() as u64;
-        if let Some(obs) = &self.obs {
-            obs.decided.inc();
-            obs.pending_requests.set(self.sessions.queued() as i64);
-            obs.accept_quorum_votes.record(proof.votes.len() as u64);
-            if let Some(t0) = write_quorum_at {
-                obs.accept_phase_ms.record(self.now_ms.saturating_sub(t0));
-            }
-            if let Some(t0) = proposed_at {
-                obs.decide_ms.record(self.now_ms.saturating_sub(t0));
-            }
+        let obs = &self.obs;
+        obs.decided.inc();
+        obs.pending_requests.set(self.sessions.queued() as i64);
+        obs.accept_quorum_votes.record(proof.votes.len() as u64);
+        if let Some(t0) = write_quorum_at {
+            obs.accept_phase_ms.record(self.now_ms.saturating_sub(t0));
+        }
+        if let Some(t0) = proposed_at {
+            obs.decide_ms.record(self.now_ms.saturating_sub(t0));
         }
         self.flight_record(
             EventKind::Decide,
@@ -1539,10 +1498,8 @@ impl Replica {
 
     fn install_regency(&mut self, regency: u32, actions: &mut Vec<Action>) {
         self.regency = regency;
-        self.metrics.regency_changes += 1;
-        if let Some(obs) = &self.obs {
-            obs.regency_changes.inc();
-        }
+        self.obs.regency_changes.inc();
+        self.obs.regency.set(i64::from(regency));
         self.flight_record(
             EventKind::RegencyChange,
             regency as u64,
@@ -1744,10 +1701,8 @@ impl Replica {
             // We missed the STOP quorum; the validated collect set is
             // itself evidence that the group moved on.
             self.regency = regency;
-            self.metrics.regency_changes += 1;
-            if let Some(obs) = &self.obs {
-                obs.regency_changes.inc();
-            }
+            self.obs.regency_changes.inc();
+            self.obs.regency.set(i64::from(regency));
             self.flight_record(
                 EventKind::RegencyChange,
                 regency as u64,
@@ -1807,14 +1762,7 @@ impl Replica {
         actions: &mut Vec<Action>,
     ) {
         debug_assert_eq!(cid, self.next_cid);
-        if !rebinds.is_empty() {
-            if let Some(obs) = &self.obs {
-                for _ in &rebinds {
-                    obs.pipeline_reproposals.inc();
-                }
-            }
-            self.metrics.reproposals += rebinds.len() as u64;
-        }
+        self.obs.pipeline_reproposals.add(rebinds.len() as u64);
         let mut pairs = Vec::with_capacity(1 + rebinds.len());
         // An empty frontier re-proposal still runs agreement so the
         // group converges on instance numbering.
@@ -1849,10 +1797,7 @@ impl Replica {
             .collect();
         for &cid in cids.iter().rev() {
             self.inst_mut(cid).tentative = None;
-            self.metrics.rollbacks += 1;
-            if let Some(obs) = &self.obs {
-                obs.rollbacks.inc();
-            }
+            self.obs.rollbacks.inc();
             self.flight_record(EventKind::Rollback, cid, 0, 0);
             hlf_obs::debug!(
                 "replica {} rolls back tentative cid {} (window re-bound)",
@@ -2127,7 +2072,7 @@ mod tests {
             let a = Vote::sign(&signing[i], VotePhase::Accept, NodeId(i as u32), 1, 0, hash);
             deliver(&mut replicas[0], i as u32, ConsensusMsg::Accept(a));
         }
-        assert_eq!(replicas[0].metrics().decided_instances, 1);
+        assert_eq!(replicas[0].obs.decided.get(), 1);
 
         let actions = deliver(&mut replicas[0], 3, ConsensusMsg::ValueRequest { cid: 1 });
         assert!(matches!(
@@ -2175,7 +2120,7 @@ mod tests {
         // decision, the value is asked for.
         let actions = feed_accept_quorum(&mut replica, batch.digest());
         assert_eq!(value_requests(&actions), 3);
-        assert_eq!(replica.metrics().decided_instances, 0);
+        assert_eq!(replica.obs.decided.get(), 0);
         // The proposal lands: its stored digest is the decided one.
         let propose = ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch.clone() };
         let actions = deliver(&mut replica, 0, propose);
@@ -2195,7 +2140,7 @@ mod tests {
         let actions = feed_accept_quorum(&mut replica, batch_a.digest());
         assert_eq!(value_requests(&actions), 3);
         assert!(!actions.iter().any(|a| matches!(a, Action::Commit { .. })));
-        assert_eq!(replica.metrics().decided_instances, 0);
+        assert_eq!(replica.obs.decided.get(), 0);
         assert_eq!(replica.next_cid(), 1);
     }
 
@@ -2415,7 +2360,7 @@ mod tests {
             }
         }
         for r in &replicas {
-            assert_eq!(r.metrics().decided_instances, 0);
+            assert_eq!(r.obs.decided.get(), 0);
         }
     }
 
@@ -2424,7 +2369,7 @@ mod tests {
         let mut cluster = Cluster::classic(4, 1);
         let registry = hlf_obs::Registry::new("obs-replica-test");
         for i in 0..4 {
-            cluster.replica_mut(i).attach_obs(ReplicaObs::new(&registry));
+            cluster.replica_mut(i).attach_obs(&registry);
         }
         for seq in 1..=5 {
             cluster.submit_to_all(Request::new(ClientId(3), seq, &b"tx"[..]));
@@ -2463,7 +2408,7 @@ mod tests {
         let mut cluster = Cluster::wheat(5, 1);
         let registry = hlf_obs::Registry::new("obs-wheat-test");
         for i in 0..5 {
-            cluster.replica_mut(i).attach_obs(ReplicaObs::new(&registry));
+            cluster.replica_mut(i).attach_obs(&registry);
         }
         cluster.submit_to_all(Request::new(ClientId(4), 1, &b"tx"[..]));
         cluster.run_to_quiescence();
@@ -2476,6 +2421,51 @@ mod tests {
         // tentatively before deciding.
         assert!(tentative >= 1, "no tentative deliveries recorded");
         assert_eq!(snap.counter_value("consensus.replica.decided"), Some(5));
+    }
+
+    /// A replica that missed two STOP quorums adopts regency 2 from one
+    /// validated SYNC: the gauge reads the regency, the counter the one
+    /// install.
+    #[test]
+    fn regency_gauge_reads_the_regency_a_sync_installs() {
+        let signing = signing_keys();
+        let mut replica = make_replicas(4, 1).remove(3);
+        let registry = hlf_obs::Registry::new("regency-test");
+        replica.attach_obs(&registry);
+        let collect = (0..3)
+            .map(|i| StopData::sign(&signing[i], NodeId(i as u32), 2, 1, None, None, vec![], None))
+            .collect();
+        let batch = Batch::new(vec![req(1)]);
+        let sync = ConsensusMsg::Sync { regency: 2, collect, cid: 1, batch, rebinds: vec![] };
+        deliver(&mut replica, 2, sync);
+        assert_eq!(replica.regency(), 2);
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge_value("consensus.replica.regency"), Some(2));
+        assert_eq!(snap.counter_value("consensus.replica.regency_changes"), Some(1));
+    }
+
+    /// A replica built without a registry counts into a private one; a
+    /// registry attached later receives each count once, and the private
+    /// one no more.
+    #[test]
+    fn replica_counts_into_its_own_registry_until_one_is_attached() {
+        let mut cluster = Cluster::classic(4, 1);
+        cluster.submit_to_all(Request::new(ClientId(3), 1, &b"tx"[..]));
+        cluster.run_to_quiescence();
+        let private = Arc::clone(&cluster.replica(0).obs.decided);
+        assert_eq!(private.get(), 1);
+        let registry = hlf_obs::Registry::new("attached");
+        for i in 0..4 {
+            cluster.replica_mut(i).attach_obs(&registry);
+        }
+        for seq in 2..=3 {
+            cluster.submit_to_all(Request::new(ClientId(3), seq, &b"tx"[..]));
+            cluster.run_to_quiescence();
+        }
+        assert_eq!(private.get(), 1);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_value("consensus.replica.decided"), Some(8));
+        assert_eq!(snap.histogram("consensus.replica.decide_ms").unwrap().count, 8);
     }
 
     /// An induced regency change is recorded in the flight ring after
@@ -2525,7 +2515,7 @@ mod tests {
         let mut replica = make_replicas(4, 1).remove(0);
         let flight = Arc::new(FlightRecorder::with_capacity("node-0", 4096));
         replica.attach_flight(Arc::clone(&flight));
-        replica.attach_health_obs(HealthObs::new(&registry, 4));
+        replica.attach_obs(&registry);
         let mut now = 0u64;
         for round in 1..=30u64 {
             let request = req(round);

@@ -232,6 +232,8 @@ fn wheat_tentative_rollback_on_conflicting_sync() {
         )
         .with_tentative_execution(true),
     );
+    let registry = hlf_obs::Registry::new("rollback-test");
+    replica.attach_obs(&registry);
 
     // Leader 0 proposes batch A.
     let batch_a = Batch::new(vec![req(1)]);
@@ -306,5 +308,5 @@ fn wheat_tentative_rollback_on_conflicting_sync() {
         a,
         Action::Broadcast(ConsensusMsg::Write(v)) if v.epoch == 1 && v.hash == batch_b.digest()
     )));
-    assert_eq!(replica.metrics().rollbacks, 1);
+    assert_eq!(registry.snapshot().counter_value("consensus.replica.rollbacks"), Some(1));
 }

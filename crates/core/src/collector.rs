@@ -183,23 +183,6 @@ impl Collecting {
     }
 }
 
-/// Frontend counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct FrontendStats {
-    /// Envelopes relayed to the cluster.
-    pub submitted: u64,
-    /// Blocks delivered in order.
-    pub delivered_blocks: u64,
-    /// Block copies discarded (bad signature, stale number...).
-    pub discarded_copies: u64,
-    /// Signature checks skipped because the same `(node, header,
-    /// signature)` triple was already verified in the same round.
-    pub verify_cache_hits: u64,
-    /// Collection rounds evicted before completing because the
-    /// concurrent-round bound was hit.
-    pub evicted_rounds: u64,
-}
-
 /// Collects pushed block copies until enough match, then releases the
 /// blocks of each channel in number order.
 ///
@@ -213,8 +196,9 @@ pub(crate) struct BlockCollector {
     collecting: BTreeMap<(String, u64), Collecting>,
     /// (channel, number) -> completed block.
     ready: BTreeMap<(String, u64), Block>,
-    stats: FrontendStats,
-    obs: Option<FrontendObs>,
+    /// `core.frontend.*` metrics, in the registry given to
+    /// [`BlockCollector::attach_obs`] or a private one.
+    obs: FrontendObs,
     /// Flight recorder for collection-phase and eviction events.
     flight: Option<Arc<FlightRecorder>>,
     /// Monotonic counter stamping collection-round activity (LRU).
@@ -228,7 +212,6 @@ impl std::fmt::Debug for BlockCollector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCollector")
             .field("id", &self.config.id)
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -237,12 +220,11 @@ impl BlockCollector {
     /// An empty collector for the cluster `config` describes.
     pub(crate) fn new(config: FrontendConfig) -> BlockCollector {
         BlockCollector {
+            obs: FrontendObs::new(&Registry::new(format!("frontend-{}", config.id.0))),
             config,
             next_deliver: HashMap::new(),
             collecting: BTreeMap::new(),
             ready: BTreeMap::new(),
-            stats: FrontendStats::default(),
-            obs: None,
             flight: None,
             touch: 0,
             verify_cache_entries: 0,
@@ -254,9 +236,10 @@ impl BlockCollector {
         &self.config
     }
 
-    /// Starts recording `core.frontend.*` metrics into `registry`.
+    /// Records `core.frontend.*` metrics into `registry` from now on
+    /// instead of the collector's private one.
     pub(crate) fn attach_obs(&mut self, registry: &Registry) {
-        self.obs = Some(FrontendObs::new(registry));
+        self.obs = FrontendObs::new(registry);
     }
 
     /// Starts recording collection-phase and eviction flight events
@@ -265,25 +248,14 @@ impl BlockCollector {
         self.flight = Some(flight);
     }
 
-    /// Counters.
-    pub(crate) fn stats(&self) -> FrontendStats {
-        self.stats
+    /// Counts one envelope relayed to the cluster.
+    pub(crate) fn count_submitted(&self) {
+        self.obs.submitted.inc();
     }
 
-    /// Counts one envelope relayed to the cluster in both counter sets.
-    pub(crate) fn count_submitted(&mut self) {
-        self.stats.submitted += 1;
-        if let Some(obs) = &self.obs {
-            obs.submitted.inc();
-        }
-    }
-
-    /// Counts one rejected block copy in both counter sets.
-    pub(crate) fn discard_copy(&mut self) {
-        self.stats.discarded_copies += 1;
-        if let Some(obs) = &self.obs {
-            obs.discarded_copies.inc();
-        }
+    /// Counts one rejected block copy.
+    pub(crate) fn discard_copy(&self) {
+        self.obs.discarded_copies.inc();
     }
 
     fn next_deliver_on(&self, channel: &str) -> u64 {
@@ -307,14 +279,13 @@ impl BlockCollector {
             // through `get` — an invalid copy must not allocate
             // collection state for its slot.
             let cache = self.collecting.get(&slot).map(|c| &c.verified);
-            let mut cache_hits = 0;
             let valid = block.signatures.iter().any(|s| {
                 if s.node != from.0 {
                     return false;
                 }
                 let triple = (s.node, header_hash, s.signature);
                 if cache.is_some_and(|v| v.contains(&triple)) {
-                    cache_hits += 1;
+                    self.obs.verify_cache_hits.inc();
                     return true;
                 }
                 let fresh = orderer_keys
@@ -325,7 +296,6 @@ impl BlockCollector {
                 }
                 fresh
             });
-            self.stats.verify_cache_hits += cache_hits;
             if !valid {
                 self.discard_copy();
                 return;
@@ -401,19 +371,15 @@ impl BlockCollector {
             if let Some(round) = self.collecting.remove(&slot) {
                 self.verify_cache_entries -= round.verified.len() as i64;
                 let round_us = now_us.saturating_sub(round.first_seen_us);
-                if let Some(obs) = &self.obs {
-                    obs.collect_round_us.record(round_us);
-                }
+                self.obs.collect_round_us.record(round_us);
                 if let Some(flight) = &self.flight {
                     flight.record(now_us, EventKind::CollectDone, slot.1, copies, round_us);
                 }
             }
             self.ready.insert(slot, complete);
         }
-        if let Some(obs) = &self.obs {
-            obs.collecting_rounds.set(self.collecting.len() as i64);
-            obs.verify_cache_entries.set(self.verify_cache_entries);
-        }
+        self.obs.collecting_rounds.set(self.collecting.len() as i64);
+        self.obs.verify_cache_entries.set(self.verify_cache_entries);
     }
 
     /// Removes the least-recently-touched collection round (called when
@@ -430,10 +396,7 @@ impl BlockCollector {
         if let Some(round) = self.collecting.remove(&slot) {
             self.verify_cache_entries -= round.verified.len() as i64;
         }
-        self.stats.evicted_rounds += 1;
-        if let Some(obs) = &self.obs {
-            obs.evicted_rounds.inc();
-        }
+        self.obs.evicted_rounds.inc();
         if let Some(flight) = &self.flight {
             flight.record(now_us, EventKind::CollectEvict, slot.1, 0, 0);
         }
@@ -461,10 +424,7 @@ impl BlockCollector {
     fn take_ready(&mut self, slot: (String, u64)) -> Option<Block> {
         let block = self.ready.remove(&slot)?;
         self.next_deliver.insert(slot.0, slot.1 + 1);
-        self.stats.delivered_blocks += 1;
-        if let Some(obs) = &self.obs {
-            obs.delivered_blocks.inc();
-        }
+        self.obs.delivered_blocks.inc();
         Some(block)
     }
 }
@@ -502,7 +462,7 @@ mod tests {
         let forged = tampered(&honest);
         assert_eq!(forged.header_hash(), honest.header_hash());
         collector.offer(NodeId(3), forged, 1);
-        assert_eq!(collector.stats().discarded_copies, 1);
+        assert_eq!(collector.obs.discarded_copies.get(), 1);
         collector.offer(NodeId(1), honest.clone(), 2);
         assert!(collector.pop_ready().is_none(), "two honest copies and a forgery are not 2f + 1");
         // The third honest copy completes the block, with honest data.
@@ -510,7 +470,7 @@ mod tests {
         let delivered = collector.pop_ready().expect("2f + 1 honest copies");
         assert_eq!(delivered.envelopes, honest.envelopes);
         assert!(delivered.data_consistent());
-        assert_eq!(collector.stats().discarded_copies, 1);
+        assert_eq!(collector.obs.discarded_copies.get(), 1);
     }
 
     /// A tampered first copy is stored unchecked (a faulty orderer can
@@ -523,12 +483,12 @@ mod tests {
         let mut collector = collector();
         let honest = honest_block();
         collector.offer(NodeId(3), tampered(&honest), 0);
-        assert_eq!(collector.stats().discarded_copies, 0, "stored unchecked");
+        assert_eq!(collector.obs.discarded_copies.get(), 0, "stored unchecked");
         for node in 0..3 {
             collector.offer(NodeId(node), honest.clone(), 1);
         }
         assert_eq!(collector.pop_ready().map(|b| b.envelopes), Some(honest.envelopes));
-        assert_eq!(collector.stats().discarded_copies, 1);
+        assert_eq!(collector.obs.discarded_copies.get(), 1);
     }
 
     /// Under either policy, a tampered copy (validly signed by its
@@ -564,7 +524,7 @@ mod tests {
                 let delivered = collector.pop_ready().expect(&case);
                 assert_eq!(delivered.envelopes, honest.envelopes, "{case}");
                 assert!(delivered.data_consistent(), "{case}");
-                assert_eq!(collector.stats().discarded_copies, 1, "{case}");
+                assert_eq!(collector.obs.discarded_copies.get(), 1, "{case}");
             }
         }
     }

@@ -10,7 +10,7 @@
 //! suffice.
 
 use crate::channel::channel_payload;
-use crate::collector::{BlockCollector, FrontendConfig, FrontendStats};
+use crate::collector::{BlockCollector, FrontendConfig};
 use hlf_wire::Bytes;
 use hlf_fabric::block::{Block, SYSTEM_CHANNEL};
 use hlf_obs::EventKind;
@@ -39,7 +39,6 @@ impl std::fmt::Debug for Frontend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Frontend")
             .field("id", &self.id())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -79,7 +78,8 @@ impl Frontend {
         }
     }
 
-    /// Starts recording `core.frontend.*` metrics into `registry`.
+    /// Records `core.frontend.*` metrics into `registry` from now on;
+    /// without this the frontend records into a private registry.
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.collector.attach_obs(registry);
     }
@@ -94,11 +94,6 @@ impl Frontend {
     /// This frontend's client id.
     pub fn id(&self) -> ClientId {
         self.collector.config().id
-    }
-
-    /// Counters.
-    pub(crate) fn stats(&self) -> FrontendStats {
-        self.collector.stats()
     }
 
     /// Relays an opaque envelope on the default [`SYSTEM_CHANNEL`],
@@ -251,6 +246,11 @@ mod tests {
         (frontend, replicas, network)
     }
 
+    /// Counter `core.frontend.{name}` in `registry`.
+    fn counter(registry: &Registry, name: &str) -> Option<u64> {
+        registry.snapshot().counter_value(&format!("core.frontend.{name}"))
+    }
+
     fn push_block(replica: &hlf_transport::Endpoint, block: &Block) {
         let payload = Bytes::from(hlf_wire::to_bytes(block));
         let msg = hlf_smr::SmrMsg::Reply { seq: 0, payload };
@@ -365,6 +365,8 @@ mod tests {
     #[test]
     fn in_order_delivery_holds_back_gaps() {
         let (mut frontend, replicas, _n) = fixture(DeliveryPolicy::MatchOnly, 4, 1);
+        let registry = Registry::new("frontend-order-test");
+        frontend.attach_obs(&registry);
         let (sk, _) = orderer_keys(4);
         let b1 = block(1, Hash256::ZERO, 1);
         let b2 = block(2, b1.header_hash(), 2);
@@ -384,7 +386,7 @@ mod tests {
         assert_eq!(first.header.number, 1);
         let second = frontend.next_block(Duration::from_secs(2)).unwrap();
         assert_eq!(second.header.number, 2);
-        assert_eq!(frontend.stats().delivered_blocks, 2);
+        assert_eq!(counter(&registry, "delivered_blocks"), Some(2));
     }
 
     #[test]
@@ -408,6 +410,8 @@ mod tests {
         let (sk, vk) = orderer_keys(4);
         let (mut frontend, replicas, _n) =
             fixture(DeliveryPolicy::Verify { orderer_keys: vk }, 4, 1);
+        let registry = Registry::new("frontend-cache-test");
+        frontend.attach_obs(&registry);
         let mut copy = block(1, Hash256::ZERO, 1);
         copy.sign(0, &sk[0]);
         // The same signed copy re-pushed by the same node: the first
@@ -416,8 +420,8 @@ mod tests {
             push_block(&replicas[0], &copy);
         }
         assert!(frontend.next_block(Duration::from_millis(150)).is_none());
-        assert_eq!(frontend.stats().verify_cache_hits, 2);
-        assert_eq!(frontend.stats().discarded_copies, 0);
+        assert_eq!(counter(&registry, "verify_cache_hits"), Some(2));
+        assert_eq!(counter(&registry, "discarded_copies"), Some(0));
         // A second distinct node still completes the round (f + 1 = 2).
         let mut second = block(1, Hash256::ZERO, 1);
         second.sign(1, &sk[1]);
@@ -452,9 +456,6 @@ mod tests {
         assert_eq!(snap.counter_value("core.frontend.discarded_copies"), Some(1));
         let round = snap.histogram("core.frontend.collect_round_us").unwrap();
         assert_eq!(round.count, 1);
-        // The obs counters track the plain stats struct exactly.
-        assert_eq!(frontend.stats().delivered_blocks, 1);
-        assert_eq!(frontend.stats().discarded_copies, 1);
     }
 
     #[test]
@@ -482,14 +483,14 @@ mod tests {
             push_block(&replicas[i], &copy);
         }
         assert!(frontend.next_block(Duration::from_millis(150)).is_none());
-        assert_eq!(frontend.stats().evicted_rounds, 0);
+        assert_eq!(counter(&registry, "evicted_rounds"), Some(0));
         // A third concurrent round exceeds the bound of 2: the stalest
         // round (number 2) is evicted, not the hot one.
         let mut copy = b3.clone();
         copy.sign(2, &sk[2]);
         push_block(&replicas[2], &copy);
         assert!(frontend.next_block(Duration::from_millis(150)).is_none());
-        assert_eq!(frontend.stats().evicted_rounds, 1);
+        assert_eq!(counter(&registry, "evicted_rounds"), Some(1));
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("core.frontend.evicted_rounds"), Some(1));
         assert_eq!(snap.gauge_value("core.frontend.collecting_rounds"), Some(2));
@@ -535,6 +536,8 @@ mod tests {
         let (sk, vk) = orderer_keys(4);
         let (mut frontend, replicas, _n) =
             fixture(DeliveryPolicy::Verify { orderer_keys: vk }, 4, 1);
+        let registry = Registry::new("frontend-unsigned-test");
+        frontend.attach_obs(&registry);
         let base = block(1, Hash256::ZERO, 1);
         // Unsigned copy and a copy signed with the wrong node id are
         // both discarded.
@@ -543,6 +546,6 @@ mod tests {
         wrong.sign(1, &sk[2]);
         push_block(&replicas[1], &wrong);
         assert!(frontend.next_block(Duration::from_millis(150)).is_none());
-        assert_eq!(frontend.stats().discarded_copies, 2);
+        assert_eq!(counter(&registry, "discarded_copies"), Some(2));
     }
 }

@@ -60,9 +60,9 @@ pub(crate) struct OrderingNodeConfig {
     /// `BatchTimeout` (batch boundaries are identical at all replicas),
     /// bounding envelope latency under light traffic.
     pub flush_on_batch_end: bool,
-    /// Registry to record blockcutter and signing-pool metrics into
-    /// (`core.cutter.*`, `core.signing.*`). `None` disables recording.
-    pub registry: Option<Arc<Registry>>,
+    /// Registry the blockcutter and signing-pool metrics record into
+    /// (`core.cutter.*`, `core.signing.*`); a private one unless set.
+    pub registry: Arc<Registry>,
     /// Flight recorder receiving `SignStart`/`SignDone` events from the
     /// signing pool. `None` disables recording.
     pub flight: Option<Arc<hlf_obs::FlightRecorder>>,
@@ -90,7 +90,7 @@ impl OrderingNodeConfig {
             signing_threads: 16,
             double_sign: false,
             flush_on_batch_end: false,
-            registry: None,
+            registry: Registry::new(format!("node-{node}")),
             flight: None,
         }
     }
@@ -142,7 +142,7 @@ pub(crate) struct OrderingNodeApp {
     /// Where cut, chained, still unsigned blocks go. The application is
     /// clock- and thread-free: signing and transmission are the sink's.
     sink: Box<dyn FnMut(Block) + Send>,
-    cutter_obs: Option<CutterObs>,
+    cutter_obs: CutterObs,
     undo: Vec<Undo>,
 }
 
@@ -162,7 +162,7 @@ impl OrderingNodeApp {
     /// to every frontend), in the simulator a queue the actor drains
     /// into modelled signing timers.
     pub(crate) fn new(config: OrderingNodeConfig, sink: impl FnMut(Block) + Send + 'static) -> OrderingNodeApp {
-        let cutter_obs = config.registry.as_deref().map(CutterObs::new);
+        let cutter_obs = CutterObs::new(&config.registry);
         OrderingNodeApp {
             chains: BTreeMap::new(),
             config,
@@ -179,16 +179,14 @@ impl OrderingNodeApp {
         channel: &str,
         cut: Cut,
         sink: &mut dyn FnMut(Block),
-        obs: Option<&CutterObs>,
+        obs: &CutterObs,
     ) {
-        if let Some(obs) = obs {
-            let reason = match cut.reason {
-                CutReason::Size => &obs.cut_size,
-                CutReason::Bytes => &obs.cut_bytes,
-                CutReason::Flush => &obs.cut_batch_end,
-            };
-            obs.record_cut(reason, cut.len(), chain.cutter.block_size());
-        }
+        let reason = match cut.reason {
+            CutReason::Size => &obs.cut_size,
+            CutReason::Bytes => &obs.cut_bytes,
+            CutReason::Flush => &obs.cut_batch_end,
+        };
+        obs.record_cut(reason, cut.len(), chain.cutter.block_size());
         let (number, prev) = (chain.next_number, chain.prev_hash);
         let block = Block::from_leaves(channel, number, prev, cut.envelopes, &cut.leaves);
         chain.prev_hash = block.header_hash();
@@ -220,8 +218,7 @@ impl Application for OrderingNodeApp {
                 continue; // inserted just above
             };
             if let Some(cut) = chain.cutter.push_hashed(envelope, *leaf) {
-                let obs = self.cutter_obs.as_ref();
-                Self::seal_block(chain, channel, cut, &mut *self.sink, obs);
+                Self::seal_block(chain, channel, cut, &mut *self.sink, &self.cutter_obs);
             }
         }
         if self.config.flush_on_batch_end {
@@ -229,8 +226,8 @@ impl Application for OrderingNodeApp {
             // every replica, so partial blocks still match.
             for (channel, chain) in &mut self.chains {
                 if chain.cutter.pending() > 0 {
-                    let (cut, obs) = (chain.cutter.drain(), self.cutter_obs.as_ref());
-                    Self::seal_block(chain, channel, cut, &mut *self.sink, obs);
+                    let cut = chain.cutter.drain();
+                    Self::seal_block(chain, channel, cut, &mut *self.sink, &self.cutter_obs);
                 }
             }
         }
@@ -533,10 +530,10 @@ mod tests {
 
     #[test]
     fn registry_records_cut_reasons_and_fill() {
-        let registry = Arc::new(Registry::new("core-node-test"));
+        let registry = Registry::new("core-node-test");
         let (mut app, _blocks) = app_with_sink(
             OrderingNodeConfig {
-                registry: Some(Arc::clone(&registry)),
+                registry: Arc::clone(&registry),
                 ..config(5).with_flush_on_batch_end(true)
             },
         );

@@ -1,6 +1,8 @@
 //! Ordering-pipeline observability: blockcutter cut accounting,
 //! signing-pool queueing vs. signing time, and frontend collection
-//! rounds, resolved once from an [`hlf_obs::Registry`].
+//! rounds, resolved once from an [`hlf_obs::Registry`]. Each component
+//! always records: into the registry it is given, or else into a
+//! private one it makes itself.
 //!
 //! Metric names (see DESIGN.md §Observability):
 //!
@@ -18,6 +20,10 @@
 //! | `core.frontend.delivered_blocks` | counter   | blocks released in order |
 //! | `core.frontend.discarded_copies` | counter   | block copies rejected |
 //! | `core.frontend.submitted`        | counter   | envelopes relayed to the cluster |
+//! | `core.frontend.collecting_rounds` | gauge    | collection rounds open now |
+//! | `core.frontend.verify_cache_entries` | gauge | verified signatures cached across open rounds |
+//! | `core.frontend.verify_cache_hits` | counter  | signature checks answered from a round's cache |
+//! | `core.frontend.evicted_rounds`   | counter   | collection rounds evicted before completing |
 
 use hlf_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -103,6 +109,9 @@ pub(crate) struct FrontendObs {
     pub collecting_rounds: Arc<Gauge>,
     /// Verified-signature dedup entries cached across all open rounds.
     pub verify_cache_entries: Arc<Gauge>,
+    /// Signature checks skipped because the same `(node, header,
+    /// signature)` triple was already verified in the same round.
+    pub verify_cache_hits: Arc<Counter>,
     /// Collection rounds evicted before completing (bound pressure).
     pub evicted_rounds: Arc<Counter>,
 }
@@ -118,6 +127,7 @@ impl FrontendObs {
             submitted: registry.counter("core.frontend.submitted"),
             collecting_rounds: registry.gauge("core.frontend.collecting_rounds"),
             verify_cache_entries: registry.gauge("core.frontend.verify_cache_entries"),
+            verify_cache_hits: registry.counter("core.frontend.verify_cache_hits"),
             evicted_rounds: registry.counter("core.frontend.evicted_rounds"),
         }
     }

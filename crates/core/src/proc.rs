@@ -35,9 +35,8 @@ pub(crate) fn start_replica(
     registry: Arc<Registry>,
     flight: Option<Arc<FlightRecorder>>,
 ) -> NodeHandle {
-    let node_config =
-        options.runtime.node_config(i, keys, Some(Arc::clone(&registry)), flight.clone());
-    let app_config = options.app_config(i, keys, Some(registry), flight);
+    let node_config = options.runtime.node_config(i, keys, Arc::clone(&registry), flight.clone());
+    let app_config = options.app_config(i, keys, registry, flight);
     spawn_replica(node_config, endpoint, Box::new(MemoryLog::new()), move |push| {
         let sink = signing_sink(&app_config, push);
         Box::new(OrderingNodeApp::new(app_config, sink))

@@ -129,7 +129,7 @@ impl ServiceOptions {
         &self,
         i: usize,
         keys: &ClusterKeys,
-        registry: Option<Arc<Registry>>,
+        registry: Arc<Registry>,
         flight: Option<Arc<FlightRecorder>>,
     ) -> OrderingNodeConfig {
         let mut config = OrderingNodeConfig::new(i as u32, keys.signing[i].clone())

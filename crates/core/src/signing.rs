@@ -87,7 +87,7 @@ pub struct SigningPool {
     jobs: SyncSender<(Block, Instant)>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<SigningStats>,
-    obs: Option<SigningObs>,
+    obs: SigningObs,
     flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -102,7 +102,8 @@ impl std::fmt::Debug for SigningPool {
 
 impl SigningPool {
     /// Spawns `threads` signer workers (the paper's setup uses 16, one
-    /// per hardware thread).
+    /// per hardware thread), recording their `core.signing.*` metrics
+    /// into a private registry.
     ///
     /// # Panics
     ///
@@ -113,37 +114,23 @@ impl SigningPool {
         key: SigningKey,
         deliver: impl Fn(Block) + Send + Sync + 'static,
     ) -> SigningPool {
-        SigningPool::with_registry(threads, node, key, None, deliver)
+        let registry = Registry::new(format!("signing-{node}"));
+        SigningPool::instrumented(threads, node, key, &registry, None, deliver)
     }
 
-    /// Like [`SigningPool::new`], additionally recording queue-wait and
-    /// signing-time metrics into `registry` when one is given.
+    /// Like [`SigningPool::new`], recording queue-wait and signing-time
+    /// metrics into `registry` and, when one is given, `SignStart`/
+    /// `SignDone` flight events into `flight` (the sign-phase edges of
+    /// the distributed trace timeline).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn with_registry(
+    pub(crate) fn instrumented(
         threads: usize,
         node: u32,
         key: SigningKey,
-        registry: Option<&Registry>,
-        deliver: impl Fn(Block) + Send + Sync + 'static,
-    ) -> SigningPool {
-        SigningPool::with_observers(threads, node, key, registry, None, deliver)
-    }
-
-    /// Like [`SigningPool::with_registry`], additionally recording
-    /// `SignStart`/`SignDone` flight events into `flight` when one is
-    /// given (the sign-phase edges of the distributed trace timeline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub(crate) fn with_observers(
-        threads: usize,
-        node: u32,
-        key: SigningKey,
-        registry: Option<&Registry>,
+        registry: &Registry,
         flight: Option<Arc<FlightRecorder>>,
         deliver: impl Fn(Block) + Send + Sync + 'static,
     ) -> SigningPool {
@@ -159,7 +146,7 @@ impl SigningPool {
         let job_rx = Arc::new(Mutex::new(job_rx));
         let deliver = Arc::new(deliver);
         let stats = Arc::new(SigningStats::default());
-        let obs = registry.map(SigningObs::new);
+        let obs = SigningObs::new(registry);
         let workers = (0..threads)
             .map(|w| {
                 let job_rx = Arc::clone(&job_rx);
@@ -197,11 +184,9 @@ impl SigningPool {
                             for (block, enqueued_at) in blocks.into_iter().zip(enqueued) {
                                 let queue_wait_us = (dequeued_at - enqueued_at).as_micros() as u64;
                                 stats.signed.fetch_add(1, Ordering::Release);
-                                if let Some(obs) = &obs {
-                                    obs.queue_wait_us.record(queue_wait_us);
-                                    obs.sign_us.record(sign_us);
-                                    obs.signed.inc();
-                                }
+                                obs.queue_wait_us.record(queue_wait_us);
+                                obs.sign_us.record(sign_us);
+                                obs.signed.inc();
                                 if let Some(flight) = &flight {
                                     flight.record_now(
                                         EventKind::SignDone,
@@ -232,9 +217,7 @@ impl SigningPool {
         // Blocks ahead of this one: waiting in the queue or being signed.
         let ahead = self.stats.pending();
         self.stats.submitted.fetch_add(1, Ordering::Release);
-        if let Some(obs) = &self.obs {
-            obs.queue_depth.set(ahead as i64);
-        }
+        self.obs.queue_depth.set(ahead as i64);
         if let Some(flight) = &self.flight {
             flight.record_now(EventKind::SignStart, block.header.number, ahead, 0);
         }
@@ -263,11 +246,11 @@ pub(crate) fn signing_sink(
     let double_sign = config.double_sign;
     let context_key = config.signing_key.clone();
     let node = config.node;
-    let pool = SigningPool::with_observers(
+    let pool = SigningPool::instrumented(
         config.signing_threads,
         config.node,
         config.signing_key.clone(),
-        config.registry.as_deref(),
+        &config.registry,
         config.flight.clone(),
         move |block: Block| {
             if double_sign {
@@ -486,9 +469,9 @@ mod tests {
     #[test]
     fn signing_sink_signs_and_pushes_to_frontends() {
         let key = SigningKey::from_seed(b"orderer-0");
-        let registry = Arc::new(hlf_obs::Registry::new("sink-test"));
+        let registry = hlf_obs::Registry::new("sink-test");
         let config = OrderingNodeConfig {
-            registry: Some(Arc::clone(&registry)),
+            registry: Arc::clone(&registry),
             ..OrderingNodeConfig::new(0, key.clone()).with_signing_threads(2)
         };
         let (mut sink, frontend, _network) = sink_with_frontend(&config);
@@ -528,7 +511,7 @@ mod tests {
         let registry = hlf_obs::Registry::new("signing-test");
         let delivered = Arc::new(AtomicU64::new(0));
         let sink = Arc::clone(&delivered);
-        let pool = SigningPool::with_registry(2, 1, key, Some(&registry), move |_| {
+        let pool = SigningPool::instrumented(2, 1, key, &registry, None, move |_| {
             sink.fetch_add(1, Ordering::Relaxed);
         });
         for number in 1..=20 {

@@ -483,9 +483,6 @@ pub struct GeoConfig {
     pub weights_override: Option<bool>,
     /// Ablation override: force tentative execution on/off.
     pub tentative_override: Option<bool>,
-    /// Collect per-replica obs registries (consensus phase timings and
-    /// cutter metrics) and return their snapshots in the result.
-    pub collect_obs: bool,
     /// Record distributed-trace flight events on every replica and
     /// frontend and return each node's ring in the result.
     /// Event timestamps are virtual-time microseconds, so a traced run
@@ -528,7 +525,6 @@ impl GeoConfig {
             seed: 1,
             weights_override: None,
             tentative_override: None,
-            collect_obs: false,
             trace: false,
             slow_replica: None,
             pipeline_depth: 1,
@@ -537,12 +533,6 @@ impl GeoConfig {
             crash_replica: None,
             request_timeout_ms: 10_000,
         }
-    }
-
-    /// Enables per-replica obs snapshot collection.
-    pub fn with_obs(mut self) -> GeoConfig {
-        self.collect_obs = true;
-        self
     }
 
     /// Enables flight recording on every replica and frontend.
@@ -621,9 +611,8 @@ pub struct GeoResult {
     pub frontends: Vec<FrontendLatency>,
     /// Aggregate delivered envelopes per simulated second.
     pub throughput: f64,
-    /// Per-replica obs snapshots (replica order), when
-    /// [`GeoConfig::collect_obs`] was set.
-    pub obs: Option<Vec<Snapshot>>,
+    /// Per-replica obs snapshots (replica order) at run end.
+    pub obs: Vec<Snapshot>,
     /// The ring of every replica (`geo-node-{i}`) then frontend
     /// (`geo-frontend-{slot}`) recorder at run end, when
     /// [`GeoConfig::trace`] was set.
@@ -730,13 +719,8 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
         None => faults,
     });
     let frontend_indices: Vec<usize> = (n..n + frontends.len()).collect();
-    let registries: Vec<Arc<Registry>> = if config.collect_obs {
-        (0..n)
-            .map(|i| Registry::new(format!("geo-node-{i}")))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let registries: Vec<Arc<Registry>> =
+        (0..n).map(|i| Registry::new(format!("geo-node-{i}"))).collect();
     // Rings sized so a full run's events survive to the end-of-run read
     // (replicas log ~10 events per consensus instance plus one per
     // transaction; frontends ~4 per transaction).
@@ -757,10 +741,9 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     } else {
         Vec::new()
     };
-    for i in 0..n {
-        let registry = registries.get(i).cloned();
+    for (i, registry) in registries.iter().enumerate() {
         let flight = replica_flights.get(i).cloned();
-        let mut node_config = options.runtime.node_config(i, &keys, registry.clone(), flight);
+        let mut node_config = options.runtime.node_config(i, &keys, Arc::clone(registry), flight);
         // Coarser than a threaded node's 20 ms: ticks only drive
         // timeouts, and WAN timeouts are seconds.
         node_config.tick_interval = Duration::from_millis(500);
@@ -768,7 +751,7 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
         // into signing timers after every step.
         let (cut_tx, cut_blocks) = channel();
         let app = OrderingNodeApp::new(
-            options.app_config(i, &keys, registry, None),
+            options.app_config(i, &keys, Arc::clone(registry), None),
             move |block| {
                 let _ = cut_tx.send(block);
             },
@@ -833,11 +816,7 @@ fn run_geo(config: &GeoConfig, faults: FaultPlan) -> GeoResult {
     let measured_window = config.duration.saturating_sub(config.warmup);
     let throughput = total_delivered as f64 / (measured_window.as_micros() as f64 / 1e6);
 
-    let obs = if config.collect_obs {
-        Some(registries.iter().map(|r| r.snapshot()).collect())
-    } else {
-        None
-    };
+    let obs = registries.iter().map(|r| r.snapshot()).collect();
 
     let flights = config.trace.then(|| {
         replica_flights
@@ -945,10 +924,10 @@ mod tests {
 
     #[test]
     fn obs_snapshots_cover_phases_and_cuts() {
-        let mut config = quick_config(Protocol::Wheat).with_obs();
+        let mut config = quick_config(Protocol::Wheat);
         config.duration = SimTime::from_secs(8);
         let result = run_geo_experiment(&config);
-        let snaps = result.obs.expect("obs requested");
+        let snaps = result.obs;
         assert_eq!(snaps.len(), 5);
         for (i, snap) in snaps.iter().enumerate() {
             assert_eq!(snap.registry, format!("geo-node-{i}"));
@@ -967,13 +946,6 @@ mod tests {
         assert!(snaps
             .iter()
             .any(|s| s.counter_value("consensus.replica.tentative_deliveries").unwrap() > 0));
-        // Obs collection must not perturb the deterministic run.
-        let plain = run_geo_experiment(&quick_config(Protocol::Wheat));
-        let with_obs = run_geo_experiment(&quick_config(Protocol::Wheat).with_obs());
-        for (x, y) in plain.frontends.iter().zip(&with_obs.frontends) {
-            assert_eq!(x.median_ms, y.median_ms);
-            assert_eq!(x.samples, y.samples);
-        }
     }
 
     #[test]
@@ -1133,14 +1105,13 @@ mod tests {
         // node core must close by state transfer — the simulator used
         // to ignore it.
         let mut config = quick_config(Protocol::BftSmart)
-            .with_obs()
             .with_audit()
             .with_request_timeout_ms(2_000)
             .with_slow_replica(3, SimTime::from_millis(1_000))
             .with_crash_replica(0, SimTime::from_secs(4));
         config.duration = SimTime::from_secs(20);
         let result = run_geo(&config, FaultPlan::none().block_link(0, 3));
-        let snaps = result.obs.expect("obs requested");
+        let snaps = result.obs;
         let transfers =
             |node: usize| snaps[node].counter_value("smr.node.state_transfers").unwrap();
         assert_eq!(transfers(3), 1, "replica 3 never ran state transfer");

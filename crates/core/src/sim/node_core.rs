@@ -130,7 +130,7 @@ impl Lan {
         let (sinks, cut): (Vec<_>, Vec<_>) = (0..N).map(|_| channel()).unzip();
         let mut lan = Lan::with_apps(Lan::options(), |options, i, keys| {
             let sink = sinks[i].clone();
-            Box::new(OrderingNodeApp::new(options.app_config(i, keys, None, None), move |block| {
+            Box::new(OrderingNodeApp::new(options.app_config(i, keys, Registry::new(format!("app-{i}")), None), move |block| {
                 let _ = sink.send(block);
             }))
         });
@@ -169,7 +169,7 @@ impl Lan {
         for i in 0..N {
             let registry = Registry::new(format!("node-{i}"));
             let flight = Arc::new(FlightRecorder::with_capacity(format!("node-{i}"), 1 << 16));
-            let config = runtime.node_config(i, &keys, Some(Arc::clone(&registry)), Some(Arc::clone(&flight)));
+            let config = runtime.node_config(i, &keys, Arc::clone(&registry), Some(Arc::clone(&flight)));
             let seen = Rc::new(RefCell::new(Seen::default()));
             let mut replica = ReplicaActor::new(&config, app(&options, i, &keys), N);
             replica.interpose = Some(recorder(Rc::clone(&seen)));

@@ -9,7 +9,8 @@
 //! - [`Histogram`] — log-linear-bucket latency histogram (HDR-style,
 //!   16 sub-buckets per power of two) with p50/p90/p99/max snapshots.
 //! - [`Registry`] — a named bag of metrics that a node *owns* (no
-//!   globals); exporters walk [`Snapshot`]s.
+//!   globals); exporters walk [`Snapshot`]s. Every component records
+//!   unconditionally, into the registry it is given or a private one.
 //! - [`Snapshot`] — point-in-time copy with a stable JSON form
 //!   ([`Snapshot::to_json`] / [`Snapshot::from_json`]).
 //! - [`log!`] and friends — leveled stderr logging, off by default,
@@ -84,7 +85,7 @@ pub use health::{StragglerDetector, SuspicionEvent};
 pub use histogram::{bucket_index, bucket_lower, bucket_upper, Histogram, NUM_BUCKETS};
 pub use logging::Level;
 pub use metrics::{Counter, Gauge};
-pub use registry::{Metric, Registry};
+pub use registry::Registry;
 pub use snapshot::{HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot};
 pub use timeseries::TimeSeries;
 pub use trace::trace_id;

@@ -1,12 +1,13 @@
 //! The metric registry: a named bag of metrics a component *owns*.
 //!
-//! There is deliberately no global registry. Each node (replica,
-//! frontend, client) creates or receives an `Arc<Registry>`; hot paths
-//! hold `Arc`s to individual metrics (one pointer deref to record),
-//! and exporters walk [`Registry::snapshot`]. This keeps tests
-//! hermetic — two nodes in one process never share a metric — and
-//! makes ownership explicit in the wiring, mirroring how `NodeStats`
-//! handles were already passed around.
+//! There is deliberately no global registry. Each component (replica,
+//! frontend, client) receives an `Arc<Registry>` from its caller or,
+//! given none, creates a private one, so its metric handles always
+//! exist; hot paths hold `Arc`s to individual metrics (one pointer
+//! deref to record), and exporters walk [`Registry::snapshot`]. This
+//! keeps tests hermetic — two nodes in one process never share a
+//! metric unless handed the same registry — and makes ownership
+//! explicit in the wiring.
 
 use crate::metrics::{Counter, Gauge};
 use crate::snapshot::{MetricSnapshot, MetricValue, Snapshot};
@@ -16,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 /// One registered metric.
 #[derive(Debug, Clone)]
-pub enum Metric {
+enum Metric {
     /// Monotonic counter.
     Counter(Arc<Counter>),
     /// Up/down gauge.
@@ -111,17 +112,6 @@ impl Registry {
         }
     }
 
-    /// Registers an externally owned metric under `name`, replacing
-    /// any previous registration. Lets components expose counters they
-    /// already keep (e.g. `SigningStats`) without double bookkeeping.
-    pub fn register(&self, name: &str, metric: Metric) {
-        match self.metrics.lock() {
-            Ok(mut m) => m,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-        .insert(name.to_string(), metric);
-    }
-
     /// Point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         let metrics = match self.metrics.lock() {
@@ -166,17 +156,6 @@ mod tests {
         let r = Registry::new("test");
         let _ = r.counter("m");
         let _ = r.gauge("m");
-    }
-
-    #[test]
-    fn register_external_metric() {
-        let r = Registry::new("test");
-        let external = Arc::new(Counter::new());
-        external.add(5);
-        r.register("pre.existing.counter", Metric::Counter(Arc::clone(&external)));
-        assert_eq!(r.snapshot().counter_value("pre.existing.counter"), Some(5));
-        external.inc();
-        assert_eq!(r.snapshot().counter_value("pre.existing.counter"), Some(6));
     }
 
     #[test]

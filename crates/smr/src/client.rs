@@ -131,7 +131,9 @@ pub struct ServiceProxy {
     window_bytes: usize,
     /// Push messages received while waiting for replies.
     pushes: VecDeque<Push>,
-    obs: Option<ProxyObs>,
+    /// `smr.client.*` metrics, in the registry given to
+    /// [`ServiceProxy::attach_obs`] or a private one.
+    obs: ProxyObs,
 }
 
 impl fmt::Debug for ServiceProxy {
@@ -156,13 +158,13 @@ impl ServiceProxy {
     pub fn with_endpoint(endpoint: Endpoint, config: ProxyConfig) -> ServiceProxy {
         debug_assert_eq!(endpoint.id(), PeerId::Client(config.id.0), "endpoint/config id mismatch");
         ServiceProxy {
+            obs: ProxyObs::new(&Registry::new(format!("client-{}", config.id.0))),
             endpoint,
             config,
             next_seq: 1,
             window: Vec::new(),
             window_bytes: 0,
             pushes: VecDeque::new(),
-            obs: None,
         }
     }
 
@@ -171,11 +173,11 @@ impl ServiceProxy {
         self.config.id
     }
 
-    /// Attaches client metrics (`smr.client.*`) resolved from
-    /// `registry`. Safe to call on proxies sharing one registry: the
-    /// metrics aggregate across them.
+    /// Records client metrics (`smr.client.*`) into `registry` from now
+    /// on instead of the proxy's private one. Safe to call on proxies
+    /// sharing one registry: the metrics aggregate across them.
     pub fn attach_obs(&mut self, registry: &Registry) {
-        self.obs = Some(ProxyObs::new(registry));
+        self.obs = ProxyObs::new(registry);
     }
 
     /// Registers with every replica for pushes without submitting a
@@ -259,17 +261,13 @@ impl ServiceProxy {
         loop {
             let now = Instant::now();
             if now >= deadline {
-                if let Some(obs) = &self.obs {
-                    obs.invoke_timeouts.inc();
-                }
+                self.obs.invoke_timeouts.inc();
                 hlf_obs::warn!("client {} invocation seq {seq} timed out", self.config.id.0);
                 return Err(InvokeError::Timeout);
             }
             if now >= next_retransmit {
                 self.transmit(vec![request.clone()]);
-                if let Some(obs) = &self.obs {
-                    obs.retransmits.inc();
-                }
+                self.obs.retransmits.inc();
                 hlf_obs::debug!("client {} retransmitting seq {seq}", self.config.id.0);
                 next_retransmit = now + slice;
             }
@@ -301,9 +299,7 @@ impl ServiceProxy {
                         entry.push(NodeId(id));
                     }
                     if entry.len() >= self.config.reply_threshold {
-                        if let Some(obs) = &self.obs {
-                            obs.invoke_us.record(sent_at.elapsed().as_micros() as u64);
-                        }
+                        self.obs.invoke_us.record(sent_at.elapsed().as_micros() as u64);
                         return Ok(payload);
                     }
                 }

@@ -15,7 +15,7 @@ use crate::storage::LogStore;
 use crate::wire::{LogEntry, SmrMsg};
 use hlf_consensus::messages::{Batch, ConsensusMsg, Request};
 use hlf_consensus::{digest64, signer_bitmap, Action, Config as ConsensusConfig, Input as ConsensusInput, Replica};
-use hlf_consensus::{Executed, HealthObs, ReplicaObs};
+use hlf_consensus::Executed;
 use hlf_obs::EventKind;
 use hlf_obs::{FlightRecorder, Registry};
 use hlf_transport::PeerId;
@@ -41,9 +41,9 @@ pub struct NodeConfig {
     /// Granularity of the driver's clock: how often it feeds
     /// [`Input::Tick`].
     pub tick_interval: Duration,
-    /// Metrics registry for this node; when set, the node attaches
-    /// consensus ([`ReplicaObs`]), SMR (`NodeObs`) and slow-replica
-    /// health ([`HealthObs`]) metrics to it.
+    /// Metrics registry for this node: the node records its consensus
+    /// (`consensus.*`) and SMR (`smr.node.*`) metrics into it, or into a
+    /// private registry when this is `None`.
     pub registry: Option<Arc<Registry>>,
     /// Flight recorder for this node; when set, consensus-phase and
     /// state-transfer events are recorded into its ring.
@@ -51,7 +51,7 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// 20 ms ticks, no metrics registry.
+    /// 20 ms ticks, metrics into a private registry.
     pub fn new(consensus: ConsensusConfig) -> NodeConfig {
         NodeConfig {
             consensus,
@@ -59,12 +59,6 @@ impl NodeConfig {
             registry: None,
             flight: None,
         }
-    }
-
-    /// Attaches a metrics registry.
-    pub fn with_registry(mut self, registry: Arc<Registry>) -> NodeConfig {
-        self.registry = Some(registry);
-        self
     }
 
     /// Attaches a flight recorder.
@@ -188,7 +182,7 @@ pub struct NodeCore {
     /// pipelined consensus window several can be outstanding at once.
     tentative_executed: BTreeSet<u64>,
     transfer: Option<Transfer>,
-    obs: Option<NodeObs>,
+    obs: NodeObs,
     flight: Option<Arc<FlightRecorder>>,
     /// `(seq, first sight in µs)` of each client's latest in-flight
     /// request, for the request→decide latency histogram; see
@@ -210,12 +204,12 @@ impl NodeCore {
     /// Builds the node around `app` and `log`. Nothing runs until the
     /// driver calls [`NodeCore::recover`] and then [`NodeCore::step`].
     pub fn new(config: &NodeConfig, app: Box<dyn Application>, log: Box<dyn LogStore>) -> NodeCore {
+        let registry = config
+            .registry
+            .clone()
+            .unwrap_or_else(|| Registry::new(format!("node-{}", config.consensus.node.0)));
         let mut replica = Replica::new(config.consensus.clone());
-        let obs = config.registry.as_deref().map(|registry| {
-            replica.attach_obs(ReplicaObs::new(registry));
-            replica.attach_health_obs(HealthObs::new(registry, config.consensus.quorums.n()));
-            NodeObs::new(registry)
-        });
+        replica.attach_obs(&registry);
         if let Some(flight) = &config.flight {
             replica.attach_flight(Arc::clone(flight));
         }
@@ -230,7 +224,7 @@ impl NodeCore {
             reply_cache: HashMap::new(),
             tentative_executed: BTreeSet::new(),
             transfer: None,
-            obs,
+            obs: NodeObs::new(&registry),
             flight: config.flight.clone(),
             request_seen: HashMap::new(),
         }
@@ -284,9 +278,7 @@ impl NodeCore {
         // cache answers a client that missed its last one.
         self.reply_cache.extend(owed);
         if recovered > 0 {
-            if let Some(obs) = &self.obs {
-                obs.recoveries.inc();
-            }
+            self.obs.recoveries.inc();
             hlf_obs::info!(
                 "node {} recovered to cid {recovered} from durable log",
                 self.node().0
@@ -366,9 +358,6 @@ impl NodeCore {
     /// stamped by its last one, which is what a slot per client holds
     /// anyway.
     fn note_first_sight(&mut self, requests: &[Request], now_us: u64) {
-        if self.obs.is_none() {
-            return;
-        }
         for run in requests.chunk_by(|a, b| a.client == b.client) {
             let Some(last) = run.last() else { continue };
             if self.replica.was_executed(&last.id()) {
@@ -443,15 +432,13 @@ impl NodeCore {
                     .duplicates_skipped
                     .fetch_add(skipped.len() as u64, Ordering::Relaxed);
                 self.stats.last_cid.store(cid, Ordering::Relaxed);
-                if let Some(obs) = &self.obs {
-                    obs.commit_batch_len.record(batch.len() as u64);
-                    obs.duplicates_skipped.add(skipped.len() as u64);
-                    for request in &batch.requests {
-                        if let Some(&(seq, seen_us)) = self.request_seen.get(&request.client) {
-                            if seq == request.seq {
-                                self.request_seen.remove(&request.client);
-                                obs.request_decide_us.record(now_us.saturating_sub(seen_us));
-                            }
+                self.obs.commit_batch_len.record(batch.len() as u64);
+                self.obs.duplicates_skipped.add(skipped.len() as u64);
+                for request in &batch.requests {
+                    if let Some(&(seq, seen_us)) = self.request_seen.get(&request.client) {
+                        if seq == request.seq {
+                            self.request_seen.remove(&request.client);
+                            self.obs.request_decide_us.record(now_us.saturating_sub(seen_us));
                         }
                     }
                 }
@@ -525,9 +512,7 @@ impl NodeCore {
     }
 
     fn request_state(&self, out: &mut Vec<Output>) {
-        if let Some(obs) = &self.obs {
-            obs.state_transfer_rounds.inc();
-        }
+        self.obs.state_transfer_rounds.inc();
         let from_cid = self.stats.last_cid() + 1;
         out.push(Output::ToReplicas(SmrMsg::StateRequest { from_cid }));
     }
@@ -653,9 +638,7 @@ impl NodeCore {
         // `max`: consensus may have committed past the target meanwhile.
         self.stats.last_cid.fetch_max(reached, Ordering::Relaxed);
         self.stats.state_transfers.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.state_transfers.inc();
-        }
+        self.obs.state_transfers.inc();
         if let Some(flight) = &self.flight {
             flight.record(now_us, EventKind::StateTransfer, reached, 1, 0);
         }

@@ -7,7 +7,6 @@ use crate::app::Application;
 use crate::core::{Input, NodeCore, Output};
 use crate::storage::LogStore;
 use crate::wire::SmrMsg;
-use hlf_obs::Registry;
 use hlf_transport::{Endpoint, PeerId, SenderHandle};
 use hlf_wire::{from_bytes_shared, to_pooled_bytes, BufferPool, Bytes, ClientId, NodeId};
 use std::collections::HashSet;
@@ -94,7 +93,6 @@ pub struct NodeHandle {
     node: NodeId,
     shutdown: Arc<AtomicBool>,
     stats: Arc<NodeStats>,
-    registry: Option<Arc<Registry>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -102,11 +100,6 @@ impl NodeHandle {
     /// This node's identity.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The node's metrics registry, if one was configured.
-    pub fn obs_registry(&self) -> Option<&Arc<Registry>> {
-        self.registry.as_ref()
     }
 
     /// Live statistics.
@@ -168,7 +161,6 @@ pub fn spawn_replica(
     });
     let core = NodeCore::new(&config, app, log);
     let stats = core.stats();
-    let registry = config.registry;
     let mut worker = NodeWorker {
         core,
         n: config.consensus.quorums.n() as u32,
@@ -190,7 +182,6 @@ pub fn spawn_replica(
         node,
         shutdown,
         stats,
-        registry,
         thread: Some(thread),
     }
 }

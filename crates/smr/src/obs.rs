@@ -1,6 +1,8 @@
 //! SMR-layer observability: node-side request latency and state
 //! transfer metrics, client-side retransmission and invocation
-//! metrics, resolved once from an [`hlf_obs::Registry`].
+//! metrics, resolved once from an [`hlf_obs::Registry`]. Nodes and
+//! proxies always record: into the registry they are given, or else
+//! into a private one.
 //!
 //! Metric names (see DESIGN.md §Observability):
 //!
@@ -19,10 +21,10 @@
 use hlf_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
-/// Handles to every node-side SMR metric. Cheap to clone; built by
-/// [`crate::node::spawn_replica`] when the [`crate::node::NodeConfig`]
-/// carries a registry.
-#[derive(Clone, Debug)]
+/// Handles to every node-side SMR metric; built by
+/// [`crate::core::NodeCore::new`] in the [`crate::core::NodeConfig`]'s
+/// registry, or a private one.
+#[derive(Debug)]
 pub(crate) struct NodeObs {
     /// Request received from a client → its batch committed, in µs of
     /// wall time (includes consensus plus node-thread queuing).
@@ -56,7 +58,7 @@ impl NodeObs {
 
 /// Handles to every client-side proxy metric; attach with
 /// [`crate::client::ServiceProxy::attach_obs`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct ProxyObs {
     /// Synchronous invocation round-trip (request sent → reply quorum),
     /// in µs of wall time.

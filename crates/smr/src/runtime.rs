@@ -111,7 +111,7 @@ impl RuntimeOptions {
         &self,
         i: usize,
         keys: &ClusterKeys,
-        registry: Option<Arc<Registry>>,
+        registry: Arc<Registry>,
         flight: Option<Arc<FlightRecorder>>,
     ) -> NodeConfig {
         let n = keys.signing.len();
@@ -133,7 +133,7 @@ impl RuntimeOptions {
         .with_pipeline_depth(self.pipeline_depth)
         .with_checkpoint_interval(self.checkpoint_interval);
         let mut config = NodeConfig::new(consensus);
-        config.registry = registry;
+        config.registry = Some(registry);
         config.flight = flight;
         config
     }
@@ -200,7 +200,7 @@ impl ClusterRuntime {
         let keys = ClusterKeys::derive("runtime", n);
         let node_options = options.clone();
         Self::start_with(n, options, move |i, endpoint, registry| {
-            let config = node_options.node_config(i, &keys, Some(registry), None);
+            let config = node_options.node_config(i, &keys, registry, None);
             spawn_replica(config, endpoint, log_factory(i), |_| app_factory(i))
         })
     }

@@ -107,7 +107,7 @@ impl AdminRequest {
 /// and SMR stats, not from this crate).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthReport {
-    /// Current regency (leader epoch) as counted by regency changes.
+    /// The regency (leader epoch) the replica has installed.
     pub regency: u64,
     /// Pipeline-window occupancy (in-flight consensus slots).
     pub window: u64,
