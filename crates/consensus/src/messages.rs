@@ -9,7 +9,7 @@
 use crate::ConsensusError;
 use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
-use hlf_crypto::sha256::{sha256, sha256_concat, Digest, Hash256};
+use hlf_crypto::sha256::{sha256, sha256_concat, sha256_many, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use hlf_wire::{ClientId, NodeId, MAX_LEN};
 use std::sync::{Arc, OnceLock};
@@ -184,7 +184,7 @@ impl Batch {
     /// from the bytes this batch holds on first use, then kept with it.
     pub fn leaves(&self) -> &[Hash256] {
         self.leaves.get_or_init(|| {
-            Arc::new(self.requests.iter().map(|r| sha256(split_tag(&r.payload).1)).collect())
+            Arc::new(sha256_many(self.requests.iter().map(|r| split_tag(&r.payload).1)))
         })
     }
 
@@ -956,6 +956,24 @@ mod tests {
         }
     }
 
+    /// Clock-free cost guard: a batch's leaves are hashed sixteen
+    /// payloads at a time where the processor has AVX-512, so 32 equal
+    /// 4 KiB payloads (64 blocks and a tail block each) take two loads
+    /// of the lanes, 2 × 65 lane steps.
+    #[test]
+    fn leaves_of_32_equal_payloads_go_through_the_lanes() {
+        let payload = vec![0xab; 4096];
+        let batch = Batch::new((0..32).map(|seq| Request::new(ClientId(1), seq, payload.clone())).collect());
+        let before = hlf_crypto::sha256::lane_steps();
+        assert_eq!(batch.leaves(), vec![sha256(&payload); 32]);
+        #[cfg(target_arch = "x86_64")]
+        let lanes = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw");
+        #[cfg(not(target_arch = "x86_64"))]
+        let lanes = false;
+        eprintln!("leaves: avx512 lanes {}", if lanes { "present" } else { "absent" });
+        assert_eq!(hlf_crypto::sha256::lane_steps() - before, if lanes { 2 * 65 } else { 0 });
+    }
+
     #[test]
     fn vote_sign_verify_and_domain_separation() {
         let (sk, vk) = keys(1);
@@ -1194,7 +1212,7 @@ mod tests {
             };
             assert_eq!(Batch::empty().digest(), materialised(&Batch::empty()));
             for_each_case(0xc0de_0003, 64, |rng| {
-                let batch = Batch::new(rng.vec(0..12, |r| {
+                let batch = Batch::new(rng.vec(0..40, |r| {
                     // A third of the payloads are empty, a third tagged;
                     // the rest reach past several hash blocks.
                     let mut payload = if r.next_range(3) == 0 { Vec::new() } else { r.bytes(0..300) };

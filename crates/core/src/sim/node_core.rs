@@ -791,3 +791,30 @@ fn ordering_tolerates_message_loss() {
     sent.sort();
     assert_eq!(ordered, sent, "the chain does not hold each envelope exactly once");
 }
+
+/// A client streams windows of 8, one every 2.5 ms over 1 ms links, so
+/// each window arrives while the instance before it is still running. A
+/// stamp stays until its request decides and the next window's first
+/// request takes the free slot, so the stream is sampled all along: at
+/// least once per 4 decisions on every node. (A slot that every newer
+/// seq overwrote measured only the stream's last request: 1 sample in
+/// 126 decisions.)
+#[test]
+fn streamed_windows_are_sampled_all_along() {
+    const WINDOWS: u64 = 150;
+    let mut net = Lan::counters();
+    net.sim.set_latency(LatencyModel::constant(SimTime::from_micros(1_000)));
+    let window = |k: u64| -> Vec<Request> { (8 * k + 1..=8 * k + 8).map(|seq| request(CLIENT, seq)).collect() };
+    for k in 0..WINDOWS {
+        net.send_window(CLIENT, &window(k));
+        net.advance(2_500);
+    }
+    net.advance(100_000);
+    for node in 0..N {
+        assert_eq!(net.node(node).executed().len() as u64, 8 * WINDOWS, "node {node}");
+        let (decided, samples) = (net.last_cid(node), net.node(node).decide_samples());
+        assert!(decided >= 100, "node {node}: {decided} decisions");
+        assert!(4 * samples >= decided, "node {node}: {samples} samples in {decided} decisions");
+        assert_eq!(net.node(node).core.open_request_stamps(), 0, "node {node}");
+    }
+}

@@ -32,20 +32,29 @@ pub fn hmac_sha256_multi(key: &[u8], parts: &[&[u8]]) -> Hash256 {
 ///
 /// Every MAC starts by compressing `key ⊕ ipad` and `key ⊕ opad`; a key
 /// that signs several messages (RFC 6979 derives a nonce with five MACs
-/// under three keys) pays for those two blocks once, here, and each
-/// [`HmacKey::mac`] clones the two hash states.
-pub(crate) struct HmacKey {
+/// under three keys, a transport link tags every frame under one) pays
+/// for those two blocks once, here, and each [`HmacKey::mac`] clones the
+/// two hash states.
+#[derive(Clone)]
+pub struct HmacKey {
     /// SHA-256 state after `key ⊕ ipad`.
     inner: Digest,
     /// SHA-256 state after `key ⊕ opad`.
     outer: Digest,
 }
 
+/// Prints no key material.
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacKey(..)")
+    }
+}
+
 impl HmacKey {
     /// Absorbs the key's two pad blocks (a key longer than a block is
     /// hashed first, per RFC 2104).
     #[expect(clippy::indexing_slicing, reason = "`key.len() ≤ BLOCK_SIZE` on the copy branch")]
-    pub(crate) fn new(key: &[u8]) -> HmacKey {
+    pub fn new(key: &[u8]) -> HmacKey {
         let mut key_block = [0u8; BLOCK_SIZE];
         if key.len() > BLOCK_SIZE {
             let hashed = crate::sha256::sha256(key);
@@ -61,7 +70,7 @@ impl HmacKey {
     }
 
     /// HMAC-SHA256 under this key over the concatenation of `parts`.
-    pub(crate) fn mac(&self, parts: &[&[u8]]) -> Hash256 {
+    pub fn mac(&self, parts: &[&[u8]]) -> Hash256 {
         let mut inner = self.inner.clone();
         for p in parts {
             inner.update(p);

@@ -5,7 +5,8 @@
 //! Fabric SDK for both. This crate provides the same primitives without any
 //! external dependency:
 //!
-//! * [`mod@sha256`] — FIPS 180-4 SHA-256 (one-shot and incremental),
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256 (one-shot, incremental, and many
+//!   messages at once in SIMD lanes),
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), used by deterministic ECDSA,
 //! * `bignum` — fixed-width 256-bit integers with Montgomery arithmetic,
 //! * `p256` — the NIST P-256 (secp256r1) group,

@@ -1,4 +1,4 @@
-//! FIPS 180-4 SHA-256, one-shot and incremental.
+//! FIPS 180-4 SHA-256: one-shot, incremental, and many messages at once.
 
 use std::fmt;
 
@@ -159,22 +159,28 @@ impl Digest {
     }
 
     /// Finishes the hash and returns the digest, consuming the hasher.
-    #[expect(clippy::indexing_slicing, reason = "`buffered < 64` between calls, so the pad byte and the tail ranges lie inside the 64-byte buffer")]
+    #[expect(clippy::indexing_slicing, reason = "`buffered < 64` between calls, and a padded tail is one or two blocks")]
     pub fn finalize(mut self) -> Hash256 {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.buffer[self.buffered] = 0x80;
-        self.buffer[self.buffered + 1..].fill(0);
-        if self.buffered >= 56 {
-            // Fewer than 8 bytes remain: the length goes in a block of
-            // its own.
-            compress_blocks(&mut self.state, &self.buffer);
-            self.buffer.fill(0);
-        }
-        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress_blocks(&mut self.state, &self.buffer);
+        let (tail, blocks) = padded_tail(&self.buffer[..self.buffered], self.total_len);
+        compress_blocks(&mut self.state, tail[..blocks].as_flattened());
         state_hash(&self.state)
     }
+}
+
+/// A message's closing blocks: its last `rest.len() < 64` bytes, 0x80,
+/// zeros and the bit length of its `len` bytes, big-endian. One block, or
+/// two when fewer than 8 bytes remain after the pad byte; the count is
+/// returned beside them.
+#[expect(clippy::indexing_slicing, reason = "`rest.len() < 64`, so the bytes, the pad byte and the 8-byte length at `64 · blocks - 8` lie inside the 128-byte tail")]
+fn padded_tail(rest: &[u8], len: u64) -> ([[u8; 64]; 2], usize) {
+    debug_assert!(rest.len() < 64);
+    let mut tail = [[0u8; 64]; 2];
+    let blocks = if rest.len() < 56 { 1 } else { 2 };
+    let padded = tail.as_flattened_mut();
+    padded[..rest.len()].copy_from_slice(rest);
+    padded[rest.len()] = 0x80;
+    padded[64 * blocks - 8..64 * blocks].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
+    (tail, blocks)
 }
 
 /// The digest a final state stands for: its eight words, big-endian.
@@ -198,9 +204,11 @@ fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     COMPRESSIONS.set(COMPRESSIONS.get() + data.len() as u64 / 64);
     #[cfg(target_arch = "x86_64")]
     if shani::available() {
+        let mut states = [*state];
         // SAFETY: `available()` just confirmed that this processor has
-        // every target feature `shani::compress_blocks` is compiled with.
-        unsafe { shani::compress_blocks(state, data) }
+        // every target feature `shani::compress_streams` is compiled with.
+        unsafe { shani::compress_streams(&mut states, [data.as_chunks::<64>().0]) }
+        *state = states[0];
         return;
     }
     compress_blocks_scalar(state, data);
@@ -213,6 +221,19 @@ thread_local! {
     pub(crate) static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+thread_local! {
+    /// Steps of the sixteen-lane engine on this thread; see [`lane_steps`].
+    static LANE_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Steps the sixteen-lane engine of [`sha256_many`] has run on this
+/// thread, each one 64-byte block of each of sixteen messages: what the
+/// clock-free cost guards of its callers count. Always 0 on a processor
+/// without AVX-512.
+pub fn lane_steps() -> u64 {
+    LANE_STEPS.get()
+}
+
 /// Which of the two [`compress_blocks`] implementations CPUID selects on
 /// this host: `"sha-ni"` or `"scalar"`, for the differential tests' log
 /// line; nothing branches on it.
@@ -223,6 +244,24 @@ pub(crate) fn compress_backend() -> &'static str {
         return "sha-ni";
     }
     "scalar"
+}
+
+/// Which engines [`sha256_many`] steps through on this host, in order,
+/// for the differential tests' log line; nothing branches on it.
+#[cfg(test)]
+pub(crate) fn many_backend() -> String {
+    let mut tiers = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512::available() {
+            tiers.push("avx512 x16");
+        }
+        if shani::available() {
+            tiers.push("sha-ni x2");
+        }
+    }
+    tiers.push(compress_backend());
+    tiers.join(" then ")
 }
 
 /// The portable compression loop, and the reference the tests hold the
@@ -317,63 +356,75 @@ mod shani {
         _mm_set_epi32(k(3), k(2), k(1), k(0))
     }
 
-    /// The compression function over every whole 64-byte block of
-    /// `data` (a trailing partial block is not read).
+    /// The compression function over `S` independent streams: the
+    /// blocks of `data[s]` into `states[s]`, every stream the same number
+    /// of blocks. With two streams the rounds of one fill the latency
+    /// of the other's; one stream is [`super::compress_blocks`].
     ///
     /// Safe to call only where the processor has `sha`, `sse2`, `ssse3`
     /// and `sse4.1` ([`available`]); the compiler makes every other
     /// caller say so in an `unsafe` block.
-    #[expect(clippy::indexing_slicing, reason = "`as_chunks::<16>` of a 64-byte block has 4 elements; `% 4` keeps the ring indices inside `[__m128i; 4]`")]
+    #[expect(clippy::indexing_slicing, reason = "`s < S` indexes the `[_; S]` arrays, `block < stream.len()` since every stream holds as many blocks as the first, `as_chunks::<16>` of a 64-byte block has 4 elements and `% 4` keeps the ring indices inside `[__m128i; 4]`")]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
-        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+    pub(super) fn compress_streams<const S: usize>(states: &mut [[u32; 8]; S], data: [&[[u8; 64]]; S]) {
+        let blocks = data.first().map_or(0, |first| first.len());
+        debug_assert!(data.iter().all(|stream| stream.len() == blocks));
         // The layout `sha256rnds2` works on: {a, b, e, f} and
         // {c, d, g, h}, the first-named word in the highest lane.
-        let mut abef = _mm_set_epi32(a, b, e, f);
-        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        let mut abef = states.map(|[a, b, _, _, e, f, _, _]| _mm_set_epi32(a as i32, b as i32, e as i32, f as i32));
+        let mut cdgh = states.map(|[_, _, c, d, _, _, g, h]| _mm_set_epi32(c as i32, d as i32, g as i32, h as i32));
 
-        for block in data.as_chunks::<64>().0 {
+        for block in (0..blocks).map(|block| data.map(|stream| &stream[block])) {
             let (abef_in, cdgh_in) = (abef, cdgh);
-            let quarters = block.as_chunks::<16>().0;
-            let mut w = [
-                load_words(&quarters[0]),
-                load_words(&quarters[1]),
-                load_words(&quarters[2]),
-                load_words(&quarters[3]),
-            ];
+            let mut w: [[__m128i; 4]; S] = std::array::from_fn(|s| {
+                let quarters = block[s].as_chunks::<16>().0;
+                [
+                    load_words(&quarters[0]),
+                    load_words(&quarters[1]),
+                    load_words(&quarters[2]),
+                    load_words(&quarters[3]),
+                ]
+            });
             // Sixteen groups of four rounds. `w` is a ring of the last
             // sixteen schedule words; from group 4 on the oldest four
             // are replaced by the next four before they are used.
             for group in 0..16 {
-                if group >= 4 {
-                    let (w0, w1) = (w[group % 4], w[(group + 1) % 4]);
-                    let (w2, w3) = (w[(group + 2) % 4], w[(group + 3) % 4]);
-                    // w[t] = σ1(w[t-2]) + w[t-7] + σ0(w[t-15]) + w[t-16]:
-                    // msg1 adds σ0, alignr picks w[t-7], msg2 adds σ1.
-                    let partial =
-                        _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
-                    w[group % 4] = _mm_sha256msg2_epu32(partial, w3);
+                for s in 0..S {
+                    let w = &mut w[s];
+                    if group >= 4 {
+                        let (w0, w1) = (w[group % 4], w[(group + 1) % 4]);
+                        let (w2, w3) = (w[(group + 2) % 4], w[(group + 3) % 4]);
+                        // w[t] = σ1(w[t-2]) + w[t-7] + σ0(w[t-15]) + w[t-16]:
+                        // msg1 adds σ0, alignr picks w[t-7], msg2 adds σ1.
+                        let partial =
+                            _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+                        w[group % 4] = _mm_sha256msg2_epu32(partial, w3);
+                    }
+                    let wk = _mm_add_epi32(w[group % 4], round_constants(group));
+                    // Two rounds per instruction, on the low two lanes.
+                    cdgh[s] = _mm_sha256rnds2_epu32(cdgh[s], abef[s], wk);
+                    abef[s] = _mm_sha256rnds2_epu32(abef[s], cdgh[s], _mm_shuffle_epi32(wk, 0x0e));
                 }
-                let wk = _mm_add_epi32(w[group % 4], round_constants(group));
-                // Two rounds per instruction, on the low two lanes.
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
             }
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            for s in 0..S {
+                abef[s] = _mm_add_epi32(abef[s], abef_in[s]);
+                cdgh[s] = _mm_add_epi32(cdgh[s], cdgh_in[s]);
+            }
         }
 
-        *state = [
-            _mm_extract_epi32(abef, 3),
-            _mm_extract_epi32(abef, 2),
-            _mm_extract_epi32(cdgh, 3),
-            _mm_extract_epi32(cdgh, 2),
-            _mm_extract_epi32(abef, 1),
-            _mm_extract_epi32(abef, 0),
-            _mm_extract_epi32(cdgh, 1),
-            _mm_extract_epi32(cdgh, 0),
-        ]
-        .map(|word| word as u32);
+        for ((state, abef), cdgh) in states.iter_mut().zip(abef).zip(cdgh) {
+            *state = [
+                _mm_extract_epi32(abef, 3),
+                _mm_extract_epi32(abef, 2),
+                _mm_extract_epi32(cdgh, 3),
+                _mm_extract_epi32(cdgh, 2),
+                _mm_extract_epi32(abef, 1),
+                _mm_extract_epi32(abef, 0),
+                _mm_extract_epi32(cdgh, 1),
+                _mm_extract_epi32(cdgh, 0),
+            ]
+            .map(|word| word as u32);
+        }
     }
 }
 
@@ -406,6 +457,299 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Hash256 {
     d.finalize()
 }
 
+/// `sha256` of each of `messages`, in order.
+///
+/// The messages are independent, so several are hashed at once, in
+/// *lanes*: where CPUID reports AVX-512 (`avx512f`, `avx512bw`), sixteen
+/// messages a step in the 32-bit lanes of a 512-bit register, while at
+/// least [`LANE_CROSSOVER`] are left; then two at a time where it reports
+/// the SHA extension; the rest one at a time. A lane whose message is
+/// done takes the next one, so messages of mixed lengths keep every lane
+/// busy, and each message's padded tail goes through the lanes too.
+pub fn sha256_many<'a>(messages: impl IntoIterator<Item = &'a [u8]>) -> Vec<Hash256> {
+    let mut streams: Vec<Stream<'a>> = messages.into_iter().map(Stream::new).collect();
+    hash_streams(&mut streams, Tiers::ALL);
+    streams.iter().map(|stream| state_hash(&stream.state)).collect()
+}
+
+/// Fewest unfinished messages the sixteen-lane engine goes on stepping
+/// for: one lane step costs about as much as ten blocks in SHA-NI pairs,
+/// so with more than six lanes idle the pairs finish sooner.
+const LANE_CROSSOVER: usize = 10;
+
+/// The multi-stream engines [`hash_streams`] may use, each where CPUID
+/// also reports it; the tests switch them off one by one.
+#[derive(Clone, Copy)]
+struct Tiers {
+    lanes: bool,
+    pair: bool,
+}
+
+impl Tiers {
+    const ALL: Tiers = Tiers { lanes: true, pair: true };
+}
+
+/// Finishes every stream: sixteen-lane steps, then SHA-NI pairs, then one
+/// at a time, each engine taking what the one before left.
+fn hash_streams(streams: &mut [Stream<'_>], tiers: Tiers) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if tiers.lanes && avx512::available() {
+            run_lanes(streams, LANE_CROSSOVER, |states, data| {
+                LANE_STEPS.set(LANE_STEPS.get() + data[0].len() as u64);
+                // SAFETY: `available()` just confirmed that this processor
+                // has every target feature `avx512::compress` is compiled
+                // with.
+                unsafe { avx512::compress(states, data) }
+            });
+        }
+        if tiers.pair && shani::available() {
+            // SAFETY: `available()` just confirmed that this processor has
+            // every target feature `shani::compress_streams` is compiled
+            // with.
+            run_lanes(streams, 2, |states: &mut [[u32; 8]; 2], data| unsafe { shani::compress_streams(states, data) });
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tiers;
+    run_lanes(streams, 1, |[state]: &mut [[u32; 8]; 1], [data]| compress_blocks(state, data.as_flattened()));
+}
+
+/// One message of [`sha256_many`] on its way through the compression
+/// function: its state and the blocks it has left, the message's own
+/// whole blocks and then its padded tail.
+struct Stream<'a> {
+    state: [u32; 8],
+    body: &'a [[u8; 64]],
+    /// The message's [`padded_tail`], `tail_blocks` long.
+    tail: [[u8; 64]; 2],
+    tail_blocks: usize,
+    /// Blocks compressed so far, counting `body` then `tail`.
+    done: usize,
+}
+
+impl<'a> Stream<'a> {
+    fn new(message: &'a [u8]) -> Stream<'a> {
+        let (body, rest) = message.as_chunks::<64>();
+        let (tail, tail_blocks) = padded_tail(rest, message.len() as u64);
+        Stream { state: H0, body, tail, tail_blocks, done: 0 }
+    }
+
+    /// The blocks left that lie one after the other in memory: the rest
+    /// of the body, else the rest of the tail; none once it is done.
+    fn blocks(&self) -> &[[u8; 64]] {
+        match self.done.checked_sub(self.body.len()) {
+            None => self.body.get(self.done..),
+            Some(tail_done) => self.tail.get(tail_done..self.tail_blocks),
+        }
+        .unwrap_or_default()
+    }
+
+    fn finished(&self) -> bool {
+        self.done >= self.body.len() + self.tail_blocks
+    }
+}
+
+/// Steps the unfinished `streams` through an engine of `N` lanes until
+/// fewer than `min` are left for it. A lane holds one stream until it is
+/// done, then takes the next unfinished one. Each step hands `compress`
+/// one state and one run of blocks per lane, all runs as long as the
+/// shortest a held stream has left in one piece; a lane without a stream
+/// runs a copy of another lane's blocks into a state that is thrown away.
+#[expect(clippy::indexing_slicing, reason = "lanes hold indices of `streams` below its length, and every run is cut to `run`, the shortest length among them")]
+fn run_lanes<const N: usize>(
+    streams: &mut [Stream<'_>],
+    min: usize,
+    mut compress: impl FnMut(&mut [[u32; 8]; N], [&[[u8; 64]]; N]),
+) {
+    let mut lanes = [None::<usize>; N];
+    let mut next = 0;
+    loop {
+        for lane in lanes.iter_mut().filter(|lane| lane.is_none()) {
+            while next < streams.len() && streams[next].finished() {
+                next += 1;
+            }
+            if next < streams.len() {
+                *lane = Some(next);
+                next += 1;
+            }
+        }
+        let held = || lanes.iter().flatten().map(|&i| &streams[i]);
+        let (Some(first), Some(run)) = (held().next(), held().map(|stream| stream.blocks().len()).min()) else {
+            return;
+        };
+        if held().count() < min {
+            return;
+        }
+        let idle = &first.blocks()[..run];
+        let mut states = [H0; N];
+        let data = std::array::from_fn(|lane| match lanes[lane] {
+            Some(i) => {
+                states[lane] = streams[i].state;
+                &streams[i].blocks()[..run]
+            }
+            None => idle,
+        });
+        compress(&mut states, data);
+        for (lane, state) in lanes.iter_mut().zip(states) {
+            if let Some(i) = *lane {
+                let stream = &mut streams[i];
+                stream.state = state;
+                stream.done += run;
+                if stream.finished() {
+                    *lane = None;
+                }
+            }
+        }
+    }
+}
+
+/// SHA-256 compression in the sixteen 32-bit lanes of AVX-512 registers:
+/// register `w` of the state holds word `w` of sixteen independent
+/// messages, and each round is a handful of rotations, three-input
+/// logic ops and additions on all of them at once.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this processor runs [`compress`]. `std` caches CPUID, so
+    /// this is a load and a mask.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+    }
+
+    /// The sixteen words of one lane's block, each byte-swapped to its
+    /// big-endian value.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn load_block(block: &[u8; 64]) -> __m512i {
+        let big_endian = _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
+        // SAFETY: `block` is a reference to 64 readable bytes, and
+        // `_mm512_loadu_si512` asks no alignment of its pointer.
+        unsafe { _mm512_shuffle_epi8(_mm512_loadu_si512(block.as_ptr().cast()), big_endian) }
+    }
+
+    /// Transposes sixteen rows of sixteen words: word `j` of row `i`
+    /// becomes word `i` of row `j`. Pairs of 32-bit words, then of
+    /// 64-bit words, then 128-bit quarters are interleaved.
+    #[expect(clippy::indexing_slicing, reason = "every index is below 16, the length of the arrays")]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(rows: [__m512i; 16]) -> [__m512i; 16] {
+        // t[2i], t[2i+1]: rows 2i and 2i+1 interleaved, words 0,1 and 2,3
+        // of every quarter.
+        let t: [__m512i; 16] = std::array::from_fn(|i| {
+            let (a, b) = (rows[i & !1], rows[i | 1]);
+            if i % 2 == 0 { _mm512_unpacklo_epi32(a, b) } else { _mm512_unpackhi_epi32(a, b) }
+        });
+        // u[4g + c]: quarter q holds column 4q + c of rows 4g..4g + 4.
+        let u: [__m512i; 16] = std::array::from_fn(|i| {
+            let (g, c) = (i / 4, i % 4);
+            let (a, b) = (t[4 * g + c / 2], t[4 * g + 2 + c / 2]);
+            if c % 2 == 0 { _mm512_unpacklo_epi64(a, b) } else { _mm512_unpackhi_epi64(a, b) }
+        });
+        // Column 4q + c is quarter q of u[c], u[4 + c], u[8 + c] and
+        // u[12 + c]: a 4 × 4 transpose of quarters.
+        let mut out = [_mm512_setzero_si512(); 16];
+        for c in 0..4 {
+            let low01 = _mm512_shuffle_i32x4::<0x44>(u[c], u[4 + c]);
+            let low23 = _mm512_shuffle_i32x4::<0xee>(u[c], u[4 + c]);
+            let high01 = _mm512_shuffle_i32x4::<0x44>(u[8 + c], u[12 + c]);
+            let high23 = _mm512_shuffle_i32x4::<0xee>(u[8 + c], u[12 + c]);
+            out[c] = _mm512_shuffle_i32x4::<0x88>(low01, high01);
+            out[4 + c] = _mm512_shuffle_i32x4::<0xdd>(low01, high01);
+            out[8 + c] = _mm512_shuffle_i32x4::<0x88>(low23, high23);
+            out[12 + c] = _mm512_shuffle_i32x4::<0xdd>(low23, high23);
+        }
+        out
+    }
+
+    /// `x ⋙ a ⊕ x ⋙ b ⊕ x ⋙ c`, `Σ0` and `Σ1`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn big_sigma<const A: i32, const B: i32, const C: i32>(x: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi32::<0x96>(_mm512_ror_epi32::<A>(x), _mm512_ror_epi32::<B>(x), _mm512_ror_epi32::<C>(x))
+    }
+
+    /// `x ⋙ a ⊕ x ⋙ b ⊕ x ≫ c`, `σ0` and `σ1`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn small_sigma<const A: i32, const B: i32, const C: u32>(x: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi32::<0x96>(_mm512_ror_epi32::<A>(x), _mm512_ror_epi32::<B>(x), _mm512_srli_epi32::<C>(x))
+    }
+
+    /// The compression function over sixteen independent streams: the
+    /// blocks of `data[l]` into `states[l]`, every stream the same number
+    /// of blocks.
+    ///
+    /// Safe to call only where the processor has `avx512f` and
+    /// `avx512bw` ([`available`]); the compiler makes every other caller
+    /// say so in an `unsafe` block.
+    #[expect(clippy::indexing_slicing, reason = "lane and word indices are below 16 and 8, the lengths of the arrays, the ring indices are `% 16`, and `block < stream.len()` since every stream holds as many blocks as the first")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) fn compress(states: &mut [[u32; 8]; 16], data: [&[[u8; 64]]; 16]) {
+        let blocks = data[0].len();
+        debug_assert!(data.iter().all(|stream| stream.len() == blocks));
+        // Word `w` of every lane in register `w`.
+        let mut state: [__m512i; 8] = std::array::from_fn(|w| {
+            let words: [u32; 16] = std::array::from_fn(|lane| states[lane][w]);
+            // SAFETY: `words` is 64 readable bytes, and
+            // `_mm512_loadu_si512` asks no alignment of its pointer.
+            unsafe { _mm512_loadu_si512(words.as_ptr().cast()) }
+        });
+
+        for block in (0..blocks).map(|block| data.map(|stream| &stream[block])) {
+            let mut w = transpose(block.map(|lane_block| load_block(lane_block)));
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+            // Four groups of sixteen rounds, written out so that every
+            // index into the ring `w` is a constant and `w` stays in
+            // registers (a rolled loop indexes it in memory).
+            for (group, k) in K.as_chunks::<16>().0.iter().enumerate() {
+                macro_rules! rounds {
+                    ($($j:literal)*) => {$(
+                        if group > 0 {
+                            // w[t] = σ1(w[t-2]) + w[t-7] + σ0(w[t-15]) + w[t-16].
+                            let s0 = small_sigma::<7, 18, 3>(w[($j + 1) % 16]);
+                            let s1 = small_sigma::<17, 19, 10>(w[($j + 14) % 16]);
+                            w[$j] = _mm512_add_epi32(_mm512_add_epi32(w[$j], s0), _mm512_add_epi32(w[($j + 9) % 16], s1));
+                        }
+                        let ch = _mm512_ternarylogic_epi32::<0xca>(e, f, g);
+                        let t1 = _mm512_add_epi32(
+                            _mm512_add_epi32(h, big_sigma::<6, 11, 25>(e)),
+                            _mm512_add_epi32(ch, _mm512_add_epi32(w[$j], _mm512_set1_epi32(k[$j] as i32))),
+                        );
+                        let maj = _mm512_ternarylogic_epi32::<0xe8>(a, b, c);
+                        let t2 = _mm512_add_epi32(big_sigma::<2, 13, 22>(a), maj);
+                        h = g;
+                        g = f;
+                        f = e;
+                        e = _mm512_add_epi32(d, t1);
+                        d = c;
+                        c = b;
+                        b = a;
+                        a = _mm512_add_epi32(t1, t2);
+                    )*};
+                }
+                rounds!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+            }
+            for (word, round) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *word = _mm512_add_epi32(*word, round);
+            }
+        }
+
+        for (w, word) in state.iter().enumerate() {
+            let mut words = [0u32; 16];
+            // SAFETY: `words` is 64 writable bytes, and
+            // `_mm512_storeu_si512` asks no alignment of its pointer.
+            unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), *word) };
+            for (lane_state, word) in states.iter_mut().zip(words) {
+                lane_state[w] = word;
+            }
+        }
+    }
+}
+
 /// One-shot SHA-256 by the portable compression function alone,
 /// whatever the processor offers, with its own padding: the reference
 /// the tests hold [`sha256`] against.
@@ -429,14 +773,85 @@ pub(crate) fn sha256_reference(data: &[u8]) -> Hash256 {
 mod tests {
     use super::*;
 
-    /// Says which compress the dispatcher picked, so a log of a host
-    /// without the extension shows the differential tests compared the
-    /// scalar code with itself.
+    /// Says which compress the dispatcher picked and which engines
+    /// `sha256_many` has, so a log of a host without the extensions shows
+    /// the differential tests compared the scalar code with itself.
     fn announce_dispatch() {
         eprintln!(
-            "sha256: dispatched compress is {}, reference is scalar",
-            compress_backend()
+            "sha256: dispatched compress is {}, sha256_many steps {}, reference is scalar",
+            compress_backend(),
+            many_backend()
         );
+    }
+
+    /// `sha256_many` restricted to `tiers`.
+    fn many_through(messages: &[&[u8]], tiers: Tiers) -> Vec<Hash256> {
+        let mut streams: Vec<Stream<'_>> = messages.iter().map(|message| Stream::new(message)).collect();
+        hash_streams(&mut streams, tiers);
+        streams.iter().map(|stream| state_hash(&stream.state)).collect()
+    }
+
+    /// Every combination of the multi-stream engines; one this host lacks
+    /// falls through to the next, so each combination still hashes.
+    const EVERY_TIER: [Tiers; 4] = [
+        Tiers { lanes: true, pair: true },
+        Tiers { lanes: true, pair: false },
+        Tiers { lanes: false, pair: true },
+        Tiers { lanes: false, pair: false },
+    ];
+
+    fn assert_many_matches_reference(messages: &[&[u8]], what: &str) {
+        let reference: Vec<Hash256> = messages.iter().map(|message| sha256_reference(message)).collect();
+        assert_eq!(sha256_many(messages.iter().copied()), reference, "{what}");
+        for tiers in EVERY_TIER {
+            let (lanes, pair) = (tiers.lanes, tiers.pair);
+            assert_eq!(many_through(messages, tiers), reference, "{what}, lanes {lanes}, pair {pair}");
+        }
+    }
+
+    /// No message, one empty message; sixteen messages of 200 bytes but
+    /// one, at each lane position in turn, whose length puts its tail at
+    /// a padding boundary; then the same with every message at that
+    /// length.
+    #[test]
+    fn many_matches_reference_at_every_lane_and_padding_boundary() {
+        announce_dispatch();
+        assert_many_matches_reference(&[], "no message");
+        assert_many_matches_reference(&[b""], "one empty message");
+        let data: Vec<u8> = (0..400u16).map(|i| (i * 7 % 251) as u8).collect();
+        for len in [0, 55, 56, 63, 64, 119, 120, 127, 128] {
+            for position in 0..16 {
+                let messages: Vec<&[u8]> =
+                    (0..16).map(|lane| if lane == position { &data[1..1 + len] } else { &data[..200] }).collect();
+                assert_many_matches_reference(&messages, &format!("length {len} at lane {position}"));
+            }
+            let messages: Vec<&[u8]> = (0..17).map(|start| &data[start..start + len]).collect();
+            assert_many_matches_reference(&messages, &format!("17 messages of length {len}"));
+        }
+    }
+
+    /// Clock-free cost guard for the tiers: equal 4 KiB messages (64
+    /// blocks and a tail block each) take whole lane steps while at least
+    /// `LANE_CROSSOVER` are left, then pairs, then one stream for an odd
+    /// one out.
+    #[test]
+    fn many_takes_the_lanes_from_the_crossover_up() {
+        announce_dispatch();
+        let message = vec![0x5a; 4096];
+        let lanes = many_backend().contains("avx512");
+        let pair = many_backend().contains("sha-ni x2");
+        // (messages, lane steps, messages the lanes leave)
+        let cases = [(32, 2 * 65, 0), (16 + LANE_CROSSOVER, 2 * 65, 0), (20, 65, 4), (21, 65, 5), (LANE_CROSSOVER - 1, 0, LANE_CROSSOVER as u64 - 1), (1, 0, 1)];
+        for (count, steps, left) in cases {
+            let messages = vec![&message[..]; count];
+            let (lane_steps_before, single_before) = (lane_steps(), COMPRESSIONS.get());
+            assert_eq!(sha256_many(messages.iter().copied()), vec![sha256_reference(&message); count]);
+            let (steps, left) = if lanes { (steps, left) } else { (0, count as u64) };
+            assert_eq!(lane_steps() - lane_steps_before, steps, "{count} messages");
+            // What the lanes leave goes in pairs, and an odd one alone.
+            let alone = if pair { left % 2 } else { left };
+            assert_eq!(COMPRESSIONS.get() - single_before, alone * 65, "{count} messages");
+        }
     }
 
     /// NIST FIPS 180-4 / common test vectors, through both compress
@@ -521,6 +936,29 @@ mod tests {
                 compress_blocks(&mut dispatched, data);
                 compress_blocks_scalar(&mut scalar, data);
                 assert_eq!(dispatched, scalar, "{blocks} blocks at offset {offset}");
+            });
+        }
+
+        /// `sha256_many` through every tier: 0–40 messages of 0–5 000
+        /// bytes, all of one length or each its own, each at its own
+        /// unaligned start.
+        #[test]
+        fn many_matches_reference_for_any_lengths() {
+            announce_dispatch();
+            for_each_case(0x5a25_0003, 64, |rng| {
+                let count = rng.next_in(0..41);
+                let one_length = (rng.next_range(2) == 0).then(|| rng.next_in(0..5_001));
+                let lengths: Vec<usize> = (0..count).map(|_| one_length.unwrap_or_else(|| rng.next_in(0..5_001))).collect();
+                let mut backing = vec![0u8; lengths.iter().sum::<usize>() + 16 * count];
+                rng.fill_bytes(&mut backing);
+                let mut messages = Vec::new();
+                let mut rest = &backing[..];
+                for len in &lengths {
+                    let (message, after) = rest[rng.next_in(0..16)..].split_at(*len);
+                    messages.push(message);
+                    rest = after;
+                }
+                assert_many_matches_reference(&messages, &format!("lengths {lengths:?}"));
             });
         }
 

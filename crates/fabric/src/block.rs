@@ -7,7 +7,7 @@
 
 use hlf_wire::Bytes;
 use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
-use hlf_crypto::sha256::{sha256, sha256_concat, Digest, Hash256};
+use hlf_crypto::sha256::{sha256_concat, sha256_many, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use std::sync::OnceLock;
 
@@ -146,7 +146,8 @@ impl Block {
     /// hashes each envelope from its bytes; an ordering node that holds
     /// the leaves already builds with [`Block::from_leaves`] instead.
     pub fn data_hash(envelopes: &[Bytes]) -> Hash256 {
-        Block::data_hash_of(envelopes.iter().map(|envelope| (envelope.len(), sha256(envelope))))
+        let leaves = sha256_many(envelopes.iter().map(|envelope| &envelope[..]));
+        Block::data_hash_of(envelopes.iter().map(Bytes::len).zip(leaves))
     }
 
     /// The data hash over `(length, leaf)` pairs.
@@ -649,7 +650,7 @@ mod tests {
         #[test]
         fn data_hash_matches_materialised_encoding() {
             for_each_case(0xb10c_0003, 64, |rng| {
-                let envelopes = rng.vec(0..8, |r| Bytes::from(r.bytes(0..200)));
+                let envelopes = rng.vec(0..40, |r| Bytes::from(r.bytes(0..200)));
                 let mut bytes = b"hlfbft/block-data/v2".to_vec();
                 (envelopes.len() as u32).encode(&mut bytes);
                 for envelope in &envelopes {

@@ -184,8 +184,8 @@ pub struct NodeCore {
     transfer: Option<Transfer>,
     obs: NodeObs,
     flight: Option<Arc<FlightRecorder>>,
-    /// `(seq, first sight in µs)` of each client's latest in-flight
-    /// request, for the request→decide latency histogram; see
+    /// `(seq, sight in µs)` of one in-flight request per client, for the
+    /// request→decide latency histogram; see
     /// [`NodeCore::note_first_sight`]. One slot per client, removed when
     /// its request decides.
     request_seen: HashMap<ClientId, (u64, u64)>,
@@ -350,30 +350,30 @@ impl NodeCore {
     }
 
     /// Stamps the request→decide clock of the requests a frame carries —
-    /// a client's window, a peer's `Forward`, the leader's PROPOSE — at
-    /// their *first sight* on this node: an earlier stamp of the same
-    /// request stands, a request already delivered gets none (its late
-    /// copy would leave a slot no decide ever clears), and a newer seq
-    /// supersedes the client's slot. A run of one client's requests is
-    /// stamped by its last one, which is what a slot per client holds
-    /// anyway.
+    /// a client's window, a peer's `Forward`, the leader's PROPOSE. A
+    /// client's slot holds one stamp and keeps it until that request
+    /// decides, so a stream of windows is sampled, one request at a time,
+    /// all along, not only at its last request. A free slot takes the
+    /// first request of the run not yet delivered, at this sight of it (a
+    /// request already delivered gets none: its late copy would leave a
+    /// slot no decide ever clears). A stamp whose request was executed
+    /// another way, by state transfer or as a skipped duplicate, is
+    /// replaced like a free slot.
     fn note_first_sight(&mut self, requests: &[Request], now_us: u64) {
         for run in requests.chunk_by(|a, b| a.client == b.client) {
-            let Some(last) = run.last() else { continue };
-            if self.replica.was_executed(&last.id()) {
-                continue;
+            let Some(client) = run.first().map(|request| request.client) else { continue };
+            match self.request_seen.get(&client) {
+                Some(&(seq, _)) if !self.replica.was_executed(&(client, seq)) => continue,
+                // A faulty leader can name any client in a PROPOSE: past
+                // the cap only clients that already have a slot are
+                // stamped.
+                None if self.request_seen.len() >= REQUEST_SEEN_MAX => continue,
+                _ => {}
             }
-            // A faulty leader can name any client in a PROPOSE: past
-            // the cap only clients that already have a slot are stamped.
-            if self.request_seen.len() >= REQUEST_SEEN_MAX
-                && !self.request_seen.contains_key(&last.client)
-            {
-                continue;
-            }
-            let slot = self.request_seen.entry(last.client).or_insert((last.seq, now_us));
-            if slot.0 < last.seq {
-                *slot = (last.seq, now_us);
-            }
+            match run.iter().find(|request| !self.replica.was_executed(&request.id())) {
+                Some(request) => self.request_seen.insert(client, (request.seq, now_us)),
+                None => self.request_seen.remove(&client),
+            };
         }
     }
 

@@ -58,7 +58,7 @@ pub use admin::{AdminClient, AdminServer, AdminSources, DeltaReply, HealthReport
 pub use hub::Network;
 pub use tcp::{NetStats, TcpConfig, TcpNetwork};
 
-use hlf_crypto::hmac::hmac_sha256_multi;
+use hlf_crypto::hmac::{hmac_sha256_multi, HmacKey};
 use hlf_obs::EventKind;
 use hlf_obs::FlightRecorder;
 use hlf_wire::{BufferPool, Bytes};
@@ -396,7 +396,9 @@ impl Endpoint {
 /// link.
 #[derive(Clone, Debug)]
 pub struct Authenticator {
-    key: [u8; 32],
+    /// The link or session key, its pad blocks absorbed once here rather
+    /// than on every frame.
+    key: HmacKey,
 }
 
 impl Authenticator {
@@ -406,27 +408,20 @@ impl Authenticator {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let label = format!("link:{lo}:{hi}");
         let key = hmac_sha256_multi(cluster_secret, &[label.as_bytes()]);
-        Authenticator {
-            key: *key.as_bytes(),
-        }
+        Authenticator { key: HmacKey::new(key.as_bytes()) }
     }
 
     /// Derives a per-session authenticator from this link key and the
     /// two sides' connection nonces. A fresh connection exchanges fresh
     /// nonces, so a re-established link never reuses a session key.
     pub fn rekey(&self, initiator_nonce: &[u8], acceptor_nonce: &[u8]) -> Authenticator {
-        let key = hmac_sha256_multi(
-            &self.key,
-            &[b"hlf-session", initiator_nonce, acceptor_nonce],
-        );
-        Authenticator {
-            key: *key.as_bytes(),
-        }
+        let key = self.key.mac(&[b"hlf-session", initiator_nonce, acceptor_nonce]);
+        Authenticator { key: HmacKey::new(key.as_bytes()) }
     }
 
     /// The 32-byte authentication tag for `payload` under this key.
     pub fn tag(&self, payload: &[u8]) -> [u8; 32] {
-        *hmac_sha256_multi(&self.key, &[payload]).as_bytes()
+        *self.key.mac(&[payload]).as_bytes()
     }
 
     /// A domain-separated tag over `parts` (handshake messages use
@@ -435,7 +430,7 @@ impl Authenticator {
         let mut all: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
         all.push(label);
         all.extend_from_slice(parts);
-        *hmac_sha256_multi(&self.key, &all).as_bytes()
+        *self.key.mac(&all).as_bytes()
     }
 
     /// Prepends the authentication tag to `payload`, in a buffer taken
@@ -644,6 +639,32 @@ mod tests {
         // Deterministic: same nonces derive the same session key.
         let s1_again = link.rekey(b"nonce-a1", b"nonce-b1");
         assert!(s1_again.open_shared(&sealed).is_some());
+    }
+
+    /// The pad-absorbed key tags byte for byte what a fresh HMAC over
+    /// the raw key bytes gives, for link and session keys, plain and
+    /// labelled tags, at lengths around the hash's block boundaries.
+    #[test]
+    fn tags_match_hmac_over_the_raw_key_bytes() {
+        use hlf_crypto::hmac::hmac_sha256;
+        let (a, b) = (PeerId::replica(2), PeerId::replica(0));
+        let link_key = hmac_sha256(b"secret", format!("link:{b}:{a}").as_bytes());
+        let session_key = hmac_sha256(link_key.as_bytes(), b"hlf-sessionnonce-inonce-a");
+        let link = Authenticator::for_link(b"secret", a, b);
+        let session = link.rekey(b"nonce-i", b"nonce-a");
+        let data: Vec<u8> = (0..5000u16).map(|i| (i % 251) as u8).collect();
+        for (auth, key) in [(&link, link_key), (&session, session_key)] {
+            for len in [0, 1, 55, 56, 63, 64, 150, 5000] {
+                let payload = &data[..len];
+                assert_eq!(auth.tag(payload), *hmac_sha256(key.as_bytes(), payload).as_bytes(), "length {len}");
+                let labelled = [b"hlf-hello".as_slice(), payload, b"tail"].concat();
+                assert_eq!(
+                    auth.tag_labeled(b"hlf-hello", &[payload, b"tail"]),
+                    *hmac_sha256(key.as_bytes(), &labelled).as_bytes(),
+                    "labelled, length {len}"
+                );
+            }
+        }
     }
 
     #[test]
