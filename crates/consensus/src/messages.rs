@@ -8,7 +8,7 @@
 
 use crate::ConsensusError;
 use hlf_wire::Bytes;
-use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
+use hlf_crypto::ecdsa::{verify_batch, PinnedKey, Signature, SigningKey};
 use hlf_crypto::sha256::{sha256, sha256_concat, sha256_many, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use hlf_wire::{ClientId, NodeId, MAX_LEN};
@@ -315,11 +315,25 @@ impl Vote {
         }
     }
 
-    /// Verifies the vote against the claimed node's public key.
+    /// Verifies the vote against the claimed node's public key: a batch
+    /// of one ([`verify_votes`]).
     pub fn verify(&self, key: &PinnedKey) -> bool {
-        let digest = Vote::signing_digest(self.phase, self.cid, self.epoch, &self.hash, self.node);
-        key.verify_digest(&digest, &self.signature).is_ok()
+        verify_votes([(self, key)]) == [true]
     }
+}
+
+/// Verifies `(vote, key)` pairs as one batch
+/// ([`hlf_crypto::ecdsa::verify_batch`]): `true` where the vote carries
+/// the signature of `key`, in order.
+pub(crate) fn verify_votes<'a>(votes: impl IntoIterator<Item = (&'a Vote, &'a PinnedKey)>) -> Vec<bool> {
+    let items: Vec<(&PinnedKey, Hash256, Signature)> = votes
+        .into_iter()
+        .map(|(vote, key)| {
+            let digest = Vote::signing_digest(vote.phase, vote.cid, vote.epoch, &vote.hash, vote.node);
+            (key, digest, vote.signature)
+        })
+        .collect();
+    verify_batch(&items).iter().map(Result::is_ok).collect()
 }
 
 impl Encode for Vote {
@@ -383,6 +397,7 @@ impl DecisionProof {
     ) -> Result<(), ConsensusError> {
         let mut seen = std::collections::HashSet::new();
         let mut epoch: Option<u32> = None;
+        let mut signed = Vec::with_capacity(self.votes.len());
         for vote in &self.votes {
             if vote.phase != VotePhase::Accept
                 || vote.cid != self.cid
@@ -399,12 +414,13 @@ impl DecisionProof {
             let key = keys
                 .get(vote.node.as_usize())
                 .ok_or(ConsensusError::InvalidProof("unknown voter"))?;
-            if !vote.verify(key) {
-                return Err(ConsensusError::InvalidProof("bad signature"));
-            }
+            signed.push((vote, key));
         }
         if !quorums.is_quorum(seen.iter().copied()) {
             return Err(ConsensusError::InvalidProof("not a quorum"));
+        }
+        if verify_votes(signed).contains(&false) {
+            return Err(ConsensusError::InvalidProof("bad signature"));
         }
         Ok(())
     }
@@ -613,10 +629,9 @@ impl StopData {
         }
     }
 
-    /// Verifies the sender's signature (not the embedded certificates;
-    /// the selection function checks those separately).
-    pub(crate) fn verify_signature(&self, key: &PinnedKey) -> bool {
-        let digest = StopData::signing_digest(
+    /// The digest the sender's signature covers.
+    pub(crate) fn signed_digest(&self) -> Hash256 {
+        StopData::signing_digest(
             self.regency,
             self.cid,
             &self.last_write,
@@ -625,8 +640,13 @@ impl StopData {
             &self.extra_slots,
             &self.decision,
             self.node,
-        );
-        key.verify_digest(&digest, &self.signature).is_ok()
+        )
+    }
+
+    /// Verifies the sender's signature (not the embedded certificates;
+    /// the selection function checks those separately): a batch of one.
+    pub(crate) fn verify_signature(&self, key: &PinnedKey) -> bool {
+        verify_batch(&[(key, self.signed_digest(), self.signature)]) == [Ok(())]
     }
 }
 

@@ -11,7 +11,8 @@
 //! already form a quorum — the mechanism that lets the fastest replicas
 //! drive latency.
 
-use crate::messages::Vote;
+use crate::messages::{verify_votes, Vote};
+use hlf_crypto::ecdsa::PinnedKey;
 use hlf_crypto::sha256::Hash256;
 use hlf_wire::NodeId;
 use std::collections::HashMap;
@@ -180,35 +181,112 @@ impl QuorumSystem {
 /// independently and quorum detection stays a pure function of the
 /// votes seen for *that* slot.
 ///
-/// At most one vote per node is kept (a newer vote from the same node
-/// replaces the old one, matching the single-instance behaviour);
+/// At most one vote per node is kept, the first one recorded;
 /// equivocation between *slots* therefore cannot leak weight from one
-/// tracker into another.
+/// tracker into another. A peer's vote is recorded unverified and its
+/// signature checked only once a quorum needs it: [`QuorumTracker::settle`]
+/// verifies the fewest pending votes that complete a quorum in one
+/// batch, drops those that fail and looks again, so a vote that arrives
+/// after its quorum is never verified. Only verified votes back
+/// [`QuorumTracker::quorum_hash`] and [`QuorumTracker::votes_for`], and
+/// so every certificate, STOP-DATA and decision proof built from them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct QuorumTracker {
+    /// Votes whose signatures are known good: a replica's own, and
+    /// peers' that [`QuorumTracker::settle`] verified.
     votes: HashMap<NodeId, Vote>,
+    /// Peers' votes not verified yet.
+    pending: Vec<Vote>,
 }
 
 impl QuorumTracker {
     /// An empty tracker.
     pub(crate) fn new() -> QuorumTracker {
-        QuorumTracker {
-            votes: HashMap::new(),
-        }
+        QuorumTracker::default()
     }
 
     /// `true` if `node` already voted on this slot/phase.
-    pub(crate) fn contains(&self, node: NodeId) -> bool {
-        self.votes.contains_key(&node)
+    fn contains(&self, node: NodeId) -> bool {
+        self.votes.contains_key(&node) || self.pending.iter().any(|vote| vote.node == node)
     }
 
-    /// Records `vote` under its signer, replacing any earlier vote from
-    /// the same node.
-    pub(crate) fn insert(&mut self, vote: Vote) {
-        self.votes.insert(vote.node, vote);
+    /// Records `vote` unless its node already voted on this slot/phase:
+    /// as verified when `verified` (the replica's own vote), else as
+    /// pending, for [`QuorumTracker::settle`] to check if a quorum needs
+    /// it. A later vote from the same node is neither kept nor checked.
+    pub(crate) fn record(&mut self, vote: Vote, verified: bool) {
+        if self.contains(vote.node) {
+            return;
+        }
+        if verified {
+            self.votes.insert(vote.node, vote);
+        } else {
+            self.pending.push(vote);
+        }
     }
 
-    /// The value hash backed by a quorum of recorded voters, if any.
+    /// Verifies what a quorum needs and returns the hash that a quorum
+    /// of verified votes backs: `hash` itself when given, else any.
+    ///
+    /// While verified and pending votes for some hash together reach
+    /// the quorum weight but the verified ones alone do not, the fewest
+    /// pending votes for it that complete the quorum (heaviest first)
+    /// are verified as one batch; those that fail are dropped and the
+    /// check runs again.
+    pub(crate) fn settle(
+        &mut self,
+        hash: Option<Hash256>,
+        quorums: &QuorumSystem,
+        keys: &[PinnedKey],
+    ) -> Option<Hash256> {
+        loop {
+            // Verified, and verified plus pending, weight behind `target`.
+            let weights = |target: &Hash256| {
+                let weight = |votes: &mut dyn Iterator<Item = &Vote>| {
+                    quorums.weight_of(votes.filter(|v| v.hash == *target).map(|v| v.node))
+                };
+                let verified = weight(&mut self.votes.values());
+                (verified, verified + weight(&mut self.pending.iter()))
+            };
+            // One vote per node: at most one hash can reach the quorum
+            // weight even counting pending votes.
+            let target = self
+                .votes
+                .values()
+                .chain(&self.pending)
+                .map(|vote| vote.hash)
+                .filter(|candidate| hash.is_none_or(|hash| hash == *candidate))
+                .find(|candidate| weights(candidate).1 >= quorums.quorum_weight)?;
+            let (mut weight, _) = weights(&target);
+            if weight >= quorums.quorum_weight {
+                return Some(target);
+            }
+            let (mut batch, rest): (Vec<Vote>, Vec<Vote>) =
+                std::mem::take(&mut self.pending).into_iter().partition(|vote| vote.hash == target);
+            self.pending = rest;
+            batch.sort_by_key(|vote| std::cmp::Reverse(quorums.weight(vote.node)));
+            let fewest = batch
+                .iter()
+                .position(|vote| {
+                    weight += quorums.weight(vote.node);
+                    weight >= quorums.quorum_weight
+                })
+                .map_or(batch.len(), |last| last + 1);
+            self.pending.extend(batch.split_off(fewest));
+            let keyed: Vec<(Vote, &PinnedKey)> = batch
+                .into_iter()
+                .filter_map(|vote| keys.get(vote.node.as_usize()).map(|key| (vote, key)))
+                .collect();
+            let verdicts = verify_votes(keyed.iter().map(|(vote, key)| (vote, *key)));
+            for ((vote, _), good) in keyed.into_iter().zip(verdicts) {
+                if good {
+                    self.votes.insert(vote.node, vote);
+                }
+            }
+        }
+    }
+
+    /// The value hash backed by a quorum of verified voters, if any.
     ///
     /// Votes are grouped by hash; voters are distinct by construction,
     /// so the group weights feed [`QuorumSystem::is_quorum`] directly.
@@ -223,8 +301,9 @@ impl QuorumTracker {
             .map(|(hash, _)| hash)
     }
 
-    /// The votes matching `hash`, sorted by node id — a certificate
-    /// usable in decision proofs and view-change collect messages.
+    /// The verified votes matching `hash`, sorted by node id — a
+    /// certificate usable in decision proofs and view-change collect
+    /// messages.
     pub(crate) fn votes_for(&self, hash: Hash256) -> Vec<Vote> {
         let mut cert: Vec<Vote> = self
             .votes
@@ -239,6 +318,7 @@ impl QuorumTracker {
     /// Forgets all votes (epoch bump on a slot).
     pub(crate) fn clear(&mut self) {
         self.votes.clear();
+        self.pending.clear();
     }
 }
 
@@ -372,12 +452,12 @@ mod tests {
         let hash_a = hlf_crypto::sha256::sha256(b"value-a");
         let hash_b = hlf_crypto::sha256::sha256(b"value-b");
         let mut tracker = QuorumTracker::new();
-        tracker.insert(Vote::sign(&keys[0], VotePhase::Write, NodeId(0), 7, 0, hash_a));
-        tracker.insert(Vote::sign(&keys[1], VotePhase::Write, NodeId(1), 7, 0, hash_b));
+        tracker.record(Vote::sign(&keys[0], VotePhase::Write, NodeId(0), 7, 0, hash_a), true);
+        tracker.record(Vote::sign(&keys[1], VotePhase::Write, NodeId(1), 7, 0, hash_b), true);
         assert_eq!(tracker.quorum_hash(&sys), None);
-        tracker.insert(Vote::sign(&keys[2], VotePhase::Write, NodeId(2), 7, 0, hash_a));
+        tracker.record(Vote::sign(&keys[2], VotePhase::Write, NodeId(2), 7, 0, hash_a), true);
         assert_eq!(tracker.quorum_hash(&sys), None);
-        tracker.insert(Vote::sign(&keys[3], VotePhase::Write, NodeId(3), 7, 0, hash_a));
+        tracker.record(Vote::sign(&keys[3], VotePhase::Write, NodeId(3), 7, 0, hash_a), true);
         assert_eq!(tracker.quorum_hash(&sys), Some(hash_a));
         // The certificate holds only matching votes, in node order.
         let cert = tracker.votes_for(hash_a);
@@ -395,7 +475,7 @@ mod tests {
         let hash = hlf_crypto::sha256::sha256(b"value");
         let mut tracker = QuorumTracker::new();
         for _ in 0..5 {
-            tracker.insert(Vote::sign(&key, VotePhase::Write, NodeId(0), 1, 0, hash));
+            tracker.record(Vote::sign(&key, VotePhase::Write, NodeId(0), 1, 0, hash), true);
         }
         assert_eq!(tracker.votes.len(), 1);
         assert!(tracker.contains(NodeId(0)));

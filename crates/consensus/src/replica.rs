@@ -1071,16 +1071,8 @@ impl Replica {
             self.buffer_for_after_sync(from, ConsensusMsg::Write(vote));
             return;
         }
-        if vote.epoch != self.slot_epoch(vote.cid) {
+        if vote.epoch != self.slot_epoch(vote.cid) || self.cfg.keys.get(from.as_usize()).is_none() {
             return;
-        }
-        if from != self.cfg.node {
-            let Some(key) = self.cfg.keys.get(from.as_usize()) else {
-                return;
-            };
-            if !vote.verify(key) {
-                return;
-            }
         }
         self.record_ooo_depth(&vote);
         self.record_write(vote, actions);
@@ -1131,24 +1123,23 @@ impl Replica {
                 self.observe_vote_lag(vote.node, lag_us);
             }
         }
-        let slot = self.inst_mut(cid);
-        if !slot.writes.contains(vote.node) {
-            slot.writes.insert(vote);
-        }
+        // A peer's vote waits unverified until a quorum needs it.
+        let own = vote.node == self.cfg.node;
+        self.inst_mut(cid).writes.record(vote, own);
         self.check_write_quorum(cid, actions);
     }
 
     fn check_write_quorum(&mut self, cid: u64, actions: &mut Vec<Action>) {
-        let Some(slot) = self.insts.get(&cid) else {
+        let Some(slot) = self.insts.get_mut(&cid) else {
             return;
         };
         let Some((_, hash)) = slot.proposal else {
             return;
         };
-        let cert = slot.writes.votes_for(hash);
-        if !self.cfg.quorums.is_quorum(cert.iter().map(|v| v.node)) {
+        if slot.writes.settle(Some(hash), &self.cfg.quorums, &self.cfg.keys).is_none() {
             return;
         }
+        let cert = slot.writes.votes_for(hash);
         let epoch = slot.epoch;
         let proposed_at = slot.proposed_at;
         let accept_sent = slot.accept_sent;
@@ -1271,16 +1262,8 @@ impl Replica {
             self.buffer_for_after_sync(from, ConsensusMsg::Accept(vote));
             return;
         }
-        if vote.epoch != self.slot_epoch(vote.cid) {
+        if vote.epoch != self.slot_epoch(vote.cid) || self.cfg.keys.get(from.as_usize()).is_none() {
             return;
-        }
-        if from != self.cfg.node {
-            let Some(key) = self.cfg.keys.get(from.as_usize()) else {
-                return;
-            };
-            if !vote.verify(key) {
-                return;
-            }
         }
         self.record_ooo_depth(&vote);
         self.record_accept(vote, actions);
@@ -1302,22 +1285,21 @@ impl Replica {
                 self.observe_vote_lag(vote.node, lag_us);
             }
         }
-        let slot = self.inst_mut(cid);
-        if !slot.accepts.contains(vote.node) {
-            slot.accepts.insert(vote);
-        }
+        // A peer's vote waits unverified until a quorum needs it.
+        let own = vote.node == self.cfg.node;
+        self.inst_mut(cid).accepts.record(vote, own);
         self.try_decide(cid, actions);
     }
 
     fn try_decide(&mut self, cid: u64, actions: &mut Vec<Action>) {
-        let Some(slot) = self.insts.get(&cid) else {
+        let Some(slot) = self.insts.get_mut(&cid) else {
             return;
         };
         if slot.decided.is_none() {
             // Find a hash with an accept quorum. Usually this is the
             // proposed hash, but a replica that missed the PROPOSE can
             // still learn the decision digest this way.
-            let Some(hash) = slot.accepts.quorum_hash(&self.cfg.quorums) else {
+            let Some(hash) = slot.accepts.settle(None, &self.cfg.quorums, &self.cfg.keys) else {
                 return;
             };
             let proof = DecisionProof {
@@ -1979,6 +1961,158 @@ mod tests {
         );
         let actions = deliver(&mut replicas[0], 1, ConsensusMsg::Write(vote));
         assert!(actions.is_empty());
+    }
+
+    /// A replica's `phase` quorum for instance 1 with a faulty node 3
+    /// sending a bad-signature vote before and again in the middle of
+    /// the valid ones: replica 2, after node 0's PROPOSE (and, for
+    /// ACCEPT, the WRITEs of nodes 0 and 1), gets 3's bad vote, 0's, 3's
+    /// again, then 1's. Returns replica 2 and the
+    /// votes it broadcast.
+    fn quorum_past_a_bad_signature(phase: VotePhase) -> (Replica, Vec<ConsensusMsg>) {
+        let mut replicas = make_replicas(4, 1);
+        let signing = signing_keys();
+        let leader = step(&mut replicas[0], 0, Input::Requests(vec![req(1)]));
+        let Some((epoch, hash, propose)) = leader.iter().find_map(|a| match a {
+            Action::Broadcast(msg @ ConsensusMsg::Propose { cid: 1, epoch, batch }) => Some((*epoch, batch.digest(), msg.clone())),
+            _ => None,
+        }) else {
+            panic!("the leader proposes: {leader:?}");
+        };
+        let vote = |node: usize, phase| Vote::sign(&signing[node], phase, NodeId(node as u32), 1, epoch, hash);
+        let forged = Vote::sign(&SigningKey::from_seed(b"not node 3"), phase, NodeId(3), 1, epoch, hash);
+        let wrap = |vote: Vote| match phase {
+            VotePhase::Write => ConsensusMsg::Write(vote),
+            VotePhase::Accept => ConsensusMsg::Accept(vote),
+        };
+        let replica = &mut replicas[2];
+        let mut sent = Vec::new();
+        // Delivers `msg` from `from`, keeping the votes it broadcasts.
+        let feed = |replica: &mut Replica, sent: &mut Vec<ConsensusMsg>, from: u32, msg: ConsensusMsg| {
+            for action in deliver(replica, from, msg) {
+                if let Action::Broadcast(msg @ (ConsensusMsg::Write(_) | ConsensusMsg::Accept(_))) = action {
+                    sent.push(msg);
+                }
+            }
+        };
+        feed(replica, &mut sent, 0, propose);
+        if phase == VotePhase::Accept {
+            for node in [0, 1] {
+                feed(replica, &mut sent, node, ConsensusMsg::Write(vote(node as usize, VotePhase::Write)));
+            }
+        }
+        let before = sent.len();
+        let tally = hlf_crypto::ecdsa::batch_tally();
+        feed(replica, &mut sent, 3, wrap(forged.clone()));
+        feed(replica, &mut sent, 0, wrap(vote(0, phase)));
+        feed(replica, &mut sent, 3, wrap(forged));
+        assert_eq!(sent.len(), before, "no quorum while node 3's vote is the third");
+        feed(replica, &mut sent, 1, wrap(vote(1, phase)));
+        let spent = hlf_crypto::ecdsa::batch_tally();
+        // {3, 0}, then {3} again, then {1}: the bad vote is verified each
+        // time it could have completed the quorum, and never counted.
+        assert_eq!((spent.batches - tally.batches, spent.signatures - tally.signatures), (3, 4));
+        (replicas.swap_remove(2), sent)
+    }
+
+    fn voters(votes: &[Vote]) -> Vec<u32> {
+        votes.iter().map(|vote| vote.node.0).collect()
+    }
+
+    /// The WRITE quorum forms from the valid votes past a bad signature,
+    /// and neither the certificate nor the STOP-DATA built on it carries
+    /// the bad vote.
+    #[test]
+    fn bad_signature_write_never_enters_a_certificate() {
+        let (mut replica, sent) = quorum_past_a_bad_signature(VotePhase::Write);
+        assert!(matches!(sent.last(), Some(ConsensusMsg::Accept(vote)) if vote.node == NodeId(2)), "{sent:?}");
+        let cert = replica.insts[&1].last_write_cert.clone();
+        assert_eq!(voters(&cert), [0, 1, 2]);
+        // A regency change: replica 2 reports the certificate to the next
+        // leader, node 1.
+        let mut actions = Vec::new();
+        for from in [0, 1, 3] {
+            actions.extend(deliver(&mut replica, from, ConsensusMsg::Stop { regency: 1 }));
+        }
+        let Some(sd) = actions.iter().find_map(|a| match a {
+            Action::Send(NodeId(1), ConsensusMsg::StopData(sd)) => Some(sd),
+            _ => None,
+        }) else {
+            panic!("replica 2 sends its STOP-DATA: {actions:?}");
+        };
+        assert_eq!(voters(&sd.write_cert), [0, 1, 2]);
+        assert!(sd.write_cert.iter().all(|vote| vote.verify(&replica.keys()[vote.node.as_usize()])));
+    }
+
+    /// The ACCEPT quorum forms from the valid votes past a bad
+    /// signature, and the decision proof does not carry the bad vote.
+    #[test]
+    fn bad_signature_accept_never_enters_a_decision_proof() {
+        let (replica, sent) = quorum_past_a_bad_signature(VotePhase::Accept);
+        assert!(sent.iter().any(|msg| matches!(msg, ConsensusMsg::Accept(vote) if vote.node == NodeId(2))));
+        assert_eq!(replica.next_cid(), 2, "instance 1 decided");
+        let Some((_, _, proof)) = replica.recent_decisions.back() else {
+            panic!("replica 2 keeps its decision proof");
+        };
+        assert_eq!(voters(&proof.votes), [0, 1, 2]);
+        proof.verify(&replica.cfg.quorums, replica.keys()).unwrap();
+    }
+
+    /// Clock-free cost guard of verify-at-quorum: on a four-replica
+    /// cluster a decided instance costs each replica at most two
+    /// verification batches, one per phase, of at most two votes each,
+    /// the peer votes that complete each quorum. Verifying every peer
+    /// vote on arrival took five or six lone verifications.
+    #[test]
+    fn a_decided_instance_costs_each_replica_two_batches_of_two() {
+        let mut cluster = Cluster::classic(4, 1);
+        for seq in 1..=8 {
+            let before: Vec<_> = (0..4).map(|i| cluster.verify_tally(i)).collect();
+            cluster.submit_to_all(req(seq));
+            cluster.run_to_quiescence();
+            for (i, before) in before.iter().enumerate() {
+                assert_eq!(cluster.decisions(i).len() as u64, seq, "replica {i}");
+                let tally = cluster.verify_tally(i);
+                let spent = (tally.batches - before.batches, tally.signatures - before.signatures);
+                assert!(spent.0 <= 2 && spent.1 <= 4, "replica {i}, instance {seq}: {spent:?}");
+            }
+        }
+    }
+
+    /// WHEAT, n = 5 with weights [2, 2, 1, 1, 1], under three delivery
+    /// orders: every replica commits the requests in submission order and
+    /// never rolls a tentative delivery back, and the run is the one
+    /// verifying every vote on arrival gave — the same 264 deliveries
+    /// and the same tentative deliveries per replica (a replica whose
+    /// ACCEPT quorum forms before its WRITE quorum commits without one).
+    /// In send order each phase costs a replica one verification batch;
+    /// shuffled, a WRITE that lands after its instance decided costs a
+    /// batch of one more (`observe_late_write`).
+    #[test]
+    fn wheat_five_with_weights_decides_identically() {
+        let runs = [(None, [6, 6, 6, 6, 6]), (Some(3), [6, 6, 6, 6, 6]), (Some(47), [5, 6, 6, 5, 5])];
+        for (seed, tentatives) in runs {
+            let mut cluster = Cluster::wheat(5, 1);
+            if let Some(seed) = seed {
+                cluster.randomize_order(seed);
+            }
+            for seq in 1..=6 {
+                cluster.submit_to_all(req(seq));
+                cluster.run_to_quiescence();
+            }
+            assert_eq!(cluster.events_processed(), 264, "seed {seed:?}");
+            let expected: Vec<(u64, Batch)> = (1..=6).map(|seq| (seq, Batch::new(vec![req(seq)]))).collect();
+            for (i, tentatives) in tentatives.into_iter().enumerate() {
+                assert_eq!(cluster.decisions(i), expected, "replica {i}, seed {seed:?}");
+                let observed = cluster.observed(i);
+                assert!(!observed.iter().any(|o| matches!(o, Observed::Rollback(_))), "replica {i}, seed {seed:?}");
+                let tentative = observed.iter().filter(|o| matches!(o, Observed::Tentative(..))).count();
+                assert_eq!(tentative, tentatives, "replica {i}, seed {seed:?}");
+                if seed.is_none() {
+                    assert_eq!(cluster.verify_tally(i).batches, 2 * 6, "replica {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! (its certificate binds `v`), or enough replicas advanced past `c`
 //! that a decision proof raises the resume instance beyond `c`.
 
-use crate::messages::{Batch, SlotRebind, StopData, Vote, VotePhase};
+use crate::messages::{verify_votes, Batch, SlotRebind, StopData, Vote, VotePhase};
 use crate::quorum::QuorumSystem;
 use crate::ConsensusError;
-use hlf_crypto::ecdsa::PinnedKey;
+use hlf_crypto::ecdsa::{verify_batch, PinnedKey};
 use hlf_crypto::sha256::Hash256;
 use std::collections::{BTreeMap, HashSet};
 
@@ -37,28 +37,28 @@ pub(crate) const MAX_WINDOW: u64 = 64;
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct WindowSelection {
     /// The instance the group resumes at (the window frontier).
-    pub cid: u64,
+    pub(crate) cid: u64,
     /// The frontier's bound value, when one exists.
-    pub bound: Option<BoundValue>,
+    pub(crate) bound: Option<BoundValue>,
     /// Contiguous slots `cid+1 ..= highest bound slot`, each with its
     /// bound value or `None` for an unbound gap (which must be
     /// re-proposed as an empty batch so in-order release can pass it).
-    pub extra: Vec<(u64, Option<BoundValue>)>,
+    pub(crate) extra: Vec<(u64, Option<BoundValue>)>,
 }
 
 /// A value bound by a WRITE certificate in the collect set.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct BoundValue {
     /// Digest of the bound batch.
-    pub hash: Hash256,
+    hash: Hash256,
     /// Epoch of the certificate that bound it.
-    pub epoch: u32,
+    epoch: u32,
     /// The batch, when recoverable from the collect set.
-    pub value: Option<Batch>,
+    pub(crate) value: Option<Batch>,
 }
 
 /// Validates a WRITE certificate: distinct signers, matching fields,
-/// valid signatures, quorum weight.
+/// quorum weight, and valid signatures, verified as one batch.
 fn write_cert_valid(
     votes: &[Vote],
     cid: u64,
@@ -68,6 +68,7 @@ fn write_cert_valid(
     keys: &[PinnedKey],
 ) -> bool {
     let mut seen = HashSet::new();
+    let mut signed = Vec::with_capacity(votes.len());
     for vote in votes {
         if vote.phase != VotePhase::Write
             || vote.cid != cid
@@ -82,15 +83,14 @@ fn write_cert_valid(
         let Some(key) = keys.get(vote.node.as_usize()) else {
             return false;
         };
-        if !vote.verify(key) {
-            return false;
-        }
+        signed.push((vote, key));
     }
-    quorums.is_quorum(seen.iter().copied())
+    quorums.is_quorum(seen.iter().copied()) && !verify_votes(signed).contains(&false)
 }
 
 /// Filters a collect set down to entries with valid signatures and the
-/// expected regency, deduplicating senders.
+/// expected regency, deduplicating senders (the first entry per sender
+/// counts); the signatures are verified as one batch.
 ///
 /// # Errors
 ///
@@ -103,7 +103,8 @@ pub(crate) fn validate_collect<'a>(
     keys: &[PinnedKey],
 ) -> Result<Vec<&'a StopData>, ConsensusError> {
     let mut seen = HashSet::new();
-    let mut valid = Vec::new();
+    let mut entries = Vec::new();
+    let mut signed = Vec::new();
     for sd in collect {
         if sd.regency != regency {
             continue;
@@ -114,11 +115,14 @@ pub(crate) fn validate_collect<'a>(
         if !seen.insert(sd.node) {
             continue;
         }
-        if !sd.verify_signature(key) {
-            continue;
-        }
-        valid.push(sd);
+        entries.push(sd);
+        signed.push((key, sd.signed_digest(), sd.signature));
     }
+    let valid: Vec<&StopData> = entries
+        .into_iter()
+        .zip(verify_batch(&signed))
+        .filter_map(|(sd, verdict)| verdict.is_ok().then_some(sd))
+        .collect();
     if valid.len() < quorums.collect_count() {
         return Err(ConsensusError::InvalidCollect("too few valid entries"));
     }
@@ -275,7 +279,7 @@ pub(crate) fn validate_sync_window(
     rebinds: &[SlotRebind],
     quorums: &QuorumSystem,
     keys: &[PinnedKey],
-) -> Result<WindowSelection, ConsensusError> {
+) -> Result<(), ConsensusError> {
     let selection = select_window(collect, regency, quorums, keys)?;
     if selection.cid != cid {
         return Err(ConsensusError::InvalidCollect("wrong resume instance"));
@@ -305,7 +309,7 @@ pub(crate) fn validate_sync_window(
             }
         }
     }
-    Ok(selection)
+    Ok(())
 }
 
 #[cfg(test)]

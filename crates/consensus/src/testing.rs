@@ -12,7 +12,7 @@
 use crate::messages::{Batch, ConsensusMsg, Request};
 use crate::quorum::QuorumSystem;
 use crate::replica::{Action, Config, Input, Replica};
-use hlf_crypto::ecdsa::{PinnedKey, SigningKey};
+use hlf_crypto::ecdsa::{batch_tally, BatchTally, PinnedKey, SigningKey};
 use hlf_crypto::sha256::Hash256;
 use hlf_simnet::{Actor, Ctx, FaultPlan, LatencyModel, SimMessage, SimTime, Simulation};
 use hlf_wire::NodeId;
@@ -55,13 +55,19 @@ pub fn step(replica: &mut Replica, now_ms: u64, input: Input) -> Vec<Action> {
 struct Node {
     replica: Replica,
     observed: Vec<Observed>,
+    /// What the replica's steps have verified.
+    verified: BatchTally,
     /// Reused by every step.
     actions: Vec<Action>,
 }
 
 impl Node {
     fn step(&mut self, input: Input, ctx: &mut Ctx<'_, ConsensusMsg>) {
+        let before = batch_tally();
         self.replica.step(ctx.now().as_millis(), input, &mut self.actions);
+        let after = batch_tally();
+        self.verified.batches += after.batches - before.batches;
+        self.verified.signatures += after.signatures - before.signatures;
         for action in self.actions.drain(..) {
             let observed = match action {
                 Action::Broadcast(msg) => {
@@ -125,6 +131,7 @@ impl Cluster {
             sim.add_actor(Box::new(Node {
                 replica: Replica::new(configure(cfg)),
                 observed: Vec::new(),
+                verified: BatchTally::default(),
                 actions: Vec::new(),
             }));
         }
@@ -182,6 +189,13 @@ impl Cluster {
     /// [`Replica::attach_obs`] before driving traffic).
     pub fn replica_mut(&mut self, i: usize) -> &mut Replica {
         &mut self.sim.actor_mut(i).replica
+    }
+
+    /// The signature batches replica `i`'s steps have verified, and the
+    /// signatures in them (`hlf_crypto::ecdsa::batch_tally`, counted on
+    /// the cluster's one thread around each step).
+    pub fn verify_tally(&self, i: usize) -> BatchTally {
+        self.sim.actor(i).verified
     }
 
     /// Events observed at replica `i`.

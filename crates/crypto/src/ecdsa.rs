@@ -7,7 +7,7 @@
 
 use crate::bignum::U256;
 use crate::hmac::HmacKey;
-use crate::p256::{batch_invert, invert_scalar, order, scalar_field, Point, SignedComb};
+use crate::p256::{batch_invert, invert_scalar, invert_scalar_public, order, scalar_field, Point, SignedComb};
 use crate::sha256::{sha256, Hash256};
 use std::error::Error;
 use std::fmt;
@@ -52,11 +52,16 @@ impl Signature {
     /// Returns `None` if either component is zero or not below the group
     /// order.
     pub(crate) fn from_scalars(r: U256, s: U256) -> Option<Signature> {
+        let signature = Signature { r, s };
+        signature.in_range().then_some(signature)
+    }
+
+    /// Both components in `[1, n − 1]`: true of every signature but one
+    /// built inside this crate, and checked first by every verification
+    /// (SEC 1, 4.1.4 step 1).
+    fn in_range(&self) -> bool {
         let n = order();
-        if r.is_zero() || s.is_zero() || &r >= n || &s >= n {
-            return None;
-        }
-        Some(Signature { r, s })
+        !self.r.is_zero() && !self.s.is_zero() && &self.r < n && &self.s < n
     }
 
     /// The `r` component.
@@ -142,6 +147,9 @@ impl VerifyingKey {
     ///
     /// Returns [`VerifyError`] if the signature does not match.
     pub fn verify_digest(&self, digest: &Hash256, signature: &Signature) -> Result<(), VerifyError> {
+        if !signature.in_range() {
+            return Err(VerifyError);
+        }
         let (u1, u2) = verification_scalars(digest, signature);
         x_matches_r(&Point::lincomb(&u1, &self.point, &u2), signature)
     }
@@ -190,11 +198,16 @@ impl VerifyingKey {
 /// `(u1, u2) = (z·s⁻¹, r·s⁻¹) mod n`: the two scalars of the
 /// verification equation `u1·G + u2·Q`, for one scalar inversion.
 fn verification_scalars(digest: &Hash256, signature: &Signature) -> (U256, U256) {
+    let s_inv = invert_scalar(&scalar_field().to_monty(&signature.s));
+    scalars_with(digest, signature, &s_inv)
+}
+
+/// `(u1, u2)` for a given `s⁻¹` (Montgomery form).
+fn scalars_with(digest: &Hash256, signature: &Signature, s_inv: &U256) -> (U256, U256) {
     let sf = scalar_field();
     let z = digest_to_scalar(digest);
-    let s_inv = invert_scalar(&sf.to_monty(&signature.s));
-    let u1 = sf.from_monty(&sf.mul(&sf.to_monty(&z), &s_inv));
-    let u2 = sf.from_monty(&sf.mul(&sf.to_monty(&signature.r), &s_inv));
+    let u1 = sf.from_monty(&sf.mul(&sf.to_monty(&z), s_inv));
+    let u2 = sf.from_monty(&sf.mul(&sf.to_monty(&signature.r), s_inv));
     (u1, u2)
 }
 
@@ -275,9 +288,86 @@ impl PinnedKey {
     ///
     /// Returns [`VerifyError`] if the signature does not match.
     pub fn verify_digest(&self, digest: &Hash256, signature: &Signature) -> Result<(), VerifyError> {
+        if !signature.in_range() {
+            return Err(VerifyError);
+        }
         let (u1, u2) = verification_scalars(digest, signature);
         x_matches_r(&self.comb.mul_add(&u2, Point::mul_base(&u1)), signature)
     }
+}
+
+/// Verifies a batch of `(key, digest, signature)` triples and returns,
+/// item for item, the verdict [`PinnedKey::verify_digest`] gives.
+///
+/// The batch shares one scalar inversion: every `s⁻¹` comes out of one
+/// `batch_invert`, whose inversion, `s` being public, is the
+/// variable-time `invert_scalar_public`. Where CPUID reports AVX-512
+/// IFMA, the `u1·G` and `u2·Q` comb walks of up to four signatures run
+/// as one eight-lane walk, each key's lanes gathering from the
+/// radix-2⁵² copy of its comb; on any other processor each signature
+/// walks both combs in turn, as a lone pinned verification does. A
+/// quorum of votes, a decision proof or a block's signatures is one
+/// batch.
+pub fn verify_batch(items: &[(&PinnedKey, Hash256, Signature)]) -> Vec<Result<(), VerifyError>> {
+    verify_batch_through(items, true)
+}
+
+/// [`verify_batch`], with the lane walk allowed only where `lanes` is
+/// set, so the tests can compare both paths on any processor.
+fn verify_batch_through(items: &[(&PinnedKey, Hash256, Signature)], lanes: bool) -> Vec<Result<(), VerifyError>> {
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let tally = TALLY.get();
+    TALLY.set(BatchTally {
+        batches: tally.batches + 1,
+        signatures: tally.signatures + items.len() as u64,
+    });
+    let sf = scalar_field();
+    // A signature out of range is rejected unwalked, as `verify_digest`
+    // rejects it.
+    let walked: Vec<&(&PinnedKey, Hash256, Signature)> =
+        items.iter().filter(|(_, _, signature)| signature.in_range()).collect();
+    let mut s_invs: Vec<U256> = walked.iter().map(|(_, _, signature)| sf.to_monty(&signature.s)).collect();
+    batch_invert(sf, &mut s_invs, invert_scalar_public);
+    let jobs: Vec<(U256, &SignedComb, U256)> = walked
+        .iter()
+        .zip(&s_invs)
+        .map(|((key, digest, signature), s_inv)| {
+            let (u1, u2) = scalars_with(digest, signature, s_inv);
+            (u1, &*key.comb, u2)
+        })
+        .collect();
+    let mut points = Point::lincomb_pinned_group(&jobs, lanes).into_iter();
+    items
+        .iter()
+        .map(|(_, _, signature)| match signature.in_range().then(|| points.next()).flatten() {
+            Some(point) => x_matches_r(&point, signature),
+            None => Err(VerifyError),
+        })
+        .collect()
+}
+
+/// What [`verify_batch`] has done on one thread: the clock-free count
+/// the cost guards of its callers read.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchTally {
+    /// Non-empty batches verified.
+    pub batches: u64,
+    /// Signatures verified in them.
+    pub signatures: u64,
+}
+
+thread_local! {
+    /// What [`verify_batch`] has done on this thread; see [`batch_tally`].
+    static TALLY: std::cell::Cell<BatchTally> = const {
+        std::cell::Cell::new(BatchTally { batches: 0, signatures: 0 })
+    };
+}
+
+/// What [`verify_batch`] has done on this thread so far.
+pub fn batch_tally() -> BatchTally {
+    TALLY.get()
 }
 
 /// A P-256 private key with its cached public key.
@@ -773,6 +863,42 @@ mod tests {
         assert!(costs.doublings >= 248, "{costs:?}");
     }
 
+    /// Clock-free cost guard of batch verification: four signatures
+    /// under four keys share one scalar inversion and, on an IFMA host,
+    /// one lane walk of 37 steps with no scalar mixed addition (two
+    /// signatures 19 steps, one 10); no path inverts a field element or
+    /// doubles.
+    #[test]
+    fn batch_of_four_costs_one_lane_walk_and_one_scalar_inversion() {
+        let keys: Vec<SigningKey> = (0..4u8).map(|i| SigningKey::from_seed(&[b'b', i])).collect();
+        let pinned = PinnedKey::pin_all(&keys.iter().map(|key| *key.verifying_key()).collect::<Vec<_>>());
+        let items: Vec<(&PinnedKey, Hash256, Signature)> = (0..4u8)
+            .zip(keys.iter().zip(&pinned))
+            .map(|(i, (key, pinned))| {
+                let digest = sha256(&[b'd', i]);
+                (pinned, digest, key.sign_digest(&digest))
+            })
+            .collect();
+        assert!(verify_batch(&items).iter().all(Result::is_ok)); // builds the lane combs outside the count
+        let tally = batch_tally();
+        let costs = cost::measure(|| assert!(verify_batch(&items).iter().all(Result::is_ok)));
+        assert_eq!(batch_tally(), BatchTally { batches: tally.batches + 1, signatures: tally.signatures + 4 });
+        assert_eq!((costs.scalar_inversions, costs.field_inversions, costs.doublings), (1, 0, 0), "{costs:?}");
+        if mul_base_group_backend() == "avx512-ifma" {
+            assert_eq!((costs.lane_steps, costs.mixed_additions), (37, 0), "{costs:?}");
+            // Fewer signatures cut each scalar over the idle lanes: two
+            // runs of windows for two signatures, four for one.
+            for (batch, steps) in [(2, 19), (1, 10)] {
+                let costs = cost::measure(|| assert!(verify_batch(&items[..batch]).iter().all(Result::is_ok)));
+                assert_eq!((costs.lane_steps, costs.mixed_additions, costs.scalar_inversions), (steps, 0, 1), "{costs:?}");
+            }
+        } else {
+            eprintln!("ecdsa: no AVX-512 IFMA here, the batch of four walked the scalar combs");
+            assert_eq!(costs.lane_steps, 0, "{costs:?}");
+            assert!(costs.mixed_additions <= 4 * 74, "{costs:?}");
+        }
+    }
+
     /// Seeded property loops (see `hlf_simnet::for_each_case`).
     mod properties {
         use super::*;
@@ -863,6 +989,76 @@ mod tests {
                     let Some(bad) = Signature::from_bytes(&flipped) else { continue };
                     assert_eq!(pinned.verify_digest(&digest, &bad), Err(VerifyError), "bit {bit}");
                     assert!(!verdict(key.verifying_key(), &digest, &bad), "bit {bit}");
+                }
+            });
+        }
+
+        /// `verify_batch` with the lanes on and with them off, each
+        /// against `verify_digest` of every item.
+        fn assert_batch_matches_lone(items: &[(&PinnedKey, Hash256, Signature)]) {
+            let lone: Vec<_> = items.iter().map(|(key, digest, sig)| key.verify_digest(digest, sig)).collect();
+            for lanes in [true, false] {
+                assert_eq!(verify_batch_through(items, lanes), lone, "lanes {lanes}, {} items", items.len());
+            }
+        }
+
+        /// `r` or `s` flipped in one bit, or replaced; a signature can
+        /// carry any of these only when built in this crate.
+        fn mutated(sig: &Signature, rng: &mut SimRng) -> Signature {
+            let n = *order();
+            let bit = |v: &U256, rng: &mut SimRng| {
+                let mut bytes = v.to_be_bytes();
+                let i = rng.next_in(0..256);
+                bytes[i / 8] ^= 1 << (i % 8);
+                U256::from_be_bytes(&bytes)
+            };
+            let above = |v: &U256| v.adc(&n).0; // ≥ n unless it wrapped
+            let (r, s) = (sig.r, sig.s);
+            let (r, s) = match rng.next_in(0..8) {
+                0 => (bit(&r, rng), s),
+                1 => (r, bit(&s, rng)),
+                2 => (U256::ZERO, s),
+                3 => (r, U256::ZERO),
+                4 => (above(&r), s),
+                5 => (r, above(&s)),
+                6 => (n, s),
+                _ => (r, n),
+            };
+            Signature { r, s }
+        }
+
+        /// Batches of 0–17 over three keys: valid signatures mixed with
+        /// flipped bits of `r`, `s` and the digest, wrong keys, `r` or `s`
+        /// zero or at least `n`, and one signature twice.
+        #[test]
+        fn batch_verdicts_equal_lone_verdicts() {
+            eprintln!("ecdsa: batch lane walk is {}, reference is verify_digest", mul_base_group_backend());
+            let keys: Vec<SigningKey> = (0..3u8).map(|i| SigningKey::from_seed(&[b'm', i])).collect();
+            let pinned = PinnedKey::pin_all(&keys.iter().map(|key| *key.verifying_key()).collect::<Vec<_>>());
+            for_each_case(0xecd5_0006, 4, |rng| {
+                for size in 0..=17 {
+                    let mut items: Vec<(&PinnedKey, Hash256, Signature)> = Vec::with_capacity(size);
+                    while items.len() < size {
+                        let signer = rng.next_in(0..keys.len());
+                        let digest = arb_digest(rng);
+                        let sig = keys[signer].sign_digest(&digest);
+                        let item = match rng.next_in(0..8) {
+                            0 => {
+                                let (mut flipped, i) = (digest, rng.next_in(0..256));
+                                flipped.0[i / 8] ^= 1 << (i % 8);
+                                (&pinned[signer], flipped, sig)
+                            }
+                            1 => (&pinned[(signer + 1) % keys.len()], digest, sig),
+                            2 => (&pinned[signer], digest, mutated(&sig, rng)),
+                            3 => match items.last() {
+                                Some(&last) => last,
+                                None => (&pinned[signer], digest, sig),
+                            },
+                            _ => (&pinned[signer], digest, sig),
+                        };
+                        items.push(item);
+                    }
+                    assert_batch_matches_lone(&items);
                 }
             });
         }

@@ -157,6 +157,63 @@ pub(crate) fn invert_scalar(a: &U256) -> U256 {
     t
 }
 
+/// Inverts a non-zero scalar (Montgomery form) in variable time, for a
+/// *public* value only: the `s` of signatures being verified.
+/// [`invert_scalar`]'s chain is the path for secrets (signing nonces).
+///
+/// Kaliski's almost-Montgomery inverse: a binary GCD of halvings,
+/// subtractions and doublings whose sequence follows the value (about
+/// 380 steps of 256-bit adds and shifts, against the chain's 292
+/// Montgomery products), returns `a⁻¹·2^k mod n` with `256 ≤ k ≤ 512`;
+/// one product by `2^(512 − k)·2²⁵⁶` turns it into `a`'s inverse in the
+/// domain, `a⁻¹·2⁵¹²`. Checked against [`Monty::inv`] by the tests below.
+pub(crate) fn invert_scalar_public(a: &U256) -> U256 {
+    cost::count(cost::Op::ScalarInversion);
+    let sf = scalar_field();
+    let n = order();
+    let half = |v: &U256| {
+        let [l0, l1, l2, l3] = v.limbs();
+        U256::from_limbs([l0 >> 1 | l1 << 63, l1 >> 1 | l2 << 63, l2 >> 1 | l3 << 63, l3 >> 1])
+    };
+    // `n = u·s + v·r` with `u, v ≥ 1` holds throughout, so `r` and `s`
+    // stay at most `n`, but for the last doubling of `r`.
+    let (mut u, mut v, mut r, mut s, mut k) = (*n, *a, U256::ZERO, U256::ONE, 0usize);
+    let mut carry = false;
+    while !v.is_zero() {
+        if !u.bit(0) {
+            u = half(&u);
+            s = s.adc(&s).0;
+        } else if !v.bit(0) {
+            v = half(&v);
+            r = r.adc(&r).0;
+        } else if u > v {
+            u = half(&u.sbb(&v).0);
+            r = r.adc(&s).0;
+            s = s.adc(&s).0;
+        } else {
+            v = half(&v.sbb(&u).0);
+            s = s.adc(&r).0;
+            (r, carry) = r.adc(&r);
+        }
+        k += 1;
+    }
+    // `r < 2n` is `−a⁻¹·2^k`.
+    if carry || &r >= n {
+        r = r.sbb(n).0;
+    }
+    let almost = n.sbb(&r).0;
+    debug_assert!((256..=512).contains(&k), "k = {k}");
+    let shift = 512usize.saturating_sub(k);
+    let limb = |i: usize| if shift / 64 == i { 1u64 << (shift % 64) } else { 0 };
+    // `2^shift` in the domain; `2²⁵⁶` itself is `R`, whose domain form is `R²`.
+    let power = if shift < 256 {
+        sf.to_monty(&U256::from_limbs([limb(0), limb(1), limb(2), limb(3)]))
+    } else {
+        sf.to_monty(&sf.one())
+    };
+    sf.mul(&almost, &power)
+}
+
 /// Montgomery's trick: replaces every (non-zero) element of `values` by
 /// its inverse in the domain of `f` with a *single* call to `invert` —
 /// invert the product of all of them, then peel each element's inverse
@@ -256,6 +313,10 @@ fn signed_digits(scalar: &U256) -> [i8; COMB_WINDOWS] {
 /// ([`crate::ecdsa::PinnedKey`]).
 pub(crate) struct SignedComb {
     windows: Vec<[AffinePoint; COMB_ENTRIES]>,
+    /// The radix-2⁵² copy the lane walks gather from, built on the
+    /// comb's first lane walk.
+    #[cfg(target_arch = "x86_64")]
+    lanes: OnceLock<lanes::LaneComb>,
 }
 
 impl SignedComb {
@@ -283,7 +344,17 @@ impl SignedComb {
             .chunks_exact(COMB_ENTRIES)
             .map(|chunk| <[AffinePoint; COMB_ENTRIES]>::try_from(chunk).expect("64-entry window"))
             .collect();
-        SignedComb { windows }
+        SignedComb {
+            windows,
+            #[cfg(target_arch = "x86_64")]
+            lanes: OnceLock::new(),
+        }
+    }
+
+    /// The comb's lane copy, built on first use.
+    #[cfg(target_arch = "x86_64")]
+    fn lane_comb(&self) -> &lanes::LaneComb {
+        self.lanes.get_or_init(|| lanes::LaneComb::new(self))
     }
 
     /// `acc + scalar · P` for any 256-bit `scalar`: one mixed addition
@@ -807,6 +878,45 @@ impl Point {
     /// No lane walk off x86-64.
     #[cfg(not(target_arch = "x86_64"))]
     fn mul_base_lanes(_: &[U256]) -> Option<Vec<Point>> {
+        None
+    }
+
+    /// `u1·G + u2·Q` for each `(u1, comb of Q, u2)`, the same point as
+    /// `comb.mul_add(u2, Point::mul_base(u1))` (what a pinned
+    /// verification computes): where `lanes` is set and CPUID reports
+    /// AVX-512 IFMA, chunks of up to four take one lane walk, at least
+    /// two lanes each (`lanes`); otherwise, or off x86-64, each job walks
+    /// both combs one scalar at a time.
+    pub(crate) fn lincomb_pinned_group(jobs: &[(U256, &SignedComb, U256)], lanes: bool) -> Vec<Point> {
+        let mut points = Vec::with_capacity(jobs.len());
+        for chunk in jobs.chunks(LANES / 2) {
+            match lanes.then(|| Point::lincomb_lanes(chunk)).flatten() {
+                Some(walked) => points.extend(walked),
+                None => points.extend(chunk.iter().map(|(u1, comb, u2)| comb.mul_add(u2, Point::mul_base(u1)))),
+            }
+        }
+        points
+    }
+
+    /// One lane walk of up to four jobs of
+    /// [`Point::lincomb_pinned_group`], or `None` where the processor
+    /// lacks the instructions. A half that comes back as the identity —
+    /// a zero scalar, or a walk that met a doubling or the opposite
+    /// point — is walked again by its scalar comb walk.
+    #[cfg(target_arch = "x86_64")]
+    fn lincomb_lanes(jobs: &[(U256, &SignedComb, U256)]) -> Option<Vec<Point>> {
+        let halves = lanes::mul_pairs(jobs)?;
+        let sums = jobs.iter().zip(halves).map(|((u1, comb, u2), (g, q))| {
+            let g = if g.is_identity() { Point::mul_base(u1) } else { g };
+            let q = if q.is_identity() { comb.mul_add(u2, Point::identity()) } else { q };
+            g.add(&q)
+        });
+        Some(sums.collect())
+    }
+
+    /// No lane walk off x86-64.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn lincomb_lanes(_: &[(U256, &SignedComb, U256)]) -> Option<Vec<Point>> {
         None
     }
 
@@ -1393,6 +1503,31 @@ mod tests {
         assert_eq!(Point::mul_base_group(&chunk), walked);
     }
 
+    /// `lincomb_pinned_group` through the lanes against the scalar combs
+    /// on the recoding edges and zero, in chunks of one to four jobs:
+    /// zero and small scalars leave whole runs of windows empty, so their
+    /// halves come back flagged and are walked again.
+    #[test]
+    fn pinned_group_lanes_match_scalar_on_recoding_edges() {
+        announce_lanes();
+        let q = Point::generator().mul_reference(&U256::from_u64(0xfab));
+        let (comb, other) = (SignedComb::new(&q), SignedComb::new(&q.double()));
+        let mut scalars = recoding_edge_scalars();
+        scalars.push(U256::ZERO);
+        let jobs: Vec<(U256, &SignedComb, U256)> = scalars
+            .iter()
+            .zip(scalars.iter().rev())
+            .enumerate()
+            .map(|(i, (u1, u2))| (*u1, if i % 3 == 0 { &other } else { &comb }, *u2))
+            .collect();
+        for width in 1..=LANES / 2 {
+            for chunk in jobs.chunks(width) {
+                let walked = Point::lincomb_pinned_group(chunk, true);
+                assert_eq!(walked, Point::lincomb_pinned_group(chunk, false), "width {width}");
+            }
+        }
+    }
+
     /// Clock-free cost guard of the dispatch: a chunk of eight is one
     /// lane walk (37 lane steps, no scalar mixed addition) where the
     /// processor has IFMA, and a chunk below the crossover never walks
@@ -1494,10 +1629,15 @@ mod tests {
             let check = |a: U256| {
                 let am = sf.to_monty(&a);
                 assert_eq!(invert_scalar(&am), sf.inv(&am), "a={a}");
+                assert_eq!(invert_scalar_public(&am), sf.inv(&am), "public, a={a}");
             };
             check(U256::ONE);
             check(U256::from_u64(2));
             check(order().sbb(&U256::ONE).0);
+            for bits in [1, 63, 64, 128, 200, 255] {
+                check(shifted(U256::ONE, bits));
+                check(sf.from_monty(&shifted(U256::ONE, bits)));
+            }
             for_each_case(0x9256_0006, 1000, |rng| {
                 let a = arb_scalar(rng).reduce_once(order());
                 if !a.is_zero() {

@@ -1,9 +1,11 @@
-//! Eight generator multiplications at once, one per 64-bit lane of an
-//! AVX-512 register, multiplied with the IFMA instructions.
+//! Eight comb walks at once, one per 64-bit lane of an AVX-512
+//! register, multiplied with the IFMA instructions.
 //!
-//! Group signing needs `k·G` for every nonce of a group, and each is a
-//! walk of the generator's [`SignedComb`]: 37 mixed additions whose shape
-//! does not depend on the nonce. Here up to eight walks run side by side:
+//! Group signing needs `k·G` for every nonce of a group, and batch
+//! verification `u1·G` and `u2·Q` for every signature of a batch; each is
+//! a walk of a [`SignedComb`]: 37 mixed additions whose shape does not
+//! depend on the scalar. Here up to eight walks run side by side, each
+//! lane over its own comb:
 //!
 //! * a field element is five 52-bit limbs; register `i` of an [`Fe`]
 //!   holds limb `i` of all eight lanes, and a product is 25 (a square 15)
@@ -17,15 +19,24 @@
 //!   by [`fold`] with `2²⁵⁶ ≡ 2²²⁴ − 2¹⁹² − 2⁹⁶ + 1`, never by comparing;
 //! * a zero digit keeps a lane's accumulator and a lane's first nonzero
 //!   digit loads the table entry, by masked blends where the scalar walk
-//!   branches: every lane does all 37 additions.
+//!   branches: every lane does all 37 additions;
+//! * each comb a walk reads is gathered from by one masked gather per
+//!   limb, over the lanes that walk it: the generator's for all eight
+//!   lanes of a signing walk, and in a verification walk the generator's
+//!   for the `u1` lanes and each key's for the `u2` lanes of its
+//!   signatures;
+//! * a lane walks any run of consecutive windows ([`Plan`]): a signing
+//!   walk gives each lane all 37, a verification walk of fewer than four
+//!   signatures cuts each scalar into runs over the idle lanes and adds
+//!   the runs up afterwards.
 //!
 //! The points come back as Jacobian points in the scalar code's
 //! Montgomery form (`R = 2²⁵⁶`), canonical. A lane whose walk met the
 //! identity or a doubling — which the mixed addition cannot do — ends
-//! with `Z = 0`, and the caller walks that scalar again with
-//! [`Point::mul_base`].
+//! with `Z = 0`, and the caller walks that scalar again with the scalar
+//! comb walk.
 
-use super::{cost, field, signed_digits, Point, COMB_ENTRIES, COMB_WINDOWS, LANES};
+use super::{cost, field, signed_digits, Point, SignedComb, COMB_ENTRIES, COMB_WINDOWS, LANES};
 use crate::bignum::U256;
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
@@ -44,20 +55,15 @@ const P: [u64; 5] = [MASK52, (1 << 44) - 1, 0, 1 << 36, 0xffff_ffff_0000];
 /// Montgomery form `v·2²⁶⁰ mod p`, canonical.
 type Entry = [i64; 10];
 
-/// The generator's [`SignedComb`] re-encoded for the lanes: the same
-/// 37 × 64 entries, 80 bytes each (185 KiB), built on first use.
-struct LaneComb {
+/// A [`SignedComb`] re-encoded for the lanes: the same 37 × 64 entries,
+/// window after window, 80 bytes each (185 KiB), built from the scalar
+/// comb on its first lane walk ([`SignedComb::lane_comb`]).
+pub(super) struct LaneComb {
     entries: Vec<Entry>,
-    /// `1` in the lane form: `2²⁶⁰ mod p`.
-    one: [u64; 5],
-    /// `2²⁵⁶ mod p`: a lane product by it turns the lane form into the
-    /// scalar code's `v·2²⁵⁶`.
-    to_scalar_form: [u64; 5],
 }
 
-fn lane_comb() -> &'static LaneComb {
-    static T: OnceLock<LaneComb> = OnceLock::new();
-    T.get_or_init(|| {
+impl LaneComb {
+    pub(super) fn new(comb: &SignedComb) -> LaneComb {
         let f = field();
         // The scalar table holds `v·2²⁵⁶`; four doublings make `v·2²⁶⁰`.
         let lane_form = |scalar_form: &U256| {
@@ -67,7 +73,7 @@ fn lane_comb() -> &'static LaneComb {
             }
             radix52(&v).map(|limb| limb as i64)
         };
-        let entries = super::base_table()
+        let entries = comb
             .windows
             .iter()
             .flatten()
@@ -77,8 +83,59 @@ fn lane_comb() -> &'static LaneComb {
                 [x0, x1, x2, x3, x4, y0, y1, y2, y3, y4]
             })
             .collect();
-        LaneComb {
-            entries,
+        LaneComb { entries }
+    }
+}
+
+/// `i64`s per comb window: 64 entries of ten limbs.
+const WINDOW_I64S: i64 = 10 * COMB_ENTRIES as i64;
+
+/// What each lane does at each step of a walk: its signed digit, and
+/// where in its comb the window of that digit starts, in `i64`s. A lane
+/// may walk any run of windows, so a scalar can be cut over several
+/// lanes; a step past the last window is a zero digit at window 36.
+struct Plan {
+    digits: Vec<[i64; LANES]>,
+    rows: Vec<[i64; LANES]>,
+}
+
+impl Plan {
+    /// `steps` steps of zero digits.
+    fn new(steps: usize) -> Plan {
+        let last = COMB_WINDOWS as i64 - 1;
+        let rows = (0..steps as i64).map(|step| [step.min(last) * WINDOW_I64S; LANES]).collect();
+        Plan { digits: vec![[0; LANES]; steps], rows }
+    }
+
+    /// Lane `lane` walks `scalar`'s digits of the windows from `first`
+    /// on, one per step.
+    #[expect(clippy::indexing_slicing, reason = "every caller's `lane < LANES` indexes the `LANES` digits and rows of a step")]
+    fn lay(&mut self, lane: usize, scalar: &U256, first: usize) {
+        // lint:secret-scope(scalar, digits, digit) — a signing walk lays
+        // the digits of RFC 6979 nonces.
+        let digits = signed_digits(scalar);
+        for (window, (step_digits, step_rows)) in (first..).zip(self.digits.iter_mut().zip(&mut self.rows)) {
+            let digit = digits.get(window).copied().unwrap_or(0);
+            step_digits[lane] = i64::from(digit);
+            step_rows[lane] = window.min(COMB_WINDOWS - 1) as i64 * WINDOW_I64S;
+        }
+    }
+}
+
+/// The two constants of the lane form.
+struct Forms {
+    /// `1` in the lane form: `2²⁶⁰ mod p`.
+    one: [u64; 5],
+    /// `2²⁵⁶ mod p`: a lane product by it turns the lane form into the
+    /// scalar code's `v·2²⁵⁶`.
+    to_scalar_form: [u64; 5],
+}
+
+fn forms() -> &'static Forms {
+    static FORMS: OnceLock<Forms> = OnceLock::new();
+    FORMS.get_or_init(|| {
+        let f = field();
+        Forms {
             one: radix52(&f.to_monty(&U256::from_u64(16))),
             to_scalar_form: radix52(&f.one()),
         }
@@ -110,24 +167,84 @@ fn radix64([l0, l1, l2, l3, l4]: [u64; 5]) -> U256 {
 /// `k·G` for each of up to eight scalars by one lane walk, or `None`
 /// where the processor lacks the instructions. A lane whose walk met the
 /// identity or a doubling comes back as the identity (`Z = 0`).
-#[expect(clippy::indexing_slicing, reason = "`lane < LANES` indexes each window's `LANES` digits")]
 pub(super) fn mul_base(scalars: &[U256]) -> Option<Vec<Point>> {
     if !available() {
         return None;
     }
     debug_assert!(scalars.len() <= LANES, "one walk has {LANES} lanes");
-    let mut digits = [[0i64; LANES]; COMB_WINDOWS];
+    let mut plan = Plan::new(COMB_WINDOWS);
     for (lane, scalar) in (0..LANES).zip(scalars) {
-        // lint:secret-scope(scalar, digit) — the nonces' digits.
-        for (window, digit) in digits.iter_mut().zip(signed_digits(scalar)) {
-            window[lane] = i64::from(digit);
+        plan.lay(lane, scalar, 0);
+    }
+    let lanes = mask_of(0..scalars.len());
+    // SAFETY: `available()` has just confirmed that this processor has
+    // `avx512f` and `avx512ifma`, every target feature `walk` is compiled
+    // with.
+    let out = unsafe { walk(&[(super::base_table().lane_comb(), lanes)], &plan) };
+    Some((0..scalars.len()).map(|lane| out.point(lane)).collect())
+}
+
+/// Verifications per walk: each takes two lanes at least.
+pub(super) const PAIRS: usize = LANES / 2;
+
+/// `(u1·G, u2·Q)` for each of up to four `(u1, comb of Q, u2)` by one
+/// lane walk, or `None` where the processor lacks the instructions.
+///
+/// Each of the `2m` scalars of `m` jobs is cut into `PAIRS / m` runs of
+/// windows (four for one job, two for two, else one), one lane each, so
+/// the walk takes 10, 19 or 37 steps; the generator's comb serves the
+/// `u1` lanes and each job's comb its `u2` lanes, and the runs of a
+/// scalar are added up after the walk. A half one of whose lanes met the
+/// identity or a doubling comes back as the identity.
+pub(super) fn mul_pairs(jobs: &[(U256, &SignedComb, U256)]) -> Option<Vec<(Point, Point)>> {
+    if !available() {
+        return None;
+    }
+    let m = jobs.len();
+    debug_assert!((1..=PAIRS).contains(&m), "one walk has {PAIRS} pairs of lanes");
+    let runs = (PAIRS / m).max(1);
+    let steps = COMB_WINDOWS.div_ceil(runs);
+    // Run `run` of job `i`'s `u1` is lane `2m·run + i`, of its `u2` lane
+    // `2m·run + m + i`.
+    let lane = |run: usize, half: usize, i: usize| 2 * m * run + half * m + i;
+    let mut plan = Plan::new(steps);
+    let mut tables: Vec<(&LaneComb, __mmask8)> = vec![(super::base_table().lane_comb(), 0)];
+    for (i, (u1, comb, u2)) in jobs.iter().enumerate() {
+        let table = comb.lane_comb();
+        let slot = match tables.iter().skip(1).position(|(seen, _)| std::ptr::eq(*seen, table)) {
+            Some(seen) => seen + 1,
+            None => {
+                tables.push((table, 0));
+                tables.len() - 1
+            }
+        };
+        for run in 0..runs {
+            plan.lay(lane(run, 0, i), u1, run * steps);
+            plan.lay(lane(run, 1, i), u2, run * steps);
+            for (table, half) in [(0, 0), (slot, 1)] {
+                if let Some((_, lanes)) = tables.get_mut(table) {
+                    *lanes |= mask_of(lane(run, half, i)..lane(run, half, i) + 1);
+                }
+            }
         }
     }
     // SAFETY: `available()` has just confirmed that this processor has
     // `avx512f` and `avx512ifma`, every target feature `walk` is compiled
     // with.
-    let out = unsafe { walk(lane_comb(), &digits) };
-    Some((0..scalars.len()).map(|lane| out.point(lane)).collect())
+    let out = unsafe { walk(&tables, &plan) };
+    let half = |half: usize, i: usize| {
+        let parts: Vec<Point> = (0..runs).map(|run| out.point(lane(run, half, i))).collect();
+        if parts.iter().any(Point::is_identity) {
+            return Point::identity();
+        }
+        parts.iter().fold(Point::identity(), |sum, part| sum.add(part))
+    };
+    Some((0..m).map(|i| (half(0, i), half(1, i))).collect())
+}
+
+/// The lane mask of `lanes`.
+fn mask_of(lanes: std::ops::Range<usize>) -> __mmask8 {
+    lanes.fold(0, |mask, lane| mask | 1 << lane)
 }
 
 /// The walk's result: limb `l` of coordinate `c` (`X`, `Y`, `Z`) of every
@@ -368,42 +485,56 @@ fn add_affine([x1, y1, z1]: &[Fe; 3], x2: &Fe, y2: &Fe) -> [Fe; 3] {
     [x3, y3, z3]
 }
 
-/// The eight walks: `Σ digits[i][lane] · 128^i · G` per lane, one mixed
-/// addition per window in every lane.
+/// The eight walks: `Σ plan.digits[s][lane] · (the entry of window
+/// plan.rows[s][lane])` per lane, one mixed addition per step in every
+/// lane, each lane gathering from the one comb of `tables` whose mask
+/// holds it (a lane in no mask reads zeros and must have only zero
+/// digits).
 ///
 /// Safe to call only where the processor has `avx512f` and
 /// `avx512ifma` ([`available`]); the compiler makes every other caller
 /// say so in an `unsafe` block.
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn walk(comb: &LaneComb, digits: &[[i64; LANES]; COMB_WINDOWS]) -> LaneOut {
-    // lint:secret-scope(digits, window_digits, digit, negative, magnitude, nonzero, index, entry, y2) —
-    // the lanes walk the generator's comb with the RFC 6979 nonces.
+fn walk(tables: &[(&LaneComb, __mmask8)], plan: &Plan) -> LaneOut {
+    // lint:secret-scope(plan, step_digits, digit, negative, magnitude, nonzero, index, entry, y2) —
+    // a signing walk's lanes carry the digits of RFC 6979 nonces (a
+    // verification walk's come from public signatures and digests).
     let zero = Fe([_mm512_setzero_si512(); 5]);
-    let one = splat(&comb.one);
+    let one = splat(&forms().one);
     let mut acc = [zero; 3];
     let mut infinite: __mmask8 = 0xff;
-    for (row, window_digits) in comb.entries.chunks_exact(COMB_ENTRIES).zip(digits) {
+    for (step_digits, step_rows) in plan.digits.iter().zip(&plan.rows) {
         cost::count(cost::Op::LaneStep);
-        // SAFETY: `window_digits` is a reference to eight readable `i64`s,
-        // and `_mm512_loadu_si512` asks no alignment of its pointer.
-        let digit = unsafe { _mm512_loadu_si512(window_digits.as_ptr().cast()) };
+        // SAFETY: `step_digits` and `step_rows` are references to eight
+        // readable `i64`s each, and `_mm512_loadu_si512` asks no
+        // alignment of its pointer.
+        let (digit, row) = unsafe {
+            (_mm512_loadu_si512(step_digits.as_ptr().cast()), _mm512_loadu_si512(step_rows.as_ptr().cast()))
+        };
         let negative = _mm512_cmplt_epi64_mask(digit, _mm512_setzero_si512());
         let magnitude = _mm512_abs_epi64(digit); // 0..=64
         let nonzero = _mm512_test_epi64_mask(magnitude, magnitude);
-        // The offset of entry `|d| − 1` in `i64`s, ten per entry; a zero
-        // digit reads entry 63 and is blended away below.
+        // The offset of entry `|d| − 1` of the lane's window in `i64`s,
+        // ten per entry; a zero digit reads entry 63 and is blended away
+        // below.
         let slot = _mm512_and_si512(
             _mm512_sub_epi64(magnitude, _mm512_set1_epi64(1)),
             _mm512_set1_epi64(COMB_ENTRIES as i64 - 1),
         );
-        let index = _mm512_add_epi64(_mm512_slli_epi64::<3>(slot), _mm512_slli_epi64::<1>(slot));
-        let row = row.as_flattened();
+        let index = _mm512_add_epi64(row, _mm512_add_epi64(_mm512_slli_epi64::<3>(slot), _mm512_slli_epi64::<1>(slot)));
         let mut entry = [_mm512_setzero_si512(); 10];
-        for (limb, gathered) in entry.iter_mut().enumerate() {
-            // SAFETY: every lane of `index` is `10 · e` with `e < 64`, so
-            // `base + 8 · index` reads `row[10 · e + limb]` with
-            // `limb < 10`: inside the window's 640 `i64`s.
-            *gathered = unsafe { _mm512_i64gather_epi64::<8>(index, row.as_ptr().wrapping_add(limb)) }; // lint:allow(consttime): data-dependent comb lookup — documented throughput/constant-time tradeoff (DESIGN.md §7): nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers
+        for &(table, lanes) in tables {
+            let base = table.entries.as_flattened();
+            for (limb, gathered) in entry.iter_mut().enumerate() {
+                // SAFETY: `base` is a live comb's 37 · 640 `i64`s, borrowed
+                // for the whole call. `Plan` keeps every row at
+                // `640 · w` with `w < 37`, and every lane of `slot` is
+                // `e < 64`, so a lane in `lanes` reads
+                // `base[640 · w + 10 · e + limb]` with `limb < 10`, inside
+                // `base`; a masked gather does not touch memory for a
+                // lane outside its mask, which keeps what `gathered` held.
+                *gathered = unsafe { _mm512_mask_i64gather_epi64::<8>(*gathered, lanes, index, base.as_ptr().wrapping_add(limb)) }; // lint:allow(consttime): data-dependent comb lookup — for a signature a documented throughput/constant-time tradeoff (DESIGN.md §7: nonces are single-use RFC 6979 values and deployments are LAN ordering clusters without co-resident attackers); for a verification the digits come from public signatures and digests
+            }
         }
         let [e0, e1, e2, e3, e4, e5, e6, e7, e8, e9] = entry;
         let x2 = Fe([e0, e1, e2, e3, e4]);
@@ -420,7 +551,7 @@ fn walk(comb: &LaneComb, digits: &[[i64; LANES]; COMB_WINDOWS]) -> LaneOut {
         infinite &= !nonzero;
     }
     // A lane that never left the identity has `Z = 0` already.
-    let to_scalar_form = splat(&comb.to_scalar_form);
+    let to_scalar_form = splat(&forms().to_scalar_form);
     let mut out = LaneOut {
         limbs: [[0; LANES]; 15],
     };

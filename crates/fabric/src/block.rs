@@ -6,7 +6,7 @@
 //! `f + 1` valid orderer signatures.
 
 use hlf_wire::Bytes;
-use hlf_crypto::ecdsa::{PinnedKey, Signature, SigningKey};
+use hlf_crypto::ecdsa::{verify_batch, PinnedKey, Signature, SigningKey};
 use hlf_crypto::sha256::{sha256_concat, sha256_many, Digest, Hash256};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 use std::sync::OnceLock;
@@ -241,18 +241,23 @@ impl Block {
         }
     }
 
-    /// Counts valid signatures from distinct known orderers.
+    /// Counts valid signatures from distinct known orderers, verified
+    /// as one batch.
     pub fn valid_signatures(&self, orderer_keys: &[PinnedKey]) -> usize {
         let header_hash = self.header_hash();
-        let mut seen = std::collections::HashSet::new();
-        self.signatures
+        let (nodes, signed): (Vec<u32>, Vec<_>) = self
+            .signatures
             .iter()
-            .filter(|s| {
-                orderer_keys
-                    .get(s.node as usize)
-                    .is_some_and(|key| key.verify_digest(&header_hash, &s.signature).is_ok())
-                    && seen.insert(s.node)
+            .filter_map(|s| {
+                let key = orderer_keys.get(s.node as usize)?;
+                Some((s.node, (key, header_hash, s.signature)))
             })
+            .unzip();
+        let mut seen = std::collections::HashSet::new();
+        nodes
+            .into_iter()
+            .zip(verify_batch(&signed))
+            .filter(|(node, verdict)| verdict.is_ok() && seen.insert(*node))
             .count()
     }
 

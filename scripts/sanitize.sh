@@ -18,7 +18,10 @@
 # draws). The `p256` filter also takes in the AVX-512 IFMA lane walk:
 # its gathers from the lane comb table, its digit loads and its result
 # stores, through the lane tests, which live under `p256` for that reason
-# (on a host without IFMA they compare the scalar walk with itself).
+# (on a host without IFMA they compare the scalar walk with itself), and
+# the batch verifier's walks over the pinned keys' lane combs, through
+# the `ecdsa` and `p256` tests and every `hlf-consensus` test (each
+# quorum is verified as one batch).
 #
 # Both modes are *gated*, not required: when the toolchain pieces are
 # missing the script prints a SKIP notice and exits 0, so the verify
@@ -78,6 +81,7 @@ if [ "$MODE" = asan ]; then
   run_test -p hlf-crypto --lib sha256
   run_test -p hlf-crypto --lib ecdsa
   run_test -p hlf-crypto --lib p256
+  run_test -p hlf-consensus --tests
 fi
 run_test -p hlf-transport --lib
 run_test -p hlf-smr --test tcp_codec
