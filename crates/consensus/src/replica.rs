@@ -1086,10 +1086,12 @@ impl Replica {
     }
 
     /// Measures a WRITE vote that arrived after its instance decided,
-    /// against that instance's recorded propose time. Signatures are
-    /// still checked so an attacker cannot smear a healthy peer.
+    /// against that instance's recorded propose time. Like a vote that
+    /// lands in the window, it is not verified: `from` is the
+    /// authenticated link it came over and the caller has checked
+    /// `vote.node == from`, so only a peer's own traffic measures it.
     fn observe_late_write(&mut self, from: NodeId, vote: &Vote) {
-        if from == self.cfg.node {
+        if from == self.cfg.node || self.cfg.keys.get(from.as_usize()).is_none() {
             return;
         }
         let Some(&(_, t0)) = self
@@ -1100,12 +1102,6 @@ impl Replica {
         else {
             return;
         };
-        let Some(key) = self.cfg.keys.get(from.as_usize()) else {
-            return;
-        };
-        if !vote.verify(key) {
-            return;
-        }
         let lag_us = self.now_ms.saturating_sub(t0) * 1000;
         self.flight_record(EventKind::WriteVote, vote.cid, vote.node.0 as u64, lag_us);
         self.observe_vote_lag(from, lag_us);
@@ -2085,9 +2081,7 @@ mod tests {
     /// verifying every vote on arrival gave — the same 264 deliveries
     /// and the same tentative deliveries per replica (a replica whose
     /// ACCEPT quorum forms before its WRITE quorum commits without one).
-    /// In send order each phase costs a replica one verification batch;
-    /// shuffled, a WRITE that lands after its instance decided costs a
-    /// batch of one more (`observe_late_write`).
+    /// In send order each phase costs a replica one verification batch.
     #[test]
     fn wheat_five_with_weights_decides_identically() {
         let runs = [(None, [6, 6, 6, 6, 6]), (Some(3), [6, 6, 6, 6, 6]), (Some(47), [5, 6, 6, 5, 5])];
@@ -2682,6 +2676,40 @@ mod tests {
         assert!(
             flight.events().iter().any(|e| e.kind == EventKind::Suspect && e.a == 3),
             "suspicion not recorded in flight ring"
+        );
+    }
+
+    /// A WRITE that lands after its instance decided feeds the straggler
+    /// detector its lag at the cost of no verification batch: like a vote
+    /// inside the window, it is taken on the authenticated link it came
+    /// over (`vote.node == from`).
+    #[test]
+    fn late_write_reaches_the_detector_unverified() {
+        let signing = signing_keys();
+        let mut replica = make_replicas(4, 1).remove(0);
+        let flight = Arc::new(FlightRecorder::with_capacity("node-0", 256));
+        replica.attach_flight(Arc::clone(&flight));
+        let request = req(1);
+        let hash = Batch::new(vec![request.clone()]).digest();
+        step(&mut replica, 0, Input::Requests(vec![request]));
+        for (phase, at) in [(VotePhase::Write, 10), (VotePhase::Accept, 20)] {
+            for node in [1u32, 2] {
+                let vote = Vote::sign(&signing[node as usize], phase, NodeId(node), 1, 0, hash);
+                let msg = if phase == VotePhase::Write { ConsensusMsg::Write(vote) } else { ConsensusMsg::Accept(vote) };
+                step(&mut replica, at, Input::Message(NodeId(node), msg));
+            }
+        }
+        assert_eq!(replica.next_cid(), 2, "instance 1 decided");
+        assert_eq!(replica.health().peer_lag_us(3), None);
+
+        let before = hlf_crypto::ecdsa::batch_tally();
+        let late = Vote::sign(&signing[3], VotePhase::Write, NodeId(3), 1, 0, hash);
+        step(&mut replica, 150, Input::Message(NodeId(3), ConsensusMsg::Write(late)));
+        assert_eq!(hlf_crypto::ecdsa::batch_tally(), before, "the late WRITE cost a verification");
+        assert_eq!(replica.health().peer_lag_us(3), Some(150_000));
+        assert!(
+            flight.events().iter().any(|e| e.kind == EventKind::WriteVote && (e.a, e.b, e.c) == (1, 3, 150_000)),
+            "the late WRITE's lag is not in the flight ring"
         );
     }
 

@@ -264,10 +264,9 @@ pub(crate) fn signing_sink(
                 let digest = hlf_crypto::sha256::sha256(&context);
                 std::hint::black_box(context_key.sign_digest(&digest));
             }
-            // Encode into a pooled buffer: the last frontend copy
-            // to drop returns it to the transport pool.
-            let bytes = hlf_wire::to_pooled_bytes(&block, push.pool());
-            push.push_all(bytes);
+            // Encoded once, into a pooled buffer: the last frontend
+            // copy to drop returns it to the transport pool.
+            push.push_all(&block);
         },
     );
     move |block| pool.submit(block)
@@ -491,6 +490,27 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("core.signing.signed"), Some(3));
         assert_eq!(snap.histogram("core.signing.sign_us").unwrap().count, 3);
+    }
+
+    /// A pushed block's frame is byte for byte the `Reply` that wraps
+    /// the block's own encoding, for blocks of 0, 1 and 100 envelopes.
+    #[test]
+    fn pushed_block_frames_match_the_reply_of_the_encoded_block() {
+        use hlf_transport::{Network, PeerId};
+        let network = Network::new();
+        let replica = network.join(PeerId::replica(0));
+        let frontend = network.join(PeerId::client(1));
+        let push = PushHandle::for_tests(replica.sender(), vec![hlf_wire::ClientId(1)]);
+        for envelopes in [0u64, 1, 100] {
+            let block = Block::build(7, Hash256::ZERO, (0..envelopes).map(|i| Bytes::from(vec![i as u8; 200])).collect());
+            push.push_all(&block);
+            let (_, frame) = frontend.recv_timeout(Duration::from_secs(5)).expect("block pushed");
+            let expected = hlf_wire::to_bytes(&hlf_smr::SmrMsg::Reply {
+                seq: 0,
+                payload: Bytes::from(hlf_wire::to_bytes(&block)),
+            });
+            assert_eq!(frame.as_ref(), &expected[..], "{envelopes} envelopes");
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (one-shot, incremental, and many
 //!   messages at once in SIMD lanes),
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), used by deterministic ECDSA,
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), used by deterministic ECDSA
+//!   and to derive the transport's keys,
+//! * [`poly1305`] — the RFC 8439 one-time authenticator that seals
+//!   transport frames (eight blocks at a time on AVX-512 IFMA),
 //! * `bignum` — fixed-width 256-bit integers with Montgomery arithmetic,
 //! * `p256` — the NIST P-256 (secp256r1) group,
 //! * [`ecdsa`] — RFC 6979 deterministic ECDSA signing and verification.
@@ -49,6 +52,7 @@ pub mod ecdsa;
 pub mod hex;
 pub mod hmac;
 mod p256;
+pub mod poly1305;
 pub mod sha256;
 
 pub use bignum::{Monty, U256};

@@ -8,7 +8,7 @@ use crate::core::{Input, NodeCore, Output};
 use crate::storage::LogStore;
 use crate::wire::SmrMsg;
 use hlf_transport::{Endpoint, PeerId, SenderHandle};
-use hlf_wire::{from_bytes_shared, to_pooled_bytes, BufferPool, Bytes, ClientId, NodeId};
+use hlf_wire::{from_bytes_shared, to_pooled_bytes, BufferPool, Bytes, ClientId, Encode, NodeId};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
@@ -57,18 +57,19 @@ impl PushHandle {
         }
     }
 
-    /// Sends an unsolicited push (`seq == 0`) to every connected client.
+    /// Sends an unsolicited push (`seq == 0`) of `value`'s encoding to
+    /// every connected client: the frame is
+    /// `to_bytes(&SmrMsg::Reply { seq: 0, payload: to_bytes(value) })`.
     ///
-    /// The push is encoded once and every recipient gets a view of that
-    /// one pooled buffer, as with [`Output::ToAllClients`]: what the
-    /// frontends of a process have not polled yet costs it one frame per
-    /// pushing node, however many of them lag. The per-receiver cost
-    /// that gives the in-process LAN benchmarks their receiver-count
-    /// scaling (Fig. 7) is the receiver's own: decoding, hashing and
-    /// comparing each copy.
-    pub fn push_all(&self, payload: Bytes) {
-        let msg = SmrMsg::Reply { seq: 0, payload };
-        let bytes = to_pooled_bytes(&msg, self.sender.pool());
+    /// The push is encoded once, straight from `value` into one pooled
+    /// buffer, and every recipient gets a view of that buffer, as with
+    /// [`Output::ToAllClients`]: what the frontends of a process have not
+    /// polled yet costs it one frame per pushing node, however many of
+    /// them lag. The per-receiver cost that gives the in-process LAN
+    /// benchmarks their receiver-count scaling (Fig. 7) is the
+    /// receiver's own: decoding, hashing and comparing each copy.
+    pub fn push_all<T: Encode + ?Sized>(&self, value: &T) {
+        let bytes = SmrMsg::pooled_reply(0, value, self.sender.pool());
         for client in self.clients.read().iter() {
             let _ = self.sender.send(PeerId::Client(client.0), bytes.clone());
         }

@@ -2,7 +2,7 @@
 //! replies/pushes, consensus traffic, and state transfer.
 
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request};
-use hlf_wire::Bytes;
+use hlf_wire::{BufferPool, Bytes};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 
 /// One recoverable log entry served during state transfer.
@@ -81,9 +81,8 @@ impl Encode for SmrMsg {
                 encode_seq(requests, out);
             }
             SmrMsg::Reply { seq, payload } => {
-                out.push(1);
-                seq.encode(out);
-                payload.encode(out);
+                encode_reply_head(*seq, payload.len(), out);
+                out.extend_from_slice(payload);
             }
             SmrMsg::Consensus(msg) => {
                 out.push(2);
@@ -118,6 +117,31 @@ impl Encode for SmrMsg {
             SmrMsg::Subscribe => 0,
         }
     }
+}
+
+impl SmrMsg {
+    /// `to_bytes(&SmrMsg::Reply { seq, payload: to_bytes(value) })` in a
+    /// buffer from `pool`, encoded straight from `value`: the payload is
+    /// never encoded on its own and copied in.
+    pub(crate) fn pooled_reply<T: Encode + ?Sized>(seq: u64, value: &T, pool: &BufferPool) -> Bytes {
+        let payload_len = value.encoded_len();
+        let mut out = pool.take(REPLY_HEAD + payload_len);
+        encode_reply_head(seq, payload_len, &mut out);
+        value.encode(&mut out);
+        pool.wrap(out)
+    }
+}
+
+/// Bytes of a `Reply` before its payload: tag 1, `seq` 8, length 4.
+const REPLY_HEAD: usize = 13;
+
+/// A `Reply`'s tag, `seq` and payload length prefix.
+fn encode_reply_head(seq: u64, payload_len: usize, out: &mut Vec<u8>) {
+    out.push(1);
+    seq.encode(out);
+    #[expect(clippy::expect_used, reason = "the wire format caps every value at u32 length, as `Bytes::encode` does; encoding more is a caller bug")]
+    let payload_len = u32::try_from(payload_len).expect("reply payload length fits in u32");
+    payload_len.encode(out);
 }
 
 impl Decode for SmrMsg {

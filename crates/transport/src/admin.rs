@@ -17,11 +17,16 @@
 //! # Wire format
 //!
 //! The admin plane runs the data plane's session (`session.rs`): the
-//! same handshake, listener and `len(4 LE) | tag(32) | payload` frames
-//! under the same pairwise [`Authenticator::for_link`] keys, with its
-//! own handshake labels (`hlf-admin-hello` / `hlf-admin-ack`) so a
-//! transcript never replays across planes. Every connection re-keys,
-//! so a restarted node's scrapers start their cursors over cleanly.
+//! same handshake, listener and `len(4 LE) | nonce(16) | tag(16) |
+//! payload` Poly1305-sealed frames under the same pairwise
+//! [`Authenticator::for_link`] keys, with its own handshake labels
+//! (`hlf-admin-hello` / `hlf-admin-ack`) so a transcript never replays
+//! across planes. Requests and responses share one session key, so the
+//! scraper seals with nonces below 2¹²⁷ and the node with nonces above,
+//! and each side refuses a nonce that is not past the last one it took
+//! from the other: a replayed or reflected request or response ends
+//! the connection. Every connection re-keys, so a restarted node's
+//! scrapers start their cursors over cleanly.
 //!
 //! Requests are 9 bytes (`kind(1) | cursor(8 LE)`). Responses echo
 //! the kind byte and carry a kind-specific body; the metric bodies
@@ -38,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Largest accepted admin frame body (tag + payload). Registry
+/// Largest accepted admin frame body (seal + payload). Registry
 /// snapshots are a few KiB; 4 MiB bounds a full flight-ring dump.
 const MAX_FRAME: usize = 4 << 20;
 

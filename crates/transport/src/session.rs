@@ -18,12 +18,20 @@
 //! derive the session key [`Authenticator::rekey`]`(nonce_i, nonce_a)`;
 //! fresh nonces on every connection mean every reconnect re-keys.
 //!
-//! After the handshake both planes speak `len(4 LE) | tag(32) |
-//! payload` frames under the session key: the data plane through its
-//! own coalescing pump and `writev` writer, the admin plane through
-//! [`Session`].
+//! After the handshake both planes speak `len(4 LE) | seal(32) |
+//! payload` frames under the session key, `seal = nonce(16) | tag(16)`
+//! ([`Authenticator::seal_with`]): the tag is Poly1305 of the payload
+//! under the one-time key `HMAC(session, "hlf-frame" || nonce)`. The
+//! nonce counts the frames one side has sealed, with bit 127 set on the
+//! acceptor's side, so the two directions of a session (the admin plane
+//! answers on the connection it was asked on) never share a nonce. A
+//! receiver opens through [`Replays`], which refuses a nonce from the
+//! wrong side or at or below the last one it accepted: a frame replayed
+//! or reflected within the session is an authentication failure. The
+//! data plane runs this through its own coalescing pump and `writev`
+//! writer, the admin plane through [`Session`].
 
-use crate::{constant_time_eq, lock_clean, Authenticator, PeerId};
+use crate::{constant_time_eq, lock_clean, Authenticator, PeerId, Replays, SEAL_LEN};
 use hlf_crypto::hmac::hmac_sha256_multi;
 use hlf_wire::{BufferPool, Bytes};
 use std::collections::HashMap;
@@ -191,7 +199,7 @@ pub(crate) fn accept(me: &Identity, stream: &mut TcpStream) -> io::Result<(PeerI
     let tag = link.tag_labeled(me.plane.ack, &[nonce_i, &nonce_a]);
     stream.write_all(&[nonce_a.as_slice(), &tag].concat())?;
     stream.set_read_timeout(None)?;
-    Ok((peer, link.rekey(nonce_i, &nonce_a)))
+    Ok((peer, link.rekey(nonce_i, &nonce_a).accepting()))
 }
 
 /// A plane's live sockets and the flag that ends them: what `shutdown`
@@ -315,7 +323,7 @@ fn acceptor_loop<S: Service>(listener: &TcpListener, service: &Arc<S>) {
 /// admin plane's request/response loop on either side.
 pub(crate) struct Session {
     stream: TcpStream,
-    key: Authenticator,
+    frames: Replays,
     pool: BufferPool,
 }
 
@@ -323,37 +331,38 @@ impl Session {
     pub(crate) fn new(stream: TcpStream, key: Authenticator) -> Session {
         Session {
             stream,
-            key,
+            frames: Replays::facing(key),
             pool: BufferPool::new(2, 1 << 20),
         }
     }
 
     /// Seals `payload` and writes it as one frame.
     pub(crate) fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        let sealed = self.key.seal_with(payload, &self.pool);
+        let sealed = self.frames.key().seal_with(payload, &self.pool);
         self.stream.write_all(&(sealed.len() as u32).to_le_bytes())?;
         self.stream.write_all(&sealed)
     }
 
-    /// Reads one frame of at most `max_frame` bytes (tag included) and
+    /// Reads one frame of at most `max_frame` bytes (seal included) and
     /// returns its authenticated payload.
     ///
     /// # Errors
     ///
-    /// Socket errors, or `InvalidData` for an out-of-range length or a
-    /// tag that does not verify.
+    /// Socket errors, or `InvalidData` for an out-of-range length, a
+    /// tag that does not verify, or a nonce this session has already
+    /// passed (a replayed or reflected frame).
     pub(crate) fn recv(&mut self, max_frame: usize) -> io::Result<Bytes> {
         let mut len = [0u8; 4];
         self.stream.read_exact(&mut len)?;
         let len = u32::from_le_bytes(len) as usize;
-        if !(32..=max_frame).contains(&len) {
+        if !(SEAL_LEN..=max_frame).contains(&len) {
             return Err(invalid("frame length out of range"));
         }
         let mut body = self.pool.take(len);
         body.resize(len, 0);
         self.stream.read_exact(&mut body)?;
-        self.key
-            .open_shared(&self.pool.wrap(body))
+        self.frames
+            .open(&self.pool.wrap(body))
             .ok_or_else(|| invalid("frame failed authentication"))
     }
 }
@@ -454,6 +463,34 @@ mod tests {
         let mut client = AdminClient::connect(admin.local_addr(), SECRET, dialler, data_id).unwrap();
         assert_eq!(client.health().unwrap(), HealthReport::default());
         assert_eq!(data.net_stats().auth_failures, failures);
+    }
+
+    /// The two directions of one admin session seal under one key but
+    /// never share a nonce, and neither side opens a frame of its own
+    /// sent back at it.
+    #[test]
+    fn admin_session_directions_never_share_a_nonce() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (server_id, client_id) = (PeerId::replica(0), PeerId::client(7));
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            accept(&Identity::new(server_id, SECRET, ADMIN), &mut stream).unwrap()
+        });
+        let (_stream, client_key) = initiate(&Identity::new(client_id, SECRET, ADMIN), server_id, addr).unwrap();
+        let (peer, server_key) = server.join().unwrap();
+        assert_eq!(peer, client_id);
+        let pool = BufferPool::default();
+        let (mut at_server, mut at_client) = (Replays::facing(server_key.clone()), Replays::facing(client_key.clone()));
+        let mut nonces = std::collections::HashSet::new();
+        for i in 0..1_000u32 {
+            let request = client_key.seal_with(&i.to_le_bytes(), &pool);
+            let response = server_key.seal_with(&i.to_le_bytes(), &pool);
+            assert!(nonces.insert(request[..16].to_vec()) && nonces.insert(response[..16].to_vec()), "exchange {i}");
+            assert!(at_client.open(&request).is_none() && at_server.open(&response).is_none(), "exchange {i} reflected");
+            assert_eq!(at_server.open(&request).unwrap(), response.slice(SEAL_LEN..), "exchange {i}");
+            assert_eq!(at_client.open(&response).unwrap(), request.slice(SEAL_LEN..), "exchange {i}");
+        }
     }
 
     #[test]

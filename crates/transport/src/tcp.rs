@@ -34,15 +34,21 @@
 //! Data frames:
 //!
 //! ```text
-//! len(4 LE) | tag(32) | payload(len - 32)
+//! len(4 LE) | nonce(16) | tag(16) | payload(len - 32)
 //! ```
 //!
-//! `tag || payload` is exactly [`Authenticator::seal_with`] output under
-//! the session key, and `payload` is exactly the bytes the in-process hub
-//! would deliver — one encoded `hlf_smr::SmrMsg`. Strip the length prefix
-//! and the seal and the existing `Reader` paths decode socket bytes
-//! unchanged (the cross-backend codec test in `hlf-smr` captures
-//! socket bytes and proves it).
+//! `nonce || tag || payload` is exactly [`Authenticator::seal_with`]
+//! output under the session key: the nonce counts the frames the writer
+//! has sealed on this connection, and the tag is Poly1305 of the
+//! payload under the one-time key `HMAC(session, "hlf-frame" || nonce)`.
+//! The reader refuses a frame whose tag does not verify or whose nonce
+//! is not past the last one it accepted (a replay), counts it in
+//! `transport.net.auth_failures` and drops the connection; the writer
+//! re-dials with fresh keys. `payload` is exactly the bytes the
+//! in-process hub would deliver — one encoded `hlf_smr::SmrMsg`. Strip
+//! the length prefix and the seal and the existing `Reader` paths
+//! decode socket bytes unchanged (the cross-backend codec test in
+//! `hlf-smr` captures socket bytes and proves it).
 //!
 //! # Flow control and loss
 //!
@@ -56,7 +62,7 @@
 //! (25 ms) doubling to `max_backoff` (2 s).
 
 use crate::session::{self, Identity, Service, Sockets};
-use crate::{lock_clean, Authenticator, Backend, Endpoint, PeerId, TransportError};
+use crate::{lock_clean, Authenticator, Backend, Endpoint, PeerId, Replays, TransportError, SEAL_LEN};
 use hlf_obs::{Counter, Gauge, Registry};
 use hlf_wire::{BufferPool, Bytes};
 use std::collections::{HashMap, VecDeque};
@@ -66,11 +72,11 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
-/// Per-frame header: length prefix 4 + HMAC tag 32.
-const FRAME_HEADER: usize = 36;
-/// Largest accepted frame body (tag + payload); mirrors the codec's
+/// Per-frame header: length prefix 4 + seal 32 (nonce 16, tag 16).
+const FRAME_HEADER: usize = 4 + SEAL_LEN;
+/// Largest accepted frame body (seal + payload); mirrors the codec's
 /// 16 MiB message cap so a corrupt length prefix cannot OOM the reader.
-const MAX_FRAME: usize = hlf_wire::MAX_LEN as usize + 32;
+const MAX_FRAME: usize = hlf_wire::MAX_LEN as usize + SEAL_LEN;
 /// Frames drained per writev batch (bounds the header scratch space).
 const MAX_BATCH: usize = 256;
 /// Reader-side bulk-read window: one `read` syscall typically yields
@@ -184,7 +190,8 @@ pub struct NetStats {
     pub connects: u64,
     /// Successful outbound connections after a link previously worked.
     pub reconnects: u64,
-    /// Frames or handshakes rejected by HMAC verification.
+    /// Handshakes that failed authentication, and frames whose tag did
+    /// not verify or whose nonce replayed an earlier one.
     pub auth_failures: u64,
     /// Frames shed because a link queue exceeded its byte cap.
     pub queue_drops: u64,
@@ -431,10 +438,10 @@ impl TcpCore {
         let mut total = 0usize;
         for frame in batch {
             let mut header = [0u8; FRAME_HEADER];
-            let frame_len = (32 + frame.len()) as u32;
-            let (len_part, tag_part) = header.split_at_mut(4);
+            let frame_len = (SEAL_LEN + frame.len()) as u32;
+            let (len_part, seal_part) = header.split_at_mut(4);
             len_part.copy_from_slice(&frame_len.to_le_bytes());
-            tag_part.copy_from_slice(&session.tag(frame.as_ref()));
+            seal_part.copy_from_slice(&session.seal(frame.as_ref()));
             headers.push(header);
             total += FRAME_HEADER + frame.len();
         }
@@ -490,6 +497,7 @@ impl Service for TcpCore {
         // back to reading their tail directly into the pooled body.
         let mut scratch = vec![0u8; READ_SCRATCH];
         let (mut from, mut upto) = (0usize, 0usize);
+        let mut frames = Replays::facing(session);
         'pump: loop {
             // Length prefix.
             while upto - from < 4 {
@@ -503,7 +511,7 @@ impl Service for TcpCore {
             };
             len_buf.copy_from_slice(prefix);
             let frame_len = u32::from_le_bytes(len_buf) as usize;
-            if !(32..=MAX_FRAME).contains(&frame_len) {
+            if !(SEAL_LEN..=MAX_FRAME).contains(&frame_len) {
                 self.obs.auth_failures.inc();
                 break;
             }
@@ -535,7 +543,7 @@ impl Service for TcpCore {
                 }
             }
             let sealed = self.pool.wrap(body);
-            let Some(payload) = session.open_shared(&sealed) else {
+            let Some(payload) = frames.open(&sealed) else {
                 self.obs.auth_failures.inc();
                 break;
             };
@@ -763,6 +771,35 @@ mod tests {
         assert_eq!(stats.frames_out, 1);
         assert_eq!(stats.frames_in, 1);
         assert!(stats.bytes_out >= (FRAME_HEADER + 8) as u64);
+    }
+
+    /// A data frame replayed on its connection is refused: the first
+    /// copy is delivered, the second counts an authentication failure
+    /// and the reader drops the connection.
+    #[test]
+    fn tcp_replayed_frame_closes_the_connection() {
+        let n1 = local(1, b"s");
+        let e1 = n1.endpoint();
+        let me = Identity::new(PeerId::replica(0), b"s".as_slice(), session::DATA);
+        let (mut stream, key) = session::initiate(&me, PeerId::replica(1), n1.local_addr()).unwrap();
+        let sealed = key.seal_with(b"once", &BufferPool::default());
+        let frame = [&(sealed.len() as u32).to_le_bytes()[..], &sealed].concat();
+        stream.write_all(&frame).unwrap();
+        let (from, payload) = e1.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((from, payload.as_ref()), (PeerId::replica(0), &b"once"[..]));
+        stream.write_all(&frame).unwrap();
+        // The reader shuts the socket down: the dialler's read ends.
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match stream.read(&mut [0u8; 1]) {
+            Ok(n) => assert_eq!(n, 0, "the reader answered a data connection"),
+            Err(err) => assert!(
+                !matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+                "the connection stayed open after the replay"
+            ),
+        }
+        let stats = n1.net_stats();
+        assert_eq!((stats.frames_in, stats.auth_failures), (1, 1));
+        assert!(e1.try_recv().is_none());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! The system lives in the workspace's member crates, which the tests
 //! and examples of this package name directly:
 //!
-//! * `hlf_crypto` — SHA-256 / HMAC / P-256 ECDSA built from scratch,
+//! * `hlf_crypto` — SHA-256 / HMAC / Poly1305 / P-256 ECDSA built from
+//!   scratch,
 //! * `hlf_wire` — the canonical binary wire format,
 //! * `hlf_transport` — authenticated point-to-point links: an in-process
 //!   hub and kernel TCP sockets,
