@@ -769,21 +769,6 @@ pub enum ConsensusMsg {
         /// The forwarded requests, oldest first.
         requests: Vec<Request>,
     },
-    /// Ask a peer for the decided batch of `cid`.
-    ValueRequest {
-        /// The decided instance whose value is missing.
-        cid: u64,
-    },
-    /// Answer to [`ConsensusMsg::ValueRequest`], carrying the batch and
-    /// its decision proof.
-    ValueReply {
-        /// The decided instance.
-        cid: u64,
-        /// Its decided batch.
-        batch: Batch,
-        /// Proof that `batch` was decided.
-        proof: DecisionProof,
-    },
 }
 
 impl Encode for ConsensusMsg {
@@ -829,16 +814,6 @@ impl Encode for ConsensusMsg {
                 out.push(6);
                 encode_seq(requests, out);
             }
-            ConsensusMsg::ValueRequest { cid } => {
-                out.push(7);
-                cid.encode(out);
-            }
-            ConsensusMsg::ValueReply { cid, batch, proof } => {
-                out.push(8);
-                cid.encode(out);
-                batch.encode(out);
-                proof.encode(out);
-            }
         }
     }
 
@@ -855,10 +830,6 @@ impl Encode for ConsensusMsg {
                 ..
             } => 4 + seq_encoded_len(collect) + 8 + batch.encoded_len() + seq_encoded_len(rebinds),
             ConsensusMsg::Forward { requests } => seq_encoded_len(requests),
-            ConsensusMsg::ValueRequest { .. } => 8,
-            ConsensusMsg::ValueReply { cid: _, batch, proof } => {
-                8 + batch.encoded_len() + proof.encoded_len()
-            }
         }
     }
 }
@@ -886,14 +857,6 @@ impl Decode for ConsensusMsg {
             },
             6 => ConsensusMsg::Forward {
                 requests: decode_seq(r)?,
-            },
-            7 => ConsensusMsg::ValueRequest {
-                cid: Decode::decode(r)?,
-            },
-            8 => ConsensusMsg::ValueReply {
-                cid: Decode::decode(r)?,
-                batch: Decode::decode(r)?,
-                proof: Decode::decode(r)?,
             },
             d => return Err(WireError::InvalidDiscriminant(d)),
         })
@@ -1133,6 +1096,11 @@ mod tests {
             value: Some(batch.clone()),
             write_cert: vec![vote.clone()],
         };
+        let proof = DecisionProof {
+            cid: 1,
+            hash: h,
+            votes: vec![accept.clone()],
+        };
         let sd = StopData::sign_with_slots(
             &sk[0],
             NodeId(0),
@@ -1142,13 +1110,8 @@ mod tests {
             None,
             vec![],
             vec![report],
-            None,
+            Some(proof),
         );
-        let proof = DecisionProof {
-            cid: 1,
-            hash: h,
-            votes: vec![accept.clone()],
-        };
         let messages = vec![
             ConsensusMsg::Propose {
                 cid: 1,
@@ -1173,12 +1136,6 @@ mod tests {
             ConsensusMsg::Forward {
                 requests: batch.requests.clone(),
             },
-            ConsensusMsg::ValueRequest { cid: 3 },
-            ConsensusMsg::ValueReply {
-                cid: 3,
-                batch,
-                proof,
-            },
         ];
         for msg in messages {
             let bytes = to_bytes(&msg);
@@ -1187,12 +1144,15 @@ mod tests {
         }
     }
 
+    /// Tags 7 and 8 were a value request and its reply, both retired.
     #[test]
     fn junk_discriminant_rejected() {
-        assert_eq!(
-            from_bytes::<ConsensusMsg>(&[99]),
-            Err(WireError::InvalidDiscriminant(99))
-        );
+        for tag in [7, 8, 99] {
+            assert_eq!(
+                from_bytes::<ConsensusMsg>(&[tag]),
+                Err(WireError::InvalidDiscriminant(tag))
+            );
+        }
     }
 
     /// Seeded property loops (see `hlf_simnet::for_each_case`).

@@ -37,8 +37,6 @@ use std::sync::Arc;
 
 /// How many future instances' messages a replica buffers while lagging.
 const FUTURE_HORIZON: u64 = 64;
-/// How many recent decisions are cached to answer `ValueRequest`s.
-const RECENT_DECISIONS: usize = 64;
 
 /// First 8 bytes of a digest as a little-endian `u64` — the compact
 /// value identity flight events carry for the cluster auditor. Truncation
@@ -180,10 +178,6 @@ impl Config {
 }
 
 /// What a driver feeds into [`Replica::step`].
-#[expect(
-    clippy::large_enum_variant,
-    reason = "an input is moved into `step` once; boxing the message would cost an allocation per message to shrink a value that is never stored"
-)]
 #[derive(Clone, Debug)]
 pub enum Input {
     /// A window of client requests that arrived in one frame: all are
@@ -192,14 +186,19 @@ pub enum Input {
     Requests(Vec<Request>),
     /// A message from peer replica `NodeId`.
     Message(NodeId, ConsensusMsg),
-    /// Time has passed: drives timeout escalation and fetch retries.
+    /// Time has passed: drives timeout escalation, STOP re-broadcasts
+    /// and catch-up retries.
     Tick,
-    /// Application-level state transfer (or recovery from the durable
-    /// log) reached this instance, with the executed half of every
+    /// A caught-up checkpoint (or recovery from the durable log)
+    /// reached this instance, with the executed half of every
     /// session as of that instance: the replica resumes after it, and
     /// its sessions dedup exactly as if it had decided every instance
     /// itself.
     InstallState(u64, Executed),
+    /// A peer's decision for the frontier instance, with its proof, in
+    /// answer to [`Action::Behind`]: once the proof verifies, the replica
+    /// commits it as if it had decided it itself.
+    Decided(Batch, DecisionProof),
 }
 
 /// An effect the driver must carry out.
@@ -244,11 +243,13 @@ pub enum Action {
         /// checkpoint taken here must carry.
         checkpoint: Option<Executed>,
     },
-    /// The replica detected it is behind: the application layer should
-    /// run state transfer up to `target_cid`.
+    /// The replica may be behind: the driver should ask its peers for
+    /// their decisions from `from_cid` on and hand each back as
+    /// [`Input::Decided`] (or a checkpoint as [`Input::InstallState`]).
+    /// Raised at most once per request timeout.
     Behind {
-        /// First instance the rest of the group is working on.
-        target_cid: u64,
+        /// The frontier: the first instance this replica has not decided.
+        from_cid: u64,
     },
 }
 
@@ -349,9 +350,8 @@ pub struct Replica {
     /// One session per client: the request pool, in-flight counts and
     /// what has executed.
     sessions: Sessions,
-    /// Recent decisions, oldest first; the last one's proof is reported
-    /// in STOP-DATA.
-    recent_decisions: VecDeque<(u64, Batch, DecisionProof)>,
+    /// The last commit's proof, reported in STOP-DATA.
+    last_decision: Option<DecisionProof>,
     // Timeout machinery.
     now_ms: u64,
     oldest_pending_since: Option<u64>,
@@ -359,25 +359,33 @@ pub struct Replica {
     timeout_ms: u64,
     // Regency change.
     stop_votes: BTreeMap<u32, BTreeSet<NodeId>>,
+    /// The highest regency this replica demanded.
     stop_sent_for: u32,
+    /// The STOP-DATA this replica sent the leader of its regency.
+    stop_data_sent: Option<StopData>,
+    /// When [`Replica::repair`] last ran.
+    repaired_at: u64,
     syncing: bool,
     sync_started_at: u64,
     collect: HashMap<NodeId, StopData>,
-    /// SYNC accepted while behind, adopted after state transfer
-    /// (regency, frontier cid, frontier batch, window rebinds).
+    /// SYNC accepted while behind, adopted once catching up brings the
+    /// frontier to it (regency, frontier cid, frontier batch, window
+    /// rebinds).
     pending_sync: Option<(u32, u64, Batch, Vec<SlotRebind>)>,
+    /// The SYNC this replica sent as leader, with its regency: re-sent
+    /// to a peer whose STOP names that regency or a lower one.
+    sync_sent: Option<(u32, ConsensusMsg)>,
+    /// When each peer was last re-sent that SYNC.
+    sync_resent_at: HashMap<NodeId, u64>,
     // Catch-up.
+    /// Messages for slots beyond the window, up to [`FUTURE_HORIZON`].
     future: BTreeMap<u64, Vec<(NodeId, ConsensusMsg)>>,
-    /// Highest cid each peer has sent beyond [`FUTURE_HORIZON`], since
-    /// the last state install: how a replica too far behind to buffer
-    /// learns where the group is.
-    far_ahead: BTreeMap<NodeId, u64>,
-    /// Target of the last [`Action::Behind`] raised from `far_ahead`;
-    /// another waits for a state install or a bound `FUTURE_HORIZON`
-    /// higher, so votes do not restart a running transfer.
-    behind_target: Option<u64>,
-    fetching_value: bool,
-    fetch_started_at: u64,
+    /// The highest slot each peer has sent a message for beyond the
+    /// window: `f + 1` of them at or past its end show the replica is
+    /// behind.
+    ahead: BTreeMap<NodeId, u64>,
+    /// When [`Action::Behind`] was last raised.
+    behind_at: Option<u64>,
     /// Current-instance agreement messages that arrived while a
     /// synchronization phase was in progress (or for a newer epoch than
     /// ours); replayed once the sync concludes.
@@ -432,22 +440,24 @@ impl Replica {
             regency: 0,
             next_cid: 1,
             sessions: Sessions::default(),
-            recent_decisions: VecDeque::new(),
+            last_decision: None,
             now_ms: 0,
             oldest_pending_since: None,
             forwarded: false,
             timeout_ms: timeout,
             stop_votes: BTreeMap::new(),
             stop_sent_for: 0,
+            stop_data_sent: None,
+            repaired_at: 0,
             syncing: false,
             sync_started_at: 0,
             collect: HashMap::new(),
             pending_sync: None,
+            sync_sent: None,
+            sync_resent_at: HashMap::new(),
             future: BTreeMap::new(),
-            far_ahead: BTreeMap::new(),
-            behind_target: None,
-            fetching_value: false,
-            fetch_started_at: 0,
+            ahead: BTreeMap::new(),
+            behind_at: None,
             sync_buffer: Vec::new(),
             early_stopdata: Vec::new(),
             obs: ReplicaObs::new(&registry),
@@ -656,16 +666,17 @@ impl Replica {
             Input::InstallState(last_decided, executed) => {
                 self.resume_after(last_decided, executed, actions)
             }
+            Input::Decided(batch, proof) => self.adopt_decision(batch, proof, actions),
         }
     }
 
     fn tick(&mut self, actions: &mut Vec<Action>) {
-        // Retry an outstanding value fetch whose replies were lost.
-        if self.fetching_value
-            && self.now_ms.saturating_sub(self.fetch_started_at) > self.timeout_ms
-        {
-            self.fetching_value = false;
-            self.maybe_fetch_gap(actions);
+        if self.now_ms.saturating_sub(self.repaired_at) >= self.cfg.request_timeout_ms {
+            self.repaired_at = self.now_ms;
+            self.repair(actions);
+        }
+        if self.behind() {
+            self.raise_behind(actions);
         }
         if self.syncing {
             if self.now_ms.saturating_sub(self.sync_started_at) > self.timeout_ms {
@@ -694,13 +705,13 @@ impl Replica {
         if let Some(t0) = self.oldest_pending_since {
             let age = self.now_ms.saturating_sub(t0);
             if age > self.timeout_ms && !self.forwarded {
-                // Stage 1: ask every peer for the frontier's value in case
-                // only this replica missed its decision (its ACCEPT quorum
-                // lost: no later instance may run to show it the gap),
-                // and forward pending requests to the leader in case the
-                // client never reached it.
+                // Stage 1: ask the peers for what they decided from the
+                // frontier on, in case only this replica missed a decision
+                // (its ACCEPT quorum lost: no later instance may run to
+                // show it the gap), and forward pending requests to the
+                // leader in case the client never reached it.
                 self.forwarded = true;
-                self.request_value(self.next_cid, actions);
+                self.raise_behind(actions);
                 if !self.is_leader() {
                     let requests = self.sessions.unproposed(self.cfg.batch_max);
                     actions.push(Action::Send(self.leader(), ConsensusMsg::Forward { requests }));
@@ -715,6 +726,25 @@ impl Replica {
         }
     }
 
+    /// Repeats, once per request timeout, what a lost message may hold
+    /// up: this replica's STOP for a regency above the installed one and,
+    /// while it synchronizes, a STOP naming its regency (whose leader
+    /// answers with its SYNC again, or counts as a vote towards it where a
+    /// peer lost the STOPs that installed it) and its STOP-DATA to that
+    /// leader.
+    fn repair(&mut self, actions: &mut Vec<Action>) {
+        if self.stop_sent_for > self.regency {
+            actions.push(Action::Broadcast(ConsensusMsg::Stop { regency: self.stop_sent_for }));
+        }
+        if !self.syncing {
+            return;
+        }
+        actions.push(Action::Broadcast(ConsensusMsg::Stop { regency: self.regency }));
+        if let Some(sd) = self.stop_data_sent.as_ref().filter(|sd| sd.regency == self.regency) {
+            actions.push(Action::Send(self.leader(), ConsensusMsg::StopData(sd.clone())));
+        }
+    }
+
     /// [`Input::InstallState`]: the replica resumes at `last_decided + 1`
     /// with `executed` as its sessions' executed half.
     fn resume_after(&mut self, last_decided: u64, executed: Executed, actions: &mut Vec<Action>) {
@@ -722,23 +752,16 @@ impl Replica {
             return;
         }
         self.next_cid = last_decided + 1;
-        self.far_ahead.clear();
-        self.behind_target = None;
         self.bump_all_slots(self.regency);
         self.insts.clear();
         self.sessions.install(executed);
         if self.sessions.queued() == 0 {
             self.oldest_pending_since = None;
         }
-        self.fetching_value = false;
         self.frontier_since = self.now_ms;
         self.stall_logged = false;
         self.update_window_gauge();
-        if let Some((regency, cid, batch, rebinds)) = self.pending_sync.take() {
-            if regency == self.regency && cid == self.next_cid {
-                self.adopt_window(cid, batch, rebinds, actions);
-            }
-        }
+        self.adopt_pending_sync(actions);
         self.drain_future(actions);
         self.replay_sync_buffer(actions);
     }
@@ -824,10 +847,6 @@ impl Replica {
                 rebinds,
             } => self.handle_sync(from, regency, collect, cid, batch, rebinds, actions),
             ConsensusMsg::Forward { requests } => self.enqueue_requests(requests, actions),
-            ConsensusMsg::ValueRequest { cid } => self.handle_value_request(from, cid, actions),
-            ConsensusMsg::ValueReply { cid, batch, proof } => {
-                self.handle_value_reply(cid, batch, proof, actions)
-            }
         }
     }
 
@@ -851,70 +870,17 @@ impl Replica {
         }
     }
 
-    /// Buffers a message beyond the live window; triggers value fetch
-    /// if enough distinct peers are demonstrably ahead. A message beyond
-    /// [`FUTURE_HORIZON`] is not kept, only noted in [`Self::note_far_ahead`].
+    /// Notes that `from` is working beyond the live window and buffers
+    /// its message, unless it lies beyond [`FUTURE_HORIZON`]; raises
+    /// [`Action::Behind`] once that shows the replica is behind.
     fn buffer_future(&mut self, from: NodeId, msg: ConsensusMsg, cid: u64, actions: &mut Vec<Action>) {
-        if cid > self.next_cid + FUTURE_HORIZON {
-            self.note_far_ahead(from, cid, actions);
-            return;
-        }
-        self.future.entry(cid).or_default().push((from, msg));
-        self.maybe_fetch_gap(actions);
-    }
-
-    /// Records that `from` sent a message for `cid`, beyond the horizon,
-    /// and raises [`Action::Behind`] once `f + 1` distinct peers have.
-    ///
-    /// The bound is the (f+1)-th highest cid they sent, so at least one
-    /// correct peer sent a message at or above it; a correct replica
-    /// votes only inside its window, so it has decided every instance
-    /// below `bound - pipeline_depth + 1`, the target.
-    fn note_far_ahead(&mut self, from: NodeId, cid: u64, actions: &mut Vec<Action>) {
-        let highest = self.far_ahead.entry(from).or_insert(cid);
+        let highest = self.ahead.entry(from).or_insert(cid);
         *highest = (*highest).max(cid);
-        let mut cids: Vec<u64> = self.far_ahead.values().copied().collect();
-        cids.sort_unstable_by(|a, b| b.cmp(a));
-        let Some(&bound) = cids.get(self.cfg.quorums.one_correct_count().saturating_sub(1)) else {
-            return;
-        };
-        let target = bound.saturating_add(1).saturating_sub(self.cfg.pipeline_depth as u64);
-        if self
-            .behind_target
-            .is_some_and(|last| target < last.saturating_add(FUTURE_HORIZON))
-        {
-            return;
+        if cid <= self.next_cid + FUTURE_HORIZON {
+            self.future.entry(cid).or_default().push((from, msg));
         }
-        self.behind_target = Some(target);
-        hlf_obs::debug!(
-            "replica {} behind: at cid {} while f + 1 peers send cid {} or more",
-            self.cfg.node.as_usize(),
-            self.next_cid,
-            bound
-        );
-        actions.push(Action::Behind { target_cid: target });
-    }
-
-    /// Starts (or continues) fetching the current instance's decided
-    /// value when at least `f + 1` distinct peers are observably ahead
-    /// of us — at least one of them is correct and has the decision.
-    fn maybe_fetch_gap(&mut self, actions: &mut Vec<Action>) {
-        if self.fetching_value {
-            return;
-        }
-        let ahead: HashSet<NodeId> = self
-            .future
-            .iter()
-            .filter(|(&cid, _)| cid > self.next_cid)
-            .flat_map(|(_, msgs)| msgs.iter().map(|(n, _)| *n))
-            .collect();
-        if ahead.len() >= self.cfg.quorums.one_correct_count() {
-            self.fetching_value = true;
-            self.fetch_started_at = self.now_ms;
-            let cid = self.next_cid;
-            for node in ahead {
-                actions.push(Action::Send(node, ConsensusMsg::ValueRequest { cid }));
-            }
+        if self.behind() {
+            self.raise_behind(actions);
         }
     }
 
@@ -1309,13 +1275,12 @@ impl Replica {
                     self.inst_mut(cid).decided = Some((batch, proof));
                 }
                 _ => {
-                    // Decided digest known, value missing: fetch once
-                    // the slot reaches the frontier (release order is
-                    // strict anyway, so nothing above can commit first).
-                    if cid == self.next_cid && !self.fetching_value {
-                        self.fetching_value = true;
-                        self.fetch_started_at = self.now_ms;
-                        self.request_value(cid, actions);
+                    // Decided digest known, value missing: ask for it
+                    // once the slot reaches the frontier (release order
+                    // is strict anyway, so nothing above can commit
+                    // first).
+                    if cid == self.next_cid {
+                        self.raise_behind(actions);
                     }
                     return;
                 }
@@ -1345,8 +1310,8 @@ impl Replica {
             self.commit(batch, proof, actions);
         }
         // The new frontier may hold an accept quorum for a value this
-        // replica never saw: re-run its decision check to start the
-        // fetch it deferred while it sat above the frontier.
+        // replica never saw: re-run its decision check to ask for the
+        // value it could not while it sat above the frontier.
         let frontier = self.next_cid;
         let needs_fetch = self.insts.get(&frontier).is_some_and(|slot| {
             slot.decided.is_none() && slot.accepts.quorum_hash(&self.cfg.quorums).is_some()
@@ -1371,11 +1336,7 @@ impl Replica {
         let proposed_at = slot.as_ref().and_then(|s| s.proposed_at);
         let write_quorum_at = slot.as_ref().and_then(|s| s.write_quorum_at);
         let checkpoint = cid.is_multiple_of(self.cfg.checkpoint_interval).then(|| self.sessions.executed());
-        // Kept past execution, so without the leaf cache.
-        self.recent_decisions.push_back((cid, batch.without_leaves(), proof.clone()));
-        while self.recent_decisions.len() > RECENT_DECISIONS {
-            self.recent_decisions.pop_front();
-        }
+        self.last_decision = Some(proof.clone());
         let obs = &self.obs;
         obs.decided.inc();
         obs.pending_requests.set(self.sessions.queued() as i64);
@@ -1419,7 +1380,6 @@ impl Replica {
         self.next_cid += 1;
         self.frontier_since = self.now_ms;
         self.stall_logged = false;
-        self.fetching_value = false;
         self.timeout_ms = self.cfg.request_timeout_ms;
         self.forwarded = false;
         self.oldest_pending_since = if self.sessions.queued() == 0 {
@@ -1429,8 +1389,8 @@ impl Replica {
         };
         self.update_window_gauge();
 
+        self.adopt_pending_sync(actions);
         self.drain_future(actions);
-        self.maybe_fetch_gap(actions);
         self.try_propose(actions);
     }
 
@@ -1442,17 +1402,39 @@ impl Replica {
         if regency <= self.regency || self.stop_sent_for >= regency {
             return;
         }
-        self.stop_sent_for = regency;
         self.timeout_ms = self.timeout_ms.saturating_mul(2);
+        self.stop_sent_for = regency;
         actions.push(Action::Broadcast(ConsensusMsg::Stop { regency }));
         self.note_stop_vote(self.cfg.node, regency, actions);
     }
 
     fn handle_stop(&mut self, from: NodeId, regency: u32, actions: &mut Vec<Action>) {
-        if regency <= self.regency || from.as_usize() >= self.cfg.quorums.n() {
+        if from.as_usize() >= self.cfg.quorums.n() {
+            return;
+        }
+        if regency <= self.regency {
+            self.resend_sync(from, actions);
             return;
         }
         self.note_stop_vote(from, regency, actions);
+    }
+
+    /// A STOP for a regency at or below ours shows `to` has not
+    /// installed ours, or lost its SYNC: as its leader, send that SYNC
+    /// again, at most once per request timeout. Only the leader can:
+    /// a SYNC is accepted from the leader of its regency alone.
+    fn resend_sync(&mut self, to: NodeId, actions: &mut Vec<Action>) {
+        let Some((regency, sync)) = &self.sync_sent else {
+            return;
+        };
+        let every = self.cfg.request_timeout_ms;
+        if *regency != self.regency
+            || self.sync_resent_at.get(&to).is_some_and(|&at| self.now_ms.saturating_sub(at) < every)
+        {
+            return;
+        }
+        actions.push(Action::Send(to, sync.clone()));
+        self.sync_resent_at.insert(to, self.now_ms);
     }
 
     fn note_stop_vote(&mut self, from: NodeId, regency: u32, actions: &mut Vec<Action>) {
@@ -1495,7 +1477,7 @@ impl Replica {
         self.collect.clear();
         self.stop_votes.retain(|&r, _| r > regency);
 
-        let decision = self.recent_decisions.back().map(|(_, _, proof)| proof.clone());
+        let decision = self.last_decision.clone();
         let quorums = &self.cfg.quorums;
         let quorum_cert = |slot: &Instance| {
             if quorums.is_quorum(slot.last_write_cert.iter().map(|v| v.node)) {
@@ -1552,6 +1534,7 @@ impl Replica {
                 }
             }
         } else {
+            self.stop_data_sent = Some(sd.clone());
             actions.push(Action::Send(leader, ConsensusMsg::StopData(sd)));
         }
     }
@@ -1645,6 +1628,7 @@ impl Replica {
             rebinds,
         };
         actions.push(Action::Broadcast(msg.clone()));
+        self.sync_sent = Some((self.regency, msg.clone()));
         self.handle(self.cfg.node, msg, actions);
     }
 
@@ -1659,7 +1643,9 @@ impl Replica {
         rebinds: Vec<SlotRebind>,
         actions: &mut Vec<Action>,
     ) {
-        if regency < self.regency || from != self.leader_of(regency) {
+        // A SYNC for the regency this replica already synchronized is a
+        // copy re-sent to a peer that lacked it.
+        if regency < self.regency || (regency == self.regency && !self.syncing) || from != self.leader_of(regency) {
             return;
         }
         if validate_sync_window(
@@ -1710,8 +1696,7 @@ impl Replica {
                 // We already decided this instance; nothing to adopt.
             }
             std::cmp::Ordering::Greater => {
-                // We are behind: remember the window, ask for state
-                // transfer.
+                // We are behind: remember the window, and catch up to it.
                 self.pending_sync = Some((regency, cid, batch, rebinds));
                 hlf_obs::debug!(
                     "replica {} behind: at cid {} while group syncs cid {}",
@@ -1719,13 +1704,30 @@ impl Replica {
                     self.next_cid,
                     cid
                 );
-                actions.push(Action::Behind { target_cid: cid });
+                self.raise_behind(actions);
             }
             std::cmp::Ordering::Equal => {
                 self.adopt_window(cid, batch, rebinds, actions);
             }
         }
         self.replay_sync_buffer(actions);
+    }
+
+    /// Adopts the SYNC held while behind once the frontier reaches its
+    /// instance; drops it once the frontier has passed that instance or
+    /// another regency is installed.
+    fn adopt_pending_sync(&mut self, actions: &mut Vec<Action>) {
+        let Some((regency, cid, ..)) = &self.pending_sync else {
+            return;
+        };
+        if *regency == self.regency && *cid > self.next_cid {
+            return;
+        }
+        if let Some((regency, cid, batch, rebinds)) = self.pending_sync.take() {
+            if regency == self.regency && cid == self.next_cid {
+                self.adopt_window(cid, batch, rebinds, actions);
+            }
+        }
     }
 
     /// Adopts a synchronization-phase window: the frontier value plus
@@ -1787,55 +1789,42 @@ impl Replica {
     }
 
     // ------------------------------------------------------------------
-    // Value transfer
+    // Catch-up
     // ------------------------------------------------------------------
 
-    /// Asks every peer for the value decided at `cid`. A peer that has
-    /// it answers with its decision proof, so one answer suffices.
-    fn request_value(&self, cid: u64, actions: &mut Vec<Action>) {
-        for node in self.cfg.quorums.nodes() {
-            if node != self.cfg.node {
-                actions.push(Action::Send(node, ConsensusMsg::ValueRequest { cid }));
-            }
-        }
+    /// Whether the replica knows it is behind: `f + 1` peers (so at least
+    /// one correct one, which votes only inside its own window) sent
+    /// messages at or past the end of its window, or it holds a SYNC for
+    /// an instance above its frontier.
+    fn behind(&self) -> bool {
+        let end = self.window_end();
+        let ahead = self.ahead.values().filter(|&&cid| cid >= end).count();
+        ahead >= self.cfg.quorums.one_correct_count()
+            || self.pending_sync.as_ref().is_some_and(|(_, cid, ..)| *cid > self.next_cid)
     }
 
-    fn handle_value_request(&mut self, from: NodeId, cid: u64, actions: &mut Vec<Action>) {
-        if let Some((_, batch, proof)) = self
-            .recent_decisions
-            .iter()
-            .find(|(decided_cid, _, _)| *decided_cid == cid)
-        {
-            actions.push(Action::Send(
-                from,
-                ConsensusMsg::ValueReply {
-                    cid,
-                    batch: batch.clone(),
-                    proof: proof.clone(),
-                },
-            ));
-        }
-    }
-
-    fn handle_value_reply(
-        &mut self,
-        cid: u64,
-        batch: Batch,
-        proof: DecisionProof,
-        actions: &mut Vec<Action>,
-    ) {
-        if cid != self.next_cid {
+    /// Asks the driver to catch the replica up from its frontier, at most
+    /// once per request timeout; the next timeout is the retry.
+    fn raise_behind(&mut self, actions: &mut Vec<Action>) {
+        let every = self.cfg.request_timeout_ms;
+        if self.behind_at.is_some_and(|at| self.now_ms.saturating_sub(at) < every) {
             return;
         }
+        self.behind_at = Some(self.now_ms);
+        actions.push(Action::Behind { from_cid: self.next_cid });
+    }
+
+    /// [`Input::Decided`]: commits a peer's proven decision for the
+    /// frontier. A conflicting tentative delivery (and every tentative
+    /// slot stacked above it) unwinds first.
+    fn adopt_decision(&mut self, batch: Batch, proof: DecisionProof, actions: &mut Vec<Action>) {
+        let cid = self.next_cid;
         if proof.cid != cid
             || proof.hash != batch.digest()
             || proof.verify(&self.cfg.quorums, &self.cfg.keys).is_err()
         {
             return;
         }
-        // A proven decision: adopt it directly. A conflicting tentative
-        // delivery (and every tentative slot stacked above it) unwinds
-        // first.
         if self
             .insts
             .get(&cid)
@@ -2047,7 +2036,7 @@ mod tests {
         let (replica, sent) = quorum_past_a_bad_signature(VotePhase::Accept);
         assert!(sent.iter().any(|msg| matches!(msg, ConsensusMsg::Accept(vote) if vote.node == NodeId(2))));
         assert_eq!(replica.next_cid(), 2, "instance 1 decided");
-        let Some((_, _, proof)) = replica.recent_decisions.back() else {
+        let Some(proof) = &replica.last_decision else {
             panic!("replica 2 keeps its decision proof");
         };
         assert_eq!(voters(&proof.votes), [0, 1, 2]);
@@ -2131,10 +2120,11 @@ mod tests {
         let mut replicas = make_replicas(4, 1);
         // Node 1 (not leader) has pending requests that never decide.
         step(&mut replicas[1], 0, Input::Requests(vec![req(1), req(2), req(3)]));
-        // Stage 1 at t > timeout: every peer is asked for the
-        // frontier's value, and one message forwards them all, in order.
+        // Stage 1 at t > timeout: the replica asks to catch up from its
+        // frontier, and one message forwards them all, in order.
         let mut actions = step(&mut replicas[1], 2_500, Input::Tick);
-        assert_eq!(actions.len(), 4, "three ValueRequests, one Forward, whatever is pending: {actions:?}");
+        assert_eq!(actions.len(), 2, "one Behind, one Forward, whatever is pending: {actions:?}");
+        assert_eq!(actions[0], Action::Behind { from_cid: 1 });
         let Some(Action::Send(NodeId(0), ConsensusMsg::Forward { requests })) = actions.pop() else {
             panic!("expected a Forward to the leader");
         };
@@ -2182,41 +2172,33 @@ mod tests {
         assert!(actions.is_empty());
     }
 
+    /// Replica 0 decides instance 1; its proven decision, handed to
+    /// replica 3 as [`Input::Decided`], commits there. A decision for any
+    /// other instance than the frontier is ignored.
     #[test]
-    fn value_request_answered_from_recent_decisions() {
+    fn decided_value_commits_at_the_frontier() {
         let mut replicas = make_replicas(4, 1);
-        // Manufacture a decision on replica 0 via the full path: use 3
-        // replicas' accept votes.
         let signing = signing_keys();
-        let batch = Batch::new(vec![req(1)]);
-        let hash = batch.digest();
+        let hash = Batch::new(vec![req(1)]).digest();
         // The leader proposes; its own write is recorded.
         step(&mut replicas[0], 0, Input::Requests(vec![req(1)]));
-        for i in 1..3 {
-            let w = Vote::sign(&signing[i], VotePhase::Write, NodeId(i as u32), 1, 0, hash);
-            deliver(&mut replicas[0], i as u32, ConsensusMsg::Write(w));
-        }
-        for i in 1..3 {
-            let a = Vote::sign(&signing[i], VotePhase::Accept, NodeId(i as u32), 1, 0, hash);
-            deliver(&mut replicas[0], i as u32, ConsensusMsg::Accept(a));
+        for phase in [VotePhase::Write, VotePhase::Accept] {
+            for i in 1..3 {
+                let vote = Vote::sign(&signing[i], phase, NodeId(i as u32), 1, 0, hash);
+                let msg = if phase == VotePhase::Write { ConsensusMsg::Write(vote) } else { ConsensusMsg::Accept(vote) };
+                deliver(&mut replicas[0], i as u32, msg);
+            }
         }
         assert_eq!(replicas[0].obs.decided.get(), 1);
-
-        let actions = deliver(&mut replicas[0], 3, ConsensusMsg::ValueRequest { cid: 1 });
-        assert!(matches!(
-            &actions[..],
-            [Action::Send(NodeId(3), ConsensusMsg::ValueReply { cid: 1, .. })]
-        ));
-
-        // And a verified ValueReply lets a lagging replica commit
-        // directly.
-        let Action::Send(_, reply) = actions.into_iter().next().unwrap() else {
-            panic!("a ValueRequest is answered with a Send")
+        let Some(proof) = replicas[0].last_decision.clone() else {
+            panic!("replica 0 keeps its decision proof");
         };
-        let actions = deliver(&mut replicas[3], 0, reply);
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::Commit { cid: 1, .. })));
+        let batch = Batch::new(vec![req(1)]);
+
+        let early = DecisionProof { cid: 2, ..proof.clone() };
+        assert!(step(&mut replicas[3], 0, Input::Decided(batch.clone(), early)).is_empty());
+        let actions = step(&mut replicas[3], 0, Input::Decided(batch, proof));
+        assert!(actions.iter().any(|a| matches!(a, Action::Commit { cid: 1, .. })), "{actions:?}");
         assert_eq!(replicas[3].next_cid(), 2);
     }
 
@@ -2233,11 +2215,15 @@ mod tests {
         last
     }
 
-    fn value_requests(actions: &[Action]) -> usize {
+    /// The `from_cid` of every [`Action::Behind`] among `actions`.
+    fn behinds(actions: &[Action]) -> Vec<u64> {
         actions
             .iter()
-            .filter(|a| matches!(a, Action::Send(_, ConsensusMsg::ValueRequest { cid: 1 })))
-            .count()
+            .filter_map(|a| match a {
+                Action::Behind { from_cid } => Some(*from_cid),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -2245,9 +2231,9 @@ mod tests {
         let mut replica = make_replicas(4, 1).remove(3);
         let batch = Batch::new(vec![req(1)]);
         // The quorum names a digest whose value is unknown here: no
-        // decision, the value is asked for.
+        // decision, the replica asks to catch up.
         let actions = feed_accept_quorum(&mut replica, batch.digest());
-        assert_eq!(value_requests(&actions), 3);
+        assert_eq!(behinds(&actions), [1]);
         assert_eq!(replica.obs.decided.get(), 0);
         // The proposal lands: its stored digest is the decided one.
         let propose = ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch.clone() };
@@ -2266,39 +2252,64 @@ mod tests {
         let (batch_a, batch_b) = (Batch::new(vec![req(1)]), Batch::new(vec![req(2)]));
         deliver(&mut replica, 0, ConsensusMsg::Propose { cid: 1, epoch: 0, batch: batch_b });
         let actions = feed_accept_quorum(&mut replica, batch_a.digest());
-        assert_eq!(value_requests(&actions), 3);
+        assert_eq!(behinds(&actions), [1]);
         assert!(!actions.iter().any(|a| matches!(a, Action::Commit { .. })));
         assert_eq!(replica.obs.decided.get(), 0);
         assert_eq!(replica.next_cid(), 1);
     }
 
-    /// The `Behind` targets `replica` raises while `peers` each send it
-    /// WRITEs for `cid`, `cid + 1` and `cid + 2`.
-    fn behind_on_far_writes(replica: &mut Replica, peers: &[usize], cid: u64) -> Vec<u64> {
+    /// The `Behind`s `replica` raises at time `now` while `peers` each
+    /// send it WRITEs for `cid`, `cid + 1` and `cid + 2`.
+    fn behind_on_writes(replica: &mut Replica, now: u64, peers: &[usize], cid: u64) -> Vec<u64> {
         let signing = signing_keys();
-        let mut targets = Vec::new();
+        let mut from = Vec::new();
         for c in cid..cid + 3 {
             for &peer in peers {
                 let node = NodeId(peer as u32);
                 let w = Vote::sign(&signing[peer], VotePhase::Write, node, c, 0, Batch::empty().digest());
-                for action in deliver(replica, peer as u32, ConsensusMsg::Write(w)) {
-                    if let Action::Behind { target_cid } = action {
-                        targets.push(target_cid);
-                    }
-                }
+                from.extend(behinds(&step(replica, now, Input::Message(node, ConsensusMsg::Write(w)))));
             }
         }
-        targets
+        from
     }
 
+    /// `f + 1` peers voting past the window, inside the buffer's horizon
+    /// or beyond it, raise one `Behind` per request timeout, from the
+    /// frontier; the tick raises it again while they still show the
+    /// replica behind. One peer alone may be Byzantine: no catch-up for
+    /// it.
     #[test]
     fn f_plus_one_peers_beyond_the_horizon_raise_one_behind() {
-        let mut replicas = make_replicas(4, 1);
-        let cid = 1 + FUTURE_HORIZON + 10;
-        // Depth 1: a correct peer voting on `cid` decided all below it.
-        assert_eq!(behind_on_far_writes(&mut replicas[0], &[1, 2], cid), vec![cid]);
-        // One peer alone may be Byzantine: no state transfer for it.
-        assert!(behind_on_far_writes(&mut replicas[1], &[2], cid).is_empty());
+        for cid in [2, 1 + FUTURE_HORIZON + 10] {
+            let mut replicas = make_replicas(4, 1);
+            assert_eq!(behind_on_writes(&mut replicas[0], 0, &[1, 2], cid), [1], "cid {cid}");
+            assert!(behinds(&step(&mut replicas[0], 1_000, Input::Tick)).is_empty());
+            assert_eq!(behinds(&step(&mut replicas[0], 2_000, Input::Tick)), [1]);
+            assert!(behind_on_writes(&mut replicas[1], 0, &[2], cid).is_empty());
+            assert!(behinds(&step(&mut replicas[1], 2_000, Input::Tick)).is_empty());
+        }
+    }
+
+    /// A SYNC for an instance above the frontier raises `Behind`, and
+    /// the replica adopts that SYNC's window once catching up brings its
+    /// frontier there.
+    #[test]
+    fn sync_above_the_frontier_is_adopted_once_caught_up() {
+        let signing = signing_keys();
+        let mut replica = make_replicas(4, 1).remove(3);
+        let collect = (0..3)
+            .map(|i| StopData::sign(&signing[i], NodeId(i as u32), 1, 5, None, None, vec![], None))
+            .collect();
+        let batch = Batch::new(vec![req(5)]);
+        let sync = ConsensusMsg::Sync { regency: 1, collect, cid: 5, batch: batch.clone(), rebinds: vec![] };
+        assert_eq!(behinds(&deliver(&mut replica, 1, sync)), [1]);
+        assert_eq!(replica.regency(), 1);
+        let actions = step(&mut replica, 0, Input::InstallState(4, Executed::default()));
+        let write = actions.iter().find_map(|a| match a {
+            Action::Broadcast(ConsensusMsg::Write(vote)) => Some((vote.cid, vote.epoch, vote.hash)),
+            _ => None,
+        });
+        assert_eq!(write, Some((5, 1, batch.digest())), "{actions:?}");
     }
 
     #[test]
@@ -2310,14 +2321,43 @@ mod tests {
             hash: batch.digest(),
             votes: vec![],
         };
-        let reply = ConsensusMsg::ValueReply {
-            cid: 1,
-            batch,
-            proof: forged,
-        };
-        let actions = deliver(&mut replicas[3], 0, reply);
+        let actions = step(&mut replicas[3], 0, Input::Decided(batch, forged));
         assert!(actions.is_empty());
         assert_eq!(replicas[3].next_cid(), 1);
+    }
+
+    /// Replica 1 leads regency 1 and has sent its SYNC. A peer that keeps
+    /// sending a stale STOP gets that SYNC again, at most once per
+    /// request timeout.
+    #[test]
+    fn stale_stops_get_one_sync_per_timeout_from_the_leader() {
+        let signing = signing_keys();
+        let mut leader = make_replicas(4, 1).remove(1);
+        for from in [2, 3] {
+            deliver(&mut leader, from, ConsensusMsg::Stop { regency: 1 });
+        }
+        assert_eq!(leader.regency(), 1);
+        let mut sent = Vec::new();
+        for from in [2, 3] {
+            let sd = StopData::sign(&signing[from], NodeId(from as u32), 1, 1, None, None, vec![], None);
+            sent.extend(deliver(&mut leader, from as u32, ConsensusMsg::StopData(sd)));
+        }
+        let Some(sync) = sent.iter().find_map(|a| match a {
+            Action::Broadcast(sync @ ConsensusMsg::Sync { .. }) => Some(sync.clone()),
+            _ => None,
+        }) else {
+            panic!("the leader sends its SYNC: {sent:?}");
+        };
+        let resent = |leader: &mut Replica, now: u64| -> usize {
+            let stale = Input::Message(NodeId(0), ConsensusMsg::Stop { regency: 1 });
+            step(leader, now, stale).iter().filter(|a| **a == Action::Send(NodeId(0), sync.clone())).count()
+        };
+        let first: usize = [0, 10, 1_000, 1_999].into_iter().map(|now| resent(&mut leader, now)).sum();
+        assert_eq!(first, 1);
+        assert_eq!(resent(&mut leader, 2_000) + resent(&mut leader, 2_500), 1);
+        // A non-leader holds no SYNC to send.
+        let mut follower = make_replicas(4, 1).remove(2);
+        assert!(deliver(&mut follower, 0, ConsensusMsg::Stop { regency: 0 }).is_empty());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub enum Observed {
     Rollback(u64),
     /// Final commit.
     Commit(u64, Batch),
-    /// The replica asked for state transfer.
+    /// The replica asked to catch up from this instance.
     Behind(u64),
 }
 
@@ -84,7 +84,7 @@ impl Node {
                 Action::DeliverTentative { cid, batch, .. } => Observed::Tentative(cid, batch),
                 Action::Rollback { cid } => Observed::Rollback(cid),
                 Action::Commit { cid, batch, .. } => Observed::Commit(cid, batch),
-                Action::Behind { target_cid } => Observed::Behind(target_cid),
+                Action::Behind { from_cid } => Observed::Behind(from_cid),
             };
             self.observed.push(observed);
         }

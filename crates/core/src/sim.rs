@@ -1098,12 +1098,12 @@ mod tests {
     #[test]
     fn replica_left_behind_catches_up_by_state_transfer() {
         // Replica 3 is slow (+1 s on every link) and never hears the
-        // regency-0 leader (link 0 -> 3 is cut), so it can only fetch
-        // decided values one slow round trip at a time and falls ever
-        // further behind. When the leader crashes, the new regent's
-        // SYNC shows it the gap (consensus reports `Behind`), which the
-        // node core must close by state transfer — the simulator used
-        // to ignore it.
+        // regency-0 leader (link 0 -> 3 is cut), so it learns decisions
+        // only by catching up from its peers' logs, one slow round trip
+        // and one request timeout at a time (consensus reports `Behind`,
+        // which the node core must act on — the simulator used to
+        // ignore it). Once the leader has crashed and the new regency
+        // is installed, it decides with its peers again.
         let mut config = quick_config(Protocol::BftSmart)
             .with_audit()
             .with_request_timeout_ms(2_000)
@@ -1114,7 +1114,10 @@ mod tests {
         let snaps = result.obs;
         let transfers =
             |node: usize| snaps[node].counter_value("smr.node.state_transfers").unwrap();
-        assert_eq!(transfers(3), 1, "replica 3 never ran state transfer");
+        // Twice: to cid 8 before the crash, and to cid 14 after it,
+        // before the new regency is installed; from then on it hears the
+        // new leader and decides with its peers.
+        assert_eq!(transfers(3), 2, "replica 3 did not catch up once each side of the crash");
         assert_eq!(transfers(1) + transfers(2), 0);
         // With replica 0 dead, a frontend's three matching copies of
         // every later block must include replica 3's: service resuming

@@ -52,6 +52,8 @@ struct Seen {
     commits: Vec<(u64, u64)>,
     /// `from_cid` of every `StateRequest` it broadcast.
     state_requests: Vec<u64>,
+    /// The recipient of every `StateReply` it sent.
+    state_replies: Vec<NodeId>,
     /// While set, the ACCEPT votes it broadcasts are lost.
     drop_accepts: bool,
     /// When set, its next `StateRequest` round is lost on the way to
@@ -68,6 +70,7 @@ fn recorder(seen: Rc<RefCell<Seen>>) -> Interposer {
                 seen.state_requests.push(*from_cid);
                 return !std::mem::take(&mut seen.lose_state_request);
             }
+            Output::ToReplica(to, SmrMsg::StateReply { .. }) => seen.state_replies.push(*to),
             Output::ToReplicas(SmrMsg::Consensus(ConsensusMsg::Propose { batch, .. })) => {
                 seen.proposes.push(batch.len());
             }
@@ -364,9 +367,8 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     assert!((0..N).all(|node| net.last_cid(node) == 2));
 
     // Replica 3 drops off for 70 decisions. Its peers checkpoint every
-    // 5 and prune, so their logs no longer reach back to cid 3; and a
-    // replica only keeps its last 64 decisions for value fetches, so
-    // consensus-level catch-up cannot close the gap either.
+    // 5 and prune, so their logs no longer reach back to cid 3: only a
+    // checkpoint can close the gap.
     net.set_links(3, false);
     for seq in 3..=72 {
         net.submit(seq);
@@ -391,10 +393,12 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     // faulty replica gets its word in first.
     net.input(3, Input::Frame(PeerId::Replica(0), forged_reply(71)));
 
-    // It asked for everything after its last decision. Only the forged
-    // answer has come back so far: an entry "proven" by keys outside
-    // the cluster and a checkpoint with a single voucher move nothing.
-    assert_eq!(net.state_requests(), vec![(3, 3)]);
+    // It asked for everything after its last decision (its peers, whose
+    // request timed out too, asked from their own frontier). Only the
+    // forged answer has come back so far: an entry "proven" by keys
+    // outside the cluster and a checkpoint with a single voucher move
+    // nothing.
+    assert_eq!(net.node(3).state_requests, [3]);
     assert_eq!(net.last_cid(3), 2);
     assert_eq!(net.node(3).core.stats().state_transfers(), 0);
 
@@ -410,7 +414,11 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     }
     assert_eq!(net.node(3).core.stats().state_transfers(), 1);
     assert!((1..N).all(|node| net.last_cid(node) == 73), "view change did not resume ordering");
-    assert!(net.state_requests().iter().all(|(node, _)| *node == 3));
+    // Replica 3 asked from cid 3 twice (the lost request and its retry)
+    // and, level again, from 73 when its own request timed out; replicas
+    // 1 and 2 asked from 73 at each of their two request timeouts.
+    assert_eq!(net.state_requests(), [(1, 73), (1, 73), (2, 73), (2, 73), (3, 3), (3, 3), (3, 73)]);
+    assert!((1..N).all(|node| net.node(node).core.stats().state_transfers() == (node == 3) as u64));
     // Had the forged entry for cid 71 been kept, it would have shadowed
     // the real one and forked replica 3's chain. Next block number,
     // previous header hash and buffered envelopes are byte-equal to its
@@ -418,6 +426,26 @@ fn cut_off_replica_catches_up_from_attested_checkpoint_and_proven_entries() {
     let snapshot = net.node(3).core.app().snapshot();
     assert_eq!(snapshot, net.node(1).core.app().snapshot());
     assert_eq!(snapshot, net.node(2).core.app().snapshot());
+}
+
+/// A peer that repeats its `StateRequest` gets one answer per request
+/// timeout: 100 copies within one timeout cost replica 0 one reply, and
+/// a copy after the timeout one more.
+#[test]
+fn repeated_state_requests_get_one_reply_per_timeout() {
+    let mut net = Lan::counters();
+    for seq in 1..=3 {
+        net.submit(seq);
+    }
+    let ask = || Input::Frame(PeerId::Replica(3), SmrMsg::StateRequest { from_cid: 2 });
+    for _ in 0..100 {
+        net.input(0, ask());
+        net.advance(1_000);
+    }
+    assert_eq!(net.node(0).state_replies, [NodeId(3)]);
+    net.advance(200_000);
+    net.input(0, ask());
+    assert_eq!(net.node(0).state_replies, [NodeId(3); 2]);
 }
 
 #[test]
@@ -557,14 +585,27 @@ fn any_window_size_orders_every_request_once_in_seq_order() {
 /// pool, and it catches up on cids 1 to 3 by state transfer before it
 /// votes. Seq 1 is decided a second time, and every replica skips it
 /// there: each request executes once on every replica. The seed
-/// matters: on most, replica 1's first request timeout fetches cid 1's
-/// value from a peer before the regency change, and seq 1 is never
+/// matters: on most, replica 1's first request timeout fetches cids 1
+/// to 3 from a peer's log before the regency change, and seq 1 is never
 /// decided again.
 #[test]
 fn request_decided_again_after_a_transfer_and_a_regency_executes_once() {
+    let net = regency_run(3, 0.03);
+    assert_eq!(net.node(1).core.stats().state_transfers(), 1, "replica 1 caught up by transfer");
+    for node in 1..N {
+        assert_eq!(counter(&net, node), 4 * 8, "replica {node} executed a request twice or missed one");
+        assert_eq!(net.node(node).core.stats().duplicates_skipped(), 1, "replica {node}");
+    }
+}
+
+/// The regency schedule at `loss` on `seed`: replica 1 is cut off while
+/// the others decide seqs 1 to 3 (it holds seq 1 in its pool), then it
+/// heals just as the leader, replica 0, crashes, and seq 4 arrives. Runs until
+/// replicas 1 to 3 have each executed all four, or for 100 × 100 ms.
+fn regency_run(seed: u64, loss: f64) -> Lan {
     let mut net = Lan::counters();
-    net.sim.set_seed(3);
-    net.sim.set_faults(FaultPlan::none().drop_probability(0.03));
+    net.sim.set_seed(seed);
+    net.sim.set_faults(FaultPlan::none().drop_probability(loss));
     net.set_links(1, false);
     net.input(1, Input::Frame(PeerId::Client(CLIENT), SmrMsg::Requests(vec![request(CLIENT, 1)])));
     for seq in 1..=3 {
@@ -577,7 +618,7 @@ fn request_decided_again_after_a_transfer_and_a_regency_executes_once() {
         net.submit(3);
         net.advance(100_000);
     }
-    assert_eq!(net.last_cid(1), 0);
+    assert_eq!(net.last_cid(1), 0, "seed {seed}: replica 1 decided while cut off");
 
     net.set_links(1, true);
     net.sim.crash(0);
@@ -589,11 +630,7 @@ fn request_decided_again_after_a_transfer_and_a_regency_executes_once() {
         }
         net.advance(100_000);
     }
-    assert_eq!(net.node(1).core.stats().state_transfers(), 1, "replica 1 caught up by transfer");
-    for node in 1..N {
-        assert_eq!(counter(&net, node), 4 * 8, "replica {node} executed a request twice or missed one");
-        assert_eq!(net.node(node).core.stats().duplicates_skipped(), 1, "replica {node}");
-    }
+    net
 }
 
 /// Forced STOP before PROPOSE (seeded 2 % loss): the window of seqs 2
@@ -662,6 +699,29 @@ fn forced_stop_after_a_tentative_delivery_executes_each_request_once() {
     assert!((0..N).all(|node| net.last_cid(node) == 2));
 }
 
+/// WHEAT: replica 3 executes seq 2 tentatively at its WRITE quorum, then
+/// is cut off while its peers decide it (and seqs 3 and 4). A forced
+/// STOP's SYNC shows it the gap, and it catches up on cids 2 to 4 from a
+/// peer's log: cid 2 confirms its tentative execution instead of running
+/// seq 2 a second time.
+#[test]
+fn tentatively_executed_cid_caught_up_by_transfer_executes_once() {
+    let mut net = Lan::tentative_counters();
+    net.submit(1);
+    net.send_window(CLIENT, &[request(CLIENT, 2)]);
+    while counter(&net, 3) < 2 * 8 && net.sim.step() {}
+    assert_eq!(net.last_cid(3), 1, "replica 3 executed seq 2 only tentatively");
+    net.set_links(3, false);
+    net.submit(3);
+    net.submit(4);
+    net.set_links(3, true);
+    net.force_stop(1);
+    net.advance(5_000_000);
+    for node in 0..N {
+        assert_eq!(counter(&net, node), 4 * 8, "replica {node} executed a request twice or missed one");
+    }
+}
+
 /// Forced STOP during a state transfer: replica 3 misses 40 decisions,
 /// so its peers have pruned what it would need, though the client's
 /// copies of the last three still reach it and wait in its pool. A
@@ -698,7 +758,7 @@ fn forced_stop_during_a_state_transfer_executes_each_request_once() {
 /// more than `f` replicas, and executes once on every replica.
 #[test]
 fn message_loss_is_tolerated() {
-    let net = ten_requests_over_loss(0x1055_0005);
+    let net = counter_run(0x1055_0005, 0.05);
     net.assert_executed_once(10);
     for seq in 1..=10u64 {
         let repliers = (0..N)
@@ -713,11 +773,12 @@ fn message_loss_is_tolerated() {
     }
 }
 
-/// `message_loss_is_tolerated`'s run on `seed`, up to the last settle.
-fn ten_requests_over_loss(seed: u64) -> Lan {
+/// The counter schedule at `loss` on `seed`: one client's ten sequential
+/// requests, each submitted and settled before the next.
+fn counter_run(seed: u64, loss: f64) -> Lan {
     let mut net = Lan::counters();
     net.sim.set_seed(seed);
-    net.sim.set_faults(FaultPlan::none().drop_probability(0.05));
+    net.sim.set_faults(FaultPlan::none().drop_probability(loss));
     for seq in 1..=10 {
         net.submit(seq);
         net.settle(seq);
@@ -731,7 +792,7 @@ fn ten_requests_over_loss(seed: u64) -> Lan {
 /// adopts the proven reply, and ends level with them.
 #[test]
 fn replica_that_missed_the_last_decision_fetches_it() {
-    let net = ten_requests_over_loss(25);
+    let net = counter_run(25, 0.05);
     net.assert_executed_once(10);
     assert!((0..N).all(|node| net.last_cid(node) == net.last_cid(0)));
 }
@@ -746,7 +807,7 @@ fn replica_that_missed_the_last_decision_fetches_it() {
 fn seeded_lossy_run_replays_exactly() {
     type Trace = (Vec<(Vec<(u64, u64)>, Vec<(u32, u64, Bytes)>)>, usize);
     let run = |seed: u64| -> Trace {
-        let net = ten_requests_over_loss(seed);
+        let net = counter_run(seed, 0.05);
         let seen = (0..N)
             .map(|node| (net.node(node).commits.clone(), net.node(node).replies.clone()))
             .collect();
@@ -766,9 +827,24 @@ fn seeded_lossy_run_replays_exactly() {
 /// it.
 #[test]
 fn ordering_tolerates_message_loss() {
+    let chains = ordering_run(0x1055_0003, 0.03);
+    for (node, chain) in chains.iter().enumerate() {
+        assert_eq!(chain, &chains[0], "replica {node} cut another chain");
+    }
+    let mut ordered: Vec<Bytes> = chains[0].iter().flat_map(|b| b.envelopes.iter().cloned()).collect();
+    ordered.sort();
+    let mut sent: Vec<Bytes> = (1..=16).map(|seq| request(CLIENT, seq).payload).collect();
+    sent.sort();
+    assert_eq!(ordered, sent, "the chain does not hold each envelope exactly once");
+}
+
+/// The ordering schedule at `loss` on `seed`: sixteen envelopes in one
+/// window. Returns each replica's cut chain once every chain holds 16
+/// envelopes, or after 200 × 100 ms.
+fn ordering_run(seed: u64, loss: f64) -> Vec<Vec<Block>> {
     let mut net = Lan::new();
-    net.sim.set_seed(0x1055_0003);
-    net.sim.set_faults(FaultPlan::none().drop_probability(0.03));
+    net.sim.set_seed(seed);
+    net.sim.set_faults(FaultPlan::none().drop_probability(loss));
     let window: Vec<Request> = (1..=16).map(|seq| request(CLIENT, seq)).collect();
     net.send_window(CLIENT, &window);
     net.deliver();
@@ -777,19 +853,64 @@ fn ordering_tolerates_message_loss() {
         for (chain, cut) in chains.iter_mut().zip(&net.cut) {
             chain.extend(cut.try_iter());
         }
-        if chains.iter().all(|chain| chain.iter().map(|b| b.envelopes.len()).sum::<usize>() >= 16) {
+        if chains.iter().all(|chain| envelopes(chain) >= 16) {
             break;
         }
         net.advance(100_000);
     }
-    for (node, chain) in chains.iter().enumerate() {
-        assert_eq!(chain, &chains[0], "replica {node} cut another chain");
+    chains
+}
+
+fn envelopes(chain: &[Block]) -> usize {
+    chain.iter().map(|b| b.envelopes.len()).sum()
+}
+
+/// A fixed slice of each lossy schedule's seeds (ROADMAP item 18): the
+/// counter schedule's seeds on which a replica ended a decision behind,
+/// the ordering schedule's on which replica 0 cut an empty chain, and
+/// the regency schedule's first hundred (eleven of them stalled), when
+/// a lost STOP, STOP-DATA or SYNC was never sent again.
+#[test]
+fn counter_slice_levels_every_replica() {
+    let slice = [(0.05, &[239, 318, 382, 502, 516, 558, 589][..]), (0.03, &[160, 471, 589][..])];
+    let mut failed = Vec::new();
+    for (loss, seeds) in slice {
+        for &seed in seeds {
+            let net = counter_run(seed, loss);
+            let level = (0..N).all(|node| counter(&net, node) == 80 && net.last_cid(node) == net.last_cid(0));
+            if !level {
+                failed.push((loss, seed));
+            }
+        }
     }
-    let mut ordered: Vec<Bytes> = chains[0].iter().flat_map(|b| b.envelopes.iter().cloned()).collect();
-    ordered.sort();
-    let mut sent: Vec<Bytes> = window.into_iter().map(|r| r.payload).collect();
-    sent.sort();
-    assert_eq!(ordered, sent, "the chain does not hold each envelope exactly once");
+    assert!(failed.is_empty(), "counter schedule: (loss, seed) {failed:?} left a replica behind");
+}
+
+/// See `counter_slice_levels_every_replica`.
+#[test]
+fn ordering_slice_cuts_every_envelope() {
+    let slice = [(0.05, &[122, 248, 363, 400][..]), (0.03, &[363][..])];
+    let mut failed = Vec::new();
+    for (loss, seeds) in slice {
+        for &seed in seeds {
+            if !ordering_run(seed, loss).iter().all(|chain| envelopes(chain) == 16) {
+                failed.push((loss, seed));
+            }
+        }
+    }
+    assert!(failed.is_empty(), "ordering schedule: (loss, seed) {failed:?} cut a short chain");
+}
+
+/// See `counter_slice_levels_every_replica`.
+#[test]
+fn regency_slice_executes_seq_4_everywhere() {
+    let failed: Vec<u64> = (0..100)
+        .filter(|&seed| {
+            let net = regency_run(seed, 0.03);
+            !(1..N).all(|node| counter(&net, node) == 4 * 8)
+        })
+        .collect();
+    assert!(failed.is_empty(), "regency schedule: seeds {failed:?} left seq 4 unexecuted");
 }
 
 /// A client streams windows of 8, one every 2.5 ms over 1 ms links, so

@@ -1,5 +1,5 @@
 //! The sans-io replica node: consensus + application + durable log +
-//! reply cache + state transfer, with no clock, socket or thread.
+//! reply cache + catch-up, with no clock, socket or thread.
 //!
 //! [`NodeCore::step`] is the single entry point. A driver feeds it one
 //! [`Input`] at a time together with the current time and carries out
@@ -25,9 +25,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A pending `StateRequest` round is repeated after this long (µs).
-const TRANSFER_RETRY_US: u64 = 500_000;
 
 /// Most clients with an open request→decide stamp (24 bytes each).
 const REQUEST_SEEN_MAX: usize = 1 << 16;
@@ -99,7 +96,9 @@ impl NodeStats {
     pub fn last_cid(&self) -> u64 {
         self.last_cid.load(Ordering::Relaxed)
     }
-    /// Completed state transfers.
+    /// Catch-ups that moved this node's frontier: answers to its
+    /// `StateRequest` that it committed decisions from, or installed a
+    /// checkpoint from.
     pub fn state_transfers(&self) -> u64 {
         self.state_transfers.load(Ordering::Relaxed)
     }
@@ -121,7 +120,8 @@ pub enum Input {
     /// (the transport authenticates senders).
     Frame(PeerId, SmrMsg),
     /// [`NodeConfig::tick_interval`] has passed: drives consensus
-    /// timeouts, the application's tick hook and state-transfer retry.
+    /// timeouts (catch-up retries among them) and the application's tick
+    /// hook.
     Tick,
 }
 
@@ -152,17 +152,6 @@ pub enum Output {
     },
 }
 
-/// In-progress state transfer bookkeeping.
-struct Transfer {
-    target_cid: u64,
-    /// Checkpoint candidates keyed by (cid, snapshot bytes), counting
-    /// distinct senders; `f + 1` matching senders make one trustworthy.
-    checkpoints: HashMap<(u64, Bytes), HashSet<NodeId>>,
-    /// Best proof-carrying entries seen so far.
-    entries: BTreeMap<u64, LogEntry>,
-    last_request_us: u64,
-}
-
 /// One replica node, minus I/O.
 pub struct NodeCore {
     consensus: ConsensusConfig,
@@ -181,7 +170,14 @@ pub struct NodeCore {
     /// Instances tentatively executed but not yet confirmed. With a
     /// pipelined consensus window several can be outstanding at once.
     tentative_executed: BTreeSet<u64>,
-    transfer: Option<Transfer>,
+    /// The checkpoint `(cid, bytes)` each peer's latest answer carried:
+    /// `f + 1` byte-equal ones make it trustworthy. `Some` from this
+    /// node's `StateRequest` until an answer moves its frontier; answers
+    /// are read only then.
+    checkpoint_claims: Option<HashMap<NodeId, (u64, Bytes)>>,
+    /// When each peer was last sent a `StateReply` (µs): at most one per
+    /// request timeout.
+    answered_at: HashMap<NodeId, u64>,
     obs: NodeObs,
     flight: Option<Arc<FlightRecorder>>,
     /// `(seq, sight in µs)` of one in-flight request per client, for the
@@ -223,7 +219,8 @@ impl NodeCore {
             clients: HashSet::new(),
             reply_cache: HashMap::new(),
             tentative_executed: BTreeSet::new(),
-            transfer: None,
+            checkpoint_claims: None,
+            answered_at: HashMap::new(),
             obs: NodeObs::new(&registry),
             flight: config.flight.clone(),
             request_seen: HashMap::new(),
@@ -334,7 +331,7 @@ impl NodeCore {
                 self.consensus(now_us, ConsensusInput::Message(NodeId(id), msg), out);
             }
             Input::Frame(PeerId::Replica(id), SmrMsg::StateRequest { from_cid }) => {
-                self.serve_state(NodeId(id), from_cid, out);
+                self.serve_log(now_us, NodeId(id), from_cid, out);
             }
             Input::Frame(PeerId::Replica(id), SmrMsg::StateReply { checkpoint, entries }) => {
                 self.on_state_reply(now_us, NodeId(id), checkpoint, entries, out);
@@ -344,7 +341,6 @@ impl NodeCore {
                 self.consensus(now_us, ConsensusInput::Tick, out);
                 let outs = self.app.on_tick();
                 self.route(outs, out);
-                self.transfer_retry(now_us, out);
             }
         }
     }
@@ -357,7 +353,7 @@ impl NodeCore {
     /// first request of the run not yet delivered, at this sight of it (a
     /// request already delivered gets none: its late copy would leave a
     /// slot no decide ever clears). A stamp whose request was executed
-    /// another way, by state transfer or as a skipped duplicate, is
+    /// another way, by a caught-up checkpoint or as a skipped duplicate, is
     /// replaced like a free slot.
     fn note_first_sight(&mut self, requests: &[Request], now_us: u64) {
         for run in requests.chunk_by(|a, b| a.client == b.client) {
@@ -452,7 +448,7 @@ impl NodeCore {
                     signers: signer_bitmap(proof.votes.iter().map(|vote| vote.node)),
                 });
             }
-            Action::Behind { target_cid } => self.start_transfer(now_us, target_cid, out),
+            Action::Behind { from_cid } => self.ask_peers(now_us, from_cid, out),
         }
     }
 
@@ -471,10 +467,18 @@ impl NodeCore {
     }
 
     // ------------------------------------------------------------------
-    // State transfer
+    // Catch-up
     // ------------------------------------------------------------------
 
-    fn serve_state(&mut self, to: NodeId, from_cid: u64, out: &mut Vec<Output>) {
+    /// Answers a peer's `StateRequest` from the log: the proven entries
+    /// from `from_cid` on, or, once the log no longer reaches back that
+    /// far, its checkpoint and the entries above it. At most one answer
+    /// per peer per request timeout.
+    fn serve_log(&mut self, now_us: u64, to: NodeId, from_cid: u64, out: &mut Vec<Output>) {
+        let every_us = self.consensus.request_timeout_ms.saturating_mul(1000);
+        if self.answered_at.get(&to).is_some_and(|&at| now_us.saturating_sub(at) < every_us) {
+            return;
+        }
         let checkpoint = self.log.last_checkpoint().filter(|(cid, _)| *cid >= from_cid);
         let entries_from = checkpoint
             .as_ref()
@@ -484,49 +488,26 @@ impl NodeCore {
         if checkpoint.is_none() && entries.is_empty() {
             return;
         }
+        self.answered_at.insert(to, now_us);
         out.push(Output::ToReplica(to, SmrMsg::StateReply { checkpoint, entries }));
     }
 
-    fn start_transfer(&mut self, now_us: u64, target_cid: u64, out: &mut Vec<Output>) {
-        if self
-            .transfer
-            .as_ref()
-            .is_some_and(|t| t.target_cid >= target_cid)
-        {
-            return;
-        }
-        hlf_obs::info!(
-            "node {} behind: starting state transfer towards cid {target_cid}",
-            self.node().0
-        );
+    /// [`Action::Behind`]: asks every peer for its decisions from
+    /// `from_cid` on.
+    fn ask_peers(&mut self, now_us: u64, from_cid: u64, out: &mut Vec<Output>) {
+        hlf_obs::debug!("node {} asks its peers for decisions from cid {from_cid}", self.node().0);
         if let Some(flight) = &self.flight {
-            flight.record(now_us, EventKind::StateTransfer, target_cid, 0, 0);
+            flight.record(now_us, EventKind::StateTransfer, from_cid, 0, 0);
         }
-        self.transfer = Some(Transfer {
-            target_cid,
-            checkpoints: HashMap::new(),
-            entries: BTreeMap::new(),
-            last_request_us: now_us,
-        });
-        self.request_state(out);
-    }
-
-    fn request_state(&self, out: &mut Vec<Output>) {
+        self.checkpoint_claims.get_or_insert_with(HashMap::new);
         self.obs.state_transfer_rounds.inc();
-        let from_cid = self.stats.last_cid() + 1;
         out.push(Output::ToReplicas(SmrMsg::StateRequest { from_cid }));
     }
 
-    fn transfer_retry(&mut self, now_us: u64, out: &mut Vec<Output>) {
-        let Some(transfer) = &mut self.transfer else {
-            return;
-        };
-        if now_us.saturating_sub(transfer.last_request_us) >= TRANSFER_RETRY_US {
-            transfer.last_request_us = now_us;
-            self.request_state(out);
-        }
-    }
-
+    /// A peer's answer. A checkpoint at or above the frontier is
+    /// installed once `f + 1` peers sent it byte for byte; then each entry
+    /// goes to the replica as a decision, which commits the one that
+    /// continues its log (after verifying its proof) like any other.
     fn on_state_reply(
         &mut self,
         now_us: u64,
@@ -535,118 +516,46 @@ impl NodeCore {
         entries: Vec<LogEntry>,
         out: &mut Vec<Output>,
     ) {
-        let Some(transfer) = &mut self.transfer else {
+        let Some(claims) = &mut self.checkpoint_claims else {
             return;
         };
-        if let Some((cid, snapshot)) = checkpoint {
-            transfer
-                .checkpoints
-                .entry((cid, snapshot))
-                .or_default()
-                .insert(from);
-        }
-        for entry in entries {
-            let valid = entry.proof.cid == entry.cid
-                && entry.proof.hash == entry.batch.digest()
-                && entry
-                    .proof
-                    .verify(&self.consensus.quorums, self.replica.keys())
-                    .is_ok();
-            if valid {
-                transfer.entries.entry(entry.cid).or_insert(entry);
+        let before = self.replica.next_cid();
+        if let Some(claim) = checkpoint {
+            claims.insert(from, claim.clone());
+            let vouchers = claims.values().filter(|other| **other == claim).count();
+            if vouchers > self.consensus.quorums.f() && claim.0 >= before {
+                self.install_checkpoint(now_us, claim, out);
             }
         }
-        self.try_complete_transfer(now_us, out);
-    }
-
-    #[expect(clippy::indexing_slicing, reason = "the map is indexed only over a range `covered` proved fully present")]
-    fn try_complete_transfer(&mut self, now_us: u64, out: &mut Vec<Output>) {
-        let Some(transfer) = &self.transfer else {
+        for entry in entries {
+            self.consensus(now_us, ConsensusInput::Decided(entry.batch, entry.proof), out);
+        }
+        let reached = self.replica.next_cid() - 1;
+        if reached < before {
             return;
-        };
-        let need_up_to = transfer.target_cid.saturating_sub(1);
-        let last_cid = self.stats.last_cid();
-        // Proven entries cover everything after `base` up to the target.
-        let covered =
-            |base: u64| (base + 1..=need_up_to).all(|cid| transfer.entries.contains_key(&cid));
-
-        // Either the entries continue our own log, or they continue the
-        // highest checkpoint that f + 1 senders attest byte for byte.
-        let f = self.consensus.quorums.f();
-        let checkpoint = if covered(last_cid) {
-            None
-        } else {
-            let attested = transfer
-                .checkpoints
-                .iter()
-                .filter(|((cid, _), senders)| {
-                    senders.len() > f && (last_cid..=need_up_to).contains(cid)
-                })
-                .max_by_key(|((cid, _), _)| *cid);
-            match attested {
-                Some(((cid, snapshot), _)) if covered(*cid) => Some((*cid, snapshot.clone())),
-                _ => return,
-            }
-        };
-        // The sessions' executed half continues from the checkpoint's,
-        // or from this replica's own.
-        let (base, executed, restore) = match checkpoint {
-            Some((cid, bytes)) => match split_checkpoint(&bytes) {
-                Ok((executed, snapshot)) => (cid, executed, Some((cid, bytes, snapshot))),
-                Err(_) => return,
-            },
-            None => (last_cid, self.replica.executed(), None),
-        };
-        let entries = (base + 1..=need_up_to)
-            .map(|cid| transfer.entries[&cid].clone())
-            .collect();
-        self.finish_transfer(now_us, restore, executed, entries, need_up_to, out);
-    }
-
-    /// Installs the transferred state: the checkpoint (its cid, its
-    /// bytes, the application's part of them), if any, then the entries
-    /// after it, replayed into `executed` as they execute.
-    fn finish_transfer(
-        &mut self,
-        now_us: u64,
-        checkpoint: Option<(u64, Bytes, Bytes)>,
-        mut executed: Executed,
-        entries: Vec<LogEntry>,
-        reached: u64,
-        out: &mut Vec<Output>,
-    ) {
-        if let Some((cid, bytes, snapshot)) = checkpoint {
-            self.app.restore(&snapshot);
-            self.log.checkpoint(cid, &bytes);
         }
-        let mut owed = BTreeMap::new();
-        for entry in entries {
-            let skipped = executed.execute(&entry.batch);
-            let outs = self.app.execute_batch(entry.cid, &executable(&entry.batch, &skipped), false);
-            last_replies(outs, &mut owed);
-            self.log.append(entry.cid, &entry.batch, &entry.proof);
-        }
-        // Clients hold most of these replies from the live replicas. The
-        // last one of each may be what it still waits for, and that
-        // request has executed here: answer it, and cache it.
-        for (client, (seq, payload)) in owed {
-            self.reply_cache.insert(client, (seq, payload.clone()));
-            out.push(Output::ToClient(client, SmrMsg::Reply { seq, payload }));
-        }
-        self.transfer = None;
-        self.tentative_executed.clear();
-        // `max`: consensus may have committed past the target meanwhile.
-        self.stats.last_cid.fetch_max(reached, Ordering::Relaxed);
+        self.checkpoint_claims = None;
         self.stats.state_transfers.fetch_add(1, Ordering::Relaxed);
         self.obs.state_transfers.inc();
         if let Some(flight) = &self.flight {
             flight.record(now_us, EventKind::StateTransfer, reached, 1, 0);
         }
-        hlf_obs::info!(
-            "node {} finished state transfer at cid {reached}",
-            self.node().0
-        );
-        self.consensus(now_us, ConsensusInput::InstallState(reached, executed), out);
+        hlf_obs::info!("node {} caught up to cid {reached}", self.node().0);
+    }
+
+    /// Restores an attested checkpoint: the application's snapshot, the
+    /// log's checkpoint, and the sessions' executed half in the replica,
+    /// which resumes after it. The restored state holds no tentative
+    /// execution.
+    fn install_checkpoint(&mut self, now_us: u64, (cid, bytes): (u64, Bytes), out: &mut Vec<Output>) {
+        let Ok((executed, snapshot)) = split_checkpoint(&bytes) else {
+            return;
+        };
+        self.app.restore(&snapshot);
+        self.log.checkpoint(cid, &bytes);
+        self.tentative_executed.clear();
+        self.stats.last_cid.store(cid, Ordering::Relaxed);
+        self.consensus(now_us, ConsensusInput::InstallState(cid, executed), out);
     }
 }
 

@@ -10,8 +10,8 @@
 //! |------|------|---------|
 //! | `smr.node.request_decide_us`     | histogram | request received → batch committed |
 //! | `smr.node.commit_batch_len`      | histogram | requests per committed batch |
-//! | `smr.node.state_transfers`       | counter   | completed state transfers |
-//! | `smr.node.state_transfer_rounds` | counter   | StateRequest broadcast rounds |
+//! | `smr.node.state_transfers`       | counter   | catch-ups that moved the frontier |
+//! | `smr.node.state_transfer_rounds` | counter   | StateRequest broadcasts |
 //! | `smr.node.recoveries`            | counter   | startups that replayed a durable log |
 //! | `smr.node.duplicates_skipped`    | counter   | decided requests not executed: their session had executed them |
 //! | `smr.client.invoke_us`           | histogram | synchronous invocation round-trip |
@@ -31,9 +31,9 @@ pub(crate) struct NodeObs {
     pub request_decide_us: Arc<Histogram>,
     /// Requests per committed batch.
     pub commit_batch_len: Arc<Histogram>,
-    /// Completed state transfers.
+    /// Catch-ups that moved the frontier.
     pub state_transfers: Arc<Counter>,
-    /// StateRequest broadcast rounds (initial requests + retries).
+    /// StateRequest broadcasts (each `Behind` the replica raised).
     pub state_transfer_rounds: Arc<Counter>,
     /// Startups that found and replayed a non-empty durable log.
     pub recoveries: Arc<Counter>,

@@ -1,11 +1,11 @@
 //! Framing for everything that crosses the transport: client requests,
-//! replies/pushes, consensus traffic, and state transfer.
+//! replies/pushes, consensus traffic, and catch-up.
 
 use hlf_consensus::messages::{Batch, ConsensusMsg, DecisionProof, Request};
 use hlf_wire::{BufferPool, Bytes};
 use hlf_wire::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader, WireError};
 
-/// One recoverable log entry served during state transfer.
+/// One proven log entry, as the log keeps it and catch-up serves it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogEntry {
     /// Decided instance.
@@ -55,17 +55,19 @@ pub enum SmrMsg {
     },
     /// Replica <-> replica consensus traffic.
     Consensus(ConsensusMsg),
-    /// Replica -> replica: send me everything from `from_cid` on.
+    /// Replica -> replica: the one catch-up request, "send me your
+    /// decisions from `from_cid` on".
     StateRequest {
-        /// First instance the requester is missing.
+        /// First instance the requester has not decided.
         from_cid: u64,
     },
-    /// Replica -> replica: state transfer payload.
+    /// Replica -> replica: the answer to a `StateRequest`, from the
+    /// sender's log.
     StateReply {
-        /// Latest checkpoint at or below the requested point, if any:
-        /// `(checkpointed cid, application snapshot)`.
+        /// Only when the sender's log no longer reaches `from_cid`: its
+        /// checkpoint, `(checkpointed cid, checkpoint bytes)`.
         checkpoint: Option<(u64, Bytes)>,
-        /// Proven log entries after the checkpoint.
+        /// Proven log entries from `from_cid`, or from the checkpoint on.
         entries: Vec<LogEntry>,
     },
     /// Client -> replica: register for pushes without submitting a

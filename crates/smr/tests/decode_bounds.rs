@@ -7,12 +7,12 @@
 //! client socket).
 //!
 //! One table over the three element types that cross the transport in
-//! sequences — `Request` (windows, batches, forwards), `LogEntry` (state
-//! transfer) and `Vote` (decision proofs, write certificates) — and the
+//! sequences — `Request` (windows, batches, forwards), `LogEntry`
+//! (catch-up) and `Vote` (decision proofs, write certificates) — and the
 //! two message enums every replica decodes from every frame:
 //! `ConsensusMsg`, every variant, and `SmrMsg`, every variant. Plus the
-//! session table every checkpoint carries (a state transfer installs
-//! one that `f + 1` peers sent, a restart one read off the disk).
+//! session table every checkpoint carries (a catch-up installs one that
+//! `f + 1` peers sent, a restart one read off the disk).
 
 use hlf_consensus::messages::{
     Batch, ConsensusMsg, DecisionProof, Request, SlotRebind, SlotReport, StopData, Vote, VotePhase,
@@ -179,14 +179,18 @@ fn sequences_of_untrusted_input_fail_typed_and_reserve_within_the_input() {
         ConsensusMsg::Forward {
             requests: requests.clone(),
         },
-        ConsensusMsg::ValueRequest { cid: 4 },
-        ConsensusMsg::ValueReply {
-            cid: 4,
-            batch: batch.clone(),
-            proof: proof(4),
-        },
     ];
     check("ConsensusMsg", messages.clone());
+    // Tags 7 and 8 were a value request and its reply: a frame that
+    // still carries one, as it did, is a typed error, bare or inside an
+    // `SmrMsg`.
+    for tag in [7u8, 8] {
+        let mut frame = vec![tag];
+        4u64.encode(&mut frame);
+        assert_eq!(from_bytes::<ConsensusMsg>(&frame), Err(WireError::InvalidDiscriminant(tag)));
+        frame.insert(0, 2);
+        assert_eq!(from_bytes::<SmrMsg>(&frame), Err(WireError::InvalidDiscriminant(tag)));
+    }
 
     let frames = vec![
         SmrMsg::Requests(requests),
